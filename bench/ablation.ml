@@ -41,9 +41,14 @@ let engines ~jobs () =
           time_ms (fun () ->
               List.for_all
                 (fun m -> Formula.eval m f)
-                (Egcwa.semantics.Semantics.reference_models db))
+                (Egcwa.reference_models db))
       in
-      let oracle_ms = time_ms (fun () -> Egcwa.infer_formula db f) in
+      let oracle_ms =
+        time_ms (fun () ->
+            Egcwa.infer_formula_in
+              (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+              db f)
+      in
       (n, reference_ms, oracle_ms))
     (fun (n, reference_ms, oracle_ms) ->
       Fmt.pr "  %-6d %-14.2f %-14.2f@." n reference_ms oracle_ms)

@@ -26,7 +26,12 @@ let brave_vs_cautious () =
     (fun n ->
       let db = Random_db.normal ~seed:(3 * n) ~num_vars:n in
       let f = Random_db.formula ~seed:n ~num_vars:n ~depth:2 in
-      let ec, _ = time_with_stats (fun () -> Egcwa.infer_formula db f) in
+      let ec, _ =
+        time_with_stats (fun () ->
+            Egcwa.infer_formula_in
+              (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+              db f)
+      in
       let eb, _ = time_with_stats (fun () -> Brave.egcwa db f) in
       let dc, _ = time_with_stats (fun () -> Dsm.infer_formula db f) in
       let db_, _ = time_with_stats (fun () -> Brave.dsm db f) in
@@ -87,7 +92,12 @@ let sigma2_realizations () =
       let db = Random_db.positive ~seed:(13 * n) ~num_vars:n in
       let x = n / 2 in
       let t0 = Unix.gettimeofday () in
-      let direct = not (Gcwa.entails_neg_literal db x) in
+      let direct =
+        not
+          (Gcwa.entails_neg_literal_in
+             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+             db x)
+      in
       let t1 = Unix.gettimeofday () in
       let via_qbf = Qbf_encodings.gcwa_refutes_neg_literal_qbf db x in
       let t2 = Unix.gettimeofday () in

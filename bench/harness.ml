@@ -14,6 +14,13 @@ open Ddb_workload
    measured signature (polynomial growth / O(1) / oracle usage) can be read
    off against it.  Absolute times are ours; the *shape* is the paper's. *)
 
+module Engine = Ddb_engine.Engine
+
+(* The closed-world cells run on the paper's baseline configuration: a
+   fresh engine per query, without cache or fast path (one fresh solver
+   per oracle question). *)
+let base () = Engine.create ~cache:false ~fastpath:false ()
+
 type measurement = {
   n : int;
   time_ms : float;
@@ -114,19 +121,19 @@ let table1_cells : cell list =
   [
     (* GCWA *)
     { semantics = "gcwa"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Gcwa.infer_literal db (neg_literal db)) };
+      instance = pos; run = (fun db -> Gcwa.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "gcwa"; task = Classes.Formula; sizes = medium;
       instance = pos;
-      run = (fun db -> (Oracle_algorithms.gcwa_formula db (random_query db)).Oracle_algorithms.answer) };
+      run = (fun db -> (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)).Oracle_algorithms.answer) };
     { semantics = "gcwa"; task = Classes.Exists; sizes = large;
       instance = pos; run = (fun db -> Db.is_positive_ddb db) };
     (* DDR *)
     { semantics = "ddr"; task = Classes.Literal; sizes = large;
-      instance = pos; run = (fun db -> Ddr.infer_literal db (neg_literal db)) };
+      instance = pos; run = (fun db -> Ddr.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "ddr"; task = Classes.Formula; sizes = large;
-      instance = pos; run = (fun db -> Ddr.infer_formula db (random_query db)) };
+      instance = pos; run = (fun db -> Ddr.infer_formula_in (base ()) db (random_query db)) };
     { semantics = "ddr"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Ddr.has_model };
+      instance = pos; run = (fun db -> Ddr.has_model_in (base ()) db) };
     (* PWS *)
     { semantics = "pws"; task = Classes.Literal; sizes = large;
       instance = pos; run = (fun db -> Pws.infer_literal db (neg_literal db)) };
@@ -136,32 +143,32 @@ let table1_cells : cell list =
       instance = pos; run = Pws.has_model };
     (* EGCWA *)
     { semantics = "egcwa"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Egcwa.infer_literal db (neg_literal db)) };
+      instance = pos; run = (fun db -> Egcwa.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "egcwa"; task = Classes.Formula; sizes = medium;
-      instance = pos; run = (fun db -> Egcwa.infer_formula db (random_query db)) };
+      instance = pos; run = (fun db -> Egcwa.infer_formula_in (base ()) db (random_query db)) };
     { semantics = "egcwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Egcwa.has_model };
+      instance = pos; run = (fun db -> Egcwa.has_model_in (base ()) db) };
     (* CCWA *)
     { semantics = "ccwa"; task = Classes.Literal; sizes = medium;
       instance = pos;
-      run = (fun db -> Ccwa.infer_literal db (bench_partition (Db.num_vars db)) (neg_literal db)) };
+      run = (fun db -> Ccwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
     { semantics = "ccwa"; task = Classes.Formula; sizes = [ 10; 20; 40 ];
       (* the support computation under a nontrivial partition is the
          hardest oracle in the suite; n = 80 costs tens of seconds *)
       instance = pos;
       run = (fun db ->
-        (Oracle_algorithms.ccwa_formula db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
+        (Oracle_algorithms.ccwa_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
     { semantics = "ccwa"; task = Classes.Exists; sizes = large;
       instance = pos; run = (fun db -> Db.is_positive_ddb db) };
     (* ECWA *)
     { semantics = "ecwa"; task = Classes.Literal; sizes = medium;
       instance = pos;
-      run = (fun db -> Ecwa.infer_literal db (bench_partition (Db.num_vars db)) (neg_literal db)) };
+      run = (fun db -> Ecwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
     { semantics = "ecwa"; task = Classes.Formula; sizes = medium;
       instance = pos;
-      run = (fun db -> Ecwa.infer_formula db (bench_partition (Db.num_vars db)) (random_query db)) };
+      run = (fun db -> Ecwa.infer_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)) };
     { semantics = "ecwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Ecwa.has_model };
+      instance = pos; run = (fun db -> Ecwa.has_model_in (base ()) db) };
     (* ICWA (positive databases are trivially stratified) *)
     { semantics = "icwa"; task = Classes.Literal; sizes = medium;
       instance = pos;
@@ -199,18 +206,18 @@ let table2_cells : cell list =
   let nrm = Random_db.normal in
   [
     { semantics = "gcwa"; task = Classes.Literal; sizes = medium;
-      instance = ic; run = (fun db -> Gcwa.infer_literal db (neg_literal db)) };
+      instance = ic; run = (fun db -> Gcwa.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "gcwa"; task = Classes.Formula; sizes = medium;
       instance = ic;
-      run = (fun db -> (Oracle_algorithms.gcwa_formula db (random_query db)).Oracle_algorithms.answer) };
+      run = (fun db -> (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)).Oracle_algorithms.answer) };
     { semantics = "gcwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = Gcwa.has_model };
+      instance = ic; run = (fun db -> Gcwa.has_model_in (base ()) db) };
     { semantics = "ddr"; task = Classes.Literal; sizes = large;
-      instance = ic; run = (fun db -> Ddr.infer_literal db (neg_literal db)) };
+      instance = ic; run = (fun db -> Ddr.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "ddr"; task = Classes.Formula; sizes = large;
-      instance = ic; run = (fun db -> Ddr.infer_formula db (random_query db)) };
+      instance = ic; run = (fun db -> Ddr.infer_formula_in (base ()) db (random_query db)) };
     { semantics = "ddr"; task = Classes.Exists; sizes = large;
-      instance = ic; run = Ddr.has_model };
+      instance = ic; run = (fun db -> Ddr.has_model_in (base ()) db) };
     { semantics = "pws"; task = Classes.Literal; sizes = medium;
       instance = ic; run = (fun db -> Pws.infer_literal db (neg_literal db)) };
     { semantics = "pws"; task = Classes.Formula; sizes = medium;
@@ -218,28 +225,28 @@ let table2_cells : cell list =
     { semantics = "pws"; task = Classes.Exists; sizes = medium;
       instance = ic; run = Pws.has_model };
     { semantics = "egcwa"; task = Classes.Literal; sizes = medium;
-      instance = ic; run = (fun db -> Egcwa.infer_literal db (neg_literal db)) };
+      instance = ic; run = (fun db -> Egcwa.infer_literal_in (base ()) db (neg_literal db)) };
     { semantics = "egcwa"; task = Classes.Formula; sizes = medium;
-      instance = ic; run = (fun db -> Egcwa.infer_formula db (random_query db)) };
+      instance = ic; run = (fun db -> Egcwa.infer_formula_in (base ()) db (random_query db)) };
     { semantics = "egcwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = Egcwa.has_model };
+      instance = ic; run = (fun db -> Egcwa.has_model_in (base ()) db) };
     { semantics = "ccwa"; task = Classes.Literal; sizes = medium;
       instance = ic;
-      run = (fun db -> Ccwa.infer_literal db (bench_partition (Db.num_vars db)) (neg_literal db)) };
+      run = (fun db -> Ccwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
     { semantics = "ccwa"; task = Classes.Formula; sizes = medium;
       instance = ic;
       run = (fun db ->
-        (Oracle_algorithms.ccwa_formula db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
+        (Oracle_algorithms.ccwa_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
     { semantics = "ccwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = Ccwa.has_model };
+      instance = ic; run = (fun db -> Ccwa.has_model_in (base ()) db) };
     { semantics = "ecwa"; task = Classes.Literal; sizes = medium;
       instance = ic;
-      run = (fun db -> Ecwa.infer_literal db (bench_partition (Db.num_vars db)) (neg_literal db)) };
+      run = (fun db -> Ecwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
     { semantics = "ecwa"; task = Classes.Formula; sizes = medium;
       instance = ic;
-      run = (fun db -> Ecwa.infer_formula db (bench_partition (Db.num_vars db)) (random_query db)) };
+      run = (fun db -> Ecwa.infer_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)) };
     { semantics = "ecwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = Ecwa.has_model };
+      instance = ic; run = (fun db -> Ecwa.has_model_in (base ()) db) };
     { semantics = "icwa"; task = Classes.Literal; sizes = medium;
       instance = stratified_instance;
       run = (fun db -> Icwa.infer_literal db (Partition.minimize_all (Db.num_vars db)) (neg_literal db)) };
@@ -334,17 +341,15 @@ let table2 ?jobs ?trace_prefix () =
     ~title:"Table 2: propositional DDBs (with integrity clauses)"
     ~setting:Classes.Table2 table2_cells
 
-(* ---- engine ablation: memoizing oracle engine vs the direct path ----
+(* ---- engine ablation: memoizing oracle engine vs the uncached one ----
 
    Same seeded workload run twice, once through a caching engine and once
-   through a cache-disabled one (which replicates the seed's fresh-solver
-   path).  The workload is the closed-world query pattern the engine is
+   through a cache-disabled one (the same oracle procedures on a fresh
+   per-op solver, without memo tables).  The workload is the closed-world query pattern the engine is
    built for: a full ± literal sweep plus a few formula queries per
    database, repeated — exactly what a query front end does.  We report the
    total SAT solve calls either way plus the cached engine's hit counts,
    and emit the engine's stats record as JSON (schema in EXPERIMENTS.md). *)
-
-module Engine = Ddb_engine.Engine
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -414,7 +419,7 @@ let observability_overhead ?trace_prefix () =
 (* Prints the comparison table and returns the section as JSON (collected
    by main.exe --json). *)
 let engine_comparison ?trace_prefix () =
-  Fmt.pr "@.=== Engine ablation: memoizing oracle engine (cached vs direct) ===@.";
+  Fmt.pr "@.=== Engine ablation: memoizing oracle engine (cached vs uncached) ===@.";
   Fmt.pr
     "  (per semantics: 2 passes of a full ± literal sweep + formula query on \
      one seeded DB; 'sat' = total SAT solve calls)@.";
@@ -442,7 +447,7 @@ let engine_comparison ?trace_prefix () =
   in
   List.iter
     (fun (name, sat_direct, sat_cached) ->
-      Fmt.pr "  %-6s direct: %6d sat   cached: %6d sat   (%.1fx)@." name
+      Fmt.pr "  %-6s uncached: %6d sat   cached: %6d sat   (%.1fx)@." name
         sat_direct sat_cached
         (if sat_cached > 0 then
            float_of_int sat_direct /. float_of_int sat_cached
@@ -450,7 +455,7 @@ let engine_comparison ?trace_prefix () =
     rows;
   let t = Engine.totals cached in
   Fmt.pr "  cached engine: %a@." Engine.pp_stats t;
-  Fmt.pr "  semantics with fewer SAT calls than the direct path: %d/%d@." wins
+  Fmt.pr "  semantics with fewer SAT calls than the uncached engine: %d/%d@." wins
     (List.length Registry.names);
   Fmt.pr "@.--- engine stats JSON ---@.%s@." (Engine.stats_json cached);
   let overhead_json = observability_overhead ?trace_prefix () in

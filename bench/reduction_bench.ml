@@ -21,7 +21,11 @@ let run () =
         let db, w = Reductions.qbf_to_gcwa qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
         let t0 = Unix.gettimeofday () in
-        let answered = Gcwa.infer_literal db (Ddb_logic.Lit.Neg w) in
+        let answered =
+          Gcwa.infer_literal_in
+            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+            db (Ddb_logic.Lit.Neg w)
+        in
         total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
         if answered = not reference then incr agree;
         if reference then incr valid
@@ -60,7 +64,11 @@ let run () =
       for seed = 0 to per_size - 1 do
         let g = Graph.random_graph ~seed ~vertices ~edge_prob:0.3 in
         let t0 = Unix.gettimeofday () in
-        if Egcwa.semantics.Semantics.has_model (Graph.coloring_db g) then
+        if
+          Egcwa.has_model_in
+            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+            (Graph.coloring_db g)
+        then
           incr sat;
         total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
       done;

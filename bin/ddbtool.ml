@@ -208,7 +208,7 @@ let semantics_arg =
   let print ppf (s : Semantics.t) = Fmt.string ppf s.Semantics.name in
   Arg.(
     value
-    & opt (conv (parse, print)) Egcwa.semantics
+    & opt (conv (parse, print)) (Option.get (Registry.find "egcwa"))
     & info [ "s"; "semantics" ] ~docv:"SEM"
         ~doc:
           (Printf.sprintf "Semantics to evaluate under; one of: %s."
@@ -383,14 +383,15 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
     (* explicit ⟨P;Q;Z⟩: route to the partition-parametric engines *)
     let db = Semantics.for_query db f in
     Result.bind (build_partition db ~minimize ~fixed ~vary) @@ fun part ->
+    let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
     let answer =
       match sem.Semantics.name with
       | "ccwa" ->
-        if brave then Ok (Brave.ccwa db part f)
-        else Ok (Ccwa.infer_formula db part f)
+        if brave then Ok (Brave.ccwa eng db part f)
+        else Ok (Ccwa.infer_formula_in eng db part f)
       | "ecwa" ->
         if brave then Ok (Brave.ecwa db part f)
-        else Ok (Ecwa.infer_formula db part f)
+        else Ok (Ecwa.infer_formula_in eng db part f)
       | "circ" ->
         if brave then Ok (Brave.ecwa db part f)
         else Ok (Circ.infer_formula db part f)
@@ -412,8 +413,12 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
       (Formula.pp ~vocab) f (Partition.pp ~vocab) part;
     Ok ()
   | f ->
+    (* Cautious inference runs on an engine so the fragment fast paths
+       apply (--no-fastpath is the generic-oracle ablation); brave
+       witnesses take their closed-world augmentations from it. *)
+    let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
     if brave then begin
-      match Brave.witness_by_name sem.Semantics.name db f with
+      match Brave.witness_by_name eng sem.Semantics.name db f with
       | None ->
         Error
           (`Msg
@@ -429,9 +434,6 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
         Ok ()
     end
     else begin
-      (* Plain cautious inference runs on an engine so the fragment
-         fast paths apply (--no-fastpath is the generic-oracle ablation). *)
-      let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
       let answer =
         Registry.infer_formula_in eng ~sem:sem.Semantics.name db f
       in
@@ -441,7 +443,9 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
       (* a counterexample to a failed cautious query is a brave witness
          for the negation *)
       if (not answer) && witness then begin
-        match Brave.witness_by_name sem.Semantics.name db (Formula.not_ f) with
+        match
+          Brave.witness_by_name eng sem.Semantics.name db (Formula.not_ f)
+        with
         | Some (Some w) -> Fmt.pr "counterexample: %a@." (pp_witness vocab) w
         | Some None | None -> ()
       end;
@@ -548,13 +552,7 @@ let select_sems db sem_name =
         (`Msg
           (Printf.sprintf "unknown semantics %S (try: %s)" name
              (String.concat ", " Registry.names)))
-    else if
-      not
-        (List.exists
-           (fun (s : Semantics.t) ->
-             s.Semantics.name = name && s.Semantics.applicable db)
-           Registry.all)
-    then
+    else if not (List.mem name (Registry.applicable_names db)) then
       Error
         (`Msg
           (Printf.sprintf "the %s semantics is not applicable to this database"
@@ -588,7 +586,8 @@ let finish_sweep3 bopts unknowns k =
    memoizing oracle engine per worker, and print the merged per-semantics
    stats record as JSON — same schema as a single engine's (the "unknowns"
    counters are zero on unbudgeted runs).  --no-cache replays the workload
-   on cache-disabled shards (the direct fresh-solver path) for ablation. *)
+   on cache-disabled shards (no memo tables, a fresh solver per oracle
+   question) for ablation. *)
 let stats db sem_name no_cache no_fastpath jobs ~pinned bopts =
   Result.bind (select_sems db sem_name) @@ fun sems ->
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
@@ -680,8 +679,9 @@ let no_cache_flag =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the engine's memo tables (ablation: the direct \
-           fresh-solver path, still instrumented).")
+          "Disable the engine's memo tables (ablation: the same oracle \
+           procedures on a fresh solver per question, still \
+           instrumented).")
 
 (* --- profile --- *)
 
@@ -734,7 +734,7 @@ let list_semantics () =
   List.iter
     (fun (s : Semantics.t) ->
       Fmt.pr "%-8s %s@." s.Semantics.name s.Semantics.long_name)
-    Registry.all;
+    (Registry.all_in (Ddb_engine.Engine.create ()));
   Ok ()
 
 (* --- command wiring --- *)

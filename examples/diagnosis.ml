@@ -41,9 +41,10 @@ let () =
      diagnosis)?  This is exactly the Π₂ᵖ-style literal inference of the
      paper's CCWA row, on a natural workload. *)
   Fmt.pr "Certainly-healthy gates (CCWA |= ~ab_g):@.";
+  let eng = Ddb_engine.Engine.create () in
   List.iteri
     (fun g _ ->
-      if Diagnosis.certainly_healthy circuit ~observations g then
+      if Diagnosis.certainly_healthy eng circuit ~observations g then
         Fmt.pr "  gate %d@." g)
     circuit.Diagnosis.gates;
 

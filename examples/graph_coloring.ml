@@ -15,8 +15,11 @@ open Ddb_logic
 open Ddb_db
 open Ddb_core
 open Ddb_workload
+module Engine = Ddb_engine.Engine
 
 let () =
+  (* One oracle engine answers every query below. *)
+  let eng = Engine.create () in
   (* --- 3-colourability --- *)
   let odd_cycle = Graph.cycle 5 in
   let even_cycle = Graph.cycle 6 in
@@ -29,7 +32,7 @@ let () =
       let db = Graph.coloring_db g in
       Fmt.pr "  %-12s %d vertices, %d clauses: %s@." name g.Graph.vertices
         (Db.size db)
-        (if Egcwa.semantics.Semantics.has_model db then "3-colourable"
+        (if Egcwa.has_model_in eng db then "3-colourable"
          else "not 3-colourable"))
     [ ("C5", odd_cycle); ("C6", even_cycle); ("K4", k4) ];
   (* K4 needs 4 colours *)
@@ -50,13 +53,13 @@ let () =
   Fmt.pr "@.Vertices in no minimal cover (GCWA |= ~in_v):@.";
   List.iteri
     (fun v _ ->
-      if Graph.never_in_minimal_cover g v then
+      if Graph.never_in_minimal_cover eng g v then
         Fmt.pr "  vertex %d is never needed@." v)
     (List.init g.Graph.vertices Fun.id);
   (* cross-check one vertex against the explicit cover list *)
   List.iteri
     (fun v _ ->
       let in_some = List.exists (fun c -> Interp.mem c v) covers in
-      assert (Graph.never_in_minimal_cover g v = not in_some))
+      assert (Graph.never_in_minimal_cover eng g v = not in_some))
     (List.init g.Graph.vertices Fun.id);
   Fmt.pr "@.(cross-checked against the explicit cover list)@."

@@ -34,22 +34,24 @@ let ecwa_witness db part f = minimal_witness db part f
    after the support-set computation. *)
 let augmented_witness db negs f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
-  let db = Db.with_universe db n in
-  let solver = Solver.of_clauses ~num_vars:n (Mm.augmented_cnf db negs) in
+  let solver = Db.solver (Db.with_universe db n) in
+  Interp.iter (fun x -> Solver.add_clause solver [ Lit.Neg x ]) negs;
   let _ = Solver.add_formula solver ~next_var:n f in
   match Solver.solve solver with
   | Solver.Sat -> Some (Solver.model ~universe:n solver)
   | Solver.Unsat -> None
 
-let gcwa_witness db f =
+(* The closed-world augmentations come from the oracle engine. *)
+let gcwa_witness eng db f =
   let db = Semantics.for_query db f in
-  augmented_witness db (Gcwa.negated_atoms db) f
+  augmented_witness db (Gcwa.negated_atoms_in eng db) f
 
-let ccwa_witness db part f = augmented_witness db (Ccwa.negated_atoms db part) f
+let ccwa_witness eng db part f =
+  augmented_witness db (Ccwa.negated_atoms_in eng db part) f
 
-let cwa_witness db f =
+let cwa_witness eng db f =
   let db = Semantics.for_query db f in
-  augmented_witness db (Cwa.negated_atoms db) f
+  augmented_witness db (Cwa.negated_atoms_in eng db) f
 
 let ddr_witness db f =
   let db = Semantics.for_query db f in
@@ -93,9 +95,9 @@ let pdsm_witness db f =
     db
 
 (* Boolean views. *)
-let cwa db f = Option.is_some (cwa_witness db f)
-let gcwa db f = Option.is_some (gcwa_witness db f)
-let ccwa db part f = Option.is_some (ccwa_witness db part f)
+let cwa eng db f = Option.is_some (cwa_witness eng db f)
+let gcwa eng db f = Option.is_some (gcwa_witness eng db f)
+let ccwa eng db part f = Option.is_some (ccwa_witness eng db part f)
 let egcwa db f = Option.is_some (egcwa_witness db f)
 let ecwa db part f = Option.is_some (ecwa_witness db part f)
 let ddr db f = Option.is_some (ddr_witness db f)
@@ -110,15 +112,16 @@ let pdsm db f = Option.is_some (pdsm_witness db f)
 
 type witness = Two_valued of Interp.t | Three_valued_witness of Three_valued.t
 
-let witness_by_name name db f =
+let witness_by_name eng name db f =
   let total () =
     Partition.minimize_all (Db.num_vars (Semantics.for_query db f))
   in
   let two w = Option.map (fun m -> Two_valued m) w in
   match name with
-  | "cwa" -> Some (two (cwa_witness db f))
-  | "gcwa" -> Some (two (gcwa_witness db f))
-  | "ccwa" -> Some (two (ccwa_witness (Semantics.for_query db f) (total ()) f))
+  | "cwa" -> Some (two (cwa_witness eng db f))
+  | "gcwa" -> Some (two (gcwa_witness eng db f))
+  | "ccwa" ->
+    Some (two (ccwa_witness eng (Semantics.for_query db f) (total ()) f))
   | "egcwa" -> Some (two (egcwa_witness db f))
   | "ecwa" | "circ" ->
     Some (two (ecwa_witness (Semantics.for_query db f) (total ()) f))
@@ -131,5 +134,5 @@ let witness_by_name name db f =
     Some (Option.map (fun i -> Three_valued_witness i) (pdsm_witness db f))
   | _ -> None
 
-let by_name name db f =
-  Option.map Option.is_some (witness_by_name name db f)
+let by_name eng name db f =
+  Option.map Option.is_some (witness_by_name eng name db f)

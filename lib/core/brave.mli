@@ -4,11 +4,16 @@ open Ddb_db
 (** Brave (credulous) inference: truth in {e some} intended model, with the
     witnessing model available.  Dual to the cautious engines; for every
     two-valued semantics, brave(F) = ¬cautious(¬F) (a tested property), so
-    a brave witness of ¬F is a counterexample to cautious F. *)
+    a brave witness of ¬F is a counterexample to cautious F.  The
+    closed-world engines (CWA, GCWA, CCWA) take the oracle engine that
+    computes their augmentation. *)
 
-val cwa_witness : Db.t -> Formula.t -> Interp.t option
-val gcwa_witness : Db.t -> Formula.t -> Interp.t option
-val ccwa_witness : Db.t -> Partition.t -> Formula.t -> Interp.t option
+val cwa_witness : Ddb_engine.Engine.t -> Db.t -> Formula.t -> Interp.t option
+val gcwa_witness : Ddb_engine.Engine.t -> Db.t -> Formula.t -> Interp.t option
+
+val ccwa_witness :
+  Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> Interp.t option
+
 val egcwa_witness : Db.t -> Formula.t -> Interp.t option
 val ecwa_witness : Db.t -> Partition.t -> Formula.t -> Interp.t option
 val ddr_witness : Db.t -> Formula.t -> Interp.t option
@@ -18,9 +23,9 @@ val perf_witness : Db.t -> Formula.t -> Interp.t option
 val dsm_witness : Db.t -> Formula.t -> Interp.t option
 val pdsm_witness : Db.t -> Formula.t -> Three_valued.t option
 
-val cwa : Db.t -> Formula.t -> bool
-val gcwa : Db.t -> Formula.t -> bool
-val ccwa : Db.t -> Partition.t -> Formula.t -> bool
+val cwa : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool
+val gcwa : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool
+val ccwa : Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> bool
 val egcwa : Db.t -> Formula.t -> bool
 val ecwa : Db.t -> Partition.t -> Formula.t -> bool
 val ddr : Db.t -> Formula.t -> bool
@@ -34,9 +39,10 @@ val pdsm : Db.t -> Formula.t -> bool
 
 type witness = Two_valued of Interp.t | Three_valued_witness of Three_valued.t
 
-val witness_by_name : string -> Db.t -> Formula.t -> witness option option
+val witness_by_name :
+  Ddb_engine.Engine.t -> string -> Db.t -> Formula.t -> witness option option
 (** [None]: unknown semantics; [Some None]: no witness (brave answer is
     false); [Some (Some w)]: witness.  Partition-parametric semantics use
     the total partition. *)
 
-val by_name : string -> Db.t -> Formula.t -> bool option
+val by_name : Ddb_engine.Engine.t -> string -> Db.t -> Formula.t -> bool option

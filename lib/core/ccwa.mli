@@ -3,33 +3,29 @@ open Ddb_db
 
 (** CCWA — the Careful CWA of Gelfond & Przymusinska: given ⟨P;Q;Z⟩, add
     ¬x for every x ∈ P false in all (P;Z)-minimal models.  GCWA is the
-    special case Q = Z = ∅. *)
-
-val negated_atoms : Db.t -> Partition.t -> Interp.t
-
-val entails_neg_literal : Db.t -> Partition.t -> int -> bool
-(** One minimal-model oracle query for x ∈ P. *)
-
-val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
-(** @raise Invalid_argument if the query leaves the partitioned universe. *)
-
-val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
-val has_model : Db.t -> bool
-val reference_models : Db.t -> Partition.t -> Interp.t list
-
-val semantics_with : Partition.t -> Semantics.t
-(** Packed semantics closing over an explicit partition. *)
-
-val semantics : Semantics.t
-(** Packed with the total partition ⟨V;∅;∅⟩ (= GCWA). *)
-
-(** Engine-routed variants (memoized support sets, shared solvers). *)
+    special case Q = Z = ∅.  Decision procedures run on a caller-supplied
+    oracle engine (support sets memoized on cached engines). *)
 
 val negated_atoms_in : Ddb_engine.Engine.t -> Db.t -> Partition.t -> Interp.t
+
 val entails_neg_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> int -> bool
+(** One minimal-model oracle query for x ∈ P. *)
+
 val infer_formula_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> bool
+(** @raise Invalid_argument if the query leaves the partitioned universe. *)
+
 val infer_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool
+
+val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
+val reference_models : Db.t -> Partition.t -> Interp.t list
+
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
+(** Packed with the total partition ⟨V;∅;∅⟩ (= GCWA). *)
+
+val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
+(** {!infer_formula_in} on a fresh engine without cache or fast paths (the
+    paper's baseline configuration).  The known-answer route of
+    [perfbench/src/workloads.ml] calls it. *)

@@ -1,6 +1,6 @@
 open Ddb_logic
-open Ddb_sat
 open Ddb_db
+open Ddb_engine
 
 (* CWA — Reiter's original Closed World Assumption, included as the
    baseline the paper departs from:
@@ -10,48 +10,10 @@ open Ddb_db
    On disjunctive databases the augmentation is often inconsistent (the
    paper's motivating observation): from a ∨ b neither a nor b is entailed,
    so both ¬a and ¬b are added.  Deciding CWA-consistency is coNP-hard and
-   in P^NP[O(log n)] but (most likely) not in coD^P [7,18]. *)
+   in P^NP[O(log n)] but (most likely) not in coD^P [7,18].
 
-(* { x : DB ⊭ x }, by n entailment checks (n SAT calls). *)
-let negated_atoms db =
-  let n = Db.num_vars db in
-  let solver = Db.solver db in
-  Interp.of_pred n (fun x ->
-      match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
-      | Solver.Sat -> true (* some model omits x: not entailed: close it *)
-      | Solver.Unsat -> false)
-
-let has_model db = Mm.augmented_has_model db (negated_atoms db)
-
-let infer_formula db f =
-  let db = Semantics.for_query db f in
-  Mm.augmented_entails db (negated_atoms db) f
-
-let infer_literal db l = infer_formula db (Formula.of_lit l)
-
-let reference_models db =
-  let models = Models.brute_models db in
-  let n = Db.num_vars db in
-  let negs =
-    Interp.of_pred n (fun x -> List.exists (fun m -> not (Interp.mem m x)) models)
-  in
-  List.filter (fun m -> Interp.is_empty (Interp.inter m negs)) models
-
-let semantics : Semantics.t =
-  {
-    name = "cwa";
-    long_name = "Closed World Assumption (Reiter)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    reference_models;
-  }
-
-(* --- engine-routed path: the closure set {x : DB ⊭ x} is memoized per
-   theory and computed with assumption solves on the shared solver. --- *)
-
-open Ddb_engine
+   The closure set {x : DB ⊭ x} takes n entailment checks (n SAT calls);
+   inference and existence are then one SAT call on the augmented theory. *)
 
 (* Public entry points scope themselves ("cwa" bucket). *)
 let scope eng f = Engine.scoped eng "cwa" f
@@ -70,10 +32,21 @@ let infer_formula_in eng db f =
 
 let infer_literal_in eng db l = infer_formula_in eng db (Formula.of_lit l)
 
+let reference_models db =
+  let models = Models.brute_models db in
+  let n = Db.num_vars db in
+  let negs =
+    Interp.of_pred n (fun x -> List.exists (fun m -> not (Interp.mem m x)) models)
+  in
+  List.filter (fun m -> Interp.is_empty (Interp.inter m negs)) models
+
 let semantics_in eng : Semantics.t =
   {
-    semantics with
+    name = "cwa";
+    long_name = "Closed World Assumption (Reiter)";
+    applicable = (fun _ -> true);
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    reference_models;
   }

@@ -3,17 +3,12 @@ open Ddb_db
 
 (** CWA — Reiter's Closed World Assumption (the baseline the disjunctive
     semantics repair): add ¬x for every atom not classically entailed.
-    Frequently inconsistent on disjunctive databases. *)
+    Frequently inconsistent on disjunctive databases.
 
-val negated_atoms : Db.t -> Interp.t
-val has_model : Db.t -> bool
-val infer_formula : Db.t -> Formula.t -> bool
-val infer_literal : Db.t -> Lit.t -> bool
+    Every decision procedure runs on a caller-supplied oracle engine; the
+    closure set is memoized per theory on cached engines. *)
+
 val reference_models : Db.t -> Interp.t list
-val semantics : Semantics.t
-
-(** Engine-routed variants: the closure set is memoized per theory. *)
-
 val negated_atoms_in : Ddb_engine.Engine.t -> Db.t -> Interp.t
 val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
 val infer_formula_in : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool

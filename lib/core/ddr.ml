@@ -1,5 +1,6 @@
 open Ddb_logic
 open Ddb_db
+open Ddb_engine
 
 (* DDR — the Disjunctive Database Rule of Ross & Topor, equivalent to the
    Weak GCWA of Rajasekar, Lobo & Minker:
@@ -43,22 +44,6 @@ let entails_neg_literal_poly db x =
     invalid_arg "Ddr.entails_neg_literal_poly: integrity clauses present";
   x >= Db.num_vars db || not (Interp.mem (occurring db) x)
 
-(* General engine: one SAT call on the augmented theory. *)
-let infer_formula db f =
-  check db;
-  let db = Semantics.for_query db f in
-  Mm.augmented_entails db (negated_atoms db) f
-
-let infer_literal db l =
-  match l with
-  | Lit.Neg x when not (Db.has_integrity db) -> entails_neg_literal_poly db x
-  | Lit.Neg _ | Lit.Pos _ -> infer_formula db (Formula.of_lit l)
-
-let has_model db =
-  check db;
-  if not (Db.has_integrity db) then true (* occ itself is a DDR model *)
-  else Mm.augmented_has_model db (negated_atoms db)
-
 let reference_models db =
   check db;
   let negs = negated_atoms db in
@@ -70,29 +55,13 @@ let reference_models db =
    fixpoint. *)
 let occurring_reference db = Tp.occurring_in_fixpoint db
 
-let semantics : Semantics.t =
-  {
-    name = "ddr";
-    long_name = "Disjunctive Database Rule (Ross & Topor) = Weak GCWA";
-    applicable = (fun db -> not (Db.has_negation db));
-    has_model;
-    infer_formula;
-    infer_literal;
-    reference_models;
-  }
-
-(* --- engine-routed path ---
-
-   The occurrence closure is polynomial and stays direct; only the SAT-call
-   cells (entailment from the augmented theory, existence with integrity
-   clauses) go through the engine. *)
-
-open Ddb_engine
-
 (* Public entry points scope themselves ("ddr" bucket); the polynomial
-   occurrence-closure cells stay outside the engine and unscoped. *)
+   occurrence-closure cells stay outside the engine and unscoped.  The
+   SAT-call cells (entailment from the augmented theory, existence with
+   integrity clauses) go through the engine. *)
 let scope eng f = Engine.scoped eng "ddr" f
 
+(* One SAT call on the augmented theory. *)
 let infer_formula_in eng db f =
   check db;
   scope eng (fun () ->
@@ -106,13 +75,16 @@ let infer_literal_in eng db l =
 
 let has_model_in eng db =
   check db;
-  if not (Db.has_integrity db) then true
+  if not (Db.has_integrity db) then true (* occ itself is a DDR model *)
   else scope eng (fun () -> Engine.augmented_has_model eng db (negated_atoms db))
 
 let semantics_in eng : Semantics.t =
   {
-    semantics with
+    name = "ddr";
+    long_name = "Disjunctive Database Rule (Ross & Topor) = Weak GCWA";
+    applicable = (fun db -> not (Db.has_negation db));
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    reference_models;
   }

@@ -15,19 +15,16 @@ val entails_neg_literal_poly : Db.t -> int -> bool
 (** Chan's polynomial negative-literal inference; only valid without
     integrity clauses.  @raise Invalid_argument otherwise. *)
 
-val infer_formula : Db.t -> Formula.t -> bool
-(** One SAT call on the augmented theory (coNP). *)
-
-val infer_literal : Db.t -> Lit.t -> bool
-val has_model : Db.t -> bool
 val reference_models : Db.t -> Interp.t list
 val occurring_reference : Db.t -> Interp.t
-val semantics : Semantics.t
 
-(** Engine-routed variants; the polynomial occurrence-closure cells stay
-    oracle-free, only the SAT-call cells go through the engine. *)
+(** Decision procedures on a caller-supplied oracle engine.  The
+    polynomial occurrence-closure cells stay oracle-free; only the SAT-call
+    cells go through the engine. *)
 
 val infer_formula_in : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool
+(** One SAT call on the augmented theory (coNP). *)
+
 val infer_literal_in : Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
 val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t

@@ -1,5 +1,6 @@
 open Ddb_logic
 open Ddb_db
+open Ddb_engine
 
 (* ECWA — the Extended CWA of Gelfond, Przymusinska & Przymusinski: for a
    partition ⟨P;Q;Z⟩ the meaning of DB is the set of (P;Z)-minimal models,
@@ -10,49 +11,6 @@ open Ddb_db
    ECWA coincides with circumscription (see {!Circ}, implemented
    independently from the circumscription schema; the equivalence is a
    property test). *)
-
-let infer_formula db part f =
-  if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Ecwa.infer_formula: query atom outside the partition";
-  Models.minimal_entails ~part db f
-
-let infer_literal db part l = infer_formula db part (Formula.of_lit l)
-
-let has_model db =
-  if Db.is_positive_ddb db then true else Models.has_model db
-
-let reference_models db part = Models.brute_minimal_models ~part db
-
-let semantics_with part : Semantics.t =
-  {
-    name = "ecwa";
-    long_name = "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
-    applicable = (fun db -> Db.num_vars db = Partition.universe_size part);
-    has_model;
-    infer_formula = (fun db f -> infer_formula db part f);
-    infer_literal = (fun db l -> infer_literal db part l);
-    reference_models = (fun db -> reference_models db part);
-  }
-
-let semantics : Semantics.t =
-  {
-    name = "ecwa";
-    long_name = "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula =
-      (fun db f ->
-        let db = Semantics.for_query db f in
-        infer_formula db (Partition.minimize_all (Db.num_vars db)) f);
-    infer_literal =
-      (fun db l -> infer_literal db (Partition.minimize_all (Db.num_vars db)) l);
-    reference_models =
-      (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
-  }
-
-(* --- engine-routed path --- *)
-
-open Ddb_engine
 
 (* Public entry points scope themselves ("ecwa" bucket). *)
 let scope eng f = Engine.scoped eng "ecwa" f
@@ -65,18 +23,25 @@ let infer_formula_in eng db part f =
 let infer_literal_in eng db part l =
   infer_formula_in eng db part (Formula.of_lit l)
 
+(* O(1) on positive DDBs without integrity clauses; one SAT call
+   otherwise. *)
+let has_model_in eng db =
+  scope eng (fun () -> if Db.is_positive_ddb db then true else Engine.sat eng db)
+
+let reference_models db part = Models.brute_minimal_models ~part db
+
+let total db = Partition.minimize_all (Db.num_vars db)
+
 let semantics_in eng : Semantics.t =
   {
-    semantics with
-    has_model =
-      (fun db ->
-        scope eng (fun () ->
-            if Db.is_positive_ddb db then true else Engine.sat eng db));
+    name = "ecwa";
+    long_name = "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
+    applicable = (fun _ -> true);
+    has_model = has_model_in eng;
     infer_formula =
       (fun db f ->
         let db = Semantics.for_query db f in
-        infer_formula_in eng db (Partition.minimize_all (Db.num_vars db)) f);
-    infer_literal =
-      (fun db l ->
-        infer_literal_in eng db (Partition.minimize_all (Db.num_vars db)) l);
+        infer_formula_in eng db (total db) f);
+    infer_literal = (fun db l -> infer_literal_in eng db (total db) l);
+    reference_models = (fun db -> reference_models db (total db));
   }

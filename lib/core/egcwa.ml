@@ -1,5 +1,6 @@
 open Ddb_logic
 open Ddb_db
+open Ddb_engine
 
 (* EGCWA — the Extended GCWA of Yahya & Henschen: the meaning of DB is the
    set of its minimal models,
@@ -12,40 +13,6 @@ open Ddb_db
    (the all-true interpretation is always a model), which is Table 1's O(1)
    cell. *)
 
-let infer_formula db f =
-  let db = Semantics.for_query db f in
-  Models.minimal_entails db f
-
-let infer_literal db l = infer_formula db (Formula.of_lit l)
-
-let has_model db =
-  (* O(1) on the Table 1 fragment; one SAT call otherwise. *)
-  if Db.is_positive_ddb db then true else Models.has_model db
-
-let reference_models db = Models.brute_minimal_models db
-
-(* The augmentation view (used by tests): the integrity clauses
-   ¬a1 ∨ ... ∨ ¬an added by EGCWA are exactly the negative clauses true in
-   every minimal model. *)
-let entailed_integrity_clause db atoms =
-  infer_formula db
-    (Formula.big_or (List.map (fun a -> Formula.Not (Formula.Atom a)) atoms))
-
-let semantics : Semantics.t =
-  {
-    name = "egcwa";
-    long_name = "Extended Generalized CWA (Yahya & Henschen)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    reference_models;
-  }
-
-(* --- engine-routed path --- *)
-
-open Ddb_engine
-
 (* Public entry points scope themselves ("egcwa" bucket). *)
 let scope eng f = Engine.scoped eng "egcwa" f
 
@@ -56,14 +23,20 @@ let infer_formula_in eng db f =
 
 let infer_literal_in eng db l = infer_formula_in eng db (Formula.of_lit l)
 
+(* O(1) on the Table 1 fragment; one SAT call otherwise. *)
 let has_model_in eng db =
   if Db.is_positive_ddb db then true
   else scope eng (fun () -> Engine.sat eng db)
 
+let reference_models db = Models.brute_minimal_models db
+
 let semantics_in eng : Semantics.t =
   {
-    semantics with
+    name = "egcwa";
+    long_name = "Extended Generalized CWA (Yahya & Henschen)";
+    applicable = (fun _ -> true);
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    reference_models;
   }

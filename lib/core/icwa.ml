@@ -118,8 +118,16 @@ let infer_literal db part l = infer_formula db part (Formula.of_lit l)
 
 (* The paper: "Stratifiability asserts consistency; if DB is stratified by
    S, then ICWA is consistent for any ⟨P;Q;Z⟩" — an O(1) answer given the
-   stratification. *)
-let has_model db = Stratify.is_stratified db
+   stratification, for databases without integrity clauses.  An integrity
+   clause can exclude every ICWA model (a. plus :- a.), so with integrity
+   clauses existence is a search for an ICWA model at the total
+   partition. *)
+let has_model db =
+  if not (Db.has_integrity db) then Stratify.is_stratified db
+  else
+    match prepare db (Partition.minimize_all (Db.num_vars db)) with
+    | None -> false
+    | Some inst -> Option.is_some (find_icwa_model_such_that inst)
 
 let reference_models db part =
   match prepare db part with

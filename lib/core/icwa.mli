@@ -3,7 +3,8 @@ open Ddb_db
 
 (** ICWA — the Iterated CWA for stratified databases: the intersection of
     per-stratum ECWAs over the negation-shifted database (capturing PERF
-    under stratified negation).  Existence is O(1) given stratifiability. *)
+    under stratified negation).  Existence is O(1) given stratifiability
+    and no integrity clauses. *)
 
 type instance = {
   db : Db.t;
@@ -29,7 +30,9 @@ val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
 
 val has_model : Db.t -> bool
-(** True iff stratified — the O(1) consistency guarantee. *)
+(** Without integrity clauses: true iff stratified — the O(1) consistency
+    guarantee.  With them: whether an ICWA model exists at the total
+    partition (false when unstratified). *)
 
 val reference_models : Db.t -> Partition.t -> Interp.t list
 val semantics : Semantics.t

@@ -1,6 +1,7 @@
 open Ddb_logic
 open Ddb_sat
 open Ddb_db
+module Engine = Ddb_engine.Engine
 
 (* The paper's P^Σ₂ᵖ[O(log n)] upper-bound algorithms for formula inference
    under GCWA and CCWA (Eiter & Gottlob's binary-search method from [7]).
@@ -17,19 +18,25 @@ open Ddb_db
         model of DB ∪ {¬x : x ∈ P∖W} violating F?" — any witnessed W of
         size K must equal S, so this decides the complement of entailment.
 
-   The oracle is realized by the minimal-model engine; being an *oracle*,
-   its internal work is unbounded and only invocations are counted
-   (Stats.bump_sigma2), which is what the complexity harness measures.
-   [entails_linear] is the |P|-query variant for the ablation bench. *)
+   The oracle is realized by the memoizing oracle engine; being an
+   *oracle*, its internal work is unbounded and only invocations are
+   counted (Stats.bump_sigma2), which is what the complexity harness
+   measures.  [entails_linear] is the |P|-query variant for the ablation
+   bench. *)
 
 type report = { answer : bool; sigma2_queries : int; p_size : int }
 
-(* One Σ₂ᵖ oracle holding the (lazily computed, cached) support set.  Every
-   [query_at_least]/[query_final] invocation counts as one oracle call.
-   The support set and final entailment are realized either directly (the
-   seed path) or through a memoizing oracle engine. *)
-let make_oracle ~support_set ~augmented_entails db part =
-  let support = lazy (support_set db part) in
+(* One Σ₂ᵖ oracle holding the (lazily computed) support set.  Every
+   [query_at_least]/[query_final] invocation counts as one oracle call; the
+   oracle's internal work — the support set and the final entailment — is
+   done by the engine.  A cached engine shares that work across calls on the
+   same database; the Σ₂ᵖ *query count* is the same either way, which is
+   exactly what the complexity model allows. *)
+let entails_log_in eng db part f =
+  if Formula.max_atom f >= Partition.universe_size part then
+    invalid_arg "Oracle_algorithms.entails_log_in: query atom outside partition";
+  let before = (Stats.snapshot ()).Stats.sigma2 in
+  let support = lazy (Engine.support_set eng db part) in
   let query_at_least k =
     Stats.bump_sigma2 ();
     Interp.cardinal (Lazy.force support) >= k
@@ -39,18 +46,9 @@ let make_oracle ~support_set ~augmented_entails db part =
     (* "exists a K-sized witnessed W and a counter-model": W = S, so decide
        SAT(DB ∪ ¬(P∖S) ∪ ¬F). *)
     not
-      (augmented_entails db
+      (Engine.augmented_entails eng db
          (Interp.diff (Partition.p part) (Lazy.force support))
          f)
-  in
-  (query_at_least, query_final)
-
-let entails_log_gen ~support_set ~augmented_entails db part f =
-  if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Oracle_algorithms.entails_log: query atom outside partition";
-  let before = (Stats.snapshot ()).Stats.sigma2 in
-  let query_at_least, query_final =
-    make_oracle ~support_set ~augmented_entails db part
   in
   let p_size = Interp.cardinal (Partition.p part) in
   (* Binary search for K = |S| ∈ [0, |P|]. *)
@@ -68,31 +66,15 @@ let entails_log_gen ~support_set ~augmented_entails db part f =
     p_size;
   }
 
-let entails_log db part f =
-  entails_log_gen ~support_set:Mm.support_set
-    ~augmented_entails:Mm.augmented_entails db part f
-
-(* Engine-realized oracle: the support set comes out of the engine's
-   per-theory cache, so repeated inference on the same database pays for it
-   once.  The Σ₂ᵖ *query count* is identical — only the oracle's internal
-   work is shared, which is exactly what the complexity model allows. *)
-let entails_log_in eng db part f =
-  entails_log_gen
-    ~support_set:(Ddb_engine.Engine.support_set eng)
-    ~augmented_entails:(Ddb_engine.Engine.augmented_entails eng)
-    db part f
-
 (* The naive P^Σ₂ᵖ[O(n)] algorithm: one query per atom ("is x true in some
    minimal model?"), then the same final query. *)
-let entails_linear db part f =
+let entails_linear eng db part f =
   if Formula.max_atom f >= Partition.universe_size part then
     invalid_arg "Oracle_algorithms.entails_linear: query atom outside partition";
   let before = (Stats.snapshot ()).Stats.sigma2 in
-  let theory = Db.theory db in
   let supported x =
     Stats.bump_sigma2 ();
-    Option.is_some
-      (Minimal.find_minimal_such_that ~extra:[ [ Lit.Pos x ] ] theory part)
+    Engine.in_some_minimal eng db part x
   in
   let support =
     Interp.fold
@@ -102,18 +84,12 @@ let entails_linear db part f =
   in
   let negs = Interp.diff (Partition.p part) support in
   Stats.bump_sigma2 ();
-  let answer = Mm.augmented_entails db negs f in
+  let answer = Engine.augmented_entails eng db negs f in
   {
     answer;
     sigma2_queries = (Stats.snapshot ()).Stats.sigma2 - before;
     p_size = Interp.cardinal (Partition.p part);
   }
-
-let gcwa_formula db f =
-  let db = Semantics.for_query db f in
-  entails_log db (Partition.minimize_all (Db.num_vars db)) f
-
-let ccwa_formula db part f = entails_log db part f
 
 let gcwa_formula_in eng db f =
   let db = Semantics.for_query db f in

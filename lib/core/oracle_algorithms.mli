@@ -11,24 +11,20 @@ open Ddb_db
 
 type report = { answer : bool; sigma2_queries : int; p_size : int }
 
-val entails_log : Db.t -> Partition.t -> Formula.t -> report
-(** CCWA_{⟨P;Q;Z⟩}(DB) ⊨ F with ≤ ⌈log₂(|P|+1)⌉ + 1 Σ₂ᵖ-oracle queries. *)
-
-val entails_linear : Db.t -> Partition.t -> Formula.t -> report
-(** Same answer with |P| + 1 queries (ablation baseline). *)
-
-val gcwa_formula : Db.t -> Formula.t -> report
-(** [entails_log] at the total partition. *)
-
-val ccwa_formula : Db.t -> Partition.t -> Formula.t -> report
-
 val entails_log_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> report
-(** [entails_log] with the Σ₂ᵖ oracle realized by the memoizing engine: the
-    same query count, but the oracle's internal support-set work is shared
-    across calls on the same database. *)
+(** CCWA_{⟨P;Q;Z⟩}(DB) ⊨ F with ≤ ⌈log₂(|P|+1)⌉ + 1 Σ₂ᵖ-oracle queries,
+    the oracle realized by the engine: the query count does not depend on
+    the engine's configuration, but a cached engine shares the oracle's
+    internal support-set work across calls on the same database. *)
+
+val entails_linear :
+  Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> report
+(** Same answer with |P| + 1 queries (ablation baseline). *)
 
 val gcwa_formula_in : Ddb_engine.Engine.t -> Db.t -> Formula.t -> report
+(** [entails_log_in] at the total partition. *)
+
 val ccwa_formula_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> report
 

@@ -4,33 +4,20 @@
    canonical total partition ⟨V;∅;∅⟩; use their modules directly for custom
    partitions.
 
-   Two families are exposed: [all] packs the direct decision procedures
-   (fresh solvers per query — the paper's algorithms verbatim), [all_in eng]
-   routes every semantics through the given memoizing oracle engine (shared
-   incremental solvers, per-theory caches, per-semantics instrumentation).
-   A cache-disabled engine makes [all_in] behave like [all], which is what
-   the cache-soundness tests compare. *)
+   Every record routes through an oracle engine: [all_in eng] packs the
+   semantics on the caller's engine (shared incremental solvers, per-theory
+   caches, per-semantics instrumentation).  [find] packs them on a fresh
+   engine with neither cache nor fast path — the paper's algorithms as
+   stated, one fresh solver per oracle question.  That baseline is a
+   configuration of the same code, not a second copy of it, and each call
+   gets its own engine, so no mutable engine is shared between callers. *)
 
-let all : Semantics.t list =
-  [
-    Cwa.semantics;
-    Gcwa.semantics;
-    Ddr.semantics;
-    Pws.semantics;
-    Egcwa.semantics;
-    Ccwa.semantics;
-    Ecwa.semantics;
-    Circ.semantics;
-    Icwa.semantics;
-    Perf.semantics;
-    Dsm.semantics;
-    Pdsm.semantics;
-  ]
+module Engine = Ddb_engine.Engine
 
 (* Engine-routed records additionally go through the fragment fast-path
    dispatcher: tractable (semantics, problem, fragment) cells are answered
    by the polynomial algorithms of [Ddb_frag], everything else falls back
-   to the generic oracle procedures below.  [Engine.set_fastpath] (or
+   to the generic oracle procedures.  [Engine.set_fastpath] (or
    [create ~fastpath:false]) turns the dispatcher off, which restores the
    pre-dispatch behaviour exactly. *)
 let all_in eng : Semantics.t list =
@@ -50,19 +37,21 @@ let all_in eng : Semantics.t list =
       Pdsm.semantics_in eng;
     ]
 
+let baseline () = all_in (Engine.create ~cache:false ~fastpath:false ())
+
 let find_among sems name =
   List.find_opt (fun (s : Semantics.t) -> String.equal s.Semantics.name name) sems
 
-let find name = find_among all name
+let find name = find_among (baseline ()) name
 let find_in eng name = find_among (all_in eng) name
 
-let names = List.map (fun (s : Semantics.t) -> s.Semantics.name) all
+let names = List.map (fun (s : Semantics.t) -> s.Semantics.name) (baseline ())
 
 let applicable_names db =
   List.filter_map
     (fun (s : Semantics.t) ->
       if s.Semantics.applicable db then Some s.Semantics.name else None)
-    all
+    (baseline ())
 
 (* Batch entry points: one-shot evaluation by name on a caller-supplied
    engine.  The domain-parallel batch layer calls these (or the records
@@ -86,15 +75,15 @@ let has_model_in eng ~sem db = (in_exn eng sem).Semantics.has_model db
 
 let infer_literal3_in ?retry ?group eng ~limits ~sem db l =
   let s = in_exn eng sem in
-  Ddb_engine.Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
+  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
       s.Semantics.infer_literal db l)
 
 let infer_formula3_in ?retry ?group eng ~limits ~sem db f =
   let s = in_exn eng sem in
-  Ddb_engine.Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
+  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
       s.Semantics.infer_formula db f)
 
 let has_model3_in ?retry ?group eng ~limits ~sem db =
   let s = in_exn eng sem in
-  Ddb_engine.Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
+  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
       s.Semantics.has_model db)

@@ -1,15 +1,15 @@
 (** Name → packed semantics (partition-parametric ones appear with the
     total partition ⟨V;∅;∅⟩). *)
 
-val all : Semantics.t list
-(** Direct decision procedures — a fresh solver per query. *)
-
 val all_in : Ddb_engine.Engine.t -> Semantics.t list
-(** Every semantics routed through the given memoizing oracle engine.
-    With a cache-disabled engine this is observably equivalent to {!all}
-    (the cache-soundness property the test suite checks). *)
+(** Every semantics routed through the given oracle engine, in registry
+    order. *)
 
 val find : string -> Semantics.t option
+(** The named semantics on a fresh engine created with [~cache:false
+    ~fastpath:false] — the paper's algorithms as stated, one fresh solver
+    per oracle question.  Each call builds its own engine. *)
+
 val find_in : Ddb_engine.Engine.t -> string -> Semantics.t option
 val names : string list
 

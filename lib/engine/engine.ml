@@ -7,8 +7,8 @@ open Ddb_db
    Every semantics of the paper bottoms out in the same primitive oracle
    queries — satisfiability of the (possibly augmented) database, minimal-
    model checks, support-set computation, minimal-model enumeration.  The
-   modules in lib/core each re-derive these from scratch per query; this
-   engine is the shared context they can route through instead:
+   semantics modules in lib/core route every such query through this
+   engine:
 
      - theories are *canonicalized* (clauses sorted and deduplicated) and
        hash-consed into integer keys, so syntactically shuffled copies of
@@ -25,10 +25,12 @@ open Ddb_db
        propagations and wall time, attributable per semantics via
        {!scoped}.
 
-   An engine created with [~cache:false] bypasses the memo tables *and* the
-   shared solvers, replicating the original direct path of lib/core bit for
-   bit — that is the ablation baseline the cache-soundness tests and the
-   bench harness compare against. *)
+   Every op has one body.  An engine created with [~cache:false] runs the
+   same body but skips the memo tables and the interning, and builds a fresh
+   per-op theory state instead of reusing the shared solver: one oracle
+   question, one fresh solver — the paper's algorithms as stated, and the
+   baseline configuration the differential tests and the bench harness
+   compare against. *)
 
 (* ------------------------------------------------------------------ *)
 (* Counters and stats                                                  *)
@@ -78,17 +80,24 @@ let add_snapshot c (d : Stats.snapshot) dt =
 (* Canonical theory keys                                               *)
 
 (* A theory is keyed by its universe size and its canonicalized clause set:
-   packed literals sorted within each clause, clauses sorted and deduped.
-   Syntactic permutations of the same database therefore share a key. *)
+   each clause's atoms tagged by position (head, positive body, negative
+   body) and sorted, clauses sorted and deduped.  Syntactic permutations of
+   the same database therefore share a key.  Rules with the same classical
+   clause but different structure (a ∨ b versus a ← not b) do not: the
+   stable and perfect model semantics, and the fragment classifier, tell
+   them apart. *)
 type raw_key = int * int list list
 
 let canonical_of_db db : raw_key =
-  let clause lits =
-    List.sort_uniq Int.compare (List.map Cnf.plit_of_lit lits)
+  let clause c =
+    List.sort_uniq Int.compare
+      (List.map (fun x -> 3 * x) (Clause.head c)
+      @ List.map (fun x -> (3 * x) + 1) (Clause.body_pos c)
+      @ List.map (fun x -> (3 * x) + 2) (Clause.body_neg c))
   in
   let clauses =
     List.sort_uniq (List.compare Int.compare)
-      (List.map clause (Db.to_cnf db))
+      (List.map clause (Db.clauses db))
   in
   (Db.num_vars db, clauses)
 
@@ -165,8 +174,6 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     model_lists = Hashtbl.create 64;
     frags = Hashtbl.create 64;
   }
-
-let default = create ()
 
 let set_cache t flag = t.cache <- flag
 let cache_enabled t = t.cache
@@ -323,71 +330,33 @@ let scoped t name f =
 (* ------------------------------------------------------------------ *)
 (* Memoization plumbing                                                *)
 
-let memo t tbl key compute =
-  if not t.cache then compute ()
-  else
-    match Hashtbl.find_opt tbl key with
+(* Per-op theory state for uncached engines: the same shape as the
+   interned one, built for this op alone and dropped after it. *)
+let fresh_state db =
+  { solver = Db.solver db; next_var = Db.num_vars db; encoded = Hashtbl.create 4 }
+
+(* The one place the cache flag is read by the oracle ops.  A cached engine
+   interns the theory, answers repeats from [tbl] under [mk key], and hands
+   [compute] the theory's shared solver state on a miss.  An uncached engine
+   skips the interning and the table and hands [compute] a fresh per-op
+   state.  [compute] forces the state only if it needs a solver. *)
+let memo t tbl db mk compute =
+  if t.cache then begin
+    let key = theory_key t db in
+    let k = mk key in
+    match Hashtbl.find_opt tbl k with
     | Some v ->
       hit t;
       v
     | None ->
       miss t;
-      let v = compute () in
-      Hashtbl.add tbl key v;
+      let v = compute (fun () -> theory_state t db key) in
+      Hashtbl.add tbl k v;
       v
+  end
+  else compute (fun () -> fresh_state db)
 
-(* ------------------------------------------------------------------ *)
-(* Direct (uncached) oracle implementations — the original lib/core     *)
-(* paths, reproduced here so a cache-disabled engine is the ablation    *)
-(* baseline.                                                            *)
-
-let direct_support_set db part =
-  let theory = Db.theory db in
-  let p = Partition.p part in
-  let rec grow s =
-    let missing = Interp.diff p s in
-    if Interp.is_empty missing then s
-    else begin
-      let want_new =
-        [ Interp.fold (fun x acc -> Lit.Pos x :: acc) missing [] ]
-      in
-      match Minimal.find_minimal_such_that ~extra:want_new theory part with
-      | None -> s
-      | Some m -> grow (Interp.union s (Interp.inter m p))
-    end
-  in
-  grow (Interp.empty (Db.num_vars db))
-
-let direct_augmented_cnf db negs =
-  Db.to_cnf db @ Interp.fold (fun x acc -> [ Lit.Neg x ] :: acc) negs []
-
-let direct_augmented_entails db negs f =
-  let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
-  let solver =
-    Solver.of_clauses ~num_vars:n
-      (direct_augmented_cnf (Db.with_universe db n) negs)
-  in
-  let _ = Solver.add_formula solver ~next_var:n (Formula.not_ f) in
-  match Solver.solve solver with Solver.Sat -> false | Solver.Unsat -> true
-
-let direct_augmented_has_model db negs =
-  let solver =
-    Solver.of_clauses ~num_vars:(Db.num_vars db) (direct_augmented_cnf db negs)
-  in
-  match Solver.solve solver with Solver.Sat -> true | Solver.Unsat -> false
-
-let direct_non_entailed_atoms db =
-  let n = Db.num_vars db in
-  let solver = Db.solver db in
-  Interp.of_pred n (fun x ->
-      match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
-      | Solver.Sat -> true
-      | Solver.Unsat -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Shared-solver query plumbing (the cached path)                      *)
-
-(* The Tseitin output literal for [f] on the shared solver: encoded once,
+(* The Tseitin output literal for [f] on a theory state: encoded once,
    activated per query by assuming it.  Definitional clauses only relate
    fresh auxiliary variables to the original atoms, so adding them
    permanently preserves the solver's theory. *)
@@ -404,40 +373,28 @@ let encoded_formula st f =
 
 let neg_assumptions negs = Interp.fold (fun x acc -> Lit.Neg x :: acc) negs []
 
+let solve_sat ?assumptions st =
+  match Solver.solve ?assumptions st.solver with
+  | Solver.Sat -> true
+  | Solver.Unsat -> false
+
 (* ------------------------------------------------------------------ *)
 (* Public oracle operations                                            *)
 
-(* DB consistency: one (shared-solver) SAT call. *)
+(* DB consistency: one SAT call. *)
 let sat t db =
   tick t;
   instrumented t ~op:"sat" db (fun () ->
-      if not t.cache then Models.has_model db
-      else begin
-        let key = theory_key t db in
-        memo t t.bools (qkey key "sat") (fun () ->
-            let st = theory_state t db key in
-            match Solver.solve st.solver with
-            | Solver.Sat -> true
-            | Solver.Unsat -> false)
-      end)
+      memo t t.bools db (fun key -> qkey key "sat") (fun st ->
+          solve_sat (st ())))
 
 (* DB ∪ {¬x : x ∈ negs} has a model: negation set as assumptions. *)
 let augmented_has_model t db negs =
   tick t;
   instrumented t ~op:"aug_sat" db (fun () ->
-      if not t.cache then direct_augmented_has_model db negs
-      else begin
-        let key = theory_key t db in
-        memo t t.bools
-          (qkey ~negs:(Interp.to_list negs) key "aug_sat")
-          (fun () ->
-            let st = theory_state t db key in
-            match
-              Solver.solve ~assumptions:(neg_assumptions negs) st.solver
-            with
-            | Solver.Sat -> true
-            | Solver.Unsat -> false)
-      end)
+      memo t t.bools db
+        (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
+        (fun st -> solve_sat ~assumptions:(neg_assumptions negs) (st ())))
 
 (* DB ∪ {¬x : x ∈ negs} ⊨ F: assume the Tseitin output of ¬F plus the
    negation literals; entailment iff Unsat. *)
@@ -446,44 +403,53 @@ let augmented_entails t db negs f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   instrumented t ~op:"aug_entails" db (fun () ->
-      if not t.cache then direct_augmented_entails db negs f
-      else begin
-        let key = theory_key t db in
-        memo t t.bools
-          (qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
-          (fun () ->
-            let st = theory_state t db key in
-            let out = encoded_formula st (Formula.not_ f) in
-            let assumptions = out :: neg_assumptions negs in
-            match Solver.solve ~assumptions st.solver with
-            | Solver.Sat -> false
-            | Solver.Unsat -> true)
-      end)
+      memo t t.bools db
+        (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
+        (fun st ->
+          let st = st () in
+          let out = encoded_formula st (Formula.not_ f) in
+          not (solve_sat ~assumptions:(out :: neg_assumptions negs) st)))
 
 (* Classical entailment DB ⊨ F. *)
 let entails t db f =
   augmented_entails t db (Interp.empty (Db.num_vars db)) f
 
-(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model} — the
-   closed-world family's central object, and the engine's biggest cache win:
-   GCWA/CCWA recompute it per query, here it is keyed by (theory, P, Q). *)
+(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model}, grown
+   by repeated minimal-model queries: each round asks for a minimal model
+   containing a not-yet-supported P-atom, so at most |P| + 1 rounds (usually
+   far fewer: one round can add many atoms).  The closed-world family's
+   central object, and the engine's biggest cache win: keyed by
+   (theory, P, Q). *)
+let support_set_of db part =
+  let theory = Db.theory db in
+  let p = Partition.p part in
+  let rec grow s =
+    let missing = Interp.diff p s in
+    if Interp.is_empty missing then s
+    else begin
+      let want_new =
+        [ Interp.fold (fun x acc -> Lit.Pos x :: acc) missing [] ]
+      in
+      match Minimal.find_minimal_such_that ~extra:want_new theory part with
+      | None -> s
+      | Some m -> grow (Interp.union s (Interp.inter m p))
+    end
+  in
+  grow (Interp.empty (Db.num_vars db))
+
 let support_set t db part =
   tick t;
   instrumented t ~op:"support" db (fun () ->
-      if not t.cache then direct_support_set db part
-      else begin
-        let key = theory_key t db in
-        memo t t.interps (qkey ~part key "support") (fun () ->
-            direct_support_set db part)
-      end)
+      memo t t.interps db (fun key -> qkey ~part key "support") (fun _ ->
+          support_set_of db part))
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)
 
 (* Is x true in some (P;Z)-minimal model?  Cached engines answer from the
-   memoized support set; direct engines issue the single constrained
-   minimal-model query of the original path.  (For x ∈ P the two agree by
-   definition of the support set.) *)
+   memoized support set; uncached engines issue the paper's single
+   constrained minimal-model query (one Σ₂ᵖ-style question for GCWA/CCWA
+   ¬x).  For x ∈ P the two agree by definition of the support set. *)
 let in_some_minimal t db part x =
   if t.cache then Interp.mem (support_set t db part) x
   else begin
@@ -504,12 +470,8 @@ let minimal_models ?limit ?truncated t db =
         (* limited enumerations are cheap and caller-specific: never cached *)
         Minimal.all_minimal ?limit ?truncated (Db.theory db)
       | None ->
-        if not t.cache then Minimal.all_minimal (Db.theory db)
-        else begin
-          let key = theory_key t db in
-          memo t t.model_lists (qkey key "minimal_models") (fun () ->
-              Minimal.all_minimal (Db.theory db))
-        end)
+        memo t t.model_lists db (fun key -> qkey key "minimal_models")
+          (fun _ -> Minimal.all_minimal (Db.theory db)))
 
 (* MM(DB;P;Z) ⊨ F — the ECWA/EGCWA decision problem. *)
 let minimal_entails ?part t db f =
@@ -518,28 +480,18 @@ let minimal_entails ?part t db f =
   let db = Db.with_universe db n in
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
   instrumented t ~op:"mm_entails" db (fun () ->
-      if not t.cache then Models.minimal_entails ~part db f
-      else begin
-        let key = theory_key t db in
-        memo t t.bools (qkey ~part ~form:f key "mm_entails") (fun () ->
-            Models.minimal_entails ~part db f)
-      end)
+      memo t t.bools db (fun key -> qkey ~part ~form:f key "mm_entails")
+        (fun _ -> Models.minimal_entails ~part db f))
 
-(* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on the shared
-   solver, memoized per theory. *)
+(* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on one
+   solver. *)
 let non_entailed_atoms t db =
   tick t;
   instrumented t ~op:"non_entailed" db (fun () ->
-      if not t.cache then direct_non_entailed_atoms db
-      else begin
-        let key = theory_key t db in
-        memo t t.interps (qkey key "non_entailed") (fun () ->
-            let st = theory_state t db key in
-            Interp.of_pred (Db.num_vars db) (fun x ->
-                match Solver.solve ~assumptions:[ Lit.Neg x ] st.solver with
-                | Solver.Sat -> true
-                | Solver.Unsat -> false))
-      end)
+      memo t t.interps db (fun key -> qkey key "non_entailed") (fun st ->
+          let st = st () in
+          Interp.of_pred (Db.num_vars db) (fun x ->
+              solve_sat ~assumptions:[ Lit.Neg x ] st)))
 
 (* Generic per-semantics result memo for semantics whose decision procedure
    the engine does not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM): the
@@ -547,29 +499,24 @@ let non_entailed_atoms t db =
 let cached_bool ?part ?formula ?(arg = -1) t ~sem ~op db compute =
   tick t;
   instrumented t ~op:(sem ^ "/" ^ op) db (fun () ->
-      if not t.cache then compute ()
-      else begin
-        let key = theory_key t db in
-        memo t t.bools
-          (qkey ?part ?form:formula ~arg key (sem ^ "/" ^ op))
-          compute
-      end)
+      memo t t.bools db
+        (fun key -> qkey ?part ?form:formula ~arg key (sem ^ "/" ^ op))
+        (fun _ -> compute ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fragment classification and polynomial fast paths                   *)
 
 (* One syntactic classification per hash-consed theory (cached engines);
-   direct engines recompute per query, mirroring their fresh-solver
-   discipline — and keeping their hash-cons table (the "theories" stat)
-   empty.  Classification is pure syntax, never an oracle call: it bumps
-   only the [classifications] counter. *)
+   uncached engines recompute per query, like their per-op theory states
+   — and keep their hash-cons table (the "theories" stat) empty.
+   Classification is pure syntax, never an oracle call: it bumps only the
+   [classifications] counter. *)
 let classify t db =
   let compute () =
     bump (fun c -> c.classifications <- c.classifications + 1) t;
     Ddb_frag.Frag.info db
   in
-  if not t.cache then compute ()
-  else begin
+  if t.cache then begin
     let key = theory_key t db in
     match Hashtbl.find_opt t.frags key with
     | Some info -> info
@@ -578,6 +525,7 @@ let classify t db =
       Hashtbl.add t.frags key info;
       info
   end
+  else compute ()
 
 (* A query answered by a dedicated polynomial algorithm.  Not an oracle
    call (the oracle machinery never runs), but still one unit of logical

@@ -11,10 +11,12 @@ open Ddb_db
     (oracle calls, cache hits/misses, SAT effort, wall time — attributable
     per semantics via {!scoped}).
 
-    A cache-disabled engine ([create ~cache:false]) replicates the original
-    direct path of [lib/core] exactly: fresh solver per query, no memo
-    tables.  It is the ablation baseline the cache-soundness tests and the
-    bench harness compare against. *)
+    Each oracle op has a single implementation.  A cache-disabled engine
+    ([create ~cache:false]) runs it without the memo tables and with a fresh
+    per-op theory state instead of the shared solver — the paper's
+    algorithms as stated, one fresh solver per oracle question.  It is the
+    baseline configuration the differential tests and the bench harness
+    compare against. *)
 
 type t
 
@@ -27,12 +29,9 @@ val create : ?cache:bool -> ?fastpath:bool -> ?profile:bool -> unit -> t
     engine's {!Ddb_obs.Metrics} registry; with it off — and no trace
     active — every oracle op pays a single boolean test. *)
 
-val default : t
-(** The process-wide engine the convenience wrappers in [lib/core] use. *)
-
 val set_cache : t -> bool -> unit
-(** Flip the cached/direct flag (existing memo entries are kept but not
-    consulted while the flag is off). *)
+(** Flip the cache flag (existing memo entries are kept but not consulted
+    while the flag is off). *)
 
 val cache_enabled : t -> bool
 
@@ -56,7 +55,8 @@ val theory_key : t -> Db.t -> int
 
     Each operation counts as one engine oracle call.  Cached engines answer
     repeats from the memo tables and run fresh queries on the theory's
-    shared incremental solver; direct engines recompute from scratch. *)
+    shared incremental solver; uncached engines run the same procedure on
+    a fresh per-op solver. *)
 
 val sat : t -> Db.t -> bool
 (** DB consistency — one SAT call. *)
@@ -79,8 +79,8 @@ val negated_atoms : t -> Db.t -> Partition.t -> Interp.t
 
 val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
 (** Is the atom true in some (P;Z)-minimal model?  Cached engines answer
-    from the memoized support set; direct engines issue one constrained
-    minimal-model query.  The atom must belong to [P]. *)
+    from the memoized support set; uncached engines issue the paper's one
+    constrained minimal-model query.  The atom must belong to [P]. *)
 
 val minimal_models :
   ?limit:int -> ?truncated:bool ref -> t -> Db.t -> Interp.t list
@@ -108,12 +108,12 @@ val cached_bool :
 (** Generic per-semantics decision memo for procedures the engine does not
     decompose: canonicalizes the database, keys on
     [(sem, op, part, formula, arg)], instruments, and delegates to the
-    thunk on a miss (or always, for direct engines). *)
+    thunk on a miss (or always, for uncached engines). *)
 
 (** {1 Fragment classification and fast paths}
 
     The syntactic fragment classifier ({!Ddb_frag.Frag}) runs once per
-    hash-consed theory on cached engines (per query on direct engines,
+    hash-consed theory on cached engines (per query on uncached engines,
     which keep no tables) and its result — including the lazily computed
     canonical models — is shared by every subsequent query on that theory.
     The dispatch layer in [Ddb_core.Fastpath] consults it to route

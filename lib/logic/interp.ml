@@ -1,5 +1,5 @@
 (* Interpretations over a fixed universe of [n] atoms, represented as
-   immutable bitsets (63 bits per word).
+   immutable bitsets (62 bits per word).
 
    An interpretation is identified with the set of atoms it makes true.
    Besides the usual set algebra we provide the masked comparisons needed by

@@ -75,6 +75,32 @@ let pm_literals db =
     (fun x -> [ Lit.Neg x; Lit.Pos x ])
     (List.init (Db.num_vars db) Fun.id)
 
+(* Cut a flat answer list back into consecutive groups of the given sizes,
+   in one pass (sweeps flatten their items, the pool maps them in order). *)
+let regroup sizes xs =
+  let rec take k xs acc =
+    if k = 0 then (List.rev acc, xs)
+    else
+      match xs with
+      | x :: rest -> take (k - 1) rest (x :: acc)
+      | [] -> invalid_arg "Batch.regroup: too few answers"
+  in
+  let rec go sizes xs =
+    match sizes with
+    | [] -> []
+    | k :: rest ->
+      let mine, others = take k xs [] in
+      mine :: go rest others
+  in
+  go sizes xs
+
+(* Items are name-major: one group of ± literal answers per semantics. *)
+let per_semantics names lits answers =
+  List.map2
+    (fun name mine -> (name, List.combine lits mine))
+    names
+    (regroup (List.map (fun _ -> List.length lits) names) answers)
+
 let literal_sweep t ?sems db =
   let names = default_sems db sems in
   let lits = pm_literals db in
@@ -85,17 +111,7 @@ let literal_sweep t ?sems db =
         (sem_for t ~worker name).Semantics.infer_literal db l)
       items
   in
-  (* items are name-major: cut the flat answer list back per semantics *)
-  let per_sem = List.length lits in
-  let rec split names answers =
-    match names with
-    | [] -> []
-    | name :: rest ->
-      let mine = List.filteri (fun i _ -> i < per_sem) answers in
-      let others = List.filteri (fun i _ -> i >= per_sem) answers in
-      (name, List.combine lits mine) :: split rest others
-  in
-  split names answers
+  per_semantics names lits answers
 
 let all_semantics t ?sems db f =
   let names = default_sems db sems in
@@ -127,16 +143,7 @@ let instance_sweep t ?sems dbs =
       items
   in
   (* regroup the flat (instance-major) result per instance *)
-  let rec split dbs swept =
-    match dbs with
-    | [] -> []
-    | db :: rest ->
-      let k = List.length (default_sems db sems) in
-      let mine = List.filteri (fun i _ -> i < k) swept in
-      let others = List.filteri (fun i _ -> i >= k) swept in
-      mine :: split rest others
-  in
-  split dbs swept
+  regroup (List.map (fun db -> List.length (default_sems db sems)) dbs) swept
 
 (* --- budgeted (three-valued) sweeps ---
 
@@ -165,16 +172,7 @@ let literal_sweep3 t ?sems ?retry ?cancel_on_error ~limits db =
           (fun () -> s.Semantics.infer_literal db l))
       items
   in
-  let per_sem = List.length lits in
-  let rec split names answers =
-    match names with
-    | [] -> []
-    | name :: rest ->
-      let mine = List.filteri (fun i _ -> i < per_sem) answers in
-      let others = List.filteri (fun i _ -> i >= per_sem) answers in
-      (name, List.combine lits mine) :: split rest others
-  in
-  split names answers
+  per_semantics names lits answers
 
 let all_semantics3 t ?sems ?retry ?cancel_on_error ~limits db f =
   let names = default_sems db sems in

@@ -94,10 +94,10 @@ let minimal_diagnoses ?limit ?truncated circuit ~observations =
 
 (* Is gate g certainly healthy?  CCWA: ¬ab_g holds iff g appears in no
    minimal diagnosis. *)
-let certainly_healthy circuit ~observations g =
+let certainly_healthy eng circuit ~observations g =
   let db, part, _ = instance circuit ~observations in
   let vocab = Db.vocab db in
-  Ddb_core.Ccwa.infer_literal db part (Lit.Neg (ab_atom vocab g))
+  Ddb_core.Ccwa.infer_literal_in eng db part (Lit.Neg (ab_atom vocab g))
 
 (* A ripple-carry adder over [bits] bits: a scalable diagnosis family.
    Wire layout per bit i: a_i, b_i, carry_i (carry_0 is the carry-in),

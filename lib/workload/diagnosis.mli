@@ -27,7 +27,8 @@ val minimal_diagnoses :
 (** Minimal diagnoses as sets of ab atoms (one representative each).  A
     [limit]-cut enumeration sets [truncated] (if given) to [true]. *)
 
-val certainly_healthy : circuit -> observations:observation list -> int -> bool
+val certainly_healthy :
+  Ddb_engine.Engine.t -> circuit -> observations:observation list -> int -> bool
 (** CCWA ⊨ ¬ab_g: the gate appears in no minimal diagnosis. *)
 
 val ripple_adder :

@@ -22,5 +22,5 @@ val minimal_vertex_covers :
   ?limit:int -> ?truncated:bool ref -> graph -> Interp.t list
 (** A [limit]-cut enumeration sets [truncated] (if given) to [true]. *)
 
-val never_in_minimal_cover : graph -> int -> bool
+val never_in_minimal_cover : Ddb_engine.Engine.t -> graph -> int -> bool
 (** GCWA(cover db) ⊨ ¬in_v. *)

@@ -5,7 +5,8 @@
 #   - a degraded-but-clean run exits 7 with a stderr note; a hard error
 #     keeps its own exit code but the degraded-cell note is not swallowed;
 #   - `classify` reports the fast-path fragment view;
-#   - --no-fastpath (generic-oracle ablation) does not change answers.
+#   - --no-fastpath (generic-oracle ablation) does not change answers;
+#   - ICWA existence honours integrity clauses.
 set -eu
 tool="$1"
 quickstart="$2"
@@ -59,5 +60,13 @@ echo "$out" | grep -q '^fragments: *positive' || fail "classify: fragments line"
 a=$("$tool" query "$quickstart" -s gcwa -q '~cat')
 b=$("$tool" query "$quickstart" -s gcwa -q '~cat' --no-fastpath)
 [ "$a" = "$b" ] || fail "fastpath ablation changed the answer"
+
+# 7. ICWA existence agrees with the ICWA model listing when an integrity
+#    clause excludes the only candidate model.
+printf 'a.\n:- a.\n' > "$tmp/ic.ddb"
+"$tool" exists "$tmp/ic.ddb" -s icwa | grep -q 'has no model' \
+  || fail "icwa exists: integrity clause ignored"
+"$tool" models "$tmp/ic.ddb" -s icwa | grep -q '^0 model(s) under icwa' \
+  || fail "icwa models: expected none"
 
 echo "cli tests passed"

@@ -65,7 +65,7 @@ let dndb rand ~num_vars ~num_clauses =
 (* Stratified database: assign atoms to [layers] layers; negative body atoms
    are drawn from strictly lower layers, positive body atoms and heads from
    the clause's layer or below (heads all from the same layer). *)
-let stratified_db rand ~num_vars ~num_clauses ~layers =
+let stratified_db ?(integrity = false) rand ~num_vars ~num_clauses ~layers =
   let layer_of = Array.init num_vars (fun _ -> Random.State.int rand layers) in
   let atoms_at_most l =
     List.filter (fun x -> layer_of.(x) <= l) (List.init num_vars Fun.id)
@@ -98,7 +98,18 @@ let stratified_db rand ~num_vars ~num_clauses ~layers =
       Clause.make ~head ~pos ~neg
     end
   in
-  Db.make ~vocab (List.init num_clauses (fun _ -> make_clause ()))
+  let rules = List.init num_clauses (fun _ -> make_clause ()) in
+  (* Integrity clauses have no head, so any body keeps the database
+     stratified; with [integrity] up to two are appended. *)
+  let constraints =
+    if not integrity then []
+    else
+      List.init (Random.State.int rand 3) (fun _ ->
+          Clause.make ~head:[]
+            ~pos:(List.init (1 + Random.State.int rand 2) (fun _ -> atom rand num_vars))
+            ~neg:(atoms rand num_vars ~max_count:1))
+  in
+  Db.make ~vocab (rules @ constraints)
 
 let random_partition rand num_vars =
   let buckets = Array.init num_vars (fun _ -> Random.State.int rand 3) in
@@ -132,3 +143,65 @@ let qcheck_count default =
 let interp_list_equal a b =
   let a = List.sort Interp.compare a and b = List.sort Interp.compare b in
   List.length a = List.length b && List.for_all2 Interp.equal a b
+
+(* --- engine configurations --- *)
+
+module Engine = Ddb_engine.Engine
+module Semantics = Ddb_core.Semantics
+
+(* The paper's algorithms as stated: no memo tables, no fast paths, one
+   fresh solver per oracle question. *)
+let baseline () = Engine.create ~cache:false ~fastpath:false ()
+
+(* Every engine configuration: cache on/off × fast path on/off. *)
+let configurations () =
+  List.map
+    (fun (cache, fastpath) ->
+      ( Printf.sprintf "cache=%b fastpath=%b" cache fastpath,
+        Engine.create ~cache ~fastpath () ))
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
+(* A semantics' answers read off its brute-force model set: existence, and
+   truth in every model.  PDSM's packed reference holds only the total
+   partial stable models, so its answers come from the 3-valued ones. *)
+let reference_answers (s : Semantics.t) db =
+  if s.Semantics.name = "pdsm" then
+    let psms = Ddb_core.Pdsm.partial_stable_models db in
+    ( psms <> [],
+      fun f ->
+        List.for_all
+          (fun i -> Three_valued.eval_formula i f = Three_valued.T)
+          psms )
+  else
+    let models = s.Semantics.reference_models db in
+    (models <> [], fun f -> List.for_all (fun m -> Formula.eval m f) models)
+
+(* The four-configuration differential: every engine in [engines] must
+   answer existence, each literal and each formula exactly as the
+   reference model set does.  Returns the disagreements, empty when all
+   agree. *)
+let differential ~engines ~sem db ~lits ~formulas =
+  let ref_exists, ref_entails =
+    match Ddb_core.Registry.find sem with
+    | Some s -> reference_answers s db
+    | None -> invalid_arg ("Gen.differential: unknown semantics " ^ sem)
+  in
+  List.concat_map
+    (fun (config, eng) ->
+      let s = Option.get (Ddb_core.Registry.find_in eng sem) in
+      let report what want got =
+        if want = got then []
+        else [ Printf.sprintf "%s %s [%s]: expected %b" sem what config want ]
+      in
+      report "has_model" ref_exists (s.Semantics.has_model db)
+      @ List.concat_map
+          (fun l ->
+            report (Lit.to_string l)
+              (ref_entails (Formula.of_lit l))
+              (s.Semantics.infer_literal db l))
+          lits
+      @ List.concat_map
+          (fun f ->
+            report "formula" (ref_entails f) (s.Semantics.infer_formula db f))
+          formulas)
+    engines

@@ -5,13 +5,17 @@ module Engine = Ddb_engine.Engine
 
 (* Differential property tests across the semantics: the paper's inclusion
    relationships, the ECWA/circumscription equivalence, SAT-based versus
-   brute-force minimal models, and cached-versus-uncached engine agreement.
+   brute-force minimal models, and agreement of every engine configuration
+   with the reference model sets.
    Iteration counts default low; the @slowtest alias raises them via
    DDB_QCHECK_COUNT. *)
 
 let count n = Gen.qcheck_count n
 let seeds = QCheck.int_bound 999999
 let rand_of seed = Random.State.make [| seed |]
+
+(* Direct questions run on the paper's baseline configuration. *)
+let eng = Gen.baseline ()
 
 (* DDR/WGCWA is the *weaker* negation rule: an atom it negates is negated
    by GCWA too, never conversely.  (DB = {a ∨ b, a}: GCWA ⊨ ¬b because b
@@ -26,8 +30,8 @@ let qcheck_ddr_implies_gcwa =
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
       List.for_all
         (fun x ->
-          (not (Ddr.infer_literal db (Lit.Neg x)))
-          || Gcwa.infer_literal db (Lit.Neg x))
+          (not (Ddr.infer_literal_in eng db (Lit.Neg x)))
+          || Gcwa.infer_literal_in eng db (Lit.Neg x))
         (List.init num_vars Fun.id))
 
 (* Every minimal model of DB is a model of GCWA(DB) = DB ∪ {¬x : x in no
@@ -40,7 +44,7 @@ let qcheck_gcwa_implies_egcwa =
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      (not (Gcwa.infer_formula db f)) || Egcwa.infer_formula db f)
+      (not (Gcwa.infer_formula_in eng db f)) || Egcwa.infer_formula_in eng db f)
 
 (* ECWA coincides with parallel predicate circumscription in the finite
    propositional case (the two modules implement the two definitions
@@ -53,7 +57,7 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(2 * num_vars) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      Ecwa.infer_formula db part f = Circ.infer_formula db part f)
+      Ecwa.infer_formula_in eng db part f = Circ.infer_formula db part f)
 
 (* The SAT-based minimize-then-block enumeration must produce exactly the
    brute-force minimal models. *)
@@ -66,35 +70,32 @@ let qcheck_minimal_models_coincide =
       Gen.interp_list_equal (Models.minimal_models db)
         (Models.brute_minimal_models db))
 
-(* Cached and cache-disabled engines agree with the seed path on every
-   applicable registry semantics (fresh engines per case, so each case
-   exercises the cold-cache, warm-cache and direct paths). *)
+(* The four-configuration differential on fresh engines per case, so each
+   case exercises the cold cache, the warm cache (the formula is asked
+   twice) and the uncached path, with and without fast paths, against the
+   reference model set of every applicable registry semantics. *)
 let qcheck_cached_equals_uncached =
   QCheck.Test.make ~count:(count 25)
-    ~name:"engine: cached ≡ uncached ≡ seed on all semantics" seeds
-    (fun seed ->
+    ~name:"engine: cached ≡ uncached ≡ reference, fast path on and off, on all semantics"
+    seeds (fun seed ->
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 5 in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(2 * num_vars) in
       let x = Random.State.int rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let cached = Engine.create ~cache:true () in
-      let direct = Engine.create ~cache:false () in
-      List.for_all2
-        (fun (s : Semantics.t) ((sc : Semantics.t), (sd : Semantics.t)) ->
-          (not (s.Semantics.applicable db))
-          || List.for_all
-               (fun (q : Semantics.t -> bool) -> q s = q sc && q s = q sd)
-               [
-                 (fun s -> s.Semantics.has_model db);
-                 (fun s -> s.Semantics.infer_literal db (Lit.Neg x));
-                 (fun s -> s.Semantics.infer_literal db (Lit.Pos x));
-                 (* twice: the second answer comes from the warm cache *)
-                 (fun s -> s.Semantics.infer_formula db f);
-                 (fun s -> s.Semantics.infer_formula db f);
-               ])
-        Registry.all
-        (List.combine (Registry.all_in cached) (Registry.all_in direct)))
+      let engines = Gen.configurations () in
+      let errors =
+        List.concat_map
+          (fun name ->
+            let s = Option.get (Registry.find name) in
+            if not (s.Semantics.applicable db) then []
+            else
+              Gen.differential ~engines ~sem:name db
+                ~lits:[ Lit.Neg x; Lit.Pos x ]
+                ~formulas:[ f; f ])
+          Registry.names
+      in
+      errors = [] || QCheck.Test.fail_report (String.concat "; " errors))
 
 let suites =
   [

@@ -112,13 +112,17 @@ let qcheck_wfs_stratified_is_perfect =
 
 (* --- Brave reasoning --- *)
 
+(* The closed-world brave engines and every cautious engine below run on
+   the paper's baseline configuration. *)
+let eng = Gen.baseline ()
+
 let brave_unit =
   [
     Alcotest.test_case "brave vs cautious on a v b" `Quick (fun () ->
         let db = Db.of_string "a | b." in
         let a = Formula.Atom 0 in
-        check "brave gcwa a" true (Brave.gcwa db a);
-        check "cautious gcwa a" false (Gcwa.infer_formula db a);
+        check "brave gcwa a" true (Brave.gcwa eng db a);
+        check "cautious gcwa a" false (Gcwa.infer_formula_in eng db a);
         check "brave egcwa a" true (Brave.egcwa db a);
         check "brave dsm a" true (Brave.dsm db a);
         check "brave pws a&b" true
@@ -134,8 +138,8 @@ let brave_unit =
           (Brave.pdsm db (Formula.Not (Formula.Atom 0))));
     Alcotest.test_case "by_name dispatch" `Quick (fun () ->
         let db = Db.of_string "a | b." in
-        check "gcwa" true (Brave.by_name "gcwa" db (Formula.Atom 0) = Some true);
-        check "unknown" true (Brave.by_name "zzz" db (Formula.Atom 0) = None));
+        check "gcwa" true (Brave.by_name eng "gcwa" db (Formula.Atom 0) = Some true);
+        check "unknown" true (Brave.by_name eng "zzz" db (Formula.Atom 0) = None));
   ]
 
 let qcheck_brave_duality sem_name cautious brave gen_db =
@@ -151,15 +155,17 @@ let qcheck_brave_duality sem_name cautious brave gen_db =
 let brave_duality_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      qcheck_brave_duality "gcwa" Gcwa.infer_formula Brave.gcwa Gen.dndb;
-      qcheck_brave_duality "egcwa" Egcwa.infer_formula Brave.egcwa Gen.dndb;
-      qcheck_brave_duality "ddr" Ddr.infer_formula Brave.ddr
+      qcheck_brave_duality "gcwa" (Gcwa.infer_formula_in eng) (Brave.gcwa eng)
+        Gen.dndb;
+      qcheck_brave_duality "egcwa" (Egcwa.infer_formula_in eng) Brave.egcwa Gen.dndb;
+      qcheck_brave_duality "ddr" (Ddr.infer_formula_in eng) Brave.ddr
         Gen.dddb_with_integrity;
       qcheck_brave_duality "pws" Pws.infer_formula Brave.pws
         Gen.dddb_with_integrity;
       qcheck_brave_duality "dsm" Dsm.infer_formula Brave.dsm Gen.dndb;
       qcheck_brave_duality "perf" Perf.infer_formula Brave.perf Gen.dndb;
-      qcheck_brave_duality "cwa" Cwa.infer_formula Brave.cwa Gen.dndb;
+      qcheck_brave_duality "cwa" (Cwa.infer_formula_in eng) (Brave.cwa eng)
+        Gen.dndb;
     ]
 
 let qcheck_brave_pdsm_reference =
@@ -232,7 +238,7 @@ let qcheck_unsat_to_weak_literal =
       in
       let db, w = Reductions.unsat_to_weak_literal ~num_vars cnf in
       let unsat = not (Ddb_sat.Brute.is_sat ~num_vars cnf) in
-      Ddr.infer_literal db (Lit.Pos w) = unsat
+      Ddr.infer_literal_in eng db (Lit.Pos w) = unsat
       && Pws.infer_literal db (Lit.Pos w) = unsat)
 
 (* --- CWA consistency in P^NP[O(log n)] --- *)
@@ -246,7 +252,7 @@ let cwa_log_suite =
             let db = Db.of_string src in
             let log = Oracle_algorithms.cwa_consistency_log db in
             let lin = Oracle_algorithms.cwa_consistency_linear db in
-            let direct = Cwa.has_model db in
+            let direct = Cwa.has_model_in eng db in
             check src log.Oracle_algorithms.consistent direct;
             check src lin.Oracle_algorithms.consistent direct;
             check "bound" true
@@ -262,7 +268,7 @@ let qcheck_cwa_log =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let log = Oracle_algorithms.cwa_consistency_log db in
-      log.Oracle_algorithms.consistent = Cwa.has_model db
+      log.Oracle_algorithms.consistent = Cwa.has_model_in eng db
       && log.Oracle_algorithms.np_queries
          <= Oracle_algorithms.log_bound num_vars)
 
@@ -402,8 +408,8 @@ let qcheck_witnesses_are_models =
       check_witness Egcwa.reference_models (Brave.egcwa_witness db f)
       && check_witness Dsm.reference_models (Brave.dsm_witness db f)
       && check_witness Perf.reference_models (Brave.perf_witness db f)
-      && check_witness Gcwa.reference_models (Brave.gcwa_witness db f)
-      && check_witness Cwa.reference_models (Brave.cwa_witness db f))
+      && check_witness Gcwa.reference_models (Brave.gcwa_witness eng db f)
+      && check_witness Cwa.reference_models (Brave.cwa_witness eng db f))
 
 let qcheck_pws_witnesses =
   QCheck.Test.make ~count:200 ~name:"PWS brave witnesses are possible models"
@@ -444,7 +450,7 @@ let qcheck_qbf_encoding_gcwa =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let x = Gen.atom rand num_vars in
       Qbf_encodings.gcwa_refutes_neg_literal_qbf db x
-      = not (Gcwa.entails_neg_literal db x))
+      = not (Gcwa.entails_neg_literal_in eng db x))
 
 let qcheck_qbf_encoding_egcwa =
   QCheck.Test.make ~count:150
@@ -454,7 +460,7 @@ let qcheck_qbf_encoding_egcwa =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Qbf_encodings.egcwa_entails_qbf db f = Egcwa.infer_formula db f)
+      Qbf_encodings.egcwa_entails_qbf db f = Egcwa.infer_formula_in eng db f)
 
 let qcheck_qbf_encoding_naive =
   QCheck.Test.make ~count:100

@@ -5,6 +5,9 @@ open Ddb_core
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Direct questions run on the paper's baseline configuration. *)
+let eng = Gen.baseline ()
+
 (* --- Vocab --- *)
 
 let vocab_suite =
@@ -80,24 +83,24 @@ let cwa_suite =
   [
     Alcotest.test_case "CWA inconsistent on a v b" `Quick (fun () ->
         let db = Db.of_string "a | b." in
-        check "no model" false (Cwa.has_model db);
+        check "no model" false (Cwa.has_model_in eng db);
         (* ... while every disjunctive repair is consistent *)
-        check "gcwa ok" true (Gcwa.has_model db);
-        check "egcwa ok" true (Egcwa.semantics.Semantics.has_model db));
+        check "gcwa ok" true (Gcwa.has_model_in eng db);
+        check "egcwa ok" true (Egcwa.has_model_in eng db));
     Alcotest.test_case "CWA on Horn db = least model" `Quick (fun () ->
         let db = Db.of_string "a. b :- a. c :- d." in
-        check "consistent" true (Cwa.has_model db);
-        check "entails b" true (Cwa.infer_literal db (Lit.Pos 1));
-        check "entails ~c" true (Cwa.infer_literal db (Lit.Neg 2));
-        check "entails ~d" true (Cwa.infer_literal db (Lit.Neg 3)));
+        check "consistent" true (Cwa.has_model_in eng db);
+        check "entails b" true (Cwa.infer_literal_in eng db (Lit.Pos 1));
+        check "entails ~c" true (Cwa.infer_literal_in eng db (Lit.Neg 2));
+        check "entails ~d" true (Cwa.infer_literal_in eng db (Lit.Neg 3)));
     Alcotest.test_case "GCWA = CWA on Horn databases" `Quick (fun () ->
         let db = Db.of_string "a. b :- a. c :- d." in
         List.iter
           (fun x ->
-            check "agree pos" (Cwa.infer_literal db (Lit.Pos x))
-              (Gcwa.infer_literal db (Lit.Pos x));
-            check "agree neg" (Cwa.infer_literal db (Lit.Neg x))
-              (Gcwa.infer_literal db (Lit.Neg x)))
+            check "agree pos" (Cwa.infer_literal_in eng db (Lit.Pos x))
+              (Gcwa.infer_literal_in eng db (Lit.Pos x));
+            check "agree neg" (Cwa.infer_literal_in eng db (Lit.Neg x))
+              (Gcwa.infer_literal_in eng db (Lit.Neg x)))
           [ 0; 1; 2; 3 ]);
   ]
 
@@ -110,7 +113,7 @@ let qcheck_negation_hierarchy =
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
-      Interp.subset (Ddr.negated_atoms db) (Gcwa.negated_atoms db))
+      Interp.subset (Ddr.negated_atoms db) (Gcwa.negated_atoms_in eng db))
 
 let qcheck_gcwa_extends_classical =
   QCheck.Test.make ~count:300
@@ -120,7 +123,7 @@ let qcheck_gcwa_extends_classical =
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      (not (Models.entails db f)) || Gcwa.infer_formula db f)
+      (not (Models.entails db f)) || Gcwa.infer_formula_in eng db f)
 
 let qcheck_gcwa_within_egcwa =
   QCheck.Test.make ~count:300
@@ -130,7 +133,7 @@ let qcheck_gcwa_within_egcwa =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      (not (Gcwa.infer_formula db f)) || Egcwa.infer_formula db f)
+      (not (Gcwa.infer_formula_in eng db f)) || Egcwa.infer_formula_in eng db f)
 
 (* Minimal models are possible models (no integrity clauses). *)
 let qcheck_mm_subset_pws =
@@ -221,9 +224,9 @@ let qcheck_entailment_chain =
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let ddr = Ddr.infer_formula db f in
+      let ddr = Ddr.infer_formula_in eng db f in
       let pws = Pws.infer_formula db f in
-      let egcwa = Egcwa.infer_formula db f in
+      let egcwa = Egcwa.infer_formula_in eng db f in
       ((not ddr) || pws) && ((not pws) || egcwa))
 
 (* --- queries mentioning fresh atoms --- *)
@@ -235,11 +238,11 @@ let fresh_atom_suite =
         let db = Db.of_string "a | b." in
         let vocab = Db.vocab db in
         let fresh = Formula.Not (Formula.Atom (Vocab.intern vocab "zzz")) in
-        check "gcwa" true (Gcwa.infer_formula db fresh);
-        check "egcwa" true (Egcwa.infer_formula db fresh);
+        check "gcwa" true (Gcwa.infer_formula_in eng db fresh);
+        check "egcwa" true (Egcwa.infer_formula_in eng db fresh);
         check "dsm" true (Dsm.infer_formula db fresh);
         check "perf" true (Perf.infer_formula db fresh);
-        check "ddr" true (Ddr.infer_formula db fresh);
+        check "ddr" true (Ddr.infer_formula_in eng db fresh);
         check "pws" true (Pws.infer_formula db fresh));
     Alcotest.test_case "classical entailment does not" `Quick (fun () ->
         let db = Db.of_string "a | b." in
@@ -248,8 +251,8 @@ let fresh_atom_suite =
         check "classical" false (Models.entails db fresh));
     Alcotest.test_case "fresh literal via infer_literal" `Quick (fun () ->
         let db = Db.of_string "a." in
-        check "neg fresh" true (Gcwa.infer_literal db (Lit.Neg 7));
-        check "pos fresh" false (Gcwa.infer_literal db (Lit.Pos 7)));
+        check "neg fresh" true (Gcwa.infer_literal_in eng db (Lit.Neg 7));
+        check "pos fresh" false (Gcwa.infer_literal_in eng db (Lit.Pos 7)));
   ]
 
 (* --- inconsistent databases entail everything --- *)
@@ -259,9 +262,9 @@ let inconsistent_suite =
     Alcotest.test_case "inconsistent DB: everything follows" `Quick (fun () ->
         let db = Db.of_string "a. :- a." in
         check "no classical model" false (Models.has_model db);
-        check "gcwa entails b" true (Gcwa.infer_formula db (Formula.Atom 1));
-        check "egcwa entails b" true (Egcwa.infer_formula db (Formula.Atom 1));
-        check "egcwa no model" false (Egcwa.semantics.Semantics.has_model db);
+        check "gcwa entails b" true (Gcwa.infer_formula_in eng db (Formula.Atom 1));
+        check "egcwa entails b" true (Egcwa.infer_formula_in eng db (Formula.Atom 1));
+        check "egcwa no model" false (Egcwa.has_model_in eng db);
         check "dsm no model" false (Dsm.has_model db);
         check "pdsm no model" false (Pdsm.has_model db));
   ]
@@ -418,11 +421,11 @@ let split_suite =
         List.iter
           (fun (s : Semantics.t) ->
             check s.Semantics.name true
-              (Brave.by_name s.Semantics.name (Db.of_string "a.")
+              (Brave.by_name eng s.Semantics.name (Db.of_string "a.")
                  (Formula.Atom 0)
               <> None
               || s.Semantics.name = "circ"))
-          Registry.all);
+          (Registry.all_in eng));
   ]
 
 let suites =

@@ -4,48 +4,55 @@ open Ddb_core
 
 let check = Alcotest.(check bool)
 
-(* Oracle engine vs reference engine, on every model-existence / literal /
-   formula question over a random small database. *)
-let engines_agree ?(only_applicable = true) (sem : Semantics.t) gen_db =
+(* Direct questions run on the paper's baseline configuration. *)
+let eng = Gen.baseline ()
+
+(* The four-configuration differential on random small databases: every
+   engine configuration (cache on/off × fast path on/off) answers each
+   model-existence / literal / formula question as the semantics' reference
+   model set does.  The engines live for the whole test, so the cached ones
+   answer each database against memo tables warmed by the previous ones. *)
+let engines_agree ?(only_applicable = true) sem gen_db =
+  let engines = Gen.configurations () in
   QCheck.Test.make ~count:250
-    ~name:(Printf.sprintf "%s: oracle engine = reference engine" sem.Semantics.name)
+    ~name:(Printf.sprintf "%s: oracle engine = reference engine in every configuration" sem)
     QCheck.(pair (int_bound 999999) (int_range 1 4))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = gen_db rand ~num_vars ~num_clauses:(num_vars * 2) in
-      if only_applicable && not (sem.Semantics.applicable db) then true
+      let applicable = (Option.get (Registry.find sem)).Semantics.applicable in
+      if only_applicable && not (applicable db) then true
       else begin
-        let reference = sem.Semantics.reference_models db in
-        let ref_has = reference <> [] in
-        let ref_infer f = List.for_all (fun m -> Formula.eval m f) reference in
         let f = Gen.random_formula rand num_vars ~depth:2 in
         let lit =
           let x = Gen.atom rand num_vars in
           if Random.State.bool rand then Lit.Pos x else Lit.Neg x
         in
-        sem.Semantics.has_model db = ref_has
-        && sem.Semantics.infer_formula db f = ref_infer f
-        && sem.Semantics.infer_literal db lit
-           = ref_infer (Formula.of_lit lit)
+        match Gen.differential ~engines ~sem db ~lits:[ lit ] ~formulas:[ f ] with
+        | [] -> true
+        | errors -> QCheck.Test.fail_report (String.concat "; " errors)
       end)
 
 let agreement_tests =
   (* PDSM is excluded here: its model set is 3-valued, so the packed
-     reference is not the entailment base; it gets its own tests below. *)
+     reference is not the entailment base; it gets its own tests below.
+     ICWA's databases carry integrity clauses, which can exclude every ICWA
+     model, so its existence answer is checked beyond the O(1) cell. *)
   List.map QCheck_alcotest.to_alcotest
     [
-      engines_agree Cwa.semantics Gen.dndb;
-      engines_agree Gcwa.semantics Gen.dndb;
-      engines_agree Egcwa.semantics Gen.dndb;
-      engines_agree Ccwa.semantics Gen.dndb;
-      engines_agree Ecwa.semantics Gen.dndb;
-      engines_agree Circ.semantics Gen.dndb;
-      engines_agree Ddr.semantics Gen.dddb_with_integrity;
-      engines_agree Pws.semantics Gen.dddb_with_integrity;
-      engines_agree Perf.semantics Gen.dndb;
-      engines_agree Dsm.semantics Gen.dndb;
-      engines_agree Icwa.semantics (fun rand ~num_vars ~num_clauses ->
-          Gen.stratified_db rand ~num_vars ~num_clauses ~layers:2);
+      engines_agree "cwa" Gen.dndb;
+      engines_agree "gcwa" Gen.dndb;
+      engines_agree "egcwa" Gen.dndb;
+      engines_agree "ccwa" Gen.dndb;
+      engines_agree "ecwa" Gen.dndb;
+      engines_agree "circ" Gen.dndb;
+      engines_agree "ddr" Gen.dddb_with_integrity;
+      engines_agree "pws" Gen.dddb_with_integrity;
+      engines_agree "perf" Gen.dndb;
+      engines_agree "dsm" Gen.dndb;
+      engines_agree "icwa" (fun rand ~num_vars ~num_clauses ->
+          Gen.stratified_db ~integrity:true rand ~num_vars ~num_clauses
+            ~layers:2);
     ]
 
 (* Partition-parametric engines against their references. *)
@@ -60,8 +67,8 @@ let qcheck_ccwa_partition =
       let ref_infer f = List.for_all (fun m -> Formula.eval m f) reference in
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let x = Gen.atom rand num_vars in
-      Ccwa.infer_formula db part f = ref_infer f
-      && Ccwa.infer_literal db part (Lit.Neg x)
+      Ccwa.infer_formula_in eng db part f = ref_infer f
+      && Ccwa.infer_literal_in eng db part (Lit.Neg x)
          = ref_infer (Formula.Not (Formula.Atom x)))
 
 let qcheck_ecwa_partition =
@@ -74,7 +81,7 @@ let qcheck_ecwa_partition =
       let reference = Ecwa.reference_models db part in
       let ref_infer f = List.for_all (fun m -> Formula.eval m f) reference in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Ecwa.infer_formula db part f = ref_infer f)
+      Ecwa.infer_formula_in eng db part f = ref_infer f)
 
 (* --- the paper's equivalences --- *)
 
@@ -88,7 +95,7 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Ecwa.infer_formula db part f = Circ.infer_formula db part f
+      Ecwa.infer_formula_in eng db part f = Circ.infer_formula db part f
       && Gen.interp_list_equal
            (Ecwa.reference_models db part)
            (Circ.reference_models db part))
@@ -133,8 +140,8 @@ let qcheck_gcwa_is_ccwa_total =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Gcwa.infer_formula db f
-      = Ccwa.infer_formula db (Partition.minimize_all num_vars) f)
+      Gcwa.infer_formula_in eng db f
+      = Ccwa.infer_formula_in eng db (Partition.minimize_all num_vars) f)
 
 (* Total (2-valued) partial stable models = disjunctive stable models. *)
 let qcheck_pdsm_total_is_dsm =
@@ -237,6 +244,20 @@ let icwa_unit =
     Alcotest.test_case "stratified consistency is O(1)" `Quick (fun () ->
         check "yes" true (Icwa.has_model (Db.of_string "b. a :- not b."));
         check "no (unstratified)" false (Icwa.has_model (Db.of_string "a :- not a.")));
+    Alcotest.test_case "integrity clauses can exclude every ICWA model" `Quick
+      (fun () ->
+        (* Stratified, but the constraint kills the only model {a}: the
+           O(1) stratifiability answer does not apply. *)
+        let db = Db.of_string "a. :- a." in
+        let part = Partition.minimize_all (Db.num_vars db) in
+        check "no reference model" true (Icwa.reference_models db part = []);
+        check "no model" false (Icwa.has_model db);
+        List.iter
+          (fun (config, eng) ->
+            check config false (Registry.has_model_in eng ~sem:"icwa" db))
+          (Gen.configurations ());
+        check "satisfiable constraint keeps the model" true
+          (Icwa.has_model (Db.of_string "b. a :- not b. :- a.")));
     Alcotest.test_case "icwa on b :- not a infers b" `Quick (fun () ->
         let db = Db.of_string "b :- not a." in
         let vocab = Db.vocab db in
@@ -268,7 +289,7 @@ let oracle_alg_unit =
   [
     Alcotest.test_case "log bound respected" `Quick (fun () ->
         let db = Db.of_string "a | b. c | d. e :- a." in
-        let report = Oracle_algorithms.gcwa_formula db (Formula.Atom 4) in
+        let report = Oracle_algorithms.gcwa_formula_in eng db (Formula.Atom 4) in
         check "within bound" true
           (report.Oracle_algorithms.sigma2_queries
           <= Oracle_algorithms.log_bound report.Oracle_algorithms.p_size));
@@ -276,16 +297,16 @@ let oracle_alg_unit =
 
 let qcheck_oracle_log_agrees =
   QCheck.Test.make ~count:250
-    ~name:"log-oracle GCWA/CCWA inference = direct engines, within bound"
+    ~name:"log-oracle GCWA/CCWA inference = CCWA inference, within bound"
     QCheck.(pair (int_bound 999999) (int_range 1 4))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let log_report = Oracle_algorithms.entails_log db part f in
-      let linear_report = Oracle_algorithms.entails_linear db part f in
-      let direct = Ccwa.infer_formula db part f in
+      let log_report = Oracle_algorithms.entails_log_in eng db part f in
+      let linear_report = Oracle_algorithms.entails_linear eng db part f in
+      let direct = Ccwa.infer_formula_in eng db part f in
       log_report.Oracle_algorithms.answer = direct
       && linear_report.Oracle_algorithms.answer = direct
       && log_report.Oracle_algorithms.sigma2_queries
@@ -314,8 +335,8 @@ let qcheck_qbf_to_gcwa =
       let db, w = Reductions.qbf_to_gcwa qbf in
       let valid = Ddb_qbf.Naive.valid qbf in
       Reductions.gcwa_image_answer db w = valid
-      && Gcwa.infer_literal db (Lit.Neg w) = not valid
-      && Egcwa.infer_literal db (Lit.Neg w) = not valid)
+      && Gcwa.infer_literal_in eng db (Lit.Neg w) = not valid
+      && Egcwa.infer_literal_in eng db (Lit.Neg w) = not valid)
 
 let qcheck_qbf_to_dsm =
   QCheck.Test.make ~count:250
@@ -340,7 +361,7 @@ let qcheck_sat_to_egcwa =
                 if Random.State.bool rand then Lit.Pos v else Lit.Neg v))
       in
       let db = Reductions.sat_to_egcwa_exists ~num_vars cnf in
-      Egcwa.semantics.Semantics.has_model db
+      Egcwa.has_model_in eng db
       = Ddb_sat.Brute.is_sat ~num_vars cnf)
 
 let qcheck_uminsat =
@@ -372,7 +393,7 @@ let qcheck_ddr_pws_poly_literal =
           (fun m -> not (Interp.mem m x))
           (Pws.reference_models db)
       in
-      Ddr.infer_literal db (Lit.Neg x) = ddr_ref
+      Ddr.infer_literal_in eng db (Lit.Neg x) = ddr_ref
       && Pws.infer_literal db (Lit.Neg x) = pws_ref)
 
 (* Zero oracle calls on the tractable paths. *)
@@ -381,7 +402,7 @@ let poly_no_oracle_unit =
     Alcotest.test_case "DDR literal path makes no SAT calls" `Quick (fun () ->
         let db = Db.of_string "a | b. c :- a, b. d :- c." in
         let before = Ddb_sat.Stats.snapshot () in
-        ignore (Ddr.infer_literal db (Lit.Neg 3));
+        ignore (Ddr.infer_literal_in eng db (Lit.Neg 3));
         let delta = Ddb_sat.Stats.delta before in
         check "no sat calls" true (delta.Ddb_sat.Stats.sat = 0);
         check "no sigma2 calls" true (delta.Ddb_sat.Stats.sigma2 = 0));
@@ -389,7 +410,7 @@ let poly_no_oracle_unit =
       (fun () ->
         let db = Db.of_string "a | b. c :- a." in
         let before = Ddb_sat.Stats.snapshot () in
-        check "exists" true (Egcwa.semantics.Semantics.has_model db);
+        check "exists" true (Egcwa.has_model_in eng db);
         check "no oracle" true ((Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat = 0));
     Alcotest.test_case "ICWA existence is O(1) given stratification" `Quick
       (fun () ->
@@ -435,8 +456,8 @@ let qcheck_ddr_poly_agrees =
       List.for_all
         (fun x ->
           let poly = Ddr.entails_neg_literal_poly db x in
-          poly = Ddr.infer_literal db (Lit.Neg x)
-          && poly = Ddr.infer_formula db (Formula.Not (Formula.Atom x)))
+          poly = Ddr.infer_literal_in eng db (Lit.Neg x)
+          && poly = Ddr.infer_formula_in eng db (Formula.Not (Formula.Atom x)))
         (List.init num_vars Fun.id))
 
 (* --- paper Example 3.1: DDR vs GCWA on integrity-blind inference --- *)
@@ -447,9 +468,9 @@ let example_31 =
       (fun () ->
         let db = Db.of_string "a | b. :- a, b. c :- a, b." in
         let c = 2 in
-        check "DDR does not infer ~c" false (Ddr.infer_literal db (Lit.Neg c));
-        check "GCWA infers ~c" true (Gcwa.infer_literal db (Lit.Neg c));
-        check "EGCWA infers ~c" true (Egcwa.infer_literal db (Lit.Neg c)));
+        check "DDR does not infer ~c" false (Ddr.infer_literal_in eng db (Lit.Neg c));
+        check "GCWA infers ~c" true (Gcwa.infer_literal_in eng db (Lit.Neg c));
+        check "EGCWA infers ~c" true (Egcwa.infer_literal_in eng db (Lit.Neg c)));
   ]
 
 let suites =

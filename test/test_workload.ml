@@ -170,8 +170,9 @@ let graph_suite =
           covers);
     Alcotest.test_case "isolated vertices never in covers" `Quick (fun () ->
         let g = { Graph.vertices = 4; edges = [ (0, 1) ] } in
-        check "vertex 3 avoidable" true (Graph.never_in_minimal_cover g 3);
-        check "vertex 0 usable" false (Graph.never_in_minimal_cover g 0));
+        let eng = Gen.baseline () in
+        check "vertex 3 avoidable" true (Graph.never_in_minimal_cover eng g 3);
+        check "vertex 0 usable" false (Graph.never_in_minimal_cover eng g 0));
   ]
 
 (* --- Diagnosis --- *)
@@ -222,7 +223,8 @@ let diagnosis_suite =
             check
               (Printf.sprintf "gate %d" g)
               (not in_some)
-              (Diagnosis.certainly_healthy circuit ~observations g))
+              (Diagnosis.certainly_healthy (Gen.baseline ()) circuit
+                 ~observations g))
           circuit.Diagnosis.gates);
   ]
 
@@ -265,7 +267,7 @@ let qbf_family_suite =
             let valid = Ddb_qbf.Naive.valid qbf in
             let db, w = Ddb_core.Reductions.qbf_to_gcwa qbf in
             check "gcwa" (not valid)
-              (Ddb_core.Gcwa.infer_literal db (Lit.Neg w));
+              (Ddb_core.Gcwa.infer_literal_in (Gen.baseline ()) db (Lit.Neg w));
             let db' = Ddb_core.Reductions.qbf_to_dsm_exists qbf in
             check "dsm" valid (Ddb_core.Dsm.has_model db'))
           [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
