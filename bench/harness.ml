@@ -527,7 +527,10 @@ let parallel_bench ?jobs ?trace_prefix () =
             (fun sem ->
               ( sem,
                 List.map
-                  (fun l -> (l, Registry.infer_literal_in eng ~sem db l))
+                  (fun l ->
+                    ( l,
+                      Ddb_budget.Budget.of_bool
+                        (Registry.infer_literal_in eng ~sem db l) ))
                   lits ))
             sems)
         dbs

@@ -95,40 +95,25 @@ let degraded_cells = ref 0
 
 let exit_degraded = 7
 
-(* Run a whole single-query command under one budget token.  [`Retry]
-   escalates once (only after genuine exhaustion — a cancelled or
-   fault-injected run would just trip again). *)
+(* Run a whole single-query command under one budget token, on
+   [Budget.run]'s retry ladder when --on-exhaust retry. *)
 let budgeted_run bopts f =
-  if Budget.is_unlimited bopts.limits then f ()
-  else begin
-    let attempt lims = Budget.with_token (Budget.token lims) f in
-    match attempt bopts.limits with
-    | r -> r
-    | exception Budget.Out_of_budget reason ->
-      let retried =
-        if bopts.on_exhaust = `Retry && reason = Budget.Budget_exhausted then
-          match attempt (Budget.escalate bopts.limits) with
-          | r -> Some r
-          | exception Budget.Out_of_budget _ -> None
-        else None
-      in
-      (match retried with
-      | Some r -> r
-      | None ->
-        (* Count the degradation in both modes: under [`Fail] the hard
-           error takes the exit code, but the exit hook still reports the
-           degraded cell on stderr. *)
-        incr degraded_cells;
-        if bopts.on_exhaust = `Fail then
-          Error
-            (`Msg
-              (Printf.sprintf "budget exhausted (%s)"
-                 (Budget.string_of_reason reason)))
-        else begin
-          Fmt.pr "unknown (%s)@." (Budget.string_of_reason reason);
-          Ok ()
-        end)
-  end
+  match Budget.run ~retry:(bopts.on_exhaust = `Retry) bopts.limits f with
+  | Ok r -> r
+  | Error reason ->
+    (* Count the degradation in both modes: under [`Fail] the hard error
+       takes the exit code, but the exit hook still reports the degraded
+       cell on stderr. *)
+    incr degraded_cells;
+    if bopts.on_exhaust = `Fail then
+      Error
+        (`Msg
+          (Printf.sprintf "budget exhausted (%s)"
+             (Budget.string_of_reason reason)))
+    else begin
+      Fmt.pr "unknown (%s)@." (Budget.string_of_reason reason);
+      Ok ()
+    end
 
 (* --- tracing (every subcommand takes --trace/--trace-clock) --- *)
 
@@ -568,100 +553,82 @@ let select_sems db sem_name =
       skipped;
     Ok run
 
-let is_unknown = function Budget.Unknown _ -> true | Budget.True | Budget.False -> false
+let count_unknowns answers =
+  List.length
+    (List.filter (function Budget.Unknown _ -> true | _ -> false) answers)
 
-(* Close out a budgeted sweep: --on-exhaust fail turns any degraded cell
-   into a hard error; otherwise the cells count toward exit code 7.  The
-   degraded count is recorded in *both* branches — the hard error must not
-   swallow the how-many-cells-degraded information (it is reported on
-   stderr at exit even when a nonzero code takes precedence over 7). *)
-let finish_sweep3 bopts unknowns k =
+let literal_cells rows =
+  List.concat_map (fun (_, cells) -> List.map snd cells) rows
+
+(* The stats workload: two passes of a full ± literal sweep plus an
+   existence check, every cell under its own token.  Returns how many
+   cells degraded to unknown (0 when no budget is set). *)
+let stats_workload b ~sems bopts db =
+  let limits = bopts.limits and retry = bopts.on_exhaust = `Retry in
+  let unknowns = ref 0 in
+  for _pass = 1 to 2 do
+    let lits = Batch.literal_sweep b ~sems ~limits ~retry db in
+    let exists = Batch.exists_sweep b ~sems ~limits ~retry db in
+    unknowns :=
+      !unknowns + count_unknowns (literal_cells lits)
+      + count_unknowns (List.map snd exists)
+  done;
+  !unknowns
+
+(* Close out a sweep: --on-exhaust fail turns any degraded cell into a hard
+   error; otherwise the cells count toward exit code 7.  The degraded count
+   is recorded in *both* branches — the hard error must not swallow the
+   how-many-cells-degraded information (it is reported on stderr at exit
+   even when a nonzero code takes precedence over 7). *)
+let finish_sweep bopts unknowns k =
   degraded_cells := !degraded_cells + unknowns;
   if bopts.on_exhaust = `Fail && unknowns > 0 then
     Error (`Msg (Printf.sprintf "budget exhausted on %d cell(s)" unknowns))
   else k ()
 
-(* Run the closed-world query workload (two passes of a full ± literal
-   sweep plus an existence check) across a pool of worker domains, one
-   memoizing oracle engine per worker, and print the merged per-semantics
-   stats record as JSON — same schema as a single engine's (the "unknowns"
-   counters are zero on unbudgeted runs).  --no-cache replays the workload
-   on cache-disabled shards (no memo tables, a fresh solver per oracle
-   question) for ablation. *)
+(* Run the closed-world query workload ([stats_workload]) across a pool of
+   worker domains, one memoizing oracle engine per worker, and print the
+   merged per-semantics stats record as JSON — same schema as a single
+   engine's (the "unknowns" counters are zero on unbudgeted runs).
+   --no-cache replays the workload on cache-disabled shards (no memo
+   tables, a fresh solver per oracle question) for ablation. *)
 let stats db sem_name no_cache no_fastpath jobs ~pinned bopts =
   Result.bind (select_sems db sem_name) @@ fun sems ->
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
     ~pinned
   @@ fun b ->
-  if Budget.is_unlimited bopts.limits then begin
-    for _pass = 1 to 2 do
-      ignore (Batch.literal_sweep b ~sems db);
-      ignore (Batch.exists_sweep b ~sems db)
-    done;
-    Fmt.pr "%s@." (Batch.stats_json b);
-    Ok ()
-  end
-  else begin
-    let retry = bopts.on_exhaust = `Retry in
-    let limits = bopts.limits in
-    let unknowns = ref 0 in
-    for _pass = 1 to 2 do
-      List.iter
-        (fun (_, answers) ->
-          List.iter (fun (_, a) -> if is_unknown a then incr unknowns) answers)
-        (Batch.literal_sweep3 b ~sems ~retry ~limits db);
-      List.iter
-        (fun (_, a) -> if is_unknown a then incr unknowns)
-        (Batch.exists_sweep3 b ~sems ~retry ~limits db)
-    done;
-    finish_sweep3 bopts !unknowns @@ fun () ->
-    Fmt.pr "%s@." (Batch.stats_json b);
-    Ok ()
-  end
+  finish_sweep bopts (stats_workload b ~sems bopts db) @@ fun () ->
+  Fmt.pr "%s@." (Batch.stats_json b);
+  Ok ()
 
 (* Print every ± literal's answer under every selected semantics.  Output
    order is fixed (semantics in registry order, ¬x before x, atoms
-   ascending) and independent of --jobs.  Under a budget every cell runs on
-   its own token and degraded cells print |? instead of |=/|/=. *)
+   ascending) and independent of --jobs.  Every cell runs on its own token;
+   degraded cells print |? instead of |=/|/=. *)
 let sweep db sem_name no_cache no_fastpath jobs ~pinned bopts =
   Result.bind (select_sems db sem_name) @@ fun sems ->
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
     ~pinned
   @@ fun b ->
   let vocab = Db.vocab db in
-  if Budget.is_unlimited bopts.limits then begin
-    List.iter
-      (fun (sem, answers) ->
-        List.iter
-          (fun (l, ans) ->
-            Fmt.pr "%-8s %s %a@." sem
-              (if ans then "|=" else "|/=")
-              (Lit.pp ~vocab) l)
-          answers)
-      (Batch.literal_sweep b ~sems db);
-    Ok ()
-  end
-  else begin
-    let retry = bopts.on_exhaust = `Retry in
-    let unknowns = ref 0 in
-    let rows = Batch.literal_sweep3 b ~sems ~retry ~limits:bopts.limits db in
-    List.iter
-      (fun (sem, answers) ->
-        List.iter
-          (fun (l, ans) ->
-            let rel =
-              match ans with
-              | Budget.True -> "|="
-              | Budget.False -> "|/="
-              | Budget.Unknown _ ->
-                incr unknowns;
-                "|?"
-            in
-            Fmt.pr "%-8s %s %a@." sem rel (Lit.pp ~vocab) l)
-          answers)
-      rows;
-    finish_sweep3 bopts !unknowns @@ fun () -> Ok ()
-  end
+  let rows =
+    Batch.literal_sweep b ~sems ~limits:bopts.limits
+      ~retry:(bopts.on_exhaust = `Retry) db
+  in
+  List.iter
+    (fun (sem, answers) ->
+      List.iter
+        (fun (l, ans) ->
+          let rel =
+            match ans with
+            | Budget.True -> "|="
+            | Budget.False -> "|/="
+            | Budget.Unknown _ -> "|?"
+          in
+          Fmt.pr "%-8s %s %a@." sem rel (Lit.pp ~vocab) l)
+        answers)
+    rows;
+  finish_sweep bopts (count_unknowns (literal_cells rows)) @@ fun () -> Ok ()
 
 let stats_sem_arg =
   Arg.(
@@ -694,25 +661,7 @@ let profile db sem_name no_cache no_fastpath jobs bopts =
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
     ~pinned:true ~profile:true
   @@ fun b ->
-  let unknowns = ref 0 in
-  let retry = bopts.on_exhaust = `Retry in
-  let limits = bopts.limits in
-  for _pass = 1 to 2 do
-    if Budget.is_unlimited limits then begin
-      ignore (Batch.literal_sweep b ~sems db);
-      ignore (Batch.exists_sweep b ~sems db)
-    end
-    else begin
-      List.iter
-        (fun (_, answers) ->
-          List.iter (fun (_, a) -> if is_unknown a then incr unknowns) answers)
-        (Batch.literal_sweep3 b ~sems ~retry ~limits db);
-      List.iter
-        (fun (_, a) -> if is_unknown a then incr unknowns)
-        (Batch.exists_sweep3 b ~sems ~retry ~limits db)
-    end
-  done;
-  finish_sweep3 bopts !unknowns @@ fun () ->
+  finish_sweep bopts (stats_workload b ~sems bopts db) @@ fun () ->
   let merged =
     Metrics.merge (List.map Ddb_engine.Engine.metrics (Batch.engines b))
   in

@@ -275,10 +275,21 @@ let on_oracle_op () =
     validate tok;
     if tok.capped then consume_ticks tok 1
 
-(* --- evaluation wrapper --- *)
+(* --- evaluation wrappers and the retry ladder --- *)
+
+(* One attempt per token; a second, with every cap escalated 4x, only after
+   genuine exhaustion of a finite budget — a cancelled or fault-injected run
+   would just trip again, and an unlimited budget has no cap to raise. *)
+let run ?group ?(retry = false) ?(on_trip = fun ~retrying:_ _ -> ()) lims f =
+  let rec attempt ~can_retry lims =
+    match with_token (token ?group lims) f with
+    | v -> Ok v
+    | exception Out_of_budget r ->
+      let retrying = can_retry && r = Budget_exhausted in
+      on_trip ~retrying r;
+      if retrying then attempt ~can_retry:false (escalate lims) else Error r
+  in
+  attempt ~can_retry:(retry && not (is_unlimited lims)) lims
 
 let eval ?group lims f =
-  let tok = token ?group lims in
-  match with_token tok f with
-  | b -> of_bool b
-  | exception Out_of_budget r -> Unknown r
+  match run ?group lims f with Ok b -> of_bool b | Error r -> Unknown r

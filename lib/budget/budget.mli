@@ -118,10 +118,25 @@ val with_token : t -> (unit -> 'a) -> 'a
 val active : unit -> bool
 val current : unit -> t option
 
+val run :
+  ?group:group ->
+  ?retry:bool ->
+  ?on_trip:(retrying:bool -> reason -> unit) ->
+  limits ->
+  (unit -> 'a) ->
+  ('a, reason) result
+(** Mint a token, run the thunk under it, and return its result, or
+    [Error r] if {!Out_of_budget}[ r] unwound.  Other exceptions pass
+    through.  This is the one retry ladder: with [retry:true] (default
+    [false]) an attempt that tripped [Budget_exhausted] under finite
+    limits runs once more under {!escalate}[ limits] (every cap x4).
+    Cancelled and fault-injected attempts are never retried, nor is an
+    unlimited budget.  [on_trip] sees every tripped attempt, with
+    [retrying] telling whether the escalated attempt follows. *)
+
 val eval : ?group:group -> limits -> (unit -> bool) -> answer
-(** Mint a token, run the thunk under it, and degrade: [of_bool] of the
-    result, or [Unknown r] if {!Out_of_budget}[ r] unwound.  Other
-    exceptions pass through. *)
+(** {!run} without retry, degraded to a three-valued answer: [of_bool] of
+    the result, or [Unknown r]. *)
 
 (** {1 Probe sites}
 

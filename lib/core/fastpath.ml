@@ -73,19 +73,18 @@ let wrap eng (s : Semantics.t) : Semantics.t =
   if not (in_definite || in_perfect || in_occ || in_pos_exists) then s
     (* pdsm: no routed cell, leave the record untouched *)
   else begin
-    (* [fast info] decides the route from the cached classification; a hit
-       runs inside the semantics scope as one budget-probed fast-path op,
-       a fall-through records the miss and runs the generic procedure. *)
+    (* [fast info] decides the route from the cached classification, all
+       inside the semantics scope: a hit runs as one budget-probed
+       fast-path op, a fall-through records the miss and runs the generic
+       procedure. *)
     let route ~op db fast fallback =
       if not (Engine.fastpath_enabled eng) then fallback ()
       else
-        let info = Engine.classify eng db in
-        match fast info with
-        | Some thunk ->
-          Engine.scoped eng sem (fun () ->
-              Engine.fastpath_hit eng ~op:(sem ^ "/" ^ op) db thunk)
-        | None ->
-          Engine.scoped eng sem (fun () ->
+        Engine.scoped eng sem (fun () ->
+            match fast (Engine.classify eng db) with
+            | Some thunk ->
+              Engine.fastpath_hit eng ~op:(sem ^ "/" ^ op) db thunk
+            | None ->
               Engine.fastpath_miss eng;
               fallback ())
     in

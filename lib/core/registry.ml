@@ -17,9 +17,9 @@ module Engine = Ddb_engine.Engine
 (* Engine-routed records additionally go through the fragment fast-path
    dispatcher: tractable (semantics, problem, fragment) cells are answered
    by the polynomial algorithms of [Ddb_frag], everything else falls back
-   to the generic oracle procedures.  [Engine.set_fastpath] (or
-   [create ~fastpath:false]) turns the dispatcher off, which restores the
-   pre-dispatch behaviour exactly. *)
+   to the generic oracle procedures.  [Engine.create ~fastpath:false]
+   turns the dispatcher off, which restores the pre-dispatch behaviour
+   exactly. *)
 let all_in eng : Semantics.t list =
   List.map (Fastpath.wrap eng)
     [
@@ -53,11 +53,12 @@ let applicable_names db =
       if s.Semantics.applicable db then Some s.Semantics.name else None)
     (baseline ())
 
-(* Batch entry points: one-shot evaluation by name on a caller-supplied
-   engine.  The domain-parallel batch layer calls these (or the records
-   from [all_in], which it caches per worker shard) on per-domain engines;
-   they are also the sequential baseline its determinism tests compare
-   against. *)
+(* One-shot boolean evaluation by name on a caller-supplied engine: the
+   primitive query.  A budget wraps it from outside
+   ([Engine.budgeted eng limits ~sem (fun () -> infer_literal_in ...)]);
+   the batch layer's sweeps run the same records (from [all_in], cached
+   per worker shard) that way, and these are the sequential baseline its
+   determinism tests compare against. *)
 
 let in_exn eng name =
   match find_in eng name with
@@ -67,23 +68,3 @@ let in_exn eng name =
 let infer_literal_in eng ~sem db l = (in_exn eng sem).Semantics.infer_literal db l
 let infer_formula_in eng ~sem db f = (in_exn eng sem).Semantics.infer_formula db f
 let has_model_in eng ~sem db = (in_exn eng sem).Semantics.has_model db
-
-(* Three-valued (budgeted) variants: same queries under a fresh budget
-   token, degrading to [Unknown] instead of running unboundedly.  The
-   engine records each degraded cell in its [unknowns] counters; the memo
-   only ever sees definite answers (the budget trip unwinds first). *)
-
-let infer_literal3_in ?retry ?group eng ~limits ~sem db l =
-  let s = in_exn eng sem in
-  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
-      s.Semantics.infer_literal db l)
-
-let infer_formula3_in ?retry ?group eng ~limits ~sem db f =
-  let s = in_exn eng sem in
-  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
-      s.Semantics.infer_formula db f)
-
-let has_model3_in ?retry ?group eng ~limits ~sem db =
-  let s = in_exn eng sem in
-  Engine.budgeted ?retry ?group eng limits ~sem (fun () ->
-      s.Semantics.has_model db)

@@ -16,12 +16,16 @@ val names : string list
 val applicable_names : Ddb_db.Db.t -> string list
 (** Names of the semantics applicable to the database, in registry order. *)
 
-(** {1 Batch entry points}
+(** {1 One-shot queries}
 
-    One-shot evaluation by semantics name on a caller-supplied engine —
-    what the domain-parallel batch layer ([Ddb_parallel.Batch]) runs on its
-    per-worker engine shards, and the sequential baseline its determinism
-    tests compare against.  Unknown names raise [Invalid_argument]. *)
+    Boolean evaluation by semantics name on a caller-supplied engine, with
+    no budget token installed.  A budgeted (three-valued) query wraps one
+    of these:
+    [Engine.budgeted eng limits ~sem (fun () -> infer_literal_in eng ~sem db l)].
+    Every cell of the domain-parallel batch layer ([Ddb_parallel.Batch])
+    runs that way on its per-worker engine shards, and these are the
+    sequential baseline its determinism tests compare against.  Unknown
+    names raise [Invalid_argument]. *)
 
 val infer_literal_in :
   Ddb_engine.Engine.t -> sem:string -> Ddb_db.Db.t -> Ddb_logic.Lit.t -> bool
@@ -30,39 +34,3 @@ val infer_formula_in :
   Ddb_engine.Engine.t -> sem:string -> Ddb_db.Db.t -> Ddb_logic.Formula.t -> bool
 
 val has_model_in : Ddb_engine.Engine.t -> sem:string -> Ddb_db.Db.t -> bool
-
-(** {2 Budgeted (three-valued) variants}
-
-    Same queries, run under a fresh {!Ddb_budget.Budget} token minted from
-    [limits]: the answer is [True]/[False], or [Unknown reason] when the
-    budget trips (see {!Ddb_engine.Engine.budgeted} for [retry] — the
-    escalate-once ladder, off by default — and [group] cancellation). *)
-
-val infer_literal3_in :
-  ?retry:bool ->
-  ?group:Ddb_budget.Budget.group ->
-  Ddb_engine.Engine.t ->
-  limits:Ddb_budget.Budget.limits ->
-  sem:string ->
-  Ddb_db.Db.t ->
-  Ddb_logic.Lit.t ->
-  Ddb_engine.Engine.answer
-
-val infer_formula3_in :
-  ?retry:bool ->
-  ?group:Ddb_budget.Budget.group ->
-  Ddb_engine.Engine.t ->
-  limits:Ddb_budget.Budget.limits ->
-  sem:string ->
-  Ddb_db.Db.t ->
-  Ddb_logic.Formula.t ->
-  Ddb_engine.Engine.answer
-
-val has_model3_in :
-  ?retry:bool ->
-  ?group:Ddb_budget.Budget.group ->
-  Ddb_engine.Engine.t ->
-  limits:Ddb_budget.Budget.limits ->
-  sem:string ->
-  Ddb_db.Db.t ->
-  Ddb_engine.Engine.answer

@@ -133,15 +133,15 @@ let qkey ?(negs = []) ?part ?form ?(arg = -1) theory op =
   { theory; op; negs; sect; form; arg }
 
 type t = {
-  mutable cache : bool;
+  cache : bool;
   (* Fragment fast-path dispatch gate: with it off, the dispatch layer in
      lib/core routes every query through the generic oracle path — the
      ablation baseline of BENCH_fastpath.json and `ddbtool --no-fastpath`. *)
-  mutable fastpath : bool;
+  fastpath : bool;
   (* Latency histograms + hit/miss counters per oracle kind.  [profile]
      gates their upkeep exactly like the trace flag gates spans: with both
      off every op body pays one boolean load. *)
-  mutable profile : bool;
+  profile : bool;
   metrics : Ddb_obs.Metrics.t;
   total : counters;
   per_scope : (string, counters) Hashtbl.t;
@@ -175,12 +175,8 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     frags = Hashtbl.create 64;
   }
 
-let set_cache t flag = t.cache <- flag
 let cache_enabled t = t.cache
-let set_fastpath t flag = t.fastpath <- flag
 let fastpath_enabled t = t.fastpath
-let set_profiling t flag = t.profile <- flag
-let profiling t = t.profile
 let metrics t = t.metrics
 let metrics_json t = Ddb_obs.Metrics.to_json t.metrics
 
@@ -586,25 +582,16 @@ let record_unknown t ~sem =
   if t.profile then
     Ddb_obs.Metrics.incr_counter t.metrics "budget.exhausted"
 
-let budgeted ?(retry = false) ?(factor = 4) ?group t limits ~sem f =
-  let module B = Ddb_budget.Budget in
-  let run lims = B.eval ?group lims (fun () -> scoped t sem f) in
-  match run limits with
-  | (True | False) as a -> a
-  | Unknown r as a ->
+let budgeted ?retry ?group t limits ~sem f =
+  let on_trip ~retrying _ =
     record_unknown t ~sem;
-    (* Retry ladder (off by default): one more attempt with every cap
-       escalated.  Only exhaustion is worth retrying — a cancelled or
-       fault-injected cell would just trip again. *)
-    if retry && r = B.Budget_exhausted && not (B.is_unlimited limits) then begin
-      if t.profile then Ddb_obs.Metrics.incr_counter t.metrics "budget.retry";
-      match run (B.escalate ~factor limits) with
-      | (True | False) as a' -> a'
-      | Unknown _ as a' ->
-        record_unknown t ~sem;
-        a'
-    end
-    else a
+    if retrying && t.profile then
+      Ddb_obs.Metrics.incr_counter t.metrics "budget.retry"
+  in
+  let run () = scoped t sem f in
+  match Ddb_budget.Budget.run ?group ?retry ~on_trip limits run with
+  | Ok b -> Ddb_budget.Budget.of_bool b
+  | Error r -> Unknown r
 
 (* ------------------------------------------------------------------ *)
 (* Stats reporting                                                     *)

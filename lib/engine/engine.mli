@@ -29,19 +29,8 @@ val create : ?cache:bool -> ?fastpath:bool -> ?profile:bool -> unit -> t
     engine's {!Ddb_obs.Metrics} registry; with it off — and no trace
     active — every oracle op pays a single boolean test. *)
 
-val set_cache : t -> bool -> unit
-(** Flip the cache flag (existing memo entries are kept but not consulted
-    while the flag is off). *)
-
 val cache_enabled : t -> bool
-
-val set_fastpath : t -> bool -> unit
-(** Flip the fragment fast-path gate (see {!create}). *)
-
 val fastpath_enabled : t -> bool
-
-val set_profiling : t -> bool -> unit
-val profiling : t -> bool
 
 val reset : t -> unit
 (** Drop all caches, shared solvers and statistics. *)
@@ -147,7 +136,6 @@ type answer = Ddb_budget.Budget.answer =
 
 val budgeted :
   ?retry:bool ->
-  ?factor:int ->
   ?group:Ddb_budget.Budget.group ->
   t ->
   Ddb_budget.Budget.limits ->
@@ -159,10 +147,10 @@ val budgeted :
     Only definite answers can have been memoized (the trip unwinds before
     any cache write); each degraded evaluation bumps the [unknowns]
     counter (total and per-[sem]) and — while profiling — the
-    [budget.exhausted] metrics counter.  With [retry:true] (default
-    [false]), a [Budget_exhausted] answer is retried once with every cap
-    escalated by [factor] (default 4; counted under [budget.retry]).
-    [group] joins the token to a cancellation group. *)
+    [budget.exhausted] metrics counter.  [retry] (default [false]) is
+    {!Ddb_budget.Budget.run}'s retry ladder: a [Budget_exhausted] answer is
+    retried once with every cap escalated 4x (counted under
+    [budget.retry]).  [group] joins the token to a cancellation group. *)
 
 (** {1 Instrumentation} *)
 

@@ -14,99 +14,9 @@ type t = {
   positive : bool;
   definite : bool;
   normal : bool;
-  head_cycle_free : bool;
   stratified : bool;
   no_integrity : bool;
 }
-
-(* --- head-cycle-freeness: SCCs of the positive dependency graph ---
-
-   Edges run body⁺ → head for every non-integrity clause; a database is
-   head-cycle-free when no two atoms of one (disjunctive) head share an
-   SCC.  Iterative Tarjan, so deep chains cannot blow the OCaml stack. *)
-
-let scc_ids n edges =
-  let adj = Array.make (max n 1) [] in
-  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) edges;
-  let index = Array.make (max n 1) (-1) in
-  let lowlink = Array.make (max n 1) 0 in
-  let on_stack = Array.make (max n 1) false in
-  let comp = Array.make (max n 1) (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
-  let visit v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true
-  in
-  let strongconnect root =
-    (* iterative Tarjan: frames of (vertex, successors not yet explored) *)
-    visit root;
-    let frames = ref [ (root, ref adj.(root)) ] in
-    while !frames <> [] do
-      match !frames with
-      | [] -> ()
-      | (u, succs) :: rest -> (
-        match !succs with
-        | w :: ws ->
-          succs := ws;
-          if index.(w) < 0 then begin
-            visit w;
-            frames := (w, ref adj.(w)) :: !frames
-          end
-          else if on_stack.(w) then lowlink.(u) <- min lowlink.(u) index.(w)
-        | [] ->
-          (* u's subtree is done: close its SCC if u is a root, then fold
-             its lowlink into the parent frame (the recursive formulation's
-             post-call min). *)
-          frames := rest;
-          if lowlink.(u) = index.(u) then begin
-            let rec pop () =
-              match !stack with
-              | [] -> ()
-              | w :: tl ->
-                stack := tl;
-                on_stack.(w) <- false;
-                comp.(w) <- !next_comp;
-                if w <> u then pop ()
-            in
-            pop ();
-            incr next_comp
-          end;
-          (match rest with
-          | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(u)
-          | [] -> ()))
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
-  comp
-
-let head_cycle_free db =
-  let n = Db.num_vars db in
-  let clauses = Db.clauses db in
-  let edges =
-    List.concat_map
-      (fun c ->
-        let head = Clause.head c in
-        List.concat_map (fun b -> List.map (fun h -> (b, h)) head)
-          (Clause.body_pos c))
-      clauses
-  in
-  let comp = scc_ids n edges in
-  List.for_all
-    (fun c ->
-      match Clause.head c with
-      | [] | [ _ ] -> true
-      | head ->
-        (* pairwise-distinct components among the head atoms *)
-        let comps = List.map (fun h -> comp.(h)) head in
-        List.length (List.sort_uniq Int.compare comps) = List.length comps)
-    clauses
 
 let classify db =
   let clauses = Db.clauses db in
@@ -129,7 +39,6 @@ let classify db =
     positive;
     definite;
     normal;
-    head_cycle_free = head_cycle_free db;
     (* positive databases are trivially stratified: skip the Bellman–Ford *)
     stratified = positive || Stratify.is_stratified db;
     no_integrity;
@@ -142,7 +51,6 @@ let names t =
       (t.positive, "positive");
       (t.definite, "definite-horn");
       (t.normal, "normal");
-      (t.head_cycle_free, "head-cycle-free");
       (t.stratified, "stratified");
       (t.no_integrity, "no-integrity");
     ]
@@ -154,9 +62,8 @@ let pp ppf t =
 
 let to_json t =
   Printf.sprintf
-    {|{"positive":%b,"definite":%b,"normal":%b,"head_cycle_free":%b,"stratified":%b,"no_integrity":%b}|}
-    t.positive t.definite t.normal t.head_cycle_free t.stratified
-    t.no_integrity
+    {|{"positive":%b,"definite":%b,"normal":%b,"stratified":%b,"no_integrity":%b}|}
+    t.positive t.definite t.normal t.stratified t.no_integrity
 
 (* --- definite-Horn machinery --- *)
 

@@ -5,7 +5,7 @@ open Ddb_db
     the P cells of the paper's Tables 1 and 2.
 
     The classifier is pure syntax (one pass over the clauses plus a
-    Bellman–Ford stratification check and an SCC pass); the engine caches
+    Bellman–Ford stratification check); the engine caches
     one classification per hash-consed theory.  The algorithms below are
     the dedicated polynomial procedures the fast-path dispatch layer
     ([Ddb_core.Fastpath]) routes to when a (semantics, problem, fragment)
@@ -17,9 +17,6 @@ type t = {
       (** positive, and every non-integrity clause has exactly one head
           atom — a definite Horn database (integrity clauses allowed) *)
   normal : bool;  (** at most one head atom per clause *)
-  head_cycle_free : bool;
-      (** no two atoms of one head share an SCC of the positive dependency
-          graph (Ben-Eliyahu & Dechter) *)
   stratified : bool;  (** no recursion through negation *)
   no_integrity : bool;  (** no empty-headed clauses *)
 }

@@ -2,6 +2,7 @@ open Ddb_logic
 open Ddb_db
 open Ddb_core
 module Engine = Ddb_engine.Engine
+module Budget = Ddb_budget.Budget
 
 (* Domain-parallel batch evaluation: one oracle engine per pool worker.
 
@@ -101,30 +102,53 @@ let per_semantics names lits answers =
     names
     (regroup (List.map (fun _ -> List.length lits) names) answers)
 
-let literal_sweep t ?sems db =
+(* Every cell of every sweep: the boolean query [q] on the worker's record
+   for [name], under its own fresh budget token minted from [limits] inside
+   the task — so per-cell wall deadlines start when the cell starts and
+   logical caps are context-free per cell.  The token joins the
+   [cancel_on_error] group, so one task exception degrades the remaining
+   cells to [Cancelled] instead of hanging the sweep.  With the default
+   [no_limits] nothing can trip but a cancellation or an injected fault.
+   For cache-disabled batches under purely logical caps the set of
+   [Unknown] cells is identical at every job count (the
+   parallel-determinism law in test/test_budget.ml). *)
+let cell t ?retry ?group ~limits ~worker name q =
+  let s = sem_for t ~worker name in
+  Engine.budgeted ?retry ?group t.engines.(worker) limits ~sem:name (fun () ->
+      q s)
+
+let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
+    db =
   let names = default_sems db sems in
   let lits = pm_literals db in
   let items = List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names in
   let answers =
-    map t
+    map t ?cancel_on_error
       (fun ~worker (name, l) ->
-        (sem_for t ~worker name).Semantics.infer_literal db l)
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
+            s.Semantics.infer_literal db l))
       items
   in
   per_semantics names lits answers
 
-let all_semantics t ?sems db f =
+let all_semantics t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
+    db f =
   let names = default_sems db sems in
-  map t ~chunk_size:1
+  map t ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
-      (name, (sem_for t ~worker name).Semantics.infer_formula db f))
+      ( name,
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
+            s.Semantics.infer_formula db f) ))
     names
 
-let exists_sweep t ?sems db =
+let exists_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
+    db =
   let names = default_sems db sems in
-  map t ~chunk_size:1
+  map t ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
-      (name, (sem_for t ~worker name).Semantics.has_model db))
+      ( name,
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
+            s.Semantics.has_model db) ))
     names
 
 let instance_sweep t ?sems dbs =
@@ -136,63 +160,17 @@ let instance_sweep t ?sems dbs =
   let swept =
     map t ~chunk_size:1
       (fun ~worker (db, name) ->
-        let s = sem_for t ~worker name in
         ( name,
-          List.map (fun l -> (l, s.Semantics.infer_literal db l)) (pm_literals db)
-        ))
+          List.map
+            (fun l ->
+              ( l,
+                cell t ~limits:Budget.no_limits ~worker name (fun s ->
+                    s.Semantics.infer_literal db l) ))
+            (pm_literals db) ))
       items
   in
   (* regroup the flat (instance-major) result per instance *)
   regroup (List.map (fun db -> List.length (default_sems db sems)) dbs) swept
-
-(* --- budgeted (three-valued) sweeps ---
-
-   Same shapes as the boolean sweeps, but every cell runs under its own
-   fresh budget token minted from [limits] inside the task — which is what
-   makes per-cell wall deadlines meaningful (each cell's clock starts when
-   the cell starts) and keeps logical caps context-free per cell.  With
-   [cancel_on_error] the tokens additionally join the group, so one task
-   exception degrades the remaining cells to [Cancelled] instead of
-   hanging the sweep.  For cache-disabled, pinned-or-not batches under
-   purely logical caps the set of [Unknown] cells is identical at every
-   job count (the parallel-determinism law in test/test_budget.ml). *)
-
-let budgeted_cell t ?retry ?group ~worker ~limits name f =
-  Engine.budgeted ?retry ?group t.engines.(worker) limits ~sem:name f
-
-let literal_sweep3 t ?sems ?retry ?cancel_on_error ~limits db =
-  let names = default_sems db sems in
-  let lits = pm_literals db in
-  let items = List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names in
-  let answers =
-    map t ?cancel_on_error
-      (fun ~worker (name, l) ->
-        let s = sem_for t ~worker name in
-        budgeted_cell t ?retry ?group:cancel_on_error ~worker ~limits name
-          (fun () -> s.Semantics.infer_literal db l))
-      items
-  in
-  per_semantics names lits answers
-
-let all_semantics3 t ?sems ?retry ?cancel_on_error ~limits db f =
-  let names = default_sems db sems in
-  map t ?cancel_on_error ~chunk_size:1
-    (fun ~worker name ->
-      let s = sem_for t ~worker name in
-      ( name,
-        budgeted_cell t ?retry ?group:cancel_on_error ~worker ~limits name
-          (fun () -> s.Semantics.infer_formula db f) ))
-    names
-
-let exists_sweep3 t ?sems ?retry ?cancel_on_error ~limits db =
-  let names = default_sems db sems in
-  map t ?cancel_on_error ~chunk_size:1
-    (fun ~worker name ->
-      let s = sem_for t ~worker name in
-      ( name,
-        budgeted_cell t ?retry ?group:cancel_on_error ~worker ~limits name
-          (fun () -> s.Semantics.has_model db) ))
-    names
 
 let totals t = Engine.merge_stats (engines t)
 let metrics_json t = Engine.merged_metrics_json (engines t)

@@ -11,8 +11,8 @@ open Ddb_db
 
     All sweeps are order-stable (index-tagged chunks reassembled by
     position, see {!Parallel}): answers are bit-identical for every job
-    count, and equal to the sequential [Registry.all_in] path — a qcheck
-    property in [test/test_parallel.ml].
+    count, and equal to [Budget.of_bool] of the sequential boolean
+    [Registry.*_in] path — a qcheck property in [test/test_parallel.ml].
 
     Databases are shared across workers read-only; do not grow a database's
     vocabulary concurrently with a sweep. *)
@@ -55,71 +55,67 @@ val with_batch :
 
 (** {1 Sweeps}
 
+    Every sweep answers three-valued: each cell runs the semantics' boolean
+    query through {!Ddb_engine.Engine.budgeted} under its own fresh
+    {!Ddb_budget.Budget} token minted from [limits] inside the task.
+    [limits] defaults to {!Ddb_budget.Budget.no_limits}, under which every
+    answer is definite (unless a cancellation or an injected fault trips)
+    and equal to the boolean [Registry.*_in] answer.  Per-cell wall
+    deadlines start when the cell starts; logical caps are context-free per
+    cell.  Degraded cells answer [Unknown]; definite answers are exactly
+    the unbudgeted ones.  [retry] is {!Ddb_budget.Budget.run}'s
+    escalate-once ladder (default off).  [cancel_on_error] doubles as the
+    cells' cancellation group: the first task exception cancels it,
+    degrading the remaining cells to [Unknown Cancelled] while the pool
+    still drains.  With cache-disabled shards and purely logical caps the
+    set of [Unknown] cells is identical at every job count.
+
     [sems] selects semantics by registry name and defaults to every
     semantics applicable to the database, in registry order.  Unknown names
     raise [Invalid_argument]. *)
 
 val literal_sweep :
-  t -> ?sems:string list -> Db.t -> (string * (Lit.t * bool) list) list
+  t ->
+  ?sems:string list ->
+  ?limits:Ddb_budget.Budget.limits ->
+  ?retry:bool ->
+  ?cancel_on_error:Ddb_budget.Budget.group ->
+  Db.t ->
+  (string * (Lit.t * Ddb_engine.Engine.answer) list) list
 (** Every ± literal of the universe under every selected semantics
     ([¬x] then [x], for [x = 0 .. n-1]) — the closed-world query workload
     of [ddbtool stats], fanned out per (semantics, literal chunk). *)
 
 val all_semantics :
-  t -> ?sems:string list -> Db.t -> Formula.t -> (string * bool) list
-(** Formula inference under every selected semantics, one task each. *)
-
-val exists_sweep :
-  t -> ?sems:string list -> Db.t -> (string * bool) list
-(** Model existence under every selected semantics, one task each. *)
-
-val instance_sweep :
-  t -> ?sems:string list -> Db.t list -> (string * (Lit.t * bool) list) list list
-(** {!literal_sweep} over a list of instances, one task per
-    (instance, semantics) pair — the batch shape of the bench harness's
-    seeded random-DB sweeps.  Result [i] is instance [i]'s sweep. *)
-
-(** {2 Budgeted (three-valued) sweeps}
-
-    Same shapes, but every cell runs under its own fresh
-    {!Ddb_budget.Budget} token minted from [limits] inside the task —
-    per-cell wall deadlines start when the cell starts; logical caps are
-    context-free per cell.  Degraded cells answer
-    [Unknown]; definite answers are exactly those of the boolean sweeps.
-    [retry] is the engine's escalate-once ladder (default off).
-    [cancel_on_error] doubles as the cells' cancellation group: the first
-    task exception cancels it, degrading the remaining cells to
-    [Unknown Cancelled] while the pool still drains.  With cache-disabled
-    shards and purely logical caps the set of [Unknown] cells is identical
-    at every job count. *)
-
-val literal_sweep3 :
   t ->
   ?sems:string list ->
+  ?limits:Ddb_budget.Budget.limits ->
   ?retry:bool ->
   ?cancel_on_error:Ddb_budget.Budget.group ->
-  limits:Ddb_budget.Budget.limits ->
-  Db.t ->
-  (string * (Lit.t * Ddb_engine.Engine.answer) list) list
-
-val all_semantics3 :
-  t ->
-  ?sems:string list ->
-  ?retry:bool ->
-  ?cancel_on_error:Ddb_budget.Budget.group ->
-  limits:Ddb_budget.Budget.limits ->
   Db.t ->
   Formula.t ->
   (string * Ddb_engine.Engine.answer) list
+(** Formula inference under every selected semantics, one task each. *)
 
-val exists_sweep3 :
+val exists_sweep :
   t ->
   ?sems:string list ->
+  ?limits:Ddb_budget.Budget.limits ->
   ?retry:bool ->
   ?cancel_on_error:Ddb_budget.Budget.group ->
-  limits:Ddb_budget.Budget.limits ->
   Db.t ->
   (string * Ddb_engine.Engine.answer) list
+(** Model existence under every selected semantics, one task each. *)
+
+val instance_sweep :
+  t ->
+  ?sems:string list ->
+  Db.t list ->
+  (string * (Lit.t * Ddb_engine.Engine.answer) list) list list
+(** {!literal_sweep} (with no limits) over a list of instances, one task
+    per (instance, semantics) pair — the batch shape of the bench
+    harness's seeded random-DB sweeps.  Result [i] is instance [i]'s
+    sweep. *)
 
 (** {1 Merged instrumentation} *)
 

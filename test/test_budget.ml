@@ -19,7 +19,7 @@ let answer =
     Budget.answer_equal
 
 let lit = testable (fun fmt l -> Lit.pp fmt l) Lit.equal
-let sweep3_testable = list (pair string (list (pair lit answer)))
+let sweep_testable = list (pair string (list (pair lit answer)))
 
 let pm_literals db =
   List.concat_map
@@ -168,7 +168,7 @@ let qcheck_budget_differential =
       let expect = sequential_bool_sweep db in
       let sweep jobs =
         Batch.with_batch ~jobs ~cache:false (fun b ->
-            Batch.literal_sweep3 b ~limits db)
+            Batch.literal_sweep b ~limits db)
       in
       let j1 = sweep 1 in
       let j4 = sweep 4 in
@@ -191,10 +191,10 @@ let jobs_invariant_unknown_cells () =
   let limits = Budget.limits ~ticks:6 () in
   let sweep jobs =
     Batch.with_batch ~jobs ~cache:false (fun b ->
-        Batch.literal_sweep3 b ~limits db)
+        Batch.literal_sweep b ~limits db)
   in
   let j1 = sweep 1 in
-  check sweep3_testable "jobs:1 = jobs:4 including Unknown cells" j1 (sweep 4);
+  check sweep_testable "jobs:1 = jobs:4 including Unknown cells" j1 (sweep 4);
   let cells = List.concat_map snd j1 in
   let unknown (_, a) =
     match a with Budget.Unknown _ -> true | _ -> false
@@ -215,21 +215,34 @@ let unlimited_equals_old_api () =
           check answer
             (Printf.sprintf "%s %s" sem (Lit.to_string l))
             (Budget.of_bool e)
-            (Registry.infer_literal3_in bud_eng ~limits:Budget.no_limits ~sem
-               db l))
+            (Engine.budgeted bud_eng Budget.no_limits ~sem (fun () ->
+                 Registry.infer_literal_in bud_eng ~sem db l)))
         (pm_literals db))
     (Registry.applicable_names db);
-  let a = Engine.totals ref_eng and b = Engine.totals bud_eng in
-  (* identical instrumentation, field for field (wall_ms excluded) *)
-  check int "oracle calls" a.Engine.oracle_calls b.Engine.oracle_calls;
-  check int "cache hits" a.Engine.cache_hits b.Engine.cache_hits;
-  check int "cache misses" a.Engine.cache_misses b.Engine.cache_misses;
-  check int "sat solves" a.Engine.sat_solve_calls b.Engine.sat_solve_calls;
-  check int "sigma2 queries" a.Engine.sigma2_queries b.Engine.sigma2_queries;
-  check int "conflicts" a.Engine.sat_conflicts b.Engine.sat_conflicts;
-  check int "decisions" a.Engine.sat_decisions b.Engine.sat_decisions;
-  check int "propagations" a.Engine.sat_propagations b.Engine.sat_propagations;
-  check int "no unknowns under no_limits" 0 b.Engine.unknowns
+  (* identical instrumentation, field for field (wall_ms excluded), in the
+     totals and in every per-semantics bucket *)
+  let same (a : Engine.stats) (b : Engine.stats) =
+    let field name f = check int (a.Engine.scope ^ " " ^ name) (f a) (f b) in
+    check string "scope" a.Engine.scope b.Engine.scope;
+    field "oracle calls" (fun s -> s.Engine.oracle_calls);
+    field "cache hits" (fun s -> s.Engine.cache_hits);
+    field "cache misses" (fun s -> s.Engine.cache_misses);
+    field "sat solves" (fun s -> s.Engine.sat_solve_calls);
+    field "sigma2 queries" (fun s -> s.Engine.sigma2_queries);
+    field "conflicts" (fun s -> s.Engine.sat_conflicts);
+    field "decisions" (fun s -> s.Engine.sat_decisions);
+    field "propagations" (fun s -> s.Engine.sat_propagations);
+    field "fastpath hits" (fun s -> s.Engine.fastpath_hits);
+    field "fastpath misses" (fun s -> s.Engine.fastpath_misses);
+    field "classifications" (fun s -> s.Engine.classifications);
+    field "unknowns" (fun s -> s.Engine.unknowns)
+  in
+  same (Engine.totals ref_eng) (Engine.totals bud_eng);
+  check int "same scopes" (List.length (Engine.per_scope ref_eng))
+    (List.length (Engine.per_scope bud_eng));
+  List.iter2 same (Engine.per_scope ref_eng) (Engine.per_scope bud_eng);
+  check int "no unknowns under no_limits" 0
+    (Engine.totals bud_eng).Engine.unknowns
 
 (* --- fault injection ---
 
@@ -250,7 +263,10 @@ let fault_memo_soundness () =
   for k = 0 to 8 do
     let eng = Engine.create () in
     Budget.Fault.arm ~after:k ();
-    let ans = Registry.infer_literal3_in eng ~limits:Budget.no_limits ~sem db l in
+    let ans =
+      Engine.budgeted eng Budget.no_limits ~sem (fun () ->
+          Registry.infer_literal_in eng ~sem db l)
+    in
     let fired = not (Budget.Fault.armed ()) in
     Budget.Fault.disarm ();
     if fired then begin
@@ -284,7 +300,10 @@ let fault_solver_failure () =
   in
   let eng = Engine.create () in
   Budget.Fault.arm ~kind:Budget.Fault.Solver_failure ~after:0 ();
-  (match Registry.has_model3_in eng ~limits:Budget.no_limits ~sem db with
+  (match
+     Engine.budgeted eng Budget.no_limits ~sem (fun () ->
+         Registry.has_model_in eng ~sem db)
+   with
   | _ -> fail "expected Simulated_solver_failure to propagate"
   | exception Budget.Fault.Simulated_solver_failure -> ());
   check bool "the fault disarmed itself" false (Budget.Fault.armed ());

@@ -33,44 +33,9 @@ let classify_hand_built () =
   check "odd loop unstratified" false fr.Frag.stratified;
   check "negation not positive" false fr.Frag.positive;
   let fr = Frag.classify (Db.of_string "b. a :- not b.") in
-  check "layered is stratified" true fr.Frag.stratified;
-  (* a and b are in one positive SCC and share a head: not HCF *)
-  let fr = Frag.classify (Db.of_string "a | b. a :- b. b :- a.") in
-  check "head cycle detected" false fr.Frag.head_cycle_free;
-  let fr = Frag.classify (Db.of_string "a | b. a :- b.") in
-  check "one-way dependency stays HCF" true fr.Frag.head_cycle_free
+  check "layered is stratified" true fr.Frag.stratified
 
 (* --- qcheck: classifier vs the definitional predicates --- *)
-
-(* Reference head-cycle-freeness by transitive closure of the positive
-   dependency graph (body⁺ atom → head atom), quadratic and obviously
-   correct. *)
-let brute_head_cycle_free db =
-  let n = Db.num_vars db in
-  let reach = Array.make_matrix n n false in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun h ->
-          List.iter (fun b -> reach.(b).(h) <- true) (Clause.body_pos c))
-        (Clause.head c))
-    (Db.clauses db);
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
-      done
-    done
-  done;
-  let same_scc a b = a = b || (reach.(a).(b) && reach.(b).(a)) in
-  List.for_all
-    (fun c ->
-      let head = List.sort_uniq Int.compare (Clause.head c) in
-      List.for_all
-        (fun a ->
-          List.for_all (fun b -> a = b || not (same_scc a b)) head)
-        head)
-    (Db.clauses db)
 
 let qcheck_classifier_definitional =
   QCheck.Test.make ~count:(count 120)
@@ -91,8 +56,7 @@ let qcheck_classifier_definitional =
       && fr.Frag.normal = Db.is_normal_program db
       && fr.Frag.stratified = Stratify.is_stratified db
       && fr.Frag.no_integrity = not (Db.has_integrity db)
-      && fr.Frag.definite = definite_def
-      && fr.Frag.head_cycle_free = brute_head_cycle_free db)
+      && fr.Frag.definite = definite_def)
 
 (* Biased generators land in their intended fragment. *)
 let qcheck_biased_generators =
@@ -250,8 +214,8 @@ let fastpath_respects_budget () =
   let db = Db.of_string "a. b :- a." in
   let eng = Engine.create () in
   let answer =
-    Registry.has_model3_in eng ~limits:(Budget.limits ~ticks:0 ()) ~sem:"gcwa"
-      db
+    Engine.budgeted eng (Budget.limits ~ticks:0 ()) ~sem:"gcwa" (fun () ->
+        Registry.has_model_in eng ~sem:"gcwa" db)
   in
   check "degraded" true
     (match answer with Budget.Unknown _ -> true | _ -> false)

@@ -6,6 +6,7 @@ module Stats = Ddb_sat.Stats
 module Trace = Ddb_obs.Trace
 module Metrics = Ddb_obs.Metrics
 module Engine = Ddb_engine.Engine
+module Budget = Ddb_budget.Budget
 
 (* Tests for the observability layer: the Stats.merge monoid (qcheck), the
    Metrics registry (merge algebra, percentile sanity, deterministic JSON),
@@ -259,8 +260,16 @@ let pinned_sweep_equals_chunked () =
   let pinned =
     Batch.with_batch ~jobs:4 ~pinned:true (fun b -> Batch.literal_sweep b db)
   in
-  check bool "pinned placement changes nothing observable" true
-    (chunked = pinned)
+  let answer =
+    testable (fun fmt a -> Fmt.string fmt (Budget.string_of_answer a))
+      Budget.answer_equal
+  in
+  let lit =
+    testable (fun fmt l -> Ddb_logic.Lit.pp fmt l) Ddb_logic.Lit.equal
+  in
+  check
+    (list (pair string (list (pair lit answer))))
+    "pinned placement changes nothing observable" chunked pinned
 
 (* --- engine metrics (profile mode) --- *)
 

@@ -5,6 +5,7 @@ open Ddb_workload
 open Ddb_parallel
 open Alcotest
 module Engine = Ddb_engine.Engine
+module Budget = Ddb_budget.Budget
 
 (* Tests for the domain-parallel batch layer: pool mechanics (order
    stability, worker indices, exception-safe join), batch determinism
@@ -81,7 +82,7 @@ let pool_reusable_across_runs () =
 (* --- batch determinism (the qcheck property of the issue) --- *)
 
 (* Sequential baseline: the same query multiset in the same order through a
-   single engine — the pre-existing Registry.all_in path. *)
+   single engine — the boolean Registry.*_in path, lifted to answers. *)
 let sequential_sweep ~cache db =
   let eng = Engine.create ~cache () in
   let lits =
@@ -94,14 +95,19 @@ let sequential_sweep ~cache db =
       (fun sem ->
         ( sem,
           List.map
-            (fun l -> (l, Registry.infer_literal_in eng ~sem db l))
+            (fun l ->
+              (l, Budget.of_bool (Registry.infer_literal_in eng ~sem db l)))
             lits ))
       (Registry.applicable_names db)
   in
   (result, eng)
 
 let lit = testable (fun fmt l -> Lit.pp fmt l) Lit.equal
-let sweep_testable = list (pair string (list (pair lit bool)))
+let answer =
+  testable (fun fmt a -> Fmt.string fmt (Budget.string_of_answer a))
+    Budget.answer_equal
+
+let sweep_testable = list (pair string (list (pair lit answer)))
 
 let qcheck_jobs_invariant =
   QCheck.Test.make ~count:(Gen.qcheck_count 15)
@@ -140,18 +146,19 @@ let all_semantics_and_exists_agree () =
   let eng = Engine.create () in
   let expect_f =
     List.map
-      (fun sem -> (sem, Registry.infer_formula_in eng ~sem db f))
+      (fun sem ->
+        (sem, Budget.of_bool (Registry.infer_formula_in eng ~sem db f)))
       (Registry.applicable_names db)
   in
   let expect_e =
     List.map
-      (fun sem -> (sem, Registry.has_model_in eng ~sem db))
+      (fun sem -> (sem, Budget.of_bool (Registry.has_model_in eng ~sem db)))
       (Registry.applicable_names db)
   in
   Batch.with_batch ~jobs:3 (fun b ->
-      check (list (pair string bool)) "all_semantics" expect_f
+      check (list (pair string answer)) "all_semantics" expect_f
         (Batch.all_semantics b db f);
-      check (list (pair string bool)) "exists_sweep" expect_e
+      check (list (pair string answer)) "exists_sweep" expect_e
         (Batch.exists_sweep b db))
 
 let instance_sweep_agrees () =
