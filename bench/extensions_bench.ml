@@ -26,15 +26,19 @@ let brave_vs_cautious () =
     (fun n ->
       let db = Random_db.normal ~seed:(3 * n) ~num_vars:n in
       let f = Random_db.formula ~seed:n ~num_vars:n ~depth:2 in
-      let ec, _ =
-        time_with_stats (fun () ->
-            Egcwa.infer_formula_in
-              (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-              db f)
+      (* the paper's baseline configuration: no memo, no fast path *)
+      let sem name =
+        Option.get
+          (Registry.find_in
+             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+             name)
       in
-      let eb, _ = time_with_stats (fun () -> Brave.egcwa db f) in
-      let dc, _ = time_with_stats (fun () -> Dsm.infer_formula db f) in
-      let db_, _ = time_with_stats (fun () -> Brave.dsm db f) in
+      let cautious name () = (sem name).Semantics.infer_formula db f in
+      let brave name () = (sem name).Semantics.witness db f <> None in
+      let ec, _ = time_with_stats (cautious "egcwa") in
+      let eb, _ = time_with_stats (brave "egcwa") in
+      let dc, _ = time_with_stats (cautious "dsm") in
+      let db_, _ = time_with_stats (brave "dsm") in
       Fmt.pr "  %-6d %10.2f /%10.2f %10.2f /%10.2f@." n ec eb dc db_)
     [ 10; 20; 40 ]
 

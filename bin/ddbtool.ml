@@ -353,36 +353,40 @@ let build_partition db ~minimize ~fixed ~vary =
   | part -> Ok part
   | exception Invalid_argument msg -> Error (`Msg msg)
 
-let pp_witness vocab ppf = function
-  | Brave.Two_valued m -> Interp.pp ~vocab ppf m
-  | Brave.Three_valued_witness i -> Three_valued.pp ~vocab ppf i
+let pp_model vocab ppf = function
+  | Semantics.Two_valued m -> Interp.pp ~vocab ppf m
+  | Semantics.Three_valued i -> Three_valued.pp ~vocab ppf i
 
+(* Cautious answers and witnesses share one search per semantics: a brave
+   answer is whether a witness of F exists, and the counterexample to a
+   failed cautious query is the witness of ¬F.  Both run on one engine, so
+   the fragment fast paths apply (--no-fastpath is the generic-oracle
+   ablation) and a closed-world counterexample is a memo hit. *)
 let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
     ~minimize ~fixed ~vary =
   Result.bind (check_applicable sem db) @@ fun () ->
   let vocab = Db.vocab db in
-  match Parse.formula vocab query_str with
-  | exception Parse.Error msg ->
-    Error (`Msg (Printf.sprintf "query parse error: %s" msg))
-  | f when minimize <> None || fixed <> [] || vary <> [] ->
-    (* explicit ⟨P;Q;Z⟩: route to the partition-parametric engines *)
-    let db = Semantics.for_query db f in
-    Result.bind (build_partition db ~minimize ~fixed ~vary) @@ fun part ->
-    let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
-    let answer =
-      match sem.Semantics.name with
-      | "ccwa" ->
-        if brave then Ok (Brave.ccwa eng db part f)
-        else Ok (Ccwa.infer_formula_in eng db part f)
-      | "ecwa" ->
-        if brave then Ok (Brave.ecwa db part f)
-        else Ok (Ecwa.infer_formula_in eng db part f)
-      | "circ" ->
-        if brave then Ok (Brave.ecwa db part f)
-        else Ok (Circ.infer_formula db part f)
-      | "icwa" ->
-        if brave then Ok (Brave.icwa db part f)
-        else Ok (Icwa.infer_formula db part f)
+  let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
+  let name = sem.Semantics.name in
+  let procedures f =
+    if minimize = None && fixed = [] && vary = [] then
+      let s = Option.get (Registry.find_in eng name) in
+      Ok (s.Semantics.infer_formula db, s.Semantics.witness db, "")
+    else
+      (* explicit ⟨P;Q;Z⟩: route to the partition-parametric engines *)
+      let db = Semantics.for_query db f in
+      Result.bind (build_partition db ~minimize ~fixed ~vary) @@ fun part ->
+      let with_part cautious witness =
+        Ok
+          ( cautious db part,
+            (fun g -> Semantics.two_valued (witness db part g)),
+            Fmt.str "   (%a)" (Partition.pp ~vocab) part )
+      in
+      match name with
+      | "ccwa" -> with_part (Ccwa.infer_formula_in eng) (Ccwa.witness_in eng)
+      | "ecwa" -> with_part (Ecwa.infer_formula_in eng) (Ecwa.witness_in eng)
+      | "circ" -> with_part Circ.infer_formula (Ecwa.witness_in eng)
+      | "icwa" -> with_part Icwa.infer_formula Icwa.witness
       | other ->
         Error
           (`Msg
@@ -390,52 +394,38 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
                "--minimize/--fixed/--vary need a partition-parametric \
                 semantics (ccwa, ecwa, circ, icwa), not %s"
                other))
-    in
-    Result.bind answer @@ fun answer ->
-    Fmt.pr "%s(DB) %s %a   (%a)@." sem.Semantics.name
-      (if answer then if brave then "|~" else "|=" else if brave then "|/~"
-       else "|/=")
-      (Formula.pp ~vocab) f (Partition.pp ~vocab) part;
-    Ok ()
+  in
+  match Parse.formula vocab query_str with
+  | exception Parse.Error msg ->
+    Error (`Msg (Printf.sprintf "query parse error: %s" msg))
   | f ->
-    (* Cautious inference runs on an engine so the fragment fast paths
-       apply (--no-fastpath is the generic-oracle ablation); brave
-       witnesses take their closed-world augmentations from it. *)
-    let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
-    if brave then begin
-      match Brave.witness_by_name eng sem.Semantics.name db f with
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "no brave engine for semantics %s"
-               sem.Semantics.name))
-      | Some w ->
-        Fmt.pr "%s(DB) %s %a   (brave)@." sem.Semantics.name
-          (if w <> None then "|~" else "|/~")
-          (Formula.pp ~vocab) f;
-        (match w with
-        | Some w when witness -> Fmt.pr "witness: %a@." (pp_witness vocab) w
-        | _ -> ());
-        Ok ()
-    end
-    else begin
-      let answer =
-        Registry.infer_formula_in eng ~sem:sem.Semantics.name db f
-      in
-      Fmt.pr "%s(DB) %s %a@." sem.Semantics.name
-        (if answer then "|=" else "|/=")
-        (Formula.pp ~vocab) f;
-      (* a counterexample to a failed cautious query is a brave witness
-         for the negation *)
-      if (not answer) && witness then begin
-        match
-          Brave.witness_by_name eng sem.Semantics.name db (Formula.not_ f)
-        with
-        | Some (Some w) -> Fmt.pr "counterexample: %a@." (pp_witness vocab) w
-        | Some None | None -> ()
-      end;
-      Ok ()
-    end
+    Result.bind (procedures f) @@ fun (cautious, witness_of, suffix) ->
+    let answer, shown =
+      if brave then
+        let w = witness_of f in
+        (Option.is_some w, Option.map (fun m -> ("witness", m)) w)
+      else
+        let a = cautious f in
+        ( a,
+          if a || not witness then None
+          else
+            Option.map
+              (fun m -> ("counterexample", m))
+              (witness_of (Formula.not_ f)) )
+    in
+    Fmt.pr "%s(DB) %s %a%s@." name
+      (match (brave, answer) with
+      | false, true -> "|="
+      | false, false -> "|/="
+      | true, true -> "|~"
+      | true, false -> "|/~")
+      (Formula.pp ~vocab) f
+      (if brave && suffix = "" then "   (brave)" else suffix);
+    (if witness then
+       match shown with
+       | Some (label, m) -> Fmt.pr "%s: %a@." label (pp_model vocab) m
+       | None -> ());
+    Ok ()
 
 let query_str_arg =
   Arg.(

@@ -63,17 +63,6 @@ let limits ?conflicts ?propagations ?ticks ?wall_ms ?models () =
 
 let is_unlimited l = l = no_limits
 
-let escalate ?(factor = 4) l =
-  let factor = max 1 factor in
-  let scale = Option.map (fun c -> c * factor) in
-  {
-    conflicts = scale l.conflicts;
-    propagations = scale l.propagations;
-    ticks = scale l.ticks;
-    wall_ms = Option.map (fun ms -> ms *. float_of_int factor) l.wall_ms;
-    models = scale l.models;
-  }
-
 (* --- groups --- *)
 
 type group = bool Atomic.t
@@ -275,12 +264,22 @@ let on_oracle_op () =
     validate tok;
     if tok.capped then consume_ticks tok 1
 
-(* --- evaluation wrappers and the retry ladder --- *)
+(* --- the retry ladder --- *)
 
 (* One attempt per token; a second, with every cap escalated 4x, only after
    genuine exhaustion of a finite budget — a cancelled or fault-injected run
    would just trip again, and an unlimited budget has no cap to raise. *)
 let run ?group ?(retry = false) ?(on_trip = fun ~retrying:_ _ -> ()) lims f =
+  let escalate (l : limits) =
+    let scale = Option.map (fun c -> c * 4) in
+    {
+      conflicts = scale l.conflicts;
+      propagations = scale l.propagations;
+      ticks = scale l.ticks;
+      wall_ms = Option.map (fun ms -> ms *. 4.) l.wall_ms;
+      models = scale l.models;
+    }
+  in
   let rec attempt ~can_retry lims =
     match with_token (token ?group lims) f with
     | v -> Ok v
@@ -290,6 +289,3 @@ let run ?group ?(retry = false) ?(on_trip = fun ~retrying:_ _ -> ()) lims f =
       if retrying then attempt ~can_retry:false (escalate lims) else Error r
   in
   attempt ~can_retry:(retry && not (is_unlimited lims)) lims
-
-let eval ?group lims f =
-  match run ?group lims f with Ok b -> of_bool b | Error r -> Unknown r

@@ -38,8 +38,8 @@ val string_of_reason : reason -> string
 val pp_reason : Format.formatter -> reason -> unit
 
 exception Out_of_budget of reason
-(** Raised by the probe functions; unwinds to the nearest {!eval} /
-    [Engine.budgeted] wrapper, which turns it into [Unknown]. *)
+(** Raised by the probe functions; unwinds to the nearest {!run} /
+    [Engine.budgeted] wrapper, which turns it into [Error] / [Unknown]. *)
 
 (** {1 Three-valued answers} *)
 
@@ -78,10 +78,6 @@ val limits :
   limits
 
 val is_unlimited : limits -> bool
-
-val escalate : ?factor:int -> limits -> limits
-(** The next rung of the retry ladder: every finite cap multiplied by
-    [factor] (default 4). *)
 
 (** {1 Cancellation groups}
 
@@ -129,14 +125,11 @@ val run :
     [Error r] if {!Out_of_budget}[ r] unwound.  Other exceptions pass
     through.  This is the one retry ladder: with [retry:true] (default
     [false]) an attempt that tripped [Budget_exhausted] under finite
-    limits runs once more under {!escalate}[ limits] (every cap x4).
+    limits runs once more with every finite cap (and the wall deadline)
+    multiplied by 4.
     Cancelled and fault-injected attempts are never retried, nor is an
     unlimited budget.  [on_trip] sees every tripped attempt, with
     [retrying] telling whether the escalated attempt follows. *)
-
-val eval : ?group:group -> limits -> (unit -> bool) -> answer
-(** {!run} without retry, degraded to a three-valued answer: [of_bool] of
-    the result, or [Unknown r]. *)
 
 (** {1 Probe sites}
 

@@ -30,12 +30,16 @@ let entails_neg_literal_in eng db part x =
           (Formula.Not (Formula.Atom x))
       else not (Engine.in_some_minimal eng db part x))
 
-(* The query must live inside the partitioned universe. *)
-let infer_formula_in eng db part f =
+(* A model of the augmented theory satisfying F.  The query must live
+   inside the partitioned universe. *)
+let witness_in eng db part f =
   if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Ccwa.infer_formula_in: query atom outside the partition";
+    invalid_arg "Ccwa: query atom outside the partition";
   scope eng (fun () ->
-      Engine.augmented_entails eng db (negated_atoms_in eng db part) f)
+      Engine.augmented_witness eng db (negated_atoms_in eng db part) f)
+
+let infer_formula_in eng db part f =
+  Option.is_none (witness_in eng db part (Formula.not_ f))
 
 let infer_literal_in eng db part = function
   | Lit.Neg x -> entails_neg_literal_in eng db part x
@@ -73,6 +77,10 @@ let semantics_in eng : Semantics.t =
         let db = Semantics.for_query db f in
         infer_formula_in eng db (total db) f);
     infer_literal = (fun db l -> infer_literal_in eng db (total db) l);
+    witness =
+      (fun db f ->
+        let db = Semantics.for_query db f in
+        Semantics.two_valued (witness_in eng db (total db) f));
     reference_models = (fun db -> reference_models db (total db));
   }
 

@@ -12,9 +12,16 @@ val entails_neg_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> int -> bool
 (** One minimal-model oracle query for x ∈ P. *)
 
+val witness_in :
+  Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> Interp.t option
+(** A CCWA model satisfying F: one memoized SAT call on the augmented
+    theory.  @raise Invalid_argument if the query leaves the partitioned
+    universe. *)
+
 val infer_formula_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> bool
-(** @raise Invalid_argument if the query leaves the partitioned universe. *)
+(** No CCWA model satisfies ¬F.  @raise Invalid_argument if the query
+    leaves the partitioned universe. *)
 
 val infer_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool

@@ -117,21 +117,26 @@ let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-let semantics : Semantics.t =
-  {
-    name = "circ";
-    long_name = "Circumscription (McCarthy / Lifschitz schema)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula =
-      (fun db f ->
-        let db = Semantics.for_query db f in
-        infer_formula db (Partition.minimize_all (Db.num_vars db)) f);
-    infer_literal =
-      (fun db l -> infer_literal db (Partition.minimize_all (Db.num_vars db)) l);
-    reference_models =
-      (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
-  }
-
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized and instrumented per semantics.  A
+   witness is a (P;Z)-minimal model satisfying F — a circumscription model
+   by Lifschitz's theorem — so it comes from the engine's ECWA search;
+   cautious answers stay on the schema, the independent cross-check. *)
+let semantics_in eng =
+  let total db = Partition.minimize_all (Db.num_vars db) in
+  Semantics.via_engine eng
+    {
+      name = "circ";
+      long_name = "Circumscription (McCarthy / Lifschitz schema)";
+      applicable = (fun _ -> true);
+      has_model;
+      infer_formula =
+        (fun db f ->
+          let db = Semantics.for_query db f in
+          infer_formula db (total db) f);
+      infer_literal = (fun db l -> infer_literal db (total db) l);
+      witness =
+        (fun db f ->
+          let db = Semantics.for_query db f in
+          Semantics.two_valued (Ecwa.witness_in eng db (total db) f));
+      reference_models = (fun db -> reference_models db (total db));
+    }

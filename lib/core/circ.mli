@@ -16,7 +16,7 @@ val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
 val has_model : Db.t -> bool
 val reference_models : Db.t -> Partition.t -> Interp.t list
-val semantics : Semantics.t
 
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine}). *)
+(** Routed through the memoizing oracle engine ({!Semantics.via_engine});
+    witnesses come from the engine's ECWA search ({!Ecwa.witness_in}). *)

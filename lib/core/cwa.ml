@@ -13,7 +13,8 @@ open Ddb_engine
    in P^NP[O(log n)] but (most likely) not in coD^P [7,18].
 
    The closure set {x : DB ⊭ x} takes n entailment checks (n SAT calls);
-   inference and existence are then one SAT call on the augmented theory. *)
+   a witness (a model of the augmented theory satisfying F) and existence
+   are then one SAT call on the augmented theory. *)
 
 (* Public entry points scope themselves ("cwa" bucket). *)
 let scope eng f = Engine.scoped eng "cwa" f
@@ -25,10 +26,13 @@ let has_model_in eng db =
   scope eng (fun () ->
       Engine.augmented_has_model eng db (negated_atoms_in eng db))
 
-let infer_formula_in eng db f =
+let witness_in eng db f =
   scope eng (fun () ->
       let db = Semantics.for_query db f in
-      Engine.augmented_entails eng db (negated_atoms_in eng db) f)
+      Engine.augmented_witness eng db (negated_atoms_in eng db) f)
+
+let infer_formula_in eng db f =
+  Option.is_none (witness_in eng db (Formula.not_ f))
 
 let infer_literal_in eng db l = infer_formula_in eng db (Formula.of_lit l)
 
@@ -48,5 +52,6 @@ let semantics_in eng : Semantics.t =
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

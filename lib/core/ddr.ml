@@ -62,11 +62,14 @@ let occurring_reference db = Tp.occurring_in_fixpoint db
 let scope eng f = Engine.scoped eng "ddr" f
 
 (* One SAT call on the augmented theory. *)
-let infer_formula_in eng db f =
+let witness_in eng db f =
   check db;
   scope eng (fun () ->
       let db = Semantics.for_query db f in
-      Engine.augmented_entails eng db (negated_atoms db) f)
+      Engine.augmented_witness eng db (negated_atoms db) f)
+
+let infer_formula_in eng db f =
+  Option.is_none (witness_in eng db (Formula.not_ f))
 
 let infer_literal_in eng db l =
   match l with
@@ -86,5 +89,6 @@ let semantics_in eng : Semantics.t =
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

@@ -23,22 +23,18 @@ let is_stable db m =
 
 exception Found of Interp.t
 
-let find_stable_such_that ?(pred = fun _ -> true) ?extra db =
+(* A stable model satisfying [query]: walk the minimal models satisfying
+   it, screen each with the stability check. *)
+let find_stable_such_that ?query db =
+  let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
   try
-    Ddb_sat.Minimal.iter_minimal ?extra (Db.theory db) (fun m ->
+    Ddb_sat.Minimal.iter_minimal ~extra (Db.theory db) (fun m ->
         if pred m && is_stable db m then raise (Found m) else `Continue);
     None
   with Found m -> Some m
 
-let infer_formula db f =
-  let db = Semantics.for_query db f in
-  let n = Db.num_vars db in
-  let not_f = Formula.not_ f in
-  let extra_clauses, _, out = Ddb_sat.Cnf.tseitin ~next_var:n not_f in
-  let extra = [ out ] :: extra_clauses in
-  match find_stable_such_that ~pred:(fun m -> Formula.eval m not_f) ~extra db with
-  | Some _ -> false
-  | None -> true
+let witness db f = find_stable_such_that ~query:f (Semantics.for_query db f)
+let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
@@ -72,6 +68,7 @@ let semantics : Semantics.t =
     has_model;
     infer_formula;
     infer_literal;
+    witness = (fun db f -> Semantics.two_valued (witness db f));
     reference_models;
   }
 

@@ -10,8 +10,8 @@ open Ddb_db
 val is_stable : Db.t -> Interp.t -> bool
 (** Stability check: polynomial reduct + one minimality SAT call. *)
 
-val find_stable_such_that :
-  ?pred:(Interp.t -> bool) -> ?extra:Lit.t list list -> Db.t -> Interp.t option
+val find_stable_such_that : ?query:Formula.t -> Db.t -> Interp.t option
+(** Some stable model satisfying [query] (any stable model without it). *)
 
 val infer_formula : Db.t -> Formula.t -> bool
 val infer_literal : Db.t -> Lit.t -> bool

@@ -15,10 +15,15 @@ open Ddb_engine
 (* Public entry points scope themselves ("ecwa" bucket). *)
 let scope eng f = Engine.scoped eng "ecwa" f
 
-let infer_formula_in eng db part f =
+(* A (P;Z)-minimal model satisfying F.  The query must live inside the
+   partitioned universe. *)
+let witness_in eng db part f =
   if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Ecwa.infer_formula_in: query atom outside the partition";
-  scope eng (fun () -> Engine.minimal_entails ~part eng db f)
+    invalid_arg "Ecwa: query atom outside the partition";
+  scope eng (fun () -> Engine.minimal_witness ~part eng db f)
+
+let infer_formula_in eng db part f =
+  Option.is_none (witness_in eng db part (Formula.not_ f))
 
 let infer_literal_in eng db part l =
   infer_formula_in eng db part (Formula.of_lit l)
@@ -43,5 +48,9 @@ let semantics_in eng : Semantics.t =
         let db = Semantics.for_query db f in
         infer_formula_in eng db (total db) f);
     infer_literal = (fun db l -> infer_literal_in eng db (total db) l);
+    witness =
+      (fun db f ->
+        let db = Semantics.for_query db f in
+        Semantics.two_valued (witness_in eng db (total db) f));
     reference_models = (fun db -> reference_models db (total db));
   }

@@ -7,9 +7,15 @@ open Ddb_db
     caller-supplied oracle engine (minimal-model entailment memoized on
     cached engines). *)
 
+val witness_in :
+  Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> Interp.t option
+(** A (P;Z)-minimal model satisfying F, memoized.  @raise Invalid_argument
+    if the query leaves the partitioned universe. *)
+
 val infer_formula_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> bool
-(** @raise Invalid_argument if the query leaves the partitioned universe. *)
+(** No (P;Z)-minimal model satisfies ¬F.  @raise Invalid_argument if the
+    query leaves the partitioned universe. *)
 
 val infer_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool

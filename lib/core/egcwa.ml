@@ -16,10 +16,14 @@ open Ddb_engine
 (* Public entry points scope themselves ("egcwa" bucket). *)
 let scope eng f = Engine.scoped eng "egcwa" f
 
-let infer_formula_in eng db f =
+(* A minimal model satisfying F: one Σ₂ᵖ guess-and-check search. *)
+let witness_in eng db f =
   scope eng (fun () ->
       let db = Semantics.for_query db f in
-      Engine.minimal_entails eng db f)
+      Engine.minimal_witness eng db f)
+
+let infer_formula_in eng db f =
+  Option.is_none (witness_in eng db (Formula.not_ f))
 
 let infer_literal_in eng db l = infer_formula_in eng db (Formula.of_lit l)
 
@@ -38,5 +42,6 @@ let semantics_in eng : Semantics.t =
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

@@ -14,7 +14,7 @@ open Ddb_engine
        DB models");
      - GCWA(DB) ⊨ F reduces to classical entailment from the augmented
        theory once the support set S = {x : x true in some minimal model}
-       is known. *)
+       is known: a GCWA model satisfying ¬F is one SAT call away. *)
 
 let part db = Partition.minimize_all (Db.num_vars db)
 
@@ -32,11 +32,15 @@ let entails_neg_literal_in eng db x =
   if x >= Db.num_vars db then true
   else scope eng (fun () -> not (Engine.in_some_minimal eng db (part db) x))
 
-(* GCWA(DB) ⊨ F: every model of the augmented theory satisfies F. *)
-let infer_formula_in eng db f =
+(* A model of the augmented theory satisfying F. *)
+let witness_in eng db f =
   scope eng (fun () ->
       let db = Semantics.for_query db f in
-      Engine.augmented_entails eng db (negated_atoms_in eng db) f)
+      Engine.augmented_witness eng db (negated_atoms_in eng db) f)
+
+(* GCWA(DB) ⊨ F: no model of the augmented theory satisfies ¬F. *)
+let infer_formula_in eng db f =
+  Option.is_none (witness_in eng db (Formula.not_ f))
 
 let infer_literal_in eng db = function
   | Lit.Pos x -> infer_formula_in eng db (Formula.Atom x)
@@ -64,5 +68,6 @@ let semantics_in eng : Semantics.t =
     has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

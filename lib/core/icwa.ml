@@ -63,11 +63,12 @@ let is_icwa_model inst m =
        (fun part_i -> Minimal.is_minimal (Db.theory inst.shifted) part_i m)
        inst.parts
 
-(* Counterexample search for inference: find M in the ECWA intersection with
-   [pred m]; when a candidate fails stratum i's minimality, its (P_i;Z_i)
-   cone is blocked (sound: the whole cone is non-minimal for stratum i). *)
-let find_icwa_model_such_that ?(extra = []) ?(pred = fun _ -> true) inst =
+(* Witness search: find M in the ECWA intersection satisfying [query];
+   when a candidate fails stratum i's minimality, its (P_i;Z_i) cone is
+   blocked (sound: the whole cone is non-minimal for stratum i). *)
+let find_icwa_model_such_that ?query inst =
   let n = Db.num_vars inst.shifted in
+  let extra, pred = Models.guard ~universe:n query in
   let candidate = Db.solver inst.shifted in
   List.iter (Solver.add_clause candidate) extra;
   let checkers =
@@ -97,22 +98,15 @@ let find_icwa_model_such_that ?(extra = []) ?(pred = fun _ -> true) inst =
   in
   loop ()
 
-let infer_formula db part f =
+let witness db part f =
   if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Icwa.infer_formula: query atom outside the partition";
+    invalid_arg "Icwa: query atom outside the partition";
   match prepare db part with
-  | None -> invalid_arg "Icwa.infer_formula: database is not stratified"
-  | Some inst ->
-    let n = Db.num_vars inst.shifted in
-    let not_f = Formula.not_ f in
-    let extra_clauses, _, out = Cnf.tseitin ~next_var:n not_f in
-    let extra = [ out ] :: extra_clauses in
-    (match
-       find_icwa_model_such_that ~extra ~pred:(fun m -> Formula.eval m not_f)
-         inst
-     with
-    | Some _ -> false
-    | None -> true)
+  | None -> invalid_arg "Icwa: database is not stratified"
+  | Some inst -> find_icwa_model_such_that ~query:f inst
+
+let infer_formula db part f =
+  Option.is_none (witness db part (Formula.not_ f))
 
 let infer_literal db part l = infer_formula db part (Formula.of_lit l)
 
@@ -136,6 +130,8 @@ let reference_models db part =
     List.filter (fun m -> is_icwa_model inst m)
       (Models.brute_models inst.shifted)
 
+let total db = Partition.minimize_all (Db.num_vars db)
+
 let semantics : Semantics.t =
   {
     name = "icwa";
@@ -145,11 +141,13 @@ let semantics : Semantics.t =
     infer_formula =
       (fun db f ->
         let db = Semantics.for_query db f in
-        infer_formula db (Partition.minimize_all (Db.num_vars db)) f);
-    infer_literal =
-      (fun db l -> infer_literal db (Partition.minimize_all (Db.num_vars db)) l);
-    reference_models =
-      (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
+        infer_formula db (total db) f);
+    infer_literal = (fun db l -> infer_literal db (total db) l);
+    witness =
+      (fun db f ->
+        let db = Semantics.for_query db f in
+        Semantics.two_valued (witness db (total db) f));
+    reference_models = (fun db -> reference_models db (total db));
   }
 
 (* Engine routing: answers memoized and instrumented per semantics. *)

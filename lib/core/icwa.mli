@@ -17,15 +17,16 @@ val prepare : Db.t -> Partition.t -> instance option
 
 val is_icwa_model : instance -> Interp.t -> bool
 
-val find_icwa_model_such_that :
-  ?extra:Lit.t list list ->
-  ?pred:(Interp.t -> bool) ->
-  instance ->
-  Interp.t option
+val find_icwa_model_such_that : ?query:Formula.t -> instance -> Interp.t option
+(** Some ICWA model satisfying [query] (any ICWA model without it). *)
+
+val witness : Db.t -> Partition.t -> Formula.t -> Interp.t option
+(** An ICWA model satisfying F.  @raise Invalid_argument when unstratified
+    or the query leaves the universe. *)
 
 val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
-(** @raise Invalid_argument when unstratified or the query leaves the
-    universe. *)
+(** No ICWA model satisfies ¬F.  @raise Invalid_argument when unstratified
+    or the query leaves the universe. *)
 
 val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
 

@@ -121,7 +121,7 @@ let is_partial_stable db i =
 
 (* Enumerate 3-valued models of DB (via the 2n-variable encoding with exact
    blocking) and screen with the stability check. *)
-let find_partial_stable_such_that ?(pred = fun _ -> true) db =
+let find_such_that pred db =
   let n = Db.num_vars db in
   let solver = Solver.create ~num_vars:(2 * n) () in
   Solver.ensure_vars solver (2 * n);
@@ -137,15 +137,24 @@ let find_partial_stable_such_that ?(pred = fun _ -> true) db =
       else `Continue);
   !found
 
+let find_partial_stable_such_that ?query db =
+  find_such_that
+    (match query with
+    | None -> fun _ -> true
+    | Some f -> fun i -> Three_valued.eval_formula i f = Three_valued.T)
+    db
+
+let witness db f =
+  find_partial_stable_such_that ~query:f (Semantics.for_query db f)
+
+(* Not the witness of ¬F: a partial stable model giving F the value ½
+   refutes F without giving ¬F the value 1. *)
 let infer_formula db f =
   let db = Semantics.for_query db f in
-  match
-    find_partial_stable_such_that
-      ~pred:(fun i -> Three_valued.eval_formula i f <> Three_valued.T)
-      db
-  with
-  | Some _ -> false
-  | None -> true
+  Option.is_none
+    (find_such_that
+       (fun i -> Three_valued.eval_formula i f <> Three_valued.T)
+       db)
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
@@ -167,6 +176,9 @@ let semantics : Semantics.t =
     has_model;
     infer_formula;
     infer_literal;
+    witness =
+      (fun db f ->
+        Option.map (fun i -> Semantics.Three_valued i) (witness db f));
     (* Note: for the packed record the reference model set is projected to
        the *total* partial stable models; use [partial_stable_models] for
        the full 3-valued picture. *)

@@ -14,11 +14,12 @@ open Ddb_db
 
 exception Found of Interp.t
 
-let find_perfect_such_that ?(pred = fun _ -> true) ?extra db =
+let find_perfect_such_that ?query db =
+  let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
   let priority = Priority.compute db in
   let check_solver = Db.solver db in
   try
-    Ddb_sat.Minimal.iter_minimal ?extra (Db.theory db) (fun m ->
+    Ddb_sat.Minimal.iter_minimal ~extra (Db.theory db) (fun m ->
         if
           pred m
           && Option.is_none
@@ -28,17 +29,8 @@ let find_perfect_such_that ?(pred = fun _ -> true) ?extra db =
     None
   with Found m -> Some m
 
-let infer_formula db f =
-  let db = Semantics.for_query db f in
-  let n = Db.num_vars db in
-  let not_f = Formula.not_ f in
-  let extra_clauses, _, out = Ddb_sat.Cnf.tseitin ~next_var:n not_f in
-  let extra = [ out ] :: extra_clauses in
-  (* The candidate restriction prunes; minimization can escape ¬F, so the
-     pred re-checks it. *)
-  match find_perfect_such_that ~pred:(fun m -> Formula.eval m not_f) ~extra db with
-  | Some _ -> false
-  | None -> true
+let witness db f = find_perfect_such_that ~query:f (Semantics.for_query db f)
+let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
@@ -56,6 +48,7 @@ let semantics : Semantics.t =
     has_model;
     infer_formula;
     infer_literal;
+    witness = (fun db f -> Semantics.two_valued (witness db f));
     reference_models;
   }
 

@@ -21,12 +21,13 @@ let check db =
   if Db.has_negation db then
     invalid_arg "Pws: possible models are defined for DDDBs (no negation)"
 
-(* Counterexample search: a possible model satisfying [pred], restricted by
-   [extra] clauses (e.g. ¬F); exact-model blocking keeps the loop
+(* Witness search: a possible model satisfying [query] (for inference, a
+   counterexample satisfying ¬F); exact-model blocking keeps the loop
    complete. *)
-let find_possible_such_that ?(extra = []) ?(pred = fun _ -> true) db =
+let find_possible_such_that ?query db =
   check db;
   let n = Db.num_vars db in
+  let extra, pred = Models.guard ~universe:n query in
   let solver = Db.solver db in
   List.iter (Solver.add_clause solver) extra;
   let found = ref None in
@@ -44,18 +45,8 @@ let entails_neg_literal_poly db x =
     invalid_arg "Pws.entails_neg_literal_poly: integrity clauses present";
   x >= Db.num_vars db || not (Interp.mem (Tp.occurrence_closure db) x)
 
-let infer_formula db f =
-  check db;
-  let db = Semantics.for_query db f in
-  let n = Db.num_vars db in
-  let not_f = Formula.not_ f in
-  let extra_clauses, _, out = Cnf.tseitin ~next_var:n not_f in
-  let extra = [ out ] :: extra_clauses in
-  match
-    find_possible_such_that ~extra ~pred:(fun m -> Formula.eval m not_f) db
-  with
-  | Some _ -> false
-  | None -> true
+let witness db f = find_possible_such_that ~query:f (Semantics.for_query db f)
+let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l =
   match l with
@@ -77,6 +68,7 @@ let semantics : Semantics.t =
     has_model;
     infer_formula;
     infer_literal;
+    witness = (fun db f -> Semantics.two_valued (witness db f));
     reference_models;
   }
 

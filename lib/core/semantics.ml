@@ -4,7 +4,14 @@ open Ddb_db
 (* The uniform face of a disjunctive database semantics, as studied by the
    paper: a (possibly empty) set of intended models inducing the three
    decision problems — literal inference, formula inference, model
-   existence.
+   existence — and the search behind them.
+
+   Every upper bound in the paper is "guess a model, check it".  The
+   guessed model is a witness for brave inference and a countermodel for
+   cautious inference, so each semantics has one search primitive,
+   [witness db f]: an intended model satisfying F, or [None].  Cautious
+   inference is [witness db ¬F = None] (PDSM keeps its own 3-valued
+   inference: the duality fails at value ½).
 
    Every semantics module provides two engines:
      - the *oracle engine* (the default): realizes the paper's upper-bound
@@ -12,6 +19,8 @@ open Ddb_db
      - the *reference engine*: explicit model enumeration over 2^V (or 3^V),
        used as ground truth on small universes by the tests and the
        engine-ablation bench. *)
+
+type model = Two_valued of Interp.t | Three_valued of Three_valued.t
 
 type t = {
   name : string;
@@ -22,19 +31,11 @@ type t = {
   has_model : Db.t -> bool;
   infer_formula : Db.t -> Formula.t -> bool;
   infer_literal : Db.t -> Lit.t -> bool;
+  witness : Db.t -> Formula.t -> model option;
   reference_models : Db.t -> Interp.t list;
 }
 
-let formula_of_lit = Formula.of_lit
-
-(* Default literal inference: formula inference on a literal. *)
-let lift_literal infer_formula db l = infer_formula db (formula_of_lit l)
-
-(* Reference-engine inference: truth in every explicitly enumerated model. *)
-let reference_infer models db f =
-  List.for_all (fun m -> Formula.eval m f) (models db)
-
-let reference_has_model models db = models db <> []
+let two_valued w = Option.map (fun m -> Two_valued m) w
 
 (* Pad the database universe so that query atoms beyond it are legal. *)
 let for_query db f =
@@ -43,9 +44,9 @@ let for_query db f =
 (* Route a semantics through the memoizing oracle engine without
    decomposing its decision procedure: every decision problem is scoped
    (instrumented per semantics) and its answer memoized under the
-   database's canonical key.  Semantics whose procedures the engine does
-   decompose (the closed-world family) define richer [semantics_in]
-   versions in their own modules instead. *)
+   database's canonical key; the witness search is scoped.  Semantics whose
+   procedures the engine does decompose (the closed-world family) define
+   richer [semantics_in] versions in their own modules instead. *)
 let via_engine eng (s : t) : t =
   let open Ddb_engine in
   {
@@ -64,5 +65,7 @@ let via_engine eng (s : t) : t =
       (fun db l ->
         Engine.scoped eng s.name (fun () ->
             Engine.cached_bool eng ~sem:s.name ~op:"literal"
-              ~formula:(formula_of_lit l) db (fun () -> s.infer_literal db l)));
+              ~formula:(Formula.of_lit l) db (fun () -> s.infer_literal db l)));
+    witness =
+      (fun db f -> Engine.scoped eng s.name (fun () -> s.witness db f));
   }

@@ -3,7 +3,11 @@ open Ddb_db
 
 (** The uniform face of a disjunctive database semantics: a packed record of
     the three decision problems the paper studies (literal inference,
-    formula inference, model existence), plus a reference engine. *)
+    formula inference, model existence), the witness search behind them,
+    plus a reference engine. *)
+
+type model = Two_valued of Interp.t | Three_valued of Three_valued.t
+(** An intended model: two-valued, or 3-valued for PDSM. *)
 
 type t = {
   name : string;
@@ -14,16 +18,17 @@ type t = {
   has_model : Db.t -> bool;  (** SEM(DB) ≠ ∅. *)
   infer_formula : Db.t -> Formula.t -> bool;  (** SEM(DB) ⊨ F. *)
   infer_literal : Db.t -> Lit.t -> bool;  (** SEM(DB) ⊨ ℓ. *)
+  witness : Db.t -> Formula.t -> model option;
+      (** An intended model satisfying F (for PDSM: giving F the value 1),
+          or [None].  It decides brave inference, and [witness db ¬F] is a
+          counterexample to cautious F: every two-valued semantics answers
+          [infer_formula db f] as [witness db (Formula.not_ f) = None]. *)
   reference_models : Db.t -> Interp.t list;
       (** Explicit model set by exhaustive enumeration (ground truth on
           small universes; exponential). *)
 }
 
-val lift_literal : (Db.t -> Formula.t -> bool) -> Db.t -> Lit.t -> bool
-(** Literal inference as formula inference. *)
-
-val reference_infer : (Db.t -> Interp.t list) -> Db.t -> Formula.t -> bool
-val reference_has_model : (Db.t -> Interp.t list) -> Db.t -> bool
+val two_valued : Interp.t option -> model option
 
 val for_query : Db.t -> Formula.t -> Db.t
 (** Pad the database universe so every query atom is a legal atom id. *)
@@ -32,8 +37,6 @@ val via_engine : Ddb_engine.Engine.t -> t -> t
 (** Route the semantics through the memoizing oracle engine: each decision
     problem runs inside an {!Ddb_engine.Engine.scoped} bucket named after
     the semantics and its answer is memoized under the database's canonical
-    key.  Used by the modules whose procedures the engine does not
-    decompose; the closed-world family defines deeper [semantics_in]
-    integrations instead. *)
-
-val formula_of_lit : Lit.t -> Formula.t
+    key; the witness search runs in the same scope.  Used by the modules
+    whose procedures the engine does not decompose; the closed-world family
+    defines deeper [semantics_in] integrations instead. *)

@@ -65,23 +65,32 @@ let minimal_section_models ?limit ?truncated db part =
     Option.iter (fun r -> r := true) truncated;
   List.rev !acc
 
-(* SEM-entailment for semantics whose model set is MM(DB;P;Z): does every
-   (P;Z)-minimal model satisfy F?  Counterexample search by guess-and-check:
-   find a minimal model of DB satisfying ¬F. *)
-let minimal_entails ?part db formula =
+(* The search restriction "the model satisfies F", shared by every
+   guess-and-check search: the Tseitin clauses asserting F over auxiliary
+   variables numbered from [universe], and the matching check the searches
+   screen each candidate model with.  No formula: no restriction. *)
+let guard ~universe = function
+  | None -> ([], fun _ -> true)
+  | Some f ->
+    let clauses, _, out = Cnf.tseitin ~next_var:universe f in
+    ([ out ] :: clauses, fun m -> Formula.eval m f)
+
+(* A (P;Z)-minimal model of DB satisfying F, by the Σ₂ᵖ guess-and-check
+   search.  It is a witness for the brave query F, and a counterexample to
+   the cautious query ¬F. *)
+let minimal_witness ?part db formula =
   let n = max (Db.num_vars db) (Formula.max_atom formula + 1) in
   let db = Db.with_universe db n in
   let part =
     match part with Some p -> p | None -> Partition.minimize_all n
   in
-  let not_f = Formula.not_ formula in
-  let extra, _, out = Cnf.tseitin ~next_var:n not_f in
-  let extra = [ out ] :: extra in
-  match
-    Minimal.find_minimal_such_that ~extra (Db.theory db) part
-  with
-  | Some _ -> false
-  | None -> true
+  let extra, _ = guard ~universe:n (Some formula) in
+  Minimal.find_minimal_such_that ~extra (Db.theory db) part
+
+(* SEM-entailment for semantics whose model set is MM(DB;P;Z): no minimal
+   model satisfies ¬F. *)
+let minimal_entails ?part db formula =
+  Option.is_none (minimal_witness ?part db (Formula.not_ formula))
 
 (* Classical entailment: DB |= F, one SAT call on DB ∧ ¬F. *)
 let entails db formula =

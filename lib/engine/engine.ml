@@ -151,6 +151,8 @@ type t = {
   solvers : (int, theory_state) Hashtbl.t;
   bools : (qkey, bool) Hashtbl.t;
   interps : (qkey, Interp.t) Hashtbl.t;
+  (* Witness searches: the model the solve found, or [None]. *)
+  witnesses : (qkey, Interp.t option) Hashtbl.t;
   model_lists : (qkey, Interp.t list) Hashtbl.t;
   (* One fragment classification (plus its lazily computed canonical
      objects) per hash-consed theory. *)
@@ -171,6 +173,7 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     solvers = Hashtbl.create 64;
     bools = Hashtbl.create 256;
     interps = Hashtbl.create 64;
+    witnesses = Hashtbl.create 256;
     model_lists = Hashtbl.create 64;
     frags = Hashtbl.create 64;
   }
@@ -192,6 +195,7 @@ let reset t =
   Hashtbl.reset t.solvers;
   Hashtbl.reset t.bools;
   Hashtbl.reset t.interps;
+  Hashtbl.reset t.witnesses;
   Hashtbl.reset t.model_lists;
   Hashtbl.reset t.frags;
   let c = t.total in
@@ -392,23 +396,27 @@ let augmented_has_model t db negs =
         (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
         (fun st -> solve_sat ~assumptions:(neg_assumptions negs) (st ())))
 
-(* DB ∪ {¬x : x ∈ negs} ⊨ F: assume the Tseitin output of ¬F plus the
-   negation literals; entailment iff Unsat. *)
-let augmented_entails t db negs f =
+(* A model of DB ∪ {¬x : x ∈ negs} satisfying F: assume the Tseitin output
+   of F plus the negation literals, and keep the model the solve finds.  It
+   is a brave witness for F and a counterexample to the cautious query ¬F,
+   so both read the same memo entry.  The op keeps its entailment name. *)
+let augmented_witness t db negs f =
   tick t;
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   instrumented t ~op:"aug_entails" db (fun () ->
-      memo t t.bools db
+      memo t t.witnesses db
         (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
         (fun st ->
           let st = st () in
-          let out = encoded_formula st (Formula.not_ f) in
-          not (solve_sat ~assumptions:(out :: neg_assumptions negs) st)))
+          let out = encoded_formula st f in
+          if solve_sat ~assumptions:(out :: neg_assumptions negs) st then
+            Some (Solver.model ~universe:n st.solver)
+          else None))
 
-(* Classical entailment DB ⊨ F. *)
-let entails t db f =
-  augmented_entails t db (Interp.empty (Db.num_vars db)) f
+(* DB ∪ {¬x : x ∈ negs} ⊨ F: no model of the augmented theory satisfies ¬F. *)
+let augmented_entails t db negs f =
+  Option.is_none (augmented_witness t db negs (Formula.not_ f))
 
 (* The support set S = {x ∈ P : x true in some (P;Z)-minimal model}, grown
    by repeated minimal-model queries: each round asks for a minimal model
@@ -469,15 +477,20 @@ let minimal_models ?limit ?truncated t db =
         memo t t.model_lists db (fun key -> qkey key "minimal_models")
           (fun _ -> Minimal.all_minimal (Db.theory db)))
 
-(* MM(DB;P;Z) ⊨ F — the ECWA/EGCWA decision problem. *)
-let minimal_entails ?part t db f =
+(* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
+   like [augmented_witness] and under the entailment op's name. *)
+let minimal_witness ?part t db f =
   tick t;
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
   instrumented t ~op:"mm_entails" db (fun () ->
-      memo t t.bools db (fun key -> qkey ~part ~form:f key "mm_entails")
-        (fun _ -> Models.minimal_entails ~part db f))
+      memo t t.witnesses db (fun key -> qkey ~part ~form:f key "mm_entails")
+        (fun _ -> Models.minimal_witness ~part db f))
+
+(* MM(DB;P;Z) ⊨ F — the ECWA/EGCWA decision problem. *)
+let minimal_entails ?part t db f =
+  Option.is_none (minimal_witness ?part t db (Formula.not_ f))
 
 (* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on one
    solver. *)

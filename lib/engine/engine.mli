@@ -53,11 +53,13 @@ val sat : t -> Db.t -> bool
 val augmented_has_model : t -> Db.t -> Interp.t -> bool
 (** [DB ∪ {¬x : x ∈ negs}] has a model (negations as assumptions). *)
 
-val augmented_entails : t -> Db.t -> Interp.t -> Formula.t -> bool
-(** [DB ∪ {¬x : x ∈ negs} ⊨ F].  The universe is padded to cover [F]. *)
+val augmented_witness : t -> Db.t -> Interp.t -> Formula.t -> Interp.t option
+(** A model of [DB ∪ {¬x : x ∈ negs}] satisfying [F], if any — one SAT call
+    with the negations and [F]'s Tseitin output as assumptions, memoized
+    (op [aug_entails]).  The universe is padded to cover [F]. *)
 
-val entails : t -> Db.t -> Formula.t -> bool
-(** Classical [DB ⊨ F]. *)
+val augmented_entails : t -> Db.t -> Interp.t -> Formula.t -> bool
+(** [DB ∪ {¬x : x ∈ negs} ⊨ F]: [augmented_witness] of [¬F] is [None]. *)
 
 val support_set : t -> Db.t -> Partition.t -> Interp.t
 (** [{x ∈ P : x true in some (P;Z)-minimal model}] — memoized per
@@ -78,8 +80,13 @@ val minimal_models :
     [limit] cuts the enumeration short, [truncated] (if given) is set to
     [true] (see {!Ddb_sat.Minimal.all_minimal}). *)
 
+val minimal_witness :
+  ?part:Partition.t -> t -> Db.t -> Formula.t -> Interp.t option
+(** A (P;Z)-minimal model satisfying [F] (default partition: minimize
+    everything), memoized (op [mm_entails]). *)
+
 val minimal_entails : ?part:Partition.t -> t -> Db.t -> Formula.t -> bool
-(** [MM(DB;P;Z) ⊨ F] (default partition: minimize everything). *)
+(** [MM(DB;P;Z) ⊨ F]: [minimal_witness] of [¬F] is [None]. *)
 
 val non_entailed_atoms : t -> Db.t -> Interp.t
 (** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)

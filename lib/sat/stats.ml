@@ -90,14 +90,6 @@ let merge snaps =
       })
     zero snaps
 
-let reset () =
-  let c = counters () in
-  c.sat <- 0;
-  c.sigma2 <- 0;
-  c.conflicts <- 0;
-  c.decisions <- 0;
-  c.propagations <- 0
-
 let pp ppf s =
   Fmt.pf ppf "sat=%d sigma2=%d conflicts=%d decisions=%d propagations=%d"
     s.sat s.sigma2 s.conflicts s.decisions s.propagations

@@ -37,7 +37,4 @@ val delta : snapshot -> snapshot
 val merge : snapshot list -> snapshot
 (** Field-wise sum — the cross-shard aggregation primitive. *)
 
-val reset : unit -> unit
-(** Zero the calling domain's counters (other domains are untouched). *)
-
 val pp : Format.formatter -> snapshot -> unit

@@ -6,10 +6,14 @@
 #     keeps its own exit code but the degraded-cell note is not swallowed;
 #   - `classify` reports the fast-path fragment view;
 #   - --no-fastpath (generic-oracle ablation) does not change answers;
-#   - ICWA existence honours integrity clauses.
+#   - ICWA existence honours integrity clauses;
+#   - `query --witness` and `query --brave --witness` answer as recorded in
+#     the expected-answers file and print a witness or counterexample line
+#     exactly when the answer calls for one.
 set -eu
 tool="$1"
 quickstart="$2"
+answers="$3"
 tmp="${TMPDIR:-/tmp}/ddbtool_cli_$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
@@ -68,5 +72,35 @@ printf 'a.\n:- a.\n' > "$tmp/ic.ddb"
   || fail "icwa exists: integrity clause ignored"
 "$tool" models "$tmp/ic.ddb" -s icwa | grep -q '^0 model(s) under icwa' \
   || fail "icwa models: expected none"
+
+# 8. Brave and cautious queries with --witness under every semantics: the
+#    answer lines are the recorded ones.  A brave answer |~ is followed by
+#    one "witness:" line, a failed cautious answer |/= by one
+#    "counterexample:" line, and any other answer by nothing.  The models
+#    themselves are not recorded: any intended model satisfying the query
+#    (or its negation) is correct.
+for s in $("$tool" semantics | cut -d' ' -f1); do
+  for q in 'dog' '~cat' 'dog | cat' 'muddy & ~cat' 'cat' '~dog'; do
+    for flags in "--witness" "--brave --witness"; do
+      # shellcheck disable=SC2086
+      out=$("$tool" query "$quickstart" -s "$s" -q "$q" $flags)
+      answer=$(echo "$out" | head -n 1)
+      echo "$answer" >> "$tmp/answers"
+      rest=$(echo "$out" | sed -n '2,$p')
+      case "$answer" in
+        *' |~ '*) label=witness ;;
+        *' |/= '*) label=counterexample ;;
+        *) label= ;;
+      esac
+      if [ -z "$label" ]; then
+        [ -z "$rest" ] || fail "query -s $s -q '$q' $flags: unexpected '$rest'"
+      else
+        echo "$rest" | grep -qx "$label: {.*}" \
+          || fail "query -s $s -q '$q' $flags: no $label line in '$rest'"
+      fi
+    done
+  done
+done
+diff "$answers" "$tmp/answers" || fail "query answers differ from $answers"
 
 echo "cli tests passed"

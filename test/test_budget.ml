@@ -28,31 +28,53 @@ let pm_literals db =
 
 (* --- token mechanics --- *)
 
+(* [Budget.run]'s result as a testable. *)
+let run_result =
+  testable
+    (fun fmt -> function
+      | Ok v -> Fmt.pf fmt "Ok %d" v
+      | Error r -> Fmt.pf fmt "Error %s" (Budget.string_of_reason r))
+    ( = )
+
+(* A synthetic query charging [ticks] logical ticks and [conflicts]
+   conflicts (each conflict is also a tick). *)
+let query ?(ticks = 0) ?(conflicts = 0) () () =
+  for _ = 1 to ticks do
+    Budget.check ()
+  done;
+  for _ = 1 to conflicts do
+    Budget.charge ~conflicts:1 ()
+  done;
+  ticks + conflicts
+
 let limits_and_escalate () =
   check bool "no_limits is unlimited" true (Budget.is_unlimited Budget.no_limits);
-  let l = Budget.limits ~conflicts:5 ~ticks:2 () in
+  let l = Budget.limits ~ticks:2 () in
   check bool "capped is not unlimited" false (Budget.is_unlimited l);
-  let e = Budget.escalate l in
-  check (option int) "conflicts x4" (Some 20) e.Budget.conflicts;
-  check (option int) "ticks x4" (Some 8) e.Budget.ticks;
-  check (option int) "uncapped stays uncapped" None e.Budget.propagations;
-  let e10 = Budget.escalate ~factor:10 l in
-  check (option int) "factor 10" (Some 50) e10.Budget.conflicts
+  (* the ladder's one rung is internal to [run]: a query that trips at the
+     cap c succeeds at 4c under ~retry:true, and only there *)
+  check run_result "trips at the tick cap" (Error Budget.Budget_exhausted)
+    (Budget.run l (query ~ticks:5 ()));
+  check run_result "ticks x4: 8 fit" (Ok 8)
+    (Budget.run ~retry:true l (query ~ticks:8 ()));
+  check run_result "one rung only" (Error Budget.Budget_exhausted)
+    (Budget.run ~retry:true l (query ~ticks:9 ()));
+  let l = Budget.limits ~conflicts:5 () in
+  check run_result "conflicts x4: 20 fit" (Ok 20)
+    (Budget.run ~retry:true l (query ~conflicts:20 ()));
+  check run_result "one rung only" (Error Budget.Budget_exhausted)
+    (Budget.run ~retry:true l (query ~conflicts:21 ()));
+  (* an uncapped resource stays uncapped on the escalated rung *)
+  check run_result "uncapped stays uncapped" (Ok 20)
+    (Budget.run ~retry:true l (fun () ->
+         Budget.charge ~propagations:1_000_000 ();
+         query ~conflicts:20 () ()))
 
 let eval_and_sticky_trip () =
-  check answer "eval true" Budget.True
-    (Budget.eval Budget.no_limits (fun () -> true));
-  check answer "eval false" Budget.False
-    (Budget.eval Budget.no_limits (fun () -> false));
-  check answer "eval exhausts"
-    (Budget.Unknown Budget.Budget_exhausted)
-    (Budget.eval
-       (Budget.limits ~ticks:3 ())
-       (fun () ->
-         for _ = 1 to 10 do
-           Budget.check ()
-         done;
-         true));
+  check run_result "run returns the result" (Ok 1)
+    (Budget.run Budget.no_limits (query ~ticks:1 ()));
+  check run_result "run exhausts" (Error Budget.Budget_exhausted)
+    (Budget.run (Budget.limits ~ticks:3 ()) (query ~ticks:10 ()));
   (* sticky: once tripped, every later probe under the token re-raises,
      even if the computation swallowed the first trip *)
   let tok = Budget.token (Budget.limits ~ticks:1 ()) in

@@ -143,6 +143,33 @@ let repeat_queries_hit_cache () =
   check int "second sweep is free" first second;
   check bool "hits recorded" true ((Engine.totals eng).Engine.cache_hits > 0)
 
+(* The counterexample to a failed closed-world query is the model the
+   query's own search found.  On a cached engine, asking the record's
+   witness for ¬F repeats the query's oracle ops as memo hits: no SAT call,
+   no miss.  EGCWA's search is one op (the minimal-model search); GCWA's is
+   two (the support set, then the augmented solve). *)
+let counterexample_is_a_memo_hit () =
+  let eng = Engine.create () in
+  let db = Db.of_string "a | b. c :- a." in
+  let f = Parse.formula (Db.vocab db) "c & ~b" in
+  List.iter
+    (fun (sem, infer, ops) ->
+      check bool (sem ^ " answers false") false (infer eng db f);
+      let before = Engine.totals eng in
+      let s = Option.get (Registry.find_in eng sem) in
+      (match s.Semantics.witness db (Formula.not_ f) with
+      | Some (Semantics.Two_valued m) ->
+        check bool (sem ^ ": the counterexample refutes F") false
+          (Formula.eval m f)
+      | _ -> fail (sem ^ ": no counterexample"));
+      let after = Engine.totals eng in
+      let moved field = field after - field before in
+      check int (sem ^ ": no SAT call") 0
+        (moved (fun t -> t.Engine.sat_solve_calls));
+      check int (sem ^ ": memo hits") ops (moved (fun t -> t.Engine.cache_hits));
+      check int (sem ^ ": no miss") 0 (moved (fun t -> t.Engine.cache_misses)))
+    [ ("gcwa", Gcwa.infer_formula_in, 2); ("egcwa", Egcwa.infer_formula_in, 1) ]
+
 (* --- instrumentation --- *)
 
 (* Fixed pigeonhole instance: the global conflict/decision/propagation
@@ -274,6 +301,8 @@ let suites =
           primitive_soundness;
         test_case "repeated queries are answered from the cache" `Quick
           repeat_queries_hit_cache;
+        test_case "a failed query's counterexample is a memo hit" `Quick
+          counterexample_is_a_memo_hit;
       ] );
     ( "engine.instrumentation",
       [

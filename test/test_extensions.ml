@@ -112,37 +112,39 @@ let qcheck_wfs_stratified_is_perfect =
 
 (* --- Brave reasoning --- *)
 
-(* The closed-world brave engines and every cautious engine below run on
-   the paper's baseline configuration. *)
+(* Brave inference reads the registry record's witness search; it and every
+   cautious engine below run on the paper's baseline configuration. *)
 let eng = Gen.baseline ()
+let witness name = (Option.get (Registry.find_in eng name)).Semantics.witness
+let brave name db f = Option.is_some (witness name db f)
 
 let brave_unit =
   [
     Alcotest.test_case "brave vs cautious on a v b" `Quick (fun () ->
         let db = Db.of_string "a | b." in
         let a = Formula.Atom 0 in
-        check "brave gcwa a" true (Brave.gcwa eng db a);
+        check "brave gcwa a" true (brave "gcwa" db a);
         check "cautious gcwa a" false (Gcwa.infer_formula_in eng db a);
-        check "brave egcwa a" true (Brave.egcwa db a);
-        check "brave dsm a" true (Brave.dsm db a);
+        check "brave egcwa a" true (brave "egcwa" db a);
+        check "brave dsm a" true (brave "dsm" db a);
         check "brave pws a&b" true
-          (Brave.pws db (Formula.And (Formula.Atom 0, Formula.Atom 1)));
+          (brave "pws" db (Formula.And (Formula.Atom 0, Formula.Atom 1)));
         check "brave egcwa a&b" false
-          (Brave.egcwa db (Formula.And (Formula.Atom 0, Formula.Atom 1))));
+          (brave "egcwa" db (Formula.And (Formula.Atom 0, Formula.Atom 1))));
     Alcotest.test_case "brave pdsm sees only value-1" `Quick (fun () ->
         (* a :- not a: a is undefined in the unique PSM: neither a nor ~a
            is bravely value-1 *)
         let db = Db.of_string "a :- not a." in
-        check "a not brave" false (Brave.pdsm db (Formula.Atom 0));
+        check "a not brave" false (brave "pdsm" db (Formula.Atom 0));
         check "~a not brave" false
-          (Brave.pdsm db (Formula.Not (Formula.Atom 0))));
+          (brave "pdsm" db (Formula.Not (Formula.Atom 0))));
     Alcotest.test_case "by_name dispatch" `Quick (fun () ->
         let db = Db.of_string "a | b." in
-        check "gcwa" true (Brave.by_name eng "gcwa" db (Formula.Atom 0) = Some true);
-        check "unknown" true (Brave.by_name eng "zzz" db (Formula.Atom 0) = None));
+        check "gcwa" true (brave "gcwa" db (Formula.Atom 0));
+        check "unknown" true (Registry.find_in eng "zzz" = None));
   ]
 
-let qcheck_brave_duality sem_name cautious brave gen_db =
+let qcheck_brave_duality sem_name cautious gen_db =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "%s: brave(F) = ¬cautious(¬F)" sem_name)
     QCheck.(pair (int_bound 999999) (int_range 1 4))
@@ -150,22 +152,19 @@ let qcheck_brave_duality sem_name cautious brave gen_db =
       let rand = Random.State.make [| seed |] in
       let db = gen_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      brave db f = not (cautious db (Formula.not_ f)))
+      brave sem_name db f = not (cautious db (Formula.not_ f)))
 
 let brave_duality_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      qcheck_brave_duality "gcwa" (Gcwa.infer_formula_in eng) (Brave.gcwa eng)
-        Gen.dndb;
-      qcheck_brave_duality "egcwa" (Egcwa.infer_formula_in eng) Brave.egcwa Gen.dndb;
-      qcheck_brave_duality "ddr" (Ddr.infer_formula_in eng) Brave.ddr
+      qcheck_brave_duality "gcwa" (Gcwa.infer_formula_in eng) Gen.dndb;
+      qcheck_brave_duality "egcwa" (Egcwa.infer_formula_in eng) Gen.dndb;
+      qcheck_brave_duality "ddr" (Ddr.infer_formula_in eng)
         Gen.dddb_with_integrity;
-      qcheck_brave_duality "pws" Pws.infer_formula Brave.pws
-        Gen.dddb_with_integrity;
-      qcheck_brave_duality "dsm" Dsm.infer_formula Brave.dsm Gen.dndb;
-      qcheck_brave_duality "perf" Perf.infer_formula Brave.perf Gen.dndb;
-      qcheck_brave_duality "cwa" (Cwa.infer_formula_in eng) (Brave.cwa eng)
-        Gen.dndb;
+      qcheck_brave_duality "pws" Pws.infer_formula Gen.dddb_with_integrity;
+      qcheck_brave_duality "dsm" Dsm.infer_formula Gen.dndb;
+      qcheck_brave_duality "perf" Perf.infer_formula Gen.dndb;
+      qcheck_brave_duality "cwa" (Cwa.infer_formula_in eng) Gen.dndb;
     ]
 
 let qcheck_brave_pdsm_reference =
@@ -180,7 +179,7 @@ let qcheck_brave_pdsm_reference =
           (fun i -> Three_valued.eval_formula i f = Three_valued.T)
           (Pdsm.partial_stable_models db)
       in
-      Brave.pdsm db f = reference)
+      brave "pdsm" db f = reference)
 
 (* --- new reductions --- *)
 
@@ -398,18 +397,19 @@ let qcheck_witnesses_are_models =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let check_witness models_of witness =
-        match witness with
+      let check_witness models_of name =
+        match witness name db f with
         | None -> true
-        | Some m ->
+        | Some (Semantics.Two_valued m) ->
           Formula.eval m f
           && List.exists (Interp.equal m) (models_of db)
+        | Some (Semantics.Three_valued _) -> false
       in
-      check_witness Egcwa.reference_models (Brave.egcwa_witness db f)
-      && check_witness Dsm.reference_models (Brave.dsm_witness db f)
-      && check_witness Perf.reference_models (Brave.perf_witness db f)
-      && check_witness Gcwa.reference_models (Brave.gcwa_witness eng db f)
-      && check_witness Cwa.reference_models (Brave.cwa_witness eng db f))
+      check_witness Egcwa.reference_models "egcwa"
+      && check_witness Dsm.reference_models "dsm"
+      && check_witness Perf.reference_models "perf"
+      && check_witness Gcwa.reference_models "gcwa"
+      && check_witness Cwa.reference_models "cwa")
 
 let qcheck_pws_witnesses =
   QCheck.Test.make ~count:200 ~name:"PWS brave witnesses are possible models"
@@ -418,9 +418,11 @@ let qcheck_pws_witnesses =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dddb_with_integrity rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      match Brave.pws_witness db f with
+      match witness "pws" db f with
       | None -> true
-      | Some m -> Formula.eval m f && Ddb_db.Possible.is_possible_model db m)
+      | Some (Semantics.Two_valued m) ->
+        Formula.eval m f && Ddb_db.Possible.is_possible_model db m
+      | Some (Semantics.Three_valued _) -> false)
 
 let qcheck_pdsm_witnesses =
   QCheck.Test.make ~count:100 ~name:"PDSM brave witnesses are partial stable"
@@ -429,15 +431,92 @@ let qcheck_pdsm_witnesses =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      match Brave.pdsm_witness db f with
+      match witness "pdsm" db f with
       | None -> true
-      | Some i ->
+      | Some (Semantics.Three_valued i) ->
         Three_valued.eval_formula i f = Three_valued.T
-        && Pdsm.is_partial_stable db i)
+        && Pdsm.is_partial_stable db i
+      | Some (Semantics.Two_valued _) -> false)
+
+(* Witness completeness: the search returns [None] exactly when no
+   reference model gives F the value 1, and otherwise one that does.  A
+   two-valued model is compared as a total 3-valued one; PDSM's reference
+   set is its partial stable models, every other semantics' the packed
+   [reference_models]. *)
+let witness_complete (s : Semantics.t) db f =
+  let models =
+    if s.Semantics.name = "pdsm" then Pdsm.partial_stable_models db
+    else List.map Three_valued.of_two_valued (s.Semantics.reference_models db)
+  in
+  let sat i = Three_valued.eval_formula i f = Three_valued.T in
+  match s.Semantics.witness db f with
+  | None -> not (List.exists sat models)
+  | Some w ->
+    let i =
+      match w with
+      | Semantics.Two_valued m -> Three_valued.of_two_valued m
+      | Semantics.Three_valued i -> i
+    in
+    sat i && List.exists (Three_valued.equal i) models
+
+(* Each registry semantics on the database family it is defined for. *)
+let db_family = function
+  | "ddr" | "pws" -> Gen.dddb_with_integrity
+  | "icwa" ->
+    fun rand ~num_vars ~num_clauses ->
+      Gen.stratified_db ~integrity:true rand ~num_vars ~num_clauses ~layers:2
+  | _ -> Gen.dndb
+
+(* In every engine configuration, each living for the whole test.  The
+   cautious query ¬F runs first, so on the cached engines the witness of F
+   is read back from the entry that query's search filled. *)
+let qcheck_witness_completeness name =
+  let engines = Gen.configurations () in
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:(Printf.sprintf "%s: witness = None iff no reference model of F" name)
+    QCheck.(pair (int_bound 999999) (int_range 1 3))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = db_family name rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let f = Gen.random_formula rand num_vars ~depth:2 in
+      List.for_all
+        (fun (_, eng) ->
+          let s = Option.get (Registry.find_in eng name) in
+          (not (s.Semantics.applicable db))
+          || (name = "pdsm"
+             || s.Semantics.infer_formula db (Formula.not_ f)
+                = Option.is_none (s.Semantics.witness db f))
+             && witness_complete s db f)
+        engines)
+
+(* The partition-parametric witnesses at a random ⟨P;Q;Z⟩. *)
+let qcheck_partition_witness_completeness =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"ccwa/ecwa/circ/icwa witnesses at a random partition are complete"
+    QCheck.(pair (int_bound 999999) (int_range 1 3))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let strat =
+        Gen.stratified_db ~integrity:true rand ~num_vars
+          ~num_clauses:(num_vars * 2) ~layers:2
+      in
+      let part = Gen.random_partition rand num_vars in
+      let f = Gen.random_formula rand num_vars ~depth:2 in
+      let ok models = function
+        | None -> not (List.exists (fun m -> Formula.eval m f) models)
+        | Some m -> Formula.eval m f && List.exists (Interp.equal m) models
+      in
+      ok (Ccwa.reference_models db part) (Ccwa.witness_in eng db part f)
+      && ok (Ecwa.reference_models db part) (Ecwa.witness_in eng db part f)
+      && ok (Circ.reference_models db part) (Ecwa.witness_in eng db part f)
+      && ok (Icwa.reference_models strat part) (Icwa.witness strat part f))
 
 let witness_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ qcheck_witnesses_are_models; qcheck_pws_witnesses; qcheck_pdsm_witnesses ]
+    ([ qcheck_witnesses_are_models; qcheck_pws_witnesses; qcheck_pdsm_witnesses ]
+    @ List.map qcheck_witness_completeness Registry.names
+    @ [ qcheck_partition_witness_completeness ])
 
 (* --- QBF encodings of minimal-model queries --- *)
 

@@ -417,14 +417,12 @@ let split_suite =
             check "blocks iff equal" (Interp.equal candidate m) blocked)
           (Interp.all 3));
     Alcotest.test_case "semantics registry consistency" `Quick (fun () ->
-        (* every packed record's brave counterpart exists *)
+        (* every packed record finds the one intended model of "a." as the
+           witness of a *)
         List.iter
           (fun (s : Semantics.t) ->
             check s.Semantics.name true
-              (Brave.by_name eng s.Semantics.name (Db.of_string "a.")
-                 (Formula.Atom 0)
-              <> None
-              || s.Semantics.name = "circ"))
+              (s.Semantics.witness (Db.of_string "a.") (Formula.Atom 0) <> None))
           (Registry.all_in eng));
   ]
 
