@@ -71,14 +71,31 @@ let neg_literal db = Lit.Neg (Db.num_vars db / 2)
 let random_query db =
   Random_db.formula ~seed:(Db.num_vars db) ~num_vars:(Db.num_vars db) ~depth:2
 
+(* Each rung (all its seeded repetitions) runs under this wall deadline, so
+   one exploding rung cannot stall a table: it prints [timeout] and the
+   ladder goes on with the next size. *)
+let rung_deadline_ms = 10_000.
+
+type rung = Measured of measurement | Timeout of int
+
 let run_cell cell =
   List.map
-    (fun n -> measure ~n ~instance:cell.instance ~task:cell.run)
+    (fun n ->
+      match
+        Ddb_budget.Budget.run
+          (Ddb_budget.Budget.limits ~wall_ms:rung_deadline_ms ())
+          (fun () -> measure ~n ~instance:cell.instance ~task:cell.run)
+      with
+      | Ok m -> Measured m
+      | Error _ -> Timeout n)
     cell.sizes
 
-let pp_measurement ppf m =
-  Fmt.pf ppf "n=%-4d %8.2fms %6.0f sat %4.0f s2" m.n m.time_ms m.sat_calls
-    m.sigma2_calls
+let pp_rung ppf = function
+  | Measured m ->
+    Fmt.pf ppf "n=%-4d %8.2fms %6.0f sat %4.0f s2" m.n m.time_ms m.sat_calls
+      m.sigma2_calls
+  | Timeout n ->
+    Fmt.pf ppf "n=%-4d  timeout (over %.0f s)" n (rung_deadline_ms /. 1000.)
 
 let print_cell ~setting cell results =
   let claimed =
@@ -94,7 +111,7 @@ let print_cell ~setting cell results =
   Fmt.pr "  %-6s %-18s  claimed: %-40s@." cell.semantics
     (Classes.task_to_string cell.task)
     claimed;
-  Fmt.pr "    @[<v>%a@]@." (Fmt.list ~sep:Fmt.cut pp_measurement) results
+  Fmt.pr "    @[<v>%a@]@." (Fmt.list ~sep:Fmt.cut pp_rung) results
 
 (* ---- the cells ---- *)
 
@@ -293,9 +310,10 @@ let cell_trace_file ~prefix ~tag cell =
    that runs it, and the DLS stats counters keep the per-cell oracle
    deltas exact).  Output is printed after the join, in cell order, so it
    is identical for every job count; jobs:1 is the historical sequential
-   path.  Note that wall-clock times measured with jobs > 1 on a loaded
-   or small machine include scheduling noise — use jobs:1 when the ladder
-   shape itself is the result.
+   path, and prints each cell as soon as it finishes.  Note that
+   wall-clock times measured with jobs > 1 on a loaded or small machine
+   include scheduling noise — use jobs:1 when the ladder shape itself is
+   the result.
 
    With [trace_prefix] the cells run sequentially instead (a per-cell
    trace interleaved across workers would be misattributed), one Chrome
@@ -305,26 +323,23 @@ let print_table ?(jobs = 1) ?trace_prefix ~tag ~title ~setting cells =
   Fmt.pr "@.=== %s ===@." title;
   Fmt.pr "  (time averaged over %d seeded instances; 'sat' = NP-oracle calls, 's2' = Sigma2-oracle queries)@."
     repetitions;
-  let rows =
-    match trace_prefix with
-    | None ->
-      if jobs > 1 then
-        Fmt.pr "  (cells measured across %d worker domains)@." jobs;
-      Ddb_parallel.Parallel.map_chunked ~jobs ~chunk_size:1
-        (fun cell -> run_cell cell)
-        cells
-    | Some prefix ->
-      Fmt.pr "  (tracing: sequential run, one trace file per cell)@.";
-      List.map
-        (fun cell ->
-          Trace.start ();
-          let r = run_cell cell in
-          Trace.stop ();
-          Trace.write_file (cell_trace_file ~prefix ~tag cell);
-          r)
-        cells
-  in
-  List.iter2 (fun cell results -> print_cell ~setting cell results) cells rows;
+  let print cell results = print_cell ~setting cell results in
+  (match trace_prefix with
+  | None when jobs <= 1 -> List.iter (fun cell -> print cell (run_cell cell)) cells
+  | None ->
+    Fmt.pr "  (cells measured across %d worker domains)@." jobs;
+    List.iter2 print cells
+      (Ddb_parallel.Parallel.map_chunked ~jobs ~chunk_size:1 run_cell cells)
+  | Some prefix ->
+    Fmt.pr "  (tracing: sequential run, one trace file per cell)@.";
+    List.iter
+      (fun cell ->
+        Trace.start ();
+        let r = run_cell cell in
+        Trace.stop ();
+        Trace.write_file (cell_trace_file ~prefix ~tag cell);
+        print cell r)
+      cells);
   match trace_prefix with
   | Some prefix ->
     Fmt.pr "  wrote %d trace file(s) under %s_%s_*.json@."

@@ -22,6 +22,7 @@ open Ddb_db
 type instance = {
   db : Db.t; (* original database *)
   shifted : Db.t; (* DB' = negation moved into heads *)
+  theory : Minimal.theory; (* DB' compiled: every solver below copies it *)
   parts : Partition.t list; (* one ⟨P_i;Q_i;Z_i⟩ per stratum *)
 }
 
@@ -38,7 +39,6 @@ let prepare db part =
     in
     let strata = Stratify.strata strat in
     let p = Partition.p part and z = Partition.z part in
-    let r = List.length strata in
     let parts =
       List.mapi
         (fun i s_i ->
@@ -54,13 +54,12 @@ let prepare db part =
           Partition.make ~p:p_i ~q:q_i ~z:z_i)
         strata
     in
-    ignore r;
-    Some { db; shifted; parts }
+    Some { db; shifted; theory = Db.theory shifted; parts }
 
 let is_icwa_model inst m =
   Db.satisfied_by m inst.shifted
   && List.for_all
-       (fun part_i -> Minimal.is_minimal (Db.theory inst.shifted) part_i m)
+       (fun part_i -> Minimal.is_minimal inst.theory part_i m)
        inst.parts
 
 (* Witness search: find M in the ECWA intersection satisfying [query];
@@ -69,11 +68,10 @@ let is_icwa_model inst m =
 let find_icwa_model_such_that ?query inst =
   let n = Db.num_vars inst.shifted in
   let extra, pred = Models.guard ~universe:n query in
-  let candidate = Db.solver inst.shifted in
+  let candidate = Minimal.solver_of inst.theory in
   List.iter (Solver.add_clause candidate) extra;
   let checkers =
-    List.map (fun part_i -> (part_i, Minimal.solver_of (Db.theory inst.shifted)))
-      inst.parts
+    List.map (fun part_i -> (part_i, Minimal.solver_of inst.theory)) inst.parts
   in
   let rec loop () =
     match Solver.solve candidate with

@@ -9,6 +9,8 @@ open Ddb_db
 type instance = {
   db : Db.t;
   shifted : Db.t;  (** negative body literals moved into the heads *)
+  theory : Ddb_sat.Minimal.theory;
+      (** [shifted] compiled once; every solver of the search copies it *)
   parts : Partition.t list;  (** ⟨P_i; Q_i; Z_i⟩ per stratum *)
 }
 

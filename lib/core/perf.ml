@@ -17,9 +17,10 @@ exception Found of Interp.t
 let find_perfect_such_that ?query db =
   let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
   let priority = Priority.compute db in
-  let check_solver = Db.solver db in
+  let theory = Db.theory db in
+  let check_solver = Ddb_sat.Minimal.solver_of theory in
   try
-    Ddb_sat.Minimal.iter_minimal ~extra (Db.theory db) (fun m ->
+    Ddb_sat.Minimal.iter_minimal ~extra theory (fun m ->
         if
           pred m
           && Option.is_none

@@ -30,8 +30,12 @@ let db_formula ~rename db =
               clause))
        (Db.to_cnf db))
 
-(* ∃M ∀N.  DB(M) ∧ extra(M) ∧ (DB(N) ∧ N ⊆ M → N = M). *)
+let n_encode = Ddb_obs.Trace.name "qbf.encode"
+
+(* ∃M ∀N.  DB(M) ∧ extra(M) ∧ (DB(N) ∧ N ⊆ M → N = M), built under a
+   [qbf.encode] trace span. *)
 let exists_minimal_such_that db extra =
+  Ddb_obs.Trace.with_span n_encode @@ fun () ->
   let n = Db.num_vars db in
   let m_side = db_formula ~rename:candidate_var db in
   let n_side = db_formula ~rename:(challenger_var ~n) db in

@@ -14,38 +14,37 @@
 
 module Engine = Ddb_engine.Engine
 
-(* Engine-routed records additionally go through the fragment fast-path
-   dispatcher: tractable (semantics, problem, fragment) cells are answered
-   by the polynomial algorithms of [Ddb_frag], everything else falls back
-   to the generic oracle procedures.  [Engine.create ~fastpath:false]
-   turns the dispatcher off, which restores the pre-dispatch behaviour
-   exactly. *)
-let all_in eng : Semantics.t list =
-  List.map (Fastpath.wrap eng)
-    [
-      Cwa.semantics_in eng;
-      Gcwa.semantics_in eng;
-      Ddr.semantics_in eng;
-      Pws.semantics_in eng;
-      Egcwa.semantics_in eng;
-      Ccwa.semantics_in eng;
-      Ecwa.semantics_in eng;
-      Circ.semantics_in eng;
-      Icwa.semantics_in eng;
-      Perf.semantics_in eng;
-      Dsm.semantics_in eng;
-      Pdsm.semantics_in eng;
-    ]
+(* Registry order, name → engine-routed record.  Engine-routed records
+   additionally go through the fragment fast-path dispatcher: tractable
+   (semantics, problem, fragment) cells are answered by the polynomial
+   algorithms of [Ddb_frag], everything else falls back to the generic
+   oracle procedures.  [Engine.create ~fastpath:false] turns the
+   dispatcher off, which restores the pre-dispatch behaviour exactly. *)
+let entries : (string * (Engine.t -> Semantics.t)) list =
+  [
+    ("cwa", Cwa.semantics_in);
+    ("gcwa", Gcwa.semantics_in);
+    ("ddr", Ddr.semantics_in);
+    ("pws", Pws.semantics_in);
+    ("egcwa", Egcwa.semantics_in);
+    ("ccwa", Ccwa.semantics_in);
+    ("ecwa", Ecwa.semantics_in);
+    ("circ", Circ.semantics_in);
+    ("icwa", Icwa.semantics_in);
+    ("perf", Perf.semantics_in);
+    ("dsm", Dsm.semantics_in);
+    ("pdsm", Pdsm.semantics_in);
+  ]
 
+let pack eng mk = Fastpath.wrap eng (mk eng)
+let all_in eng : Semantics.t list = List.map (fun (_, mk) -> pack eng mk) entries
 let baseline () = all_in (Engine.create ~cache:false ~fastpath:false ())
 
-let find_among sems name =
-  List.find_opt (fun (s : Semantics.t) -> String.equal s.Semantics.name name) sems
+(* One record, packed on demand: a lookup builds nothing else. *)
+let find_in eng name = Option.map (pack eng) (List.assoc_opt name entries)
+let find name = find_in (Engine.create ~cache:false ~fastpath:false ()) name
 
-let find name = find_among (baseline ()) name
-let find_in eng name = find_among (all_in eng) name
-
-let names = List.map (fun (s : Semantics.t) -> s.Semantics.name) (baseline ())
+let names = List.map fst entries
 
 let applicable_names db =
   List.filter_map

@@ -77,15 +77,17 @@ let guard ~universe = function
 
 (* A (P;Z)-minimal model of DB satisfying F, by the Σ₂ᵖ guess-and-check
    search.  It is a witness for the brave query F, and a counterexample to
-   the cautious query ¬F. *)
-let minimal_witness ?part db formula =
+   the cautious query ¬F.  [theory], when given, is DB already compiled
+   over the padded universe. *)
+let minimal_witness ?part ?theory db formula =
   let n = max (Db.num_vars db) (Formula.max_atom formula + 1) in
   let db = Db.with_universe db n in
   let part =
     match part with Some p -> p | None -> Partition.minimize_all n
   in
+  let theory = match theory with Some th -> th | None -> Db.theory db in
   let extra, _ = guard ~universe:n (Some formula) in
-  Minimal.find_minimal_such_that ~extra (Db.theory db) part
+  Minimal.find_minimal_such_that ~extra theory part
 
 (* SEM-entailment for semantics whose model set is MM(DB;P;Z): no minimal
    model satisfies ¬F. *)

@@ -27,9 +27,14 @@ val guard :
     guess-and-check search uses.  [None] restricts nothing. *)
 
 val minimal_witness :
-  ?part:Partition.t -> Db.t -> Formula.t -> Interp.t option
+  ?part:Partition.t ->
+  ?theory:Ddb_sat.Minimal.theory ->
+  Db.t ->
+  Formula.t ->
+  Interp.t option
 (** A (P;Z)-minimal model satisfying F (default: total partition), by
-    guess-and-check; the universe is padded to cover F. *)
+    guess-and-check; the universe is padded to cover F.  [theory] is the
+    padded DB already compiled (default: compiled here). *)
 
 val minimal_entails : ?part:Partition.t -> Db.t -> Formula.t -> bool
 (** MM(DB;P;Z) ⊨ F: [minimal_witness] finds no model of ¬F. *)

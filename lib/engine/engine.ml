@@ -12,11 +12,21 @@ open Ddb_db
 
      - theories are *canonicalized* (clauses sorted and deduplicated) and
        hash-consed into integer keys, so syntactically shuffled copies of
-       the same database share one cache line;
-     - each theory key fronts a single incremental {!Solver.t}; entailment
-       and consistency queries run on it under assumptions (closed-world
-       literals, the Tseitin output of a negated query) instead of
-       rebuilding a solver per query, so learned clauses accumulate;
+       the same database share one cache line.  The engine remembers the
+       last database it keyed: [Db.t] is immutable, so when it is handed
+       the same physical value again the key is returned without
+       canonicalizing;
+     - each theory key fronts one entry, built part by part on first use:
+       the fragment classification, the compiled {!Minimal.theory} and a
+       single incremental {!Solver.t}.  Entailment and consistency queries
+       run on that solver under assumptions (closed-world literals, the
+       Tseitin output of a negated query) instead of rebuilding a solver
+       per query, so learned clauses accumulate;
+     - every solver over a theory's clauses, the shared one included, is a
+       copy of the compiled theory's never-solved image, in exactly the
+       state a fresh build would have: the database is built into a solver
+       once per entry, and every solve, model and oracle count is what a
+       fresh solver per question would give;
      - results of the expensive oracles (support sets, minimal-model
        enumerations, entailment answers, per-semantics decision answers)
        are memoized per canonical key;
@@ -26,11 +36,11 @@ open Ddb_db
        {!scoped}.
 
    Every op has one body.  An engine created with [~cache:false] runs the
-   same body but skips the memo tables and the interning, and builds a fresh
-   per-op theory state instead of reusing the shared solver: one oracle
-   question, one fresh solver — the paper's algorithms as stated, and the
-   baseline configuration the differential tests and the bench harness
-   compare against. *)
+   same body but skips the memo tables and the interning, and makes a fresh
+   per-op entry instead of reusing the interned one: one oracle question,
+   one fresh solver — the paper's algorithms as stated, and the baseline
+   configuration the differential tests and the bench harness compare
+   against. *)
 
 (* ------------------------------------------------------------------ *)
 (* Counters and stats                                                  *)
@@ -113,6 +123,42 @@ type theory_state = {
   encoded : (Formula.t, Lit.t) Hashtbl.t;
 }
 
+(* Everything the engine derives from one theory, each part built on first
+   use, so a theory that only takes a fast path never gets a solver: the
+   fragment classification, the compiled theory (whose image every solver
+   over these clauses is copied from) and the shared solver state.  [db] is
+   the database the entry was made for. *)
+type entry = {
+  db : Db.t;
+  mutable frag : Ddb_frag.Frag.info option;
+  mutable compiled : Minimal.theory option;
+  mutable state : theory_state option;
+}
+
+let new_entry db = { db; frag = None; compiled = None; state = None }
+
+let compiled e =
+  match e.compiled with
+  | Some th -> th
+  | None ->
+    let th = Db.theory e.db in
+    e.compiled <- Some th;
+    th
+
+let state e =
+  match e.state with
+  | Some st -> st
+  | None ->
+    let st =
+      {
+        solver = Minimal.solver_of (compiled e);
+        next_var = Db.num_vars e.db;
+        encoded = Hashtbl.create 16;
+      }
+    in
+    e.state <- Some st;
+    st
+
 (* Memo keys for the oracle caches.  Structural equality on formulas and
    int lists; partitions are keyed by their (P, Q) member lists. *)
 type qkey = {
@@ -148,15 +194,15 @@ type t = {
   mutable scope : (string * counters) option;
   keys : (raw_key, int) Hashtbl.t;
   mutable next_key : int;
-  solvers : (int, theory_state) Hashtbl.t;
+  (* The last database keyed and its key ([Db.t] is immutable). *)
+  mutable last_db : Db.t option;
+  mutable last_key : int;
+  entries : (int, entry) Hashtbl.t;
   bools : (qkey, bool) Hashtbl.t;
   interps : (qkey, Interp.t) Hashtbl.t;
   (* Witness searches: the model the solve found, or [None]. *)
   witnesses : (qkey, Interp.t option) Hashtbl.t;
   model_lists : (qkey, Interp.t list) Hashtbl.t;
-  (* One fragment classification (plus its lazily computed canonical
-     objects) per hash-consed theory. *)
-  frags : (int, Ddb_frag.Frag.info) Hashtbl.t;
 }
 
 let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
@@ -170,12 +216,13 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     scope = None;
     keys = Hashtbl.create 64;
     next_key = 0;
-    solvers = Hashtbl.create 64;
+    last_db = None;
+    last_key = -1;
+    entries = Hashtbl.create 64;
     bools = Hashtbl.create 256;
     interps = Hashtbl.create 64;
     witnesses = Hashtbl.create 256;
     model_lists = Hashtbl.create 64;
-    frags = Hashtbl.create 64;
   }
 
 let cache_enabled t = t.cache
@@ -192,12 +239,13 @@ let reset t =
   t.scope <- None;
   Hashtbl.reset t.keys;
   t.next_key <- 0;
-  Hashtbl.reset t.solvers;
+  t.last_db <- None;
+  t.last_key <- -1;
+  Hashtbl.reset t.entries;
   Hashtbl.reset t.bools;
   Hashtbl.reset t.interps;
   Hashtbl.reset t.witnesses;
   Hashtbl.reset t.model_lists;
-  Hashtbl.reset t.frags;
   let c = t.total in
   c.oracle_calls <- 0;
   c.cache_hits <- 0;
@@ -214,28 +262,34 @@ let reset t =
   c.time_ms <- 0.
 
 let theory_key t db =
-  let raw = canonical_of_db db in
-  match Hashtbl.find_opt t.keys raw with
-  | Some id -> id
-  | None ->
-    let id = t.next_key in
-    t.next_key <- id + 1;
-    Hashtbl.add t.keys raw id;
+  match t.last_db with
+  | Some last when last == db -> t.last_key
+  | _ ->
+    let raw = canonical_of_db db in
+    let id =
+      match Hashtbl.find_opt t.keys raw with
+      | Some id -> id
+      | None ->
+        let id = t.next_key in
+        t.next_key <- id + 1;
+        Hashtbl.add t.keys raw id;
+        id
+    in
+    t.last_db <- Some db;
+    t.last_key <- id;
     id
 
-let theory_state t db key =
-  match Hashtbl.find_opt t.solvers key with
-  | Some st -> st
+let interned_entry t db key =
+  match Hashtbl.find_opt t.entries key with
+  | Some e -> e
   | None ->
-    let st =
-      {
-        solver = Db.solver db;
-        next_var = Db.num_vars db;
-        encoded = Hashtbl.create 16;
-      }
-    in
-    Hashtbl.add t.solvers key st;
-    st
+    let e = new_entry db in
+    Hashtbl.add t.entries key e;
+    e
+
+(* The theory's entry: interned on cached engines, made for this one op on
+   uncached ones. *)
+let entry t db = if t.cache then interned_entry t db (theory_key t db) else new_entry db
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -330,16 +384,12 @@ let scoped t name f =
 (* ------------------------------------------------------------------ *)
 (* Memoization plumbing                                                *)
 
-(* Per-op theory state for uncached engines: the same shape as the
-   interned one, built for this op alone and dropped after it. *)
-let fresh_state db =
-  { solver = Db.solver db; next_var = Db.num_vars db; encoded = Hashtbl.create 4 }
-
 (* The one place the cache flag is read by the oracle ops.  A cached engine
    interns the theory, answers repeats from [tbl] under [mk key], and hands
-   [compute] the theory's shared solver state on a miss.  An uncached engine
-   skips the interning and the table and hands [compute] a fresh per-op
-   state.  [compute] forces the state only if it needs a solver. *)
+   [compute] the theory's interned entry on a miss.  An uncached engine
+   skips the table and hands [compute] an entry made for this op alone, so
+   its solver state is fresh per op.  [compute] builds only the parts of
+   the entry it uses. *)
 let memo t tbl db mk compute =
   if t.cache then begin
     let key = theory_key t db in
@@ -350,11 +400,11 @@ let memo t tbl db mk compute =
       v
     | None ->
       miss t;
-      let v = compute (fun () -> theory_state t db key) in
+      let v = compute (interned_entry t db key) in
       Hashtbl.add tbl k v;
       v
   end
-  else compute (fun () -> fresh_state db)
+  else compute (new_entry db)
 
 (* The Tseitin output literal for [f] on a theory state: encoded once,
    activated per query by assuming it.  Definitional clauses only relate
@@ -385,8 +435,8 @@ let solve_sat ?assumptions st =
 let sat t db =
   tick t;
   instrumented t ~op:"sat" db (fun () ->
-      memo t t.bools db (fun key -> qkey key "sat") (fun st ->
-          solve_sat (st ())))
+      memo t t.bools db (fun key -> qkey key "sat") (fun e ->
+          solve_sat (state e)))
 
 (* DB ∪ {¬x : x ∈ negs} has a model: negation set as assumptions. *)
 let augmented_has_model t db negs =
@@ -394,7 +444,7 @@ let augmented_has_model t db negs =
   instrumented t ~op:"aug_sat" db (fun () ->
       memo t t.bools db
         (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
-        (fun st -> solve_sat ~assumptions:(neg_assumptions negs) (st ())))
+        (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e)))
 
 (* A model of DB ∪ {¬x : x ∈ negs} satisfying F: assume the Tseitin output
    of F plus the negation literals, and keep the model the solve finds.  It
@@ -407,8 +457,8 @@ let augmented_witness t db negs f =
   instrumented t ~op:"aug_entails" db (fun () ->
       memo t t.witnesses db
         (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
-        (fun st ->
-          let st = st () in
+        (fun e ->
+          let st = state e in
           let out = encoded_formula st f in
           if solve_sat ~assumptions:(out :: neg_assumptions negs) st then
             Some (Solver.model ~universe:n st.solver)
@@ -424,8 +474,8 @@ let augmented_entails t db negs f =
    far fewer: one round can add many atoms).  The closed-world family's
    central object, and the engine's biggest cache win: keyed by
    (theory, P, Q). *)
-let support_set_of db part =
-  let theory = Db.theory db in
+let support_set_of e part =
+  let theory = compiled e in
   let p = Partition.p part in
   let rec grow s =
     let missing = Interp.diff p s in
@@ -439,13 +489,13 @@ let support_set_of db part =
       | Some m -> grow (Interp.union s (Interp.inter m p))
     end
   in
-  grow (Interp.empty (Db.num_vars db))
+  grow (Interp.empty (Db.num_vars e.db))
 
 let support_set t db part =
   tick t;
   instrumented t ~op:"support" db (fun () ->
-      memo t t.interps db (fun key -> qkey ~part key "support") (fun _ ->
-          support_set_of db part))
+      memo t t.interps db (fun key -> qkey ~part key "support") (fun e ->
+          support_set_of e part))
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)
@@ -472,10 +522,10 @@ let minimal_models ?limit ?truncated t db =
       match limit with
       | Some _ ->
         (* limited enumerations are cheap and caller-specific: never cached *)
-        Minimal.all_minimal ?limit ?truncated (Db.theory db)
+        Minimal.all_minimal ?limit ?truncated (compiled (entry t db))
       | None ->
         memo t t.model_lists db (fun key -> qkey key "minimal_models")
-          (fun _ -> Minimal.all_minimal (Db.theory db)))
+          (fun e -> Minimal.all_minimal (compiled e)))
 
 (* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
    like [augmented_witness] and under the entailment op's name. *)
@@ -486,7 +536,7 @@ let minimal_witness ?part t db f =
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
   instrumented t ~op:"mm_entails" db (fun () ->
       memo t t.witnesses db (fun key -> qkey ~part ~form:f key "mm_entails")
-        (fun _ -> Models.minimal_witness ~part db f))
+        (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f))
 
 (* MM(DB;P;Z) ⊨ F — the ECWA/EGCWA decision problem. *)
 let minimal_entails ?part t db f =
@@ -497,8 +547,8 @@ let minimal_entails ?part t db f =
 let non_entailed_atoms t db =
   tick t;
   instrumented t ~op:"non_entailed" db (fun () ->
-      memo t t.interps db (fun key -> qkey key "non_entailed") (fun st ->
-          let st = st () in
+      memo t t.interps db (fun key -> qkey key "non_entailed") (fun e ->
+          let st = state e in
           Interp.of_pred (Db.num_vars db) (fun x ->
               solve_sat ~assumptions:[ Lit.Neg x ] st)))
 
@@ -521,20 +571,14 @@ let cached_bool ?part ?formula ?(arg = -1) t ~sem ~op db compute =
    Classification is pure syntax, never an oracle call: it bumps only the
    [classifications] counter. *)
 let classify t db =
-  let compute () =
+  let e = entry t db in
+  match e.frag with
+  | Some info -> info
+  | None ->
     bump (fun c -> c.classifications <- c.classifications + 1) t;
-    Ddb_frag.Frag.info db
-  in
-  if t.cache then begin
-    let key = theory_key t db in
-    match Hashtbl.find_opt t.frags key with
-    | Some info -> info
-    | None ->
-      let info = compute () in
-      Hashtbl.add t.frags key info;
-      info
-  end
-  else compute ()
+    let info = Ddb_frag.Frag.info db in
+    e.frag <- Some info;
+    info
 
 (* A query answered by a dedicated polynomial algorithm.  Not an oracle
    call (the oracle machinery never runs), but still one unit of logical

@@ -6,10 +6,11 @@ open Ddb_db
     All ten semantics of the paper bottom out in the same primitive oracle
     queries (satisfiability, minimal-model checks, support sets,
     minimal-model enumeration).  An {!t} canonicalizes theories into
-    hash-consed keys, fronts each with a single incremental assumption-based
-    {!Solver.t}, memoizes the expensive oracles, and instruments everything
-    (oracle calls, cache hits/misses, SAT effort, wall time — attributable
-    per semantics via {!scoped}).
+    hash-consed keys, compiles each theory once (every solver over its
+    clauses is a copy of one never-solved image), fronts each with a single
+    incremental assumption-based {!Solver.t}, memoizes the expensive
+    oracles, and instruments everything (oracle calls, cache hits/misses,
+    SAT effort, wall time — attributable per semantics via {!scoped}).
 
     Each oracle op has a single implementation.  A cache-disabled engine
     ([create ~cache:false]) runs it without the memo tables and with a fresh
@@ -33,12 +34,15 @@ val cache_enabled : t -> bool
 val fastpath_enabled : t -> bool
 
 val reset : t -> unit
-(** Drop all caches, shared solvers and statistics. *)
+(** Drop all caches, compiled theories, shared solvers, the remembered
+    database and statistics. *)
 
 val theory_key : t -> Db.t -> int
 (** Hash-consed id of the database's canonicalized clause set.  Two
     databases with the same universe and the same clauses (up to literal
-    and clause order and duplication) share a key. *)
+    and clause order and duplication) share a key.  The engine remembers
+    the last database it keyed: the same physical value again costs one
+    comparison, not a canonicalization. *)
 
 (** {1 Oracle operations}
 

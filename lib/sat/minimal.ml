@@ -7,13 +7,35 @@ open Ddb_logic
    the paper's Sigma-2 upper bounds.
 
    A theory is a plain CNF over a fixed universe; databases are translated by
-   the ddb layer. *)
+   the ddb layer.  It is compiled once: the first solver asked of it builds
+   the image, a solver over its clauses that is never solved, and every
+   solver handed out is a copy of the image.  A copy is in exactly the state
+   [Solver.of_clauses] would build, so every search below makes the same
+   oracle calls and finds the same models as with a fresh solver each; only
+   the rebuilding (and its level-0 propagation) is saved. *)
 
-type theory = { num_vars : int; clauses : Lit.t list list }
+type theory = {
+  num_vars : int;
+  clauses : Lit.t list list;
+  mutable image : Solver.t option;
+}
 
-let theory ~num_vars clauses = { num_vars; clauses }
+let theory ~num_vars clauses = { num_vars; clauses; image = None }
 
-let solver_of theory = Solver.of_clauses ~num_vars:theory.num_vars theory.clauses
+let n_compile = Ddb_obs.Trace.name "sat.compile"
+
+let image theory =
+  match theory.image with
+  | Some s -> s
+  | None ->
+    let s =
+      Ddb_obs.Trace.with_span n_compile (fun () ->
+          Solver.of_clauses ~num_vars:theory.num_vars theory.clauses)
+    in
+    theory.image <- Some s;
+    s
+
+let solver_of theory = Solver.copy (image theory)
 
 (* Assumptions pinning the Q-section of [m] and forbidding new P-atoms:
    the shared part of every "is there something strictly below m?" query. *)

@@ -3,11 +3,21 @@ open Ddb_logic
 (** Minimal models w.r.t. the (P;Z)-preorder via SAT oracle calls — the
     engine behind GCWA, EGCWA, CCWA, ECWA/CIRC and the stable-model check. *)
 
-type theory = { num_vars : int; clauses : Lit.t list list }
+type theory
+(** A CNF over a fixed universe, compiled once.  The first solver asked of
+    it builds the {e image}: [Solver.of_clauses] over the clauses, never
+    solved.  Every solver handed out afterwards is a {!Solver.copy} of the
+    image, so all searches on one theory value share one construction.  A
+    theory value must stay within one domain. *)
 
 val theory : num_vars:int -> Lit.t list list -> theory
+(** Cheap: the image is built on first use, under a [sat.compile] trace
+    span. *)
 
 val solver_of : theory -> Solver.t
+(** A fresh solver over the theory: a copy of the image, in exactly the
+    state [Solver.of_clauses] would build.  The image itself is never
+    handed out, so it is never solved. *)
 
 val find_below : Solver.t -> Partition.t -> Interp.t -> Interp.t option
 (** A model strictly below the given model in the (P;Z)-preorder, if any.

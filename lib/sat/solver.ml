@@ -496,6 +496,25 @@ let of_clauses ~num_vars clauses =
   List.iter (add_clause t) clauses;
   t
 
+(* An independent solver in exactly [t]'s state.  Propagation swaps
+   literals inside clause arrays, so those are copied one by one; the
+   watch lists are immutable and shared (a solver only ever replaces a
+   watch-array slot, never mutates a list). *)
+let copy t =
+  {
+    t with
+    clauses = Array.map Array.copy t.clauses;
+    watches = Array.copy t.watches;
+    assigns = Array.copy t.assigns;
+    level = Array.copy t.level;
+    reason = Array.copy t.reason;
+    activity = Array.copy t.activity;
+    saved_phase = Array.copy t.saved_phase;
+    seen = Array.copy t.seen;
+    trail = Array.copy t.trail;
+    trail_lim = Array.copy t.trail_lim;
+  }
+
 let pp_stats ppf t =
   Fmt.pf ppf
     "vars=%d clauses=%d (learned=%d) solves=%d conflicts=%d decisions=%d \

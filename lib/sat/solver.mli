@@ -13,6 +13,11 @@ type result = Sat | Unsat
 val create : ?num_vars:int -> unit -> t
 val of_clauses : num_vars:int -> Lit.t list list -> t
 
+val copy : t -> t
+(** An independent solver in exactly the given solver's state: every later
+    [solve], model, conflict and decision on the copy is what the original
+    would have produced, and neither sees the other's changes. *)
+
 val num_vars : t -> int
 val ensure_vars : t -> int -> unit
 val new_var : t -> int

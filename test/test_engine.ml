@@ -259,6 +259,62 @@ let theory_key_canonical () =
     (Engine.theory_key eng (Db.of_string "a | b.")
     <> Engine.theory_key eng (Db.of_string "a :- not b."))
 
+(* A database and a structurally equal copy rebuilt from its parts are two
+   physical values; the copy must get the key the original got. *)
+let rebuilt db = Db.with_universe (Db.make ~vocab:(Db.vocab db) (Db.clauses db)) (Db.num_vars db)
+
+let theory_key_of_rebuilt_copy () =
+  let eng = Engine.create () in
+  let db = Random_db.normal ~seed:21 ~num_vars:9 in
+  let copy = rebuilt db in
+  check bool "two physical values" true (db != copy);
+  let k = Engine.theory_key eng db in
+  check int "repeat" k (Engine.theory_key eng db);
+  check int "rebuilt copy" k (Engine.theory_key eng copy);
+  check int "original again" k (Engine.theory_key eng db)
+
+(* The remembered database only saves canonicalizations: an engine that
+   alternates between two databases answers, hits and misses exactly like
+   one that is handed a freshly rebuilt copy (never the remembered value)
+   on every query. *)
+let alternating_databases_match_rebuilt () =
+  let a = Random_db.with_integrity ~seed:22 ~num_vars:7 in
+  let b = Random_db.normal ~seed:23 ~num_vars:7 in
+  let run pick =
+    let eng = Engine.create () in
+    let answers =
+      List.concat_map
+        (fun (s : Semantics.t) ->
+          List.concat_map
+            (fun x ->
+              List.map
+                (fun db ->
+                  let db = pick db in
+                  if s.Semantics.applicable db && s.Semantics.name <> "pdsm" then
+                    Some (s.Semantics.infer_literal db (Lit.Neg x))
+                  else None)
+                [ a; b; a; b ])
+            [ 0; 3; 6 ])
+        (Registry.all_in eng)
+    in
+    (answers, { (Engine.totals eng) with Engine.wall_ms = 0. })
+  in
+  let ans, st = run Fun.id and ans', st' = run rebuilt in
+  check (list (option bool)) "answers" ans' ans;
+  check int "hits" st'.Engine.cache_hits st.Engine.cache_hits;
+  check int "misses" st'.Engine.cache_misses st.Engine.cache_misses;
+  check bool "all counters" true (st = st')
+
+let reset_forgets_remembered_database () =
+  let eng = Engine.create () in
+  let a = Random_db.positive ~seed:24 ~num_vars:6 in
+  let b = Random_db.positive ~seed:25 ~num_vars:6 in
+  check int "a first" 0 (Engine.theory_key eng a);
+  check int "b second" 1 (Engine.theory_key eng b);
+  Engine.reset eng;
+  check int "b interned afresh after reset" 0 (Engine.theory_key eng b);
+  check int "a next" 1 (Engine.theory_key eng a)
+
 (* --- oracle algorithms through the engine --- *)
 
 (* The paper's oracle signature does not depend on the engine
@@ -315,6 +371,12 @@ let suites =
     ( "engine.keys",
       [
         test_case "theory keys are canonical" `Quick theory_key_canonical;
+        test_case "a rebuilt copy of a database gets its key" `Quick
+          theory_key_of_rebuilt_copy;
+        test_case "alternating databases: same answers and counters as rebuilt copies"
+          `Quick alternating_databases_match_rebuilt;
+        test_case "reset forgets the remembered database" `Quick
+          reset_forgets_remembered_database;
         test_case "oracle algorithms: equal answers and Σ₂ counts per configuration"
           `Quick
           oracle_algorithms_engine_variant;

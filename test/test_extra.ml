@@ -292,6 +292,25 @@ let registry_suite =
           | Some s -> s.Semantics.name = "gcwa"
           | None -> false);
         check "unknown" true (Registry.find "nope" = None));
+    Alcotest.test_case "each name finds its own record, in registry order"
+      `Quick (fun () ->
+        let eng = Ddb_engine.Engine.create () in
+        let expected =
+          [ "cwa"; "gcwa"; "ddr"; "pws"; "egcwa"; "ccwa"; "ecwa"; "circ";
+            "icwa"; "perf"; "dsm"; "pdsm" ]
+        in
+        Alcotest.(check (list string)) "names order" expected Registry.names;
+        Alcotest.(check (list string)) "all_in order" expected
+          (List.map (fun (s : Semantics.t) -> s.Semantics.name)
+             (Registry.all_in eng));
+        List.iter
+          (fun name ->
+            Alcotest.(check (option string)) name (Some name)
+              (Option.map
+                 (fun (s : Semantics.t) -> s.Semantics.name)
+                 (Registry.find_in eng name)))
+          Registry.names;
+        check "unknown" true (Registry.find_in eng "nope" = None));
     Alcotest.test_case "all names distinct" `Quick (fun () ->
         let names = Registry.names in
         check_int "no dups" (List.length names)

@@ -190,7 +190,9 @@ let traced_engine_run () =
           List.iter
             (fun l -> ignore (Ddb_core.Registry.infer_literal_in eng ~sem db l))
             lits)
-        (Ddb_core.Registry.applicable_names db));
+        (Ddb_core.Registry.applicable_names db);
+      (* the textbook Σ₂ᵖ route: QBF construction, then CEGAR *)
+      ignore (Ddb_core.Qbf_encodings.gcwa_refutes_neg_literal_qbf db 0));
   (Trace.dump (), Trace.to_string ())
 
 let engine_spans_present () =
@@ -200,6 +202,9 @@ let engine_spans_present () =
   check bool "scope spans" true (have "scope.gcwa");
   check bool "oracle op spans" true (have "engine.sat" || have "engine.support");
   check bool "solver spans" true (have "sat.solve");
+  check bool "theory compile spans" true (have "sat.compile");
+  check bool "QBF encode and CEGAR spans" true
+    (have "qbf.encode" && have "qbf.cegar");
   (* the memoizing engine answers repeated queries from cache, and the
      span's cache_hit attribute records it *)
   check bool "cache_hit attr serialized" true

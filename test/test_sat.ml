@@ -132,6 +132,73 @@ let qcheck_assumptions_sound =
       in
       with_assumption = with_unit)
 
+(* A solver copied from a compiled theory's image behaves exactly like a
+   fresh [Solver.of_clauses] over the same clauses: the same result, model
+   and conflict/decision/propagation deltas on every solve, also after
+   clauses or variables are added to both.  The CNFs include unit clauses
+   and, now and then, a complementary pair of them (root-inconsistent). *)
+type step = Solve of Lit.t list | Add of Lit.t list | New_var
+
+let random_lit rand n =
+  let v = Random.State.int rand n in
+  if Random.State.bool rand then Lit.Pos v else Lit.Neg v
+
+let random_steps rand n =
+  List.init (2 + Random.State.int rand 7) (fun _ ->
+      match Random.State.int rand 6 with
+      | 0 -> Add (List.init (1 + Random.State.int rand 3) (fun _ -> random_lit rand (n + 1)))
+      | 1 -> New_var
+      | _ -> Solve (List.init (Random.State.int rand 4) (fun _ -> random_lit rand n)))
+
+let run_steps s steps =
+  List.filter_map
+    (function
+      | Add c ->
+        Solver.add_clause s c;
+        None
+      | New_var -> Some (`Var (Solver.new_var s))
+      | Solve assumptions ->
+        let c0 = Solver.conflicts s
+        and d0 = Solver.decisions s
+        and p0 = Solver.propagations s in
+        let r = Solver.solve ~assumptions s in
+        let model =
+          if r = Solver.Sat then Interp.to_list (Solver.model s) else []
+        in
+        Some
+          (`Solve
+            ( r,
+              model,
+              Solver.conflicts s - c0,
+              Solver.decisions s - d0,
+              Solver.propagations s - p0 )))
+    steps
+
+let qcheck_copy_matches_fresh =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"a copy of the image solves exactly like a fresh solver"
+    QCheck.(triple (int_bound 99999) (int_range 1 10) (int_range 0 40))
+    (fun (seed, num_vars, num_clauses) ->
+      let rand = Random.State.make [| seed |] in
+      let units =
+        List.init (Random.State.int rand 3) (fun _ -> [ random_lit rand num_vars ])
+      in
+      let clash =
+        if Random.State.int rand 5 = 0 then [ [ Lit.Pos 0 ]; [ Lit.Neg 0 ] ]
+        else []
+      in
+      let cnf = units @ gen_cnf rand ~num_vars ~num_clauses ~width:3 @ clash in
+      let theory = Minimal.theory ~num_vars cnf in
+      let agree steps =
+        run_steps (Minimal.solver_of theory) steps
+        = run_steps (Solver.of_clauses ~num_vars cnf) steps
+      in
+      (* the second and third copies are taken after earlier copies were
+         solved and grown *)
+      agree (random_steps rand num_vars)
+      && agree (random_steps rand num_vars)
+      && agree (random_steps rand num_vars))
+
 let enum_suite =
   [
     Alcotest.test_case "all models of a v b" `Quick (fun () ->
@@ -312,7 +379,12 @@ let suites =
     ("sat.solver", solver_suite);
     ( "sat.solver.properties",
       List.map QCheck_alcotest.to_alcotest
-        [ qcheck_solver_agrees; qcheck_dpll_agrees; qcheck_assumptions_sound ] );
+        [
+          qcheck_solver_agrees;
+          qcheck_dpll_agrees;
+          qcheck_assumptions_sound;
+          qcheck_copy_matches_fresh;
+        ] );
     ("sat.enum", enum_suite);
     ( "sat.enum.properties",
       [ QCheck_alcotest.to_alcotest qcheck_enum_complete ] );
