@@ -134,16 +134,6 @@ let dnf f =
   |> List.filter (fun t -> not (contradictory t))
   |> List.sort_uniq Stdlib.compare
 
-let rec map_atoms f = function
-  | True -> True
-  | False -> False
-  | Atom x -> f x
-  | Not g -> not_ (map_atoms f g)
-  | And (a, b) -> and_ (map_atoms f a) (map_atoms f b)
-  | Or (a, b) -> or_ (map_atoms f a) (map_atoms f b)
-  | Imp (a, b) -> imp (map_atoms f a) (map_atoms f b)
-  | Iff (a, b) -> iff (map_atoms f a) (map_atoms f b)
-
 let rec equal a b =
   match (a, b) with
   | True, True | False, False -> true

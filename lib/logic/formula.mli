@@ -39,7 +39,6 @@ val cnf : t -> Lit.t list list
 val dnf : t -> Lit.t list list
 (** DNF by distribution; result [[]] is falsum, [[[]]] verum. *)
 
-val map_atoms : (int -> t) -> t -> t
 val equal : t -> t -> bool
 val pp : ?vocab:Vocab.t -> Format.formatter -> t -> unit
 val to_string : ?vocab:Vocab.t -> t -> string

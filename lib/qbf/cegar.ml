@@ -4,12 +4,16 @@ open Ddb_sat
 (* Counterexample-guided 2-QBF solver on top of the CDCL SAT solver.
 
    For exists-X forall-Y phi:
-     - the abstraction solver holds, over X plus fresh copies of auxiliary
-       variables, the constraints phi[Y := sigma_Y] for every counterexample
-       sigma_Y found so far;
-     - each round proposes sigma_X from the abstraction and asks a second
-       solver for sigma_Y with phi false under sigma_X; UNSAT certifies
-       validity, otherwise sigma_Y refines the abstraction.
+     - the check solver holds the clauses of not-phi, encoded once; each
+       round pins X by assumptions and asks it for a counterexample sigma_Y;
+     - the abstraction solver starts empty and, for every counterexample,
+       receives phi's clauses instantiated under sigma_Y: a clause with a
+       true Y-literal is dropped, false Y-literals are stripped, and the
+       auxiliaries whose definitions read Y get fresh copies.  Clauses free
+       of Y are the same under every sigma_Y and are added once, at the
+       first refinement.  Neither formula is rebuilt or re-encoded;
+     - each round proposes sigma_X from the abstraction; an UNSAT check
+       certifies validity, an UNSAT abstraction refutes it.
 
    forall-X exists-Y phi is solved as the negation of an exists-forall
    instance.  Every call bumps [Stats.bump_sigma2]: this function *is* the
@@ -25,31 +29,84 @@ let n_rounds = Ddb_obs.Trace.name "rounds"
 let n_valid = Ddb_obs.Trace.name "valid"
 let n_refined = Ddb_obs.Trace.name "refined"
 
-let substitute_block m block matrix =
-  (* Replace the atoms of [block] by their truth value under [m]. *)
-  let in_block = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_block v ()) block;
-  Formula.map_atoms
-    (fun x ->
-      if Hashtbl.mem in_block x then
-        if Interp.mem m x then Formula.True else Formula.False
-      else Formula.Atom x)
-    matrix
+(* The refinement step: encodes phi once and returns a function adding
+   phi[Y := sigma_Y] to [abstraction] for a counterexample sigma_Y.
+
+   One forward pass over the encoder's groups finds the Y-dependent
+   clauses: a group reads only atoms and earlier auxiliaries besides the
+   one it defines, so that auxiliary, unseen until its group, depends on Y
+   iff the group reads Y.  The abstraction numbers auxiliaries on first
+   use: Y-free ones once, Y-dependent ones afresh in every refinement
+   ([stamp] holds the refinement that numbered them). *)
+let refiner ~num_vars ~is_y abstraction matrix =
+  let groups, next_aux = Cnf.assert_clauses ~next_var:num_vars matrix in
+  let n_aux = next_aux - num_vars in
+  let dep = Array.make n_aux false and seen = Array.make n_aux false in
+  let reads_y l =
+    let x = Lit.atom l in
+    if x < num_vars then is_y.(x) else dep.(x - num_vars)
+  in
+  let y_dependent =
+    List.concat_map
+      (fun group ->
+        let d = List.exists (List.exists reads_y) group in
+        List.iter
+          (List.iter (fun l ->
+               let a = Lit.atom l - num_vars in
+               if a >= 0 && not seen.(a) then begin
+                 seen.(a) <- true;
+                 dep.(a) <- d
+               end))
+          group;
+        if d then group else [])
+      groups
+  in
+  let abs_var = Array.make n_aux (-1) and stamp = Array.make n_aux 0 in
+  let next_var = ref num_vars and refinements = ref 0 in
+  fun sigma_y ->
+    incr refinements;
+    let current = !refinements in
+    let aux a =
+      if abs_var.(a) < 0 || (dep.(a) && stamp.(a) <> current) then begin
+        abs_var.(a) <- !next_var;
+        stamp.(a) <- current;
+        incr next_var
+      end;
+      abs_var.(a)
+    in
+    (* [None] when a true Y-literal satisfies the clause. *)
+    let rec instantiate acc = function
+      | [] -> Some acc
+      | Lit.Pos x :: rest when x >= num_vars ->
+        instantiate (Lit.Pos (aux (x - num_vars)) :: acc) rest
+      | Lit.Neg x :: rest when x >= num_vars ->
+        instantiate (Lit.Neg (aux (x - num_vars)) :: acc) rest
+      | l :: rest ->
+        if not is_y.(Lit.atom l) then instantiate (l :: acc) rest
+        else if Lit.holds sigma_y l then None
+        else instantiate acc rest
+    in
+    let add c =
+      match instantiate [] c with
+      | Some c -> Solver.add_clause abstraction c
+      | None -> ()
+    in
+    (* Y-free clauses are the same under every sigma_Y: add them once. *)
+    if current = 1 then List.iter add (List.concat groups)
+    else List.iter add y_dependent
 
 let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
-  (* Abstraction over xs (plus Tseitin auxiliaries allocated past all
-     original variables). *)
-  let abstraction = Solver.create ~num_vars () in
-  Solver.ensure_vars abstraction num_vars;
-  let next_aux = ref num_vars in
-  let add_constraint f = next_aux := Solver.add_formula abstraction ~next_var:!next_aux f in
-  (* The check solver is rebuilt each round: it must contain ¬phi with the
-     X-section pinned, and pinning via assumptions lets us reuse one
-     instance. *)
+  let is_y = Array.make num_vars false in
+  List.iter (fun y -> is_y.(y) <- true) ys;
   let check_solver = Solver.create ~num_vars () in
-  Solver.ensure_vars check_solver num_vars;
-  let check_aux = Solver.add_formula check_solver ~next_var:num_vars (Formula.not_ matrix) in
-  ignore check_aux;
+  let neg_groups, check_vars =
+    Cnf.assert_clauses ~next_var:num_vars (Formula.not_ matrix)
+  in
+  Solver.ensure_vars check_solver check_vars;
+  List.iter (List.iter (Solver.add_clause check_solver)) neg_groups;
+  (* The abstraction starts empty; phi is encoded at the first refinement. *)
+  let abstraction = Solver.create ~num_vars () in
+  let refine = lazy (refiner ~num_vars ~is_y abstraction matrix) in
   let compute_step _round =
     match Solver.solve abstraction with
     | Solver.Unsat -> `Done false (* no candidate X-assignment survives *)
@@ -63,9 +120,8 @@ let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
       (match Solver.solve ~assumptions:pin check_solver with
       | Solver.Unsat -> `Done true (* forall Y phi holds under sigma_x *)
       | Solver.Sat ->
-        let sigma_y = Solver.model ~universe:num_vars check_solver in
         (* Refine: phi must hold for this Y-counterexample. *)
-        add_constraint (substitute_block sigma_y ys matrix);
+        Lazy.force refine (Solver.model ~universe:num_vars check_solver);
         `Refine)
   in
   let rec loop round =

@@ -13,7 +13,14 @@ val valid_exists_forall :
   ys:int list ->
   Formula.t ->
   bool
-(** Validity of ∃xs ∀ys φ.  @raise Too_many_rounds past [max_rounds]
-    refinements (default: unbounded). *)
+(** Validity of ∃xs ∀ys φ.  φ is encoded to clauses once per call:
+    ¬φ's clauses form the check solver, and each refinement adds φ's
+    clauses instantiated under the counterexample to the abstraction.
+    @raise Too_many_rounds when the loop reaches [max_rounds] rounds
+    (default: unbounded); 2^|xs| + 1 rounds always suffice. *)
 
 val valid : ?max_rounds:int -> Qbf.t -> bool
+(** Validity of a 2-QBF.  An ∃∀ instance goes to {!valid_exists_forall}
+    directly; ∀X ∃Y φ is answered as the negation of ∃X ∀Y ¬φ.  Either
+    way the call bumps [Ddb_sat.Stats.bump_sigma2] exactly once.
+    @raise Too_many_rounds as {!valid_exists_forall}. *)

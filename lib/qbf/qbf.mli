@@ -21,8 +21,9 @@ val make :
   block2:int list ->
   matrix:Formula.t ->
   t
-(** @raise Invalid_argument on overlapping blocks, free matrix variables, or
-    out-of-range variables. *)
+(** Validation is linear in the blocks and the matrix.
+    @raise Invalid_argument on out-of-range block variables, overlapping
+    blocks, or free matrix variables (checked in that order). *)
 
 val negate : t -> t
 (** ¬(∃∀ φ) = ∀∃ ¬φ. *)

@@ -79,3 +79,125 @@ let tseitin ~next_var f =
   in
   let out = go f in
   (List.rev !clauses, !fresh, out)
+
+(* Asserting encoding: clauses satisfiable exactly by the extensions of the
+   models of [f], built for solvers that assert a formula rather than name
+   it.
+
+   The top level is split into conjuncts (through And, ¬Or, ¬→, ¬¬) and
+   each conjunct becomes one clause of its flattened disjuncts (through Or,
+   →, ¬And), so a clause-shaped conjunct costs no auxiliary.  A disjunct
+   that is not a literal is named by an auxiliary: And/Or nodes flattened
+   n-ary (one auxiliary per maximal run of the same connective under its
+   polarity), Iff nodes binary.  Constants fold away.
+
+   Definitions follow polarity (Plaisted–Greenbaum): an auxiliary that only
+   occurs positively gets just the clauses of v → node, and the full v ↔
+   node is kept for the operands of an Iff, which occur both ways.
+
+   Clauses come in groups, in order: a group is one asserted clause or the
+   whole definition of one new auxiliary, whose clauses read only atoms and
+   auxiliaries defined by earlier groups. *)
+
+type node = Const of bool | Lit of Lit.t
+
+(* Conjuncts / disjuncts of [f] under polarity [pos], as (polarity,
+   subformula) pairs, flattened through connectives of the same kind. *)
+let rec conjuncts pos f acc =
+  match (f, pos) with
+  | Formula.And (a, b), true | Formula.Or (a, b), false ->
+    conjuncts pos a (conjuncts pos b acc)
+  | Formula.Imp (a, b), false -> conjuncts true a (conjuncts false b acc)
+  | Formula.Not g, _ -> conjuncts (not pos) g acc
+  | _ -> (pos, f) :: acc
+
+let rec disjuncts pos f acc =
+  match (f, pos) with
+  | Formula.Or (a, b), true | Formula.And (a, b), false ->
+    disjuncts pos a (disjuncts pos b acc)
+  | Formula.Imp (a, b), true -> disjuncts false a (disjuncts true b acc)
+  | Formula.Not g, _ -> disjuncts (not pos) g acc
+  | _ -> (pos, f) :: acc
+
+let assert_clauses ~next_var f =
+  let groups = ref [] in
+  let fresh = ref next_var in
+  let emit group = groups := group :: !groups in
+  let new_var () =
+    let v = !fresh in
+    incr fresh;
+    v
+  in
+  (* [node ~full pos f] is a constant or a literal L for f under polarity
+     [pos]: L → f always holds, and L ↔ f when [full]. *)
+  let rec node ~full pos f =
+    match f with
+    | Formula.True -> Const pos
+    | Formula.False -> Const (not pos)
+    | Formula.Atom x -> Lit (if pos then Lit.Pos x else Lit.Neg x)
+    | Formula.Not g -> node ~full (not pos) g
+    | Formula.Iff (a, b) -> (
+      let na = node ~full:true true a in
+      let nb = node ~full:true true b in
+      match (na, nb) with
+      | Const ca, Const cb -> Const (pos = (ca = cb))
+      | Const c, Lit l | Lit l, Const c ->
+        Lit (if pos = c then l else Lit.negate l)
+      | Lit la, Lit lb ->
+        let v = Lit.Pos (new_var ()) in
+        let nv = Lit.negate v and nla = Lit.negate la and nlb = Lit.negate lb in
+        (* v → (la ↔ lb) *)
+        let imp = [ [ nv; nla; lb ]; [ nv; la; nlb ] ] in
+        (* (la ↔ lb) → v *)
+        let rev = [ [ v; la; lb ]; [ v; nla; nlb ] ] in
+        emit (if full then imp @ rev else if pos then imp else rev);
+        Lit (if pos then v else Lit.negate v))
+    | Formula.And _ | Formula.Or _ | Formula.Imp _ -> (
+      let is_and =
+        match (f, pos) with
+        | Formula.And _, true | Formula.Or _, false | Formula.Imp _, false ->
+          true
+        | _ -> false
+      in
+      let children =
+        if is_and then conjuncts pos f [] else disjuncts pos f []
+      in
+      let absorbing = not is_and in
+      match literals ~full ~absorbing children with
+      | None -> Const absorbing
+      | Some [] -> Const (not absorbing)
+      | Some [ l ] -> Lit l
+      | Some lits ->
+        let v = Lit.Pos (new_var ()) in
+        let nv = Lit.negate v in
+        (if is_and then
+           (* v → l1 & ... & lk, and the converse when [full] *)
+           let imp = List.map (fun l -> [ nv; l ]) lits in
+           emit (if full then (v :: List.map Lit.negate lits) :: imp else imp)
+         else
+           (* v → l1 | ... | lk, and the converse when [full] *)
+           let imp = nv :: lits in
+           emit
+             (if full then imp :: List.map (fun l -> [ v; Lit.negate l ]) lits
+              else [ imp ]));
+        Lit v)
+  (* The children's literals in order, constants dropped; [None] when a
+     child is the [absorbing] constant that decides the node outright. *)
+  and literals ~full ~absorbing children =
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | (p, g) :: rest -> (
+        match node ~full p g with
+        | Const c when c = absorbing -> None
+        | Const _ -> go acc rest
+        | Lit l -> go (l :: acc) rest)
+    in
+    go [] children
+  in
+  let assert_conjunct (pos, g) =
+    match literals ~full:false ~absorbing:true (disjuncts pos g []) with
+    | None -> ()
+    | Some clause -> emit [ clause ]
+  in
+  List.iter assert_conjunct (conjuncts true f []);
+  (List.rev !groups, !fresh)

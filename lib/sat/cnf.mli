@@ -21,3 +21,16 @@ val tseitin :
 (** [(clauses, next_var', out)]: clauses defining the output literal [out]
     to carry the formula's truth value, with auxiliary variables allocated
     from [next_var].  Asserting [out] asserts the formula. *)
+
+val assert_clauses : next_var:int -> Formula.t -> Lit.t list list list * int
+(** [(groups, next_var')]: clause groups asserting the formula, with
+    auxiliary variables allocated from [next_var] upward.  An assignment of
+    the formula's atoms extends to a model of the clauses iff it satisfies
+    the formula.  Top-level conjuncts that are disjunctions of literals
+    become one clause each, with no auxiliary; every other And/Or
+    (flattened n-ary) and Iff node gets one auxiliary, defined by
+    polarity: v → node, or v ↔ node under an Iff.
+
+    Each group is one asserted clause or the whole definition of one new
+    auxiliary; a group reads only atoms and auxiliaries defined by earlier
+    groups.  Clause-level instantiation relies on this order. *)

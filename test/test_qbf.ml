@@ -3,32 +3,41 @@ open Ddb_qbf
 
 let check = Alcotest.(check bool)
 
-(* Random formula over the given atoms. *)
+(* Random formula over the given atoms, constants and Iff included. *)
 let rec gen_formula rand atoms depth =
   let atom () = Formula.Atom (List.nth atoms (Random.State.int rand (List.length atoms))) in
   if depth = 0 then
-    match Random.State.int rand 4 with
-    | 0 -> Formula.Not (atom ())
+    match Random.State.int rand 10 with
+    | 0 -> Formula.True
+    | 1 -> Formula.False
+    | 2 | 3 -> Formula.Not (atom ())
     | _ -> atom ()
   else
     let sub () = gen_formula rand atoms (depth - 1) in
-    match Random.State.int rand 5 with
+    match Random.State.int rand 6 with
     | 0 -> Formula.And (sub (), sub ())
     | 1 -> Formula.Or (sub (), sub ())
     | 2 -> Formula.Not (sub ())
     | 3 -> Formula.Imp (sub (), sub ())
+    | 4 -> Formula.Iff (sub (), sub ())
     | _ -> sub ()
 
 let gen_qbf seed =
   let rand = Random.State.make [| seed |] in
-  let n1 = 1 + Random.State.int rand 3 in
-  let n2 = 1 + Random.State.int rand 3 in
+  let n1 = 1 + Random.State.int rand 5 in
+  let n2 = 1 + Random.State.int rand 5 in
   let num_vars = n1 + n2 in
   let block1 = List.init n1 Fun.id in
   let block2 = List.init n2 (fun i -> n1 + i) in
   let matrix = gen_formula rand (block1 @ block2) 3 in
   let prefix = if Random.State.bool rand then Qbf.Exists_forall else Qbf.Forall_exists in
   Qbf.make ~prefix ~num_vars ~block1 ~block2 ~matrix
+
+(* exists x forall y . x <-> y: invalid, refuted in the third round after
+   two refinements. *)
+let needs_refinement () =
+  Qbf.make ~prefix:Qbf.Exists_forall ~num_vars:2 ~block1:[ 0 ] ~block2:[ 1 ]
+    ~matrix:Formula.(Iff (Atom 0, Atom 1))
 
 let unit_suite =
   [
@@ -42,12 +51,7 @@ let unit_suite =
         check "naive" true (Naive.valid t);
         check "cegar" true (Cegar.valid t));
     Alcotest.test_case "exists-forall dependence" `Quick (fun () ->
-        (* exists x forall y . x <-> y : invalid *)
-        let t =
-          Qbf.make ~prefix:Qbf.Exists_forall ~num_vars:2 ~block1:[ 0 ]
-            ~block2:[ 1 ]
-            ~matrix:Formula.(Iff (Atom 0, Atom 1))
-        in
+        let t = needs_refinement () in
         check "naive" false (Naive.valid t);
         check "cegar" false (Cegar.valid t));
     Alcotest.test_case "forall-exists matching" `Quick (fun () ->
@@ -78,6 +82,34 @@ let unit_suite =
                   ~block2:[ 1 ] ~matrix:(Formula.Atom 2));
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "make rejects out-of-range vars" `Quick (fun () ->
+        check "range" true
+          (try
+             ignore
+               (Qbf.make ~prefix:Qbf.Exists_forall ~num_vars:2 ~block1:[ 0 ]
+                  ~block2:[ 2 ] ~matrix:(Formula.Atom 0));
+             false
+           with Invalid_argument _ -> true));
+    Alcotest.test_case "max_rounds stops the loop, spans balanced" `Quick
+      (fun () ->
+        let t = needs_refinement () in
+        check "three rounds suffice" false (Cegar.valid ~max_rounds:3 t);
+        let raised =
+          Test_obs.with_trace (fun () ->
+              try
+                ignore (Cegar.valid ~max_rounds:1 t);
+                false
+              with Cegar.Too_many_rounds -> true)
+        in
+        check "raises Too_many_rounds" true raised;
+        let events = Ddb_obs.Trace.dump () in
+        let spans name =
+          List.length
+            (List.filter (fun (_, n, ph, _) -> n = name && ph = 'B') events)
+        in
+        check "one call span" true (spans "qbf.cegar" = 1);
+        check "one round span" true (spans "qbf.cegar.round" = 1);
+        check "balanced" true (Test_obs.spans_balanced events));
   ]
 
 let qcheck_cegar_agrees =
@@ -85,7 +117,11 @@ let qcheck_cegar_agrees =
     QCheck.(int_bound 99999)
     (fun seed ->
       let t = gen_qbf seed in
-      Cegar.valid t = Naive.valid t)
+      (* Each refinement excludes the rejected X-assignment, so 2^|X| + 1
+         rounds always suffice; an unsound refinement fails here instead of
+         looping. *)
+      let max_rounds = (1 lsl List.length t.Qbf.block1) + 1 in
+      Cegar.valid ~max_rounds t = Naive.valid t)
 
 let suites =
   [

@@ -374,6 +374,97 @@ let qcheck_is_minimal_matches_reference =
           = List.exists (Interp.equal m) reference)
         models)
 
+(* The asserting encoder: an interpretation satisfies F iff F's clauses
+   plus the interpretation's units are satisfiable. *)
+let rec gen_assert_formula rand num_vars depth =
+  let sub () = gen_assert_formula rand num_vars (depth - 1) in
+  if depth = 0 || Random.State.int rand 5 = 0 then
+    match Random.State.int rand 8 with
+    | 0 -> Formula.True
+    | 1 -> Formula.False
+    | 2 -> Formula.Not (Formula.Atom (Random.State.int rand num_vars))
+    | _ -> Formula.Atom (Random.State.int rand num_vars)
+  else
+    match Random.State.int rand 6 with
+    | 0 -> Formula.And (sub (), sub ())
+    | 1 -> Formula.Or (sub (), sub ())
+    | 2 -> Formula.Not (sub ())
+    | 3 | 4 -> Formula.Imp (sub (), Formula.Imp (sub (), sub ()))
+    | _ -> Formula.Iff (sub (), sub ())
+
+let encoding_agrees ~num_vars f =
+  let groups, next_var = Cnf.assert_clauses ~next_var:num_vars f in
+  let clauses = List.concat groups in
+  List.for_all
+    (fun m ->
+      let units =
+        List.init num_vars (fun x ->
+            [ (if Interp.mem m x then Lit.Pos x else Lit.Neg x) ])
+      in
+      let s = Solver.of_clauses ~num_vars:next_var (clauses @ units) in
+      (Solver.solve s = Solver.Sat) = Formula.eval m f)
+    (Brute.models ~num_vars [])
+
+(* The group order contract: each group defines at most one new auxiliary
+   and otherwise reads atoms and auxiliaries of earlier groups. *)
+let groups_in_order ~num_vars f =
+  let groups, next_var = Cnf.assert_clauses ~next_var:num_vars f in
+  let defined = Array.make (next_var - num_vars) false in
+  List.for_all
+    (fun group ->
+      let fresh =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun l ->
+               let x = Lit.atom l in
+               if x >= num_vars && not defined.(x - num_vars) then Some x
+               else None)
+             (List.concat group))
+      in
+      List.iter (fun x -> defined.(x - num_vars) <- true) fresh;
+      List.length fresh <= 1)
+    groups
+  && Array.for_all Fun.id defined
+
+let assert_clauses_suite =
+  let a = Formula.Atom 0 and b = Formula.Atom 1 and c = Formula.Atom 2 in
+  [
+    Alcotest.test_case "constants, Iff and nested Imp" `Quick (fun () ->
+        List.iter
+          (fun f ->
+            check (Formula.to_string f) true (encoding_agrees ~num_vars:3 f))
+          Formula.
+            [
+              True;
+              False;
+              Not True;
+              Iff (a, Not b);
+              Not (Iff (a, True));
+              Imp (Imp (a, b), Imp (c, False));
+              And (Iff (a, b), Or (Not (And (b, c)), False));
+            ]);
+    Alcotest.test_case "clause-shaped conjuncts need no auxiliary" `Quick
+      (fun () ->
+        let f =
+          Formula.(And (Or (a, Not b), And (Imp (c, a), Not (And (a, c)))))
+        in
+        let groups, next_var = Cnf.assert_clauses ~next_var:3 f in
+        let one_clause_each =
+          Lit.[ [ [ Pos 0; Neg 1 ] ]; [ [ Neg 2; Pos 0 ] ]; [ [ Neg 0; Neg 2 ] ] ]
+        in
+        check_int "no auxiliary" 3 next_var;
+        check "one clause per conjunct" true (groups = one_clause_each));
+  ]
+
+let qcheck_assert_clauses =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"asserting encoding: m |= F iff clauses + units(m) satisfiable"
+    QCheck.(pair (int_bound 99999) (int_range 1 6))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let f = gen_assert_formula rand num_vars 4 in
+      encoding_agrees ~num_vars f && groups_in_order ~num_vars f)
+
 let suites =
   [
     ("sat.solver", solver_suite);
@@ -385,6 +476,9 @@ let suites =
           qcheck_assumptions_sound;
           qcheck_copy_matches_fresh;
         ] );
+    ("sat.cnf", assert_clauses_suite);
+    ( "sat.cnf.properties",
+      [ QCheck_alcotest.to_alcotest qcheck_assert_clauses ] );
     ("sat.enum", enum_suite);
     ( "sat.enum.properties",
       [ QCheck_alcotest.to_alcotest qcheck_enum_complete ] );
