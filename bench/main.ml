@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- reductions
      dune exec bench/main.exe -- ablation
      dune exec bench/main.exe -- extensions  — brave/WFS/CWA-log studies
-     dune exec bench/main.exe -- bechamel  — Bechamel micro-benchmarks
      dune exec bench/main.exe -- parallel  — sharded-engine batch sweeps
      dune exec bench/main.exe -- fastpath  — fragment dispatch vs generic oracle
 
@@ -30,7 +29,7 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|bechamel|parallel|fastpath|all] [--jobs N] [--json FILE] [--trace PREFIX]"
+    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|parallel|fastpath|all] [--jobs N] [--json FILE] [--trace PREFIX]"
 
 let () =
   let mode = ref "all" and jobs = ref None and json_path = ref None in
@@ -82,7 +81,6 @@ let () =
   section "reductions" Reduction_bench.run;
   section "ablation" (Ablation.run ?jobs);
   section "extensions" Extensions_bench.run;
-  section "bechamel" Bechamel_suite.run;
   json_section "parallel" (Harness.parallel_bench ?jobs ?trace_prefix);
   json_section "fastpath" Harness.fastpath_bench;
   (match !json_path with

@@ -642,29 +642,38 @@ let no_cache_flag =
 
 (* --- profile --- *)
 
-(* The stats workload on pinned, metrics-enabled shards, reported as a
-   per-oracle-kind latency table (merged across workers).  Latencies are in
-   wall µs, or in deterministic probe ticks while --trace (logical clock)
-   is active — the unit is printed in the header. *)
+(* The stats workload on pinned shards, reported as a per-oracle-kind
+   latency table folded from the trace's op spans (merged across workers).
+   It runs under the --trace trace when one is active — latencies are then
+   in that trace's clock, deterministic ticks by default — and otherwise
+   under a wall-clock trace of its own (µs).  The unit is printed in the
+   header. *)
 let profile db sem_name no_cache no_fastpath jobs bopts =
   Result.bind (select_sems db sem_name) @@ fun sems ->
-  Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
-    ~pinned:true ~profile:true
-  @@ fun b ->
-  finish_sweep bopts (stats_workload b ~sems bopts db) @@ fun () ->
-  let merged =
-    Metrics.merge (List.map Ddb_engine.Engine.metrics (Batch.engines b))
+  let own = not (Trace.enabled ()) in
+  if own then Trace.start ~clock:Trace.Wall ();
+  let unknowns =
+    Fun.protect ~finally:(fun () -> if own then Trace.stop ()) @@ fun () ->
+    Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
+      ~pinned:true
+    @@ fun b -> stats_workload b ~sems bopts db
   in
-  let unit = Trace.metric_unit () in
+  finish_sweep bopts unknowns @@ fun () ->
+  let dropped = Trace.dropped () in
+  if dropped > 0 then
+    Fmt.epr "profile: %d trace event(s) dropped; the table is partial@."
+      dropped;
+  let unit =
+    match Trace.current_clock () with Trace.Logical -> "ticks" | Wall -> "us"
+  in
   Fmt.pr "%-28s %8s %8s %8s %9s %9s %9s %9s %12s@." "oracle op" "count"
     "hits" "misses" "p50" "p90" "p99" "max" ("total/" ^ unit);
   List.iter
-    (fun (op, (s : Metrics.summary)) ->
-      Fmt.pr "%-28s %8d %8d %8d %9.1f %9.1f %9.1f %9.1f %12.1f@." op s.count
-        (Metrics.counter_value merged (op ^ ".hits"))
-        (Metrics.counter_value merged (op ^ ".misses"))
-        s.p50 s.p90 s.p99 s.max s.sum)
-    (Metrics.histogram_summaries merged);
+    (fun (r : Metrics.row) ->
+      let s = r.latency in
+      Fmt.pr "%-28s %8d %8d %8d %9.1f %9.1f %9.1f %9.1f %12.1f@." r.op
+        s.count r.hits r.misses s.p50 s.p90 s.p99 s.max s.sum)
+    (Metrics.op_rows (Trace.spans ()));
   Ok ()
 
 (* --- semantics list --- *)
@@ -852,10 +861,11 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~exits ~man:jobs_man
        ~doc:
-         "Run the stats workload with per-oracle-kind latency histograms \
-          and print a p50/p90/p99 table (merged across --jobs workers; \
-          placement is always pinned).  With --trace the latencies are \
-          deterministic logical ticks; without it, wall microseconds")
+         "Run the stats workload under a trace and print a per-oracle-kind \
+          p50/p90/p99 latency table folded from its spans (merged across \
+          --jobs workers; placement is always pinned).  With --trace the \
+          latencies are in that trace's clock (deterministic logical ticks \
+          by default); without it, wall microseconds")
     Term.(
       ret
         (const (fun trace clock bopts db sem no_cache no_fastpath jobs ->

@@ -269,7 +269,7 @@ let on_oracle_op () =
 (* One attempt per token; a second, with every cap escalated 4x, only after
    genuine exhaustion of a finite budget — a cancelled or fault-injected run
    would just trip again, and an unlimited budget has no cap to raise. *)
-let run ?group ?(retry = false) ?(on_trip = fun ~retrying:_ _ -> ()) lims f =
+let run ?group ?(retry = false) ?(on_trip = ignore) lims f =
   let escalate (l : limits) =
     let scale = Option.map (fun c -> c * 4) in
     {
@@ -284,8 +284,7 @@ let run ?group ?(retry = false) ?(on_trip = fun ~retrying:_ _ -> ()) lims f =
     match with_token (token ?group lims) f with
     | v -> Ok v
     | exception Out_of_budget r ->
-      let retrying = can_retry && r = Budget_exhausted in
-      on_trip ~retrying r;
-      if retrying then attempt ~can_retry:false (escalate lims) else Error r
+      on_trip r;
+      if can_retry && r = Budget_exhausted then attempt ~can_retry:false (escalate lims) else Error r
   in
   attempt ~can_retry:(retry && not (is_unlimited lims)) lims

@@ -117,7 +117,7 @@ val current : unit -> t option
 val run :
   ?group:group ->
   ?retry:bool ->
-  ?on_trip:(retrying:bool -> reason -> unit) ->
+  ?on_trip:(reason -> unit) ->
   limits ->
   (unit -> 'a) ->
   ('a, reason) result
@@ -128,8 +128,7 @@ val run :
     limits runs once more with every finite cap (and the wall deadline)
     multiplied by 4.
     Cancelled and fault-injected attempts are never retried, nor is an
-    unlimited budget.  [on_trip] sees every tripped attempt, with
-    [retrying] telling whether the escalated attempt follows. *)
+    unlimited budget.  [on_trip] sees every tripped attempt. *)
 
 (** {1 Probe sites}
 

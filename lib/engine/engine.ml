@@ -43,48 +43,60 @@ open Ddb_db
    against. *)
 
 (* ------------------------------------------------------------------ *)
-(* Counters and stats                                                  *)
+(* Stats                                                               *)
 
-type counters = {
+(* The engine's one counter record: the engine total and each semantics'
+   bucket are [stats] values, bumped in place. *)
+type stats = {
+  scope : string;
   mutable oracle_calls : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable sat_calls : int;
-  mutable sigma2_calls : int;
-  mutable conflicts : int;
-  mutable decisions : int;
-  mutable propagations : int;
+  mutable sat_solve_calls : int;
+  mutable sigma2_queries : int;
+  mutable sat_conflicts : int;
+  mutable sat_decisions : int;
+  mutable sat_propagations : int;
   mutable fastpath_hits : int;
   mutable fastpath_misses : int;
   mutable classifications : int;
   mutable unknowns : int;
-  mutable time_ms : float;
+  mutable wall_ms : float;
 }
 
-let fresh_counters () =
+let zero scope =
   {
+    scope;
     oracle_calls = 0;
     cache_hits = 0;
     cache_misses = 0;
-    sat_calls = 0;
-    sigma2_calls = 0;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
+    sat_solve_calls = 0;
+    sigma2_queries = 0;
+    sat_conflicts = 0;
+    sat_decisions = 0;
+    sat_propagations = 0;
     fastpath_hits = 0;
     fastpath_misses = 0;
     classifications = 0;
     unknowns = 0;
-    time_ms = 0.;
+    wall_ms = 0.;
   }
 
-let add_snapshot c (d : Stats.snapshot) dt =
-  c.sat_calls <- c.sat_calls + d.Stats.sat;
-  c.sigma2_calls <- c.sigma2_calls + d.Stats.sigma2;
-  c.conflicts <- c.conflicts + d.Stats.conflicts;
-  c.decisions <- c.decisions + d.Stats.decisions;
-  c.propagations <- c.propagations + d.Stats.propagations;
-  c.time_ms <- c.time_ms +. dt
+(* Field-wise [into += s]. *)
+let add ~into s =
+  into.oracle_calls <- into.oracle_calls + s.oracle_calls;
+  into.cache_hits <- into.cache_hits + s.cache_hits;
+  into.cache_misses <- into.cache_misses + s.cache_misses;
+  into.sat_solve_calls <- into.sat_solve_calls + s.sat_solve_calls;
+  into.sigma2_queries <- into.sigma2_queries + s.sigma2_queries;
+  into.sat_conflicts <- into.sat_conflicts + s.sat_conflicts;
+  into.sat_decisions <- into.sat_decisions + s.sat_decisions;
+  into.sat_propagations <- into.sat_propagations + s.sat_propagations;
+  into.fastpath_hits <- into.fastpath_hits + s.fastpath_hits;
+  into.fastpath_misses <- into.fastpath_misses + s.fastpath_misses;
+  into.classifications <- into.classifications + s.classifications;
+  into.unknowns <- into.unknowns + s.unknowns;
+  into.wall_ms <- into.wall_ms +. s.wall_ms
 
 (* ------------------------------------------------------------------ *)
 (* Canonical theory keys                                               *)
@@ -184,14 +196,10 @@ type t = {
      lib/core routes every query through the generic oracle path — the
      ablation baseline of BENCH_fastpath.json and `ddbtool --no-fastpath`. *)
   fastpath : bool;
-  (* Latency histograms + hit/miss counters per oracle kind.  [profile]
-     gates their upkeep exactly like the trace flag gates spans: with both
-     off every op body pays one boolean load. *)
-  profile : bool;
-  metrics : Ddb_obs.Metrics.t;
-  total : counters;
-  per_scope : (string, counters) Hashtbl.t;
-  mutable scope : (string * counters) option;
+  mutable total : stats;
+  per_scope : (string, stats) Hashtbl.t;
+  (* The bucket of the outermost open [scoped] call. *)
+  mutable in_scope : stats option;
   keys : (raw_key, int) Hashtbl.t;
   mutable next_key : int;
   (* The last database keyed and its key ([Db.t] is immutable). *)
@@ -205,15 +213,13 @@ type t = {
   model_lists : (qkey, Interp.t list) Hashtbl.t;
 }
 
-let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
+let create ?(cache = true) ?(fastpath = true) () =
   {
     cache;
     fastpath;
-    profile;
-    metrics = Ddb_obs.Metrics.create ();
-    total = fresh_counters ();
+    total = zero "total";
     per_scope = Hashtbl.create 16;
-    scope = None;
+    in_scope = None;
     keys = Hashtbl.create 64;
     next_key = 0;
     last_db = None;
@@ -227,16 +233,11 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
 
 let cache_enabled t = t.cache
 let fastpath_enabled t = t.fastpath
-let metrics t = t.metrics
-let metrics_json t = Ddb_obs.Metrics.to_json t.metrics
-
-let merged_metrics_json engines =
-  Ddb_obs.Metrics.to_json (Ddb_obs.Metrics.merge (List.map metrics engines))
 
 let reset t =
-  Ddb_obs.Metrics.clear t.metrics;
+  t.total <- zero "total";
   Hashtbl.reset t.per_scope;
-  t.scope <- None;
+  t.in_scope <- None;
   Hashtbl.reset t.keys;
   t.next_key <- 0;
   t.last_db <- None;
@@ -245,21 +246,7 @@ let reset t =
   Hashtbl.reset t.bools;
   Hashtbl.reset t.interps;
   Hashtbl.reset t.witnesses;
-  Hashtbl.reset t.model_lists;
-  let c = t.total in
-  c.oracle_calls <- 0;
-  c.cache_hits <- 0;
-  c.cache_misses <- 0;
-  c.sat_calls <- 0;
-  c.sigma2_calls <- 0;
-  c.conflicts <- 0;
-  c.decisions <- 0;
-  c.propagations <- 0;
-  c.fastpath_hits <- 0;
-  c.fastpath_misses <- 0;
-  c.classifications <- 0;
-  c.unknowns <- 0;
-  c.time_ms <- 0.
+  Hashtbl.reset t.model_lists
 
 let theory_key t db =
   match t.last_db with
@@ -296,7 +283,7 @@ let entry t db = if t.cache then interned_entry t db (theory_key t db) else new_
 
 let bump f t =
   f t.total;
-  match t.scope with None -> () | Some (_, c) -> f c
+  match t.in_scope with None -> () | Some c -> f c
 
 let tick t =
   bump (fun c -> c.oracle_calls <- c.oracle_calls + 1) t;
@@ -306,51 +293,45 @@ let tick t =
 let hit t = bump (fun c -> c.cache_hits <- c.cache_hits + 1) t
 let miss t = bump (fun c -> c.cache_misses <- c.cache_misses + 1) t
 
-let scope_counters t name =
-  match Hashtbl.find_opt t.per_scope name with
+(* The bucket named [name] in [tbl], made on first use. *)
+let bucket tbl name =
+  match Hashtbl.find_opt tbl name with
   | Some c -> c
   | None ->
-    let c = fresh_counters () in
-    Hashtbl.add t.per_scope name c;
+    let c = zero name in
+    Hashtbl.add tbl name c;
     c
 
 let n_theory = Ddb_obs.Trace.name "theory"
 let n_cache_hit = Ddb_obs.Trace.name "cache_hit"
+let n_unwound = Ddb_obs.Trace.name "unwound"
 let n_semantics = Ddb_obs.Trace.name "semantics"
 
-(* Wrap one oracle op.  Off (no profiling, no trace): a single boolean
-   test before [f].  On: a span named [engine.<op>] carrying the
-   hash-consed theory key and whether the memo answered, plus a latency
-   observation and hit/miss counters in the engine's metrics registry.
-   The hit attribute is read off the cache_hits delta, so it reflects the
-   op's own memo lookup (nested op spans carry their own attribute). *)
-let instrumented t ~op db f =
-  if not (t.profile || Ddb_obs.Trace.enabled ()) then f ()
+(* The one probe, around every oracle op ([engine.<op>] span) and every
+   fast-path evaluation ([fastpath.<op>] span).  Off (no trace): a single
+   [Trace.enabled ()] test before [f].  On: the span carries the
+   hash-consed theory key; an oracle op's end event carries whether the
+   memo answered, read off the cache_hits delta, so it reflects the op's
+   own memo lookup (nested op spans carry their own attribute).  An op
+   that raises ends its span with [unwound] instead. *)
+let probe ?(fastpath = false) t ~op db f =
+  if not (Ddb_obs.Trace.enabled ()) then f ()
   else begin
     let open Ddb_obs.Trace in
-    let traced = enabled () in
-    let span = name ("engine." ^ op) in
-    (if traced then
-       let theory = if t.cache then theory_key t db else -1 in
-       begin_args span
-         (if theory >= 0 then [ (n_theory, Int theory) ] else []));
+    let span = name ((if fastpath then "fastpath." else "engine.") ^ op) in
+    (let theory = if t.cache then theory_key t db else -1 in
+     begin_args span (if theory >= 0 then [ (n_theory, Int theory) ] else []));
     let hits0 = t.total.cache_hits in
-    let t0 = metric_now () in
-    let finished = ref false in
-    Fun.protect
-      ~finally:(fun () -> if traced && not !finished then end_ span)
-      (fun () ->
-        let r = f () in
-        finished := true;
-        let hit = t.total.cache_hits > hits0 in
-        if t.profile then begin
-          Ddb_obs.Metrics.observe t.metrics ("engine." ^ op)
-            (metric_now () -. t0);
-          Ddb_obs.Metrics.incr_counter t.metrics
-            ("engine." ^ op ^ if hit then ".hits" else ".misses")
-        end;
-        if traced then end_args span [ (n_cache_hit, Bool hit) ];
-        r)
+    match f () with
+    | r ->
+      end_args span
+        (if fastpath then []
+         else [ (n_cache_hit, Bool (t.total.cache_hits > hits0)) ]);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_args span [ (n_unwound, Bool true) ];
+      Printexc.raise_with_backtrace e bt
   end
 
 (* Run [f] attributing solver work and wall time to [name].  Nested scopes
@@ -359,7 +340,7 @@ let instrumented t ~op db f =
    scope is also a top-level [scope.<name>] span — the per-semantics lane
    the oracle-op spans nest under. *)
 let scoped t name f =
-  match t.scope with
+  match t.in_scope with
   | Some _ -> f ()
   | None ->
     let traced = Ddb_obs.Trace.enabled () in
@@ -367,17 +348,27 @@ let scoped t name f =
       Ddb_obs.Trace.begin_args
         (Ddb_obs.Trace.name ("scope." ^ name))
         [ (n_semantics, Ddb_obs.Trace.Str name) ];
-    let c = scope_counters t name in
-    t.scope <- Some (name, c);
+    let c = bucket t.per_scope name in
+    t.in_scope <- Some c;
     let before = Stats.snapshot () in
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
-        t.scope <- None;
+        t.in_scope <- None;
         let d = Stats.delta before in
-        let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-        add_snapshot c d dt;
-        add_snapshot t.total d dt;
+        let work =
+          {
+            (zero name) with
+            sat_solve_calls = d.Stats.sat;
+            sigma2_queries = d.Stats.sigma2;
+            sat_conflicts = d.Stats.conflicts;
+            sat_decisions = d.Stats.decisions;
+            sat_propagations = d.Stats.propagations;
+            wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+          }
+        in
+        add ~into:c work;
+        add ~into:t.total work;
         if traced then Ddb_obs.Trace.end_ (Ddb_obs.Trace.name ("scope." ^ name)))
       f
 
@@ -434,14 +425,14 @@ let solve_sat ?assumptions st =
 (* DB consistency: one SAT call. *)
 let sat t db =
   tick t;
-  instrumented t ~op:"sat" db (fun () ->
+  probe t ~op:"sat" db (fun () ->
       memo t t.bools db (fun key -> qkey key "sat") (fun e ->
           solve_sat (state e)))
 
 (* DB ∪ {¬x : x ∈ negs} has a model: negation set as assumptions. *)
 let augmented_has_model t db negs =
   tick t;
-  instrumented t ~op:"aug_sat" db (fun () ->
+  probe t ~op:"aug_sat" db (fun () ->
       memo t t.bools db
         (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
         (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e)))
@@ -454,7 +445,7 @@ let augmented_witness t db negs f =
   tick t;
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
-  instrumented t ~op:"aug_entails" db (fun () ->
+  probe t ~op:"aug_entails" db (fun () ->
       memo t t.witnesses db
         (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
         (fun e ->
@@ -493,7 +484,7 @@ let support_set_of e part =
 
 let support_set t db part =
   tick t;
-  instrumented t ~op:"support" db (fun () ->
+  probe t ~op:"support" db (fun () ->
       memo t t.interps db (fun key -> qkey ~part key "support") (fun e ->
           support_set_of e part))
 
@@ -508,7 +499,7 @@ let in_some_minimal t db part x =
   if t.cache then Interp.mem (support_set t db part) x
   else begin
     tick t;
-    instrumented t ~op:"in_some_minimal" db (fun () ->
+    probe t ~op:"in_some_minimal" db (fun () ->
         Option.is_some
           (Minimal.find_minimal_such_that
              ~extra:[ [ Lit.Pos x ] ]
@@ -518,7 +509,7 @@ let in_some_minimal t db part x =
 (* All ⊆-minimal models (total partition). *)
 let minimal_models ?limit ?truncated t db =
   tick t;
-  instrumented t ~op:"minimal_models" db (fun () ->
+  probe t ~op:"minimal_models" db (fun () ->
       match limit with
       | Some _ ->
         (* limited enumerations are cheap and caller-specific: never cached *)
@@ -534,7 +525,7 @@ let minimal_witness ?part t db f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
-  instrumented t ~op:"mm_entails" db (fun () ->
+  probe t ~op:"mm_entails" db (fun () ->
       memo t t.witnesses db (fun key -> qkey ~part ~form:f key "mm_entails")
         (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f))
 
@@ -546,7 +537,7 @@ let minimal_entails ?part t db f =
    solver. *)
 let non_entailed_atoms t db =
   tick t;
-  instrumented t ~op:"non_entailed" db (fun () ->
+  probe t ~op:"non_entailed" db (fun () ->
       memo t t.interps db (fun key -> qkey key "non_entailed") (fun e ->
           let st = state e in
           Interp.of_pred (Db.num_vars db) (fun x ->
@@ -557,7 +548,7 @@ let non_entailed_atoms t db =
    engine still canonicalizes, caches and instruments the answer. *)
 let cached_bool ?part ?formula ?(arg = -1) t ~sem ~op db compute =
   tick t;
-  instrumented t ~op:(sem ^ "/" ^ op) db (fun () ->
+  probe t ~op:(sem ^ "/" ^ op) db (fun () ->
       memo t t.bools db
         (fun key -> qkey ?part ?form:formula ~arg key (sem ^ "/" ^ op))
         (fun _ -> compute ()))
@@ -584,41 +575,15 @@ let classify t db =
    call (the oracle machinery never runs), but still one unit of logical
    work: the budget probe fires exactly like [tick]'s, so wall deadlines,
    logical caps and the deterministic fault injector all see fast-path
-   cells.  Under tracing the evaluation is a [fastpath.<op>] span; while
-   profiling it feeds the [fastpath.hit] counter and a latency
-   histogram. *)
+   cells.  Under tracing the evaluation is a [fastpath.<op>] span. *)
 let fastpath_hit t ~op db f =
   bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1) t;
   Ddb_budget.Budget.on_oracle_op ();
-  if not (t.profile || Ddb_obs.Trace.enabled ()) then f ()
-  else begin
-    let open Ddb_obs.Trace in
-    let traced = enabled () in
-    let span = name ("fastpath." ^ op) in
-    (if traced then
-       let theory = if t.cache then theory_key t db else -1 in
-       begin_args span
-         (if theory >= 0 then [ (n_theory, Int theory) ] else []));
-    let t0 = metric_now () in
-    let finished = ref false in
-    Fun.protect
-      ~finally:(fun () -> if traced && not !finished then end_ span)
-      (fun () ->
-        let r = f () in
-        finished := true;
-        if t.profile then begin
-          Ddb_obs.Metrics.observe t.metrics ("fastpath." ^ op)
-            (metric_now () -. t0);
-          Ddb_obs.Metrics.incr_counter t.metrics "fastpath.hit"
-        end;
-        if traced then end_ span;
-        r)
-  end
+  probe ~fastpath:true t ~op db f
 
 (* The dispatch layer fell through to the generic oracle path. *)
 let fastpath_miss t =
-  bump (fun c -> c.fastpath_misses <- c.fastpath_misses + 1) t;
-  if t.profile then Ddb_obs.Metrics.incr_counter t.metrics "fastpath.miss"
+  bump (fun c -> c.fastpath_misses <- c.fastpath_misses + 1) t
 
 (* ------------------------------------------------------------------ *)
 (* Budgeted (three-valued) evaluation                                  *)
@@ -634,17 +599,11 @@ type answer = Ddb_budget.Budget.answer =
    left to record here is the fact that a cell degraded. *)
 let record_unknown t ~sem =
   t.total.unknowns <- t.total.unknowns + 1;
-  let c = scope_counters t sem in
-  c.unknowns <- c.unknowns + 1;
-  if t.profile then
-    Ddb_obs.Metrics.incr_counter t.metrics "budget.exhausted"
+  let c = bucket t.per_scope sem in
+  c.unknowns <- c.unknowns + 1
 
 let budgeted ?retry ?group t limits ~sem f =
-  let on_trip ~retrying _ =
-    record_unknown t ~sem;
-    if retrying && t.profile then
-      Ddb_obs.Metrics.incr_counter t.metrics "budget.retry"
-  in
+  let on_trip _ = record_unknown t ~sem in
   let run () = scoped t sem f in
   match Ddb_budget.Budget.run ?group ?retry ~on_trip limits run with
   | Ok b -> Ddb_budget.Budget.of_bool b
@@ -653,46 +612,14 @@ let budgeted ?retry ?group t limits ~sem f =
 (* ------------------------------------------------------------------ *)
 (* Stats reporting                                                     *)
 
-type stats = {
-  scope : string;
-  oracle_calls : int;
-  cache_hits : int;
-  cache_misses : int;
-  sat_solve_calls : int;
-  sigma2_queries : int;
-  sat_conflicts : int;
-  sat_decisions : int;
-  sat_propagations : int;
-  fastpath_hits : int;
-  fastpath_misses : int;
-  classifications : int;
-  unknowns : int;
-  wall_ms : float;
-}
+(* Callers get copies, so a record never changes under them. *)
+let copy s = { s with scope = s.scope }
+let totals t = copy t.total
 
-let stats_of_counters scope (c : counters) =
-  {
-    scope;
-    oracle_calls = c.oracle_calls;
-    cache_hits = c.cache_hits;
-    cache_misses = c.cache_misses;
-    sat_solve_calls = c.sat_calls;
-    sigma2_queries = c.sigma2_calls;
-    sat_conflicts = c.conflicts;
-    sat_decisions = c.decisions;
-    sat_propagations = c.propagations;
-    fastpath_hits = c.fastpath_hits;
-    fastpath_misses = c.fastpath_misses;
-    classifications = c.classifications;
-    unknowns = c.unknowns;
-    wall_ms = c.time_ms;
-  }
-
-let totals t = stats_of_counters "total" t.total
+let by_scope stats = List.sort (fun a b -> String.compare a.scope b.scope) stats
 
 let per_scope t =
-  Hashtbl.fold (fun name c acc -> stats_of_counters name c :: acc) t.per_scope []
-  |> List.sort (fun a b -> String.compare a.scope b.scope)
+  by_scope (Hashtbl.fold (fun _ c acc -> copy c :: acc) t.per_scope [])
 
 (* --- cross-shard aggregation ---
 
@@ -701,62 +628,18 @@ let per_scope t =
    recorded for the same query multiset (exactly so for cache-disabled
    shards, whose per-query costs are deterministic and context-free). *)
 
-let add_stats ~scope a b =
-  {
-    scope;
-    oracle_calls = a.oracle_calls + b.oracle_calls;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    sat_solve_calls = a.sat_solve_calls + b.sat_solve_calls;
-    sigma2_queries = a.sigma2_queries + b.sigma2_queries;
-    sat_conflicts = a.sat_conflicts + b.sat_conflicts;
-    sat_decisions = a.sat_decisions + b.sat_decisions;
-    sat_propagations = a.sat_propagations + b.sat_propagations;
-    fastpath_hits = a.fastpath_hits + b.fastpath_hits;
-    fastpath_misses = a.fastpath_misses + b.fastpath_misses;
-    classifications = a.classifications + b.classifications;
-    unknowns = a.unknowns + b.unknowns;
-    wall_ms = a.wall_ms +. b.wall_ms;
-  }
-
-let zero_stats scope =
-  {
-    scope;
-    oracle_calls = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    sat_solve_calls = 0;
-    sigma2_queries = 0;
-    sat_conflicts = 0;
-    sat_decisions = 0;
-    sat_propagations = 0;
-    fastpath_hits = 0;
-    fastpath_misses = 0;
-    classifications = 0;
-    unknowns = 0;
-    wall_ms = 0.;
-  }
-
 let merge_stats engines =
-  List.fold_left
-    (fun acc t -> add_stats ~scope:"total" acc (totals t))
-    (zero_stats "total") engines
+  let acc = zero "total" in
+  List.iter (fun t -> add ~into:acc t.total) engines;
+  acc
 
 let merge_per_scope engines =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun t ->
-      List.iter
-        (fun s ->
-          let acc =
-            Option.value (Hashtbl.find_opt tbl s.scope)
-              ~default:(zero_stats s.scope)
-          in
-          Hashtbl.replace tbl s.scope (add_stats ~scope:s.scope acc s))
-        (per_scope t))
+      Hashtbl.iter (fun name c -> add ~into:(bucket tbl name) c) t.per_scope)
     engines;
-  Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
-  |> List.sort (fun a b -> String.compare a.scope b.scope)
+  by_scope (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
 
 let pp_stats ppf s =
   Fmt.pf ppf
@@ -775,32 +658,22 @@ let json_of_stats s =
     s.sigma2_queries s.sat_conflicts s.sat_decisions s.sat_propagations
     s.fastpath_hits s.fastpath_misses s.classifications s.unknowns s.wall_ms
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+let stats_json_parts ~cache ~theories ~total ~scopes =
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf {|{"cache":%b,"theories":%d,"total":%s,"per_semantics":{|}
+    cache theories (json_of_stats total);
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      Ddb_obs.Trace.add_escaped buf s.scope;
+      Printf.bprintf buf {|":%s|} (json_of_stats s))
+    scopes;
+  Buffer.add_string buf "}}";
   Buffer.contents buf
 
-let stats_json_parts ~cache ~theories ~total ~scopes =
-  let scopes =
-    scopes
-    |> List.map (fun s ->
-           Printf.sprintf {|"%s":%s|} (json_escape s.scope) (json_of_stats s))
-    |> String.concat ","
-  in
-  Printf.sprintf {|{"cache":%b,"theories":%d,"total":%s,"per_semantics":{%s}}|}
-    cache theories (json_of_stats total) scopes
-
 let stats_json t =
-  stats_json_parts ~cache:t.cache ~theories:t.next_key ~total:(totals t)
+  stats_json_parts ~cache:t.cache ~theories:t.next_key ~total:t.total
     ~scopes:(per_scope t)
 
 (* Merged shard record, same schema as [stats_json]: [cache] holds iff every

@@ -21,14 +21,12 @@ open Ddb_db
 
 type t
 
-val create : ?cache:bool -> ?fastpath:bool -> ?profile:bool -> unit -> t
+val create : ?cache:bool -> ?fastpath:bool -> unit -> t
 (** A fresh engine; [cache] defaults to [true].  [fastpath] (default
     [true]) gates the fragment fast-path dispatch layer of
     [Ddb_core.Fastpath]: with it off every query runs the generic oracle
-    path — the ablation baseline.  [profile] (default [false]) turns on
-    per-oracle-kind latency histograms and hit/miss counters in the
-    engine's {!Ddb_obs.Metrics} registry; with it off — and no trace
-    active — every oracle op pays a single boolean test. *)
+    path — the ablation baseline.  With no {!Ddb_obs.Trace} active every
+    oracle op's probe is a single boolean test. *)
 
 val cache_enabled : t -> bool
 val fastpath_enabled : t -> bool
@@ -127,15 +125,13 @@ val classify : t -> Db.t -> Ddb_frag.Frag.info
 val fastpath_hit :
   t -> op:string -> Db.t -> (unit -> 'a) -> 'a
 (** Run a polynomial fast-path evaluation: counts one [fastpath_hits],
-    fires one budget probe (like every oracle op), and — under tracing or
-    profiling — emits a [fastpath.<op>] span / latency observation and the
-    [fastpath.hit] metrics counter.  Call inside {!scoped} so the hit is
+    fires one budget probe (like every oracle op), and — under tracing —
+    emits a [fastpath.<op>] span.  Call inside {!scoped} so the hit is
     attributed to its semantics. *)
 
 val fastpath_miss : t -> unit
 (** Record that the dispatch layer fell through to the generic oracle
-    path ([fastpath_misses] counter; [fastpath.miss] metric while
-    profiling). *)
+    path ([fastpath_misses] counter). *)
 
 (** {1 Budgeted (three-valued) evaluation} *)
 
@@ -157,11 +153,10 @@ val budgeted :
     the [sem] scope, and degrades to [Unknown] when the budget trips.
     Only definite answers can have been memoized (the trip unwinds before
     any cache write); each degraded evaluation bumps the [unknowns]
-    counter (total and per-[sem]) and — while profiling — the
-    [budget.exhausted] metrics counter.  [retry] (default [false]) is
+    counter (total and per-[sem]).  [retry] (default [false]) is
     {!Ddb_budget.Budget.run}'s retry ladder: a [Budget_exhausted] answer is
-    retried once with every cap escalated 4x (counted under
-    [budget.retry]).  [group] joins the token to a cancellation group. *)
+    retried once with every cap escalated 4x.  [group] joins the token to
+    a cancellation group. *)
 
 (** {1 Instrumentation} *)
 
@@ -170,41 +165,35 @@ val scoped : t -> string -> (unit -> 'a) -> 'a
     and wall time to the per-semantics bucket [name].  Nested scopes keep
     attributing to the outermost one.  While a {!Ddb_obs.Trace} is active,
     the outermost scope is also emitted as a top-level [scope.<name>] span
-    — the per-semantics lane the [engine.<op>] spans nest under. *)
+    — the per-semantics lane the [engine.<op>] spans nest under.  Each
+    [engine.<op>] span's end event carries [cache_hit] (whether the memo
+    answered); a span whose op raised ends with [unwound] instead. *)
 
-val metrics : t -> Ddb_obs.Metrics.t
-(** The engine's metrics registry: histogram [engine.<op>] (latency in
-    {!Ddb_obs.Trace.metric_unit} units) and counters
-    [engine.<op>.hits]/[.misses] per oracle kind, populated while
-    profiling is on. *)
-
-val metrics_json : t -> string
-(** {!Ddb_obs.Metrics.to_json} of {!metrics} — emit alongside
-    {!stats_json}. *)
-
-val merged_metrics_json : t list -> string
-(** Shards merged with {!Ddb_obs.Metrics.merge}, same schema. *)
-
+(** The engine's one counter record: its total and each semantics' bucket.
+    The same record is the per-engine, per-scope and merged view. *)
 type stats = {
   scope : string;
-  oracle_calls : int;
-  cache_hits : int;
-  cache_misses : int;
-  sat_solve_calls : int;
-  sigma2_queries : int;
-  sat_conflicts : int;
-  sat_decisions : int;
-  sat_propagations : int;
-  fastpath_hits : int;  (** queries answered by a polynomial fast path *)
-  fastpath_misses : int;  (** dispatch fall-throughs to the generic path *)
-  classifications : int;  (** fragment classifications actually computed *)
-  unknowns : int;  (** budgeted evaluations that degraded to [Unknown] *)
-  wall_ms : float;
+  mutable oracle_calls : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable sat_solve_calls : int;
+  mutable sigma2_queries : int;
+  mutable sat_conflicts : int;
+  mutable sat_decisions : int;
+  mutable sat_propagations : int;
+  mutable fastpath_hits : int;  (** queries answered by a polynomial fast path *)
+  mutable fastpath_misses : int;  (** dispatch fall-throughs to the generic path *)
+  mutable classifications : int;  (** fragment classifications actually computed *)
+  mutable unknowns : int;  (** budgeted evaluations that degraded to [Unknown] *)
+  mutable wall_ms : float;
 }
 
 val totals : t -> stats
+(** A copy of the engine total (scope ["total"]): later work does not
+    change it. *)
+
 val per_scope : t -> stats list
-(** Per-semantics buckets, sorted by scope name. *)
+(** Copies of the per-semantics buckets, sorted by scope name. *)
 
 (** {2 Cross-shard aggregation}
 

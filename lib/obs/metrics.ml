@@ -1,12 +1,5 @@
-(* Named counters and log₂-bucketed latency histograms.
-
-   A [Metrics.t] is a registry owned by one engine shard (or any other
-   single-writer component): observation is unsynchronized, and cross-shard
-   aggregation goes through [merge], exactly like the Stats snapshots the
-   batch layer already folds together.  Latencies are sampled with
-   [Trace.metric_now], so under an active logical-clock trace the
-   histograms are deterministic (durations in probe ticks) and the JSON
-   export is byte-stable across runs.
+(* Log₂-bucketed latency histograms, and the per-op table [ddbtool profile]
+   prints, folded from the spans of a trace.
 
    Histogram buckets: bucket 0 holds values < 1, bucket i (1 ≤ i ≤ 63)
    holds values in [2^(i-1), 2^i).  Percentiles are read off the
@@ -22,41 +15,9 @@ type histogram = {
   mutable max_v : float;
 }
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-}
-
 let num_buckets = 64
 
-let create () = { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.histograms
-
-(* ------------------------------------------------------------------ *)
-(* Counters                                                            *)
-
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.add t.counters name r;
-    r
-
-let incr_counter ?(by = 1) t name =
-  let r = counter t name in
-  r := !r + by
-
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-(* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-
-let fresh_histogram () =
+let histogram () =
   {
     buckets = Array.make num_buckets 0;
     count = 0;
@@ -64,14 +25,6 @@ let fresh_histogram () =
     min_v = infinity;
     max_v = neg_infinity;
   }
-
-let histogram t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-    let h = fresh_histogram () in
-    Hashtbl.add t.histograms name h;
-    h
 
 (* Index of the log₂ bucket for a non-negative value. *)
 let bucket_of v =
@@ -87,8 +40,7 @@ let bucket_of v =
     min !i (num_buckets - 1)
   end
 
-let observe t name v =
-  let h = histogram t name in
+let observe h v =
   let v = if v < 0. then 0. else v in
   h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
   h.count <- h.count + 1;
@@ -143,87 +95,37 @@ let summarize (h : histogram) =
       p99 = percentile h 0.99;
     }
 
-let histogram_summary t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> summarize h
-  | None -> summarize (fresh_histogram ())
-
 (* ------------------------------------------------------------------ *)
-(* Enumeration (sorted by name — export order is deterministic)        *)
+(* Per-op rows from trace spans                                        *)
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+type row = { op : string; latency : summary; hits : int; misses : int }
 
-let counter_values t =
-  List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.counters)
+let is_op name =
+  String.starts_with ~prefix:"engine." name
+  || String.starts_with ~prefix:"fastpath." name
 
-let histogram_summaries t =
-  List.map (fun (k, h) -> (k, summarize h)) (sorted_bindings t.histograms)
-
-(* ------------------------------------------------------------------ *)
-(* Merge — cross-shard aggregation                                     *)
-
-let merge_into ~into src =
-  List.iter (fun (k, v) -> incr_counter ~by:v into k) (counter_values src);
-  Hashtbl.iter
-    (fun k (h : histogram) ->
-      if h.count > 0 then begin
-        let dst = histogram into k in
-        Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) h.buckets;
-        dst.count <- dst.count + h.count;
-        dst.sum <- dst.sum +. h.sum;
-        if h.min_v < dst.min_v then dst.min_v <- h.min_v;
-        if h.max_v > dst.max_v then dst.max_v <- h.max_v
+let op_rows spans =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (s : Trace.span) ->
+      if is_op s.name && not (List.mem_assoc "unwound" s.args) then begin
+        let h, hits, misses =
+          match Hashtbl.find_opt tbl s.name with
+          | Some acc -> acc
+          | None ->
+            let acc = (histogram (), ref 0, ref 0) in
+            Hashtbl.add tbl s.name acc;
+            acc
+        in
+        observe h (float_of_int s.dur);
+        match List.assoc_opt "cache_hit" s.args with
+        | Some (Trace.Bool true) -> incr hits
+        | Some (Trace.Bool false) -> incr misses
+        | _ -> ()
       end)
-    src.histograms
-
-let merge ts =
-  let out = create () in
-  List.iter (fun t -> merge_into ~into:out t) ts;
-  out
-
-(* ------------------------------------------------------------------ *)
-(* JSON export                                                         *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let fnum f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.3f" f
-
-let to_json ?(unit = Trace.metric_unit ()) t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"unit\":\"";
-  Buffer.add_string buf (json_escape unit);
-  Buffer.add_string buf "\",\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    (counter_values t);
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-           (json_escape k) s.count (fnum s.sum) (fnum s.min) (fnum s.max)
-           (fnum s.p50) (fnum s.p90) (fnum s.p99)))
-    (histogram_summaries t);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+    spans;
+  Hashtbl.fold
+    (fun op (h, hits, misses) acc ->
+      { op; latency = summarize h; hits = !hits; misses = !misses } :: acc)
+    tbl []
+  |> List.sort (fun a b -> String.compare a.op b.op)

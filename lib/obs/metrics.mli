@@ -1,22 +1,5 @@
-(** Named counters + log₂-bucketed latency histograms with p50/p90/p99
-    summaries, a cross-shard [merge], and a deterministic JSON export that
-    sits alongside [Engine.stats_json].
-
-    A registry is single-writer (one per engine shard); aggregate shards
-    with {!merge}.  Latency observations should sample
-    {!Trace.metric_now}, which is deterministic (probe ticks) while a
-    logical-clock trace is active. *)
-
-type t
-
-val create : unit -> t
-val clear : t -> unit
-
-(** {1 Counters} *)
-
-val incr_counter : ?by:int -> t -> string -> unit
-val counter_value : t -> string -> int
-(** 0 when the counter was never touched. *)
+(** Log₂-bucketed latency histograms with p50/p90/p99 summaries, and the
+    per-op latency table folded from a trace's spans. *)
 
 (** {1 Histograms}
 
@@ -24,7 +7,12 @@ val counter_value : t -> string -> int
     Percentile estimates are bucket upper edges clamped to the observed
     [min, max] — within a factor of 2 of the true order statistic. *)
 
-val observe : t -> string -> float -> unit
+type histogram
+
+val histogram : unit -> histogram
+(** An empty histogram. *)
+
+val observe : histogram -> float -> unit
 (** Record one (non-negative; clamped) latency/size sample. *)
 
 type summary = {
@@ -37,25 +25,18 @@ type summary = {
   p99 : float;
 }
 
-val histogram_summary : t -> string -> summary
-(** All-zero summary when the histogram was never touched. *)
+val summarize : histogram -> summary
+(** All-zero summary for an empty histogram. *)
 
-(** {1 Enumeration} — sorted by name, so exports are deterministic. *)
+(** {1 Per-op rows} *)
 
-val counter_values : t -> (string * int) list
-val histogram_summaries : t -> (string * summary) list
+type row = {
+  op : string;  (** the span name: [engine.<op>] or [fastpath.<op>] *)
+  latency : summary;  (** span durations, in the trace clock's unit *)
+  hits : int;  (** end events with [cache_hit = true] *)
+  misses : int;  (** end events with [cache_hit = false] *)
+}
 
-(** {1 Aggregation} *)
-
-val merge : t list -> t
-(** Pointwise: counters add; histogram buckets/count/sum add, min/max take
-    the extrema.  [merge \[\]] is the zero registry; merge is associative
-    and commutative up to the (sorted) export order. *)
-
-val merge_into : into:t -> t -> unit
-
-(** {1 Export} *)
-
-val to_json : ?unit:string -> t -> string
-(** [{"unit":…,"counters":{…},"histograms":{…}}] with names sorted;
-    [unit] defaults to {!Trace.metric_unit} at export time. *)
+val op_rows : Trace.span list -> row list
+(** One row per oracle-op or fast-path span name, sorted by name.  Spans
+    that ended [unwound] (their op raised) are not counted. *)

@@ -152,24 +152,6 @@ let with_span ?(args = []) n f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Metric clock: the time source latency histograms sample.  Under an
-   active Logical trace it is the same per-domain tick counter the events
-   use (durations stay deterministic); otherwise wall microseconds. *)
-
-let metric_now () =
-  if Atomic.get enabled_flag && Atomic.get clock_mode = Logical then begin
-    let b = my_buf () in
-    let t = b.tick in
-    b.tick <- t + 1;
-    float_of_int t
-  end
-  else Unix.gettimeofday () *. 1e6
-
-let metric_unit () =
-  if Atomic.get enabled_flag && Atomic.get clock_mode = Logical then "ticks"
-  else "us"
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
 let n_trace_start = name "trace.start"
@@ -225,6 +207,36 @@ let dump () =
       List.init b.len (fun i ->
           let e = b.events.(i) in
           (b.tid, string_of_name e.ev_name, e.ph, e.ts)))
+    (sorted_bufs ())
+
+type span = { name : string; dur : int; args : (string * value) list }
+
+(* Pair each buffer's begin and end events with a stack (a buffer belongs
+   to one domain, so its spans nest).  Spans left open, or cut by the
+   event cap, are skipped. *)
+let spans () =
+  List.concat_map
+    (fun b ->
+      let open_ = Stack.create () in
+      let out = ref [] in
+      for i = 0 to b.len - 1 do
+        let e = b.events.(i) in
+        match e.ph with
+        | 'B' -> Stack.push e.ts open_
+        | 'E' -> (
+          match Stack.pop_opt open_ with
+          | Some ts0 ->
+            out :=
+              {
+                name = string_of_name e.ev_name;
+                dur = e.ts - ts0;
+                args = List.map (fun (k, v) -> (string_of_name k, v)) e.args;
+              }
+              :: !out
+          | None -> ())
+        | _ -> ()
+      done;
+      List.rev !out)
     (sorted_bufs ())
 
 (* ------------------------------------------------------------------ *)

@@ -64,16 +64,6 @@ val instant_args : name -> (name * value) list -> unit
 val with_span : ?args:(name * value) list -> name -> (unit -> 'a) -> 'a
 (** Begin/end around the thunk, exception-safe ([Fun.protect]). *)
 
-(** {1 Metric clock}
-
-    The time source latency histograms ({!Metrics}) sample: per-domain
-    ticks while a {!Logical} trace is active (deterministic durations),
-    wall µs otherwise. *)
-
-val metric_now : unit -> float
-val metric_unit : unit -> string
-(** ["ticks"] or ["us"], matching {!metric_now}. *)
-
 (** {1 Draining}
 
     Only drain while no domain is emitting (after the pool joined or shut
@@ -86,9 +76,23 @@ val dump : unit -> (int * string * char * int) list
 (** [(tid, name, phase, ts)] per event, in output order (ascending tid,
     buffer order within a tid) — the structured view tests validate. *)
 
+type span = {
+  name : string;
+  dur : int;  (** end minus begin timestamp: µs ({!Wall}) or ticks *)
+  args : (string * value) list;  (** the end event's attributes *)
+}
+
+val spans : unit -> span list
+(** Every closed span, in order of its end event within each buffer,
+    buffers in output order.  Spans still open are left out. *)
+
 val to_string : unit -> string
 (** The Chrome trace-event JSON object
     [{"traceEvents":[…],"displayTimeUnit":…,"otherData":{…}}]. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append a string's JSON escaping (no surrounding quotes) — the one
+    escaper every hand-rolled JSON writer here uses. *)
 
 val write : out_channel -> unit
 val write_file : string -> unit

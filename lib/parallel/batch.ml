@@ -25,12 +25,10 @@ type t = {
   pinned : bool;
 }
 
-let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false)
-    ?(profile = false) () =
+let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false) () =
   let pool = Pool.create ?jobs () in
   let engines =
-    Array.init (Pool.jobs pool) (fun _ ->
-        Engine.create ~cache ~fastpath ~profile ())
+    Array.init (Pool.jobs pool) (fun _ -> Engine.create ~cache ~fastpath ())
   in
   let sems =
     Array.map
@@ -46,15 +44,14 @@ let jobs t = Pool.jobs t.pool
 let engines t = Array.to_list t.engines
 let shutdown t = Pool.shutdown t.pool
 
-let with_batch ?jobs ?cache ?fastpath ?pinned ?profile f =
-  let t = create ?jobs ?cache ?fastpath ?pinned ?profile () in
+let with_batch ?jobs ?cache ?fastpath ?pinned f =
+  let t = create ?jobs ?cache ?fastpath ?pinned () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Every sweep routes through this: chunked (dynamic placement, fastest)
-   normally, statically pinned when the batch was created for tracing or
-   profiling — item→worker placement then is a pure function of the query
-   list, so per-worker trace streams and per-shard metrics are
-   reproducible. *)
+   normally, statically pinned when the batch was created for tracing —
+   item→worker placement then is a pure function of the query list, so
+   per-worker trace streams and per-shard counters are reproducible. *)
 let map t ?cancel_on_error ?chunk_size f xs =
   if t.pinned then Parallel.map_pinned_in t.pool ?cancel_on_error f xs
   else Parallel.map_chunked_in t.pool ?cancel_on_error ?chunk_size f xs
@@ -173,7 +170,6 @@ let instance_sweep t ?sems dbs =
   regroup (List.map (fun db -> List.length (default_sems db sems)) dbs) swept
 
 let totals t = Engine.merge_stats (engines t)
-let metrics_json t = Engine.merged_metrics_json (engines t)
 let per_scope t = Engine.merge_per_scope (engines t)
 let stats_json t = Engine.merged_stats_json (engines t)
 let reset t = Array.iter Engine.reset t.engines

@@ -24,7 +24,6 @@ val create :
   ?cache:bool ->
   ?fastpath:bool ->
   ?pinned:bool ->
-  ?profile:bool ->
   unit ->
   t
 (** [jobs] defaults to {!Pool.recommended_jobs}; [cache] (default [true])
@@ -34,10 +33,8 @@ val create :
     generic-oracle ablation baseline.
     [pinned] (default [false]) routes every sweep through
     {!Parallel.map_pinned_in} — item [k] on worker [k mod jobs] — so that
-    per-worker trace streams and per-shard metrics are reproducible; turn
-    it on together with a {!Ddb_obs.Trace} or [profile].  [profile]
-    (default [false]) enables the shards' metrics registries
-    ({!Ddb_engine.Engine.create} [~profile]). *)
+    per-worker trace streams and per-shard counters are reproducible; turn
+    it on together with a {!Ddb_obs.Trace}. *)
 
 val jobs : t -> int
 val engines : t -> Ddb_engine.Engine.t list
@@ -49,7 +46,6 @@ val with_batch :
   ?cache:bool ->
   ?fastpath:bool ->
   ?pinned:bool ->
-  ?profile:bool ->
   (t -> 'a) ->
   'a
 
@@ -123,11 +119,6 @@ val totals : t -> Ddb_engine.Engine.stats
 val per_scope : t -> Ddb_engine.Engine.stats list
 val stats_json : t -> string
 (** {!Ddb_engine.Engine.merged_stats_json} of the shards. *)
-
-val metrics_json : t -> string
-(** {!Ddb_engine.Engine.merged_metrics_json} of the shards — per-worker
-    metrics registries merged in worker-index order (empty unless the
-    batch was created with [~profile:true]). *)
 
 val reset : t -> unit
 (** {!Ddb_engine.Engine.reset} every shard: counters to zero, caches and

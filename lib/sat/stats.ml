@@ -11,8 +11,8 @@
    The counters are domain-local (Domain.DLS): each domain of the parallel
    batch layer accumulates its own set, so concurrent workers never race on
    an increment and a snapshot/delta window taken on one domain is exact for
-   the work that domain did.  Aggregation across domains is explicit:
-   [merge] sums snapshots collected per shard. *)
+   the work that domain did.  Aggregation across domains happens one layer
+   up, in the engine's per-shard stats records. *)
 
 type counters = {
   mutable sat : int;
@@ -56,8 +56,6 @@ type snapshot = {
   propagations : int;
 }
 
-let zero = { sat = 0; sigma2 = 0; conflicts = 0; decisions = 0; propagations = 0 }
-
 let snapshot () =
   let c = counters () in
   {
@@ -77,19 +75,3 @@ let delta before =
     decisions = now.decisions - before.decisions;
     propagations = now.propagations - before.propagations;
   }
-
-let merge snaps =
-  List.fold_left
-    (fun acc s ->
-      {
-        sat = acc.sat + s.sat;
-        sigma2 = acc.sigma2 + s.sigma2;
-        conflicts = acc.conflicts + s.conflicts;
-        decisions = acc.decisions + s.decisions;
-        propagations = acc.propagations + s.propagations;
-      })
-    zero snaps
-
-let pp ppf s =
-  Fmt.pf ppf "sat=%d sigma2=%d conflicts=%d decisions=%d propagations=%d"
-    s.sat s.sigma2 s.conflicts s.decisions s.propagations

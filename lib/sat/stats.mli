@@ -8,9 +8,8 @@
     The counters are {e domain-local} (one independent set per [Domain.t]):
     a worker domain of the parallel batch layer only ever observes its own
     solver work, so snapshot/delta windows stay exact under domain
-    parallelism.  Cross-domain aggregation is explicit, via {!merge} on
-    snapshots collected per domain (or {!Ddb_engine.Engine.merge_stats} one
-    layer up). *)
+    parallelism.  Cross-domain aggregation happens one layer up, in
+    {!Ddb_engine.Engine.merge_stats}. *)
 
 val bump_sat : unit -> unit
 val bump_sigma2 : unit -> unit
@@ -26,15 +25,8 @@ type snapshot = {
   propagations : int;
 }
 
-val zero : snapshot
-
 val snapshot : unit -> snapshot
 (** The calling domain's counters. *)
 
 val delta : snapshot -> snapshot
 (** Counts accumulated in the calling domain since the snapshot. *)
-
-val merge : snapshot list -> snapshot
-(** Field-wise sum — the cross-shard aggregation primitive. *)
-
-val pp : Format.formatter -> snapshot -> unit

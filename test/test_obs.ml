@@ -2,109 +2,23 @@ open Ddb_db
 open Ddb_workload
 open Ddb_parallel
 open Alcotest
-module Stats = Ddb_sat.Stats
 module Trace = Ddb_obs.Trace
 module Metrics = Ddb_obs.Metrics
 module Engine = Ddb_engine.Engine
 module Budget = Ddb_budget.Budget
 
-(* Tests for the observability layer: the Stats.merge monoid (qcheck), the
-   Metrics registry (merge algebra, percentile sanity, deterministic JSON),
-   the trace recorder (balanced spans, deterministic logical-clock output,
-   probe gating), the engine/solver probe sites, and the pinned scheduler
-   that makes parallel traces reproducible. *)
+(* Tests for the observability layer: histogram summaries, the trace
+   recorder (balanced spans, deterministic logical-clock output, probe
+   gating), the engine/solver probe sites, the profile table's agreement
+   with the stats record, and the pinned scheduler that makes parallel
+   traces reproducible. *)
 
-(* --- Stats.merge is a commutative monoid with identity [zero] --- *)
-
-let snap_arb =
-  QCheck.make
-    ~print:(fun s -> Fmt.str "%a" Stats.pp s)
-    QCheck.Gen.(
-      int_bound 1000 >>= fun sat ->
-      int_bound 1000 >>= fun sigma2 ->
-      int_bound 1000 >>= fun conflicts ->
-      int_bound 1000 >>= fun decisions ->
-      int_bound 1000 >>= fun propagations ->
-      return { Stats.sat; sigma2; conflicts; decisions; propagations })
-
-let qcheck_stats_merge_associative =
-  QCheck.Test.make ~count:(Gen.qcheck_count 100)
-    ~name:"stats: merge is associative (and equals the flat fold)"
-    (QCheck.triple snap_arb snap_arb snap_arb)
-    (fun (a, b, c) ->
-      let left = Stats.merge [ Stats.merge [ a; b ]; c ] in
-      let right = Stats.merge [ a; Stats.merge [ b; c ] ] in
-      let flat = Stats.merge [ a; b; c ] in
-      left = right && left = flat)
-
-let qcheck_stats_merge_commutative =
-  QCheck.Test.make ~count:(Gen.qcheck_count 100)
-    ~name:"stats: merge is commutative" (QCheck.pair snap_arb snap_arb)
-    (fun (a, b) -> Stats.merge [ a; b ] = Stats.merge [ b; a ])
-
-let qcheck_stats_merge_zero_identity =
-  QCheck.Test.make ~count:(Gen.qcheck_count 100)
-    ~name:"stats: zero is a two-sided merge identity" snap_arb (fun a ->
-      Stats.merge [ a; Stats.zero ] = a
-      && Stats.merge [ Stats.zero; a ] = a
-      && Stats.merge [] = Stats.zero)
-
-(* --- Metrics: merge algebra and summaries --- *)
-
-let registry_of (counters, observations) =
-  let m = Metrics.create () in
-  List.iter (fun (k, by) -> Metrics.incr_counter ~by m k) counters;
-  List.iter (fun (k, v) -> Metrics.observe m k v) observations;
-  m
-
-let metrics_input_arb =
-  let open QCheck.Gen in
-  let key = oneofl [ "engine.sat"; "engine.support"; "qbf.cegar" ] in
-  let counters = small_list (pair key (int_range 1 50)) in
-  let observations = small_list (pair key (float_bound_inclusive 1e6)) in
-  QCheck.make
-    ~print:(fun (cs, os) ->
-      Fmt.str "counters=%a obs=%a"
-        Fmt.(Dump.list (Dump.pair string int))
-        cs
-        Fmt.(Dump.list (Dump.pair string float))
-        os)
-    (pair counters observations)
-
-let qcheck_metrics_merge_algebra =
-  QCheck.Test.make ~count:(Gen.qcheck_count 50)
-    ~name:
-      "metrics: merge is associative/commutative up to to_json, counts add"
-    (QCheck.triple metrics_input_arb metrics_input_arb metrics_input_arb)
-    (fun (ia, ib, ic) ->
-      let json inputs =
-        Metrics.to_json ~unit:"us" (Metrics.merge (List.map registry_of inputs))
-      in
-      let assoc_comm =
-        json [ ia; ib; ic ] = json [ ic; ia; ib ]
-        && json [ ia; ib ] = json [ ib; ia ]
-      in
-      (* pointwise: a merged histogram's count is the sum of the parts' *)
-      let a = registry_of ia and b = registry_of ib in
-      let merged = Metrics.merge [ a; b ] in
-      let counts m =
-        List.fold_left
-          (fun acc (_, s) -> acc + s.Metrics.count)
-          0
-          (Metrics.histogram_summaries m)
-      in
-      let counters_add =
-        List.for_all
-          (fun (k, v) ->
-            v = Metrics.counter_value a k + Metrics.counter_value b k)
-          (Metrics.counter_values merged)
-      in
-      assoc_comm && counts merged = counts a + counts b && counters_add)
+(* --- Histogram summaries --- *)
 
 let metrics_summary_sanity () =
-  let m = Metrics.create () in
-  List.iter (Metrics.observe m "lat") [ 3.; 700.; 0.2; 15.; 15.; 90. ];
-  let s = Metrics.histogram_summary m "lat" in
+  let h = Metrics.histogram () in
+  List.iter (Metrics.observe h) [ 3.; 700.; 0.2; 15.; 15.; 90. ];
+  let s = Metrics.summarize h in
   check int "count" 6 s.Metrics.count;
   check (float 1e-9) "sum" 823.2 s.Metrics.sum;
   check (float 1e-9) "min" 0.2 s.Metrics.min;
@@ -117,23 +31,6 @@ let metrics_summary_sanity () =
      median (here between 15 and 90) *)
   check bool "p50 near the median" true
     (s.Metrics.p50 >= 8. && s.Metrics.p50 <= 180.)
-
-let metrics_zero_and_json () =
-  let empty = Metrics.merge [] in
-  check (list (pair string int)) "empty counters" []
-    (Metrics.counter_values empty);
-  check string "empty json" {|{"unit":"us","counters":{},"histograms":{}}|}
-    (Metrics.to_json ~unit:"us" empty);
-  let m = registry_of ([ ("b", 2); ("a", 1) ], [ ("h", 4.) ]) in
-  (* names are emitted sorted, so the export is deterministic *)
-  let j = Metrics.to_json ~unit:"us" m in
-  check string "deterministic json" j (Metrics.to_json ~unit:"us" m);
-  check (list (pair string int)) "sorted counters"
-    [ ("a", 1); ("b", 2) ]
-    (Metrics.counter_values m);
-  (* merging with the zero registry changes nothing observable *)
-  check string "zero identity" j
-    (Metrics.to_json ~unit:"us" (Metrics.merge [ m; Metrics.create () ]))
 
 (* --- Trace recorder mechanics --- *)
 
@@ -175,6 +72,26 @@ let trace_gating () =
     (List.exists
        (fun (_, name, ph, _) -> name = "trace.start" && ph = 'i')
        (Trace.dump ()))
+
+(* Spans pair begin and end events per lane, innermost first; a span still
+   open when the trace is read is left out. *)
+let spans_pair_nested_events () =
+  let a = Trace.name "t.a" and b = Trace.name "t.b" and c = Trace.name "t.c" in
+  with_trace (fun () ->
+      Trace.begin_ a;
+      Trace.begin_ b;
+      Trace.end_args b [ (Trace.name "k", Trace.Int 7) ];
+      Trace.end_ a;
+      Trace.begin_ c);
+  check
+    (list (pair string int))
+    "closed spans with logical durations"
+    [ ("t.b", 1); ("t.a", 3) ]
+    (List.map (fun (s : Trace.span) -> (s.name, s.dur)) (Trace.spans ()));
+  check bool "end-event args kept" true
+    (List.exists
+       (fun (s : Trace.span) -> s.args = [ ("k", Trace.Int 7) ])
+       (Trace.spans ()))
 
 let traced_engine_run () =
   with_trace (fun () ->
@@ -276,63 +193,134 @@ let pinned_sweep_equals_chunked () =
     (list (pair string (list (pair lit answer))))
     "pinned placement changes nothing observable" chunked pinned
 
-(* --- engine metrics (profile mode) --- *)
+(* --- the profile table agrees with the stats record ---
 
-let engine_profile_metrics () =
-  let db = Random_db.with_integrity ~seed:13 ~num_vars:5 in
-  let eng = Engine.create ~profile:true () in
-  List.iter
-    (fun sem -> ignore (Ddb_core.Registry.has_model_in eng ~sem db))
-    (Ddb_core.Registry.applicable_names db);
-  let m = Engine.metrics eng in
-  let total_hits_misses op =
-    Metrics.counter_value m (op ^ ".hits") + Metrics.counter_value m (op ^ ".misses")
+   [ddbtool profile]'s rows are folded from the op spans of a traced
+   sweep; the engine's stats record counts the same ops.  At jobs 1 and at
+   pinned jobs 2: the [engine.*] rows' counts sum to [oracle_calls]; on
+   cached shards their hits and misses sum to [cache_hits] and
+   [cache_misses]; on a definite-Horn database the [fastpath.*] rows'
+   counts sum to [fastpath_hits]. *)
+
+let traced_sweep ~jobs ~cache db =
+  let totals =
+    with_trace (fun () ->
+        Batch.with_batch ~jobs ~pinned:true ~cache (fun b ->
+            ignore (Batch.literal_sweep b db);
+            ignore (Batch.exists_sweep b db);
+            Batch.totals b))
   in
-  check bool "histograms recorded" true (Metrics.histogram_summaries m <> []);
-  List.iter
-    (fun (op, s) ->
-      check bool (op ^ " count matches hit+miss counters") true
-        (s.Metrics.count = total_hits_misses op))
-    (Metrics.histogram_summaries m);
-  let json = Engine.metrics_json eng in
-  check bool "metrics json has engine histograms" true
-    (contains json {|"engine.|});
-  (* profiling off: the registry stays empty *)
-  let quiet = Engine.create () in
-  ignore (Ddb_core.Registry.has_model_in quiet ~sem:"gcwa" db);
-  check (list (pair string int)) "no metrics without profile" []
-    (Metrics.counter_values (Engine.metrics quiet))
+  (Metrics.op_rows (Trace.spans ()), totals)
 
-let batch_merged_metrics () =
-  let db = Random_db.with_integrity ~seed:23 ~num_vars:5 in
-  Batch.with_batch ~jobs:3 ~pinned:true ~profile:true (fun b ->
-      ignore (Batch.literal_sweep b db);
-      let json = Batch.metrics_json b in
-      check bool "merged shard metrics non-empty" true
-        (contains json {|"engine.|});
-      (* the merged export equals merging the shards by hand, in order *)
-      check string "merge equals Engine.merged_metrics_json" json
-        (Engine.merged_metrics_json (Batch.engines b)))
+let sum_rows prefix f rows =
+  List.fold_left
+    (fun acc (r : Metrics.row) ->
+      if String.starts_with ~prefix r.op then acc + f r else acc)
+    0 rows
+
+let profile_rows_match_stats () =
+  let count (r : Metrics.row) = r.latency.Metrics.count in
+  List.iter
+    (fun jobs ->
+      let at what = Printf.sprintf "jobs %d: %s" jobs what in
+      let db = Random_db.with_integrity ~seed:13 ~num_vars:5 in
+      List.iter
+        (fun cache ->
+          let rows, st = traced_sweep ~jobs ~cache db in
+          check bool (at "engine rows present") true
+            (sum_rows "engine." count rows > 0);
+          check int (at "engine counts = oracle_calls") st.Engine.oracle_calls
+            (sum_rows "engine." count rows);
+          if cache then begin
+            check int (at "hits = cache_hits") st.Engine.cache_hits
+              (sum_rows "engine." (fun r -> r.hits) rows);
+            check int (at "misses = cache_misses") st.Engine.cache_misses
+              (sum_rows "engine." (fun r -> r.misses) rows)
+          end)
+        [ true; false ];
+      let horn = Random_db.definite ~seed:5 ~num_vars:6 () in
+      let rows, st = traced_sweep ~jobs ~cache:true horn in
+      check bool (at "fast-path cells taken") true (st.Engine.fastpath_hits > 0);
+      check int (at "fastpath counts = fastpath_hits") st.Engine.fastpath_hits
+        (sum_rows "fastpath." count rows))
+    [ 1; 2 ]
+
+(* The fold itself: op spans only, hits and misses off [cache_hit], and a
+   span that ended [unwound] left out. *)
+let op_rows_fold () =
+  let span ?(args = []) name dur = { Trace.name; dur; args } in
+  let rows =
+    Metrics.op_rows
+      [
+        span "engine.sat" 4 ~args:[ ("cache_hit", Trace.Bool true) ];
+        span "scope.gcwa" 50;
+        span "engine.sat" 2 ~args:[ ("cache_hit", Trace.Bool false) ];
+        span "engine.sat" 9 ~args:[ ("unwound", Trace.Bool true) ];
+        span "fastpath.gcwa/literal" 1;
+        span "sat.solve" 3;
+      ]
+  in
+  check
+    (list (pair string (list int)))
+    "rows"
+    [ ("engine.sat", [ 2; 1; 1; 6 ]); ("fastpath.gcwa/literal", [ 1; 0; 0; 1 ]) ]
+    (List.map
+       (fun (r : Metrics.row) ->
+         ( r.op,
+           [ r.latency.Metrics.count; r.hits; r.misses;
+             int_of_float r.latency.Metrics.sum ] ))
+       rows)
+
+(* A budget trip inside an op ends its span [unwound]: the trace stays
+   balanced, and the op is not counted. *)
+let tripped_ops_unwound () =
+  let db = Random_db.with_integrity ~seed:13 ~num_vars:5 in
+  let events, spans =
+    with_trace (fun () ->
+        let eng = Engine.create ~cache:false () in
+        List.iter
+          (fun sem ->
+            List.iter
+              (fun x ->
+                ignore
+                  (Engine.budgeted eng (Budget.limits ~ticks:3 ()) ~sem
+                     (fun () ->
+                       Ddb_core.Registry.infer_literal_in eng ~sem db
+                         (Ddb_logic.Lit.Neg x))))
+              (List.init (Db.num_vars db) Fun.id))
+          (Ddb_core.Registry.applicable_names db));
+    (Trace.dump (), Trace.spans ())
+  in
+  check bool "balanced" true (spans_balanced events);
+  let engine_spans =
+    List.filter
+      (fun (s : Trace.span) -> String.starts_with ~prefix:"engine." s.name)
+      spans
+  in
+  let unwound =
+    List.length
+      (List.filter
+         (fun (s : Trace.span) -> List.mem_assoc "unwound" s.args)
+         engine_spans)
+  in
+  check bool "some op unwound" true (unwound > 0);
+  check int "unwound ops not counted"
+    (List.length engine_spans - unwound)
+    (sum_rows "engine." (fun r -> r.latency.Metrics.count)
+       (Metrics.op_rows spans))
 
 let suites =
   [
-    ( "obs.stats_merge",
-      [
-        QCheck_alcotest.to_alcotest qcheck_stats_merge_associative;
-        QCheck_alcotest.to_alcotest qcheck_stats_merge_commutative;
-        QCheck_alcotest.to_alcotest qcheck_stats_merge_zero_identity;
-      ] );
     ( "obs.metrics",
       [
-        QCheck_alcotest.to_alcotest qcheck_metrics_merge_algebra;
         test_case "summary: count/sum/extrema/percentile sanity" `Quick
           metrics_summary_sanity;
-        test_case "zero registry and deterministic JSON export" `Quick
-          metrics_zero_and_json;
       ] );
     ( "obs.trace",
       [
         test_case "probes record only while enabled" `Quick trace_gating;
+        test_case "spans pair nested begin/end events" `Quick
+          spans_pair_nested_events;
         test_case "engine run: balanced spans with oracle/solver probes"
           `Quick engine_spans_present;
         test_case "logical clock: byte-identical traces across runs" `Quick
@@ -349,9 +337,11 @@ let suites =
       ] );
     ( "obs.profile",
       [
-        test_case "engine profile metrics and gating" `Quick
-          engine_profile_metrics;
-        test_case "batch merges shard metrics in worker order" `Quick
-          batch_merged_metrics;
+        test_case "span rows sum to the stats record (jobs 1, pinned 2)"
+          `Quick profile_rows_match_stats;
+        test_case "op_rows: op spans only, unwound spans skipped" `Quick
+          op_rows_fold;
+        test_case "a tripped op ends its span unwound" `Quick
+          tripped_ops_unwound;
       ] );
   ]
