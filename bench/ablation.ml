@@ -41,13 +41,13 @@ let engines ~jobs () =
           time_ms (fun () ->
               List.for_all
                 (fun m -> Formula.eval m f)
-                (Egcwa.reference_models db))
+                (Ddb_db.Models.brute_minimal_models db))
       in
       let oracle_ms =
         time_ms (fun () ->
-            Egcwa.infer_formula_in
+            Registry.infer_formula_in
               (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-              db f)
+              ~sem:"egcwa" db f)
       in
       (n, reference_ms, oracle_ms))
     (fun (n, reference_ms, oracle_ms) ->

@@ -98,9 +98,9 @@ let sigma2_realizations () =
       let t0 = Unix.gettimeofday () in
       let direct =
         not
-          (Gcwa.entails_neg_literal_in
+          (Ccwa.entails_neg_literal_in
              (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-             db x)
+             db (Partition.minimize_all n) x)
       in
       let t1 = Unix.gettimeofday () in
       let via_qbf = Qbf_encodings.gcwa_refutes_neg_literal_qbf db x in

@@ -57,8 +57,7 @@ let measure ~n ~instance ~task =
   }
 
 type cell = {
-  semantics : string;
-  task : Classes.task;
+  entry : Classes.entry; (* the claimed cell of Table 1/2 it measures *)
   sizes : int list;
   instance : seed:int -> num_vars:int -> Db.t;
   run : Db.t -> bool;
@@ -97,23 +96,19 @@ let pp_rung ppf = function
   | Timeout n ->
     Fmt.pf ppf "n=%-4d  timeout (over %.0f s)" n (rung_deadline_ms /. 1000.)
 
-let print_cell ~setting cell results =
-  let claimed =
-    match Classes.lookup ~semantics:cell.semantics ~setting ~task:cell.task with
-    | Some entry ->
-      Printf.sprintf "%s%s"
-        (Classes.complexity_to_string entry.Classes.claimed)
-        (match entry.Classes.provenance with
-        | Classes.Stated -> ""
-        | Classes.Reconstructed -> " (reconstructed)")
-    | None -> "?"
-  in
-  Fmt.pr "  %-6s %-18s  claimed: %-40s@." cell.semantics
-    (Classes.task_to_string cell.task)
-    claimed;
+let print_cell { entry = e; _ } results =
+  Fmt.pr "  %-6s %-18s  claimed: %-40s@." e.Classes.semantics
+    (Classes.task_to_string e.Classes.task)
+    (Classes.complexity_to_string e.Classes.claimed
+    ^ if e.Classes.provenance = Classes.Reconstructed then " (reconstructed)"
+      else "");
   Fmt.pr "    @[<v>%a@]@." (Fmt.list ~sep:Fmt.cut pp_rung) results
 
-(* ---- the cells ---- *)
+(* ---- the cells ----
+
+   A row is (semantics, instance family, literal/formula/exists sizes).
+   Each of its three cells runs the registry record on [base ()], except
+   where the paper's algorithm is a different procedure ([paper_cell]). *)
 
 let small = [ 6; 10; 14 ]
 let medium = [ 10; 20; 40; 80 ]
@@ -133,164 +128,99 @@ let bench_partition num_vars =
 let stratified_instance ~seed ~num_vars =
   Random_db.stratified ~seed ~num_vars ()
 
-let table1_cells : cell list =
-  let pos = Random_db.positive in
-  [
-    (* GCWA *)
-    { semantics = "gcwa"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Gcwa.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "gcwa"; task = Classes.Formula; sizes = medium;
-      instance = pos;
-      run = (fun db -> (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)).Oracle_algorithms.answer) };
-    { semantics = "gcwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = (fun db -> Db.is_positive_ddb db) };
-    (* DDR *)
-    { semantics = "ddr"; task = Classes.Literal; sizes = large;
-      instance = pos; run = (fun db -> Ddr.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "ddr"; task = Classes.Formula; sizes = large;
-      instance = pos; run = (fun db -> Ddr.infer_formula_in (base ()) db (random_query db)) };
-    { semantics = "ddr"; task = Classes.Exists; sizes = large;
-      instance = pos; run = (fun db -> Ddr.has_model_in (base ()) db) };
-    (* PWS *)
-    { semantics = "pws"; task = Classes.Literal; sizes = large;
-      instance = pos; run = (fun db -> Pws.infer_literal db (neg_literal db)) };
-    { semantics = "pws"; task = Classes.Formula; sizes = medium;
-      instance = pos; run = (fun db -> Pws.infer_formula db (random_query db)) };
-    { semantics = "pws"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Pws.has_model };
-    (* EGCWA *)
-    { semantics = "egcwa"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Egcwa.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "egcwa"; task = Classes.Formula; sizes = medium;
-      instance = pos; run = (fun db -> Egcwa.infer_formula_in (base ()) db (random_query db)) };
-    { semantics = "egcwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = (fun db -> Egcwa.has_model_in (base ()) db) };
-    (* CCWA *)
-    { semantics = "ccwa"; task = Classes.Literal; sizes = medium;
-      instance = pos;
-      run = (fun db -> Ccwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "ccwa"; task = Classes.Formula; sizes = [ 10; 20; 40 ];
-      (* the support computation under a nontrivial partition is the
-         hardest oracle in the suite; n = 80 costs tens of seconds *)
-      instance = pos;
-      run = (fun db ->
-        (Oracle_algorithms.ccwa_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
-    { semantics = "ccwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = (fun db -> Db.is_positive_ddb db) };
-    (* ECWA *)
-    { semantics = "ecwa"; task = Classes.Literal; sizes = medium;
-      instance = pos;
-      run = (fun db -> Ecwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "ecwa"; task = Classes.Formula; sizes = medium;
-      instance = pos;
-      run = (fun db -> Ecwa.infer_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)) };
-    { semantics = "ecwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = (fun db -> Ecwa.has_model_in (base ()) db) };
-    (* ICWA (positive databases are trivially stratified) *)
-    { semantics = "icwa"; task = Classes.Literal; sizes = medium;
-      instance = pos;
-      run = (fun db -> Icwa.infer_literal db (Partition.minimize_all (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "icwa"; task = Classes.Formula; sizes = medium;
-      instance = pos;
-      run = (fun db -> Icwa.infer_formula db (Partition.minimize_all (Db.num_vars db)) (random_query db)) };
-    { semantics = "icwa"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Icwa.has_model };
-    (* PERF *)
-    { semantics = "perf"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Perf.infer_literal db (neg_literal db)) };
-    { semantics = "perf"; task = Classes.Formula; sizes = medium;
-      instance = pos; run = (fun db -> Perf.infer_formula db (random_query db)) };
-    { semantics = "perf"; task = Classes.Exists; sizes = medium;
-      instance = pos; run = Perf.has_model };
-    (* DSM *)
-    { semantics = "dsm"; task = Classes.Literal; sizes = medium;
-      instance = pos; run = (fun db -> Dsm.infer_literal db (neg_literal db)) };
-    { semantics = "dsm"; task = Classes.Formula; sizes = medium;
-      instance = pos; run = (fun db -> Dsm.infer_formula db (random_query db)) };
-    { semantics = "dsm"; task = Classes.Exists; sizes = large;
-      instance = pos; run = Dsm.has_model };
-    (* PDSM (3-valued: small universes) *)
-    { semantics = "pdsm"; task = Classes.Literal; sizes = tiny;
-      instance = pos; run = (fun db -> Pdsm.infer_literal db (neg_literal db)) };
-    { semantics = "pdsm"; task = Classes.Formula; sizes = tiny;
-      instance = pos; run = (fun db -> Pdsm.infer_formula db (random_query db)) };
-    { semantics = "pdsm"; task = Classes.Exists; sizes = small;
-      instance = pos; run = Pdsm.has_model };
-  ]
+(* The cells whose procedure is not the registry record's: the
+   P^Σ₂ᵖ[O(log n)] binary search for GCWA/CCWA formulas, CCWA/ECWA at
+   [bench_partition] instead of ⟨V;∅;∅⟩, and Table 1's O(1) GCWA/CCWA
+   existence (the record asks the SAT oracle). *)
+let paper_cell (e : Classes.entry) : (Db.t -> bool) option =
+  let at_part k q db = k (base ()) db (bench_partition (Db.num_vars db)) (q db) in
+  let answer r = r.Oracle_algorithms.answer in
+  match (e.semantics, e.task) with
+  | "gcwa", Classes.Formula ->
+    Some (fun db ->
+        answer (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)))
+  | "ccwa", Classes.Formula ->
+    Some (fun db ->
+        answer (at_part Oracle_algorithms.ccwa_formula_in random_query db))
+  | "ccwa", Classes.Literal -> Some (at_part Ccwa.infer_literal_in neg_literal)
+  | "ecwa", Classes.Literal -> Some (at_part Ecwa.infer_literal_in neg_literal)
+  | "ecwa", Classes.Formula -> Some (at_part Ecwa.infer_formula_in random_query)
+  | ("gcwa" | "ccwa"), Classes.Exists when e.setting = Classes.Table1 ->
+    Some Db.is_positive_ddb
+  | _ -> None
 
-let table2_cells : cell list =
-  let ic = Random_db.with_integrity in
-  let nrm = Random_db.normal in
-  [
-    { semantics = "gcwa"; task = Classes.Literal; sizes = medium;
-      instance = ic; run = (fun db -> Gcwa.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "gcwa"; task = Classes.Formula; sizes = medium;
-      instance = ic;
-      run = (fun db -> (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)).Oracle_algorithms.answer) };
-    { semantics = "gcwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = (fun db -> Gcwa.has_model_in (base ()) db) };
-    { semantics = "ddr"; task = Classes.Literal; sizes = large;
-      instance = ic; run = (fun db -> Ddr.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "ddr"; task = Classes.Formula; sizes = large;
-      instance = ic; run = (fun db -> Ddr.infer_formula_in (base ()) db (random_query db)) };
-    { semantics = "ddr"; task = Classes.Exists; sizes = large;
-      instance = ic; run = (fun db -> Ddr.has_model_in (base ()) db) };
-    { semantics = "pws"; task = Classes.Literal; sizes = medium;
-      instance = ic; run = (fun db -> Pws.infer_literal db (neg_literal db)) };
-    { semantics = "pws"; task = Classes.Formula; sizes = medium;
-      instance = ic; run = (fun db -> Pws.infer_formula db (random_query db)) };
-    { semantics = "pws"; task = Classes.Exists; sizes = medium;
-      instance = ic; run = Pws.has_model };
-    { semantics = "egcwa"; task = Classes.Literal; sizes = medium;
-      instance = ic; run = (fun db -> Egcwa.infer_literal_in (base ()) db (neg_literal db)) };
-    { semantics = "egcwa"; task = Classes.Formula; sizes = medium;
-      instance = ic; run = (fun db -> Egcwa.infer_formula_in (base ()) db (random_query db)) };
-    { semantics = "egcwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = (fun db -> Egcwa.has_model_in (base ()) db) };
-    { semantics = "ccwa"; task = Classes.Literal; sizes = medium;
-      instance = ic;
-      run = (fun db -> Ccwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "ccwa"; task = Classes.Formula; sizes = medium;
-      instance = ic;
-      run = (fun db ->
-        (Oracle_algorithms.ccwa_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)).Oracle_algorithms.answer) };
-    { semantics = "ccwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = (fun db -> Ccwa.has_model_in (base ()) db) };
-    { semantics = "ecwa"; task = Classes.Literal; sizes = medium;
-      instance = ic;
-      run = (fun db -> Ecwa.infer_literal_in (base ()) db (bench_partition (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "ecwa"; task = Classes.Formula; sizes = medium;
-      instance = ic;
-      run = (fun db -> Ecwa.infer_formula_in (base ()) db (bench_partition (Db.num_vars db)) (random_query db)) };
-    { semantics = "ecwa"; task = Classes.Exists; sizes = large;
-      instance = ic; run = (fun db -> Ecwa.has_model_in (base ()) db) };
-    { semantics = "icwa"; task = Classes.Literal; sizes = medium;
-      instance = stratified_instance;
-      run = (fun db -> Icwa.infer_literal db (Partition.minimize_all (Db.num_vars db)) (neg_literal db)) };
-    { semantics = "icwa"; task = Classes.Formula; sizes = medium;
-      instance = stratified_instance;
-      run = (fun db -> Icwa.infer_formula db (Partition.minimize_all (Db.num_vars db)) (random_query db)) };
-    { semantics = "icwa"; task = Classes.Exists; sizes = large;
-      instance = stratified_instance; run = Icwa.has_model };
-    { semantics = "perf"; task = Classes.Literal; sizes = medium;
-      instance = nrm; run = (fun db -> Perf.infer_literal db (neg_literal db)) };
-    { semantics = "perf"; task = Classes.Formula; sizes = medium;
-      instance = nrm; run = (fun db -> Perf.infer_formula db (random_query db)) };
-    { semantics = "perf"; task = Classes.Exists; sizes = medium;
-      instance = nrm; run = Perf.has_model };
-    { semantics = "dsm"; task = Classes.Literal; sizes = medium;
-      instance = nrm; run = (fun db -> Dsm.infer_literal db (neg_literal db)) };
-    { semantics = "dsm"; task = Classes.Formula; sizes = medium;
-      instance = nrm; run = (fun db -> Dsm.infer_formula db (random_query db)) };
-    { semantics = "dsm"; task = Classes.Exists; sizes = medium;
-      instance = nrm; run = Dsm.has_model };
-    { semantics = "pdsm"; task = Classes.Literal; sizes = tiny;
-      instance = nrm; run = (fun db -> Pdsm.infer_literal db (neg_literal db)) };
-    { semantics = "pdsm"; task = Classes.Formula; sizes = tiny;
-      instance = nrm; run = (fun db -> Pdsm.infer_formula db (random_query db)) };
-    { semantics = "pdsm"; task = Classes.Exists; sizes = tiny;
-      instance = nrm; run = Pdsm.has_model };
-  ]
+let registry_cell sem task db =
+  let s = Option.get (Registry.find_in (base ()) sem) in
+  match task with
+  | Classes.Literal -> s.Semantics.infer_literal db (neg_literal db)
+  | Classes.Formula -> s.Semantics.infer_formula db (random_query db)
+  | Classes.Exists -> s.Semantics.has_model db
+
+(* One cell per claimed cell of the setting, in [Classes] order, sized
+   and fed by its semantics' row; fails unless the rows are one per
+   claimed semantics. *)
+let cells_of setting rows =
+  let entries =
+    List.filter (fun (e : Classes.entry) -> e.setting = setting) Classes.claimed
+  in
+  let claimed sem = List.exists (fun e -> e.Classes.semantics = sem) entries in
+  if List.exists (fun (sem, _, _) -> not (claimed sem)) rows then
+    failwith "Harness: a table row has no claimed cells";
+  List.map
+    (fun (e : Classes.entry) ->
+      match List.filter (fun (sem, _, _) -> sem = e.semantics) rows with
+      | [ (_, instance, (literal, formula, exists)) ] ->
+        let sizes =
+          match e.task with
+          | Classes.Literal -> literal
+          | Classes.Formula -> formula
+          | Classes.Exists -> exists
+        in
+        let run =
+          match paper_cell e with
+          | Some run -> run
+          | None -> registry_cell e.semantics e.task
+        in
+        { entry = e; sizes; instance; run }
+      | _ -> failwith ("Harness: no single table row for " ^ e.semantics))
+    entries
+
+let table1_cells =
+  let pos = Random_db.positive in
+  cells_of Classes.Table1
+    [
+      ("gcwa", pos, (medium, medium, large));
+      ("ddr", pos, (large, large, large));
+      ("pws", pos, (large, medium, large));
+      ("egcwa", pos, (medium, medium, large));
+      (* the support computation under a nontrivial partition is the
+         hardest oracle in the suite; CCWA formulas at n = 80 cost tens of
+         seconds *)
+      ("ccwa", pos, (medium, [ 10; 20; 40 ], large));
+      ("ecwa", pos, (medium, medium, large));
+      (* positive databases are trivially stratified *)
+      ("icwa", pos, (medium, medium, large));
+      ("perf", pos, (medium, medium, medium));
+      ("dsm", pos, (medium, medium, large));
+      (* 3-valued: small universes *)
+      ("pdsm", pos, (tiny, tiny, small));
+    ]
+
+let table2_cells =
+  let ic = Random_db.with_integrity and nrm = Random_db.normal in
+  cells_of Classes.Table2
+    [
+      ("gcwa", ic, (medium, medium, large));
+      ("ddr", ic, (large, large, large));
+      ("pws", ic, (medium, medium, medium));
+      ("egcwa", ic, (medium, medium, large));
+      ("ccwa", ic, (medium, medium, large));
+      ("ecwa", ic, (medium, medium, large));
+      ("icwa", stratified_instance, (medium, medium, large));
+      ("perf", nrm, (medium, medium, medium));
+      ("dsm", nrm, (medium, medium, medium));
+      ("pdsm", nrm, (tiny, tiny, tiny));
+    ]
 
 module Trace = Ddb_obs.Trace
 
@@ -302,8 +232,8 @@ let sanitize s =
     (String.lowercase_ascii s)
 
 let cell_trace_file ~prefix ~tag cell =
-  Printf.sprintf "%s_%s_%s_%s.json" prefix tag cell.semantics
-    (sanitize (Classes.task_to_string cell.task))
+  Printf.sprintf "%s_%s_%s_%s.json" prefix tag cell.entry.Classes.semantics
+    (sanitize (Classes.task_to_string cell.entry.Classes.task))
 
 (* Cells are measured through the domain pool (one cell per task; each
    cell's seeded instances and solver state live entirely in the worker
@@ -319,16 +249,15 @@ let cell_trace_file ~prefix ~tag cell =
    trace interleaved across workers would be misattributed), one Chrome
    trace-event JSON per ladder cell under
    [<prefix>_<table>_<semantics>_<task>.json]. *)
-let print_table ?(jobs = 1) ?trace_prefix ~tag ~title ~setting cells =
+let print_table ?(jobs = 1) ?trace_prefix ~tag ~title cells =
   Fmt.pr "@.=== %s ===@." title;
   Fmt.pr "  (time averaged over %d seeded instances; 'sat' = NP-oracle calls, 's2' = Sigma2-oracle queries)@."
     repetitions;
-  let print cell results = print_cell ~setting cell results in
   (match trace_prefix with
-  | None when jobs <= 1 -> List.iter (fun cell -> print cell (run_cell cell)) cells
+  | None when jobs <= 1 -> List.iter (fun cell -> print_cell cell (run_cell cell)) cells
   | None ->
     Fmt.pr "  (cells measured across %d worker domains)@." jobs;
-    List.iter2 print cells
+    List.iter2 print_cell cells
       (Ddb_parallel.Parallel.map_chunked ~jobs ~chunk_size:1 run_cell cells)
   | Some prefix ->
     Fmt.pr "  (tracing: sequential run, one trace file per cell)@.";
@@ -338,7 +267,7 @@ let print_table ?(jobs = 1) ?trace_prefix ~tag ~title ~setting cells =
         let r = run_cell cell in
         Trace.stop ();
         Trace.write_file (cell_trace_file ~prefix ~tag cell);
-        print cell r)
+        print_cell cell r)
       cells);
   match trace_prefix with
   | Some prefix ->
@@ -349,12 +278,12 @@ let print_table ?(jobs = 1) ?trace_prefix ~tag ~title ~setting cells =
 let table1 ?jobs ?trace_prefix () =
   print_table ?jobs ?trace_prefix ~tag:"table1"
     ~title:"Table 1: positive propositional DDBs (no integrity clauses, no negation)"
-    ~setting:Classes.Table1 table1_cells
+    table1_cells
 
 let table2 ?jobs ?trace_prefix () =
   print_table ?jobs ?trace_prefix ~tag:"table2"
     ~title:"Table 2: propositional DDBs (with integrity clauses)"
-    ~setting:Classes.Table2 table2_cells
+    table2_cells
 
 (* ---- engine ablation: memoizing oracle engine vs the uncached one ----
 

@@ -22,9 +22,9 @@ let run () =
         let reference = Ddb_qbf.Cegar.valid qbf in
         let t0 = Unix.gettimeofday () in
         let answered =
-          Gcwa.infer_literal_in
+          Registry.infer_literal_in
             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-            db (Ddb_logic.Lit.Neg w)
+            ~sem:"gcwa" db (Ddb_logic.Lit.Neg w)
         in
         total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
         if answered = not reference then incr agree;
@@ -65,9 +65,9 @@ let run () =
         let g = Graph.random_graph ~seed ~vertices ~edge_prob:0.3 in
         let t0 = Unix.gettimeofday () in
         if
-          Egcwa.has_model_in
+          Registry.has_model_in
             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-            (Graph.coloring_db g)
+            ~sem:"egcwa" (Graph.coloring_db g)
         then
           incr sat;
         total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)

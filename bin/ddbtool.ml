@@ -305,7 +305,11 @@ let minimize_arg =
     value
     & opt (some atom_list_conv) None
     & info [ "minimize" ] ~docv:"ATOMS"
-        ~doc:"Comma-separated atoms to minimize (the P part of ⟨P;Q;Z⟩).")
+        ~doc:
+          "Comma-separated atoms to minimize (the P part of ⟨P;Q;Z⟩).  With \
+           $(b,--minimize), atoms named in no option are held fixed (Q): \
+           the circumscription reading Circ(DB; P; Z).  Without it, they \
+           are minimized.")
 
 let fixed_arg =
   Arg.(
@@ -319,8 +323,11 @@ let vary_arg =
     & opt atom_list_conv []
     & info [ "vary" ] ~docv:"ATOMS" ~doc:"Atoms left floating (Z).")
 
-(* Build a partition: named atoms go to their bucket; unmentioned atoms
-   default to P (minimized), matching the GCWA convention. *)
+(* Build a partition: named atoms go to their bucket.  Unmentioned atoms
+   (query atoms the database does not contain included) are fixed when
+   --minimize names P, the circumscription reading Circ(DB; P; Z) in which
+   every atom outside P ∪ Z is in Q; otherwise they are minimized, the
+   GCWA convention. *)
 let build_partition db ~minimize ~fixed ~vary =
   let vocab = Db.vocab db in
   let n = Db.num_vars db in
@@ -342,13 +349,9 @@ let build_partition db ~minimize ~fixed ~vary =
     | None -> Ok None
     | Some names -> Result.map Option.some (resolve "--minimize" names))
   @@ fun p ->
-  let p =
-    match p with
-    | Some p -> p
-    | None ->
-      (* everything not fixed or floating *)
-      List.filter (fun x -> not (List.mem x q || List.mem x z)) (Db.atoms db)
-  in
+  let named = Option.value p ~default:[] @ q @ z in
+  let rest = List.filter (fun x -> not (List.mem x named)) (Db.atoms db) in
+  let p, q = match p with Some p -> (p, rest @ q) | None -> (rest, q) in
   match Partition.of_lists n ~p ~q ~z with
   | part -> Ok part
   | exception Invalid_argument msg -> Error (`Msg msg)

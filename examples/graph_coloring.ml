@@ -32,7 +32,7 @@ let () =
       let db = Graph.coloring_db g in
       Fmt.pr "  %-12s %d vertices, %d clauses: %s@." name g.Graph.vertices
         (Db.size db)
-        (if Egcwa.has_model_in eng db then "3-colourable"
+        (if Registry.has_model_in eng ~sem:"egcwa" db then "3-colourable"
          else "not 3-colourable"))
     [ ("C5", odd_cycle); ("C6", even_cycle); ("K4", k4) ];
   (* K4 needs 4 colours *)

@@ -122,21 +122,19 @@ let reference_models db part =
    by Lifschitz's theorem — so it comes from the engine's ECWA search;
    cautious answers stay on the schema, the independent cross-check. *)
 let semantics_in eng =
-  let total db = Partition.minimize_all (Db.num_vars db) in
   Semantics.via_engine eng
     {
       name = "circ";
       long_name = "Circumscription (McCarthy / Lifschitz schema)";
       applicable = (fun _ -> true);
       has_model;
-      infer_formula =
-        (fun db f ->
-          let db = Semantics.for_query db f in
-          infer_formula db (total db) f);
-      infer_literal = (fun db l -> infer_literal db (total db) l);
+      infer_formula = Semantics.at_total Fun.id infer_formula;
+      infer_literal = Semantics.at_total Formula.of_lit infer_literal;
       witness =
         (fun db f ->
-          let db = Semantics.for_query db f in
-          Semantics.two_valued (Ecwa.witness_in eng db (total db) f));
-      reference_models = (fun db -> reference_models db (total db));
+          Semantics.two_valued
+            (Semantics.at_total Fun.id (Ecwa.witness_in eng) db f));
+      reference_models =
+        (fun db ->
+          reference_models db (Partition.minimize_all (Db.num_vars db)));
     }

@@ -7,16 +7,21 @@ open Ddb_engine
 
      ECWA_{P;Z}(DB) = MM(DB; P; Z).
 
-   EGCWA is the special case Q = Z = ∅.  In the finite propositional case
-   ECWA coincides with circumscription (see {!Circ}, implemented
-   independently from the circumscription schema; the equivalence is a
-   property test). *)
+   The EGCWA of Yahya & Henschen, EGCWA(DB) = MM(DB), is the special case
+   Q = Z = ∅, and the registry's "egcwa" record is this module's record at
+   ⟨V;∅;∅⟩.  Inference is truth in every (P;Z)-minimal model; model
+   existence is plain consistency — and O(1) on positive DDBs without
+   integrity clauses (the all-true interpretation is always a model and
+   contains a minimal one), which is Table 1's O(1) cell.  In the finite
+   propositional case ECWA coincides with circumscription (see {!Circ},
+   implemented independently from the circumscription schema; the
+   equivalence is a property test). *)
 
 (* Public entry points scope themselves ("ecwa" bucket). *)
 let scope eng f = Engine.scoped eng "ecwa" f
 
-(* A (P;Z)-minimal model satisfying F.  The query must live inside the
-   partitioned universe. *)
+(* A (P;Z)-minimal model satisfying F: one Σ₂ᵖ guess-and-check search.
+   The query must live inside the partitioned universe. *)
 let witness_in eng db part f =
   if Formula.max_atom f >= Partition.universe_size part then
     invalid_arg "Ecwa: query atom outside the partition";
@@ -28,29 +33,24 @@ let infer_formula_in eng db part f =
 let infer_literal_in eng db part l =
   infer_formula_in eng db part (Formula.of_lit l)
 
-(* O(1) on positive DDBs without integrity clauses; one SAT call
-   otherwise. *)
-let has_model_in eng db =
-  scope eng (fun () -> if Db.is_positive_ddb db then true else Engine.sat eng db)
-
 let reference_models db part = Models.brute_minimal_models ~part db
 
-let total db = Partition.minimize_all (Db.num_vars db)
-
-let semantics_in eng : Semantics.t =
+(* Packed at ⟨V;∅;∅⟩, every field in the record's own scope except the
+   O(1) existence answer, which does no oracle work. *)
+let semantics_in ~name ~long_name eng : Semantics.t =
+  let scoped f = Engine.scoped eng name f in
+  let packed formula_of k db q =
+    scoped (fun () -> Semantics.at_total formula_of (k eng) db q)
+  in
   {
-    name = "ecwa";
-    long_name = "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
+    name;
+    long_name;
     applicable = (fun _ -> true);
-    has_model = has_model_in eng;
-    infer_formula =
-      (fun db f ->
-        let db = Semantics.for_query db f in
-        infer_formula_in eng db (total db) f);
-    infer_literal = (fun db l -> infer_literal_in eng db (total db) l);
+    has_model =
+      (fun db -> Db.is_positive_ddb db || scoped (fun () -> Engine.sat eng db));
+    infer_formula = packed Fun.id infer_formula_in;
+    infer_literal = packed Formula.of_lit infer_literal_in;
     witness =
-      (fun db f ->
-        let db = Semantics.for_query db f in
-        Semantics.two_valued (witness_in eng db (total db) f));
-    reference_models = (fun db -> reference_models db (total db));
+      (fun db f -> Semantics.two_valued (packed Fun.id witness_in db f));
+    reference_models = (fun db -> Models.brute_minimal_models db);
   }

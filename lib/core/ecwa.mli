@@ -3,7 +3,9 @@ open Ddb_db
 
 (** ECWA — the Extended CWA: [ECWA_{P;Z}(DB) = MM(DB;P;Z)], equivalent to
     circumscription in the finite propositional case (the independent
-    schema implementation lives in {!Circ}).  Decision procedures run on a
+    schema implementation lives in {!Circ}).  The EGCWA of Yahya &
+    Henschen, [EGCWA(DB) = MM(DB)], is the special case Q = Z = ∅ (the
+    registry's [egcwa] record).  Decision procedures run on a
     caller-supplied oracle engine (minimal-model entailment memoized on
     cached engines). *)
 
@@ -20,8 +22,11 @@ val infer_formula_in :
 val infer_literal_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool
 
-val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
 val reference_models : Db.t -> Partition.t -> Interp.t list
 
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Packed with the total partition ⟨V;∅;∅⟩ (= EGCWA). *)
+val semantics_in :
+  name:string -> long_name:string -> Ddb_engine.Engine.t -> Semantics.t
+(** The record under the given name, packed with the total partition
+    ⟨V;∅;∅⟩ ({!Semantics.at_total}); every field runs in the [name] scope,
+    except the O(1) existence answer on positive DDBs.  The registry packs
+    it as both [egcwa] and [ecwa]. *)

@@ -128,24 +128,20 @@ let reference_models db part =
     List.filter (fun m -> is_icwa_model inst m)
       (Models.brute_models inst.shifted)
 
-let total db = Partition.minimize_all (Db.num_vars db)
-
 let semantics : Semantics.t =
   {
     name = "icwa";
     long_name = "Iterated CWA (Gelfond, Przymusinska & Przymusinski)";
     applicable = Stratify.is_stratified;
     has_model;
-    infer_formula =
-      (fun db f ->
-        let db = Semantics.for_query db f in
-        infer_formula db (total db) f);
-    infer_literal = (fun db l -> infer_literal db (total db) l);
+    infer_formula = Semantics.at_total Fun.id infer_formula;
+    infer_literal = Semantics.at_total Formula.of_lit infer_literal;
     witness =
       (fun db f ->
-        let db = Semantics.for_query db f in
-        Semantics.two_valued (witness db (total db) f));
-    reference_models = (fun db -> reference_models db (total db));
+        Semantics.two_valued (Semantics.at_total Fun.id witness db f));
+    reference_models =
+      (fun db ->
+        reference_models db (Partition.minimize_all (Db.num_vars db)));
   }
 
 (* Engine routing: answers memoized and instrumented per semantics. *)

@@ -91,9 +91,7 @@ let entails_linear eng db part f =
     p_size = Interp.cardinal (Partition.p part);
   }
 
-let gcwa_formula_in eng db f =
-  let db = Semantics.for_query db f in
-  entails_log_in eng db (Partition.minimize_all (Db.num_vars db)) f
+let gcwa_formula_in eng = Semantics.at_total Fun.id (entails_log_in eng)
 
 let ccwa_formula_in eng db part f = entails_log_in eng db part f
 

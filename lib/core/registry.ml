@@ -1,8 +1,10 @@
 (* Name → packed semantics, for the CLI, examples and benches.
 
-   The partition-parametric semantics (CCWA, ECWA, ICWA) appear with their
-   canonical total partition ⟨V;∅;∅⟩; use their modules directly for custom
-   partitions.
+   The partition-parametric semantics (CCWA, ECWA, CIRC, ICWA) appear with
+   their canonical total partition ⟨V;∅;∅⟩; use their modules directly for
+   custom partitions.  At that partition CCWA is GCWA and ECWA is EGCWA,
+   so the "gcwa" and "egcwa" records are the CCWA and ECWA records under
+   their own names.
 
    Every record routes through an oracle engine: [all_in eng] packs the
    semantics on the caller's engine (shared incremental solvers, per-theory
@@ -21,14 +23,22 @@ module Engine = Ddb_engine.Engine
    oracle procedures.  [Engine.create ~fastpath:false] turns the
    dispatcher off, which restores the pre-dispatch behaviour exactly. *)
 let entries : (string * (Engine.t -> Semantics.t)) list =
+  (* GCWA/EGCWA are the CCWA/ECWA records under their own names *)
+  let named semantics_in name long_name =
+    (name, semantics_in ~name ~long_name)
+  in
   [
     ("cwa", Cwa.semantics_in);
-    ("gcwa", Gcwa.semantics_in);
+    named Ccwa.semantics_in "gcwa"
+      "Generalized Closed World Assumption (Minker)";
     ("ddr", Ddr.semantics_in);
     ("pws", Pws.semantics_in);
-    ("egcwa", Egcwa.semantics_in);
-    ("ccwa", Ccwa.semantics_in);
-    ("ecwa", Ecwa.semantics_in);
+    named Ecwa.semantics_in "egcwa"
+      "Extended Generalized CWA (Yahya & Henschen)";
+    named Ccwa.semantics_in "ccwa"
+      "Careful Closed World Assumption (Gelfond & Przymusinska)";
+    named Ecwa.semantics_in "ecwa"
+      "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
     ("circ", Circ.semantics_in);
     ("icwa", Icwa.semantics_in);
     ("perf", Perf.semantics_in);

@@ -41,6 +41,12 @@ let two_valued w = Option.map (fun m -> Two_valued m) w
 let for_query db f =
   Db.with_universe db (max (Db.num_vars db) (Formula.max_atom f + 1))
 
+(* The registry's packing of a partition-parametric semantics: the padded
+   database at ⟨V;∅;∅⟩. *)
+let at_total formula_of k db q =
+  let db = for_query db (formula_of q) in
+  k db (Partition.minimize_all (Db.num_vars db)) q
+
 (* Route a semantics through the memoizing oracle engine without
    decomposing its decision procedure: every decision problem is scoped
    (instrumented per semantics) and its answer memoized under the

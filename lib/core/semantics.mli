@@ -33,6 +33,14 @@ val two_valued : Interp.t option -> model option
 val for_query : Db.t -> Formula.t -> Db.t
 (** Pad the database universe so every query atom is a legal atom id. *)
 
+val at_total :
+  ('q -> Formula.t) -> (Db.t -> Partition.t -> 'q -> 'a) -> Db.t -> 'q -> 'a
+(** [at_total formula_of k db q] runs a partition-parametric procedure the
+    way the registry packs it: [k] gets [db] padded for the query
+    ({!for_query} of [formula_of q]), the total partition ⟨V;∅;∅⟩ of the
+    padded universe, and [q].  This is how GCWA and EGCWA are CCWA and
+    ECWA. *)
+
 val via_engine : Ddb_engine.Engine.t -> t -> t
 (** Route the semantics through the memoizing oracle engine: each decision
     problem runs inside an {!Ddb_engine.Engine.scoped} bucket named after

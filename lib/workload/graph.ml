@@ -68,4 +68,5 @@ let minimal_vertex_covers ?limit ?truncated g =
    avoidable iff NOT (GCWA ⊨ in_v)... more precisely the Π₂ᵖ query we bench
    is GCWA(DB) ⊨ ¬in_v: v belongs to no minimal cover. *)
 let never_in_minimal_cover eng g v =
-  Ddb_core.Gcwa.infer_literal_in eng (vertex_cover_db g) (Lit.Neg v)
+  Ddb_core.Registry.infer_literal_in eng ~sem:"gcwa" (vertex_cover_db g)
+    (Lit.Neg v)

@@ -9,7 +9,9 @@
 #   - ICWA existence honours integrity clauses;
 #   - `query --witness` and `query --brave --witness` answer as recorded in
 #     the expected-answers file and print a witness or counterexample line
-#     exactly when the answer calls for one.
+#     exactly when the answer calls for one;
+#   - `query --minimize` fixes every atom named in no option (Q), query
+#     atoms the database does not contain included.
 set -eu
 tool="$1"
 quickstart="$2"
@@ -102,5 +104,15 @@ for s in $("$tool" semantics | cut -d' ' -f1); do
   done
 done
 diff "$answers" "$tmp/answers" || fail "query answers differ from $answers"
+
+# 9. --minimize: the unmentioned atom c and the fresh query atom zz are
+#    fixed, as in Circ(DB; P; Z), so ECWA leaves zz open.
+printf 'a | b.\nc :- a.\n' > "$tmp/circ.ddb"
+out=$("$tool" query "$tmp/circ.ddb" -s ccwa -q b --minimize a)
+[ "$out" = "ccwa(DB) |/= b   (P={a}; Q={b, c}; Z={})" ] \
+  || fail "query --minimize: got '$out'"
+out=$("$tool" query "$tmp/circ.ddb" -s ecwa -q '~zz' --minimize a --vary b)
+[ "$out" = "ecwa(DB) |/= ~zz   (P={a}; Q={c, zz}; Z={b})" ] \
+  || fail "query --minimize with a fresh query atom: got '$out'"
 
 echo "cli tests passed"

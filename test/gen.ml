@@ -178,14 +178,21 @@ let reference_answers (s : Semantics.t) db =
 
 (* The four-configuration differential: every engine in [engines] must
    answer existence, each literal and each formula exactly as the
-   reference model set does.  Returns the disagreements, empty when all
-   agree. *)
+   reference model set does.  A literal may name an atom past the
+   universe; its reference is the database padded for it.  Returns the
+   disagreements, empty when all agree. *)
 let differential ~engines ~sem db ~lits ~formulas =
-  let ref_exists, ref_entails =
+  let reference =
     match Ddb_core.Registry.find sem with
-    | Some s -> reference_answers s db
+    | Some s -> reference_answers s
     | None -> invalid_arg ("Gen.differential: unknown semantics " ^ sem)
   in
+  let ref_exists, ref_entails = reference db in
+  let ref_literal l =
+    let f = Formula.of_lit l in
+    snd (reference (Semantics.for_query db f)) f
+  in
+  let lit_refs = List.map (fun l -> (l, ref_literal l)) lits in
   List.concat_map
     (fun (config, eng) ->
       let s = Option.get (Ddb_core.Registry.find_in eng sem) in
@@ -195,11 +202,9 @@ let differential ~engines ~sem db ~lits ~formulas =
       in
       report "has_model" ref_exists (s.Semantics.has_model db)
       @ List.concat_map
-          (fun l ->
-            report (Lit.to_string l)
-              (ref_entails (Formula.of_lit l))
-              (s.Semantics.infer_literal db l))
-          lits
+          (fun (l, want) ->
+            report (Lit.to_string l) want (s.Semantics.infer_literal db l))
+          lit_refs
       @ List.concat_map
           (fun f ->
             report "formula" (ref_entails f) (s.Semantics.infer_formula db f))

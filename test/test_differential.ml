@@ -31,7 +31,7 @@ let qcheck_ddr_implies_gcwa =
       List.for_all
         (fun x ->
           (not (Ddr.infer_literal_in eng db (Lit.Neg x)))
-          || Gcwa.infer_literal_in eng db (Lit.Neg x))
+          || Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x))
         (List.init num_vars Fun.id))
 
 (* Every minimal model of DB is a model of GCWA(DB) = DB ∪ {¬x : x in no
@@ -44,7 +44,8 @@ let qcheck_gcwa_implies_egcwa =
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      (not (Gcwa.infer_formula_in eng db f)) || Egcwa.infer_formula_in eng db f)
+      (not (Registry.infer_formula_in eng ~sem:"gcwa" db f))
+      || Registry.infer_formula_in eng ~sem:"egcwa" db f)
 
 (* ECWA coincides with parallel predicate circumscription in the finite
    propositional case (the two modules implement the two definitions

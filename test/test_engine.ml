@@ -128,7 +128,7 @@ let primitive_soundness () =
 let repeat_queries_hit_cache () =
   let eng = Engine.create () in
   let db = Random_db.positive ~seed:5 ~num_vars:8 in
-  let s = Gcwa.semantics_in eng in
+  let s = Option.get (Registry.find_in eng "gcwa") in
   let sweep () =
     for x = 0 to Db.num_vars db - 1 do
       ignore (s.Semantics.infer_literal db (Lit.Neg x));
@@ -153,8 +153,9 @@ let counterexample_is_a_memo_hit () =
   let db = Db.of_string "a | b. c :- a." in
   let f = Parse.formula (Db.vocab db) "c & ~b" in
   List.iter
-    (fun (sem, infer, ops) ->
-      check bool (sem ^ " answers false") false (infer eng db f);
+    (fun (sem, ops) ->
+      check bool (sem ^ " answers false") false
+        (Registry.infer_formula_in eng ~sem db f);
       let before = Engine.totals eng in
       let s = Option.get (Registry.find_in eng sem) in
       (match s.Semantics.witness db (Formula.not_ f) with
@@ -168,7 +169,7 @@ let counterexample_is_a_memo_hit () =
         (moved (fun t -> t.Engine.sat_solve_calls));
       check int (sem ^ ": memo hits") ops (moved (fun t -> t.Engine.cache_hits));
       check int (sem ^ ": no miss") 0 (moved (fun t -> t.Engine.cache_misses)))
-    [ ("gcwa", Gcwa.infer_formula_in, 2); ("egcwa", Egcwa.infer_formula_in, 1) ]
+    [ ("gcwa", 2); ("egcwa", 1) ]
 
 (* --- instrumentation --- *)
 
@@ -204,7 +205,7 @@ let engine_stats_match_global () =
   let db = Random_db.with_integrity ~seed:9 ~num_vars:7 in
   let before = Stats.snapshot () in
   for x = 0 to Db.num_vars db - 1 do
-    ignore (Gcwa.infer_literal_in eng db (Lit.Neg x))
+    ignore (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x))
   done;
   let d = Stats.delta before in
   let t = Engine.totals eng in
@@ -224,7 +225,7 @@ let engine_stats_match_global () =
 let stats_json_sanity () =
   let eng = Engine.create () in
   let db = Random_db.positive ~seed:3 ~num_vars:5 in
-  ignore (Gcwa.infer_formula_in eng db (Formula.Atom 0));
+  ignore (Registry.infer_formula_in eng ~sem:"gcwa" db (Formula.Atom 0));
   let json = Engine.stats_json eng in
   let has needle =
     let nl = String.length needle and jl = String.length json in

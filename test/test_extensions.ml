@@ -124,7 +124,7 @@ let brave_unit =
         let db = Db.of_string "a | b." in
         let a = Formula.Atom 0 in
         check "brave gcwa a" true (brave "gcwa" db a);
-        check "cautious gcwa a" false (Gcwa.infer_formula_in eng db a);
+        check "cautious gcwa a" false (Registry.infer_formula_in eng ~sem:"gcwa" db a);
         check "brave egcwa a" true (brave "egcwa" db a);
         check "brave dsm a" true (brave "dsm" db a);
         check "brave pws a&b" true
@@ -157,8 +157,9 @@ let qcheck_brave_duality sem_name cautious gen_db =
 let brave_duality_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      qcheck_brave_duality "gcwa" (Gcwa.infer_formula_in eng) Gen.dndb;
-      qcheck_brave_duality "egcwa" (Egcwa.infer_formula_in eng) Gen.dndb;
+      qcheck_brave_duality "gcwa" (Registry.infer_formula_in eng ~sem:"gcwa") Gen.dndb;
+      qcheck_brave_duality "egcwa" (Registry.infer_formula_in eng ~sem:"egcwa")
+        Gen.dndb;
       qcheck_brave_duality "ddr" (Ddr.infer_formula_in eng)
         Gen.dddb_with_integrity;
       qcheck_brave_duality "pws" Pws.infer_formula Gen.dddb_with_integrity;
@@ -405,10 +406,11 @@ let qcheck_witnesses_are_models =
           && List.exists (Interp.equal m) (models_of db)
         | Some (Semantics.Three_valued _) -> false
       in
-      check_witness Egcwa.reference_models "egcwa"
+      let total db = Partition.minimize_all (Db.num_vars db) in
+      check_witness Models.brute_minimal_models "egcwa"
       && check_witness Dsm.reference_models "dsm"
       && check_witness Perf.reference_models "perf"
-      && check_witness Gcwa.reference_models "gcwa"
+      && check_witness (fun db -> Ccwa.reference_models db (total db)) "gcwa"
       && check_witness Cwa.reference_models "cwa")
 
 let qcheck_pws_witnesses =
@@ -529,7 +531,10 @@ let qcheck_qbf_encoding_gcwa =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let x = Gen.atom rand num_vars in
       Qbf_encodings.gcwa_refutes_neg_literal_qbf db x
-      = not (Gcwa.entails_neg_literal_in eng db x))
+      = not
+          (Ccwa.entails_neg_literal_in eng db
+             (Partition.minimize_all (Db.num_vars db))
+             x))
 
 let qcheck_qbf_encoding_egcwa =
   QCheck.Test.make ~count:150
@@ -539,7 +544,8 @@ let qcheck_qbf_encoding_egcwa =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Qbf_encodings.egcwa_entails_qbf db f = Egcwa.infer_formula_in eng db f)
+      Qbf_encodings.egcwa_entails_qbf db f
+      = Registry.infer_formula_in eng ~sem:"egcwa" db f)
 
 let qcheck_qbf_encoding_naive =
   QCheck.Test.make ~count:100

@@ -85,8 +85,8 @@ let cwa_suite =
         let db = Db.of_string "a | b." in
         check "no model" false (Cwa.has_model_in eng db);
         (* ... while every disjunctive repair is consistent *)
-        check "gcwa ok" true (Gcwa.has_model_in eng db);
-        check "egcwa ok" true (Egcwa.has_model_in eng db));
+        check "gcwa ok" true (Registry.has_model_in eng ~sem:"gcwa" db);
+        check "egcwa ok" true (Registry.has_model_in eng ~sem:"egcwa" db));
     Alcotest.test_case "CWA on Horn db = least model" `Quick (fun () ->
         let db = Db.of_string "a. b :- a. c :- d." in
         check "consistent" true (Cwa.has_model_in eng db);
@@ -98,9 +98,9 @@ let cwa_suite =
         List.iter
           (fun x ->
             check "agree pos" (Cwa.infer_literal_in eng db (Lit.Pos x))
-              (Gcwa.infer_literal_in eng db (Lit.Pos x));
+              (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Pos x));
             check "agree neg" (Cwa.infer_literal_in eng db (Lit.Neg x))
-              (Gcwa.infer_literal_in eng db (Lit.Neg x)))
+              (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x)))
           [ 0; 1; 2; 3 ]);
   ]
 
@@ -113,7 +113,8 @@ let qcheck_negation_hierarchy =
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
-      Interp.subset (Ddr.negated_atoms db) (Gcwa.negated_atoms_in eng db))
+      Interp.subset (Ddr.negated_atoms db)
+        (Ccwa.negated_atoms_in eng db (Partition.minimize_all (Db.num_vars db))))
 
 let qcheck_gcwa_extends_classical =
   QCheck.Test.make ~count:300
@@ -123,7 +124,8 @@ let qcheck_gcwa_extends_classical =
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      (not (Models.entails db f)) || Gcwa.infer_formula_in eng db f)
+      (not (Models.entails db f))
+      || Registry.infer_formula_in eng ~sem:"gcwa" db f)
 
 let qcheck_gcwa_within_egcwa =
   QCheck.Test.make ~count:300
@@ -133,7 +135,8 @@ let qcheck_gcwa_within_egcwa =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      (not (Gcwa.infer_formula_in eng db f)) || Egcwa.infer_formula_in eng db f)
+      (not (Registry.infer_formula_in eng ~sem:"gcwa" db f))
+      || Registry.infer_formula_in eng ~sem:"egcwa" db f)
 
 (* Minimal models are possible models (no integrity clauses). *)
 let qcheck_mm_subset_pws =
@@ -226,7 +229,7 @@ let qcheck_entailment_chain =
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let ddr = Ddr.infer_formula_in eng db f in
       let pws = Pws.infer_formula db f in
-      let egcwa = Egcwa.infer_formula_in eng db f in
+      let egcwa = Registry.infer_formula_in eng ~sem:"egcwa" db f in
       ((not ddr) || pws) && ((not pws) || egcwa))
 
 (* --- queries mentioning fresh atoms --- *)
@@ -238,8 +241,8 @@ let fresh_atom_suite =
         let db = Db.of_string "a | b." in
         let vocab = Db.vocab db in
         let fresh = Formula.Not (Formula.Atom (Vocab.intern vocab "zzz")) in
-        check "gcwa" true (Gcwa.infer_formula_in eng db fresh);
-        check "egcwa" true (Egcwa.infer_formula_in eng db fresh);
+        check "gcwa" true (Registry.infer_formula_in eng ~sem:"gcwa" db fresh);
+        check "egcwa" true (Registry.infer_formula_in eng ~sem:"egcwa" db fresh);
         check "dsm" true (Dsm.infer_formula db fresh);
         check "perf" true (Perf.infer_formula db fresh);
         check "ddr" true (Ddr.infer_formula_in eng db fresh);
@@ -251,8 +254,9 @@ let fresh_atom_suite =
         check "classical" false (Models.entails db fresh));
     Alcotest.test_case "fresh literal via infer_literal" `Quick (fun () ->
         let db = Db.of_string "a." in
-        check "neg fresh" true (Gcwa.infer_literal_in eng db (Lit.Neg 7));
-        check "pos fresh" false (Gcwa.infer_literal_in eng db (Lit.Pos 7)));
+        let gcwa = Registry.infer_literal_in eng ~sem:"gcwa" db in
+        check "neg fresh" true (gcwa (Lit.Neg 7));
+        check "pos fresh" false (gcwa (Lit.Pos 7)));
   ]
 
 (* --- inconsistent databases entail everything --- *)
@@ -262,9 +266,11 @@ let inconsistent_suite =
     Alcotest.test_case "inconsistent DB: everything follows" `Quick (fun () ->
         let db = Db.of_string "a. :- a." in
         check "no classical model" false (Models.has_model db);
-        check "gcwa entails b" true (Gcwa.infer_formula_in eng db (Formula.Atom 1));
-        check "egcwa entails b" true (Egcwa.infer_formula_in eng db (Formula.Atom 1));
-        check "egcwa no model" false (Egcwa.has_model_in eng db);
+        let b = Formula.Atom 1 in
+        check "gcwa entails b" true (Registry.infer_formula_in eng ~sem:"gcwa" db b);
+        check "egcwa entails b" true
+          (Registry.infer_formula_in eng ~sem:"egcwa" db b);
+        check "egcwa no model" false (Registry.has_model_in eng ~sem:"egcwa" db);
         check "dsm no model" false (Dsm.has_model db);
         check "pdsm no model" false (Pdsm.has_model db));
   ]

@@ -24,8 +24,9 @@ let engines_agree ?(only_applicable = true) sem gen_db =
       if only_applicable && not (applicable db) then true
       else begin
         let f = Gen.random_formula rand num_vars ~depth:2 in
+        (* up to one atom past the universe: the records pad the database *)
         let lit =
-          let x = Gen.atom rand num_vars in
+          let x = Random.State.int rand (num_vars + 1) in
           if Random.State.bool rand then Lit.Pos x else Lit.Neg x
         in
         match Gen.differential ~engines ~sem db ~lits:[ lit ] ~formulas:[ f ] with
@@ -108,7 +109,7 @@ let qcheck_egcwa_is_mm =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       Gen.interp_list_equal
-        (Egcwa.reference_models db)
+        ((Option.get (Registry.find "egcwa")).Semantics.reference_models db)
         (Models.brute_minimal_models db))
 
 (* On positive databases DSM(DB) = MM(DB) (reducts are identities). *)
@@ -132,16 +133,21 @@ let qcheck_perf_positive_is_mm =
       Gen.interp_list_equal (Perf.reference_models db)
         (Models.brute_minimal_models db))
 
-(* GCWA = CCWA with the total partition. *)
+(* GCWA = CCWA with the total partition: the registry's gcwa record
+   against CCWA at ⟨V;∅;∅⟩ of the database padded for the query, whose
+   atoms may reach one past the universe. *)
 let qcheck_gcwa_is_ccwa_total =
   QCheck.Test.make ~count:250 ~name:"GCWA = CCWA at Q = Z = ∅"
     QCheck.(pair (int_bound 999999) (int_range 1 4))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
-      let f = Gen.random_formula rand num_vars ~depth:2 in
-      Gcwa.infer_formula_in eng db f
-      = Ccwa.infer_formula_in eng db (Partition.minimize_all num_vars) f)
+      let f = Gen.random_formula rand (num_vars + 1) ~depth:2 in
+      let padded = Semantics.for_query db f in
+      Registry.infer_formula_in eng ~sem:"gcwa" db f
+      = Ccwa.infer_formula_in eng padded
+          (Partition.minimize_all (Db.num_vars padded))
+          f)
 
 (* Total (2-valued) partial stable models = disjunctive stable models. *)
 let qcheck_pdsm_total_is_dsm =
@@ -335,8 +341,8 @@ let qcheck_qbf_to_gcwa =
       let db, w = Reductions.qbf_to_gcwa qbf in
       let valid = Ddb_qbf.Naive.valid qbf in
       Reductions.gcwa_image_answer db w = valid
-      && Gcwa.infer_literal_in eng db (Lit.Neg w) = not valid
-      && Egcwa.infer_literal_in eng db (Lit.Neg w) = not valid)
+      && Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg w) = not valid
+      && Registry.infer_literal_in eng ~sem:"egcwa" db (Lit.Neg w) = not valid)
 
 let qcheck_qbf_to_dsm =
   QCheck.Test.make ~count:250
@@ -361,7 +367,7 @@ let qcheck_sat_to_egcwa =
                 if Random.State.bool rand then Lit.Pos v else Lit.Neg v))
       in
       let db = Reductions.sat_to_egcwa_exists ~num_vars cnf in
-      Egcwa.has_model_in eng db
+      Registry.has_model_in eng ~sem:"egcwa" db
       = Ddb_sat.Brute.is_sat ~num_vars cnf)
 
 let qcheck_uminsat =
@@ -410,7 +416,7 @@ let poly_no_oracle_unit =
       (fun () ->
         let db = Db.of_string "a | b. c :- a." in
         let before = Ddb_sat.Stats.snapshot () in
-        check "exists" true (Egcwa.has_model_in eng db);
+        check "exists" true (Registry.has_model_in eng ~sem:"egcwa" db);
         check "no oracle" true ((Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat = 0));
     Alcotest.test_case "ICWA existence is O(1) given stratification" `Quick
       (fun () ->
@@ -469,8 +475,10 @@ let example_31 =
         let db = Db.of_string "a | b. :- a, b. c :- a, b." in
         let c = 2 in
         check "DDR does not infer ~c" false (Ddr.infer_literal_in eng db (Lit.Neg c));
-        check "GCWA infers ~c" true (Gcwa.infer_literal_in eng db (Lit.Neg c));
-        check "EGCWA infers ~c" true (Egcwa.infer_literal_in eng db (Lit.Neg c)));
+        check "GCWA infers ~c" true
+          (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg c));
+        check "EGCWA infers ~c" true
+          (Registry.infer_literal_in eng ~sem:"egcwa" db (Lit.Neg c)));
   ]
 
 let suites =

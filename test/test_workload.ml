@@ -267,7 +267,8 @@ let qbf_family_suite =
             let valid = Ddb_qbf.Naive.valid qbf in
             let db, w = Ddb_core.Reductions.qbf_to_gcwa qbf in
             check "gcwa" (not valid)
-              (Ddb_core.Gcwa.infer_literal_in (Gen.baseline ()) db (Lit.Neg w));
+              (Ddb_core.Registry.infer_literal_in (Gen.baseline ()) ~sem:"gcwa" db
+                 (Lit.Neg w));
             let db' = Ddb_core.Reductions.qbf_to_dsm_exists qbf in
             check "dsm" valid (Ddb_core.Dsm.has_model db'))
           [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
