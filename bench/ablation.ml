@@ -9,9 +9,6 @@ open Ddb_workload
    is driven by SAT calls.  The crossover shows why the guess-and-check
    upper-bound algorithms matter in practice, not just asymptotically.
 
-   ABL-sat — CDCL vs naive DPLL on pigeonhole instances (hard for
-   tree-resolution, which is exactly what plain DPLL is).
-
    ABL-oracle — covered by Oracle_bench (log vs linear Σ₂ usage). *)
 
 let time_ms f =
@@ -53,49 +50,5 @@ let engines ~jobs () =
     (fun (n, reference_ms, oracle_ms) ->
       Fmt.pr "  %-6d %-14.2f %-14.2f@." n reference_ms oracle_ms)
 
-let sat_php ~jobs () =
-  Fmt.pr "@.=== Ablation: CDCL vs naive DPLL (pigeonhole PHP(n+1,n), unsat) ===@.";
-  Fmt.pr "  (resolution lower bound: both engines are exponential here)@.";
-  Fmt.pr "  %-6s %-12s %-12s@." "n" "cdcl ms" "dpll ms";
-  ladder ~jobs [ 4; 5; 6 ]
-    (fun n ->
-      let num_vars, clauses = Pigeonhole.unsat_instance n in
-      let cdcl_ms =
-        time_ms (fun () ->
-            Ddb_sat.Solver.solve (Ddb_sat.Solver.of_clauses ~num_vars clauses))
-      in
-      let dpll_ms = time_ms (fun () -> Ddb_sat.Dpll.is_sat ~num_vars clauses) in
-      (n, cdcl_ms, dpll_ms))
-    (fun (n, cdcl_ms, dpll_ms) ->
-      Fmt.pr "  %-6d %-12.2f %-12.2f@." n cdcl_ms dpll_ms)
-
-(* Random 3-CNF near the phase transition (ratio 4.2): structured conflicts
-   are exactly where learning pays. *)
-let sat_random ~jobs () =
-  Fmt.pr "@.=== Ablation: CDCL vs naive DPLL (random 3-CNF, ratio 4.2) ===@.";
-  Fmt.pr "  %-6s %-12s %-12s@." "n" "cdcl ms" "dpll ms";
-  ladder ~jobs [ 20; 40; 60; 90; 120 ]
-    (fun n ->
-      let rng = Rng.create (97 * n) in
-      let clauses =
-        List.init (int_of_float (4.2 *. float_of_int n)) (fun _ ->
-            List.init 3 (fun _ ->
-                let v = Rng.int rng n in
-                if Rng.bool rng then Lit.Pos v else Lit.Neg v))
-      in
-      let cdcl_ms =
-        time_ms (fun () ->
-            Ddb_sat.Solver.solve (Ddb_sat.Solver.of_clauses ~num_vars:n clauses))
-      in
-      let dpll_ms =
-        if n > 60 then Float.nan
-        else time_ms (fun () -> Ddb_sat.Dpll.is_sat ~num_vars:n clauses)
-      in
-      (n, cdcl_ms, dpll_ms))
-    (fun (n, cdcl_ms, dpll_ms) ->
-      Fmt.pr "  %-6d %-12.2f %-12.2f@." n cdcl_ms dpll_ms)
-
 let run ?(jobs = 1) () =
-  engines ~jobs ();
-  sat_php ~jobs ();
-  sat_random ~jobs ()
+  engines ~jobs ()

@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- engine    — memoizing-engine ablation + stats JSON
      dune exec bench/main.exe -- oracle    — Σ₂-oracle log-vs-linear study
      dune exec bench/main.exe -- reductions
-     dune exec bench/main.exe -- ablation
+     dune exec bench/main.exe -- ablation  — reference vs oracle engine crossover
      dune exec bench/main.exe -- extensions  — brave/WFS/CWA-log studies
      dune exec bench/main.exe -- parallel  — sharded-engine batch sweeps
      dune exec bench/main.exe -- fastpath  — fragment dispatch vs generic oracle

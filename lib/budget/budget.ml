@@ -26,8 +26,6 @@ let string_of_reason = function
   | Cancelled -> "cancelled"
   | Injected_fault -> "injected_fault"
 
-let pp_reason ppf r = Format.pp_print_string ppf (string_of_reason r)
-
 exception Out_of_budget of reason
 
 (* --- three-valued answers --- *)
@@ -35,15 +33,12 @@ exception Out_of_budget of reason
 type answer = True | False | Unknown of reason
 
 let of_bool b = if b then True else False
-let to_bool_opt = function True -> Some true | False -> Some false | Unknown _ -> None
 let answer_equal (a : answer) b = a = b
 
 let string_of_answer = function
   | True -> "true"
   | False -> "false"
   | Unknown r -> "unknown(" ^ string_of_reason r ^ ")"
-
-let pp_answer ppf a = Format.pp_print_string ppf (string_of_answer a)
 
 (* --- limits --- *)
 
@@ -232,10 +227,6 @@ module Fault = struct
 
   let disarm () = (state ()).fault_after <- -1
   let armed () = (state ()).fault_after >= 0
-
-  let pending () =
-    let st = state () in
-    if st.fault_after >= 0 then Some st.fault_after else None
 end
 
 let fire_fault st =

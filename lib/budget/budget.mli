@@ -35,7 +35,6 @@ type reason =
   | Injected_fault  (** a {!Fault} fired (tests only) *)
 
 val string_of_reason : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 
 exception Out_of_budget of reason
 (** Raised by the probe functions; unwinds to the nearest {!run} /
@@ -46,12 +45,9 @@ exception Out_of_budget of reason
 type answer = True | False | Unknown of reason
 
 val of_bool : bool -> answer
-val to_bool_opt : answer -> bool option
-(** [None] on [Unknown]. *)
 
 val answer_equal : answer -> answer -> bool
 val string_of_answer : answer -> string
-val pp_answer : Format.formatter -> answer -> unit
 
 (** {1 Limits (immutable specs)} *)
 
@@ -174,7 +170,4 @@ module Fault : sig
 
   val disarm : unit -> unit
   val armed : unit -> bool
-
-  val pending : unit -> int option
-  (** Ops left before the fault fires, if armed. *)
 end

@@ -20,8 +20,9 @@ open Ddb_db
 
 let prime n x = n + x
 
-(* Solver holding DB ∧ DB[P';Z'] ∧ (Q' = Q) ∧ (P' ≤ P) ∧ (P' ≠ P).
-   The P' ≠ P disjunction uses difference selectors d_x → x ∧ ¬x'. *)
+(* Solver holding DB ∧ DB[P';Z'] ∧ (Q' = Q) ∧ (P' ≤ P) ∧ (P' ≠ P); atom
+   x's primed copy has id [num_vars + x].  The P' ≠ P disjunction uses
+   difference selectors d_x → x ∧ ¬x'. *)
 let schema_solver db part =
   let n = Db.num_vars db in
   let solver = Solver.create ~num_vars:(2 * n) () in

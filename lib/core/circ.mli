@@ -7,10 +7,6 @@ open Ddb_db
     assumption-based minimal-model engine; the equivalence with {!Ecwa} is
     property-tested). *)
 
-val schema_solver : Db.t -> Partition.t -> Solver.t
-(** Solver holding DB ∧ DB[P';Z'] ∧ (Q'=Q) ∧ (P'≤P) ∧ (P'≠P); atom x's
-    primed copy has id [num_vars + x]. *)
-
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
 val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 val infer_literal : Db.t -> Partition.t -> Lit.t -> bool

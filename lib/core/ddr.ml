@@ -20,9 +20,8 @@ let check db =
   if Db.has_negation db then
     invalid_arg "Ddr: the DDR is defined for DDDBs (no negation)"
 
-let occurring db = Tp.occurrence_closure db
-
-let negated_atoms db = Interp.diff (Interp.full (Db.num_vars db)) (occurring db)
+let negated_atoms db =
+  Interp.diff (Interp.full (Db.num_vars db)) (Tp.occurrence_closure db)
 
 (* Polynomial *negative*-literal inference for the no-integrity-clause case
    (Chan's tractable cell; closed-world queries ask for negative
@@ -42,7 +41,7 @@ let entails_neg_literal_poly db x =
   check db;
   if Db.has_integrity db then
     invalid_arg "Ddr.entails_neg_literal_poly: integrity clauses present";
-  x >= Db.num_vars db || not (Interp.mem (occurring db) x)
+  x >= Db.num_vars db || not (Interp.mem (Tp.occurrence_closure db) x)
 
 let reference_models db =
   check db;
@@ -50,10 +49,6 @@ let reference_models db =
   List.filter
     (fun m -> Interp.is_empty (Interp.inter m negs))
     (Models.brute_models db)
-
-(* Cross-check used by tests: occurrence closure vs the explicit state
-   fixpoint. *)
-let occurring_reference db = Tp.occurring_in_fixpoint db
 
 (* Public entry points scope themselves ("ddr" bucket); the polynomial
    occurrence-closure cells stay outside the engine and unscoped.  The

@@ -6,17 +6,14 @@ open Ddb_db
     Defined for DDDBs (no negation); integrity clauses are legal but
     invisible to T (the paper's Example 3.1). *)
 
-val occurring : Db.t -> Interp.t
-(** Atoms occurring in T↑ω — the polynomial occurrence closure. *)
-
 val negated_atoms : Db.t -> Interp.t
 
 val entails_neg_literal_poly : Db.t -> int -> bool
-(** Chan's polynomial negative-literal inference; only valid without
-    integrity clauses.  @raise Invalid_argument otherwise. *)
+(** Chan's polynomial negative-literal inference, shared by DDR and PWS
+    (both entail ¬x iff x is outside the occurrence closure); only valid
+    without integrity clauses.  @raise Invalid_argument otherwise. *)
 
 val reference_models : Db.t -> Interp.t list
-val occurring_reference : Db.t -> Interp.t
 
 (** Decision procedures on a caller-supplied oracle engine.  The
     polynomial occurrence-closure cells stay oracle-free; only the SAT-call

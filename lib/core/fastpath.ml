@@ -62,7 +62,7 @@ let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
 (* Inference against the definite database's model set: evaluation in the
    least model, vacuously true when the integrity clauses empty it. *)
 let definite_answer info k =
-  if Lazy.force info.F.consistent then k (Lazy.force info.F.least) else true
+  if Lazy.force info.F.consistent then k (Lazy.force info.F.closure) else true
 
 let wrap eng (s : Semantics.t) : Semantics.t =
   let sem = s.Semantics.name in
@@ -109,7 +109,7 @@ let wrap eng (s : Semantics.t) : Semantics.t =
           Some
             (fun () ->
               x >= Db.num_vars db
-              || not (Interp.mem (Lazy.force info.F.derivable) x))
+              || not (Interp.mem (Lazy.force info.F.closure) x))
         | _ -> None
     in
     let fast_exists info =

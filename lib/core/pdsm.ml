@@ -137,6 +137,8 @@ let find_such_that pred db =
       else `Continue);
   !found
 
+(* Some partial stable model giving [query] the value 1 (any partial
+   stable model without it). *)
 let find_partial_stable_such_that ?query db =
   find_such_that
     (match query with

@@ -12,14 +12,6 @@ val is_partial_stable : Db.t -> Three_valued.t -> bool
 val satisfies_db : Db.t -> Three_valued.t -> bool
 (** Kleene satisfaction of the database. *)
 
-val find_below : Db.t -> Three_valued.t -> Three_valued.t option
-(** A 3-valued model of DB^I strictly below I, if any. *)
-
-val find_partial_stable_such_that :
-  ?query:Formula.t -> Db.t -> Three_valued.t option
-(** Some partial stable model giving [query] the value 1 (any partial
-    stable model without it). *)
-
 val infer_formula : Db.t -> Formula.t -> bool
 val infer_literal : Db.t -> Lit.t -> bool
 val has_model : Db.t -> bool

@@ -14,6 +14,7 @@ open Ddb_db
 
 exception Found of Interp.t
 
+(* Some perfect model satisfying [query] (any perfect model without it). *)
 let find_perfect_such_that ?query db =
   let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
   let priority = Priority.compute db in

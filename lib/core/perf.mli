@@ -6,9 +6,6 @@ open Ddb_db
     priority relation (see {!Ddb_db.Priority}); the engines walk minimal
     models lazily and screen each with a one-SAT-call perfectness check. *)
 
-val find_perfect_such_that : ?query:Formula.t -> Db.t -> Interp.t option
-(** Some perfect model satisfying [query] (any perfect model without it). *)
-
 val infer_formula : Db.t -> Formula.t -> bool
 val infer_literal : Db.t -> Lit.t -> bool
 val has_model : Db.t -> bool

@@ -39,18 +39,14 @@ let find_possible_such_that ?query db =
       else `Continue);
   !found
 
-let entails_neg_literal_poly db x =
-  check db;
-  if Db.has_integrity db then
-    invalid_arg "Pws.entails_neg_literal_poly: integrity clauses present";
-  x >= Db.num_vars db || not (Interp.mem (Tp.occurrence_closure db) x)
-
 let witness db f = find_possible_such_that ~query:f (Semantics.for_query db f)
 let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l =
   match l with
-  | Lit.Neg x when not (Db.has_integrity db) -> entails_neg_literal_poly db x
+  | Lit.Neg x when not (Db.has_integrity db) ->
+    check db;
+    Ddr.entails_neg_literal_poly db x
   | Lit.Neg _ | Lit.Pos _ -> infer_formula db (Formula.of_lit l)
 
 let has_model db =

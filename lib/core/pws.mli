@@ -6,13 +6,6 @@ open Ddb_db
     coNP-style counterexample search; without integrity clauses
     negative-literal inference is polynomial and existence is O(1). *)
 
-val find_possible_such_that : ?query:Formula.t -> Db.t -> Interp.t option
-(** Some possible model satisfying [query] (any possible model without
-    it). *)
-
-val entails_neg_literal_poly : Db.t -> int -> bool
-(** Only without integrity clauses.  @raise Invalid_argument otherwise. *)
-
 val infer_formula : Db.t -> Formula.t -> bool
 val infer_literal : Db.t -> Lit.t -> bool
 val has_model : Db.t -> bool

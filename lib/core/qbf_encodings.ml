@@ -33,7 +33,8 @@ let db_formula ~rename db =
 let n_encode = Ddb_obs.Trace.name "qbf.encode"
 
 (* ∃M ∀N.  DB(M) ∧ extra(M) ∧ (DB(N) ∧ N ⊆ M → N = M), built under a
-   [qbf.encode] trace span. *)
+   [qbf.encode] trace span: valid iff some ⊆-minimal model satisfies
+   [extra] (which must live in the universe). *)
 let exists_minimal_such_that db extra =
   Ddb_obs.Trace.with_span n_encode @@ fun () ->
   let n = Db.num_vars db in

@@ -6,12 +6,7 @@ open Ddb_qbf
     membership arguments, cross-checked against the incremental SAT engine
     (three independent routes to the same answers). *)
 
-val exists_minimal_such_that : Db.t -> Formula.t -> Qbf.t
-(** ∃M ∀N. DB(M) ∧ extra(M) ∧ (DB(N) ∧ N ⊆ M → N = M): valid iff some
-    ⊆-minimal model satisfies [extra] (which must live in the universe). *)
-
 val some_minimal_model_with_atom : Db.t -> int -> Qbf.t
-val some_minimal_model_violating : Db.t -> Formula.t -> Qbf.t
 
 val gcwa_refutes_neg_literal_qbf : Db.t -> int -> bool
 (** GCWA(DB) ⊭ ¬x decided through the CEGAR QBF solver. *)

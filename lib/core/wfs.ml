@@ -62,8 +62,6 @@ let compute db =
   let possible = gamma db w_true in
   Three_valued.make ~tru:w_true ~und:(Interp.diff possible w_true)
 
-let true_atoms db = Three_valued.tru (compute db)
-let false_atoms db = Three_valued.fls (compute db)
 let is_total db = Three_valued.is_total (compute db)
 
 (* WFS inference: the Kleene value of the query must be 1. *)

@@ -11,11 +11,6 @@ open Ddb_db
 type t = Three_valued.t
 
 val compute : Db.t -> t
-val gamma : Db.t -> Interp.t -> Interp.t
-(** Γ(I): least model of the reduct P^I. *)
-
-val true_atoms : Db.t -> Interp.t
-val false_atoms : Db.t -> Interp.t
 val is_total : Db.t -> bool
 val infer_formula : Db.t -> Formula.t -> bool
 val infer_literal : Db.t -> Lit.t -> bool

@@ -39,10 +39,6 @@ let size t = List.length t.clauses
 let with_universe t n =
   if n <= t.num_vars then t else { t with num_vars = n }
 
-let add_clauses t extra =
-  make ~vocab:t.vocab (t.clauses @ extra) |> fun t' ->
-  with_universe t' t.num_vars
-
 (* --- classification --- *)
 
 let has_integrity t = List.exists Clause.is_integrity t.clauses
@@ -69,12 +65,6 @@ let theory t = Minimal.theory ~num_vars:t.num_vars (to_cnf t)
 let solver t = Solver.of_clauses ~num_vars:t.num_vars (to_cnf t)
 
 let atoms t = List.init t.num_vars Fun.id
-
-let atoms_interp t = Interp.full t.num_vars
-
-(* Atoms actually occurring in some clause (the universe may be larger). *)
-let occurring_atoms t =
-  Interp.of_list t.num_vars (List.concat_map Clause.atoms t.clauses)
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]"

@@ -22,8 +22,6 @@ val size : t -> int
 val with_universe : t -> int -> t
 (** Pad the universe to at least [n] atoms. *)
 
-val add_clauses : t -> Clause.t list -> t
-
 val has_integrity : t -> bool
 val has_negation : t -> bool
 val has_disjunction : t -> bool
@@ -42,8 +40,6 @@ val to_cnf : t -> Lit.t list list
 val theory : t -> Minimal.theory
 val solver : t -> Solver.t
 val atoms : t -> int list
-val atoms_interp : t -> Interp.t
-val occurring_atoms : t -> Interp.t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

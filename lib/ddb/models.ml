@@ -7,36 +7,16 @@ open Ddb_sat
    Each primitive has a SAT-backed engine (the default) and a brute-force
    reference used by the test suite on small universes. *)
 
-let is_model db m = Db.satisfied_by m db
-
 let has_model db =
   match Solver.solve (Db.solver db) with
   | Solver.Sat -> true
   | Solver.Unsat -> false
-
-let some_model db =
-  let solver = Db.solver db in
-  match Solver.solve solver with
-  | Solver.Sat -> Some (Solver.model ~universe:(Db.num_vars db) solver)
-  | Solver.Unsat -> None
 
 let all_models ?limit ?truncated db =
   Enum.all_models ?limit ?truncated ~num_vars:(Db.num_vars db) (Db.to_cnf db)
 
 let minimal_models ?limit ?truncated db =
   Minimal.all_minimal ?limit ?truncated (Db.theory db)
-
-let is_minimal_model ?part db m =
-  let part =
-    match part with Some p -> p | None -> Partition.minimize_all (Db.num_vars db)
-  in
-  is_model db m && Minimal.is_minimal (Db.theory db) part m
-
-let some_minimal_model ?part db =
-  let part =
-    match part with Some p -> p | None -> Partition.minimize_all (Db.num_vars db)
-  in
-  Minimal.find_minimal (Db.theory db) part
 
 (* MM(DB;P;Z) restricted to a finite representative set: all minimal models,
    *one per (P,Q)-section*, each canonically extended on Z by an arbitrary
@@ -107,7 +87,7 @@ let entails db formula =
 (* --- brute-force references (small universes) --- *)
 
 let brute_models db =
-  List.filter (fun m -> is_model db m) (Interp.all (Db.num_vars db))
+  List.filter (fun m -> Db.satisfied_by m db) (Interp.all (Db.num_vars db))
 
 let brute_minimal_models ?part db =
   let part =

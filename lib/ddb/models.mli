@@ -4,16 +4,11 @@ open Ddb_logic
     minimal-model entailment.  SAT-backed engines plus brute-force
     references for small universes. *)
 
-val is_model : Db.t -> Interp.t -> bool
 val has_model : Db.t -> bool
-val some_model : Db.t -> Interp.t option
 val all_models : ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
 val minimal_models : ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
 (** When [limit] cuts an enumeration short, [truncated] (if given) is set
     to [true] — truncation used to be silent. *)
-
-val is_minimal_model : ?part:Partition.t -> Db.t -> Interp.t -> bool
-val some_minimal_model : ?part:Partition.t -> Db.t -> Interp.t option
 
 val minimal_section_models :
   ?limit:int -> ?truncated:bool ref -> Db.t -> Partition.t -> Interp.t list

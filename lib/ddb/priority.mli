@@ -21,9 +21,6 @@ val find_preferable :
 
 val is_perfect : ?priority:t -> Db.t -> Interp.t -> bool
 
-val preferable : t -> candidate:Interp.t -> over:Interp.t -> bool
-(** Reference definition of N ≺ M on explicit interpretations. *)
-
 val brute_perfect_models : Db.t -> Interp.t list
 
 val perfect_models :

@@ -1,4 +1,5 @@
 open Ddb_logic
+open Ddb_sat
 
 (* The consequence operator T_DB of the Disjunctive Database Rule (Ross &
    Topor), operating on *states*: sets of positive disjunctions.
@@ -20,39 +21,15 @@ let check_positive db =
   if Db.has_negation db then
     invalid_arg "Tp: the DDR operator is defined for DDDBs (no negation)"
 
-(* Polynomial occurrence closure: atom x occurs in T↑ω iff x is marked by
-     mark all head atoms of every clause whose body atoms are all marked
-   iterated to fixpoint.  (Soundness/completeness: a derivation witnesses
-   marks and vice versa; see the test suite, which compares against the
-   explicit fixpoint.) *)
+(* Polynomial occurrence closure: atom x occurs in T↑ω iff x is in the
+   least model of the split program P_V = {h <- body(c) : h ∈ head(c)}
+   (every fired clause marks all its head atoms).  A derivation witnesses
+   membership and vice versa; the test suite compares this against the
+   explicit fixpoint below. *)
 let occurrence_closure db =
   check_positive db;
   let n = Db.num_vars db in
-  let marked = Array.make (max n 1) false in
-  let rules =
-    List.filter_map
-      (fun c ->
-        match Clause.head c with
-        | [] -> None
-        | head -> Some (head, Clause.body_pos c))
-      (Db.clauses db)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (head, body) ->
-        if List.for_all (fun b -> marked.(b)) body then
-          List.iter
-            (fun h ->
-              if not marked.(h) then begin
-                marked.(h) <- true;
-                changed := true
-              end)
-            head)
-      rules
-  done;
-  Interp.of_pred n (fun x -> marked.(x))
+  Horn.least_model ~num_vars:n (Possible.projected_program db (Interp.full n))
 
 (* Explicit state fixpoint.  Disjunctions are atom bitsets.  No subsumption
    is applied: DDR's occurrence test is over all derivable disjunctions

@@ -7,8 +7,10 @@ open Ddb_logic
     negation. *)
 
 val occurrence_closure : Db.t -> Interp.t
-(** Atoms occurring in T↑ω, in polynomial time (the tractable core of
-    DDR/WGCWA literal inference). *)
+(** Atoms occurring in T↑ω, in linear time: the {!Ddb_sat.Horn.least_model}
+    of the split program P_V = {!Possible.projected_program} on the full
+    interpretation (the tractable core of DDR/WGCWA and PWS negative-literal
+    inference, and the least model of a definite database). *)
 
 val fixpoint : ?max_states:int -> Db.t -> Interp.Set.t
 (** The explicit state fixpoint, without subsumption (reference engine;

@@ -529,10 +529,6 @@ let minimal_witness ?part t db f =
       memo t t.witnesses db (fun key -> qkey ~part ~form:f key "mm_entails")
         (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f))
 
-(* MM(DB;P;Z) ⊨ F — the ECWA/EGCWA decision problem. *)
-let minimal_entails ?part t db f =
-  Option.is_none (minimal_witness ?part t db (Formula.not_ f))
-
 (* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on one
    solver. *)
 let non_entailed_atoms t db =

@@ -87,9 +87,6 @@ val minimal_witness :
 (** A (P;Z)-minimal model satisfying [F] (default partition: minimize
     everything), memoized (op [mm_entails]). *)
 
-val minimal_entails : ?part:Partition.t -> t -> Db.t -> Formula.t -> bool
-(** [MM(DB;P;Z) ⊨ F]: [minimal_witness] of [¬F] is [None]. *)
-
 val non_entailed_atoms : t -> Db.t -> Interp.t
 (** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)
 
@@ -212,8 +209,6 @@ val merged_stats_json : t list -> string
     [theories] sums the shards' hash-consed key counts. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val json_of_stats : stats -> string
 
 val stats_json : t -> string
 (** The full stats record as JSON:

@@ -26,23 +26,8 @@ val classify : Db.t -> t
 val names : t -> string list
 (** The detected fragments as short lowercase tags, for CLI display. *)
 
-val pp : Format.formatter -> t -> unit
-val to_json : t -> string
 
 (** {1 Polynomial algorithms} *)
-
-val least_model : Db.t -> Interp.t
-(** Least model of the definite rules (integrity clauses ignored), by the
-    linear counter algorithm.
-    @raise Invalid_argument unless the database is definite. *)
-
-val constraints : Db.t -> int list list
-(** Positive bodies of the integrity clauses (the inputs of
-    {!Ddb_sat.Horn.integrity_ok}). *)
-
-val consistent_definite : Db.t -> bool
-(** A definite database is consistent iff its least model violates no
-    integrity clause. *)
 
 val iterated_model : Db.t -> Interp.t
 (** The iterated least model (Apt–Blair–Walker) — the unique perfect model
@@ -50,21 +35,21 @@ val iterated_model : Db.t -> Interp.t
     with empty or disjunctive heads are ignored.
     @raise Invalid_argument when the database is not stratified. *)
 
-val derivable : Db.t -> Interp.t
-(** Atoms occurring in the DDR state fixpoint T↑ω, by a linear queue-based
-    relevancy-graph closure — same set as {!Ddb_db.Tp.occurrence_closure},
-    without the quadratic re-scan.
-    @raise Invalid_argument when the database contains negation. *)
-
 (** {1 Cached per-theory bundle} *)
 
 type info = {
   frag : t;
-  least : Interp.t Lazy.t;  (** definite databases only *)
-  consistent : bool Lazy.t;  (** definite databases only *)
+  closure : Interp.t Lazy.t;
+      (** {!Ddb_db.Tp.occurrence_closure}: the atoms occurring in the DDR
+          fixpoint T↑ω, i.e. the least model of the split program
+          [{h ← body(c) : h ∈ head(c)}].  On a definite database that
+          program is the definite rules, so this is their least model.
+          Positive databases only. *)
+  consistent : bool Lazy.t;
+      (** [closure] violates no integrity clause; on a definite database,
+          whether it is consistent.  Positive databases only. *)
   perfect : Interp.t Lazy.t;
       (** stratified normal databases without integrity clauses only *)
-  derivable : Interp.t Lazy.t;  (** positive databases only *)
 }
 (** Classification plus lazily computed canonical objects.  Each lazy field
     is only safe to force under its fragment gate; the engine memoizes one

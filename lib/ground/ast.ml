@@ -16,9 +16,6 @@ type program = rule list
 
 let atom pred args = { pred; args }
 
-let is_ground_atom a =
-  List.for_all (function Var _ -> false | Const _ -> true) a.args
-
 let rule_vars r =
   let of_atom a =
     List.filter_map (function Var v -> Some v | Const _ -> None) a.args

@@ -9,14 +9,10 @@ type rule = { head : atom list; pos : atom list; neg : atom list }
 type program = rule list
 
 val atom : string -> term list -> atom
-val is_ground_atom : atom -> bool
-val rule_vars : rule -> string list
 
 val is_safe : rule -> bool
 (** Every variable occurs in the positive body. *)
 
 val constants_of_program : program -> string list
 
-val pp_term : Format.formatter -> term -> unit
-val pp_atom : Format.formatter -> atom -> unit
 val pp_rule : Format.formatter -> rule -> unit

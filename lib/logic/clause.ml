@@ -23,7 +23,6 @@ let body_neg c = c.neg
 
 let is_integrity c = c.head = []
 let is_positive c = c.neg = []
-let is_fact c = c.pos = [] && c.neg = [] && c.head <> []
 let is_definite c = c.neg = [] && List.length c.head = 1
 let is_disjunctive c = List.length c.head > 1
 
@@ -69,10 +68,6 @@ let reduce m c =
 (* Negative body literals moved to the head as positive atoms — the
    transformation the paper applies before iterating ECWA for the ICWA. *)
 let shift_negation c = make ~head:(c.head @ c.neg) ~pos:c.pos ~neg:[]
-
-let rename f c =
-  make ~head:(List.map f c.head) ~pos:(List.map f c.pos)
-    ~neg:(List.map f c.neg)
 
 let pp ?vocab ppf c =
   let name x =

@@ -22,7 +22,6 @@ val is_integrity : t -> bool
 val is_positive : t -> bool
 (** No negative body literals (the clause is in C+). *)
 
-val is_fact : t -> bool
 val is_definite : t -> bool
 (** Exactly one head atom and no negation. *)
 
@@ -32,7 +31,6 @@ val compare : t -> t -> int
 val atoms : t -> int list
 val max_atom : t -> int
 
-val body_holds : Interp.t -> t -> bool
 val satisfied_by : Interp.t -> t -> bool
 
 val to_lits : t -> Lit.t list
@@ -47,8 +45,6 @@ val reduce : Interp.t -> t -> t option
 val shift_negation : t -> t
 (** Move negative body literals into the head ([a :- b, not c] becomes
     [a v c :- b]); identity on positive clauses. *)
-
-val rename : (int -> int) -> t -> t
 
 val pp : ?vocab:Vocab.t -> Format.formatter -> t -> unit
 val to_string : ?vocab:Vocab.t -> t -> string

@@ -35,14 +35,10 @@ let or_ a b =
   | False, f | f, False -> f
   | _ -> Or (a, b)
 
-let imp a b = Imp (a, b)
 let iff a b = Iff (a, b)
 
 let big_and = function [] -> True | f :: fs -> List.fold_left and_ f fs
 let big_or = function [] -> False | f :: fs -> List.fold_left or_ f fs
-
-let conj_of_lits lits = big_and (List.map of_lit lits)
-let disj_of_lits lits = big_or (List.map of_lit lits)
 
 let rec eval m = function
   | True -> true

@@ -19,13 +19,9 @@ val of_lit : Lit.t -> t
 val not_ : t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
-val imp : t -> t -> t
 val iff : t -> t -> t
 val big_and : t list -> t
 val big_or : t list -> t
-val conj_of_lits : Lit.t list -> t
-val disj_of_lits : Lit.t list -> t
-
 val eval : Interp.t -> t -> bool
 val atoms : t -> int list
 val max_atom : t -> int

@@ -146,12 +146,6 @@ let to_list t = List.rev (fold (fun x acc -> x :: acc) t [])
 
 let of_list n xs = List.fold_left add (empty n) xs
 
-let choose_opt t =
-  let rec go x =
-    if x >= t.n then None else if mem t x then Some x else go (x + 1)
-  in
-  go 0
-
 (* Enumerate all 2^n interpretations.  Reference-engine only: callers are
    expected to guard against large [n]. *)
 let all n =
@@ -167,8 +161,6 @@ let all n =
       { n; bits })
 
 let of_pred n p = of_list n (List.filter p (List.init n (fun i -> i)))
-
-let hash t = Hashtbl.hash t.bits
 
 let pp ?vocab ppf t =
   let name x =

@@ -23,7 +23,6 @@ val remove : t -> int -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val is_empty : t -> bool
 
 val subset : t -> t -> bool
@@ -51,7 +50,6 @@ val exists : (int -> bool) -> t -> bool
 val to_list : t -> int list
 val of_list : int -> int list -> t
 val of_pred : int -> (int -> bool) -> t
-val choose_opt : t -> int option
 
 val all : int -> t list
 (** All [2^n] interpretations, for reference-engine enumeration.

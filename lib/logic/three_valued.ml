@@ -19,8 +19,6 @@ let value_max a b = if value_le a b then b else a
 (* 1 - v: negation in Kleene logic. *)
 let value_neg = function F -> T | U -> U | T -> F
 
-let value_to_string = function F -> "0" | U -> "1/2" | T -> "1"
-
 type t = { tru : Interp.t; und : Interp.t }
 
 let make ~tru ~und =

@@ -4,12 +4,8 @@
 type value = F | U | T
 (** Truth values 0, 1/2, 1. *)
 
-val value_compare : value -> value -> int
 val value_le : value -> value -> bool
-val value_min : value -> value -> value
-val value_max : value -> value -> value
 val value_neg : value -> value
-val value_to_string : value -> string
 
 type t
 

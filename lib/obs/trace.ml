@@ -84,7 +84,7 @@ let origin_us = Atomic.make 0
 
 (* Hard cap per buffer: past it events are counted as dropped, never
    silently truncated (the drop count is emitted in the trace metadata). *)
-let max_events = ref (1 lsl 22)
+let max_events = 1 lsl 22
 
 let registry_mutex = Mutex.create ()
 let bufs : buf list ref = ref []
@@ -105,7 +105,6 @@ let my_buf () = Domain.DLS.get buf_key
 
 let enabled () = Atomic.get enabled_flag
 let set_tid tid = (my_buf ()).tid <- tid
-let set_max_events n = max_events := max 1024 n
 
 let now b =
   match Atomic.get clock_mode with
@@ -119,8 +118,8 @@ let push b e =
   let cap = Array.length b.events in
   if b.len >= cap then
     if cap = 0 then b.events <- Array.make 1024 e
-    else if cap < !max_events then begin
-      let arr = Array.make (min !max_events (2 * cap)) e in
+    else if cap < max_events then begin
+      let arr = Array.make (min max_events (2 * cap)) e in
       Array.blit b.events 0 arr 0 cap;
       b.events <- arr
     end;

@@ -28,8 +28,6 @@ val name : string -> name
 (** Intern a name (idempotent; takes a global lock — intern once per probe
     site, at module initialization, not per event). *)
 
-val string_of_name : name -> string
-
 (** {1 Lifecycle} *)
 
 val start : ?clock:clock -> unit -> unit
@@ -45,10 +43,6 @@ val current_clock : unit -> clock
 val set_tid : int -> unit
 (** Set the calling domain's thread id in the trace ([0] by default; the
     pool sets each worker domain to its worker index). *)
-
-val set_max_events : int -> unit
-(** Per-buffer event cap (default [2^22]); past it events are dropped and
-    counted in the trace metadata, never silently lost. *)
 
 (** {1 Recording}
 

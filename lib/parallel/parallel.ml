@@ -69,12 +69,6 @@ let map_pinned_in pool ?cancel_on_error f xs =
         | None -> invalid_arg "Parallel.map_pinned_in: missing slot")
   end
 
-let iter_chunked_in pool ?cancel_on_error ?chunk_size f xs =
-  ignore
-    (map_chunked_in pool ?cancel_on_error ?chunk_size
-       (fun ~worker x -> f ~worker x)
-       xs)
-
 let map_chunked ?jobs ?chunk_size f xs =
   Pool.with_pool ?jobs (fun pool ->
       map_chunked_in pool ?chunk_size (fun ~worker:_ x -> f x) xs)

@@ -39,11 +39,3 @@ val map_pinned_in :
     depend on scheduling.  Output order and content are identical to
     {!map_chunked_in}; throughput is worse on uneven workloads (no work
     stealing) — use only when placement determinism matters. *)
-
-val iter_chunked_in :
-  Pool.t ->
-  ?cancel_on_error:Ddb_budget.Budget.group ->
-  ?chunk_size:int ->
-  (worker:int -> 'a -> unit) ->
-  'a list ->
-  unit

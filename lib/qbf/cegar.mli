@@ -1,26 +1,15 @@
-open Ddb_logic
-
 (** CEGAR 2-QBF solver on top of the CDCL SAT solver — the realization of
     the Σ₂ᵖ oracle.  Every validity query bumps
     [Ddb_sat.Stats.bump_sigma2].  *)
 
 exception Too_many_rounds
 
-val valid_exists_forall :
-  ?max_rounds:int ->
-  num_vars:int ->
-  xs:int list ->
-  ys:int list ->
-  Formula.t ->
-  bool
-(** Validity of ∃xs ∀ys φ.  φ is encoded to clauses once per call:
-    ¬φ's clauses form the check solver, and each refinement adds φ's
-    clauses instantiated under the counterexample to the abstraction.
-    @raise Too_many_rounds when the loop reaches [max_rounds] rounds
-    (default: unbounded); 2^|xs| + 1 rounds always suffice. *)
-
 val valid : ?max_rounds:int -> Qbf.t -> bool
-(** Validity of a 2-QBF.  An ∃∀ instance goes to {!valid_exists_forall}
-    directly; ∀X ∃Y φ is answered as the negation of ∃X ∀Y ¬φ.  Either
-    way the call bumps [Ddb_sat.Stats.bump_sigma2] exactly once.
-    @raise Too_many_rounds as {!valid_exists_forall}. *)
+(** Validity of a 2-QBF.  ∃X ∀Y φ runs the CEGAR loop directly: φ is
+    encoded to clauses once per call, ¬φ's clauses form the check solver,
+    and each refinement adds φ's clauses instantiated under the
+    counterexample to the abstraction.  ∀X ∃Y φ is answered as the
+    negation of ∃X ∀Y ¬φ.  Either way the call bumps
+    [Ddb_sat.Stats.bump_sigma2] exactly once.
+    @raise Too_many_rounds when the loop reaches [max_rounds] rounds
+    (default: unbounded); 2^|X| + 1 rounds always suffice. *)

@@ -53,18 +53,3 @@ let negate t =
       | Forall_exists -> Exists_forall);
     matrix = Formula.not_ t.matrix;
   }
-
-let pp ?vocab ppf t =
-  let q1, q2 =
-    match t.prefix with
-    | Exists_forall -> ("exists", "forall")
-    | Forall_exists -> ("forall", "exists")
-  in
-  let name x =
-    match vocab with Some v -> Vocab.name v x | None -> string_of_int x
-  in
-  Fmt.pf ppf "@[<h>%s {%a} %s {%a} . %a@]" q1
-    (Fmt.list ~sep:(Fmt.any ",") Fmt.string)
-    (List.map name t.block1) q2
-    (Fmt.list ~sep:(Fmt.any ",") Fmt.string)
-    (List.map name t.block2) (Formula.pp ?vocab) t.matrix

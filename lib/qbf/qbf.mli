@@ -28,4 +28,3 @@ val make :
 val negate : t -> t
 (** ¬(∃∀ φ) = ∀∃ ¬φ. *)
 
-val pp : ?vocab:Vocab.t -> Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ open Ddb_logic
 
 (** Truth-table SAT reference engine (exponential; small universes only). *)
 
-val clause_satisfied : Interp.t -> Lit.t list -> bool
 val satisfies : Interp.t -> Lit.t list list -> bool
 val models : num_vars:int -> Lit.t list list -> Interp.t list
 val solve : num_vars:int -> Lit.t list list -> Interp.t option

@@ -13,9 +13,6 @@ let plit_negate (l : plit) = l lxor 1
 
 let plit_of_lit = function Lit.Pos v -> plit_pos v | Lit.Neg v -> plit_neg v
 
-let lit_of_plit l =
-  if plit_sign l then Lit.Pos (plit_var l) else Lit.Neg (plit_var l)
-
 (* Tseitin encoding of a query formula.
 
    [tseitin ~next_var f] returns [(clauses, next_var', out)]: clauses over

@@ -14,7 +14,6 @@ val plit_sign : plit -> bool
 
 val plit_negate : plit -> plit
 val plit_of_lit : Lit.t -> plit
-val lit_of_plit : plit -> Lit.t
 
 val tseitin :
   next_var:int -> Formula.t -> Lit.t list list * int * Lit.t

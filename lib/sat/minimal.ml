@@ -54,9 +54,9 @@ let cone_assumptions part m =
   q_pins @ p_caps
 
 (* Is there a model strictly below [m] in the (P;Z)-preorder?  One SAT call
-   on: theory ∧ (Q = m∩Q) ∧ (P ⊆ m∩P) ∧ (P ≠ m∩P).  The last conjunct is a
-   disjunction over P∩m, asserted via a temporary selector-free clause — we
-   use a fresh solver per query, so adding it permanently is fine. *)
+   on: theory ∧ (Q = m∩Q) ∧ (P ⊆ m∩P) ∧ (P ≠ m∩P), on a solver holding
+   exactly the theory.  The last conjunct is a disjunction over P∩m behind
+   a selector variable, retired after the call. *)
 let find_below solver part m =
   let p_in_m = Interp.to_list (Interp.inter (Partition.p part) m) in
   match p_in_m with

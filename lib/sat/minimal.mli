@@ -19,11 +19,6 @@ val solver_of : theory -> Solver.t
     state [Solver.of_clauses] would build.  The image itself is never
     handed out, so it is never solved. *)
 
-val find_below : Solver.t -> Partition.t -> Interp.t -> Interp.t option
-(** A model strictly below the given model in the (P;Z)-preorder, if any.
-    One SAT call (plus a retired selector variable) on the given solver,
-    which must contain exactly the theory. *)
-
 val is_minimal_with : Solver.t -> Partition.t -> Interp.t -> bool
 val is_minimal : theory -> Partition.t -> Interp.t -> bool
 (** Is the given model (P;Z)-minimal?  Exactly one SAT call. *)

@@ -7,7 +7,7 @@ open Ddb_logic
 
    This solver is the "NP oracle" of the reproduction: every coNP / NP /
    Sigma2/Pi2 upper-bound algorithm in lib/core funnels its oracle queries
-   through [solve], and the benches count those calls via [solve_calls]. *)
+   through [solve], and the benches count those calls via {!Stats}. *)
 
 type result = Sat | Unsat
 
@@ -37,7 +37,6 @@ type t = {
   mutable var_inc : float;
   (* Status and statistics *)
   mutable root_unsat : bool;
-  mutable solve_calls : int;
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
@@ -67,14 +66,12 @@ let create ?(num_vars = 0) () =
     qhead = 0;
     var_inc = 1.0;
     root_unsat = false;
-    solve_calls = 0;
     conflicts = 0;
     decisions = 0;
     propagations = 0;
   }
 
 let num_vars t = t.num_vars
-let solve_calls t = t.solve_calls
 let conflicts t = t.conflicts
 let decisions t = t.decisions
 let propagations t = t.propagations
@@ -358,7 +355,6 @@ exception Found_sat
 exception Assumption_failed
 
 let solve_core ?(assumptions = []) t =
-  t.solve_calls <- t.solve_calls + 1;
   Stats.bump_sat ();
   Ddb_budget.Budget.on_solve ();
   backtrack t 0;
@@ -514,11 +510,3 @@ let copy t =
     trail = Array.copy t.trail;
     trail_lim = Array.copy t.trail_lim;
   }
-
-let pp_stats ppf t =
-  Fmt.pf ppf
-    "vars=%d clauses=%d (learned=%d) solves=%d conflicts=%d decisions=%d \
-     propagations=%d"
-    t.num_vars t.n_clauses
-    (t.n_clauses - t.n_problem_clauses)
-    t.solve_calls t.conflicts t.decisions t.propagations

@@ -3,8 +3,8 @@ open Ddb_logic
 (** CDCL SAT solver — the NP oracle of the reproduction.
 
     Incremental interface: clauses may be added between [solve] calls, and
-    [solve] accepts assumption literals.  [solve_calls] counts oracle
-    queries for the empirical complexity harness. *)
+    [solve] accepts assumption literals.  Every [solve] bumps
+    {!Stats.bump_sat}, the oracle-call count of the complexity harness. *)
 
 type t
 
@@ -38,10 +38,6 @@ val model : ?universe:int -> t -> Interp.t
 
 val is_root_unsat : t -> bool
 
-val solve_calls : t -> int
-(** Number of [solve] invocations so far — the oracle-call count. *)
-
 val conflicts : t -> int
 val decisions : t -> int
 val propagations : t -> int
-val pp_stats : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 open Ddb_logic
 
 (* Pigeonhole CNF instances: PHP(n+1, n) is unsatisfiable and famously hard
-   for resolution-based solvers — the stress family for the SAT ablation
-   bench (CDCL vs naive DPLL). *)
+   for resolution-based solvers — the CDCL solver's hard-UNSAT regression
+   family in the test suite. *)
 
 let var ~holes pigeon hole = (pigeon * holes) + hole
 

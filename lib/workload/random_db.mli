@@ -11,7 +11,6 @@ type profile = {
   clause_ratio : float;
 }
 
-val default_profile : profile
 val generate : ?profile:profile -> seed:int -> num_vars:int -> unit -> Db.t
 
 val positive : seed:int -> num_vars:int -> Db.t

@@ -40,43 +40,6 @@ let vocab_suite =
         check "names stable" true (Vocab.name v 37 = "37"));
   ]
 
-(* --- Dimacs --- *)
-
-let dimacs_suite =
-  [
-    Alcotest.test_case "parse basic" `Quick (fun () ->
-        let d = Dimacs.parse "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
-        check_int "vars" 3 (Dimacs.num_vars d);
-        check_int "clauses" 2 (List.length (Dimacs.clauses d));
-        check "first clause" true
-          (Dimacs.clauses d |> List.hd = [ Lit.Pos 0; Lit.Neg 1 ]));
-    Alcotest.test_case "print/parse roundtrip" `Quick (fun () ->
-        let d =
-          Dimacs.of_clauses ~num_vars:4
-            [ [ Lit.Pos 0; Lit.Neg 3 ]; [ Lit.Neg 1 ]; [ Lit.Pos 2; Lit.Pos 3 ] ]
-        in
-        let d' = Dimacs.parse (Dimacs.to_string d) in
-        check "vars" true (Dimacs.num_vars d = Dimacs.num_vars d');
-        check "clauses" true (Dimacs.clauses d = Dimacs.clauses d'));
-    Alcotest.test_case "errors" `Quick (fun () ->
-        let fails s =
-          try
-            ignore (Dimacs.parse s);
-            false
-          with Dimacs.Error _ -> true
-        in
-        check "missing p" true (fails "1 2 0\n");
-        check "unterminated" true (fails "p cnf 2 1\n1 2\n");
-        check "bad token" true (fails "p cnf 2 1\n1 x 0\n"));
-    Alcotest.test_case "solver agrees on dimacs instance" `Quick (fun () ->
-        let d = Dimacs.parse "p cnf 2 3\n1 2 0\n-1 0\n-2 0\n" in
-        check "unsat" true
-          (Ddb_sat.Solver.solve
-             (Ddb_sat.Solver.of_clauses ~num_vars:(Dimacs.num_vars d)
-                (Dimacs.clauses d))
-          = Ddb_sat.Solver.Unsat));
-  ]
-
 (* --- CWA classics --- *)
 
 let cwa_suite =
@@ -454,7 +417,6 @@ let split_suite =
 let suites =
   [
     ("extra.vocab", vocab_suite);
-    ("extra.dimacs", dimacs_suite);
     ("extra.cwa", cwa_suite);
     ( "extra.hierarchy",
       List.map QCheck_alcotest.to_alcotest

@@ -73,28 +73,31 @@ let qcheck_biased_generators =
 
 (* --- qcheck: the polynomial algorithms vs the reference procedures --- *)
 
-let qcheck_least_model =
+let qcheck_closure_least_model =
   QCheck.Test.make ~count:(count 80)
-    ~name:"Frag.least_model is the unique minimal model (consistent definite)"
+    ~name:"Frag.info closure: the unique minimal model (definite DBs)"
     seeds (fun seed ->
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.definite_db rand ~num_vars ~num_clauses:(2 * num_vars) in
+      let info = Frag.info db in
       let minimal = Models.minimal_models db in
-      if Frag.consistent_definite db then
+      if Lazy.force info.Frag.consistent then
         match minimal with
-        | [ m ] -> Interp.equal m (Frag.least_model db)
+        | [ m ] -> Interp.equal m (Lazy.force info.Frag.closure)
         | _ -> false
       else minimal = [])
 
-let qcheck_derivable =
+let qcheck_closure_fixpoint =
   QCheck.Test.make ~count:(count 80)
-    ~name:"Frag.derivable ≡ Tp.occurrence_closure (positive DBs)" seeds
+    ~name:"Frag.info closure vs Tp.occurring_in_fixpoint (positive DBs)" seeds
     (fun seed ->
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
-      Interp.equal (Frag.derivable db) (Tp.occurrence_closure db))
+      Interp.equal
+        (Lazy.force (Frag.info db).Frag.closure)
+        (Tp.occurring_in_fixpoint db))
 
 let qcheck_iterated_model =
   QCheck.Test.make ~count:(count 60)
@@ -230,8 +233,8 @@ let suites =
       ] );
     ( "frag.algorithms",
       [
-        QCheck_alcotest.to_alcotest qcheck_least_model;
-        QCheck_alcotest.to_alcotest qcheck_derivable;
+        QCheck_alcotest.to_alcotest qcheck_closure_least_model;
+        QCheck_alcotest.to_alcotest qcheck_closure_fixpoint;
         QCheck_alcotest.to_alcotest qcheck_iterated_model;
       ] );
     ( "frag.dispatch",

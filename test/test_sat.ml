@@ -106,14 +106,6 @@ let qcheck_solver_agrees =
       else if got then Brute.satisfies (Solver.model solver) cnf
       else true)
 
-let qcheck_dpll_agrees =
-  QCheck.Test.make ~count:300 ~name:"naive dpll agrees with truth table"
-    QCheck.(triple (int_bound 9999) (int_range 1 6) (int_range 0 16))
-    (fun (seed, num_vars, num_clauses) ->
-      let rand = Random.State.make [| seed |] in
-      let cnf = gen_cnf rand ~num_vars ~num_clauses ~width:3 in
-      Dpll.is_sat ~num_vars cnf = Brute.is_sat ~num_vars cnf)
-
 let qcheck_assumptions_sound =
   QCheck.Test.make ~count:300 ~name:"assumptions = added units"
     QCheck.(triple (int_bound 9999) (int_range 2 6) (int_range 0 14))
@@ -472,7 +464,6 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           qcheck_solver_agrees;
-          qcheck_dpll_agrees;
           qcheck_assumptions_sound;
           qcheck_copy_matches_fresh;
         ] );
