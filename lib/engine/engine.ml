@@ -459,34 +459,18 @@ let augmented_witness t db negs f =
 let augmented_entails t db negs f =
   Option.is_none (augmented_witness t db negs (Formula.not_ f))
 
-(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model}, grown
-   by repeated minimal-model queries: each round asks for a minimal model
-   containing a not-yet-supported P-atom, so at most |P| + 1 rounds (usually
-   far fewer: one round can add many atoms).  The closed-world family's
-   central object, and the engine's biggest cache win: keyed by
+(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
+   harvested by [Minimal.support]: one candidate solver and one minimizer
+   per set, each plain descent adding its P-atoms and blocking its cone.
+   The rounds number at most the distinct minimal (P,Q)-sections plus one
+   (a round may add no atom and only block a section).  The closed-world
+   family's central object, and the engine's biggest cache win: keyed by
    (theory, P, Q). *)
-let support_set_of e part =
-  let theory = compiled e in
-  let p = Partition.p part in
-  let rec grow s =
-    let missing = Interp.diff p s in
-    if Interp.is_empty missing then s
-    else begin
-      let want_new =
-        [ Interp.fold (fun x acc -> Lit.Pos x :: acc) missing [] ]
-      in
-      match Minimal.find_minimal_such_that ~extra:want_new theory part with
-      | None -> s
-      | Some m -> grow (Interp.union s (Interp.inter m p))
-    end
-  in
-  grow (Interp.empty (Db.num_vars e.db))
-
 let support_set t db part =
   tick t;
   probe t ~op:"support" db (fun () ->
       memo t t.interps db (fun key -> qkey ~part key "support") (fun e ->
-          support_set_of e part))
+          Minimal.support (compiled e) part))
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)

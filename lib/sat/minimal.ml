@@ -186,6 +186,48 @@ let all_minimal ?limit ?truncated theory =
     Option.iter (fun r -> r := true) truncated;
   List.rev !acc
 
+(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
+   harvested from plain descents on one candidate solver and one minimizer:
+
+     add (∨ missing P-atoms) to the candidate solver;
+     candidate <- SAT(theory ∧ clauses so far);
+     m̂ <- minimize candidate within the theory alone;
+     S <- S ∪ (m̂ ∩ P); block the cone of m̂ and iterate.
+
+   Every m̂ is (P;Z)-minimal, so its P-atoms belong in S and no minimality
+   check is needed.  The missing set only shrinks, so each new "some
+   missing atom" clause implies the earlier ones and stays a plain clause.
+   Sound: a minimal model inside cone(m̂) has m̂'s P-section, so the block
+   hides no unseen atom.  Complete: on UNSAT every model with a missing
+   atom lies in a blocked cone, and a minimal one there adds nothing.
+   Each SAT round finds a minimal (P,Q)-section outside every earlier
+   cone, so the rounds number at most the distinct minimal (P,Q)-sections
+   plus one. *)
+let support theory part =
+  let p = Partition.p part in
+  let n = theory.num_vars in
+  let candidate_solver = solver_of theory in
+  let minimizer = solver_of theory in
+  let rec grow s =
+    let missing = Interp.diff p s in
+    if Interp.is_empty missing then s
+    else begin
+      Solver.add_clause candidate_solver
+        (Interp.fold (fun x acc -> Lit.Pos x :: acc) missing []);
+      harvest s
+    end
+  and harvest s =
+    match Solver.solve candidate_solver with
+    | Solver.Unsat -> s
+    | Solver.Sat ->
+      let m = Solver.model ~universe:n candidate_solver in
+      let m_hat = minimize_with minimizer part m in
+      Solver.add_clause candidate_solver (cone_blocking part m_hat);
+      let s' = Interp.union s (Interp.inter m_hat p) in
+      if Interp.equal s' s then harvest s else grow s'
+  in
+  grow (Interp.empty n)
+
 (* Lazy variant of [all_minimal]: feed ⊆-minimal models of the theory to a
    callback until it stops.  With [extra] clauses, exactly the minimal
    models *satisfying extra* are reported (same constrained-minimization

@@ -45,6 +45,16 @@ val find_minimal_such_that :
     oracle call, with cone blocking; this is the Σ₂ᵖ guess-and-check loop of
     the paper's upper bounds. *)
 
+val support : theory -> Partition.t -> Interp.t
+(** The support set S = \{x ∈ P : x true in some (P;Z)-minimal model\}
+    ([empty] when the theory is inconsistent).  One candidate solver and
+    one minimizer serve the whole set: each round asks for a model with a
+    still-missing P-atom outside the blocked cones, descends from it to a
+    minimal model in the plain theory, adds that model's P-atoms and blocks
+    its cone.  No plain-minimality check is needed.  The rounds number at
+    most the distinct minimal (P,Q)-sections plus one — not |P| + 1, since a
+    round may add no atom and only block a section. *)
+
 val all_minimal : ?limit:int -> ?truncated:bool ref -> theory -> Interp.t list
 (** All ⊆-minimal models (total partition), via minimize-then-block.  When
     [limit] cuts the enumeration short, [truncated] (if given) is set to

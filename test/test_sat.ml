@@ -366,6 +366,42 @@ let qcheck_is_minimal_matches_reference =
           = List.exists (Interp.equal m) reference)
         models)
 
+(* [Minimal.support] against the brute-force definition of the support set:
+   the P-atoms true in some (P;Z)-minimal model.  Q and Z are never empty;
+   P is empty on many small universes, and one theory in eight carries a
+   contradiction, so S = ∅ is checked too. *)
+let qcheck_support_matches_reference =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"support matches brute-force reference under (P;Q;Z)"
+    QCheck.(
+      quad (int_bound 99999) (int_range 2 7) (int_range 0 20) (int_bound 7))
+    (fun (seed, num_vars, num_clauses, contradict) ->
+      let rand = Random.State.make [| seed |] in
+      let cnf = gen_cnf rand ~num_vars ~num_clauses ~width:3 in
+      let cnf =
+        if contradict = 0 then [ Lit.Pos 0 ] :: [ Lit.Neg 0 ] :: cnf else cnf
+      in
+      let q0 = Random.State.int rand num_vars in
+      let z0 = (q0 + 1 + Random.State.int rand (num_vars - 1)) mod num_vars in
+      let bucket v =
+        if v = q0 then 1 else if v = z0 then 2 else Random.State.int rand 3
+      in
+      let buckets = Array.init num_vars bucket in
+      let pick k =
+        List.filter (fun v -> buckets.(v) = k) (List.init num_vars Fun.id)
+      in
+      let part =
+        Partition.of_lists num_vars ~p:(pick 0) ~q:(pick 1) ~z:(pick 2)
+      in
+      let expected =
+        List.fold_left
+          (fun s m -> Interp.union s (Interp.inter m (Partition.p part)))
+          (Interp.empty num_vars)
+          (minimal_reference ~num_vars cnf part)
+      in
+      Interp.equal expected
+        (Minimal.support (Minimal.theory ~num_vars cnf) part))
+
 (* The asserting encoder: an interpretation satisfies F iff F's clauses
    plus the interpretation's units are satisfiable. *)
 let rec gen_assert_formula rand num_vars depth =
@@ -480,5 +516,6 @@ let suites =
         [
           qcheck_all_minimal_matches_reference;
           qcheck_is_minimal_matches_reference;
+          qcheck_support_matches_reference;
         ] );
   ]
