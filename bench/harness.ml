@@ -413,24 +413,6 @@ let engine_comparison ?trace_prefix () =
           rows))
     wins overhead_json (Engine.stats_json cached)
 
-(* ---- parallel: domain-pool batch sweeps vs the sequential path ----
-
-   A seeded instance sweep (full ± literal workload under every applicable
-   semantics except pdsm, over [instances] random DDBs) run three ways:
-   plain sequential Registry loop on one engine, a jobs:1 batch (inline
-   pool, the overhead baseline), and a jobs:N batch (N worker domains, one
-   engine shard each).  We assert bit-identical answers across all three
-   and — on cache-disabled engines, whose per-query costs are
-   deterministic and context-free — that the shards' merged oracle/SAT
-   counters equal the sequential direct run's.  The section is printed,
-   returned as JSON, and written to BENCH_parallel.json.
-
-   Speedup scales with the cores actually available: on a single-core
-   machine the jobs:N run measures pure pool overhead (expect ~1.0x). *)
-
-module Batch = Ddb_parallel.Batch
-module Pool = Ddb_parallel.Pool
-
 (* Shared "meta" header for the machine-readable outputs, so every
    BENCH_*.json is self-describing.  No timestamp on purpose: outputs
    stay byte-comparable across runs with the same seed/jobs.
@@ -442,107 +424,6 @@ let meta_json ~seed ~jobs ~sems =
     seed jobs
     (String.concat "," (List.map (Printf.sprintf "%S") sems))
     (Ddb_budget.Budget.exhausted_total ())
-
-let parallel_bench ?jobs ?trace_prefix () =
-  let njobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> max 2 (Pool.recommended_jobs ())
-  in
-  Fmt.pr "@.=== Parallel: sharded-engine batch sweeps (sequential vs jobs:1 vs jobs:%d) ===@."
-    njobs;
-  let instances = 12 and num_vars = 9 in
-  let dbs =
-    List.init instances (fun i ->
-        Random_db.with_integrity ~seed:(100 + i) ~num_vars)
-  in
-  let sems =
-    List.filter (( <> ) "pdsm") (Registry.applicable_names (List.hd dbs))
-  in
-  let lits =
-    List.concat_map (fun x -> [ Lit.Neg x; Lit.Pos x ]) (List.init num_vars Fun.id)
-  in
-  let sequential ~cache () =
-    let eng = Engine.create ~cache () in
-    let answers =
-      List.map
-        (fun db ->
-          List.map
-            (fun sem ->
-              ( sem,
-                List.map
-                  (fun l ->
-                    ( l,
-                      Ddb_budget.Budget.of_bool
-                        (Registry.infer_literal_in eng ~sem db l) ))
-                  lits ))
-            sems)
-        dbs
-    in
-    (answers, eng)
-  in
-  let batched ~cache njobs =
-    Batch.with_batch ~jobs:njobs ~cache (fun b ->
-        let answers = Batch.instance_sweep b ~sems dbs in
-        (answers, Batch.totals b))
-  in
-  (* wall time on cached engines: the configuration a front end runs *)
-  let (seq_answers, _), seq_ms = wall (sequential ~cache:true) in
-  let (j1_answers, _), j1_ms = wall (fun () -> batched ~cache:true 1) in
-  let (jn_answers, _), jn_ms = wall (fun () -> batched ~cache:true njobs) in
-  let identical = seq_answers = j1_answers && seq_answers = jn_answers in
-  (* counter equality on direct (cache-disabled) engines *)
-  let (_, direct_eng), _ = wall (sequential ~cache:false) in
-  let direct = Engine.totals direct_eng in
-  let _, merged = batched ~cache:false njobs in
-  let counters_match =
-    direct.Engine.oracle_calls = merged.Engine.oracle_calls
-    && direct.Engine.sat_solve_calls = merged.Engine.sat_solve_calls
-    && direct.Engine.sigma2_queries = merged.Engine.sigma2_queries
-  in
-  let speedup = if jn_ms > 0. then seq_ms /. jn_ms else Float.infinity in
-  Fmt.pr "  workload: %d instances x %d semantics x %d literal queries@."
-    instances (List.length sems) (List.length lits);
-  Fmt.pr "  sequential: %8.2fms@." seq_ms;
-  Fmt.pr "  jobs:1      %8.2fms  (inline pool)@." j1_ms;
-  Fmt.pr "  jobs:%-2d     %8.2fms  (%.2fx vs sequential)@." njobs jn_ms speedup;
-  Fmt.pr "  identical answers: %b   direct counters match: %b   (cores: %d)@."
-    identical counters_match
-    (Pool.recommended_jobs ());
-  if not identical then failwith "parallel_bench: answers diverged";
-  if not counters_match then
-    failwith "parallel_bench: merged direct counters diverged";
-  (* optional trace of one pinned jobs:N sweep — per-worker tid lanes with
-     deterministic task placement *)
-  (match trace_prefix with
-  | None -> ()
-  | Some prefix ->
-    Trace.start ();
-    Batch.with_batch ~jobs:njobs ~cache:true ~pinned:true (fun b ->
-        ignore (Batch.instance_sweep b ~sems dbs));
-    Trace.stop ();
-    let file = prefix ^ "_parallel.json" in
-    Trace.write_file file;
-    Fmt.pr "  wrote %s (%d events, %d worker lanes)@." file
-      (Trace.events_recorded ()) njobs);
-  let json =
-    Printf.sprintf
-      {|{"meta":%s,"workload":{"instances":%d,"num_vars":%d,"semantics":[%s],"literal_queries":%d},"available_cores":%d,"runs":[{"mode":"sequential","wall_ms":%.3f},{"mode":"batch","jobs":1,"wall_ms":%.3f},{"mode":"batch","jobs":%d,"wall_ms":%.3f}],"speedup_vs_sequential":%.3f,"identical_results":%b,"direct_counters_match":%b,"merged_direct":{"oracle_calls":%d,"sat_solve_calls":%d,"sigma2_queries":%d}}|}
-      (meta_json ~seed:100 ~jobs:njobs ~sems)
-      instances num_vars
-      (String.concat "," (List.map (Printf.sprintf "%S") sems))
-      (List.length lits)
-      (Pool.recommended_jobs ())
-      seq_ms j1_ms njobs jn_ms speedup identical counters_match
-      merged.Engine.oracle_calls merged.Engine.sat_solve_calls
-      merged.Engine.sigma2_queries
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_parallel.json@.";
-  json
 
 (* ---- fastpath: tractable-fragment dispatch vs the generic oracle ----
 

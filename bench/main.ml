@@ -8,28 +8,25 @@
      dune exec bench/main.exe -- reductions
      dune exec bench/main.exe -- ablation  — reference vs oracle engine crossover
      dune exec bench/main.exe -- extensions  — brave/WFS/CWA-log studies
-     dune exec bench/main.exe -- parallel  — sharded-engine batch sweeps
      dune exec bench/main.exe -- fastpath  — fragment dispatch vs generic oracle
 
    Flags (after the section name):
      --jobs N       worker domains for the pooled sections (table1, table2,
-                    ablation, parallel); default 1 so timing ladders keep
+                    ablation); default 1 so timing ladders keep
                     their historical sequential shape
-     --json FILE    write the machine-readable sections (engine, parallel)
+     --json FILE    write the machine-readable sections (engine, fastpath)
                     to FILE as one JSON object with a self-describing
                     "meta" header
      --trace PREFIX write Chrome trace-event JSON files (Perfetto): one
                     per ladder cell for table1/table2
                     (PREFIX_<table>_<sem>_<task>.json), one for the engine
-                    section's traced workload (PREFIX_engine.json), one
-                    for a pinned jobs:N parallel sweep
-                    (PREFIX_parallel.json)
+                    section's traced workload (PREFIX_engine.json)
 
    See EXPERIMENTS.md for how each section maps to the paper's tables. *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|parallel|fastpath|all] [--jobs N] [--json FILE] [--trace PREFIX]"
+    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|fastpath|all] [--jobs N] [--json FILE] [--trace PREFIX]"
 
 let () =
   let mode = ref "all" and jobs = ref None and json_path = ref None in
@@ -81,7 +78,6 @@ let () =
   section "reductions" Reduction_bench.run;
   section "ablation" (Ablation.run ?jobs);
   section "extensions" Extensions_bench.run;
-  json_section "parallel" (Harness.parallel_bench ?jobs ?trace_prefix);
   json_section "fastpath" Harness.fastpath_bench;
   (match !json_path with
   | None -> ()

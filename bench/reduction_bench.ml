@@ -44,7 +44,11 @@ let run () =
         let db = Reductions.qbf_to_dsm_exists qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
         let t0 = Unix.gettimeofday () in
-        let answered = Dsm.has_model db in
+        let answered =
+          Registry.has_model_in
+            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
+            ~sem:"dsm" db
+        in
         total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
         if answered = reference then incr agree;
         if reference then incr valid

@@ -379,10 +379,15 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
       (* explicit ⟨P;Q;Z⟩: route to the partition-parametric engines *)
       let db = Semantics.for_query db f in
       Result.bind (build_partition db ~minimize ~fixed ~vary) @@ fun part ->
+      (* No registry record runs these, so the query is put in the
+         semantics' scope here, as the record's wrapper would. *)
+      let scoped k q =
+        Ddb_engine.Engine.scoped eng name (fun () -> k db part q)
+      in
       let with_part cautious witness =
         Ok
-          ( cautious db part,
-            (fun g -> Semantics.two_valued (witness db part g)),
+          ( scoped cautious,
+            (fun g -> Semantics.two_valued (scoped witness g)),
             Fmt.str "   (%a)" (Partition.pp ~vocab) part )
       in
       match name with

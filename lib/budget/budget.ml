@@ -109,7 +109,6 @@ let token ?group:grp (l : limits) =
     trip_reason = None;
   }
 
-let unlimited () = token no_limits
 let cancel tok = Atomic.set tok.cancelled true
 let tripped tok = tok.trip_reason
 

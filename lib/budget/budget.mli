@@ -93,8 +93,6 @@ type t
 val token : ?group:group -> limits -> t
 (** Mint a fresh token.  Wall deadlines start counting here. *)
 
-val unlimited : unit -> t
-
 val cancel : t -> unit
 (** Cross-domain safe: the target trips [Cancelled] at its next probe. *)
 

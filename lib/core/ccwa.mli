@@ -33,8 +33,9 @@ val reference_models : Db.t -> Partition.t -> Interp.t list
 val semantics_in :
   name:string -> long_name:string -> Ddb_engine.Engine.t -> Semantics.t
 (** The record under the given name, packed with the total partition
-    ⟨V;∅;∅⟩ ({!Semantics.at_total}); every field runs in the [name] scope.
-    The registry packs it as both [gcwa] and [ccwa]. *)
+    ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry packs it as both
+    [gcwa] and [ccwa]; its wrapper ([Fastpath.wrap]) runs every field in the
+    [name] scope, so the record opens none of its own. *)
 
 val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 (** {!infer_formula_in} on a fresh engine without cache or fast paths (the

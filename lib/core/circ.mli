@@ -9,8 +9,6 @@ open Ddb_db
 
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
 val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
-val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
-val has_model : Db.t -> bool
 val reference_models : Db.t -> Partition.t -> Interp.t list
 
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t

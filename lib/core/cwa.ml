@@ -16,20 +16,12 @@ open Ddb_engine
    a witness (a model of the augmented theory satisfying F) and existence
    are then one SAT call on the augmented theory. *)
 
-(* Public entry points scope themselves ("cwa" bucket). *)
-let scope eng f = Engine.scoped eng "cwa" f
-
-let negated_atoms_in eng db =
-  scope eng (fun () -> Engine.non_entailed_atoms eng db)
-
 let has_model_in eng db =
-  scope eng (fun () ->
-      Engine.augmented_has_model eng db (negated_atoms_in eng db))
+  Engine.augmented_has_model eng db (Engine.non_entailed_atoms eng db)
 
 let witness_in eng db f =
-  scope eng (fun () ->
-      let db = Semantics.for_query db f in
-      Engine.augmented_witness eng db (negated_atoms_in eng db) f)
+  let db = Semantics.for_query db f in
+  Engine.augmented_witness eng db (Engine.non_entailed_atoms eng db) f
 
 let infer_formula_in eng db f =
   Option.is_none (witness_in eng db (Formula.not_ f))

@@ -9,8 +9,7 @@ open Ddb_db
     closure set is memoized per theory on cached engines. *)
 
 val reference_models : Db.t -> Interp.t list
-val negated_atoms_in : Ddb_engine.Engine.t -> Db.t -> Interp.t
-val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
-val infer_formula_in : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool
-val infer_literal_in : Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
+
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
+(** The registry's [cwa] record on the given engine; ask it through
+    {!Registry.find_in}. *)

@@ -50,18 +50,13 @@ let reference_models db =
     (fun m -> Interp.is_empty (Interp.inter m negs))
     (Models.brute_models db)
 
-(* Public entry points scope themselves ("ddr" bucket); the polynomial
-   occurrence-closure cells stay outside the engine and unscoped.  The
-   SAT-call cells (entailment from the augmented theory, existence with
-   integrity clauses) go through the engine. *)
-let scope eng f = Engine.scoped eng "ddr" f
-
-(* One SAT call on the augmented theory. *)
+(* The SAT-call cells go through the engine: entailment from the augmented
+   theory and existence with integrity clauses are one SAT call each.  The
+   occurrence-closure cells stay oracle-free. *)
 let witness_in eng db f =
   check db;
-  scope eng (fun () ->
-      let db = Semantics.for_query db f in
-      Engine.augmented_witness eng db (negated_atoms db) f)
+  let db = Semantics.for_query db f in
+  Engine.augmented_witness eng db (negated_atoms db) f
 
 let infer_formula_in eng db f =
   Option.is_none (witness_in eng db (Formula.not_ f))
@@ -74,7 +69,7 @@ let infer_literal_in eng db l =
 let has_model_in eng db =
   check db;
   if not (Db.has_integrity db) then true (* occ itself is a DDR model *)
-  else scope eng (fun () -> Engine.augmented_has_model eng db (negated_atoms db))
+  else Engine.augmented_has_model eng db (negated_atoms db)
 
 let semantics_in eng : Semantics.t =
   {

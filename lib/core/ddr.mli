@@ -15,13 +15,8 @@ val entails_neg_literal_poly : Db.t -> int -> bool
 
 val reference_models : Db.t -> Interp.t list
 
-(** Decision procedures on a caller-supplied oracle engine.  The
-    polynomial occurrence-closure cells stay oracle-free; only the SAT-call
-    cells go through the engine. *)
-
-val infer_formula_in : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool
-(** One SAT call on the augmented theory (coNP). *)
-
-val infer_literal_in : Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
-val has_model_in : Ddb_engine.Engine.t -> Db.t -> bool
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
+(** The registry's [ddr] record on the given engine; ask it through
+    {!Registry.find_in}.  The polynomial occurrence-closure cells stay
+    oracle-free; formula inference and the cells with integrity clauses
+    are one SAT call on the augmented theory (coNP). *)

@@ -60,17 +60,16 @@ let stable_models ?limit ?truncated db =
 let reference_models db =
   List.filter (fun m -> is_stable db m) (Models.brute_models db)
 
-let semantics : Semantics.t =
-  {
-    name = "dsm";
-    long_name = "Disjunctive Stable Models (Przymusinski)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    witness = (fun db f -> Semantics.two_valued (witness db f));
-    reference_models;
-  }
-
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized per semantics. *)
+let semantics_in eng =
+  Semantics.via_engine eng
+    {
+      name = "dsm";
+      long_name = "Disjunctive Stable Models (Przymusinski)";
+      applicable = (fun _ -> true);
+      has_model;
+      infer_formula;
+      infer_literal;
+      witness = (fun db f -> Semantics.two_valued (witness db f));
+      reference_models;
+    }

@@ -27,6 +27,6 @@ val reference_models : Db.t -> Partition.t -> Interp.t list
 val semantics_in :
   name:string -> long_name:string -> Ddb_engine.Engine.t -> Semantics.t
 (** The record under the given name, packed with the total partition
-    ⟨V;∅;∅⟩ ({!Semantics.at_total}); every field runs in the [name] scope,
-    except the O(1) existence answer on positive DDBs.  The registry packs
-    it as both [egcwa] and [ecwa]. *)
+    ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry packs it as both
+    [egcwa] and [ecwa]; its wrapper ([Fastpath.wrap]) runs every field in the
+    [name] scope, so the record opens none of its own. *)

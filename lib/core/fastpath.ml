@@ -3,10 +3,20 @@ open Ddb_db
 module Engine = Ddb_engine.Engine
 module F = Ddb_frag.Frag
 
-(* Fast-path dispatch: route a semantics' decision problems to dedicated
-   polynomial algorithms when the engine's fragment classifier certifies a
-   P cell of Table 1/2, falling back to the generic oracle procedure (and
-   recording a miss) otherwise.
+(* The registry's one wrapper around every semantics record.  It does two
+   things:
+
+   - Attribution.  Every field ([has_model], [infer_formula],
+     [infer_literal], [witness]) runs inside [Engine.scoped eng name], with
+     the fast path on or off and for every record, pdsm included.  No other
+     code in lib/core opens a scope, so a record's work always lands in its
+     own bucket and every [engine.*] and [fastpath.*] span nests under its
+     [scope.<name>] span.
+
+   - Fast-path dispatch.  Route a semantics' decision problems to dedicated
+     polynomial algorithms when the engine's fragment classifier certifies
+     a P cell of Table 1/2, falling back to the generic oracle procedure
+     (and recording a miss) otherwise.
 
    Correctness notes per routed family — the qcheck differential law in
    test/test_frag.ml holds every one of these equal to the generic path:
@@ -70,69 +80,68 @@ let wrap eng (s : Semantics.t) : Semantics.t =
   let in_perfect = List.mem sem perfect_family in
   let in_occ = List.mem sem occ_family in
   let in_pos_exists = List.mem sem pos_exists_family in
-  if not (in_definite || in_perfect || in_occ || in_pos_exists) then s
-    (* pdsm: no routed cell, leave the record untouched *)
-  else begin
-    (* [fast info] decides the route from the cached classification, all
-       inside the semantics scope: a hit runs as one budget-probed
-       fast-path op, a fall-through records the miss and runs the generic
-       procedure. *)
-    let route ~op db fast fallback =
-      if not (Engine.fastpath_enabled eng) then fallback ()
-      else
-        Engine.scoped eng sem (fun () ->
-            match fast (Engine.classify eng db) with
-            | Some thunk ->
-              Engine.fastpath_hit eng ~op:(sem ^ "/" ^ op) db thunk
-            | None ->
-              Engine.fastpath_miss eng;
-              fallback ())
-    in
-    let fast_formula f info =
-      let fr = info.F.frag in
-      if in_definite && fr.F.definite then
-        Some (fun () -> definite_answer info (fun m -> eval_model m f))
-      else if in_perfect && strat_gate fr then
-        Some (fun () -> eval_model (Lazy.force info.F.perfect) f)
-      else None
-    in
-    let fast_literal db l info =
-      let fr = info.F.frag in
-      if in_definite && fr.F.definite then
-        Some (fun () -> definite_answer info (fun m -> lit_true m l))
-      else if in_perfect && strat_gate fr then
-        Some (fun () -> lit_true (Lazy.force info.F.perfect) l)
-      else
-        match l with
-        | Lit.Neg x when in_occ && pos_gate fr ->
-          (* Chan's cell: DDR/PWS ⊨ ¬x iff x is underivable. *)
-          Some
-            (fun () ->
-              x >= Db.num_vars db
-              || not (Interp.mem (Lazy.force info.F.closure) x))
-        | _ -> None
-    in
-    let fast_exists info =
-      let fr = info.F.frag in
-      if in_definite && fr.F.definite then
-        Some (fun () -> Lazy.force info.F.consistent)
-      else if in_perfect && strat_gate fr then Some (fun () -> true)
-      else if in_pos_exists && pos_gate fr then Some (fun () -> true)
-      else None
-    in
-    {
-      s with
-      has_model =
-        (fun db ->
-          route ~op:"exists" db fast_exists (fun () ->
-              s.Semantics.has_model db));
-      infer_formula =
-        (fun db f ->
-          route ~op:"formula" db (fast_formula f) (fun () ->
-              s.Semantics.infer_formula db f));
-      infer_literal =
-        (fun db l ->
-          route ~op:"literal" db (fast_literal db l) (fun () ->
-              s.Semantics.infer_literal db l));
-    }
-  end
+  (* pdsm has no routed cell: it is scoped, never classified *)
+  let routed = in_definite || in_perfect || in_occ || in_pos_exists in
+  (* The one attribution site: every field runs in the record's scope, so
+     its work, wall time and [scope.<name>] span are the semantics' own. *)
+  let scoped f = Engine.scoped eng sem f in
+  (* [fast info] decides the route from the cached classification: a hit
+     runs as one budget-probed fast-path op, a fall-through records the
+     miss and runs the generic procedure. *)
+  let route ~op db fast fallback =
+    scoped (fun () ->
+        if not (routed && Engine.fastpath_enabled eng) then fallback ()
+        else
+          match fast (Engine.classify eng db) with
+          | Some thunk -> Engine.fastpath_hit eng ~op:(sem ^ "/" ^ op) db thunk
+          | None ->
+            Engine.fastpath_miss eng;
+            fallback ())
+  in
+  let fast_formula f info =
+    let fr = info.F.frag in
+    if in_definite && fr.F.definite then
+      Some (fun () -> definite_answer info (fun m -> eval_model m f))
+    else if in_perfect && strat_gate fr then
+      Some (fun () -> eval_model (Lazy.force info.F.perfect) f)
+    else None
+  in
+  let fast_literal db l info =
+    let fr = info.F.frag in
+    if in_definite && fr.F.definite then
+      Some (fun () -> definite_answer info (fun m -> lit_true m l))
+    else if in_perfect && strat_gate fr then
+      Some (fun () -> lit_true (Lazy.force info.F.perfect) l)
+    else
+      match l with
+      | Lit.Neg x when in_occ && pos_gate fr ->
+        (* Chan's cell: DDR/PWS ⊨ ¬x iff x is underivable. *)
+        Some
+          (fun () ->
+            x >= Db.num_vars db
+            || not (Interp.mem (Lazy.force info.F.closure) x))
+      | _ -> None
+  in
+  let fast_exists info =
+    let fr = info.F.frag in
+    if in_definite && fr.F.definite then
+      Some (fun () -> Lazy.force info.F.consistent)
+    else if in_perfect && strat_gate fr then Some (fun () -> true)
+    else if in_pos_exists && pos_gate fr then Some (fun () -> true)
+    else None
+  in
+  {
+    s with
+    has_model =
+      (fun db ->
+        route ~op:"exists" db fast_exists (fun () -> s.Semantics.has_model db));
+    infer_formula =
+      (fun db f ->
+        route ~op:"formula" db (fast_formula f) (fun () ->
+            s.Semantics.infer_formula db f));
+    infer_literal =
+      (fun db l ->
+        route ~op:"literal" db (fast_literal db l) (fun () ->
+            s.Semantics.infer_literal db l));
+    witness = (fun db f -> scoped (fun () -> s.Semantics.witness db f));
+  }

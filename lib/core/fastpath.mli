@@ -1,16 +1,23 @@
-(** Tractability-aware fast-path dispatch.
+(** The registry's wrapper: attribution and tractability-aware fast-path
+    dispatch.
 
-    [wrap eng s] returns [s] with its three decision problems routed
-    through the engine's fragment classifier: when the (semantics,
-    problem, fragment) triple lands in a P cell of the paper's Table 1 or
-    Table 2, the query is answered by a dedicated polynomial algorithm
-    from {!Ddb_frag.Frag} (counted as a [fastpath] hit, budget-probed,
-    traced); otherwise it falls through to [s]'s generic oracle procedure
-    (counted as a miss).  The classification runs inside the semantics'
-    scope, so its count and wall time are that semantics' work.  With the
-    engine's fastpath gate off ([Engine.create ~fastpath:false]), [wrap]
-    is the identity behaviourally — every query runs the generic path and
-    no fast-path counter moves.
+    [wrap eng s] returns [s] with every field ([has_model],
+    [infer_formula], [infer_literal], [witness]) run inside
+    [Engine.scoped eng s.name], whatever the engine's configuration.  This
+    is the only place in [Ddb_core] that opens a scope: a record's oracle
+    work, wall time and [scope.<name>] trace span are its own, and
+    the registry packs every record with it.
+
+    The three decision problems are also routed through the engine's
+    fragment classifier: when the (semantics, problem, fragment) triple
+    lands in a P cell of the paper's Table 1 or Table 2, the query is
+    answered by a dedicated polynomial algorithm from {!Ddb_frag.Frag}
+    (counted as a [fastpath] hit, budget-probed, traced); otherwise it
+    falls through to [s]'s generic oracle procedure (counted as a miss).
+    The classification runs inside the scope, so its count and wall time
+    are that semantics' work.  With the engine's fastpath gate off
+    ([Engine.create ~fastpath:false]) every query runs the generic path
+    and no fast-path counter moves; the scope stays.
 
     Routed cells (registry semantics, canonical total partition):
     - definite-Horn databases (integrity clauses allowed): CWA, GCWA,

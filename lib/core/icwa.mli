@@ -27,15 +27,8 @@ val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 (** No ICWA model satisfies ¬F.  @raise Invalid_argument when unstratified
     or the query leaves the universe. *)
 
-val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
-
-val has_model : Db.t -> bool
-(** Without integrity clauses: true iff stratified — the O(1) consistency
-    guarantee.  With them: whether an ICWA model exists at the total
-    partition (false when unstratified). *)
-
 val reference_models : Db.t -> Partition.t -> Interp.t list
-val semantics : Semantics.t
 
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine}). *)
+(** The registry's [icwa] record on the given engine, its answers memoized
+    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)

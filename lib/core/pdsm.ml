@@ -170,22 +170,21 @@ let partial_stable_models db =
 let reference_models db =
   List.filter_map Three_valued.to_two_valued_opt (partial_stable_models db)
 
-let semantics : Semantics.t =
-  {
-    name = "pdsm";
-    long_name = "Partial Disjunctive Stable Models (Przymusinski)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    witness =
-      (fun db f ->
-        Option.map (fun i -> Semantics.Three_valued i) (witness db f));
-    (* Note: for the packed record the reference model set is projected to
-       the *total* partial stable models; use [partial_stable_models] for
-       the full 3-valued picture. *)
-    reference_models;
-  }
-
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized per semantics. *)
+let semantics_in eng =
+  Semantics.via_engine eng
+    {
+      name = "pdsm";
+      long_name = "Partial Disjunctive Stable Models (Przymusinski)";
+      applicable = (fun _ -> true);
+      has_model;
+      infer_formula;
+      infer_literal;
+      witness =
+        (fun db f ->
+          Option.map (fun i -> Semantics.Three_valued i) (witness db f));
+      (* Note: for the packed record the reference model set is projected to
+         the *total* partial stable models; use [partial_stable_models] for
+         the full 3-valued picture. *)
+      reference_models;
+    }

@@ -12,17 +12,12 @@ val is_partial_stable : Db.t -> Three_valued.t -> bool
 val satisfies_db : Db.t -> Three_valued.t -> bool
 (** Kleene satisfaction of the database. *)
 
-val infer_formula : Db.t -> Formula.t -> bool
-val infer_literal : Db.t -> Lit.t -> bool
-val has_model : Db.t -> bool
-
 val partial_stable_models : Db.t -> Three_valued.t list
 (** Reference engine: all 3^n interpretations screened (small universes). *)
 
 val reference_models : Db.t -> Interp.t list
 (** The {e total} partial stable models, as 2-valued interpretations. *)
 
-val semantics : Semantics.t
-
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine}). *)
+(** The registry's [pdsm] record on the given engine, its answers memoized
+    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)

@@ -40,19 +40,16 @@ let has_model db = Option.is_some (find_perfect_such_that db)
 
 let reference_models db = Priority.brute_perfect_models db
 
-let perfect_models = Priority.perfect_models
-
-let semantics : Semantics.t =
-  {
-    name = "perf";
-    long_name = "Perfect Model Semantics (Przymusinski)";
-    applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    witness = (fun db f -> Semantics.two_valued (witness db f));
-    reference_models;
-  }
-
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized per semantics. *)
+let semantics_in eng =
+  Semantics.via_engine eng
+    {
+      name = "perf";
+      long_name = "Perfect Model Semantics (Przymusinski)";
+      applicable = (fun _ -> true);
+      has_model;
+      infer_formula;
+      infer_literal;
+      witness = (fun db f -> Semantics.two_valued (witness db f));
+      reference_models;
+    }

@@ -56,17 +56,16 @@ let has_model db =
 
 let reference_models db = Possible.brute_possible_models db
 
-let semantics : Semantics.t =
-  {
-    name = "pws";
-    long_name = "Possible Worlds Semantics (Chan) = Possible Models (Sakama)";
-    applicable = (fun db -> not (Db.has_negation db));
-    has_model;
-    infer_formula;
-    infer_literal;
-    witness = (fun db f -> Semantics.two_valued (witness db f));
-    reference_models;
-  }
-
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized per semantics. *)
+let semantics_in eng =
+  Semantics.via_engine eng
+    {
+      name = "pws";
+      long_name = "Possible Worlds Semantics (Chan) = Possible Models (Sakama)";
+      applicable = (fun db -> not (Db.has_negation db));
+      has_model;
+      infer_formula;
+      infer_literal;
+      witness = (fun db f -> Semantics.two_valued (witness db f));
+      reference_models;
+    }

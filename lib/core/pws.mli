@@ -6,11 +6,8 @@ open Ddb_db
     coNP-style counterexample search; without integrity clauses
     negative-literal inference is polynomial and existence is O(1). *)
 
-val infer_formula : Db.t -> Formula.t -> bool
-val infer_literal : Db.t -> Lit.t -> bool
-val has_model : Db.t -> bool
 val reference_models : Db.t -> Interp.t list
-val semantics : Semantics.t
 
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine}). *)
+(** The registry's [pws] record on the given engine, its answers memoized
+    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)

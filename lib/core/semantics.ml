@@ -47,31 +47,26 @@ let at_total formula_of k db q =
   let db = for_query db (formula_of q) in
   k db (Partition.minimize_all (Db.num_vars db)) q
 
-(* Route a semantics through the memoizing oracle engine without
-   decomposing its decision procedure: every decision problem is scoped
-   (instrumented per semantics) and its answer memoized under the
-   database's canonical key; the witness search is scoped.  Semantics whose
-   procedures the engine does decompose (the closed-world family) define
-   richer [semantics_in] versions in their own modules instead. *)
+(* Memoize a semantics' answers in the oracle engine without decomposing
+   its decision procedure: each decision problem's answer is cached under
+   the database's canonical key (an uncached engine always runs the
+   procedure).  Attribution is not done here: the registry's wrapper
+   ({!Fastpath.wrap}) runs every field in the record's scope.  The
+   closed-world family calls the engine's oracle ops directly instead. *)
 let via_engine eng (s : t) : t =
   let open Ddb_engine in
   {
     s with
     has_model =
       (fun db ->
-        Engine.scoped eng s.name (fun () ->
-            Engine.cached_bool eng ~sem:s.name ~op:"exists" db (fun () ->
-                s.has_model db)));
+        Engine.cached_bool eng ~sem:s.name ~op:"exists" db (fun () ->
+            s.has_model db));
     infer_formula =
       (fun db f ->
-        Engine.scoped eng s.name (fun () ->
-            Engine.cached_bool eng ~sem:s.name ~op:"formula" ~formula:f db
-              (fun () -> s.infer_formula db f)));
+        Engine.cached_bool eng ~sem:s.name ~op:"formula" ~formula:f db
+          (fun () -> s.infer_formula db f));
     infer_literal =
       (fun db l ->
-        Engine.scoped eng s.name (fun () ->
-            Engine.cached_bool eng ~sem:s.name ~op:"literal"
-              ~formula:(Formula.of_lit l) db (fun () -> s.infer_literal db l)));
-    witness =
-      (fun db f -> Engine.scoped eng s.name (fun () -> s.witness db f));
+        Engine.cached_bool eng ~sem:s.name ~op:"literal"
+          ~formula:(Formula.of_lit l) db (fun () -> s.infer_literal db l));
   }

@@ -42,9 +42,9 @@ val at_total :
     ECWA. *)
 
 val via_engine : Ddb_engine.Engine.t -> t -> t
-(** Route the semantics through the memoizing oracle engine: each decision
-    problem runs inside an {!Ddb_engine.Engine.scoped} bucket named after
-    the semantics and its answer is memoized under the database's canonical
-    key; the witness search runs in the same scope.  Used by the modules
-    whose procedures the engine does not decompose; the closed-world family
-    defines deeper [semantics_in] integrations instead. *)
+(** The answer memo for semantics whose procedures the engine does not
+    decompose: each decision problem's answer is memoized under the
+    database's canonical key ({!Ddb_engine.Engine.cached_bool}); the witness
+    search is left as it is.  It attributes nothing: the registry's wrapper
+    ([Fastpath.wrap]) runs every field in the record's scope.  The
+    closed-world family calls the engine's oracle ops directly instead. *)

@@ -69,8 +69,6 @@ let infer_formula db f =
   let db = Semantics.for_query db f in
   Three_valued.eval_formula (compute db) f = Three_valued.T
 
-let infer_literal db l = infer_formula db (Formula.of_lit l)
-
 (* Knowledge ordering on 3-valued interpretations: I ≤k J iff I's true and
    false sets are both contained in J's. *)
 let knowledge_le i j =

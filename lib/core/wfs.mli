@@ -13,7 +13,6 @@ type t = Three_valued.t
 val compute : Db.t -> t
 val is_total : Db.t -> bool
 val infer_formula : Db.t -> Formula.t -> bool
-val infer_literal : Db.t -> Lit.t -> bool
 
 val knowledge_le : Three_valued.t -> Three_valued.t -> bool
 (** I ≤k J: both the true and the false sets grow. *)

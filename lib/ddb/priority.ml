@@ -69,8 +69,6 @@ let compute db =
 
 let lt t x y = Interp.mem t.lt.(x) y
 
-let higher t x = t.lt.(x)
-
 (* Is some model of [db] preferable to [m]?  One SAT call: variables n_x
    describe the candidate N; constraints are
      N |= DB,   N ≠ M,   and for x ∉ M:  n_x -> ∨ { ¬n_y : y ∈ M, x < y }. *)

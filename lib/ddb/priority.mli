@@ -11,9 +11,6 @@ val compute : Db.t -> t
 val lt : t -> int -> int -> bool
 (** [lt t x y]: x < y (y has strictly higher priority). *)
 
-val higher : t -> int -> Interp.t
-(** All atoms strictly above the given one. *)
-
 val find_preferable :
   ?solver:Solver.t -> Db.t -> t -> Interp.t -> Interp.t option
 (** A model preferable to the given model, if any — one SAT call.  The

@@ -133,8 +133,3 @@ let split db t =
   in
   List.init (num_strata t) (fun i ->
       List.filter (fun c -> level_of_clause c = i) (Db.clauses db))
-
-let pp ?vocab ppf t =
-  List.iteri
-    (fun i s -> Fmt.pf ppf "@[<h>S%d = %a@]@," (i + 1) (Interp.pp ?vocab) s)
-    t.strata

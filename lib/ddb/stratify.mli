@@ -24,5 +24,3 @@ val valid_stratification : Db.t -> Interp.t list -> bool
 val split : Db.t -> t -> Clause.t list list
 (** Clauses grouped by stratum (integrity clauses attach to the deepest
     stratum their body mentions). *)
-
-val pp : ?vocab:Vocab.t -> Format.formatter -> t -> unit

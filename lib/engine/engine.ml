@@ -582,10 +582,12 @@ let record_unknown t ~sem =
   let c = bucket t.per_scope sem in
   c.unknowns <- c.unknowns + 1
 
+(* [sem] names only the bucket a degraded cell's [unknowns] count goes to;
+   attribution of the work itself is the semantics record's (the registry's
+   wrapper scopes every field). *)
 let budgeted ?retry ?group t limits ~sem f =
   let on_trip _ = record_unknown t ~sem in
-  let run () = scoped t sem f in
-  match Ddb_budget.Budget.run ?group ?retry ~on_trip limits run with
+  match Ddb_budget.Budget.run ?group ?retry ~on_trip limits f with
   | Ok b -> Ddb_budget.Budget.of_bool b
   | Error r -> Unknown r
 

@@ -146,11 +146,13 @@ val budgeted :
   sem:string ->
   (unit -> bool) ->
   answer
-(** [budgeted t limits ~sem f] mints a budget token, runs [f] under it in
-    the [sem] scope, and degrades to [Unknown] when the budget trips.
-    Only definite answers can have been memoized (the trip unwinds before
-    any cache write); each degraded evaluation bumps the [unknowns]
-    counter (total and per-[sem]).  [retry] (default [false]) is
+(** [budgeted t limits ~sem f] mints a budget token, runs [f] under it,
+    and degrades to [Unknown] when the budget trips.  It opens no scope:
+    [sem] only names the per-semantics bucket whose [unknowns] counter a
+    degraded evaluation bumps (with the total's).  The work [f] does is
+    attributed by whatever it calls; a registry record scopes every field
+    itself.  Only definite answers can have been memoized (the trip
+    unwinds before any cache write).  [retry] (default [false]) is
     {!Ddb_budget.Budget.run}'s retry ladder: a [Budget_exhausted] answer is
     retried once with every cap escalated 4x.  [group] joins the token to
     a cancellation group. *)
@@ -160,11 +162,14 @@ val budgeted :
 val scoped : t -> string -> (unit -> 'a) -> 'a
 (** [scoped t name f] runs [f], attributing solver effort ({!Stats} deltas)
     and wall time to the per-semantics bucket [name].  Nested scopes keep
-    attributing to the outermost one.  While a {!Ddb_obs.Trace} is active,
-    the outermost scope is also emitted as a top-level [scope.<name>] span
-    — the per-semantics lane the [engine.<op>] spans nest under.  Each
-    [engine.<op>] span's end event carries [cache_hit] (whether the memo
-    answered); a span whose op raised ends with [unwound] instead. *)
+    attributing to the outermost one.  Its one caller in [Ddb_core] is the
+    registry's wrapper ([Fastpath.wrap]), which runs every field of every
+    semantics record in the record's own scope.  While a {!Ddb_obs.Trace}
+    is active, the outermost scope is also emitted as a top-level
+    [scope.<name>] span — the per-semantics lane the [engine.<op>] spans
+    nest under.  Each [engine.<op>] span's end event carries [cache_hit]
+    (whether the memo answered); a span whose op raised ends with
+    [unwound] instead. *)
 
 (** The engine's one counter record: its total and each semantics' bucket.
     The same record is the per-engine, per-scope and merged view. *)

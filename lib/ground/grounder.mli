@@ -20,10 +20,6 @@ type t = {
   constants : string list;
 }
 
-val ground : ?max_ground_rules:int -> Ast.program -> t
-(** @raise Error on arity clashes, unsafe rules, or grounding blow-up
-    (default cap: 1_000_000 ground rules). *)
-
 val of_string : ?max_ground_rules:int -> string -> t
 (** Parse and ground.  @raise Error / @raise Parse.Error accordingly. *)
 

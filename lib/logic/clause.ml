@@ -28,10 +28,6 @@ let is_disjunctive c = List.length c.head > 1
 
 let equal a b = a.head = b.head && a.pos = b.pos && a.neg = b.neg
 
-let compare = Stdlib.compare
-
-let atoms c = sort_uniq (c.head @ c.pos @ c.neg)
-
 let max_atom c =
   List.fold_left max (-1) (c.head @ c.pos @ c.neg)
 

@@ -27,8 +27,6 @@ val is_definite : t -> bool
 
 val is_disjunctive : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val atoms : t -> int list
 val max_atom : t -> int
 
 val satisfied_by : Interp.t -> t -> bool

@@ -35,8 +35,6 @@ let or_ a b =
   | False, f | f, False -> f
   | _ -> Or (a, b)
 
-let iff a b = Iff (a, b)
-
 let big_and = function [] -> True | f :: fs -> List.fold_left and_ f fs
 let big_or = function [] -> False | f :: fs -> List.fold_left or_ f fs
 
@@ -60,11 +58,6 @@ let rec atoms_acc acc = function
 let atoms f = List.sort_uniq Int.compare (atoms_acc [] f)
 
 let max_atom f = List.fold_left max (-1) (atoms f)
-
-let rec size = function
-  | True | False | Atom _ -> 1
-  | Not f -> 1 + size f
-  | And (a, b) | Or (a, b) | Imp (a, b) | Iff (a, b) -> 1 + size a + size b
 
 (* Negation normal form over {True, False, Atom, Not-of-atom, And, Or}. *)
 let rec nnf = function

@@ -19,13 +19,11 @@ val of_lit : Lit.t -> t
 val not_ : t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
-val iff : t -> t -> t
 val big_and : t list -> t
 val big_or : t list -> t
 val eval : Interp.t -> t -> bool
 val atoms : t -> int list
 val max_atom : t -> int
-val size : t -> int
 val nnf : t -> t
 
 val cnf : t -> Lit.t list list

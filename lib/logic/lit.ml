@@ -8,8 +8,6 @@ let neg x = Neg x
 
 let atom = function Pos x | Neg x -> x
 
-let is_positive = function Pos _ -> true | Neg _ -> false
-
 let negate = function Pos x -> Neg x | Neg x -> Pos x
 
 let equal a b =

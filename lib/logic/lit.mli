@@ -5,7 +5,6 @@ type t = Pos of int | Neg of int
 val pos : int -> t
 val neg : int -> t
 val atom : t -> int
-val is_positive : t -> bool
 val negate : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int

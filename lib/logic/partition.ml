@@ -31,8 +31,6 @@ let p t = t.p
 let q t = t.q
 let z t = t.z
 
-let is_total t = Interp.equal t.p (Interp.full t.n)
-
 let le t m n = Interp.equal_within t.q m n && Interp.subset_within t.p m n
 
 let lt t m n = le t m n && not (Interp.equal_within t.p m n)

@@ -17,9 +17,6 @@ val p : t -> Interp.t
 val q : t -> Interp.t
 val z : t -> Interp.t
 
-val is_total : t -> bool
-(** True iff P = V. *)
-
 val le : t -> Interp.t -> Interp.t -> bool
 (** [le part m n]: M ≤_{P;Z} N, i.e. M∩Q = N∩Q and M∩P ⊆ N∩P. *)
 

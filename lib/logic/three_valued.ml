@@ -35,7 +35,6 @@ let all_undefined n = { tru = Interp.empty n; und = Interp.full n }
 let universe_size i = Interp.universe_size i.tru
 
 let tru i = i.tru
-let und i = i.und
 let fls i = Interp.diff (Interp.complement i.tru) i.und
 
 let value i x =
@@ -46,10 +45,6 @@ let is_total i = Interp.is_empty i.und
 let to_two_valued_opt i = if is_total i then Some i.tru else None
 
 let equal a b = Interp.equal a.tru b.tru && Interp.equal a.und b.und
-
-let compare a b =
-  let c = Interp.compare a.tru b.tru in
-  if c <> 0 then c else Interp.compare a.und b.und
 
 (* Pointwise truth ordering: a <= b iff value_a(x) <= value_b(x) for all x.
    Equivalently: true(a) ⊆ true(b) and true(a) ∪ undef(a) ⊆ true(b) ∪ undef(b). *)

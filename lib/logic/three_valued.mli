@@ -14,17 +14,14 @@ val make : tru:Interp.t -> und:Interp.t -> t
 
 val of_two_valued : Interp.t -> t
 val all_undefined : int -> t
-val universe_size : t -> int
 
 val tru : t -> Interp.t
-val und : t -> Interp.t
 val fls : t -> Interp.t
 
 val value : t -> int -> value
 val is_total : t -> bool
 val to_two_valued_opt : t -> Interp.t option
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val le : t -> t -> bool
 (** Pointwise truth ordering. *)

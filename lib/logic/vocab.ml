@@ -37,8 +37,6 @@ let intern t name =
 
 let find_opt t name = Hashtbl.find_opt t.tbl name
 
-let mem t name = Hashtbl.mem t.tbl name
-
 let name t id =
   if id < 0 || id >= t.n then invalid_arg "Vocab.name: id out of range";
   t.names.(id)
@@ -55,8 +53,6 @@ let fresh t base =
     in
     try_suffix 0
 
-let atoms t = List.init t.n (fun i -> i)
-
 let copy t =
   { tbl = Hashtbl.copy t.tbl; names = Array.copy t.names; n = t.n }
 
@@ -67,8 +63,3 @@ let of_size ?(prefix = "x") n =
     ignore (intern t (prefix ^ string_of_int i))
   done;
   t
-
-let pp ppf t =
-  Fmt.pf ppf "@[<h>{%a}@]"
-    (Fmt.list ~sep:(Fmt.any ",@ ") Fmt.string)
-    (List.init t.n (fun i -> t.names.(i)))

@@ -16,8 +16,6 @@ val intern : t -> string -> int
 
 val find_opt : t -> string -> int option
 
-val mem : t -> string -> bool
-
 val name : t -> int -> string
 (** Name of an id.  @raise Invalid_argument if out of range. *)
 
@@ -25,13 +23,8 @@ val fresh : t -> string -> int
 (** Intern a new atom named [base] or [base_k] for the least non-colliding
     [k].  Used by reductions that introduce new atoms. *)
 
-val atoms : t -> int list
-(** All ids, ascending. *)
-
 val copy : t -> t
 (** Independent copy (later interning in one does not affect the other). *)
 
 val of_size : ?prefix:string -> int -> t
 (** Vocabulary ["x0"], ..., ["x{n-1}"] (default prefix ["x"]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -88,5 +88,4 @@ val add_escaped : Buffer.t -> string -> unit
 (** Append a string's JSON escaping (no surrounding quotes) — the one
     escaper every hand-rolled JSON writer here uses. *)
 
-val write : out_channel -> unit
 val write_file : string -> unit

@@ -40,7 +40,6 @@ let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false) () =
   in
   { pool; engines; sems; pinned }
 
-let jobs t = Pool.jobs t.pool
 let engines t = Array.to_list t.engines
 let shutdown t = Pool.shutdown t.pool
 

@@ -19,27 +19,7 @@ open Ddb_db
 
 type t
 
-val create :
-  ?jobs:int ->
-  ?cache:bool ->
-  ?fastpath:bool ->
-  ?pinned:bool ->
-  unit ->
-  t
-(** [jobs] defaults to {!Pool.recommended_jobs}; [cache] (default [true])
-    is the engines' memoization flag, as in {!Ddb_engine.Engine.create}.
-    [fastpath] (default [true]) gates the shards' fragment fast-path
-    dispatch, as in {!Ddb_engine.Engine.create} — pass [false] for the
-    generic-oracle ablation baseline.
-    [pinned] (default [false]) routes every sweep through
-    {!Parallel.map_pinned_in} — item [k] on worker [k mod jobs] — so that
-    per-worker trace streams and per-shard counters are reproducible; turn
-    it on together with a {!Ddb_obs.Trace}. *)
-
-val jobs : t -> int
 val engines : t -> Ddb_engine.Engine.t list
-
-val shutdown : t -> unit
 
 val with_batch :
   ?jobs:int ->
@@ -48,6 +28,16 @@ val with_batch :
   ?pinned:bool ->
   (t -> 'a) ->
   'a
+(** [with_batch f] runs [f] on a fresh batch context and shuts its pool
+    down afterwards, also when [f] raises.  [jobs] defaults to
+    {!Pool.create}'s; [cache] (default [true]) is the engines'
+    memoization flag, as in {!Ddb_engine.Engine.create}.  [fastpath]
+    (default [true]) gates the shards' fragment fast-path dispatch, as in
+    {!Ddb_engine.Engine.create} — pass [false] for the generic-oracle
+    ablation baseline.  [pinned] (default [false]) routes every sweep
+    through {!Parallel.map_pinned_in} — item [k] on worker [k mod jobs] —
+    so that per-worker trace streams and per-shard counters are
+    reproducible; turn it on together with a {!Ddb_obs.Trace}. *)
 
 (** {1 Sweeps}
 

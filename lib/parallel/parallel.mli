@@ -10,7 +10,7 @@
 val map_chunked :
   ?jobs:int -> ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_chunked f xs] maps [f] over [xs] on an ephemeral pool of [jobs]
-    workers (default {!Pool.recommended_jobs}), preserving order.  The
+    workers (default {!Pool.create}'s), preserving order.  The
     default [chunk_size] aims at ~4 chunks per worker so the queue
     load-balances uneven task costs. *)
 

@@ -12,14 +12,11 @@
 type t
 
 val create : ?jobs:int -> unit -> t
-(** A pool of [jobs] workers (default {!recommended_jobs}).  [jobs] is
-    clamped to at least 1. *)
+(** A pool of [jobs] workers (default [Domain.recommended_domain_count ()],
+    the hardware parallelism the runtime reports).  [jobs] is clamped to at
+    least 1. *)
 
 val jobs : t -> int
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the hardware parallelism the
-    runtime reports. *)
 
 val run :
   ?cancel_on_error:Ddb_budget.Budget.group -> t -> (int -> unit) list -> unit

@@ -4,5 +4,4 @@ open Ddb_logic
 
 val satisfies : Interp.t -> Lit.t list list -> bool
 val models : num_vars:int -> Lit.t list list -> Interp.t list
-val solve : num_vars:int -> Lit.t list list -> Interp.t option
 val is_sat : num_vars:int -> Lit.t list list -> bool

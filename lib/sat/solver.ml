@@ -71,7 +71,6 @@ let create ?(num_vars = 0) () =
     propagations = 0;
   }
 
-let num_vars t = t.num_vars
 let conflicts t = t.conflicts
 let decisions t = t.decisions
 let propagations t = t.propagations

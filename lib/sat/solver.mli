@@ -18,7 +18,6 @@ val copy : t -> t
     [solve], model, conflict and decision on the copy is what the original
     would have produced, and neither sees the other's changes. *)
 
-val num_vars : t -> int
 val ensure_vars : t -> int -> unit
 val new_var : t -> int
 

@@ -3,9 +3,6 @@ open Ddb_logic
 (** Pigeonhole CNF instances (hard for resolution — the SAT-ablation stress
     family). *)
 
-val cnf : pigeons:int -> holes:int -> int * Lit.t list list
-(** (num_vars, clauses). *)
-
 val unsat_instance : int -> int * Lit.t list list
 (** PHP(n+1, n). *)
 

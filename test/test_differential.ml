@@ -30,7 +30,7 @@ let qcheck_ddr_implies_gcwa =
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
       List.for_all
         (fun x ->
-          (not (Ddr.infer_literal_in eng db (Lit.Neg x)))
+          (not (Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Neg x)))
           || Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x))
         (List.init num_vars Fun.id))
 

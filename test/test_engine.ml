@@ -222,6 +222,108 @@ let engine_stats_match_global () =
   | scopes ->
     failf "expected one scope, got %d" (List.length scopes)
 
+(* Every field of every registry record runs in the record's own scope,
+   whatever the engine configuration: on a fresh engine the only bucket is
+   the record's, it holds all of the engine's work, and under tracing every
+   [engine.*] and [fastpath.*] span opens inside that record's
+   [scope.<name>] span on its tid. *)
+let record_work_lands_in_its_bucket () =
+  let dbs =
+    [
+      ("positive", "a | b. c :- a.");
+      ("integrity", "a | b. c :- a. :- b, c.");
+      ("normal", "a :- not b. b | c.");
+      ("definite", "a. b :- a. c :- d.");
+    ]
+  in
+  let configs =
+    [
+      ("default", fun () -> Engine.create ());
+      ("fastpath:false", fun () -> Engine.create ~fastpath:false ());
+      ("cache:false", fun () -> Engine.create ~cache:false ());
+    ]
+  in
+  let spans_scoped name =
+    let open_ = Hashtbl.create 2 in
+    List.for_all
+      (fun (tid, ev, ph, _) ->
+        let stack = Option.value (Hashtbl.find_opt open_ tid) ~default:[] in
+        match ph with
+        | 'B' ->
+          Hashtbl.replace open_ tid (ev :: stack);
+          (not
+             (String.starts_with ~prefix:"engine." ev
+             || String.starts_with ~prefix:"fastpath." ev))
+          || List.mem ("scope." ^ name) stack
+        | 'E' ->
+          Hashtbl.replace open_ tid (match stack with [] -> [] | _ :: r -> r);
+          true
+        | _ -> true)
+      (Ddb_obs.Trace.dump ())
+  in
+  let same_as_totals label (b : Engine.stats) (t : Engine.stats) =
+    let field what f = check int (label ^ " " ^ what) (f t) (f b) in
+    field "oracle calls" (fun s -> s.Engine.oracle_calls);
+    field "cache hits" (fun s -> s.Engine.cache_hits);
+    field "cache misses" (fun s -> s.Engine.cache_misses);
+    field "sat solves" (fun s -> s.Engine.sat_solve_calls);
+    field "sigma2 queries" (fun s -> s.Engine.sigma2_queries);
+    field "conflicts" (fun s -> s.Engine.sat_conflicts);
+    field "decisions" (fun s -> s.Engine.sat_decisions);
+    field "propagations" (fun s -> s.Engine.sat_propagations);
+    field "fastpath hits" (fun s -> s.Engine.fastpath_hits);
+    field "fastpath misses" (fun s -> s.Engine.fastpath_misses);
+    field "classifications" (fun s -> s.Engine.classifications);
+    field "unknowns" (fun s -> s.Engine.unknowns)
+  in
+  List.iter
+    (fun (db_name, src) ->
+      let db = Db.of_string src in
+      let f = Formula.Or (Formula.Atom 0, Formula.Not (Formula.Atom 1)) in
+      let fields =
+        [
+          ("has_model", fun (s : Semantics.t) -> ignore (s.has_model db));
+          ("infer_formula", fun s -> ignore (s.infer_formula db f));
+          ("witness", fun s -> ignore (s.witness db f));
+        ]
+        @ List.concat_map
+            (fun x ->
+              List.map
+                (fun l ->
+                  ( "infer_literal " ^ Lit.to_string l,
+                    fun (s : Semantics.t) -> ignore (s.infer_literal db l) ))
+                [ Lit.Pos x; Lit.Neg x ])
+            (List.init (Db.num_vars db) Fun.id)
+      in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun (config, mk) ->
+              List.iter
+                (fun (field, run) ->
+                  let eng = mk () in
+                  let s = Option.get (Registry.find_in eng name) in
+                  if s.Semantics.applicable db then begin
+                    let label =
+                      String.concat " " [ name; field; db_name; config ]
+                    in
+                    Ddb_obs.Trace.start ();
+                    Fun.protect ~finally:Ddb_obs.Trace.stop (fun () -> run s);
+                    (match Engine.per_scope eng with
+                    | [ b ] ->
+                      check string (label ^ " bucket") name b.Engine.scope;
+                      same_as_totals label b (Engine.totals eng)
+                    | scopes ->
+                      failf "%s: %d buckets, expected [%s]" label
+                        (List.length scopes) name);
+                    check bool (label ^ " spans in scope") true
+                      (spans_scoped name)
+                  end)
+                fields)
+            configs)
+        Registry.names)
+    dbs
+
 let stats_json_sanity () =
   let eng = Engine.create () in
   let db = Random_db.positive ~seed:3 ~num_vars:5 in
@@ -367,6 +469,8 @@ let suites =
           pigeonhole_counters_monotone;
         test_case "per-scope attribution matches global Stats" `Quick
           engine_stats_match_global;
+        test_case "every registry field runs in its record's own scope" `Quick
+          record_work_lands_in_its_bucket;
         test_case "stats JSON shape" `Quick stats_json_sanity;
       ] );
     ( "engine.keys",

@@ -144,7 +144,7 @@ let brave_unit =
         check "unknown" true (Registry.find_in eng "zzz" = None));
   ]
 
-let qcheck_brave_duality sem_name cautious gen_db =
+let qcheck_brave_duality sem_name gen_db =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "%s: brave(F) = ¬cautious(¬F)" sem_name)
     QCheck.(pair (int_bound 999999) (int_range 1 4))
@@ -152,20 +152,19 @@ let qcheck_brave_duality sem_name cautious gen_db =
       let rand = Random.State.make [| seed |] in
       let db = gen_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      brave sem_name db f = not (cautious db (Formula.not_ f)))
+      brave sem_name db f
+      = not (Registry.infer_formula_in eng ~sem:sem_name db (Formula.not_ f)))
 
 let brave_duality_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      qcheck_brave_duality "gcwa" (Registry.infer_formula_in eng ~sem:"gcwa") Gen.dndb;
-      qcheck_brave_duality "egcwa" (Registry.infer_formula_in eng ~sem:"egcwa")
-        Gen.dndb;
-      qcheck_brave_duality "ddr" (Ddr.infer_formula_in eng)
-        Gen.dddb_with_integrity;
-      qcheck_brave_duality "pws" Pws.infer_formula Gen.dddb_with_integrity;
-      qcheck_brave_duality "dsm" Dsm.infer_formula Gen.dndb;
-      qcheck_brave_duality "perf" Perf.infer_formula Gen.dndb;
-      qcheck_brave_duality "cwa" (Cwa.infer_formula_in eng) Gen.dndb;
+      qcheck_brave_duality "gcwa" Gen.dndb;
+      qcheck_brave_duality "egcwa" Gen.dndb;
+      qcheck_brave_duality "ddr" Gen.dddb_with_integrity;
+      qcheck_brave_duality "pws" Gen.dddb_with_integrity;
+      qcheck_brave_duality "dsm" Gen.dndb;
+      qcheck_brave_duality "perf" Gen.dndb;
+      qcheck_brave_duality "cwa" Gen.dndb;
     ]
 
 let qcheck_brave_pdsm_reference =
@@ -199,7 +198,8 @@ let qcheck_sat_to_nlp_stable =
       in
       let db = Reductions.sat_to_nlp_stable ~num_vars cnf in
       Db.is_normal_program db
-      && Dsm.has_model db = Ddb_sat.Brute.is_sat ~num_vars cnf)
+      && Registry.has_model_in eng ~sem:"dsm" db
+         = Ddb_sat.Brute.is_sat ~num_vars cnf)
 
 let qcheck_sat_to_nlp_counts =
   QCheck.Test.make ~count:150
@@ -238,8 +238,8 @@ let qcheck_unsat_to_weak_literal =
       in
       let db, w = Reductions.unsat_to_weak_literal ~num_vars cnf in
       let unsat = not (Ddb_sat.Brute.is_sat ~num_vars cnf) in
-      Ddr.infer_literal_in eng db (Lit.Pos w) = unsat
-      && Pws.infer_literal db (Lit.Pos w) = unsat)
+      Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Pos w) = unsat
+      && Registry.infer_literal_in eng ~sem:"pws" db (Lit.Pos w) = unsat)
 
 (* --- CWA consistency in P^NP[O(log n)] --- *)
 
@@ -252,7 +252,7 @@ let cwa_log_suite =
             let db = Db.of_string src in
             let log = Oracle_algorithms.cwa_consistency_log db in
             let lin = Oracle_algorithms.cwa_consistency_linear db in
-            let direct = Cwa.has_model_in eng db in
+            let direct = Registry.has_model_in eng ~sem:"cwa" db in
             check src log.Oracle_algorithms.consistent direct;
             check src lin.Oracle_algorithms.consistent direct;
             check "bound" true
@@ -268,7 +268,7 @@ let qcheck_cwa_log =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let log = Oracle_algorithms.cwa_consistency_log db in
-      log.Oracle_algorithms.consistent = Cwa.has_model_in eng db
+      log.Oracle_algorithms.consistent = Registry.has_model_in eng ~sem:"cwa" db
       && log.Oracle_algorithms.np_queries
          <= Oracle_algorithms.log_bound num_vars)
 
@@ -370,7 +370,7 @@ let ground_suite =
     Alcotest.test_case "propositional datalog" `Quick (fun () ->
         let g = Ddb_ground.Grounder.of_string "p :- not q. q :- r." in
         let db = g.Ddb_ground.Grounder.db in
-        check "stable model" true (Dsm.has_model db);
+        check "stable model" true (Registry.has_model_in eng ~sem:"dsm" db);
         match Dsm.stable_models db with
         | [ m ] -> check "p" true (Ddb_ground.Grounder.holds_in g m "p" [])
         | _ -> Alcotest.fail "unique stable model expected");

@@ -46,23 +46,26 @@ let cwa_suite =
   [
     Alcotest.test_case "CWA inconsistent on a v b" `Quick (fun () ->
         let db = Db.of_string "a | b." in
-        check "no model" false (Cwa.has_model_in eng db);
+        check "no model" false (Registry.has_model_in eng ~sem:"cwa" db);
         (* ... while every disjunctive repair is consistent *)
         check "gcwa ok" true (Registry.has_model_in eng ~sem:"gcwa" db);
         check "egcwa ok" true (Registry.has_model_in eng ~sem:"egcwa" db));
     Alcotest.test_case "CWA on Horn db = least model" `Quick (fun () ->
         let db = Db.of_string "a. b :- a. c :- d." in
-        check "consistent" true (Cwa.has_model_in eng db);
-        check "entails b" true (Cwa.infer_literal_in eng db (Lit.Pos 1));
-        check "entails ~c" true (Cwa.infer_literal_in eng db (Lit.Neg 2));
-        check "entails ~d" true (Cwa.infer_literal_in eng db (Lit.Neg 3)));
+        check "consistent" true (Registry.has_model_in eng ~sem:"cwa" db);
+        let cwa l = Registry.infer_literal_in eng ~sem:"cwa" db l in
+        check "entails b" true (cwa (Lit.Pos 1));
+        check "entails ~c" true (cwa (Lit.Neg 2));
+        check "entails ~d" true (cwa (Lit.Neg 3)));
     Alcotest.test_case "GCWA = CWA on Horn databases" `Quick (fun () ->
         let db = Db.of_string "a. b :- a. c :- d." in
         List.iter
           (fun x ->
-            check "agree pos" (Cwa.infer_literal_in eng db (Lit.Pos x))
+            check "agree pos"
+              (Registry.infer_literal_in eng ~sem:"cwa" db (Lit.Pos x))
               (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Pos x));
-            check "agree neg" (Cwa.infer_literal_in eng db (Lit.Neg x))
+            check "agree neg"
+              (Registry.infer_literal_in eng ~sem:"cwa" db (Lit.Neg x))
               (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x)))
           [ 0; 1; 2; 3 ]);
   ]
@@ -190,8 +193,8 @@ let qcheck_entailment_chain =
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let ddr = Ddr.infer_formula_in eng db f in
-      let pws = Pws.infer_formula db f in
+      let ddr = Registry.infer_formula_in eng ~sem:"ddr" db f in
+      let pws = Registry.infer_formula_in eng ~sem:"pws" db f in
       let egcwa = Registry.infer_formula_in eng ~sem:"egcwa" db f in
       ((not ddr) || pws) && ((not pws) || egcwa))
 
@@ -206,10 +209,10 @@ let fresh_atom_suite =
         let fresh = Formula.Not (Formula.Atom (Vocab.intern vocab "zzz")) in
         check "gcwa" true (Registry.infer_formula_in eng ~sem:"gcwa" db fresh);
         check "egcwa" true (Registry.infer_formula_in eng ~sem:"egcwa" db fresh);
-        check "dsm" true (Dsm.infer_formula db fresh);
-        check "perf" true (Perf.infer_formula db fresh);
-        check "ddr" true (Ddr.infer_formula_in eng db fresh);
-        check "pws" true (Pws.infer_formula db fresh));
+        check "dsm" true (Registry.infer_formula_in eng ~sem:"dsm" db fresh);
+        check "perf" true (Registry.infer_formula_in eng ~sem:"perf" db fresh);
+        check "ddr" true (Registry.infer_formula_in eng ~sem:"ddr" db fresh);
+        check "pws" true (Registry.infer_formula_in eng ~sem:"pws" db fresh));
     Alcotest.test_case "classical entailment does not" `Quick (fun () ->
         let db = Db.of_string "a | b." in
         let vocab = Db.vocab db in
@@ -234,8 +237,8 @@ let inconsistent_suite =
         check "egcwa entails b" true
           (Registry.infer_formula_in eng ~sem:"egcwa" db b);
         check "egcwa no model" false (Registry.has_model_in eng ~sem:"egcwa" db);
-        check "dsm no model" false (Dsm.has_model db);
-        check "pdsm no model" false (Pdsm.has_model db));
+        check "dsm no model" false (Registry.has_model_in eng ~sem:"dsm" db);
+        check "pdsm no model" false (Registry.has_model_in eng ~sem:"pdsm" db));
   ]
 
 (* --- UMINSAT corner cases --- *)

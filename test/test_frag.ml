@@ -121,7 +121,7 @@ let qcheck_iterated_model =
                  ~pos:(Clause.body_pos c) ~neg:(Clause.body_neg c))
              (Db.clauses strat))
       in
-      match Perf.perfect_models normal with
+      match Priority.perfect_models normal with
       | [ m ] -> Interp.equal m (Frag.iterated_model normal)
       | _ -> false)
 

@@ -172,8 +172,8 @@ let qcheck_pdsm_engines_agree =
           (fun i -> Three_valued.eval_formula i f = Three_valued.T)
           reference
       in
-      Pdsm.has_model db = (reference <> [])
-      && Pdsm.infer_formula db f = ref_infer)
+      Registry.has_model_in eng ~sem:"pdsm" db = (reference <> [])
+      && Registry.infer_formula_in eng ~sem:"pdsm" db f = ref_infer)
 
 (* The 3-valued minimality SAT check against explicit 3-valued search. *)
 let qcheck_pdsm_stability_check =
@@ -209,7 +209,7 @@ let dsm_unit =
           (Gen.interp_list_equal (Dsm.stable_models db) [ i [ 0 ]; i [ 1 ] ]));
     Alcotest.test_case "odd loop: no stable model" `Quick (fun () ->
         let db = Db.of_string "a :- not a." in
-        check "none" false (Dsm.has_model db));
+        check "none" false (Registry.has_model_in eng ~sem:"dsm" db));
     Alcotest.test_case "disjunctive stable: a v b" `Quick (fun () ->
         let db = Db.of_string "a | b." in
         let i = Interp.of_list (Db.num_vars db) in
@@ -217,7 +217,7 @@ let dsm_unit =
           (Gen.interp_list_equal (Dsm.stable_models db) [ i [ 0 ]; i [ 1 ] ]));
     Alcotest.test_case "constraint kills stable model" `Quick (fun () ->
         let db = Db.of_string "a :- not b. :- a." in
-        check "none" false (Dsm.has_model db));
+        check "none" false (Registry.has_model_in eng ~sem:"dsm" db));
     Alcotest.test_case "supported but not stable" `Quick (fun () ->
         (* a :- a has the models {} and {a}; only {} is stable. *)
         let db = Db.of_string "a :- a. b." in
@@ -242,14 +242,18 @@ let pdsm_unit =
         check "three" true (List.length (Pdsm.partial_stable_models db) = 3));
     Alcotest.test_case "fact is certain" `Quick (fun () ->
         let db = Db.of_string "a." in
-        check "infers a" true (Pdsm.infer_literal db (Lit.Pos 0)));
+        check "infers a" true
+          (Registry.infer_literal_in eng ~sem:"pdsm" db (Lit.Pos 0)));
   ]
 
 let icwa_unit =
   [
     Alcotest.test_case "stratified consistency is O(1)" `Quick (fun () ->
-        check "yes" true (Icwa.has_model (Db.of_string "b. a :- not b."));
-        check "no (unstratified)" false (Icwa.has_model (Db.of_string "a :- not a.")));
+        let icwa src =
+          Registry.has_model_in eng ~sem:"icwa" (Db.of_string src)
+        in
+        check "yes" true (icwa "b. a :- not b.");
+        check "no (unstratified)" false (icwa "a :- not a."));
     Alcotest.test_case "integrity clauses can exclude every ICWA model" `Quick
       (fun () ->
         (* Stratified, but the constraint kills the only model {a}: the
@@ -257,13 +261,14 @@ let icwa_unit =
         let db = Db.of_string "a. :- a." in
         let part = Partition.minimize_all (Db.num_vars db) in
         check "no reference model" true (Icwa.reference_models db part = []);
-        check "no model" false (Icwa.has_model db);
+        check "no model" false (Registry.has_model_in eng ~sem:"icwa" db);
         List.iter
           (fun (config, eng) ->
             check config false (Registry.has_model_in eng ~sem:"icwa" db))
           (Gen.configurations ());
         check "satisfiable constraint keeps the model" true
-          (Icwa.has_model (Db.of_string "b. a :- not b. :- a.")));
+          (Registry.has_model_in eng ~sem:"icwa"
+             (Db.of_string "b. a :- not b. :- a.")));
     Alcotest.test_case "icwa on b :- not a infers b" `Quick (fun () ->
         let db = Db.of_string "b :- not a." in
         let vocab = Db.vocab db in
@@ -351,7 +356,7 @@ let qcheck_qbf_to_dsm =
     (fun seed ->
       let qbf = gen_ef_qbf seed in
       let db = Reductions.qbf_to_dsm_exists qbf in
-      Dsm.has_model db = Ddb_qbf.Naive.valid qbf)
+      Registry.has_model_in eng ~sem:"dsm" db = Ddb_qbf.Naive.valid qbf)
 
 let qcheck_sat_to_egcwa =
   QCheck.Test.make ~count:250
@@ -399,8 +404,8 @@ let qcheck_ddr_pws_poly_literal =
           (fun m -> not (Interp.mem m x))
           (Pws.reference_models db)
       in
-      Ddr.infer_literal_in eng db (Lit.Neg x) = ddr_ref
-      && Pws.infer_literal db (Lit.Neg x) = pws_ref)
+      Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Neg x) = ddr_ref
+      && Registry.infer_literal_in eng ~sem:"pws" db (Lit.Neg x) = pws_ref)
 
 (* Zero oracle calls on the tractable paths. *)
 let poly_no_oracle_unit =
@@ -408,7 +413,7 @@ let poly_no_oracle_unit =
     Alcotest.test_case "DDR literal path makes no SAT calls" `Quick (fun () ->
         let db = Db.of_string "a | b. c :- a, b. d :- c." in
         let before = Ddb_sat.Stats.snapshot () in
-        ignore (Ddr.infer_literal_in eng db (Lit.Neg 3));
+        ignore (Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Neg 3));
         let delta = Ddb_sat.Stats.delta before in
         check "no sat calls" true (delta.Ddb_sat.Stats.sat = 0);
         check "no sigma2 calls" true (delta.Ddb_sat.Stats.sigma2 = 0));
@@ -422,7 +427,7 @@ let poly_no_oracle_unit =
       (fun () ->
         let db = Db.of_string "b. a :- not b." in
         let before = Ddb_sat.Stats.snapshot () in
-        check "exists" true (Icwa.has_model db);
+        check "exists" true (Registry.has_model_in eng ~sem:"icwa" db);
         check "no oracle" true ((Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat = 0));
   ]
 
@@ -462,8 +467,10 @@ let qcheck_ddr_poly_agrees =
       List.for_all
         (fun x ->
           let poly = Ddr.entails_neg_literal_poly db x in
-          poly = Ddr.infer_literal_in eng db (Lit.Neg x)
-          && poly = Ddr.infer_formula_in eng db (Formula.Not (Formula.Atom x)))
+          poly = Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Neg x)
+          && poly
+             = Registry.infer_formula_in eng ~sem:"ddr" db
+                 (Formula.Not (Formula.Atom x)))
         (List.init num_vars Fun.id))
 
 (* --- paper Example 3.1: DDR vs GCWA on integrity-blind inference --- *)
@@ -474,7 +481,8 @@ let example_31 =
       (fun () ->
         let db = Db.of_string "a | b. :- a, b. c :- a, b." in
         let c = 2 in
-        check "DDR does not infer ~c" false (Ddr.infer_literal_in eng db (Lit.Neg c));
+        check "DDR does not infer ~c" false
+          (Registry.infer_literal_in eng ~sem:"ddr" db (Lit.Neg c));
         check "GCWA infers ~c" true
           (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg c));
         check "EGCWA infers ~c" true

@@ -270,7 +270,8 @@ let qbf_family_suite =
               (Ddb_core.Registry.infer_literal_in (Gen.baseline ()) ~sem:"gcwa" db
                  (Lit.Neg w));
             let db' = Ddb_core.Reductions.qbf_to_dsm_exists qbf in
-            check "dsm" valid (Ddb_core.Dsm.has_model db'))
+            check "dsm" valid
+              (Ddb_core.Registry.has_model_in (Gen.baseline ()) ~sem:"dsm" db'))
           [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
   ]
 
