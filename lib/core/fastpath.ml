@@ -85,6 +85,10 @@ let wrap eng (s : Semantics.t) : Semantics.t =
   (* The one attribution site: every field runs in the record's scope, so
      its work, wall time and [scope.<name>] span are the semantics' own. *)
   let scoped f = Engine.scoped eng sem f in
+  (* The fast-path op names, built once per record. *)
+  let op_exists = sem ^ "/exists"
+  and op_formula = sem ^ "/formula"
+  and op_literal = sem ^ "/literal" in
   (* [fast info] decides the route from the cached classification: a hit
      runs as one budget-probed fast-path op, a fall-through records the
      miss and runs the generic procedure. *)
@@ -93,7 +97,7 @@ let wrap eng (s : Semantics.t) : Semantics.t =
         if not (routed && Engine.fastpath_enabled eng) then fallback ()
         else
           match fast (Engine.classify eng db) with
-          | Some thunk -> Engine.fastpath_hit eng ~op:(sem ^ "/" ^ op) db thunk
+          | Some thunk -> Engine.fastpath_hit eng ~op db thunk
           | None ->
             Engine.fastpath_miss eng;
             fallback ())
@@ -134,14 +138,14 @@ let wrap eng (s : Semantics.t) : Semantics.t =
     s with
     has_model =
       (fun db ->
-        route ~op:"exists" db fast_exists (fun () -> s.Semantics.has_model db));
+        route ~op:op_exists db fast_exists (fun () -> s.Semantics.has_model db));
     infer_formula =
       (fun db f ->
-        route ~op:"formula" db (fast_formula f) (fun () ->
+        route ~op:op_formula db (fast_formula f) (fun () ->
             s.Semantics.infer_formula db f));
     infer_literal =
       (fun db l ->
-        route ~op:"literal" db (fast_literal db l) (fun () ->
+        route ~op:op_literal db (fast_literal db l) (fun () ->
             s.Semantics.infer_literal db l));
     witness = (fun db f -> scoped (fun () -> s.Semantics.witness db f));
   }

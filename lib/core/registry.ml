@@ -6,13 +6,18 @@
    so the "gcwa" and "egcwa" records are the CCWA and ECWA records under
    their own names.
 
-   Every record routes through an oracle engine: [all_in eng] packs the
-   semantics on the caller's engine (shared incremental solvers, per-theory
-   caches, per-semantics instrumentation).  [find] packs them on a fresh
-   engine with neither cache nor fast path — the paper's algorithms as
-   stated, one fresh solver per oracle question.  That baseline is a
-   configuration of the same code, not a second copy of it, and each call
-   gets its own engine, so no mutable engine is shared between callers. *)
+   Every record routes through an oracle engine and is packed by [pack]:
+   the module's [semantics_in eng] wrapped by [Fastpath.wrap eng].
+   [find_in eng]/[all_in eng] pack each record at most once per engine
+   and per domain, and hand out that same physical record afterwards, so a
+   one-shot query ([infer_literal_in] and friends) pays for its answer,
+   not for its wrapping.  A packed record holds no state of its own (all
+   of it lives in the engine), so sharing it cannot change an answer.
+   [find] packs on a fresh engine with neither cache nor fast path — the
+   paper's algorithms as stated, one fresh solver per oracle question.
+   That baseline is a configuration of the same code, not a second copy
+   of it, and each call gets its own engine, so no mutable engine is
+   shared between callers. *)
 
 module Engine = Ddb_engine.Engine
 
@@ -22,12 +27,12 @@ module Engine = Ddb_engine.Engine
    algorithms of [Ddb_frag], everything else falls back to the generic
    oracle procedures.  [Engine.create ~fastpath:false] turns the
    dispatcher off, which restores the pre-dispatch behaviour exactly. *)
-let entries : (string * (Engine.t -> Semantics.t)) list =
+let entries : (string * (Engine.t -> Semantics.t)) array =
   (* GCWA/EGCWA are the CCWA/ECWA records under their own names *)
   let named semantics_in name long_name =
     (name, semantics_in ~name ~long_name)
   in
-  [
+  [|
     ("cwa", Cwa.semantics_in);
     named Ccwa.semantics_in "gcwa"
       "Generalized Closed World Assumption (Minker)";
@@ -44,23 +49,59 @@ let entries : (string * (Engine.t -> Semantics.t)) list =
     ("perf", Perf.semantics_in);
     ("dsm", Dsm.semantics_in);
     ("pdsm", Pdsm.semantics_in);
-  ]
+  |]
 
-let pack eng mk = Fastpath.wrap eng (mk eng)
-let all_in eng : Semantics.t list = List.map (fun (_, mk) -> pack eng mk) entries
-let baseline () = all_in (Engine.create ~cache:false ~fastpath:false ())
+let names = Array.to_list (Array.map fst entries)
 
-(* One record, packed on demand: a lookup builds nothing else. *)
-let find_in eng name = Option.map (pack eng) (List.assoc_opt name entries)
-let find name = find_in (Engine.create ~cache:false ~fastpath:false ()) name
+let index name =
+  let rec go i =
+    if i = Array.length entries then None
+    else if String.equal (fst entries.(i)) name then Some i
+    else go (i + 1)
+  in
+  go 0
 
-let names = List.map fst entries
+let pack eng i = Fastpath.wrap eng (snd entries.(i) eng)
+
+(* The records packed for the last engine asked, one slot per registry
+   position, filled on first use: a fresh engine per query packs only the
+   record it asks for.  One memo per domain, so worker domains never share
+   it; a query on another engine replaces it. *)
+type per_engine = { eng : Engine.t; slots : Semantics.t option array }
+
+let memo : per_engine option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let packed eng i =
+  let m =
+    match Domain.DLS.get memo with
+    | Some m when m.eng == eng -> m
+    | _ ->
+      let m = { eng; slots = Array.make (Array.length entries) None } in
+      Domain.DLS.set memo (Some m);
+      m
+  in
+  match m.slots.(i) with
+  | Some s -> s
+  | None ->
+    let s = pack eng i in
+    m.slots.(i) <- Some s;
+    s
+
+let all_in eng = List.init (Array.length entries) (packed eng)
+let find_in eng name = Option.map (packed eng) (index name)
+
+(* Fresh engines bypass the memo, so they never evict a caller's engine. *)
+let find name =
+  Option.map (pack (Engine.create ~cache:false ~fastpath:false ())) (index name)
+
+(* Each record's [applicable] test, read once off the unwrapped records:
+   no semantics' test touches its engine. *)
+let applicables =
+  let eng = Engine.create ~cache:false ~fastpath:false () in
+  Array.map (fun (_, mk) -> (mk eng).Semantics.applicable) entries
 
 let applicable_names db =
-  List.filter_map
-    (fun (s : Semantics.t) ->
-      if s.Semantics.applicable db then Some s.Semantics.name else None)
-    (baseline ())
+  List.filteri (fun i _ -> applicables.(i) db) names
 
 (* One-shot boolean evaluation by name on a caller-supplied engine: the
    primitive query.  A budget wraps it from outside
@@ -70,8 +111,8 @@ let applicable_names db =
    determinism tests compare against. *)
 
 let in_exn eng name =
-  match find_in eng name with
-  | Some s -> s
+  match index name with
+  | Some i -> packed eng i
   | None -> invalid_arg (Printf.sprintf "Registry: unknown semantics %S" name)
 
 let infer_literal_in eng ~sem db l = (in_exn eng sem).Semantics.infer_literal db l

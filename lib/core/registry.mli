@@ -11,6 +11,15 @@ val find : string -> Semantics.t option
     per oracle question.  Each call builds its own engine. *)
 
 val find_in : Ddb_engine.Engine.t -> string -> Semantics.t option
+(** The named semantics routed through the given engine.  Each record is
+    packed at most once per engine and per domain: later calls on the same
+    engine return the same physical record, and {!all_in} returns those
+    records too.  The memo holds the last engine asked (per domain); a
+    query on another engine replaces it, and {!find} and
+    {!applicable_names} never touch it.  A packed record keeps no state of
+    its own (its memo tables and counters are the engine's), so sharing
+    it cannot change an answer. *)
+
 val names : string list
 
 val applicable_names : Ddb_db.Db.t -> string list

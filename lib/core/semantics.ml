@@ -55,18 +55,19 @@ let at_total formula_of k db q =
    closed-world family calls the engine's oracle ops directly instead. *)
 let via_engine eng (s : t) : t =
   let open Ddb_engine in
+  let op_exists = s.name ^ "/exists"
+  and op_formula = s.name ^ "/formula"
+  and op_literal = s.name ^ "/literal" in
   {
     s with
     has_model =
-      (fun db ->
-        Engine.cached_bool eng ~sem:s.name ~op:"exists" db (fun () ->
-            s.has_model db));
+      (fun db -> Engine.cached_bool eng ~op:op_exists db (fun () -> s.has_model db));
     infer_formula =
       (fun db f ->
-        Engine.cached_bool eng ~sem:s.name ~op:"formula" ~formula:f db
-          (fun () -> s.infer_formula db f));
+        Engine.cached_bool eng ~op:op_formula ~formula:f db (fun () ->
+            s.infer_formula db f));
     infer_literal =
       (fun db l ->
-        Engine.cached_bool eng ~sem:s.name ~op:"literal"
-          ~formula:(Formula.of_lit l) db (fun () -> s.infer_literal db l));
+        Engine.cached_bool eng ~op:op_literal ~formula:(Formula.of_lit l) db
+          (fun () -> s.infer_literal db l));
   }

@@ -171,24 +171,19 @@ let state e =
     e.state <- Some st;
     st
 
-(* Memo keys for the oracle caches.  Structural equality on formulas and
-   int lists; partitions are keyed by their (P, Q) member lists. *)
+(* Memo keys for the oracle caches.  Structural equality on formulas, int
+   lists and partitions.  A partition is keyed by itself: the theory key
+   fixes the universe size, so two partitions of it are equal exactly when
+   their P and Q are (Z is the rest). *)
 type qkey = {
   theory : int;
   op : string;
   negs : int list;
-  sect : int list * int list;
+  part : Partition.t option;
   form : Formula.t option;
-  arg : int;
 }
 
-let qkey ?(negs = []) ?part ?form ?(arg = -1) theory op =
-  let sect =
-    match part with
-    | None -> ([], [])
-    | Some p -> (Interp.to_list (Partition.p p), Interp.to_list (Partition.q p))
-  in
-  { theory; op; negs; sect; form; arg }
+let qkey ?(negs = []) ?part ?form theory op = { theory; op; negs; part; form }
 
 type t = {
   cache : bool;
@@ -334,15 +329,35 @@ let probe ?(fastpath = false) t ~op db f =
       Printexc.raise_with_backtrace e bt
   end
 
+(* Credit a scope's solver work and wall time to one record. *)
+let credit c (d : Stats.snapshot) wall_ms =
+  c.sat_solve_calls <- c.sat_solve_calls + d.Stats.sat;
+  c.sigma2_queries <- c.sigma2_queries + d.Stats.sigma2;
+  c.sat_conflicts <- c.sat_conflicts + d.Stats.conflicts;
+  c.sat_decisions <- c.sat_decisions + d.Stats.decisions;
+  c.sat_propagations <- c.sat_propagations + d.Stats.propagations;
+  c.wall_ms <- c.wall_ms +. wall_ms
+
+(* Close the outermost scope: credit its bucket and the total, end its
+   span. *)
+let close_scope t c name before t0 traced =
+  t.in_scope <- None;
+  let d = Stats.delta before in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  credit c d wall_ms;
+  credit t.total d wall_ms;
+  if traced then Ddb_obs.Trace.end_ (Ddb_obs.Trace.name ("scope." ^ name))
+
 (* Run [f] attributing solver work and wall time to [name].  Nested scopes
    keep attributing to the outermost one (a semantics calling into shared
    machinery is still that semantics' work).  Under tracing, the outermost
    scope is also a top-level [scope.<name>] span — the per-semantics lane
-   the oracle-op spans nest under. *)
+   the oracle-op spans nest under.  A body that raises (a budget trip, say)
+   is credited all the same before the exception goes on. *)
 let scoped t name f =
   match t.in_scope with
   | Some _ -> f ()
-  | None ->
+  | None -> (
     let traced = Ddb_obs.Trace.enabled () in
     if traced then
       Ddb_obs.Trace.begin_args
@@ -352,25 +367,14 @@ let scoped t name f =
     t.in_scope <- Some c;
     let before = Stats.snapshot () in
     let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        t.in_scope <- None;
-        let d = Stats.delta before in
-        let work =
-          {
-            (zero name) with
-            sat_solve_calls = d.Stats.sat;
-            sigma2_queries = d.Stats.sigma2;
-            sat_conflicts = d.Stats.conflicts;
-            sat_decisions = d.Stats.decisions;
-            sat_propagations = d.Stats.propagations;
-            wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-          }
-        in
-        add ~into:c work;
-        add ~into:t.total work;
-        if traced then Ddb_obs.Trace.end_ (Ddb_obs.Trace.name ("scope." ^ name)))
-      f
+    match f () with
+    | r ->
+      close_scope t c name before t0 traced;
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_scope t c name before t0 traced;
+      Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Memoization plumbing                                                *)
@@ -525,13 +529,13 @@ let non_entailed_atoms t db =
 
 (* Generic per-semantics result memo for semantics whose decision procedure
    the engine does not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM): the
-   engine still canonicalizes, caches and instruments the answer. *)
-let cached_bool ?part ?formula ?(arg = -1) t ~sem ~op db compute =
+   engine still canonicalizes, caches and instruments the answer.  [op] is
+   the full op name, [<semantics>/<problem>]. *)
+let cached_bool ?formula t ~op db compute =
   tick t;
-  probe t ~op:(sem ^ "/" ^ op) db (fun () ->
-      memo t t.bools db
-        (fun key -> qkey ?part ?form:formula ~arg key (sem ^ "/" ^ op))
-        (fun _ -> compute ()))
+  probe t ~op db (fun () ->
+      memo t t.bools db (fun key -> qkey ?form:formula key op) (fun _ ->
+          compute ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fragment classification and polynomial fast paths                   *)

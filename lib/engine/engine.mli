@@ -91,19 +91,12 @@ val non_entailed_atoms : t -> Db.t -> Interp.t
 (** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)
 
 val cached_bool :
-  ?part:Partition.t ->
-  ?formula:Formula.t ->
-  ?arg:int ->
-  t ->
-  sem:string ->
-  op:string ->
-  Db.t ->
-  (unit -> bool) ->
-  bool
+  ?formula:Formula.t -> t -> op:string -> Db.t -> (unit -> bool) -> bool
 (** Generic per-semantics decision memo for procedures the engine does not
-    decompose: canonicalizes the database, keys on
-    [(sem, op, part, formula, arg)], instruments, and delegates to the
-    thunk on a miss (or always, for uncached engines). *)
+    decompose: canonicalizes the database, keys on [(op, formula)],
+    instruments (an [engine.<op>] span), and delegates to the thunk on a
+    miss (or always, for uncached engines).  [op] names the semantics and
+    the problem, [<semantics>/<problem>] (["pws/literal"]). *)
 
 (** {1 Fragment classification and fast paths}
 
@@ -161,10 +154,12 @@ val budgeted :
 
 val scoped : t -> string -> (unit -> 'a) -> 'a
 (** [scoped t name f] runs [f], attributing solver effort ({!Stats} deltas)
-    and wall time to the per-semantics bucket [name].  Nested scopes keep
-    attributing to the outermost one.  Its one caller in [Ddb_core] is the
-    registry's wrapper ([Fastpath.wrap]), which runs every field of every
-    semantics record in the record's own scope.  While a {!Ddb_obs.Trace}
+    and wall time to the per-semantics bucket [name] and to the total.
+    Nested scopes keep attributing to the outermost one.  When [f] raises
+    (a budget trip, say), its work is credited all the same and the scope
+    is closed before the exception goes on.  Its one caller in [Ddb_core]
+    is the registry's wrapper ([Fastpath.wrap]), which runs every field of
+    every semantics record in the record's own scope.  While a {!Ddb_obs.Trace}
     is active, the outermost scope is also emitted as a top-level
     [scope.<name>] span — the per-semantics lane the [engine.<op>] spans
     nest under.  Each [engine.<op>] span's end event carries [cache_hit]

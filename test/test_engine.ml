@@ -448,6 +448,143 @@ let oracle_algorithms_engine_variant () =
         e.Oracle_algorithms.sigma2_queries)
     [ 41; 42; 43 ]
 
+(* --- the registry's per-engine packing --- *)
+
+(* [find_in] packs each record once per engine: every later lookup, and
+   [all_in], returns that physical record.  Asking [find] or
+   [applicable_names] (fresh engines) in between does not repack. *)
+let records_packed_once_per_engine () =
+  let eng = Engine.create () in
+  let db = Random_db.normal ~seed:31 ~num_vars:5 in
+  List.iter
+    (fun name ->
+      let s = Option.get (Registry.find_in eng name) in
+      check bool (name ^ " twice") true (s == Option.get (Registry.find_in eng name));
+      ignore (Registry.find name);
+      ignore (Registry.applicable_names db);
+      check bool (name ^ " after fresh engines") true
+        (s == Option.get (Registry.find_in eng name)))
+    Registry.names;
+  List.iter
+    (fun (s : Semantics.t) ->
+      check bool (s.Semantics.name ^ " all_in") true
+        (s == Option.get (Registry.find_in eng s.Semantics.name)))
+    (Registry.all_in eng)
+
+(* Engines A, B, A on the same queries: the same answers, and each
+   engine's counters are its own — B's do not move while A works, and A
+   ends where an engine that never saw B ends. *)
+let interleaved_engines_keep_their_own_counters () =
+  let dbs =
+    [
+      Db.of_string "a. b :- a. c :- b, d.";
+      Random_db.with_integrity ~seed:32 ~num_vars:6;
+    ]
+  in
+  let queries eng =
+    List.concat_map
+      (fun db ->
+        List.concat_map
+          (fun sem ->
+            List.map
+              (fun l -> Registry.infer_literal_in eng ~sem db l)
+              [ Lit.Pos 0; Lit.Neg 1; Lit.Neg 2 ])
+          [ "gcwa"; "ddr"; "dsm"; "perf" ])
+      dbs
+  in
+  let counters eng =
+    let strip (s : Engine.stats) = { s with Engine.wall_ms = 0. } in
+    (strip (Engine.totals eng), List.map strip (Engine.per_scope eng))
+  in
+  let a = Engine.create () and b = Engine.create () and solo = Engine.create () in
+  let first = queries a in
+  let on_b = queries b in
+  let b_counters = counters b in
+  let second = queries a in
+  let solo_answers = queries solo @ queries solo in
+  let worked (total, _) =
+    total.Engine.fastpath_hits > 0 && total.Engine.oracle_calls > 0
+  in
+  check bool "B counted its queries" true (worked b_counters);
+  check (list bool) "B answers as A" first on_b;
+  check (list bool) "A answers alike after B" first second;
+  check bool "B unchanged by A" true (counters b = b_counters);
+  check (list bool) "A answers as an engine alone" solo_answers (first @ second);
+  check bool "A counts as an engine alone" true (counters a = counters solo)
+
+(* A scope whose body raises (a budget trip) still credits its bucket with
+   the work done before the trip, and closes: the next query opens a fresh
+   top-level scope of its own. *)
+let raising_scope_credits_and_closes () =
+  let eng = Engine.create ~fastpath:false () in
+  (* PHP(5,4) as a database: positive clauses are rules, the rest are
+     integrity clauses *)
+  let num_vars, cnf = Pigeonhole.unsat_instance 4 in
+  let clause c =
+    let pos = List.filter_map (function Lit.Pos x -> Some x | Lit.Neg _ -> None) c
+    and neg = List.filter_map (function Lit.Neg x -> Some x | Lit.Pos _ -> None) c in
+    Clause.make ~head:pos ~pos:neg ~neg:[]
+  in
+  let db = Db.make ~vocab:(Vocab.of_size num_vars) (List.map clause cnf) in
+  let before = Stats.snapshot () in
+  let r =
+    Ddb_obs.Trace.start ();
+    Fun.protect ~finally:Ddb_obs.Trace.stop (fun () ->
+        let r =
+          Engine.budgeted eng (Ddb_budget.Budget.limits ~conflicts:20 ()) ~sem:"gcwa"
+            (fun () -> Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg 0))
+        in
+        ignore (Registry.has_model_in eng ~sem:"cwa" db);
+        r)
+  in
+  check bool "tripped" true (match r with Engine.Unknown _ -> true | _ -> false);
+  let d = Stats.delta before in
+  (match Engine.per_scope eng with
+  | [ c; g ] ->
+    check string "cwa bucket" "cwa" c.Engine.scope;
+    check bool "cwa did its own work" true (c.Engine.oracle_calls > 0);
+    check string "gcwa bucket" "gcwa" g.Engine.scope;
+    check bool "gcwa solved before the trip" true (g.Engine.sat_conflicts > 0);
+    check int "every solve credited" d.Stats.sat
+      (c.Engine.sat_solve_calls + g.Engine.sat_solve_calls);
+    check int "every conflict credited" d.Stats.conflicts
+      (c.Engine.sat_conflicts + g.Engine.sat_conflicts);
+    check int "gcwa's unknown" 1 g.Engine.unknowns
+  | scopes -> failf "expected cwa and gcwa buckets, got %d" (List.length scopes));
+  let scope_events =
+    List.filter_map
+      (fun (_, ev, ph, _) ->
+        if String.starts_with ~prefix:"scope." ev then Some (Printf.sprintf "%c %s" ph ev)
+        else None)
+      (Ddb_obs.Trace.dump ())
+  in
+  check (list string) "scope spans"
+    [ "B scope.gcwa"; "E scope.gcwa"; "B scope.cwa"; "E scope.cwa" ]
+    scope_events
+
+(* A warmed fast-path literal query through [Registry.infer_literal_in]
+   allocates for its answer, not for repacking its record: the bound sits
+   well below one [Fastpath.wrap] of a record. *)
+let fast_path_query_allocation () =
+  let eng = Engine.create () in
+  let db = Db.of_string "a. b :- a. c :- b. d :- c, a. e :- f." in
+  let sems = [| "cwa"; "gcwa"; "ddr"; "pws"; "egcwa"; "dsm" |] in
+  let query i =
+    let sem = sems.(i mod Array.length sems) in
+    let x = i mod Db.num_vars db in
+    let l = if i land 1 = 0 then Lit.Pos x else Lit.Neg x in
+    ignore (Registry.infer_literal_in eng ~sem db l)
+  in
+  for i = 0 to 999 do query i done;
+  let n = 10_000 in
+  let hits0 = (Engine.totals eng).Engine.fastpath_hits in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do query i done;
+  let per_query = (Gc.minor_words () -. w0) /. Float.of_int n in
+  check int "all fast-path hits" n ((Engine.totals eng).Engine.fastpath_hits - hits0);
+  if per_query >= 150. then
+    failf "%.1f minor words per fast-path query (bound 150)" per_query
+
 let suites =
   [
     ( "engine.soundness",
@@ -472,6 +609,17 @@ let suites =
         test_case "every registry field runs in its record's own scope" `Quick
           record_work_lands_in_its_bucket;
         test_case "stats JSON shape" `Quick stats_json_sanity;
+      ] );
+    ( "engine.registry",
+      [
+        test_case "each record is packed once per engine" `Quick
+          records_packed_once_per_engine;
+        test_case "interleaved engines keep their own counters" `Quick
+          interleaved_engines_keep_their_own_counters;
+        test_case "a raising scope credits its bucket and closes" `Quick
+          raising_scope_credits_and_closes;
+        test_case "a warmed fast-path query allocates under 150 words" `Quick
+          fast_path_query_allocation;
       ] );
     ( "engine.keys",
       [
