@@ -141,7 +141,7 @@ let paper_cell (e : Classes.entry) : (Db.t -> bool) option =
         answer (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)))
   | "ccwa", Classes.Formula ->
     Some (fun db ->
-        answer (at_part Oracle_algorithms.ccwa_formula_in random_query db))
+        answer (at_part Oracle_algorithms.entails_log_in random_query db))
   | "ccwa", Classes.Literal -> Some (at_part Ccwa.infer_literal_in neg_literal)
   | "ecwa", Classes.Literal -> Some (at_part Ecwa.infer_literal_in neg_literal)
   | "ecwa", Classes.Formula -> Some (at_part Ecwa.infer_formula_in random_query)

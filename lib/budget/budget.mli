@@ -59,7 +59,12 @@ type limits = {
           engine oracle op consumes one tick — deterministic *)
   wall_ms : float option;
       (** wall deadline in ms, measured from token mint (per-task) *)
-  models : int option;  (** enumeration cap (models reported) *)
+  models : int option;
+      (** enumeration cap: the one limit on how many models a listing
+          reports.  Both model loops charge it, one model per report:
+          [Ddb_sat.Enum.iter] (classical models) and [Ddb_sat.Minimal]'s
+          minimal-model search loop ([all_minimal], and the model
+          [find_minimal_such_that] returns). *)
 }
 
 val no_limits : limits
@@ -140,7 +145,7 @@ val check : unit -> unit
 (** Generic loop boundary (CEGAR rounds, enumeration loops): one tick. *)
 
 val on_model : unit -> unit
-(** One enumerated model: checks the enumeration cap. *)
+(** One reported model: checks the enumeration cap ([limits.models]). *)
 
 val on_oracle_op : unit -> unit
 (** Engine oracle-op entry: one tick, plus the {!Fault} countdown. *)

@@ -21,17 +21,14 @@ let is_stable db m =
        (Partition.minimize_all (Db.num_vars db))
        m
 
-exception Found of Interp.t
-
-(* A stable model satisfying [query]: walk the minimal models satisfying
-   it, screen each with the stability check. *)
+(* A stable model satisfying [query]: the minimal models satisfying it,
+   screened by the stability check. *)
 let find_stable_such_that ?query db =
-  let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
-  try
-    Ddb_sat.Minimal.iter_minimal ~extra (Db.theory db) (fun m ->
-        if pred m && is_stable db m then raise (Found m) else `Continue);
-    None
-  with Found m -> Some m
+  let n = Db.num_vars db in
+  let extra, pred = Models.guard ~universe:n query in
+  Ddb_sat.Minimal.find_minimal_such_that ~extra
+    ~check:(fun m -> pred m && is_stable db m)
+    (Db.theory db) (Partition.minimize_all n)
 
 let witness db f = find_stable_such_that ~query:f (Semantics.for_query db f)
 let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
@@ -42,20 +39,7 @@ let has_model db =
   if Db.is_positive_ddb db then true (* DSM = MM, and MM(DB) ≠ ∅ *)
   else Option.is_some (find_stable_such_that db)
 
-let stable_models ?limit ?truncated db =
-  let acc = ref [] in
-  let count = ref 0 in
-  Ddb_sat.Minimal.iter_minimal (Db.theory db) (fun m ->
-      if is_stable db m then begin
-        acc := m :: !acc;
-        incr count
-      end;
-      match limit with
-      | Some k when !count >= k ->
-        Option.iter (fun r -> r := true) truncated;
-        `Stop
-      | _ -> `Continue);
-  List.rev !acc
+let stable_models db = List.filter (is_stable db) (Models.minimal_models db)
 
 let reference_models db =
   List.filter (fun m -> is_stable db m) (Models.brute_models db)

@@ -10,8 +10,8 @@ open Ddb_db
 val is_stable : Db.t -> Interp.t -> bool
 (** Stability check: polynomial reduct + one minimality SAT call. *)
 
-val stable_models : ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
-(** A [limit]-cut enumeration sets [truncated] (if given) to [true]. *)
+val stable_models : Db.t -> Interp.t list
+(** The minimal models that pass the stability check. *)
 
 val reference_models : Db.t -> Interp.t list
 

@@ -26,6 +26,17 @@ module Engine = Ddb_engine.Engine
 
 type report = { answer : bool; sigma2_queries : int; p_size : int }
 
+(* The binary search both log algorithms open with: the largest k ∈ [0, hi]
+   with [at_least k] (monotone, and true at 0), in ⌈log₂(hi+1)⌉ queries. *)
+let theta_search at_least hi =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if at_least mid then go mid hi else go lo (mid - 1)
+  in
+  go 0 hi
+
 (* One Σ₂ᵖ oracle holding the (lazily computed) support set.  Every
    [query_at_least]/[query_final] invocation counts as one oracle call; the
    oracle's internal work — the support set and the final entailment — is
@@ -51,14 +62,7 @@ let entails_log_in eng db part f =
          f)
   in
   let p_size = Interp.cardinal (Partition.p part) in
-  (* Binary search for K = |S| ∈ [0, |P|]. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi + 1) / 2 in
-      if query_at_least mid then search mid hi else search lo (mid - 1)
-  in
-  let _k = search 0 p_size in
+  let _k = theta_search query_at_least p_size in
   let counterexample = query_final f in
   {
     answer = not counterexample;
@@ -144,13 +148,7 @@ let cwa_consistency_log db =
     let solver = Solver.of_clauses ~num_vars:n (Db.to_cnf db @ negs) in
     match Solver.solve solver with Solver.Sat -> true | Solver.Unsat -> false
   in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi + 1) / 2 in
-      if query_at_least mid then search mid hi else search lo (mid - 1)
-  in
-  let _k = search 0 n in
+  let _k = theta_search query_at_least n in
   let consistent = query_final () in
   { consistent; np_queries = !queries; universe = n }
 

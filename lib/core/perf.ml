@@ -12,24 +12,19 @@ open Ddb_db
        unique perfect model exists, matching the paper's consistency
        discussion; for unstratified ones there may be none). *)
 
-exception Found of Interp.t
-
 (* Some perfect model satisfying [query] (any perfect model without it). *)
 let find_perfect_such_that ?query db =
-  let extra, pred = Models.guard ~universe:(Db.num_vars db) query in
+  let n = Db.num_vars db in
+  let extra, pred = Models.guard ~universe:n query in
   let priority = Priority.compute db in
   let theory = Db.theory db in
   let check_solver = Ddb_sat.Minimal.solver_of theory in
-  try
-    Ddb_sat.Minimal.iter_minimal ~extra theory (fun m ->
-        if
-          pred m
-          && Option.is_none
-               (Priority.find_preferable ~solver:check_solver db priority m)
-        then raise (Found m)
-        else `Continue);
-    None
-  with Found m -> Some m
+  Ddb_sat.Minimal.find_minimal_such_that ~extra
+    ~check:(fun m ->
+      pred m
+      && Option.is_none
+           (Priority.find_preferable ~solver:check_solver db priority m))
+    theory (Partition.minimize_all n)
 
 let witness db f = find_perfect_such_that ~query:f (Semantics.for_query db f)
 let infer_formula db f = Option.is_none (witness db (Formula.not_ f))

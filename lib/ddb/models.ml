@@ -12,38 +12,17 @@ let has_model db =
   | Solver.Sat -> true
   | Solver.Unsat -> false
 
-let all_models ?limit ?truncated db =
-  Enum.all_models ?limit ?truncated ~num_vars:(Db.num_vars db) (Db.to_cnf db)
+(* The given partition, or the total one ⟨V;∅;∅⟩ over [n] atoms. *)
+let or_total n = function Some p -> p | None -> Partition.minimize_all n
 
-let minimal_models ?limit ?truncated db =
-  Minimal.all_minimal ?limit ?truncated (Db.theory db)
+let all_models db = Enum.all_models ~num_vars:(Db.num_vars db) (Db.to_cnf db)
 
-(* MM(DB;P;Z) restricted to a finite representative set: all minimal models,
-   *one per (P,Q)-section*, each canonically extended on Z by an arbitrary
-   completion found by the solver.  (The full MM(DB;P;Z) also contains every
-   Z-variant; for entailment questions use [entails_*] below, which quantify
-   over all of them.) *)
-let minimal_section_models ?limit ?truncated db part =
-  let theory = Db.theory db in
-  let candidate = Minimal.solver_of theory in
-  let minimizer = Minimal.solver_of theory in
-  let n = Db.num_vars db in
-  let acc = ref [] in
-  let budget = ref (match limit with Some k -> k | None -> -1) in
-  let continue = ref true in
-  while !continue && !budget <> 0 do
-    match Solver.solve candidate with
-    | Solver.Unsat -> continue := false
-    | Solver.Sat ->
-      let m = Solver.model ~universe:n candidate in
-      let m_min = Minimal.minimize_with minimizer part m in
-      acc := m_min :: !acc;
-      if !budget > 0 then decr budget;
-      Solver.add_clause candidate (Minimal.cone_blocking part m_min)
-  done;
-  if !continue && !budget = 0 then
-    Option.iter (fun r -> r := true) truncated;
-  List.rev !acc
+(* MM(DB;P;Z) restricted to a finite representative set: one minimal model
+   per (P,Q)-section, each completed on Z by the solver.  (The full
+   MM(DB;P;Z) also contains every Z-variant; for entailment questions use
+   [minimal_entails] below, which quantifies over all of them.) *)
+let minimal_models ?part db =
+  Minimal.all_minimal (Db.theory db) (or_total (Db.num_vars db) part)
 
 (* The search restriction "the model satisfies F", shared by every
    guess-and-check search: the Tseitin clauses asserting F over auxiliary
@@ -62,9 +41,7 @@ let guard ~universe = function
 let minimal_witness ?part ?theory db formula =
   let n = max (Db.num_vars db) (Formula.max_atom formula + 1) in
   let db = Db.with_universe db n in
-  let part =
-    match part with Some p -> p | None -> Partition.minimize_all n
-  in
+  let part = or_total n part in
   let theory = match theory with Some th -> th | None -> Db.theory db in
   let extra, _ = guard ~universe:n (Some formula) in
   Minimal.find_minimal_such_that ~extra theory part
@@ -90,9 +67,4 @@ let brute_models db =
   List.filter (fun m -> Db.satisfied_by m db) (Interp.all (Db.num_vars db))
 
 let brute_minimal_models ?part db =
-  let part =
-    match part with
-    | Some p -> p
-    | None -> Partition.minimize_all (Db.num_vars db)
-  in
-  Minimal.minimal_of_models part (brute_models db)
+  Minimal.minimal_of_models (or_total (Db.num_vars db) part) (brute_models db)

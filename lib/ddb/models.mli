@@ -5,14 +5,11 @@ open Ddb_logic
     references for small universes. *)
 
 val has_model : Db.t -> bool
-val all_models : ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
-val minimal_models : ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
-(** When [limit] cuts an enumeration short, [truncated] (if given) is set
-    to [true] — truncation used to be silent. *)
+val all_models : Db.t -> Interp.t list
 
-val minimal_section_models :
-  ?limit:int -> ?truncated:bool ref -> Db.t -> Partition.t -> Interp.t list
-(** One representative (P;Z)-minimal model per (P,Q)-section. *)
+val minimal_models : ?part:Partition.t -> Db.t -> Interp.t list
+(** One (P;Z)-minimal model per minimal (P,Q)-section (default: the total
+    partition, where that is all of MM(DB)). *)
 
 val guard :
   universe:int -> Formula.t option -> Lit.t list list * (Interp.t -> bool)

@@ -48,37 +48,20 @@ let projected_program db m =
         (Clause.head c))
     (Db.clauses db)
 
+(* M = lfp(P_M), for a model M of DB. *)
+let is_least_of_projection db m =
+  Interp.equal m
+    (Horn.least_model ~num_vars:(Db.num_vars db) (projected_program db m))
+
 let is_possible_model db m =
   check_dddb db;
-  Db.satisfied_by m db
-  && Interp.equal m
-       (Horn.least_model ~num_vars:(Db.num_vars db) (projected_program db m))
+  Db.satisfied_by m db && is_least_of_projection db m
 
 (* All possible models: enumerate models of DB, keep the possible ones.
    (Possible models are models; the polynomial check filters.) *)
-let possible_models ?limit ?truncated db =
+let possible_models db =
   check_dddb db;
-  let solver = Db.solver db in
-  let n = Db.num_vars db in
-  let acc = ref [] in
-  let count = ref 0 in
-  Enum.iter ?limit:None ~universe:n solver (fun m ->
-      if
-        Db.satisfied_by m db
-        && Interp.equal m
-             (Horn.least_model ~num_vars:n (projected_program db m))
-      then begin
-        acc := m :: !acc;
-        incr count
-      end;
-      match limit with
-      | Some k when !count >= k ->
-        (* Stopping at the cap before the enumeration proved itself
-           complete: flag it (this was silent). *)
-        Option.iter (fun r -> r := true) truncated;
-        `Stop
-      | _ -> `Continue);
-  List.rev !acc
+  List.filter (is_least_of_projection db) (Models.all_models db)
 
 (* Reference implementation by explicit split enumeration (exponential in
    the number of disjunctive clauses; tests only). *)

@@ -19,10 +19,8 @@ val projected_program : Db.t -> Interp.t -> Horn.rule list
 
 val integrity_bodies : Db.t -> int list list
 
-val possible_models :
-  ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
-(** SAT-enumerate models, keep the possible ones.  When [limit] cuts the
-    enumeration short, [truncated] (if given) is set to [true]. *)
+val possible_models : Db.t -> Interp.t list
+(** SAT-enumerate models, keep the possible ones. *)
 
 val brute_possible_models : Db.t -> Interp.t list
 (** Reference: explicit split enumeration. *)

@@ -125,9 +125,9 @@ let brute_perfect_models db =
 
 (* All perfect models via minimal-model enumeration + the SAT check
    (perfect ⊆ minimal). *)
-let perfect_models ?limit ?truncated db =
+let perfect_models db =
   let t = compute db in
   let check_solver = Db.solver db in
   List.filter
     (fun m -> Option.is_none (find_preferable ~solver:check_solver db t m))
-    (Models.minimal_models ?limit ?truncated db)
+    (Models.minimal_models db)

@@ -20,7 +20,5 @@ val is_perfect : ?priority:t -> Db.t -> Interp.t -> bool
 
 val brute_perfect_models : Db.t -> Interp.t list
 
-val perfect_models :
-  ?limit:int -> ?truncated:bool ref -> Db.t -> Interp.t list
-(** [limit] bounds the underlying minimal-model enumeration; a cut-short
-    enumeration sets [truncated] (if given) to [true]. *)
+val perfect_models : Db.t -> Interp.t list
+(** The minimal models that pass the perfectness check. *)

@@ -205,7 +205,6 @@ type t = {
   interps : (qkey, Interp.t) Hashtbl.t;
   (* Witness searches: the model the solve found, or [None]. *)
   witnesses : (qkey, Interp.t option) Hashtbl.t;
-  model_lists : (qkey, Interp.t list) Hashtbl.t;
 }
 
 let create ?(cache = true) ?(fastpath = true) () =
@@ -223,7 +222,6 @@ let create ?(cache = true) ?(fastpath = true) () =
     bools = Hashtbl.create 256;
     interps = Hashtbl.create 64;
     witnesses = Hashtbl.create 256;
-    model_lists = Hashtbl.create 64;
   }
 
 let cache_enabled t = t.cache
@@ -240,8 +238,7 @@ let reset t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.bools;
   Hashtbl.reset t.interps;
-  Hashtbl.reset t.witnesses;
-  Hashtbl.reset t.model_lists
+  Hashtbl.reset t.witnesses
 
 let theory_key t db =
   match t.last_db with
@@ -493,18 +490,6 @@ let in_some_minimal t db part x =
              ~extra:[ [ Lit.Pos x ] ]
              (Db.theory db) part))
   end
-
-(* All ⊆-minimal models (total partition). *)
-let minimal_models ?limit ?truncated t db =
-  tick t;
-  probe t ~op:"minimal_models" db (fun () ->
-      match limit with
-      | Some _ ->
-        (* limited enumerations are cheap and caller-specific: never cached *)
-        Minimal.all_minimal ?limit ?truncated (compiled (entry t db))
-      | None ->
-        memo t t.model_lists db (fun key -> qkey key "minimal_models")
-          (fun e -> Minimal.all_minimal (compiled e)))
 
 (* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
    like [augmented_witness] and under the entailment op's name. *)

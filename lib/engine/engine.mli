@@ -75,13 +75,6 @@ val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
     from the memoized support set; uncached engines issue the paper's one
     constrained minimal-model query.  The atom must belong to [P]. *)
 
-val minimal_models :
-  ?limit:int -> ?truncated:bool ref -> t -> Db.t -> Interp.t list
-(** All ⊆-minimal models (total partition).  Unlimited enumerations are
-    memoized; limited ones are caller-specific and never cached.  When
-    [limit] cuts the enumeration short, [truncated] (if given) is set to
-    [true] (see {!Ddb_sat.Minimal.all_minimal}). *)
-
 val minimal_witness :
   ?part:Partition.t -> t -> Db.t -> Formula.t -> Interp.t option
 (** A (P;Z)-minimal model satisfying [F] (default partition: minimize

@@ -9,33 +9,26 @@ let blocking_clause ~universe m =
       if Interp.mem m v then Lit.Neg v else Lit.Pos v)
 
 (* Iterate the models of [solver], projected to the first [universe] atoms,
-   each projection reported exactly once.  Stops when the callback returns
-   [`Stop] or after [limit] models; hitting the limit before enumeration is
-   proven complete sets [truncated] (historically this was silent). *)
-let iter ?limit ?truncated ~universe solver f =
-  let budget = ref (match limit with Some k -> k | None -> -1) in
+   each projection reported exactly once, until the callback returns
+   [`Stop].  Each reported model charges the budget's enumeration cap. *)
+let iter ~universe solver f =
   let continue = ref true in
-  while !continue && !budget <> 0 do
+  while !continue do
     match Solver.solve solver with
     | Solver.Unsat -> continue := false
     | Solver.Sat ->
       let m = Solver.model ~universe solver in
       Ddb_budget.Budget.on_model ();
-      if !budget > 0 then decr budget;
       (match f m with `Stop -> continue := false | `Continue -> ());
-      if !continue && !budget <> 0 then
-        Solver.add_clause solver (blocking_clause ~universe m)
-  done;
-  if !continue && !budget = 0 then
-    Option.iter (fun r -> r := true) truncated
+      if !continue then Solver.add_clause solver (blocking_clause ~universe m)
+  done
 
-let all_models ?limit ?truncated ~num_vars clauses =
+let all_models ~num_vars clauses =
   let solver = Solver.of_clauses ~num_vars clauses in
   let acc = ref [] in
-  iter ?limit ?truncated ~universe:num_vars solver (fun m ->
+  iter ~universe:num_vars solver (fun m ->
       acc := m :: !acc;
       `Continue);
   List.rev !acc
 
-let count_models ?limit ?truncated ~num_vars clauses =
-  List.length (all_models ?limit ?truncated ~num_vars clauses)
+let count_models ~num_vars clauses = List.length (all_models ~num_vars clauses)

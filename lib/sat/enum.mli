@@ -5,22 +5,14 @@ open Ddb_logic
 val blocking_clause : universe:int -> Interp.t -> Lit.t list
 
 val iter :
-  ?limit:int ->
-  ?truncated:bool ref ->
   universe:int ->
   Solver.t ->
   (Interp.t -> [ `Continue | `Stop ]) ->
   unit
 (** Enumerate models projected to the first [universe] atoms (each projection
-    once).  Mutates the solver by adding blocking clauses.  When [limit] is
-    reached before enumeration has proven itself complete, [truncated] (if
-    given) is set to [true]; it is never set to [false], so one ref can be
-    threaded through several calls.  Each reported model also charges the
-    ambient {!Ddb_budget.Budget} enumeration cap. *)
+    once).  Mutates the solver by adding blocking clauses.  Each reported
+    model charges the ambient {!Ddb_budget.Budget} enumeration cap, the one
+    cap on an enumeration's length. *)
 
-val all_models :
-  ?limit:int -> ?truncated:bool ref -> num_vars:int -> Lit.t list list ->
-  Interp.t list
-
-val count_models :
-  ?limit:int -> ?truncated:bool ref -> num_vars:int -> Lit.t list list -> int
+val all_models : num_vars:int -> Lit.t list list -> Interp.t list
+val count_models : num_vars:int -> Lit.t list list -> int

@@ -118,73 +118,60 @@ let cone_blocking part m =
   in
   block_p @ block_q
 
-(* Search for M ∈ MM(theory; P; Z) additionally satisfying the [extra]
-   clauses (which may mention auxiliary atoms beyond the universe, e.g. a
-   Tseitin encoding of ¬F; auxiliaries float like Z-atoms).
-
-   The loop minimizes each candidate *within theory ∧ extra* and then checks
-   plain-theory minimality with one more oracle call:
+(* The minimal-model search loop, the guess-and-check loop of the paper's
+   Σ₂ᵖ upper bounds and the one place that walks minimal models.  It looks
+   for M ∈ MM(theory; P; Z) satisfying the [extra] clauses (which may
+   mention auxiliary atoms beyond the universe, e.g. a Tseitin encoding of
+   ¬F; auxiliaries float like Z-atoms) and passing [check]:
 
      candidate <- SAT(theory ∧ extra ∧ blocked);
      m̂ <- minimize candidate within (theory ∧ extra);
-     if m̂ is (P;Z)-minimal for theory alone: answer;
-     else block the cone of m̂ and iterate.
+     if m̂ is (P;Z)-minimal for theory alone and [check m̂]: report m̂;
+     block the cone of m̂ and iterate (with [first], stop at a report).
 
-   Soundness of the cone block: anything strictly above m̂ is dominated by
-   the theory-model m̂, hence not theory-minimal — the cone contains no
-   unseen answer.  Completeness: an answer M (theory-minimal, ⊨ extra)
-   inside cone(m̂) would satisfy m̂ ≤ M with m̂ a theory model, contradicting
-   M's minimality unless M = m̂, which was just checked.  Each iteration
-   blocks its own candidate, so the loop terminates. *)
-let find_minimal_such_that ?(extra = []) theory part =
+   Without [extra] the plain-minimality call is skipped: a descent in the
+   theory itself ends at a minimal model.  An answer inside cone(m̂) has
+   m̂'s (P,Q)-section, on which minimality (and [check], by its contract)
+   alone depend, so the block never hides one (DESIGN.md §2).  The loop
+   reports one model per qualifying minimal (P,Q)-section, newest first,
+   each charged to the budget's enumeration cap. *)
+let search ~first ~extra ~check theory part =
   let candidate_solver = solver_of theory in
   List.iter (Solver.add_clause candidate_solver) extra;
   (* Descents stay inside theory ∧ extra: that is what makes cone blocking
      complete (a descent can never jump over an unseen answer). *)
-  let constrained_minimizer = solver_of theory in
-  List.iter (Solver.add_clause constrained_minimizer) extra;
-  let plain_checker = solver_of theory in
+  let minimizer = solver_of theory in
+  List.iter (Solver.add_clause minimizer) extra;
+  let plain_checker = lazy (solver_of theory) in
   let n = theory.num_vars in
-  let rec loop () =
+  let rec loop found =
     match Solver.solve candidate_solver with
-    | Solver.Unsat -> None
+    | Solver.Unsat -> found
     | Solver.Sat ->
       let m = Solver.model ~universe:n candidate_solver in
-      let m_hat = minimize_with constrained_minimizer part m in
-      if extra = [] || is_minimal_with plain_checker part m_hat then
-        Some m_hat
+      let m_hat = minimize_with minimizer part m in
+      let report =
+        (extra = [] || is_minimal_with (Lazy.force plain_checker) part m_hat)
+        && check m_hat
+      in
+      if report then Ddb_budget.Budget.on_model ();
+      let found = if report then m_hat :: found else found in
+      if report && first then found
       else begin
         Solver.add_clause candidate_solver (cone_blocking part m_hat);
-        loop ()
+        loop found
       end
   in
-  loop ()
+  loop []
 
-(* All minimal models under the total partition P = V (the MM(DB) case),
-   enumerated by minimize-then-block.  Two distinct ⊆-minimal models are
-   incomparable, so blocking the superset cone of each found model never
-   removes an unseen minimal model. *)
-let all_minimal ?limit ?truncated theory =
-  let part = Partition.minimize_all theory.num_vars in
-  let candidate_solver = solver_of theory in
-  let minimize_solver = solver_of theory in
-  let acc = ref [] in
-  let budget = ref (match limit with Some k -> k | None -> -1) in
-  let continue = ref true in
-  while !continue && !budget <> 0 do
-    match Solver.solve candidate_solver with
-    | Solver.Unsat -> continue := false
-    | Solver.Sat ->
-      let m = Solver.model ~universe:theory.num_vars candidate_solver in
-      let m_min = minimize_with minimize_solver part m in
-      Ddb_budget.Budget.on_model ();
-      acc := m_min :: !acc;
-      if !budget > 0 then decr budget;
-      Solver.add_clause candidate_solver (cone_blocking part m_min)
-  done;
-  if !continue && !budget = 0 then
-    Option.iter (fun r -> r := true) truncated;
-  List.rev !acc
+let find_minimal_such_that ?(extra = []) ?(check = fun _ -> true) theory part
+    =
+  match search ~first:true ~extra ~check theory part with
+  | m :: _ -> Some m
+  | [] -> None
+
+let all_minimal theory part =
+  List.rev (search ~first:false ~extra:[] ~check:(fun _ -> true) theory part)
 
 (* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
    harvested from plain descents on one candidate solver and one minimizer:
@@ -227,32 +214,6 @@ let support theory part =
       if Interp.equal s' s then harvest s else grow s'
   in
   grow (Interp.empty n)
-
-(* Lazy variant of [all_minimal]: feed ⊆-minimal models of the theory to a
-   callback until it stops.  With [extra] clauses, exactly the minimal
-   models *satisfying extra* are reported (same constrained-minimization
-   scheme as [find_minimal_such_that]; see the completeness argument
-   there). *)
-let iter_minimal ?(extra = []) theory f =
-  let part = Partition.minimize_all theory.num_vars in
-  let candidate_solver = solver_of theory in
-  List.iter (Solver.add_clause candidate_solver) extra;
-  let constrained_minimizer = solver_of theory in
-  List.iter (Solver.add_clause constrained_minimizer) extra;
-  let plain_checker = solver_of theory in
-  let continue = ref true in
-  while !continue do
-    match Solver.solve candidate_solver with
-    | Solver.Unsat -> continue := false
-    | Solver.Sat ->
-      let m = Solver.model ~universe:theory.num_vars candidate_solver in
-      let m_hat = minimize_with constrained_minimizer part m in
-      if extra = [] || is_minimal_with plain_checker part m_hat then begin
-        match f m_hat with `Stop -> continue := false | `Continue -> ()
-      end;
-      if !continue then
-        Solver.add_clause candidate_solver (cone_blocking part m_hat)
-  done
 
 (* Reference implementation over explicit model lists (for tests). *)
 

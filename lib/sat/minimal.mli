@@ -23,7 +23,6 @@ val is_minimal_with : Solver.t -> Partition.t -> Interp.t -> bool
 val is_minimal : theory -> Partition.t -> Interp.t -> bool
 (** Is the given model (P;Z)-minimal?  Exactly one SAT call. *)
 
-val minimize_with : Solver.t -> Partition.t -> Interp.t -> Interp.t
 val minimize : theory -> Partition.t -> Interp.t -> Interp.t
 (** Descend from a model to some minimal model below it. *)
 
@@ -35,15 +34,21 @@ val cone_blocking : Partition.t -> Interp.t -> Lit.t list
 
 val find_minimal_such_that :
   ?extra:Lit.t list list ->
+  ?check:(Interp.t -> bool) ->
   theory ->
   Partition.t ->
   Interp.t option
 (** Guess-and-check search for a (P;Z)-minimal model of the theory
     additionally satisfying the [extra] clauses (which may mention auxiliary
-    atoms beyond the universe — they float like Z-atoms).  Candidates are
-    minimized within theory ∧ extra and screened by one plain-minimality
-    oracle call, with cone blocking; this is the Σ₂ᵖ guess-and-check loop of
-    the paper's upper bounds. *)
+    atoms beyond the universe — they float like Z-atoms) and passing
+    [check] (default: every model).  Candidates are minimized within
+    theory ∧ extra, screened by one plain-minimality oracle call (skipped
+    without [extra]) and by [check], with cone blocking; this is the Σ₂ᵖ
+    guess-and-check loop of the paper's upper bounds.  [check] sees one
+    model per minimal (P,Q)-section, so it must give the same verdict on
+    models that differ only on Z; it always does under the total
+    partition.  The model found charges the ambient {!Ddb_budget.Budget}
+    enumeration cap. *)
 
 val support : theory -> Partition.t -> Interp.t
 (** The support set S = \{x ∈ P : x true in some (P;Z)-minimal model\}
@@ -55,19 +60,12 @@ val support : theory -> Partition.t -> Interp.t
     most the distinct minimal (P,Q)-sections plus one — not |P| + 1, since a
     round may add no atom and only block a section. *)
 
-val all_minimal : ?limit:int -> ?truncated:bool ref -> theory -> Interp.t list
-(** All ⊆-minimal models (total partition), via minimize-then-block.  When
-    [limit] cuts the enumeration short, [truncated] (if given) is set to
-    [true] — hitting the limit used to be silent.  Each reported model also
-    charges the ambient {!Ddb_budget.Budget} enumeration cap. *)
-
-val iter_minimal :
-  ?extra:Lit.t list list ->
-  theory ->
-  (Interp.t -> [ `Continue | `Stop ]) ->
-  unit
-(** Lazily enumerate the ⊆-minimal models of the theory that satisfy the
-    [extra] clauses (all of them, each once). *)
+val all_minimal : theory -> Partition.t -> Interp.t list
+(** One (P;Z)-minimal model per minimal (P,Q)-section, each completed on Z
+    by the solver — all ⊆-minimal models under the total partition.  The
+    same loop as {!find_minimal_such_that}, run to the end; each model
+    charges the ambient {!Ddb_budget.Budget} enumeration cap, the one cap
+    on its length. *)
 
 val minimal_of_models : Partition.t -> Interp.t list -> Interp.t list
 (** Reference filter: the (P;Z)-minimal elements of an explicit model list. *)

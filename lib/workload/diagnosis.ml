@@ -85,12 +85,10 @@ let instance circuit ~observations =
   (db, part, abs)
 
 (* Minimal diagnoses as ab-atom sets (one representative per diagnosis). *)
-let minimal_diagnoses ?limit ?truncated circuit ~observations =
+let minimal_diagnoses circuit ~observations =
   let db, part, abs = instance circuit ~observations in
   List.sort_uniq Interp.compare
-    (List.map
-       (fun m -> Interp.inter m abs)
-       (Models.minimal_section_models ?limit ?truncated db part))
+    (List.map (fun m -> Interp.inter m abs) (Models.minimal_models ~part db))
 
 (* Is gate g certainly healthy?  CCWA: ¬ab_g holds iff g appears in no
    minimal diagnosis. *)

@@ -19,13 +19,8 @@ val instance :
     and the set of ab atoms. *)
 
 val minimal_diagnoses :
-  ?limit:int ->
-  ?truncated:bool ref ->
-  circuit ->
-  observations:observation list ->
-  Interp.t list
-(** Minimal diagnoses as sets of ab atoms (one representative each).  A
-    [limit]-cut enumeration sets [truncated] (if given) to [true]. *)
+  circuit -> observations:observation list -> Interp.t list
+(** Minimal diagnoses as sets of ab atoms (one representative each). *)
 
 val certainly_healthy :
   Ddb_engine.Engine.t -> circuit -> observations:observation list -> int -> bool

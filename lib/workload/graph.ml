@@ -61,8 +61,7 @@ let vertex_cover_db g =
   Db.make ~vocab (List.map (fun (u, v) -> Clause.fact [ inv u; inv v ]) g.edges)
 
 (* Minimal vertex covers = minimal models of the cover database. *)
-let minimal_vertex_covers ?limit ?truncated g =
-  Models.minimal_models ?limit ?truncated (vertex_cover_db g)
+let minimal_vertex_covers g = Models.minimal_models (vertex_cover_db g)
 
 (* Is vertex v avoidable, i.e. outside some minimal cover?  GCWA view:
    avoidable iff NOT (GCWA ⊨ in_v)... more precisely the Π₂ᵖ query we bench

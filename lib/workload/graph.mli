@@ -18,9 +18,7 @@ val vertex_cover_db : graph -> Db.t
 (** Each edge (u,v) is the fact [in_u ∨ in_v]; minimal models = minimal
     vertex covers. *)
 
-val minimal_vertex_covers :
-  ?limit:int -> ?truncated:bool ref -> graph -> Interp.t list
-(** A [limit]-cut enumeration sets [truncated] (if given) to [true]. *)
+val minimal_vertex_covers : graph -> Interp.t list
 
 val never_in_minimal_cover : Ddb_engine.Engine.t -> graph -> int -> bool
 (** GCWA(cover db) ⊨ ¬in_v. *)

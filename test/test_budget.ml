@@ -403,34 +403,32 @@ let pool_cancel_on_error_concurrent () =
       (outcomes.(i) = `Cancelled)
   done
 
-(* --- the enumeration truncation flag (regression: silent ?limit) --- *)
+(* --- the enumeration cap: the budget's [models] limit is the one cap on
+   an enumeration's length; a tight cap trips, a slack one lists all --- *)
 
-let enum_truncation_flag () =
+let under_model_cap models f = Budget.run (Budget.limits ~models ()) f
+
+let enum_model_cap () =
   (* empty theory over 3 atoms: 8 models *)
-  check int "8 models unclipped" 8 (List.length (Enum.all_models ~num_vars:3 []));
-  let tr = ref false in
-  check int "limit 3 reports 3" 3
-    (List.length (Enum.all_models ~limit:3 ~truncated:tr ~num_vars:3 []));
-  check bool "truncation surfaced" true !tr;
-  let tr = ref false in
-  ignore (Enum.all_models ~limit:20 ~truncated:tr ~num_vars:3 []);
-  check bool "a slack limit is not truncation" false !tr;
-  let tr = ref false in
-  check int "count_models clipped" 3
-    (Enum.count_models ~limit:3 ~truncated:tr ~num_vars:3 []);
-  check bool "count truncation surfaced" true !tr
+  let all () = Enum.all_models ~num_vars:3 [] in
+  check int "8 models uncapped" 8 (List.length (all ()));
+  check bool "a cap of 3 trips" true
+    (under_model_cap 3 all = Error Budget.Budget_exhausted);
+  check bool "a slack cap lists all" true
+    (under_model_cap 20 all = Ok (all ()));
+  check bool "count_models trips a cap of 3" true
+    (under_model_cap 3 (fun () -> Enum.count_models ~num_vars:3 [])
+    = Error Budget.Budget_exhausted)
 
-let minimal_truncation_flag () =
+let minimal_model_cap () =
   (* a | b | c: three ⊆-minimal models, the singletons *)
   let th = Minimal.theory ~num_vars:3 [ [ Lit.Pos 0; Lit.Pos 1; Lit.Pos 2 ] ] in
-  check int "3 minimal models unclipped" 3 (List.length (Minimal.all_minimal th));
-  let tr = ref false in
-  check int "limit 1 reports 1" 1
-    (List.length (Minimal.all_minimal ~limit:1 ~truncated:tr th));
-  check bool "truncation surfaced" true !tr;
-  let tr = ref false in
-  ignore (Minimal.all_minimal ~limit:10 ~truncated:tr th);
-  check bool "a slack limit is not truncation" false !tr
+  let all () = Minimal.all_minimal th (Partition.minimize_all 3) in
+  check int "3 minimal models uncapped" 3 (List.length (all ()));
+  check bool "a cap of 1 trips" true
+    (under_model_cap 1 all = Error Budget.Budget_exhausted);
+  check bool "a slack cap lists all" true
+    (under_model_cap 10 all = Ok (all ()))
 
 let suites =
   [
@@ -469,9 +467,9 @@ let suites =
       ] );
     ( "budget.truncation",
       [
-        test_case "Enum.all_models/count_models surface ?limit clipping"
-          `Quick enum_truncation_flag;
-        test_case "Minimal.all_minimal surfaces ?limit clipping" `Quick
-          minimal_truncation_flag;
+        test_case "Enum.all_models/count_models trip the models cap" `Quick
+          enum_model_cap;
+        test_case "Minimal.all_minimal trips the models cap" `Quick
+          minimal_model_cap;
       ] );
   ]

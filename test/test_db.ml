@@ -325,6 +325,17 @@ let qcheck_perfect_enumeration =
       Gen.interp_list_equal (Priority.perfect_models db)
         (Priority.brute_perfect_models db))
 
+(* DSM's listing: the minimal models that pass the stability check (a
+   reduct and one SAT call) are the stable models by definition. *)
+let qcheck_stable_enumeration =
+  QCheck.Test.make ~count:200 ~name:"stable_models = brute reference"
+    QCheck.(pair (int_bound 99999) (int_range 1 4))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      Gen.interp_list_equal (Ddb_core.Dsm.stable_models db)
+        (Ddb_core.Dsm.reference_models db))
+
 (* --- Reduct --- *)
 
 let reduct_suite =
@@ -371,4 +382,6 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [ qcheck_perfect_sat_check_matches_brute; qcheck_perfect_enumeration ] );
     ("db.reduct", reduct_suite);
+    ( "db.reduct.properties",
+      [ QCheck_alcotest.to_alcotest qcheck_stable_enumeration ] );
   ]

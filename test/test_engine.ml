@@ -113,10 +113,6 @@ let primitive_soundness () =
             ];
           check bool (ctx "sat = Models.has_model") (Models.has_model db)
             (Engine.sat eng db);
-          check bool (ctx "minimal_models = brute") true
-            (Gen.interp_list_equal
-               (Models.brute_minimal_models db)
-               (Engine.minimal_models eng db));
           check bool (ctx "non_entailed_atoms = brute") true
             (Interp.equal (brute_non_entailed db)
                (Engine.non_entailed_atoms eng db)))
@@ -440,8 +436,8 @@ let oracle_algorithms_engine_variant () =
         (e.Oracle_algorithms.sigma2_queries
         <= Oracle_algorithms.log_bound e.Oracle_algorithms.p_size);
       let part = Random_db.random_partition ~seed ~num_vars:7 in
-      let d = Oracle_algorithms.ccwa_formula_in base db part f in
-      let e = Oracle_algorithms.ccwa_formula_in eng db part f in
+      let d = Oracle_algorithms.entails_log_in base db part f in
+      let e = Oracle_algorithms.entails_log_in eng db part f in
       check bool "ccwa answer agrees" d.Oracle_algorithms.answer
         e.Oracle_algorithms.answer;
       check int "ccwa same Σ₂ query count" d.Oracle_algorithms.sigma2_queries

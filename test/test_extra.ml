@@ -331,15 +331,15 @@ let qcheck_minimal_state_is_antichain =
              Interp.Set.exists (fun c' -> Interp.subset c' c) min_state)
            full)
 
-let qcheck_minimal_section_models =
+let qcheck_minimal_models_per_section =
   QCheck.Test.make ~count:200
-    ~name:"minimal_section_models: one minimal model per (P,Q)-section"
+    ~name:"minimal_models ?part: one minimal model per (P,Q)-section"
     QCheck.(pair (int_bound 999999) (int_range 1 4))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let part = Gen.random_partition rand num_vars in
-      let reps = Models.minimal_section_models db part in
+      let reps = Models.minimal_models ~part db in
       let reference = Models.brute_minimal_models ~part db in
       (* every representative is minimal *)
       List.for_all (fun m -> List.exists (Interp.equal m) reference) reps
@@ -440,5 +440,5 @@ let suites =
     ( "extra.api",
       split_suite
       @ List.map QCheck_alcotest.to_alcotest
-          [ qcheck_minimal_state_is_antichain; qcheck_minimal_section_models ] );
+          [ qcheck_minimal_state_is_antichain; qcheck_minimal_models_per_section ] );
   ]

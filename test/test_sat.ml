@@ -207,8 +207,16 @@ let enum_suite =
         check "distinct" true
           (match !seen with [ a; b ] -> not (Interp.equal a b) | _ -> false));
     Alcotest.test_case "limit respected" `Quick (fun () ->
-        let ms = Enum.all_models ~limit:2 ~num_vars:4 [] in
-        check_int "limited" 2 (List.length ms));
+        (* 16 models; the budget's models cap is the one enumeration limit *)
+        let under models =
+          Ddb_budget.Budget.(run (limits ~models ()))
+            (fun () -> Enum.all_models ~num_vars:4 [])
+        in
+        check "a tight cap trips" true
+          (under 2 = Error Ddb_budget.Budget.Budget_exhausted);
+        match under 16 with
+        | Ok ms -> check_int "a slack cap lists all" 16 (List.length ms)
+        | Error _ -> Alcotest.fail "a slack cap tripped");
     Alcotest.test_case "unsat enumerates nothing" `Quick (fun () ->
         check_int "none" 0
           (List.length (Enum.all_models ~num_vars:1 [ [ Lit.Pos 0 ]; [ Lit.Neg 0 ] ])));
@@ -278,7 +286,10 @@ let minimal_suite =
   [
     Alcotest.test_case "minimal models of a v b" `Quick (fun () ->
         let theory = Minimal.theory ~num_vars:2 [ [ Lit.Pos 0; Lit.Pos 1 ] ] in
-        let ms = List.sort Interp.compare (Minimal.all_minimal theory) in
+        let ms =
+          List.sort Interp.compare
+            (Minimal.all_minimal theory (Partition.minimize_all 2))
+        in
         check_int "two" 2 (List.length ms);
         List.iter (fun m -> check_int "singletons" 1 (Interp.cardinal m)) ms);
     Alcotest.test_case "is_minimal" `Quick (fun () ->
@@ -335,13 +346,46 @@ let qcheck_all_minimal_matches_reference =
       let rand = Random.State.make [| seed |] in
       let cnf = gen_cnf rand ~num_vars ~num_clauses ~width:3 in
       let theory = Minimal.theory ~num_vars cnf in
-      let got = List.sort Interp.compare (Minimal.all_minimal theory) in
+      let part = Partition.minimize_all num_vars in
+      let got = List.sort Interp.compare (Minimal.all_minimal theory part) in
       let expected =
-        List.sort Interp.compare
-          (minimal_reference ~num_vars cnf (Partition.minimize_all num_vars))
+        List.sort Interp.compare (minimal_reference ~num_vars cnf part)
       in
       List.length got = List.length expected
       && List.for_all2 Interp.equal got expected)
+
+(* [find_minimal_such_that ~extra ~check] against the brute-force
+   definition: it finds a model exactly when some (P;Z)-minimal model
+   satisfies the plain-atom [extra] clauses and [check], and what it finds
+   is one of those.  [check] is a random predicate of the model's
+   (P,Q)-section, the contract the search states for it. *)
+let qcheck_find_minimal_such_that_matches_reference =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"find_minimal_such_that ?check matches brute-force reference"
+    QCheck.(
+      quad (int_bound 99999) (int_range 1 5) (int_range 0 10) (int_range 0 3))
+    (fun (seed, num_vars, num_clauses, num_extra) ->
+      let rand = Random.State.make [| seed |] in
+      let cnf = gen_cnf rand ~num_vars ~num_clauses ~width:3 in
+      let extra = gen_cnf rand ~num_vars ~num_clauses:num_extra ~width:2 in
+      let part = Gen.random_partition rand num_vars in
+      let salt = Random.State.bits rand in
+      let pq = Interp.union (Partition.p part) (Partition.q part) in
+      let check m =
+        Hashtbl.hash (salt, Interp.to_list (Interp.inter m pq)) land 1 = 0
+      in
+      let answers =
+        List.filter
+          (fun m -> Brute.satisfies m extra && check m)
+          (minimal_reference ~num_vars cnf part)
+      in
+      match
+        Minimal.find_minimal_such_that ~extra ~check
+          (Minimal.theory ~num_vars cnf)
+          part
+      with
+      | None -> answers = []
+      | Some m -> List.exists (Interp.equal m) answers)
 
 let qcheck_is_minimal_matches_reference =
   QCheck.Test.make ~count:300 ~name:"is_minimal matches reference under (P;Q;Z)"
@@ -349,14 +393,7 @@ let qcheck_is_minimal_matches_reference =
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let cnf = gen_cnf rand ~num_vars ~num_clauses:(num_vars * 2) ~width:3 in
-      (* random partition *)
-      let buckets = Array.init num_vars (fun _ -> Random.State.int rand 3) in
-      let pick k =
-        List.filter (fun v -> buckets.(v) = k) (List.init num_vars Fun.id)
-      in
-      let part =
-        Partition.of_lists num_vars ~p:(pick 0) ~q:(pick 1) ~z:(pick 2)
-      in
+      let part = Gen.random_partition rand num_vars in
       let models = Brute.models ~num_vars cnf in
       let reference = minimal_reference ~num_vars cnf part in
       let theory = Minimal.theory ~num_vars cnf in
@@ -515,6 +552,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           qcheck_all_minimal_matches_reference;
+          qcheck_find_minimal_such_that_matches_reference;
           qcheck_is_minimal_matches_reference;
           qcheck_support_matches_reference;
         ] );
