@@ -300,9 +300,6 @@ let wall f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
 
-(* PDSM enumerates 3^V interpretations: keep its universe tiny. *)
-let engine_universe name = if name = "pdsm" then 4 else 10
-
 let engine_workload (s : Semantics.t) db =
   let n = Db.num_vars db in
   for _rep = 1 to 2 do
@@ -320,11 +317,7 @@ let full_engine_workload () =
   let eng = Engine.create ~cache:true () in
   List.iter
     (fun (s : Semantics.t) ->
-      let db =
-        Random_db.positive ~seed:7
-          ~num_vars:(engine_universe s.Semantics.name)
-      in
-      engine_workload s db)
+      engine_workload s (Random_db.positive ~seed:7 ~num_vars:10))
     (Registry.all_in eng)
 
 (* Every probe the obs layer added to the hot paths is gated on one flag,
@@ -374,13 +367,11 @@ let engine_comparison ?trace_prefix () =
     run ();
     (Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat
   in
+  let db = Random_db.positive ~seed:7 ~num_vars:10 in
   let rows =
     List.map2
       (fun (sc : Semantics.t) (sd : Semantics.t) ->
         let name = sc.Semantics.name in
-        let db =
-          Random_db.positive ~seed:7 ~num_vars:(engine_universe name)
-        in
         let sat_direct = sat_of (fun () -> engine_workload sd db) in
         let sat_cached = sat_of (fun () -> engine_workload sc db) in
         (name, sat_direct, sat_cached))

@@ -523,11 +523,9 @@ let jobs_arg =
           "Worker domains for the sweep (one oracle-engine shard each).  \
            Default: the runtime's recommended domain count.")
 
-(* Resolve -s/--jobs into the semantics names to run.  The pdsm guard from
-   the sequential path survives: its 3^n enumeration is only run on small
-   universes unless the semantics was named explicitly. *)
+(* Resolve -s into the semantics names to run: the named one, or every
+   applicable one. *)
 let select_sems db sem_name =
-  let n = Db.num_vars db in
   match sem_name with
   | Some name ->
     if not (List.mem name Registry.names) then
@@ -541,15 +539,7 @@ let select_sems db sem_name =
           (Printf.sprintf "the %s semantics is not applicable to this database"
              name))
     else Ok [ name ]
-  | None ->
-    let names = Registry.applicable_names db in
-    let skipped, run =
-      List.partition (fun s -> s = "pdsm" && n > 8) names
-    in
-    List.iter
-      (fun s -> Fmt.epr "note: skipped %s (universe too large)@." s)
-      skipped;
-    Ok run
+  | None -> Ok (Registry.applicable_names db)
 
 let count_unknowns answers =
   List.length

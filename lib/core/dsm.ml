@@ -25,9 +25,9 @@ let is_stable db m =
    screened by the stability check. *)
 let find_stable_such_that ?query db =
   let n = Db.num_vars db in
-  let extra, pred = Models.guard ~universe:n query in
-  Ddb_sat.Minimal.find_minimal_such_that ~extra
-    ~check:(fun m -> pred m && is_stable db m)
+  Ddb_sat.Minimal.find_minimal_such_that
+    ~extra:(Models.guard ~universe:n query)
+    ~check:(is_stable db)
     (Db.theory db) (Partition.minimize_all n)
 
 let witness db f = find_stable_such_that ~query:f (Semantics.for_query db f)

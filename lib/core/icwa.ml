@@ -67,9 +67,8 @@ let is_icwa_model inst m =
    blocked (sound: the whole cone is non-minimal for stratum i). *)
 let find_icwa_model_such_that ?query inst =
   let n = Db.num_vars inst.shifted in
-  let extra, pred = Models.guard ~universe:n query in
   let candidate = Minimal.solver_of inst.theory in
-  List.iter (Solver.add_clause candidate) extra;
+  List.iter (Solver.add_clause candidate) (Models.guard ~universe:n query);
   let checkers =
     List.map (fun part_i -> (part_i, Minimal.solver_of inst.theory)) inst.parts
   in
@@ -83,16 +82,11 @@ let find_icwa_model_such_that ?query inst =
           (fun (part_i, solver) -> not (Minimal.is_minimal_with solver part_i m))
           checkers
       in
-      (match failing with
-      | None -> if pred m then Some m else begin
-          (* m is an ICWA model but fails the side condition: block it
-             exactly. *)
-          Solver.add_clause candidate (Enum.blocking_clause ~universe:n m);
-          loop ()
-        end
+      match failing with
+      | None -> Some m
       | Some (part_i, _) ->
         Solver.add_clause candidate (Minimal.cone_blocking part_i m);
-        loop ())
+        loop ()
   in
   loop ()
 

@@ -15,7 +15,8 @@ open Ddb_db
    with jt(x) → ju(x).  Kleene satisfaction of a rule decomposes into the
    two implications  body ≥ 1 ⇒ head ≥ 1  and  body ≥ ½ ⇒ head ≥ ½, each a
    clause.  The minimality check "is there J < I with J ⊨ DB^I" is then one
-   SAT call; candidate enumeration uses the same encoding on DB itself.
+   SAT call; the candidates are the minimal models of the same encoding of
+   DB itself, found by the shared minimal-model search.
 
    Inference: SEM(DB) ⊨ F iff F evaluates to 1 (Kleene) in every partial
    stable model.  Total partial stable models coincide with DSM models — a
@@ -119,23 +120,25 @@ let satisfies_db db i =
 let is_partial_stable db i =
   satisfies_db db i && Option.is_none (find_below db i)
 
-(* Enumerate 3-valued models of DB (via the 2n-variable encoding with exact
-   blocking) and screen with the stability check. *)
+(* Every partial stable model I is a truth-minimal 3-valued model of DB:
+   take J ≤ I with J ⊨ DB.  Each ¬c is worth 1 − J(c) ≥ 1 − I(c) under J,
+   so J ⊨ DB^I, and I's minimality in DB^I forces J = I.  On the (jt, ju)
+   bits truth order is subset order, so the candidates are the minimal
+   models of the encoding of DB under the total partition, each screened by
+   [pred] and the stability check: the Σ₂ᵖ guess-and-check of DSM and PERF. *)
 let find_such_that pred db =
   let n = Db.num_vars db in
-  let solver = Solver.create ~num_vars:(2 * n) () in
-  Solver.ensure_vars solver (2 * n);
-  List.iter (Solver.add_clause solver) (consistency_clauses ~n);
-  List.iter (Solver.add_clause solver) (model_clauses ~n db);
-  let found = ref None in
-  Enum.iter ~universe:(2 * n) solver (fun m ->
+  let theory =
+    Minimal.theory ~num_vars:(2 * n)
+      (consistency_clauses ~n @ model_clauses ~n db)
+  in
+  Minimal.find_minimal_such_that
+    ~check:(fun m ->
       let i = decode ~n m in
-      if pred i && is_partial_stable db i then begin
-        found := Some i;
-        `Stop
-      end
-      else `Continue);
-  !found
+      pred i && Option.is_none (find_below db i))
+    theory
+    (Partition.minimize_all (2 * n))
+  |> Option.map (decode ~n)
 
 (* Some partial stable model giving [query] the value 1 (any partial
    stable model without it). *)
@@ -160,7 +163,10 @@ let infer_formula db f =
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
-let has_model db = Option.is_some (find_partial_stable_such_that db)
+(* On a positive database without integrity clauses a minimal model is
+   stable, and a total partial stable model is a DSM model. *)
+let has_model db =
+  Db.is_positive_ddb db || Option.is_some (find_partial_stable_such_that db)
 
 let partial_stable_models db =
   (* Reference engine: all 3^n interpretations, screened. *)

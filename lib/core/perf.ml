@@ -15,15 +15,14 @@ open Ddb_db
 (* Some perfect model satisfying [query] (any perfect model without it). *)
 let find_perfect_such_that ?query db =
   let n = Db.num_vars db in
-  let extra, pred = Models.guard ~universe:n query in
   let priority = Priority.compute db in
   let theory = Db.theory db in
   let check_solver = Ddb_sat.Minimal.solver_of theory in
-  Ddb_sat.Minimal.find_minimal_such_that ~extra
+  Ddb_sat.Minimal.find_minimal_such_that
+    ~extra:(Models.guard ~universe:n query)
     ~check:(fun m ->
-      pred m
-      && Option.is_none
-           (Priority.find_preferable ~solver:check_solver db priority m))
+      Option.is_none
+        (Priority.find_preferable ~solver:check_solver db priority m))
     theory (Partition.minimize_all n)
 
 let witness db f = find_perfect_such_that ~query:f (Semantics.for_query db f)

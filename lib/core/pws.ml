@@ -27,12 +27,11 @@ let check db =
 let find_possible_such_that ?query db =
   check db;
   let n = Db.num_vars db in
-  let extra, pred = Models.guard ~universe:n query in
   let solver = Db.solver db in
-  List.iter (Solver.add_clause solver) extra;
+  List.iter (Solver.add_clause solver) (Models.guard ~universe:n query);
   let found = ref None in
   Enum.iter ~universe:n solver (fun m ->
-      if pred m && Possible.is_possible_model db m then begin
+      if Possible.is_possible_model db m then begin
         found := Some m;
         `Stop
       end

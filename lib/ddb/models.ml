@@ -26,13 +26,13 @@ let minimal_models ?part db =
 
 (* The search restriction "the model satisfies F", shared by every
    guess-and-check search: the Tseitin clauses asserting F over auxiliary
-   variables numbered from [universe], and the matching check the searches
-   screen each candidate model with.  No formula: no restriction. *)
+   variables numbered from [universe].  A solver holding them yields only
+   models of F.  No formula: no restriction. *)
 let guard ~universe = function
-  | None -> ([], fun _ -> true)
+  | None -> []
   | Some f ->
     let clauses, _, out = Cnf.tseitin ~next_var:universe f in
-    ([ out ] :: clauses, fun m -> Formula.eval m f)
+    [ out ] :: clauses
 
 (* A (P;Z)-minimal model of DB satisfying F, by the Σ₂ᵖ guess-and-check
    search.  It is a witness for the brave query F, and a counterexample to
@@ -43,8 +43,9 @@ let minimal_witness ?part ?theory db formula =
   let db = Db.with_universe db n in
   let part = or_total n part in
   let theory = match theory with Some th -> th | None -> Db.theory db in
-  let extra, _ = guard ~universe:n (Some formula) in
-  Minimal.find_minimal_such_that ~extra theory part
+  Minimal.find_minimal_such_that
+    ~extra:(guard ~universe:n (Some formula))
+    theory part
 
 (* SEM-entailment for semantics whose model set is MM(DB;P;Z): no minimal
    model satisfies ¬F. *)

@@ -11,12 +11,12 @@ val minimal_models : ?part:Partition.t -> Db.t -> Interp.t list
 (** One (P;Z)-minimal model per minimal (P,Q)-section (default: the total
     partition, where that is all of MM(DB)). *)
 
-val guard :
-  universe:int -> Formula.t option -> Lit.t list list * (Interp.t -> bool)
+val guard : universe:int -> Formula.t option -> Lit.t list list
 (** [guard ~universe (Some f)]: the Tseitin clauses asserting [f] (auxiliary
-    variables numbered from [universe]) and the check [Formula.eval m f] on
-    a candidate model — the one "model satisfies F" restriction every
-    guess-and-check search uses.  [None] restricts nothing. *)
+    variables numbered from [universe]) — the one "model satisfies F"
+    restriction every guess-and-check search uses.  A solver holding them
+    yields only models of [f], so no search screens its candidates for
+    [f] again.  [None] restricts nothing. *)
 
 val minimal_witness :
   ?part:Partition.t ->

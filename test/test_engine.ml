@@ -15,9 +15,7 @@ module Stats = Ddb_sat.Stats
 
 (* --- soundness --- *)
 
-(* The seeded workloads the configurations are compared on.  PDSM
-   enumerates 3^n partial interpretations, so it only runs on the small
-   universes. *)
+(* The seeded workloads the configurations are compared on. *)
 let workloads =
   [
     ("positive-7", Random_db.positive ~seed:11 ~num_vars:7);
@@ -25,10 +23,6 @@ let workloads =
     ("stratified-6", Random_db.stratified ~seed:13 ~num_vars:6 ());
     ("normal-6", Random_db.normal ~seed:14 ~num_vars:6);
   ]
-
-let runs_on (s : Semantics.t) db =
-  s.Semantics.applicable db
-  && (s.Semantics.name <> "pdsm" || Db.num_vars db <= 6)
 
 (* The four-configuration differential on the seeded workloads: cache
    on/off × fast path on/off, every applicable registry semantics, model
@@ -52,7 +46,7 @@ let configurations_agree_with_reference () =
       List.iter
         (fun name ->
           let s = Option.get (Registry.find name) in
-          if runs_on s db then
+          if s.Semantics.applicable db then
             check (list string)
               (Printf.sprintf "%s/%s" wname name)
               []
@@ -389,7 +383,7 @@ let alternating_databases_match_rebuilt () =
               List.map
                 (fun db ->
                   let db = pick db in
-                  if s.Semantics.applicable db && s.Semantics.name <> "pdsm" then
+                  if s.Semantics.applicable db then
                     Some (s.Semantics.infer_literal db (Lit.Neg x))
                   else None)
                 [ a; b; a; b ])

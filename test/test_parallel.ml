@@ -119,7 +119,6 @@ let qcheck_jobs_invariant =
       let db =
         Random_db.generate ~seed:(Random.State.int rand 10000) ~num_vars ()
       in
-      (* pdsm's 3^n enumeration stays cheap at these sizes, so keep it in *)
       let expect, _ = sequential_sweep ~cache:true db in
       let j1 = Batch.with_batch ~jobs:1 (fun b -> Batch.literal_sweep b db) in
       let j4 = Batch.with_batch ~jobs:4 (fun b -> Batch.literal_sweep b db) in

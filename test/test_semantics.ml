@@ -158,22 +158,31 @@ let qcheck_pdsm_total_is_dsm =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       Gen.interp_list_equal (Pdsm.reference_models db) (Dsm.reference_models db))
 
-(* PDSM oracle engine vs 3-valued brute force. *)
+(* PDSM oracle engine vs 3-valued brute force, on normal databases and on
+   negation-free ones with integrity clauses: existence, inference, and a
+   witness that gives F the value 1 and is partial stable, absent exactly
+   when no partial stable model gives F the value 1. *)
 let qcheck_pdsm_engines_agree =
   QCheck.Test.make ~count:150 ~name:"pdsm: oracle engine = 3-valued reference"
-    QCheck.(pair (int_bound 999999) (int_range 1 3))
-    (fun (seed, num_vars) ->
+    QCheck.(triple (int_bound 999999) (int_range 1 6) bool)
+    (fun (seed, num_vars, integrity) ->
       let rand = Random.State.make [| seed |] in
-      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let gen = if integrity then Gen.dddb_with_integrity else Gen.dndb in
+      let db = gen rand ~num_vars ~num_clauses:(num_vars * 2) in
       let reference = Pdsm.partial_stable_models db in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let ref_infer =
-        List.for_all
-          (fun i -> Three_valued.eval_formula i f = Three_valued.T)
-          reference
+      let value_1 i = Three_valued.eval_formula i f = Three_valued.T in
+      let witness_ok =
+        match (Option.get (Registry.find_in eng "pdsm")).Semantics.witness db f with
+        | None -> not (List.exists value_1 reference)
+        | Some (Semantics.Three_valued i) ->
+          value_1 i && Pdsm.is_partial_stable db i
+        | Some (Semantics.Two_valued _) -> false
       in
       Registry.has_model_in eng ~sem:"pdsm" db = (reference <> [])
-      && Registry.infer_formula_in eng ~sem:"pdsm" db f = ref_infer)
+      && Registry.infer_formula_in eng ~sem:"pdsm" db f
+         = List.for_all value_1 reference
+      && witness_ok)
 
 (* The 3-valued minimality SAT check against explicit 3-valued search. *)
 let qcheck_pdsm_stability_check =
