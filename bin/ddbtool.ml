@@ -16,7 +16,10 @@ open Cmdliner
    Database files use the clause syntax of Ddb_logic.Parse:
      a | b :- c, not d.      % rule
      :- a, b.                % integrity clause
-     e.                      % fact                                      *)
+     e.                      % fact
+   A .dl file is non-ground Datalog in the same syntax, grounded on load:
+     win(X) :- move(X, Y), not win(Y).
+   Parse errors name the place: file:line:col.                           *)
 
 module Trace = Ddb_obs.Trace
 module Metrics = Ddb_obs.Metrics
@@ -154,27 +157,28 @@ let traced trace clock f =
     Fmt.epr "trace: %d event(s) -> %s@." (Trace.events_recorded ()) path;
     res
 
-(* Files ending in .dl are non-ground Datalog and are grounded on load;
-   anything else is parsed as propositional clauses. *)
-let load_db path =
-  try
-    if Filename.check_suffix path ".dl" then
-      Ok (Ddb_ground.Grounder.of_file path).Ddb_ground.Grounder.db
-    else Ok (Db.of_file path)
-  with
+(* Run [read] on an input file, turning the errors of reading, parsing and
+   grounding it into messages. *)
+let read_input read path =
+  try Ok (read path) with
   | Parse.Error msg -> Error (`Msg (Printf.sprintf "parse error: %s" msg))
-  | Ddb_ground.Parse.Error msg ->
-    Error (`Msg (Printf.sprintf "datalog parse error: %s" msg))
   | Ddb_ground.Grounder.Error msg ->
     Error (`Msg (Printf.sprintf "grounding error: %s" msg))
   | Sys_error msg -> Error (`Msg msg)
 
+(* Files ending in .dl are non-ground Datalog and are grounded on load;
+   anything else is parsed as propositional clauses. *)
+let load_db =
+  read_input (fun path ->
+      if Filename.check_suffix path ".dl" then
+        (Ddb_ground.Grounder.of_file path).Ddb_ground.Grounder.db
+      else Db.of_file path)
+
 let db_arg =
-  let parse path = load_db path in
   let print ppf _ = Fmt.string ppf "<db>" in
   Arg.(
     required
-    & pos 0 (some (conv (parse, print))) None
+    & pos 0 (some (conv (load_db, print))) None
     & info [] ~docv:"DB"
         ~doc:
           "Database file: .ddb clause syntax, or non-ground Datalog if the \
@@ -491,18 +495,12 @@ let ground_cmd_impl path =
   if not (Filename.check_suffix path ".dl") then
     Error (`Msg "ground expects a .dl Datalog file")
   else
-    try
-      let g = Ddb_ground.Grounder.of_file path in
-      Fmt.pr "%% grounded from %s (%d constants)@." path
-        (List.length g.Ddb_ground.Grounder.constants);
-      Fmt.pr "%a@." Db.pp g.Ddb_ground.Grounder.db;
-      Ok ()
-    with
-    | Ddb_ground.Parse.Error msg ->
-      Error (`Msg (Printf.sprintf "datalog parse error: %s" msg))
-    | Ddb_ground.Grounder.Error msg ->
-      Error (`Msg (Printf.sprintf "grounding error: %s" msg))
-    | Sys_error msg -> Error (`Msg msg)
+    Result.map
+      (fun g ->
+        Fmt.pr "%% grounded from %s (%d constants)@." path
+          (List.length g.Ddb_ground.Grounder.constants);
+        Fmt.pr "%a@." Db.pp g.Ddb_ground.Grounder.db)
+      (read_input Ddb_ground.Grounder.of_file path)
 
 let path_arg =
   Arg.(

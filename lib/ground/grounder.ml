@@ -1,7 +1,3 @@
-(* Bind the library-local Datalog parser before [open Ddb_logic] shadows
-   the name with the propositional parser. *)
-module Datalog_parse = Parse
-
 open Ddb_logic
 
 (* Herbrand grounding of a safe Datalog program into the propositional
@@ -65,10 +61,7 @@ let ground_atom_name (a : Ast.atom) subst =
       | Some c -> c
       | None -> error "unbound variable %s" v)
   in
-  if a.Ast.args = [] then a.Ast.pred
-  else
-    Printf.sprintf "%s(%s)" a.Ast.pred
-      (String.concat "," (List.map term_str a.Ast.args))
+  Ast.name a.Ast.pred (List.map term_str a.Ast.args)
 
 (* Possible-facts closure at the predicate-instance level: which ground
    atoms can ever appear in a head, ignoring negation. *)
@@ -175,16 +168,13 @@ let ground ?(max_ground_rules = 1_000_000) rules =
   }
 
 let of_string ?max_ground_rules src =
-  ground ?max_ground_rules (Datalog_parse.program src)
+  ground ?max_ground_rules (Parse.datalog src)
 
 let of_file ?max_ground_rules path =
-  ground ?max_ground_rules (Datalog_parse.program_of_file path)
+  ground ?max_ground_rules (Parse.datalog_of_file path)
 
 (* Query helpers: look up a ground atom's propositional id. *)
-let atom_id t pred args =
-  Vocab.find_opt t.vocab
-    (if args = [] then pred
-     else Printf.sprintf "%s(%s)" pred (String.concat "," args))
+let atom_id t pred args = Vocab.find_opt t.vocab (Ast.name pred args)
 
 let holds_in t interp pred args =
   match atom_id t pred args with

@@ -16,6 +16,10 @@ type program = rule list
 
 let atom pred args = { pred; args }
 
+let name pred = function
+  | [] -> pred
+  | args -> pred ^ "(" ^ String.concat "," args ^ ")"
+
 let rule_vars r =
   let of_atom a =
     List.filter_map (function Var v -> Some v | Const _ -> None) a.args

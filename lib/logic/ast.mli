@@ -10,6 +10,11 @@ type program = rule list
 
 val atom : string -> term list -> atom
 
+val name : string -> string list -> string
+(** [name p [c1; ...; ck]] is ["p(c1,...,ck)"] ([p] when [k = 0]): the
+    propositional atom that stands for a ground atom, as the grounder
+    interns it and as [.ddb] files and queries spell it. *)
+
 val is_safe : rule -> bool
 (** Every variable occurs in the positive body. *)
 

@@ -1,29 +1,18 @@
-(* Hand-written lexer and recursive-descent parsers for the textual formats.
-
-   Program syntax (one clause per '.', '%' comments to end of line):
-
-     a | b :- c, not d.        disjunctive rule
-     :- a, b.                  integrity clause
-     c.                        fact
-     a | b.                    disjunctive fact
-
-   Query (formula) syntax, loosest to tightest precedence:
-
-     f <-> g   |   f -> g   |   f | g   |   f & g   |   ~f   |   atom, true,
-     false, ( f )
-
-   Atom names: [A-Za-z_][A-Za-z0-9_']*, excluding the keywords
-   not / true / false. *)
+(* Hand-written lexer and recursive-descent parser for programs (.ddb and
+   .dl) and query formulas; the grammar is in parse.mli.  The clause rule
+   takes the reading of an atom as a parameter and calls it on the atoms in
+   textual order, so the propositional reading interns atoms in the order
+   they are written. *)
 
 exception Error of string
 
-let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
+type loc = int * int (* line, column *)
+
+let error_at (line, col) fmt =
+  Fmt.kstr (fun s -> raise (Error (Printf.sprintf "%d:%d: %s" line col s))) fmt
 
 type token =
-  | IDENT of string
-  | KW_NOT
-  | KW_TRUE
-  | KW_FALSE
+  | WORD of string
   | PIPE
   | AMP
   | COMMA
@@ -37,10 +26,7 @@ type token =
   | EOF
 
 let token_to_string = function
-  | IDENT s -> Printf.sprintf "identifier %S" s
-  | KW_NOT -> "'not'"
-  | KW_TRUE -> "'true'"
-  | KW_FALSE -> "'false'"
+  | WORD s -> Printf.sprintf "identifier %S" s
   | PIPE -> "'|'"
   | AMP -> "'&'"
   | COMMA -> "','"
@@ -53,250 +39,231 @@ let token_to_string = function
   | RPAREN -> "')'"
   | EOF -> "end of input"
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_lower c = c >= 'a' && c <= 'z'
+let is_upper c = c >= 'A' && c <= 'Z'
+let is_digit c = c >= '0' && c <= '9'
 
-let is_ident_char c =
-  is_ident_start c || (c >= '0' && c <= '9') || c = '\''
+let is_word_char c =
+  is_lower c || is_upper c || is_digit c || c = '_' || c = '\''
 
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
-  let emit t = toks := t :: !toks in
-  let i = ref 0 in
+  let i = ref 0 and line = ref 1 and line_start = ref 0 in
+  let here () = (!line, !i - !line_start + 1) in
+  let emit t len =
+    toks := (t, here ()) :: !toks;
+    i := !i + len
+  in
+  let starts s =
+    !i + String.length s <= n && String.sub src !i (String.length s) = s
+  in
   while !i < n do
     let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '%' then begin
+    if c = '\n' then begin
+      incr i;
+      incr line;
+      line_start := !i
+    end
+    else if c = ' ' || c = '\t' || c = '\r' then incr i
+    else if c = '%' then
       while !i < n && src.[!i] <> '\n' do
         incr i
       done
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
+    else if is_word_char c then begin
+      let j = ref !i in
+      while !j < n && is_word_char src.[!j] do
+        incr j
       done;
-      match String.sub src start (!i - start) with
-      | "not" -> emit KW_NOT
-      | "true" -> emit KW_TRUE
-      | "false" -> emit KW_FALSE
-      | word ->
-        (* Ground Datalog atoms — "win(b)", "edge(a,b)" — are single
-           propositional atoms (as produced by Ddb_ground.Grounder); fold
-           an immediately following argument list into the name. *)
-        if !i < n && src.[!i] = '(' then begin
-          let j = ref (!i + 1) in
-          let buf = Buffer.create 16 in
-          Buffer.add_string buf word;
-          Buffer.add_char buf '(';
-          let ok = ref true in
-          let expect_ident () =
-            let s = !j in
-            while !j < n && is_ident_char src.[!j] do
-              incr j
-            done;
-            if !j > s then Buffer.add_string buf (String.sub src s (!j - s))
-            else ok := false
-          in
-          expect_ident ();
-          while !ok && !j < n && src.[!j] = ',' do
-            Buffer.add_char buf ',';
-            incr j;
-            while !j < n && src.[!j] = ' ' do
-              incr j
-            done;
-            expect_ident ()
-          done;
-          if !ok && !j < n && src.[!j] = ')' then begin
-            Buffer.add_char buf ')';
-            i := !j + 1;
-            emit (IDENT (Buffer.contents buf))
-          end
-          else error "malformed ground atom after %S" word
-        end
-        else emit (IDENT word)
+      emit (WORD (String.sub src !i (!j - !i))) (!j - !i)
     end
-    else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      let three = if !i + 2 < n then String.sub src !i 3 else "" in
-      if three = "<->" then begin
-        emit DARROW;
-        i := !i + 3
-      end
-      else if two = "->" then begin
-        emit ARROW;
-        i := !i + 2
-      end
-      else if two = ":-" then begin
-        emit IF;
-        i := !i + 2
-      end
-      else begin
+    else if starts "<->" then emit DARROW 3
+    else if starts "->" then emit ARROW 2
+    else if starts ":-" then emit IF 2
+    else
+      emit
         (match c with
-        | '|' | ';' -> emit PIPE
-        | '&' | '^' -> emit AMP
-        | ',' -> emit COMMA
-        | '.' -> emit DOT
-        | '~' | '!' -> emit TILDE
-        | '(' -> emit LPAREN
-        | ')' -> emit RPAREN
-        | _ -> error "unexpected character %C" c);
-        incr i
-      end
-    end
+        | '|' | ';' -> PIPE
+        | '&' | '^' -> AMP
+        | ',' -> COMMA
+        | '.' -> DOT
+        | '~' | '!' -> TILDE
+        | '(' -> LPAREN
+        | ')' -> RPAREN
+        | _ -> error_at (here ()) "unexpected character %C" c)
+        1
   done;
-  emit EOF;
-  List.rev !toks
+  List.rev ((EOF, here ()) :: !toks)
 
-type stream = { mutable toks : token list }
+(* The token list always ends with EOF, which is never consumed. *)
+type stream = { mutable toks : (token * loc) list }
 
-let peek s = match s.toks with [] -> EOF | t :: _ -> t
+let peek s = fst (List.hd s.toks)
 
-let advance s = match s.toks with [] -> () | _ :: rest -> s.toks <- rest
+let loc s = snd (List.hd s.toks)
+
+let advance s =
+  match s.toks with _ :: (_ :: _ as rest) -> s.toks <- rest | _ -> ()
+
+let accept s t =
+  let found = peek s = t in
+  if found then advance s;
+  found
 
 let expect s t =
-  let got = peek s in
-  if got = t then advance s
-  else error "expected %s but found %s" (token_to_string t) (token_to_string got)
+  if not (accept s t) then
+    error_at (loc s) "expected %s but found %s" (token_to_string t)
+      (token_to_string (peek s))
 
-let ident s =
+(* One or more [item]s separated by [sep]. *)
+let sep_by sep item s =
+  let rec more acc =
+    if accept s sep then more (item s :: acc) else List.rev acc
+  in
+  more [ item s ]
+
+let word what s =
   match peek s with
-  | IDENT name ->
+  | WORD w ->
     advance s;
-    name
-  | t -> error "expected an atom name but found %s" (token_to_string t)
+    w
+  | t -> error_at (loc s) "expected %s but found %s" what (token_to_string t)
 
-(* --- programs --- *)
-
-let parse_head vocab s =
-  (* Possibly-empty '|'-separated atom list before ':-' or '.'. *)
-  match peek s with
-  | IF | DOT -> []
-  | _ ->
-    let rec more acc =
-      match peek s with
-      | PIPE ->
-        advance s;
-        more (Vocab.intern vocab (ident s) :: acc)
-      | _ -> List.rev acc
-    in
-    more [ Vocab.intern vocab (ident s) ]
-
-let parse_body vocab s =
-  let rec more pos neg =
-    let pos, neg =
-      match peek s with
-      | KW_NOT | TILDE ->
-        advance s;
-        (pos, Vocab.intern vocab (ident s) :: neg)
-      | _ -> (Vocab.intern vocab (ident s) :: pos, neg)
-    in
-    match peek s with
-    | COMMA ->
-      advance s;
-      more pos neg
-    | _ -> (List.rev pos, List.rev neg)
-  in
-  more [] []
-
-let parse_clause vocab s =
-  let head = parse_head vocab s in
-  let pos, neg =
-    match peek s with
-    | IF ->
-      advance s;
-      parse_body vocab s
-    | _ -> ([], [])
-  in
-  expect s DOT;
-  if head = [] && pos = [] && neg = [] then
-    error "clause with empty head and empty body";
-  Clause.make ~head ~pos ~neg
-
-let program vocab src =
+let whole parse src =
   let s = { toks = tokenize src } in
-  let rec go acc =
-    match peek s with
-    | EOF -> List.rev acc
-    | _ -> go (parse_clause vocab s :: acc)
-  in
-  go []
+  let x = parse s in
+  expect s EOF;
+  x
 
-let program_of_file vocab path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  program vocab src
+let of_file parse path =
+  let src = In_channel.with_open_text path In_channel.input_all in
+  try parse src with Error msg -> raise (Error (path ^ ":" ^ msg))
+
+(* --- atoms and clauses --- *)
+
+(* word[(word, ..., word)]: where the atom starts, its name, its arguments. *)
+let atom s =
+  let at = loc s in
+  let pred = word "an atom name" s in
+  if pred = "not" then error_at at "'not' is not an atom name";
+  let args =
+    if accept s LPAREN then begin
+      let args = sep_by COMMA (word "an argument") s in
+      expect s RPAREN;
+      args
+    end
+    else []
+  in
+  (at, pred, args)
+
+(* head :- body.  [read] reads each atom, in textual order; [make] builds
+   the clause from the head, the positive and the negative body. *)
+let clauses read make =
+  let body_literal s =
+    let negated =
+      match peek s with
+      | WORD "not" | TILDE ->
+        advance s;
+        true
+      | _ -> false
+    in
+    (negated, read s)
+  in
+  let clause s =
+    let at = loc s in
+    let head = match peek s with IF | DOT -> [] | _ -> sep_by PIPE read s in
+    let body = if accept s IF then sep_by COMMA body_literal s else [] in
+    expect s DOT;
+    if head = [] && body = [] then
+      error_at at "clause with empty head and empty body";
+    let neg, pos = List.partition fst body in
+    make head (List.map snd pos) (List.map snd neg)
+  in
+  whole (fun s ->
+      let rec go acc =
+        if peek s = EOF then List.rev acc else go (clause s :: acc)
+      in
+      go [])
+
+(* The propositional reading: intern the atom's name. *)
+let intern vocab s =
+  let at, pred, args = atom s in
+  let c = pred.[0] in
+  if not (is_lower c || is_upper c || c = '_') then
+    error_at at "atom name %S does not start with a letter or '_'" pred;
+  if pred = "true" || pred = "false" then
+    error_at at "'%s' is a constant, not an atom name" pred;
+  Vocab.intern vocab (Ast.name pred args)
+
+let program vocab =
+  clauses (intern vocab) (fun head pos neg -> Clause.make ~head ~pos ~neg)
+
+let program_of_file vocab = of_file (program vocab)
+
+(* The Datalog reading: a word starting like a variable is a [Var]. *)
+let is_var w = is_upper w.[0] || w.[0] = '_'
+
+let datalog_atom s =
+  let at, pred, args = atom s in
+  if not (is_lower pred.[0] || is_digit pred.[0]) then
+    error_at at "predicate %S does not start with a lowercase letter or a digit"
+      pred;
+  Ast.atom pred
+    (List.map (fun w -> if is_var w then Ast.Var w else Ast.Const w) args)
+
+let datalog = clauses datalog_atom (fun head pos neg -> { Ast.head; pos; neg })
+
+let datalog_of_file = of_file datalog
 
 (* --- formulas --- *)
 
-let rec parse_iff vocab s =
-  let lhs = parse_imp vocab s in
-  match peek s with
-  | DARROW ->
-    advance s;
-    Formula.Iff (lhs, parse_iff vocab s)
-  | _ -> lhs
+let rec iff vocab s =
+  let lhs = imp vocab s in
+  if accept s DARROW then Formula.Iff (lhs, iff vocab s) else lhs
 
-and parse_imp vocab s =
-  let lhs = parse_or vocab s in
-  match peek s with
-  | ARROW ->
-    advance s;
-    Formula.Imp (lhs, parse_imp vocab s)
-  | _ -> lhs
+and imp vocab s =
+  let lhs = disj vocab s in
+  if accept s ARROW then Formula.Imp (lhs, imp vocab s) else lhs
 
-and parse_or vocab s =
+and disj vocab s =
   let rec more lhs =
-    match peek s with
-    | PIPE ->
-      advance s;
-      more (Formula.Or (lhs, parse_and vocab s))
-    | _ -> lhs
+    if accept s PIPE then more (Formula.Or (lhs, conj vocab s)) else lhs
   in
-  more (parse_and vocab s)
+  more (conj vocab s)
 
-and parse_and vocab s =
+and conj vocab s =
   let rec more lhs =
-    match peek s with
-    | AMP | COMMA ->
-      advance s;
-      more (Formula.And (lhs, parse_unary vocab s))
-    | _ -> lhs
+    if accept s AMP || accept s COMMA then
+      more (Formula.And (lhs, unary vocab s))
+    else lhs
   in
-  more (parse_unary vocab s)
+  more (unary vocab s)
 
-and parse_unary vocab s =
+and unary vocab s =
   match peek s with
-  | TILDE | KW_NOT ->
+  | TILDE | WORD "not" ->
     advance s;
-    Formula.Not (parse_unary vocab s)
-  | KW_TRUE ->
+    Formula.Not (unary vocab s)
+  | WORD "true" ->
     advance s;
     Formula.True
-  | KW_FALSE ->
+  | WORD "false" ->
     advance s;
     Formula.False
   | LPAREN ->
     advance s;
-    let f = parse_iff vocab s in
+    let f = iff vocab s in
     expect s RPAREN;
     f
-  | IDENT name ->
-    advance s;
-    Formula.Atom (Vocab.intern vocab name)
-  | t -> error "expected a formula but found %s" (token_to_string t)
+  | WORD _ -> Formula.Atom (intern vocab s)
+  | t -> error_at (loc s) "expected a formula but found %s" (token_to_string t)
 
-let formula vocab src =
-  let s = { toks = tokenize src } in
-  let f = parse_iff vocab s in
-  expect s EOF;
-  f
+let formula vocab = whole (iff vocab)
 
-let literal vocab src =
-  match formula vocab src with
-  | Formula.Atom x -> Lit.Pos x
-  | Formula.Not (Formula.Atom x) -> Lit.Neg x
-  | _ -> error "expected a literal (atom or ~atom)"
+let literal vocab =
+  whole (fun s ->
+      let at = loc s in
+      match iff vocab s with
+      | Formula.Atom x -> Lit.Pos x
+      | Formula.Not (Formula.Atom x) -> Lit.Neg x
+      | _ -> error_at at "expected a literal (atom or ~atom)")

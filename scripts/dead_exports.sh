@@ -13,8 +13,7 @@
 #   - a bare v in a file that opens or includes Mod (`open Mod`,
 #     `let open Mod in`, `include Mod`).
 # A bare word elsewhere (another module's value, a record field, a
-# comment) does not keep an export alive.  Two library modules share the
-# name Parse (Ddb_logic and Ddb_ground); their uses are not told apart.
+# comment) does not keep an export alive.
 #
 # Usage: scripts/dead_exports.sh   (from the repository root; exit 1 lists
 # the offending Module.value names)

@@ -11,7 +11,10 @@
 #     the expected-answers file and print a witness or counterexample line
 #     exactly when the answer calls for one;
 #   - `query --minimize` fixes every atom named in no option (Q), query
-#     atoms the database does not contain included.
+#     atoms the database does not contain included;
+#   - a .dl file is grounded on load, and its `ground` output re-read as
+#     .ddb answers the same;
+#   - parse errors name the file, line and column.
 set -eu
 tool="$1"
 quickstart="$2"
@@ -114,5 +117,26 @@ out=$("$tool" query "$tmp/circ.ddb" -s ccwa -q b --minimize a)
 out=$("$tool" query "$tmp/circ.ddb" -s ecwa -q '~zz' --minimize a --vary b)
 [ "$out" = "ecwa(DB) |/= ~zz   (P={a}; Q={c, zz}; Z={b})" ] \
   || fail "query --minimize with a fresh query atom: got '$out'"
+
+# 10. A Datalog game: b moves to the lost position c, so win(b) holds in
+#     every stable model, read from the .dl file and from its grounding.
+printf 'move(a, b). move(b, c).\nwin(X) :- move(X, Y), not win(Y).\n' \
+  > "$tmp/game.dl"
+out=$("$tool" query "$tmp/game.dl" -s dsm -q 'win(b)')
+[ "$out" = "dsm(DB) |= win(b)" ] || fail "query on .dl: got '$out'"
+"$tool" ground "$tmp/game.dl" > "$tmp/game.ddb"
+out=$("$tool" query "$tmp/game.ddb" -s dsm -q 'win(b)')
+[ "$out" = "dsm(DB) |= win(b)" ] || fail "query on ground output: got '$out'"
+
+# 11. Parse errors carry file:line:col, in .ddb and in .dl files (the
+#     message may be wrapped across lines).
+printf 'a.\na :- not a,\nb | c.\n' > "$tmp/bad.ddb"
+err=$("$tool" models "$tmp/bad.ddb" 2>&1 >/dev/null | tr -s '\n ' '  ')
+echo "$err" | grep -qF "$tmp/bad.ddb:3:3: expected '.' but found '|'" \
+  || fail "malformed .ddb: no file:line:col in '$err'"
+printf 'p(a).\nq(X) :- p(X)) .\n' > "$tmp/bad.dl"
+err=$("$tool" ground "$tmp/bad.dl" 2>&1 >/dev/null | tr -s '\n ' '  ')
+echo "$err" | grep -qF "$tmp/bad.dl:2:13: expected '.' but found ')'" \
+  || fail "malformed .dl: no file:line:col in '$err'"
 
 echo "cli tests passed"

@@ -374,16 +374,6 @@ let ground_suite =
         match Dsm.stable_models db with
         | [ m ] -> check "p" true (Ddb_ground.Grounder.holds_in g m "p" [])
         | _ -> Alcotest.fail "unique stable model expected");
-    Alcotest.test_case "datalog parser errors" `Quick (fun () ->
-        let fails s =
-          try
-            ignore (Ddb_ground.Parse.program s);
-            false
-          with Ddb_ground.Parse.Error _ -> true
-        in
-        check "missing paren" true (fails "p(a.");
-        check "missing dot" true (fails "p(a)");
-        check "stray" true (fails "p(a) @ q."));
   ]
 
 (* --- witnesses --- *)

@@ -250,6 +250,117 @@ let parse_suite =
         check "missing dot" true (fails "a | b");
         check "empty clause" true (fails ".");
         check "bad char" true (fails "a @ b."));
+    Alcotest.test_case ".ddb/.dl readings" `Quick (fun () ->
+        (* Each program text is read as a .ddb program and as a .dl program.
+           A reading is [Ok printed]: the clauses (then, after '%', the
+           atoms in id order) or the rules (a variable printed as ?X); or
+           [Error "line:col"], where the message must start. *)
+        let show head pos neg =
+          let body = pos @ List.map (( ^ ) "not ") neg in
+          String.concat " | " head
+          ^ (if body = [] then ""
+             else
+               (if head = [] then ":- " else " :- ") ^ String.concat ", " body)
+          ^ "."
+        in
+        let ddb src =
+          let vocab = Vocab.create () in
+          let names = List.map (Vocab.name vocab) in
+          match Parse.program vocab src with
+          | clauses ->
+            let clause c =
+              show (names (Clause.head c)) (names (Clause.body_pos c))
+                (names (Clause.body_neg c))
+            in
+            Ok
+              (String.concat " " (List.map clause clauses)
+              ^ " % "
+              ^ String.concat " " (names (List.init (Vocab.size vocab) Fun.id)))
+          | exception Parse.Error msg -> Error msg
+        in
+        let dl src =
+          let atom (a : Ast.atom) =
+            Ast.name a.pred
+              (List.map
+                 (function Ast.Var v -> "?" ^ v | Ast.Const c -> c)
+                 a.args)
+          in
+          let rule (r : Ast.rule) =
+            show (List.map atom r.head) (List.map atom r.pos)
+              (List.map atom r.neg)
+          in
+          match Parse.datalog src with
+          | rules -> Ok (String.concat " " (List.map rule rules))
+          | exception Parse.Error msg -> Error msg
+        in
+        let agrees what expected got =
+          match (expected, got) with
+          | Ok e, Ok g -> Alcotest.(check string) what e g
+          | Error at, Error msg ->
+            if not (String.starts_with ~prefix:(at ^ ":") msg) then
+              Alcotest.failf "%s: error %S is not at %s" what msg at
+          | Ok e, Error msg ->
+            Alcotest.failf "%s: rejected (%s), expected %s" what msg e
+          | Error at, Ok g ->
+            Alcotest.failf "%s: read %s, expected an error at %s" what g at
+        in
+        List.iter
+          (fun (src, as_ddb, as_dl) ->
+            agrees (".ddb " ^ src) as_ddb (ddb src);
+            agrees (".dl " ^ src) as_dl (dl src))
+          [
+            (* names: an argument list is part of a .ddb atom's name; an
+               uppercase word is an atom in .ddb, a variable in .dl *)
+            ("p(a, b).", Ok "p(a,b). % p(a,b)", Ok "p(a,b).");
+            ("A :- p(A).", Ok "A :- p(A). % A p(A)", Error "1:1");
+            ( "p(A) :- q(A, b), not r(_x).",
+              Ok "p(A) :- q(A,b), not r(_x). % p(A) q(A,b) r(_x)",
+              Ok "p(?A) :- q(?A,b), not r(?_x)." );
+            ("_p.", Ok "_p. % _p", Error "1:1");
+            (* kept rejections: .ddb atom names starting with a digit or
+               named true/false; 'not' names no atom *)
+            ("1a.", Error "1:1", Ok "1a.");
+            ("a :- b, 2.", Error "1:9", Ok "a :- b, 2.");
+            ("true.", Error "1:1", Ok "true.");
+            ("a :- false.", Error "1:6", Ok "a :- false.");
+            ("a :- not not b.", Error "1:10", Error "1:10");
+            (* newly accepted with the shared grammar: in .ddb, whitespace
+               in and before an argument list; in .dl, '~' for 'not', and
+               'not' or a primed word as an argument *)
+            ( "p( a , b ) | q.",
+              Ok "p(a,b) | q. % p(a,b) q",
+              Ok "p(a,b) | q." );
+            ("p (a,\n b).", Ok "p(a,b). % p(a,b)", Ok "p(a,b).");
+            ("a :- ~b.", Ok "a :- not b. % a b", Ok "a :- not b.");
+            ("p(not, 'x).", Ok "p(not,'x). % p(not,'x)", Ok "p(not,'x).");
+            (* atoms are interned in textual order *)
+            ( "a :- not b, c.",
+              Ok "a :- c, not b. % a b c",
+              Ok "a :- c, not b." );
+            (* errors carry line:col *)
+            ("a.\na :- not a,\nb | c.", Error "3:3", Error "3:3");
+            ("p(a.", Error "1:4", Error "1:4");
+            ("p(a)", Error "1:5", Error "1:5");
+            ("p(a) @ q.", Error "1:6", Error "1:6");
+            ("p().", Error "1:3", Error "1:3");
+            (".", Error "1:1", Error "1:1");
+          ];
+        (* queries read atoms as .ddb programs do *)
+        let vocab = Vocab.create () in
+        let p_ab = Formula.Atom (Vocab.intern vocab "p(a,b)") in
+        List.iter
+          (fun q ->
+            check q true (Formula.equal (Parse.formula vocab q) p_ab))
+          [ "p(a,b)"; "p(a, b)"; "p( a,b)"; "p (a,b)" ];
+        List.iter
+          (fun (q, at) ->
+            agrees q (Error at)
+              (match Parse.formula vocab q with
+              | f -> Ok (Formula.to_string f)
+              | exception Parse.Error msg -> Error msg))
+          [
+            ("1a | b", "1:1"); ("a &\n (b | p(a)) c", "2:13"); ("p()", "1:3");
+          ]);
     Alcotest.test_case "pp/parse roundtrip" `Quick (fun () ->
         let vocab = Vocab.create () in
         let clauses =
