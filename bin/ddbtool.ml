@@ -578,11 +578,8 @@ let finish_sweep bopts unknowns k =
    engine's (the "unknowns" counters are zero on unbudgeted runs).
    --no-cache replays the workload on cache-disabled shards (no memo
    tables, a fresh solver per oracle question) for ablation. *)
-let stats db sem_name no_cache no_fastpath jobs ~pinned bopts =
-  Result.bind (select_sems db sem_name) @@ fun sems ->
-  Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
-    ~pinned
-  @@ fun b ->
+let stats bopts db ~sems with_batch =
+  with_batch @@ fun b ->
   finish_sweep bopts (stats_workload b ~sems bopts db) @@ fun () ->
   Fmt.pr "%s@." (Batch.stats_json b);
   Ok ()
@@ -591,11 +588,8 @@ let stats db sem_name no_cache no_fastpath jobs ~pinned bopts =
    order is fixed (semantics in registry order, ¬x before x, atoms
    ascending) and independent of --jobs.  Every cell runs on its own token;
    degraded cells print |? instead of |=/|/=. *)
-let sweep db sem_name no_cache no_fastpath jobs ~pinned bopts =
-  Result.bind (select_sems db sem_name) @@ fun sems ->
-  Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
-    ~pinned
-  @@ fun b ->
+let sweep bopts db ~sems with_batch =
+  with_batch @@ fun b ->
   let vocab = Db.vocab db in
   let rows =
     Batch.literal_sweep b ~sems ~limits:bopts.limits
@@ -642,17 +636,15 @@ let no_cache_flag =
    latency table folded from the trace's op spans (merged across workers).
    It runs under the --trace trace when one is active — latencies are then
    in that trace's clock, deterministic ticks by default — and otherwise
-   under a wall-clock trace of its own (µs).  The unit is printed in the
+   under a wall-clock trace of its own (µs), started before the batch is
+   made so that the batch pins its shards.  The unit is printed in the
    header. *)
-let profile db sem_name no_cache no_fastpath jobs bopts =
-  Result.bind (select_sems db sem_name) @@ fun sems ->
+let profile bopts db ~sems with_batch =
   let own = not (Trace.enabled ()) in
   if own then Trace.start ~clock:Trace.Wall ();
   let unknowns =
     Fun.protect ~finally:(fun () -> if own then Trace.stop ()) @@ fun () ->
-    Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
-      ~pinned:true
-    @@ fun b -> stats_workload b ~sems bopts db
+    with_batch @@ fun b -> stats_workload b ~sems bopts db
   in
   finish_sweep bopts unknowns @@ fun () ->
   let dropped = Trace.dropped () in
@@ -820,56 +812,45 @@ let jobs_man =
   ]
   @ budget_man
 
-let stats_cmd =
+(* The stats/sweep/profile commands: [run bopts db ~sems with_batch] on
+   the semantics -s selects, where [with_batch] makes the batch of --jobs
+   shards with the --no-cache/--no-fastpath flags. *)
+let batch_cmd name ~doc run =
   Cmd.v
-    (Cmd.info "stats" ~exits ~man:jobs_man
-       ~doc:
-         "Sweep all ± literal queries through sharded memoizing oracle \
-          engines (--jobs worker domains) and print the merged \
-          instrumentation record as JSON")
+    (Cmd.info name ~exits ~man:jobs_man ~doc)
     Term.(
       ret
         (const (fun trace clock bopts db sem no_cache no_fastpath jobs ->
              handle
                (traced trace clock (fun () ->
-                    stats db sem no_cache no_fastpath jobs
-                      ~pinned:(trace <> None) bopts)))
+                    Result.bind (select_sems db sem) @@ fun sems ->
+                    run bopts db ~sems (fun f ->
+                        Batch.with_batch ?jobs ~cache:(not no_cache)
+                          ~fastpath:(not no_fastpath) f))))
         $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ stats_sem_arg
         $ no_cache_flag $ no_fastpath_flag $ jobs_arg))
+
+let stats_cmd =
+  batch_cmd "stats" stats
+    ~doc:
+      "Sweep all ± literal queries through sharded memoizing oracle engines \
+       (--jobs worker domains) and print the merged instrumentation record \
+       as JSON"
 
 let sweep_cmd =
-  Cmd.v
-    (Cmd.info "sweep" ~exits ~man:jobs_man
-       ~doc:
-         "Answer every ± literal query under every applicable semantics, \
-          fanned out over --jobs worker domains")
-    Term.(
-      ret
-        (const (fun trace clock bopts db sem no_cache no_fastpath jobs ->
-             handle
-               (traced trace clock (fun () ->
-                    sweep db sem no_cache no_fastpath jobs
-                      ~pinned:(trace <> None) bopts)))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ stats_sem_arg
-        $ no_cache_flag $ no_fastpath_flag $ jobs_arg))
+  batch_cmd "sweep" sweep
+    ~doc:
+      "Answer every ± literal query under every applicable semantics, \
+       fanned out over --jobs worker domains"
 
 let profile_cmd =
-  Cmd.v
-    (Cmd.info "profile" ~exits ~man:jobs_man
-       ~doc:
-         "Run the stats workload under a trace and print a per-oracle-kind \
-          p50/p90/p99 latency table folded from its spans (merged across \
-          --jobs workers; placement is always pinned).  With --trace the \
-          latencies are in that trace's clock (deterministic logical ticks \
-          by default); without it, wall microseconds")
-    Term.(
-      ret
-        (const (fun trace clock bopts db sem no_cache no_fastpath jobs ->
-             handle
-               (traced trace clock (fun () ->
-                    profile db sem no_cache no_fastpath jobs bopts)))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ stats_sem_arg
-        $ no_cache_flag $ no_fastpath_flag $ jobs_arg))
+  batch_cmd "profile" profile
+    ~doc:
+      "Run the stats workload under a trace and print a per-oracle-kind \
+       p50/p90/p99 latency table folded from its spans (merged across \
+       --jobs workers; placement is always pinned).  With --trace the \
+       latencies are in that trace's clock (deterministic logical ticks by \
+       default); without it, wall microseconds"
 
 let semantics_cmd =
   Cmd.v (Cmd.info "semantics" ~doc:"List the available semantics")

@@ -13,9 +13,9 @@
    later probe under it re-raises with the same reason — so a computation
    that swallows one exception cannot silently run past its budget.
 
-   Determinism: conflict/propagation/tick/model caps count events of the
-   computation itself, so the trip point is a pure function of the work
-   (placement- and scheduling-independent for context-free oracle paths).
+   Determinism: conflict/tick/model caps count events of the computation
+   itself, so the trip point is a pure function of the work (placement-
+   and scheduling-independent for context-free oracle paths).
    Wall deadlines sample Unix.gettimeofday and are explicitly excluded
    from determinism claims. *)
 
@@ -44,17 +44,16 @@ let string_of_answer = function
 
 type limits = {
   conflicts : int option;
-  propagations : int option;
   ticks : int option;
   wall_ms : float option;
   models : int option;
 }
 
 let no_limits =
-  { conflicts = None; propagations = None; ticks = None; wall_ms = None; models = None }
+  { conflicts = None; ticks = None; wall_ms = None; models = None }
 
-let limits ?conflicts ?propagations ?ticks ?wall_ms ?models () =
-  { conflicts; propagations; ticks; wall_ms; models }
+let limits ?conflicts ?ticks ?wall_ms ?models () =
+  { conflicts; ticks; wall_ms; models }
 
 let is_unlimited l = l = no_limits
 
@@ -70,13 +69,11 @@ let group_cancelled g = Atomic.get g
 
 type t = {
   conflict_cap : int; (* max_int = no cap *)
-  prop_cap : int;
   tick_cap : int;
   model_cap : int;
   deadline : float; (* absolute gettimeofday seconds; infinity = no cap *)
   capped : bool; (* any finite cap above (fast path when false) *)
   mutable conflicts : int;
-  mutable props : int;
   mutable ticks : int;
   mutable models : int;
   cancelled : bool Atomic.t;
@@ -93,15 +90,13 @@ let token ?group:grp (l : limits) =
   in
   {
     conflict_cap = cap l.conflicts;
-    prop_cap = cap l.propagations;
     tick_cap = cap l.ticks;
     model_cap = cap l.models;
     deadline;
     capped =
-      l.conflicts <> None || l.propagations <> None || l.ticks <> None
-      || l.wall_ms <> None || l.models <> None;
+      l.conflicts <> None || l.ticks <> None || l.wall_ms <> None
+      || l.models <> None;
     conflicts = 0;
-    props = 0;
     ticks = 0;
     models = 0;
     cancelled = Atomic.make false;
@@ -174,16 +169,14 @@ let consume_ticks tok n =
 
 (* --- probe sites --- *)
 
-let charge ?(conflicts = 0) ?(propagations = 0) () =
+let charge ?(conflicts = 0) () =
   match (state ()).tok with
   | None -> ()
   | Some tok ->
     validate tok;
     if tok.capped then begin
       tok.conflicts <- tok.conflicts + conflicts;
-      tok.props <- tok.props + propagations;
-      if tok.conflicts > tok.conflict_cap || tok.props > tok.prop_cap then
-        trip tok Budget_exhausted;
+      if tok.conflicts > tok.conflict_cap then trip tok Budget_exhausted;
       consume_ticks tok conflicts
     end
 
@@ -264,7 +257,6 @@ let run ?group ?(retry = false) ?(on_trip = ignore) lims f =
     let scale = Option.map (fun c -> c * 4) in
     {
       conflicts = scale l.conflicts;
-      propagations = scale l.propagations;
       ticks = scale l.ticks;
       wall_ms = Option.map (fun ms -> ms *. 4.) l.wall_ms;
       models = scale l.models;

@@ -6,9 +6,9 @@
     returns.  This module is the robustness subsystem the whole oracle
     stack threads through:
 
-    - a {!t} token carries resource caps (conflicts, propagations, a
-      logical-tick deadline, a wall deadline, an enumeration cap) plus a
-      cross-domain cancellation flag;
+    - a {!t} token carries resource caps (conflicts, a logical-tick
+      deadline, a wall deadline, an enumeration cap) plus a cross-domain
+      cancellation flag;
     - the token is installed domain-locally with {!with_token}; the SAT
       solver's conflict loop, the CEGAR round boundary and the model
       enumerators call the probe functions ({!charge}, {!on_solve},
@@ -22,12 +22,11 @@
     - {!Fault} injects deterministic failures at the k-th oracle
       operation, so the degradation paths themselves are testable.
 
-    Determinism: with only {e logical} caps (conflicts, propagations,
-    ticks, models) the trip point is a pure function of the computation,
-    so which queries degrade is reproducible run-to-run and across
-    worker-domain placements (for context-free, cache-disabled oracle
-    paths).  Wall deadlines ([wall_ms]) are excluded from any determinism
-    claim. *)
+    Determinism: with only {e logical} caps (conflicts, ticks, models) the
+    trip point is a pure function of the computation, so which queries
+    degrade is reproducible run-to-run and across worker-domain placements
+    (for context-free, cache-disabled oracle paths).  Wall deadlines
+    ([wall_ms]) are excluded from any determinism claim. *)
 
 type reason =
   | Budget_exhausted  (** a resource cap (or wall deadline) tripped *)
@@ -53,7 +52,6 @@ val string_of_answer : answer -> string
 
 type limits = {
   conflicts : int option;  (** SAT conflict cap, summed over solves *)
-  propagations : int option;  (** unit-propagation cap *)
   ticks : int option;
       (** logical deadline: every conflict, solve call, CEGAR round and
           engine oracle op consumes one tick — deterministic *)
@@ -71,7 +69,6 @@ val no_limits : limits
 
 val limits :
   ?conflicts:int ->
-  ?propagations:int ->
   ?ticks:int ->
   ?wall_ms:float ->
   ?models:int ->
@@ -134,9 +131,9 @@ val run :
     All are no-ops (one domain-local read) when no token is installed and
     no fault is armed. *)
 
-val charge : ?conflicts:int -> ?propagations:int -> unit -> unit
-(** The SAT solver's conflict site: consume conflicts/propagations (each
-    conflict is also one tick) and check every cap. *)
+val charge : ?conflicts:int -> unit -> unit
+(** The SAT solver's conflict site: consume conflicts (each conflict is
+    also one tick) and check every cap. *)
 
 val on_solve : unit -> unit
 (** Solve-call entry: one tick. *)

@@ -69,18 +69,17 @@ let pp ?vocab ppf c =
   let name x =
     match vocab with Some v -> Vocab.name v x | None -> string_of_int x
   in
-  let atom ppf x = Fmt.string ppf (name x) in
-  let natom ppf x = Fmt.pf ppf "not %s" (name x) in
-  let sep = Fmt.any ",@ " in
-  (match c.head with
-  | [] -> ()
-  | head -> Fmt.pf ppf "@[<h>%a@]" (Fmt.list ~sep:(Fmt.any " |@ ") atom) head);
-  if c.pos <> [] || c.neg <> [] then begin
-    Fmt.pf ppf "%s:- " (if c.head = [] then "" else " ");
-    Fmt.pf ppf "@[<h>%a@]" (Fmt.list ~sep atom) c.pos;
-    if c.pos <> [] && c.neg <> [] then sep ppf ();
-    Fmt.pf ppf "@[<h>%a@]" (Fmt.list ~sep natom) c.neg
-  end;
+  (* one horizontal box per part: a clause never breaks across lines *)
+  let part sep ppf xs = Fmt.pf ppf "@[<h>%a@]" (Fmt.list ~sep Fmt.string) xs in
+  let head = List.map name c.head in
+  let body =
+    List.map name c.pos @ List.map (fun x -> "not " ^ name x) c.neg
+  in
+  part (Fmt.any " |@ ") ppf head;
+  if body <> [] then
+    Fmt.pf ppf "%s:- %a" (if head = [] then "" else " ")
+      (part (Fmt.any ",@ "))
+      body;
   Fmt.string ppf "."
 
 let to_string ?vocab c = Fmt.str "%a" (pp ?vocab) c

@@ -22,10 +22,11 @@ type t = {
   pool : Pool.t;
   engines : Engine.t array;
   sems : (string * Semantics.t) list array; (* per worker, registry order *)
-  pinned : bool;
+  pinned : bool; (* sweeps run item k on worker k mod jobs *)
 }
 
-let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false) () =
+let create ?jobs ?(cache = true) ?(fastpath = true)
+    ?(pinned = Ddb_obs.Trace.enabled ()) () =
   let pool = Pool.create ?jobs () in
   let engines =
     Array.init (Pool.jobs pool) (fun _ -> Engine.create ~cache ~fastpath ())
@@ -47,14 +48,6 @@ let with_batch ?jobs ?cache ?fastpath ?pinned f =
   let t = create ?jobs ?cache ?fastpath ?pinned () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Every sweep routes through this: chunked (dynamic placement, fastest)
-   normally, statically pinned when the batch was created for tracing —
-   item→worker placement then is a pure function of the query list, so
-   per-worker trace streams and per-shard counters are reproducible. *)
-let map t ?cancel_on_error ?chunk_size f xs =
-  if t.pinned then Parallel.map_pinned_in t.pool ?cancel_on_error f xs
-  else Parallel.map_chunked_in t.pool ?cancel_on_error ?chunk_size f xs
-
 let sem_for t ~worker name =
   match List.assoc_opt name t.sems.(worker) with
   | Some s -> s
@@ -72,31 +65,23 @@ let pm_literals db =
     (fun x -> [ Lit.Neg x; Lit.Pos x ])
     (List.init (Db.num_vars db) Fun.id)
 
-(* Cut a flat answer list back into consecutive groups of the given sizes,
-   in one pass (sweeps flatten their items, the pool maps them in order). *)
-let regroup sizes xs =
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | x :: rest -> take (k - 1) rest (x :: acc)
-      | [] -> invalid_arg "Batch.regroup: too few answers"
-  in
-  let rec go sizes xs =
-    match sizes with
-    | [] -> []
-    | k :: rest ->
-      let mine, others = take k xs [] in
-      mine :: go rest others
-  in
-  go sizes xs
-
-(* Items are name-major: one group of ± literal answers per semantics. *)
+(* Items are name-major: cut the flat answer list back into one group of
+   ± literal answers per semantics, in one pass. *)
 let per_semantics names lits answers =
-  List.map2
-    (fun name mine -> (name, List.combine lits mine))
-    names
-    (regroup (List.map (fun _ -> List.length lits) names) answers)
+  let rec take lits answers acc =
+    match (lits, answers) with
+    | [], _ -> (List.rev acc, answers)
+    | l :: lits, a :: answers -> take lits answers ((l, a) :: acc)
+    | _ :: _, [] -> invalid_arg "Batch.per_semantics: too few answers"
+  in
+  let rec go names answers =
+    match names with
+    | [] -> []
+    | name :: names ->
+      let mine, others = take lits answers [] in
+      (name, mine) :: go names others
+  in
+  go names answers
 
 (* Every cell of every sweep: the boolean query [q] on the worker's record
    for [name], under its own fresh budget token minted from [limits] inside
@@ -119,7 +104,7 @@ let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
   let lits = pm_literals db in
   let items = List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names in
   let answers =
-    map t ?cancel_on_error
+    Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error
       (fun ~worker (name, l) ->
         cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
             s.Semantics.infer_literal db l))
@@ -130,7 +115,7 @@ let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
 let all_semantics t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
     db f =
   let names = default_sems db sems in
-  map t ?cancel_on_error ~chunk_size:1
+  Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
       ( name,
         cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
@@ -140,33 +125,12 @@ let all_semantics t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
 let exists_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
     db =
   let names = default_sems db sems in
-  map t ?cancel_on_error ~chunk_size:1
+  Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
       ( name,
         cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
             s.Semantics.has_model db) ))
     names
-
-let instance_sweep t ?sems dbs =
-  let items =
-    List.concat_map
-      (fun db -> List.map (fun name -> (db, name)) (default_sems db sems))
-      dbs
-  in
-  let swept =
-    map t ~chunk_size:1
-      (fun ~worker (db, name) ->
-        ( name,
-          List.map
-            (fun l ->
-              ( l,
-                cell t ~limits:Budget.no_limits ~worker name (fun s ->
-                    s.Semantics.infer_literal db l) ))
-            (pm_literals db) ))
-      items
-  in
-  (* regroup the flat (instance-major) result per instance *)
-  regroup (List.map (fun db -> List.length (default_sems db sems)) dbs) swept
 
 let totals t = Engine.merge_stats (engines t)
 let per_scope t = Engine.merge_per_scope (engines t)

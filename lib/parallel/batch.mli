@@ -9,7 +9,7 @@ open Ddb_db
     of the worker executing it, and instrumentation is aggregated with
     {!Ddb_engine.Engine.merge_stats} so the stats JSON schema is unchanged.
 
-    All sweeps are order-stable (index-tagged chunks reassembled by
+    All sweeps are order-stable (index-tagged slots reassembled by
     position, see {!Parallel}): answers are bit-identical for every job
     count, and equal to [Budget.of_bool] of the sequential boolean
     [Registry.*_in] path — a qcheck property in [test/test_parallel.ml].
@@ -34,10 +34,11 @@ val with_batch :
     memoization flag, as in {!Ddb_engine.Engine.create}.  [fastpath]
     (default [true]) gates the shards' fragment fast-path dispatch, as in
     {!Ddb_engine.Engine.create} — pass [false] for the generic-oracle
-    ablation baseline.  [pinned] (default [false]) routes every sweep
-    through {!Parallel.map_pinned_in} — item [k] on worker [k mod jobs] —
+    ablation baseline.  [pinned] routes every sweep through
+    {!Parallel.map_in}[ ~pinned:true] — item [k] on worker [k mod jobs] —
     so that per-worker trace streams and per-shard counters are
-    reproducible; turn it on together with a {!Ddb_obs.Trace}. *)
+    reproducible.  It defaults to whether a {!Ddb_obs.Trace} is recording
+    when the batch is made, so a traced run is pinned without asking. *)
 
 (** {1 Sweeps}
 
@@ -92,16 +93,6 @@ val exists_sweep :
   Db.t ->
   (string * Ddb_engine.Engine.answer) list
 (** Model existence under every selected semantics, one task each. *)
-
-val instance_sweep :
-  t ->
-  ?sems:string list ->
-  Db.t list ->
-  (string * (Lit.t * Ddb_engine.Engine.answer) list) list list
-(** {!literal_sweep} (with no limits) over a list of instances, one task
-    per (instance, semantics) pair — the batch shape of the bench
-    harness's seeded random-DB sweeps.  Result [i] is instance [i]'s
-    sweep. *)
 
 (** {1 Merged instrumentation} *)
 

@@ -11,15 +11,15 @@
    the unfinished-task count; [work] wakes idle workers, [finished] wakes
    the submitter blocked in [run].  Determinism of *results* is not the
    pool's job — callers tag tasks with positions and reassemble (see
-   {!Parallel.map_chunked}); the pool only guarantees that every submitted
+   {!Parallel.map_in}); the pool only guarantees that every submitted
    task runs exactly once and that [run] returns after all of them.
 
-   Two submission disciplines share the worker loop:
-     - [run]: one shared queue, tasks go to whichever worker frees up first
-       (fastest wall-clock, scheduling-dependent placement);
-     - [run_pinned]: one queue per worker, task list [w] runs on worker [w]
-       and nowhere else.  Placement — and therefore the per-worker event
-       stream a trace records under worker-index tids — is independent of
+   [run] has two placements, picked by its [pinned] flag:
+     - by default tasks join one shared queue and go to whichever worker
+       frees up first (fastest wall-clock, scheduling-dependent placement);
+     - pinned, task [i] joins worker [i]'s own queue and runs there and
+       nowhere else.  Placement — and therefore the per-worker event stream
+       a trace records under worker-index tids — is independent of
        scheduling, which is what makes traced parallel runs byte-identical.
 
    Each worker stamps its index as the calling domain's trace tid and, while
@@ -42,8 +42,8 @@ let recommended_jobs () = Domain.recommended_domain_count ()
 
 let n_task = Ddb_obs.Trace.name "pool.task"
 
-(* [run]/[run_pinned] wrap tasks so they cannot raise; a raise here would
-   kill the worker domain, so treat it as a programming error and swallow. *)
+(* [run] wraps tasks so they cannot raise; a raise here would kill the
+   worker domain, so treat it as a programming error and swallow. *)
 let exec_task index task =
   if Ddb_obs.Trace.enabled () then begin
     Ddb_obs.Trace.begin_ n_task;
@@ -99,107 +99,42 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-(* Record a task's exception; with [cancel_on_error] set, also cancel the
-   group *immediately* (from the failing worker, not after the join) so the
-   remaining tasks trip [Cancelled] at their next budget probe instead of
-   running to completion. *)
-let record_error ?cancel_on_error store e =
-  (match cancel_on_error with
-  | Some g -> Ddb_budget.Budget.cancel_group g
-  | None -> ());
-  store e
-
-let run ?cancel_on_error t fs =
-  let fs = Array.of_list fs in
-  let n = Array.length fs in
-  if n = 0 then ()
-  else if t.domains = [] then begin
-    (* single-job pool: inline on the caller as worker 0, with the same
-       drain-then-raise contract as the multi-domain path *)
+(* One submit path for both disciplines: a single-job pool runs the tasks
+   inline on the caller as worker 0, in submission order; otherwise they
+   join the shared queue, or task [i] joins worker [i]'s own queue when
+   pinned.  Either way a task's exception is stored in its own slot — with
+   [cancel_on_error] set, the failing worker also cancels the group
+   *immediately*, so the remaining tasks trip [Cancelled] at their next
+   budget probe instead of running to completion — and after the join the
+   first one in submission order is re-raised. *)
+let run ?(pinned = false) ?cancel_on_error t fs =
+  let n = List.length fs in
+  if pinned && n > t.jobs then
+    invalid_arg "Pool.run: more pinned tasks than workers";
+  if n > 0 then begin
     if t.stop then invalid_arg "Pool.run: pool is shut down";
     let errors = Array.make n None in
-    Array.iteri
-      (fun i f ->
-        exec_task 0 (fun w ->
-            try f w
-            with e ->
-              record_error ?cancel_on_error (fun e -> errors.(i) <- Some e) e))
-      fs;
-    Array.iter (function Some e -> raise e | None -> ()) errors
-  end
-  else begin
-    let errors = Array.make n None in
-    Mutex.lock t.mutex;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run: pool is shut down"
+    let guarded i f w =
+      try f w
+      with e ->
+        Option.iter Ddb_budget.Budget.cancel_group cancel_on_error;
+        errors.(i) <- Some e
+    in
+    if t.domains = [] then List.iteri (fun i f -> exec_task 0 (guarded i f)) fs
+    else begin
+      Mutex.lock t.mutex;
+      t.unfinished <- t.unfinished + n;
+      List.iteri
+        (fun i f ->
+          Queue.add (guarded i f) (if pinned then t.pinned.(i) else t.tasks))
+        fs;
+      Condition.broadcast t.work;
+      while t.unfinished > 0 do
+        Condition.wait t.finished t.mutex
+      done;
+      Mutex.unlock t.mutex
     end;
-    t.unfinished <- t.unfinished + n;
-    Array.iteri
-      (fun i f ->
-        Queue.add
-          (fun w ->
-            try f w
-            with e ->
-              record_error ?cancel_on_error (fun e -> errors.(i) <- Some e) e)
-          t.tasks)
-      fs;
-    Condition.broadcast t.work;
-    while t.unfinished > 0 do
-      Condition.wait t.finished t.mutex
-    done;
-    Mutex.unlock t.mutex;
-    Array.iter (function Some e -> raise e | None -> ()) errors
-  end
-
-let run_pinned ?cancel_on_error t per_worker =
-  if Array.length per_worker <> t.jobs then
-    invalid_arg "Pool.run_pinned: need exactly one task list per worker";
-  let n = Array.fold_left (fun acc fs -> acc + List.length fs) 0 per_worker in
-  if n = 0 then ()
-  else if t.domains = [] then begin
-    if t.stop then invalid_arg "Pool.run_pinned: pool is shut down";
-    (* inline: worker order, list order — same sequence every run *)
-    let errors = ref [] in
-    Array.iter
-      (List.iter (fun f ->
-           exec_task 0 (fun w ->
-               try f w
-               with e ->
-                 record_error ?cancel_on_error
-                   (fun e -> errors := e :: !errors)
-                   e)))
-      per_worker;
-    match List.rev !errors with [] -> () | e :: _ -> raise e
-  end
-  else begin
-    let errors = Array.make t.jobs None in
-    Mutex.lock t.mutex;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run_pinned: pool is shut down"
-    end;
-    t.unfinished <- t.unfinished + n;
-    Array.iteri
-      (fun w fs ->
-        List.iter
-          (fun f ->
-            Queue.add
-              (fun w' ->
-                try f w'
-                with e ->
-                  record_error ?cancel_on_error
-                    (fun e -> if errors.(w) = None then errors.(w) <- Some e)
-                    e)
-              t.pinned.(w))
-          fs)
-      per_worker;
-    Condition.broadcast t.work;
-    while t.unfinished > 0 do
-      Condition.wait t.finished t.mutex
-    done;
-    Mutex.unlock t.mutex;
-    Array.iter (function Some e -> raise e | None -> ()) errors
+    Array.iter (Option.iter raise) errors
   end
 
 let shutdown t =

@@ -19,7 +19,11 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 
 val run :
-  ?cancel_on_error:Ddb_budget.Budget.group -> t -> (int -> unit) list -> unit
+  ?pinned:bool ->
+  ?cancel_on_error:Ddb_budget.Budget.group ->
+  t ->
+  (int -> unit) list ->
+  unit
 (** [run t tasks] submits the tasks and blocks until all of them have
     finished; each task is applied to the index of the worker executing it.
     Exception-safe join: every task runs to completion (or to its own
@@ -27,24 +31,18 @@ val run :
     order is then re-raised.  One submitter at a time: [run] must not be
     called concurrently from several domains on the same pool.
 
+    [pinned] (default [false]): task [i] runs on worker [i] and nowhere
+    else, so there may be at most [jobs t] tasks ([Invalid_argument]
+    otherwise).  Use when task→worker placement itself must be
+    deterministic — e.g. so a trace's per-worker ([tid]) event streams
+    don't depend on domain scheduling.  Unpinned tasks go to whichever
+    worker frees up first.
+
     [cancel_on_error]: the first task exception immediately cancels the
     given budget group (from the failing worker), so remaining tasks whose
     budget tokens joined the group degrade to [Cancelled] at their next
     probe instead of running to completion — the pool still drains every
     task before re-raising. *)
-
-val run_pinned :
-  ?cancel_on_error:Ddb_budget.Budget.group ->
-  t ->
-  (int -> unit) list array ->
-  unit
-(** [run_pinned t per_worker] — [per_worker] must have exactly [jobs t]
-    slots; the tasks in slot [w] run on worker [w] (in list order) and
-    nowhere else.  Same blocking, drain-then-raise and [cancel_on_error]
-    contract as {!run}.  Use when task→worker placement itself must be
-    deterministic — e.g. so a trace's per-worker ([tid]) event streams
-    don't depend on domain scheduling.  On a single-job pool the slots run
-    inline in worker order. *)
 
 val shutdown : t -> unit
 (** Stop the workers and join their domains.  Idempotent; the pool cannot

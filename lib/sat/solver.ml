@@ -368,10 +368,6 @@ let solve_core ?(assumptions = []) t =
     let n_assumptions = List.length assumptions in
     let assumption_arr = Array.of_list assumptions in
     let restart_count = ref 0 in
-    (* Budget accounting: propagations are charged lazily, as the delta
-       since the previous conflict, so the hot propagate loop stays
-       untouched. *)
-    let last_props = ref t.propagations in
     try
       while true do
         let conflict_budget = 64 * luby !restart_count in
@@ -384,9 +380,7 @@ let solve_core ?(assumptions = []) t =
              if confl >= 0 then begin
                t.conflicts <- t.conflicts + 1;
                Stats.bump_conflict ();
-               Ddb_budget.Budget.charge ~conflicts:1
-                 ~propagations:(t.propagations - !last_props) ();
-               last_props := t.propagations;
+               Ddb_budget.Budget.charge ~conflicts:1 ();
                incr conflicts_here;
                if t.n_levels <= 0 then begin
                  t.root_unsat <- true;

@@ -12,8 +12,8 @@
 #     exactly when the answer calls for one;
 #   - `query --minimize` fixes every atom named in no option (Q), query
 #     atoms the database does not contain included;
-#   - a .dl file is grounded on load, and its `ground` output re-read as
-#     .ddb answers the same;
+#   - a .dl file is grounded on load, its `ground` output prints each rule
+#     on one line, and that output re-read as .ddb answers the same;
 #   - parse errors name the file, line and column.
 set -eu
 tool="$1"
@@ -119,12 +119,15 @@ out=$("$tool" query "$tmp/circ.ddb" -s ecwa -q '~zz' --minimize a --vary b)
   || fail "query --minimize with a fresh query atom: got '$out'"
 
 # 10. A Datalog game: b moves to the lost position c, so win(b) holds in
-#     every stable model, read from the .dl file and from its grounding.
+#     every stable model, read from the .dl file and from its grounding,
+#     which prints each rule on one line.
 printf 'move(a, b). move(b, c).\nwin(X) :- move(X, Y), not win(Y).\n' \
   > "$tmp/game.dl"
 out=$("$tool" query "$tmp/game.dl" -s dsm -q 'win(b)')
 [ "$out" = "dsm(DB) |= win(b)" ] || fail "query on .dl: got '$out'"
 "$tool" ground "$tmp/game.dl" > "$tmp/game.ddb"
+grep -qxF 'win(a) :- move(a,b), not win(b).' "$tmp/game.ddb" \
+  || fail "ground: a rule is not printed on one line: $(cat "$tmp/game.ddb")"
 out=$("$tool" query "$tmp/game.ddb" -s dsm -q 'win(b)')
 [ "$out" = "dsm(DB) |= win(b)" ] || fail "query on ground output: got '$out'"
 

@@ -67,7 +67,9 @@ let limits_and_escalate () =
   (* an uncapped resource stays uncapped on the escalated rung *)
   check run_result "uncapped stays uncapped" (Ok 20)
     (Budget.run ~retry:true l (fun () ->
-         Budget.charge ~propagations:1_000_000 ();
+         for _ = 1 to 1_000 do
+           Budget.on_model ()
+         done;
          query ~conflicts:20 () ()))
 
 let eval_and_sticky_trip () =
@@ -91,7 +93,7 @@ let conflict_and_model_caps () =
   let tok = Budget.token (Budget.limits ~conflicts:2 ()) in
   Budget.with_token tok (fun () ->
       Budget.charge ~conflicts:1 ();
-      Budget.charge ~conflicts:1 ~propagations:50 ();
+      Budget.charge ~conflicts:1 ();
       match Budget.charge ~conflicts:1 () with
       | () -> fail "conflict cap did not trip"
       | exception Budget.Out_of_budget Budget.Budget_exhausted -> ());
@@ -127,7 +129,7 @@ let cancellation () =
 let probes_noop_without_token () =
   check bool "no ambient token" false (Budget.active ());
   (* every probe is a no-op with no token installed and no fault armed *)
-  Budget.charge ~conflicts:5 ~propagations:100 ();
+  Budget.charge ~conflicts:5 ();
   Budget.on_solve ();
   Budget.check ();
   Budget.on_model ();
@@ -370,13 +372,14 @@ let pool_cancel_on_error_inline () =
 (* jobs:4, concurrent: three spinners probe until cancelled (with a wall
    safety bound so a broken cancellation path fails instead of hanging);
    the raiser's exception must cancel them, the pool must drain all four
-   tasks, and Boom must still propagate from the join. *)
-let pool_cancel_on_error_concurrent () =
+   tasks, and Boom must still propagate from the join — from the shared
+   queue and with each task pinned to its own worker. *)
+let pool_cancel_on_error_concurrent ~pinned () =
   let g = Budget.group () in
   let outcomes = Array.make 4 `Pending in
   (match
      Pool.with_pool ~jobs:4 (fun pool ->
-         Pool.run ~cancel_on_error:g pool
+         Pool.run ~pinned ~cancel_on_error:g pool
            (List.init 4 (fun i _worker ->
                 if i = 0 then raise (Boom i)
                 else
@@ -463,7 +466,11 @@ let suites =
         test_case "cancel-on-error degrades inline tasks deterministically"
           `Quick pool_cancel_on_error_inline;
         test_case "cancel-on-error cancels concurrent spinners, pool drains"
-          `Quick pool_cancel_on_error_concurrent;
+          `Quick
+          (pool_cancel_on_error_concurrent ~pinned:false);
+        test_case "pinned: cancel-on-error cancels spinners, pool drains"
+          `Quick
+          (pool_cancel_on_error_concurrent ~pinned:true);
       ] );
     ( "budget.truncation",
       [

@@ -130,6 +130,20 @@ let clause_suite =
         (match Clause.reduce (m []) c with
         | Some c' -> check "neg erased" true (Clause.body_neg c' = [])
         | None -> Alcotest.fail "should be kept"));
+    Alcotest.test_case "to_string: one line with both body kinds" `Quick
+      (fun () ->
+        (* long enough that a break hint between the two body kinds
+           would be taken *)
+        let pos = List.init 30 (fun i -> 100 + i)
+        and neg = List.init 30 (fun i -> 200 + i) in
+        let s = Clause.to_string (Clause.make ~head:[ 0 ] ~pos ~neg) in
+        Alcotest.(check bool) "no newline" false (String.contains s '\n');
+        let body =
+          List.map string_of_int pos
+          @ List.map (fun x -> "not " ^ string_of_int x) neg
+        in
+        Alcotest.(check string)
+          "printed" ("0 :- " ^ String.concat ", " body ^ ".") s);
     Alcotest.test_case "shift_negation" `Quick (fun () ->
         let c = Clause.make ~head:[ 0 ] ~pos:[ 1 ] ~neg:[ 2; 3 ] in
         let c' = Clause.shift_negation c in

@@ -162,7 +162,7 @@ let map_pinned_placement () =
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           let got =
-            Parallel.map_pinned_in pool
+            Parallel.map_in pool ~pinned:true
               (fun ~worker k -> (worker, k * k))
               (List.init 23 Fun.id)
           in
@@ -330,7 +330,7 @@ let suites =
       ] );
     ( "obs.pinned",
       [
-        test_case "map_pinned_in places item k on worker k mod jobs" `Quick
+        test_case "map_in ~pinned places item k on worker k mod jobs" `Quick
           map_pinned_placement;
         test_case "pinned sweep = chunked sweep" `Quick
           pinned_sweep_equals_chunked;

@@ -26,7 +26,7 @@ let map_order_stable () =
             (Printf.sprintf "jobs:%d chunk:%d" jobs chunk_size)
             expect
             (Pool.with_pool ~jobs (fun pool ->
-                 Parallel.map_chunked_in pool ~chunk_size
+                 Parallel.map_in pool ~chunk_size
                    (fun ~worker:_ x -> x * x)
                    xs)))
         [ 1; 3; 100; 1000 ])
@@ -40,7 +40,7 @@ let map_empty_and_singleton () =
 let worker_indices_in_range () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let workers =
-        Parallel.map_chunked_in pool ~chunk_size:1
+        Parallel.map_in pool ~chunk_size:1
           (fun ~worker _ -> worker)
           (List.init 64 Fun.id)
       in
@@ -55,7 +55,7 @@ let exceptions_propagate () =
       let ran = Array.make 16 false in
       match
         Pool.with_pool ~jobs (fun pool ->
-            Parallel.map_chunked_in pool ~chunk_size:1
+            Parallel.map_in pool ~chunk_size:1
               (fun ~worker:_ x ->
                 ran.(x) <- true;
                 if x mod 5 = 3 then raise (Boom x);
@@ -69,11 +69,60 @@ let exceptions_propagate () =
         check bool "all tasks ran" true (Array.for_all Fun.id ran))
     [ 1; 4 ]
 
+(* Pinned placement: task [i] runs on worker [i], so a pinned run takes at
+   most [jobs] tasks, and it has the same drain-then-raise join as the
+   shared queue. *)
+let pinned_overflow_rejected () =
+  List.iter
+    (fun jobs ->
+      let ran = ref false in
+      Pool.with_pool ~jobs (fun pool ->
+          match
+            Pool.run ~pinned:true pool
+              (List.init (jobs + 1) (fun _ _worker -> ran := true))
+          with
+          | () -> failf "jobs:%d: %d pinned tasks accepted" jobs (jobs + 1)
+          | exception Invalid_argument _ ->
+            check bool "no task ran" false !ran))
+    [ 1; 4 ]
+
+(* Every task raises; task 0 waits (with a wall safety bound) until the
+   others have raised, so its exception is recorded last — and must still
+   be the one re-raised, after every task ran on its own worker. *)
+let pinned_exceptions_propagate () =
+  List.iter
+    (fun jobs ->
+      let workers = Array.make jobs (-1) in
+      let raised = Atomic.make 0 in
+      match
+        Pool.with_pool ~jobs (fun pool ->
+            Pool.run ~pinned:true pool
+              (List.init jobs (fun i worker ->
+                   workers.(i) <- worker;
+                   if i = 0 then begin
+                     let deadline = Unix.gettimeofday () +. 10. in
+                     while
+                       Atomic.get raised < jobs - 1
+                       && Unix.gettimeofday () < deadline
+                     do
+                       Domain.cpu_relax ()
+                     done
+                   end
+                   else Atomic.incr raised;
+                   raise (Boom i))))
+      with
+      | () -> failf "jobs:%d expected Boom" jobs
+      | exception Boom i ->
+        check int (Printf.sprintf "jobs:%d first in submission order" jobs) 0 i;
+        check (array int) "every task ran on its own worker"
+          (Array.init jobs Fun.id) workers)
+    [ 1; 4 ]
+
 let pool_reusable_across_runs () =
   Pool.with_pool ~jobs:2 (fun pool ->
       for i = 1 to 3 do
         let got =
-          Parallel.map_chunked_in pool (fun ~worker:_ x -> x + i)
+          Parallel.map_in pool (fun ~worker:_ x -> x + i)
             (List.init 10 Fun.id)
         in
         check (list int) "run" (List.init 10 (fun x -> x + i)) got
@@ -159,16 +208,6 @@ let all_semantics_and_exists_agree () =
         (Batch.all_semantics b db f);
       check (list (pair string answer)) "exists_sweep" expect_e
         (Batch.exists_sweep b db))
-
-let instance_sweep_agrees () =
-  let dbs =
-    List.map (fun seed -> Random_db.positive ~seed ~num_vars:5) [ 1; 2; 3; 4 ]
-  in
-  let expect = List.map (fun db -> fst (sequential_sweep ~cache:true db)) dbs in
-  let got =
-    Batch.with_batch ~jobs:4 (fun b -> Batch.instance_sweep b dbs)
-  in
-  check (list sweep_testable) "instance sweep" expect got
 
 (* --- merged counters vs the sequential run ---
 
@@ -295,6 +334,10 @@ let suites =
           exceptions_propagate;
         test_case "a pool is reusable across runs" `Quick
           pool_reusable_across_runs;
+        test_case "a pinned run takes at most one task per worker" `Quick
+          pinned_overflow_rejected;
+        test_case "pinned tasks drain, then the first exception propagates"
+          `Quick pinned_exceptions_propagate;
       ] );
     ( "parallel.batch",
       [
@@ -303,8 +346,6 @@ let suites =
           `Quick batch_matches_sequential_unit;
         test_case "all_semantics and exists_sweep = sequential" `Quick
           all_semantics_and_exists_agree;
-        test_case "instance sweep = per-instance sequential sweeps" `Quick
-          instance_sweep_agrees;
       ] );
     ( "parallel.stats",
       [
