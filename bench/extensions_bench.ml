@@ -97,10 +97,7 @@ let sigma2_realizations () =
       let x = n / 2 in
       let t0 = Unix.gettimeofday () in
       let direct =
-        not
-          (Ccwa.entails_neg_literal_in
-             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-             db (Partition.minimize_all n) x)
+        not ((Option.get (Registry.find "gcwa")).infer_literal db (Lit.Neg x))
       in
       let t1 = Unix.gettimeofday () in
       let via_qbf = Qbf_encodings.gcwa_refutes_neg_literal_qbf db x in

@@ -113,9 +113,9 @@ let print_cell { entry = e; _ } results =
 let medium = [ 10; 20; 40; 80 ]
 let large = [ 20; 40; 80; 160 ]
 
-(* Partition used for CCWA/ECWA cells: minimize the lower half, fix a
-   quarter, float a quarter — a deterministic stand-in for "given
-   ⟨P;Q;Z⟩". *)
+(* Partition used for the CCWA/ECWA inference cells: minimize the even
+   atoms, fix a quarter, float a quarter — a deterministic stand-in for
+   "given ⟨P;Q;Z⟩". *)
 let bench_partition num_vars =
   let all = List.init num_vars Fun.id in
   let p = List.filter (fun x -> x mod 2 = 0) all in
@@ -127,11 +127,8 @@ let stratified_instance ~seed ~num_vars =
   Random_db.stratified ~seed ~num_vars ()
 
 (* The cells whose procedure is not the registry record's: the
-   P^Σ₂ᵖ[O(log n)] binary search for GCWA/CCWA formulas, CCWA/ECWA at
-   [bench_partition] instead of ⟨V;∅;∅⟩, and Table 1's O(1) GCWA/CCWA
-   existence (the record asks the SAT oracle). *)
+   P^Σ₂ᵖ[O(log n)] binary search for GCWA/CCWA formulas. *)
 let paper_cell (e : Classes.entry) : (Db.t -> bool) option =
-  let at_part k q db = k (base ()) db (bench_partition (Db.num_vars db)) (q db) in
   let answer r = r.Oracle_algorithms.answer in
   match (e.semantics, e.task) with
   | "gcwa", Classes.Formula ->
@@ -139,16 +136,21 @@ let paper_cell (e : Classes.entry) : (Db.t -> bool) option =
         answer (Oracle_algorithms.gcwa_formula_in (base ()) db (random_query db)))
   | "ccwa", Classes.Formula ->
     Some (fun db ->
-        answer (at_part Oracle_algorithms.entails_log_in random_query db))
-  | "ccwa", Classes.Literal -> Some (at_part Ccwa.infer_literal_in neg_literal)
-  | "ecwa", Classes.Literal -> Some (at_part Ecwa.infer_literal_in neg_literal)
-  | "ecwa", Classes.Formula -> Some (at_part Ecwa.infer_formula_in random_query)
-  | ("gcwa" | "ccwa"), Classes.Exists when e.setting = Classes.Table1 ->
-    Some Db.is_positive_ddb
+        answer
+          (Oracle_algorithms.entails_log_in (base ()) db
+             (bench_partition (Db.num_vars db))
+             (random_query db)))
   | _ -> None
 
+(* CCWA and ECWA inference is asked at [bench_partition]; every other
+   cell, existence included, at the record's ⟨V;∅;∅⟩. *)
 let registry_cell sem task db =
-  let s = Option.get (Registry.find_in (base ()) sem) in
+  let part =
+    if (sem = "ccwa" || sem = "ecwa") && task <> Classes.Exists then
+      Some (bench_partition (Db.num_vars db))
+    else None
+  in
+  let s = Option.get (Registry.find_in ?part (base ()) sem) in
   match task with
   | Classes.Literal -> s.Semantics.infer_literal db (neg_literal db)
   | Classes.Formula -> s.Semantics.infer_formula db (random_query db)

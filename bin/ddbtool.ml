@@ -375,49 +375,37 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
   let vocab = Db.vocab db in
   let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
   let name = sem.Semantics.name in
-  let procedures f =
-    if minimize = None && fixed = [] && vary = [] then
-      let s = Option.get (Registry.find_in eng name) in
-      Ok (s.Semantics.infer_formula db, s.Semantics.witness db, "")
-    else
-      (* explicit ⟨P;Q;Z⟩: route to the partition-parametric engines *)
-      let db = Semantics.for_query db f in
-      Result.bind (build_partition db ~minimize ~fixed ~vary) @@ fun part ->
-      (* No registry record runs these, so the query is put in the
-         semantics' scope here, as the record's wrapper would. *)
-      let scoped k q =
-        Ddb_engine.Engine.scoped eng name (fun () -> k db part q)
-      in
-      let with_part cautious witness =
-        Ok
-          ( scoped cautious,
-            (fun g -> Semantics.two_valued (scoped witness g)),
-            Fmt.str "   (%a)" (Partition.pp ~vocab) part )
-      in
-      match name with
-      | "ccwa" -> with_part (Ccwa.infer_formula_in eng) (Ccwa.witness_in eng)
-      | "ecwa" -> with_part (Ecwa.infer_formula_in eng) (Ecwa.witness_in eng)
-      | "circ" -> with_part Circ.infer_formula (Ecwa.witness_in eng)
-      | "icwa" -> with_part Icwa.infer_formula Icwa.witness
-      | other ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "--minimize/--fixed/--vary need a partition-parametric \
-                semantics (ccwa, ecwa, circ, icwa), not %s"
-               other))
+  (* An explicit ⟨P;Q;Z⟩ is built over the database padded for the query,
+     and the record is asked at it. *)
+  let record f =
+    Result.bind
+      (if minimize = None && fixed = [] && vary = [] then Ok None
+       else
+         Result.map Option.some
+           (build_partition (Semantics.for_query db f) ~minimize ~fixed ~vary))
+    @@ fun part ->
+    match Registry.find_in ?part eng name with
+    | Some s -> Ok (s, part)
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "--minimize/--fixed/--vary need a partition-parametric \
+              semantics (ccwa, ecwa, circ, icwa), not %s"
+             name))
   in
   match Parse.formula vocab query_str with
   | exception Parse.Error msg ->
     Error (`Msg (Printf.sprintf "query parse error: %s" msg))
   | f ->
-    Result.bind (procedures f) @@ fun (cautious, witness_of, suffix) ->
+    Result.bind (record f) @@ fun (s, part) ->
+    let witness_of = s.Semantics.witness db in
     let answer, shown =
       if brave then
         let w = witness_of f in
         (Option.is_some w, Option.map (fun m -> ("witness", m)) w)
       else
-        let a = cautious f in
+        let a = s.Semantics.infer_formula db f in
         ( a,
           if a || not witness then None
           else
@@ -432,7 +420,9 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
       | true, true -> "|~"
       | true, false -> "|/~")
       (Formula.pp ~vocab) f
-      (if brave && suffix = "" then "   (brave)" else suffix);
+      (match part with
+      | Some part -> Fmt.str "   (%a)" (Partition.pp ~vocab) part
+      | None -> if brave then "   (brave)" else "");
     (if witness then
        match shown with
        | Some (label, m) -> Fmt.pr "%s: %a@." label (pp_model vocab) m

@@ -48,17 +48,16 @@ let () =
   Fmt.pr "@.";
 
   (* ICWA, PERF, DSM agree on stratified databases — show it. *)
-  let part = Partition.minimize_all (Db.num_vars db) in
   let queries =
     [ "read_logs"; "audit"; "restricted"; "write_db"; "~exempt" ]
   in
   let sem name = Option.get (Registry.find name) in
-  let perf_sem = sem "perf" and dsm_sem = sem "dsm" in
+  let icwa_sem = sem "icwa" and perf_sem = sem "perf" and dsm_sem = sem "dsm" in
   Fmt.pr "%-14s %-6s %-6s %-6s@." "query" "icwa" "perf" "dsm";
   List.iter
     (fun q ->
       let f = Parse.formula vocab q in
-      let icwa = Icwa.infer_formula db part f in
+      let icwa = icwa_sem.infer_formula db f in
       let perf = perf_sem.infer_formula db f in
       let dsm = dsm_sem.infer_formula db f in
       Fmt.pr "%-14s %-6b %-6b %-6b@." q icwa perf dsm;

@@ -19,35 +19,26 @@ open Ddb_engine
        theory once the support set S = {x ∈ P : x true in some minimal
        model} is known: a CCWA model satisfying ¬F is one SAT call away. *)
 
-let negated_atoms_in eng db part = Engine.negated_atoms eng db part
-
-(* Only P-atoms are closed: x ∈ P is one minimal-model query, other atoms
-   fall back to the augmented theory.  Atoms outside the universe are
-   false by closure. *)
-let entails_neg_literal_in eng db part x =
-  if x >= Partition.universe_size part then true
-  else if not (Interp.mem (Partition.p part) x) then
-    Engine.augmented_entails eng db
-      (negated_atoms_in eng db part)
-      (Formula.Not (Formula.Atom x))
-  else not (Engine.in_some_minimal eng db part x)
-
 (* A model of the augmented theory satisfying F.  The query must live
    inside the partitioned universe. *)
 let witness_in eng db part f =
   if Formula.max_atom f >= Partition.universe_size part then
     invalid_arg "Ccwa: query atom outside the partition";
-  Engine.augmented_witness eng db (negated_atoms_in eng db part) f
+  Engine.augmented_witness eng db (Engine.negated_atoms eng db part) f
 
 let infer_formula_in eng db part f =
   Option.is_none (witness_in eng db part (Formula.not_ f))
 
+(* Only P-atoms are closed: ¬x for x ∈ P is one minimal-model query, other
+   literals fall back to the augmented theory.  Atoms outside the universe
+   are false by closure. *)
 let infer_literal_in eng db part = function
-  | Lit.Neg x -> entails_neg_literal_in eng db part x
-  | Lit.Pos x ->
-    Engine.augmented_entails eng db
-      (negated_atoms_in eng db part)
-      (Formula.Atom x)
+  | Lit.Neg x when x >= Partition.universe_size part -> true
+  | Lit.Neg x when Interp.mem (Partition.p part) x ->
+    not (Engine.in_some_minimal eng db part x)
+  | l ->
+    Engine.augmented_entails eng db (Engine.negated_atoms eng db part)
+      (Formula.of_lit l)
 
 let reference_models db part =
   let minimal = Models.brute_minimal_models ~part db in
@@ -60,22 +51,15 @@ let reference_models db part =
     (fun m -> Interp.is_empty (Interp.inter m negs))
     (Models.brute_models db)
 
-(* Packed at ⟨V;∅;∅⟩. *)
-let semantics_in ~name ~long_name eng : Semantics.t =
-  {
-    name;
-    long_name;
-    applicable = (fun _ -> true);
-    (* MM(DB;P;Z) ⊆ CCWA(DB): CCWA is consistent iff DB is. *)
-    has_model = Engine.sat eng;
-    infer_formula = Semantics.at_total Fun.id (infer_formula_in eng);
-    infer_literal = Semantics.at_total Formula.of_lit (infer_literal_in eng);
-    witness =
-      (fun db f ->
-        Semantics.two_valued (Semantics.at_total Fun.id (witness_in eng) db f));
-    reference_models =
-      (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
-  }
+(* Packed at [part], by default ⟨V;∅;∅⟩.  MM(DB;P;Z) ⊆ CCWA(DB): CCWA is
+   consistent iff DB is, and a positive DDB always is (the all-true
+   interpretation is a model). *)
+let semantics_in ?part ~name ~long_name eng =
+  Semantics.parametric ?part ~name ~long_name
+    ~applicable:(fun _ -> true)
+    ~has_model:(fun db -> Db.is_positive_ddb db || Engine.sat eng db)
+    ~infer_formula:(infer_formula_in eng) ~infer_literal:(infer_literal_in eng)
+    ~witness:(witness_in eng) reference_models
 
 let infer_formula db part f =
   infer_formula_in (Engine.create ~cache:false ~fastpath:false ()) db part f

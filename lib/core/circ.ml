@@ -83,7 +83,7 @@ let is_circ_model ?schema db part m =
    loop but powered exclusively by the schema. *)
 let infer_formula db part f =
   if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Circ.infer_formula: query atom outside the partition";
+    invalid_arg "Circ: query atom outside the partition";
   let n = Db.num_vars db in
   let schema = schema_solver db part in
   let candidate = Db.solver db in
@@ -118,24 +118,15 @@ let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-(* Engine routing: answers memoized and instrumented per semantics.  A
-   witness is a (P;Z)-minimal model satisfying F — a circumscription model
-   by Lifschitz's theorem — so it comes from the engine's ECWA search;
-   cautious answers stay on the schema, the independent cross-check. *)
-let semantics_in eng =
-  Semantics.via_engine eng
-    {
-      name = "circ";
-      long_name = "Circumscription (McCarthy / Lifschitz schema)";
-      applicable = (fun _ -> true);
-      has_model;
-      infer_formula = Semantics.at_total Fun.id infer_formula;
-      infer_literal = Semantics.at_total Formula.of_lit infer_literal;
-      witness =
-        (fun db f ->
-          Semantics.two_valued
-            (Semantics.at_total Fun.id (Ecwa.witness_in eng) db f));
-      reference_models =
-        (fun db ->
-          reference_models db (Partition.minimize_all (Db.num_vars db)));
-    }
+(* Packed at [part], by default ⟨V;∅;∅⟩; answers memoized per semantics
+   and partition.  A witness is a (P;Z)-minimal model satisfying F — a
+   circumscription model by Lifschitz's theorem — so it comes from the
+   engine's ECWA search; cautious answers stay on the schema, the
+   independent cross-check. *)
+let semantics_in ?part eng =
+  Semantics.via_engine ?part eng
+    (Semantics.parametric ?part ~name:"circ"
+       ~long_name:"Circumscription (McCarthy / Lifschitz schema)"
+       ~applicable:(fun _ -> true)
+       ~has_model ~infer_formula ~infer_literal
+       ~witness:(Ecwa.witness_in eng) reference_models)

@@ -8,9 +8,10 @@ open Ddb_db
     property-tested). *)
 
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
-val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
-val reference_models : Db.t -> Partition.t -> Interp.t list
 
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine});
-    witnesses come from the engine's ECWA search ({!Ecwa.witness_in}). *)
+val semantics_in : ?part:Partition.t -> Ddb_engine.Engine.t -> Semantics.t
+(** The registry's [circ] record, packed at [part], by default the total
+    partition ⟨V;∅;∅⟩; its answers are memoized per partition
+    ({!Semantics.via_engine}) and its witnesses come from the engine's
+    ECWA search ({!Ecwa.witness_in}).  Ask it through
+    [Registry.find_in ?part]. *)

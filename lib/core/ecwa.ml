@@ -32,17 +32,10 @@ let infer_literal_in eng db part l =
 
 let reference_models db part = Models.brute_minimal_models ~part db
 
-(* Packed at ⟨V;∅;∅⟩. *)
-let semantics_in ~name ~long_name eng : Semantics.t =
-  {
-    name;
-    long_name;
-    applicable = (fun _ -> true);
-    has_model = (fun db -> Db.is_positive_ddb db || Engine.sat eng db);
-    infer_formula = Semantics.at_total Fun.id (infer_formula_in eng);
-    infer_literal = Semantics.at_total Formula.of_lit (infer_literal_in eng);
-    witness =
-      (fun db f ->
-        Semantics.two_valued (Semantics.at_total Fun.id (witness_in eng) db f));
-    reference_models = (fun db -> Models.brute_minimal_models db);
-  }
+(* Packed at [part], by default ⟨V;∅;∅⟩. *)
+let semantics_in ?part ~name ~long_name eng =
+  Semantics.parametric ?part ~name ~long_name
+    ~applicable:(fun _ -> true)
+    ~has_model:(fun db -> Db.is_positive_ddb db || Engine.sat eng db)
+    ~infer_formula:(infer_formula_in eng) ~infer_literal:(infer_literal_in eng)
+    ~witness:(witness_in eng) reference_models

@@ -74,14 +74,18 @@ let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
 let definite_answer info k =
   if Lazy.force info.F.consistent then k (Lazy.force info.F.closure) else true
 
-let wrap eng (s : Semantics.t) : Semantics.t =
+let wrap ?part eng (s : Semantics.t) : Semantics.t =
   let sem = s.Semantics.name in
   let in_definite = List.mem sem definite_family in
   let in_perfect = List.mem sem perfect_family in
   let in_occ = List.mem sem occ_family in
   let in_pos_exists = List.mem sem pos_exists_family in
-  (* pdsm has no routed cell: it is scoped, never classified *)
-  let routed = in_definite || in_perfect || in_occ || in_pos_exists in
+  (* pdsm has no routed cell: it is scoped, never classified; every routed
+     cell assumes ⟨V;∅;∅⟩, so neither has a record packed at [part] *)
+  let routed =
+    Option.is_none part
+    && (in_definite || in_perfect || in_occ || in_pos_exists)
+  in
   (* The one attribution site: every field runs in the record's scope, so
      its work, wall time and [scope.<name>] span are the semantics' own. *)
   let scoped f = Engine.scoped eng sem f in

@@ -19,7 +19,8 @@
     ([Engine.create ~fastpath:false]) every query runs the generic path
     and no fast-path counter moves; the scope stays.
 
-    Routed cells (registry semantics, canonical total partition):
+    Routed cells (registry semantics at their canonical total partition;
+    with [part], the partition a record is packed at, none is routed):
     - definite-Horn databases (integrity clauses allowed): CWA, GCWA,
       EGCWA, CCWA, ECWA, CIRC, DDR, PWS and DSM all have the single
       intended model [lfp(DB)] when consistent (and no models otherwise),
@@ -34,4 +35,6 @@
       unique perfect = unique stable model), and their O(1) existence
       cells. *)
 
-val wrap : Ddb_engine.Engine.t -> Semantics.t -> Semantics.t
+val wrap :
+  ?part:Ddb_logic.Partition.t -> Ddb_engine.Engine.t -> Semantics.t ->
+  Semantics.t

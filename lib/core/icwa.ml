@@ -106,14 +106,12 @@ let infer_literal db part l = infer_formula db part (Formula.of_lit l)
    S, then ICWA is consistent for any ⟨P;Q;Z⟩" — an O(1) answer given the
    stratification, for databases without integrity clauses.  An integrity
    clause can exclude every ICWA model (a. plus :- a.), so with integrity
-   clauses existence is a search for an ICWA model at the total
+   clauses existence is a search for an ICWA model at the record's
    partition. *)
-let has_model db =
-  if not (Db.has_integrity db) then Stratify.is_stratified db
-  else
-    match prepare db (Partition.minimize_all (Db.num_vars db)) with
-    | None -> false
-    | Some inst -> Option.is_some (find_icwa_model_such_that inst)
+let has_model_at db part =
+  match prepare db part with
+  | None -> false
+  | Some inst -> Option.is_some (find_icwa_model_such_that inst)
 
 let reference_models db part =
   match prepare db part with
@@ -122,20 +120,15 @@ let reference_models db part =
     List.filter (fun m -> is_icwa_model inst m)
       (Models.brute_models inst.shifted)
 
-(* Engine routing: answers memoized per semantics. *)
-let semantics_in eng =
-  Semantics.via_engine eng
-    {
-      name = "icwa";
-      long_name = "Iterated CWA (Gelfond, Przymusinska & Przymusinski)";
-      applicable = Stratify.is_stratified;
-      has_model;
-      infer_formula = Semantics.at_total Fun.id infer_formula;
-      infer_literal = Semantics.at_total Formula.of_lit infer_literal;
-      witness =
-        (fun db f ->
-          Semantics.two_valued (Semantics.at_total Fun.id witness db f));
-      reference_models =
-        (fun db ->
-          reference_models db (Partition.minimize_all (Db.num_vars db)));
-    }
+(* Packed at [part], by default ⟨V;∅;∅⟩; answers memoized per semantics
+   and partition. *)
+let semantics_in ?part eng =
+  let has_model_at = Semantics.at_total_db ?part has_model_at in
+  Semantics.via_engine ?part eng
+    (Semantics.parametric ?part ~name:"icwa"
+       ~long_name:"Iterated CWA (Gelfond, Przymusinska & Przymusinski)"
+       ~applicable:Stratify.is_stratified
+       ~has_model:(fun db ->
+         if Db.has_integrity db then has_model_at db
+         else Stratify.is_stratified db)
+       ~infer_formula ~infer_literal ~witness reference_models)

@@ -19,16 +19,9 @@ val prepare : Db.t -> Partition.t -> instance option
 
 val is_icwa_model : instance -> Interp.t -> bool
 
-val witness : Db.t -> Partition.t -> Formula.t -> Interp.t option
-(** An ICWA model satisfying F.  @raise Invalid_argument when unstratified
-    or the query leaves the universe. *)
-
-val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
-(** No ICWA model satisfies ¬F.  @raise Invalid_argument when unstratified
-    or the query leaves the universe. *)
-
-val reference_models : Db.t -> Partition.t -> Interp.t list
-
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** The registry's [icwa] record on the given engine, its answers memoized
-    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)
+val semantics_in : ?part:Partition.t -> Ddb_engine.Engine.t -> Semantics.t
+(** The registry's [icwa] record on the given engine, packed at [part], by
+    default the total partition ⟨V;∅;∅⟩; its answers are memoized per
+    partition ({!Semantics.via_engine}).  Ask it through
+    [Registry.find_in ?part]; its procedures raise [Invalid_argument] on an
+    unstratified database or a query atom outside [part]'s universe. *)

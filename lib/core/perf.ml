@@ -30,7 +30,9 @@ let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
-let has_model db = Option.is_some (find_perfect_such_that db)
+(* A positive DDB's perfect models are its (nonempty) minimal models. *)
+let has_model db =
+  Db.is_positive_ddb db || Option.is_some (find_perfect_such_that db)
 
 let reference_models db = Priority.brute_perfect_models db
 

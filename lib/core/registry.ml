@@ -1,10 +1,10 @@
 (* Name → packed semantics, for the CLI, examples and benches.
 
    The partition-parametric semantics (CCWA, ECWA, CIRC, ICWA) appear with
-   their canonical total partition ⟨V;∅;∅⟩; use their modules directly for
-   custom partitions.  At that partition CCWA is GCWA and ECWA is EGCWA,
-   so the "gcwa" and "egcwa" records are the CCWA and ECWA records under
-   their own names.
+   their canonical total partition ⟨V;∅;∅⟩, and [find_in ~part] packs them
+   at any other ⟨P;Q;Z⟩.  At the total partition CCWA is GCWA and ECWA is
+   EGCWA, so the "gcwa" and "egcwa" records are the CCWA and ECWA records
+   under their own names; those two are defined at ⟨V;∅;∅⟩ only.
 
    Every record routes through an oracle engine and is packed by [pack]:
    the module's [semantics_in eng] wrapped by [Fastpath.wrap eng].
@@ -21,34 +21,45 @@
 
 module Engine = Ddb_engine.Engine
 
+(* A record is made on an engine, and a parametric one at a ⟨P;Q;Z⟩ too. *)
+type make =
+  | Total of (Engine.t -> Semantics.t)
+  | Parametric of (?part:Ddb_logic.Partition.t -> Engine.t -> Semantics.t)
+
 (* Registry order, name → engine-routed record.  Engine-routed records
    additionally go through the fragment fast-path dispatcher: tractable
    (semantics, problem, fragment) cells are answered by the polynomial
    algorithms of [Ddb_frag], everything else falls back to the generic
    oracle procedures.  [Engine.create ~fastpath:false] turns the
    dispatcher off, which restores the pre-dispatch behaviour exactly. *)
-let entries : (string * (Engine.t -> Semantics.t)) array =
-  (* GCWA/EGCWA are the CCWA/ECWA records under their own names *)
-  let named semantics_in name long_name =
-    (name, semantics_in ~name ~long_name)
-  in
+let entries : (string * make) array =
+  (* GCWA/EGCWA: the CCWA/ECWA records under their own names, at ⟨V;∅;∅⟩ *)
   [|
-    ("cwa", Cwa.semantics_in);
-    named Ccwa.semantics_in "gcwa"
-      "Generalized Closed World Assumption (Minker)";
-    ("ddr", Ddr.semantics_in);
-    ("pws", Pws.semantics_in);
-    named Ecwa.semantics_in "egcwa"
-      "Extended Generalized CWA (Yahya & Henschen)";
-    named Ccwa.semantics_in "ccwa"
-      "Careful Closed World Assumption (Gelfond & Przymusinska)";
-    named Ecwa.semantics_in "ecwa"
-      "Extended CWA (Gelfond, Przymusinska & Przymusinski)";
-    ("circ", Circ.semantics_in);
-    ("icwa", Icwa.semantics_in);
-    ("perf", Perf.semantics_in);
-    ("dsm", Dsm.semantics_in);
-    ("pdsm", Pdsm.semantics_in);
+    ("cwa", Total Cwa.semantics_in);
+    ( "gcwa",
+      Total
+        (Ccwa.semantics_in ~name:"gcwa"
+           ~long_name:"Generalized Closed World Assumption (Minker)") );
+    ("ddr", Total Ddr.semantics_in);
+    ("pws", Total Pws.semantics_in);
+    ( "egcwa",
+      Total
+        (Ecwa.semantics_in ~name:"egcwa"
+           ~long_name:"Extended Generalized CWA (Yahya & Henschen)") );
+    ( "ccwa",
+      Parametric
+        (Ccwa.semantics_in ~name:"ccwa"
+           ~long_name:
+             "Careful Closed World Assumption (Gelfond & Przymusinska)") );
+    ( "ecwa",
+      Parametric
+        (Ecwa.semantics_in ~name:"ecwa"
+           ~long_name:"Extended CWA (Gelfond, Przymusinska & Przymusinski)") );
+    ("circ", Parametric Circ.semantics_in);
+    ("icwa", Parametric Icwa.semantics_in);
+    ("perf", Total Perf.semantics_in);
+    ("dsm", Total Dsm.semantics_in);
+    ("pdsm", Total Pdsm.semantics_in);
   |]
 
 let names = Array.to_list (Array.map fst entries)
@@ -61,7 +72,9 @@ let index name =
   in
   go 0
 
-let pack eng i = Fastpath.wrap eng (snd entries.(i) eng)
+let pack eng i =
+  Fastpath.wrap eng
+    (match snd entries.(i) with Total mk -> mk eng | Parametric mk -> mk eng)
 
 (* The records packed for the last engine asked, one slot per registry
    position, filled on first use: a fresh engine per query packs only the
@@ -88,17 +101,27 @@ let packed eng i =
     s
 
 let all_in eng = List.init (Array.length entries) (packed eng)
-let find_in eng name = Option.map (packed eng) (index name)
+
+(* At a given partition only the four parametric records exist; each
+   question packs its own, outside the memo. *)
+let find_in ?part eng name =
+  match (part, index name) with
+  | None, i -> Option.map (packed eng) i
+  | Some part, Some i -> (
+    match snd entries.(i) with
+    | Parametric mk -> Some (Fastpath.wrap ~part eng (mk ~part eng))
+    | Total _ -> None)
+  | Some _, None -> None
 
 (* Fresh engines bypass the memo, so they never evict a caller's engine. *)
 let find name =
   Option.map (pack (Engine.create ~cache:false ~fastpath:false ())) (index name)
 
-(* Each record's [applicable] test, read once off the unwrapped records:
-   no semantics' test touches its engine. *)
+(* Each record's [applicable] test, read once (the wrapper keeps it as it
+   is): no semantics' test touches its engine. *)
 let applicables =
   let eng = Engine.create ~cache:false ~fastpath:false () in
-  Array.map (fun (_, mk) -> (mk eng).Semantics.applicable) entries
+  Array.init (Array.length entries) (fun i -> (pack eng i).Semantics.applicable)
 
 let applicable_names db =
   List.filteri (fun i _ -> applicables.(i) db) names

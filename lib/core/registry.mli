@@ -1,5 +1,6 @@
-(** Name → packed semantics (partition-parametric ones appear with the
-    total partition ⟨V;∅;∅⟩). *)
+(** Name → packed semantics, the one way to ask one.  The
+    partition-parametric ones appear with the total partition ⟨V;∅;∅⟩;
+    {!find_in}[ ~part] packs them at any other ⟨P;Q;Z⟩. *)
 
 val all_in : Ddb_engine.Engine.t -> Semantics.t list
 (** Every semantics routed through the given oracle engine, in registry
@@ -10,7 +11,9 @@ val find : string -> Semantics.t option
     ~fastpath:false] — the paper's algorithms as stated, one fresh solver
     per oracle question.  Each call builds its own engine. *)
 
-val find_in : Ddb_engine.Engine.t -> string -> Semantics.t option
+val find_in :
+  ?part:Ddb_logic.Partition.t -> Ddb_engine.Engine.t -> string ->
+  Semantics.t option
 (** The named semantics routed through the given engine.  Each record is
     packed at most once per engine and per domain: later calls on the same
     engine return the same physical record, and {!all_in} returns those
@@ -18,7 +21,13 @@ val find_in : Ddb_engine.Engine.t -> string -> Semantics.t option
     query on another engine replaces it, and {!find} and
     {!applicable_names} never touch it.  A packed record keeps no state of
     its own (its memo tables and counters are the engine's), so sharing
-    it cannot change an answer. *)
+    it cannot change an answer.
+
+    With [part], the [ccwa], [ecwa], [circ] or [icwa] record packed at
+    that ⟨P;Q;Z⟩ ([None] for every other name), afresh and outside the
+    memo, by the same wrapper without fast-path routing.  The database is
+    padded to [part]'s universe; a query atom outside it raises
+    [Invalid_argument]. *)
 
 val names : string list
 

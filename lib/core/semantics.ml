@@ -41,19 +41,44 @@ let two_valued w = Option.map (fun m -> Two_valued m) w
 let for_query db f =
   Db.with_universe db (max (Db.num_vars db) (Formula.max_atom f + 1))
 
-(* The registry's packing of a partition-parametric semantics: the padded
-   database at ⟨V;∅;∅⟩. *)
-let at_total formula_of k db q =
-  let db = for_query db (formula_of q) in
-  k db (Partition.minimize_all (Db.num_vars db)) q
+(* The registry's packing of a partition-parametric semantics.  The branch
+   is taken once, when the record is packed. *)
+let at_total ?part formula_of k =
+  match part with
+  | None ->
+    fun db q ->
+      let db = for_query db (formula_of q) in
+      k db (Partition.minimize_all (Db.num_vars db)) q
+  | Some part ->
+    let n = Partition.universe_size part in
+    fun db q -> k (Db.with_universe db n) part q
+
+let at_total_db ?part k =
+  let k = at_total ?part (fun () -> Formula.True) (fun db p () -> k db p) in
+  fun db -> k db ()
+
+let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
+    ~infer_literal ~witness reference_models =
+  let witness = at_total ?part Fun.id witness in
+  {
+    name;
+    long_name;
+    applicable;
+    has_model;
+    infer_formula = at_total ?part Fun.id infer_formula;
+    infer_literal = at_total ?part Formula.of_lit infer_literal;
+    witness = (fun db f -> two_valued (witness db f));
+    reference_models = at_total_db ?part reference_models;
+  }
 
 (* Memoize a semantics' answers in the oracle engine without decomposing
    its decision procedure: each decision problem's answer is cached under
-   the database's canonical key (an uncached engine always runs the
-   procedure).  Attribution is not done here: the registry's wrapper
-   ({!Fastpath.wrap}) runs every field in the record's scope.  The
+   the database's canonical key and the record's partition, if any (an
+   uncached engine always runs the procedure).  Attribution is not done
+   here: the registry's wrapper ({!Fastpath.wrap}) runs every field in the
+   record's scope.  The
    closed-world family calls the engine's oracle ops directly instead. *)
-let via_engine eng (s : t) : t =
+let via_engine ?part eng (s : t) : t =
   let open Ddb_engine in
   let op_exists = s.name ^ "/exists"
   and op_formula = s.name ^ "/formula"
@@ -61,13 +86,15 @@ let via_engine eng (s : t) : t =
   {
     s with
     has_model =
-      (fun db -> Engine.cached_bool eng ~op:op_exists db (fun () -> s.has_model db));
+      (fun db ->
+        Engine.cached_bool ?part eng ~op:op_exists db (fun () ->
+            s.has_model db));
     infer_formula =
       (fun db f ->
-        Engine.cached_bool eng ~op:op_formula ~formula:f db (fun () ->
+        Engine.cached_bool ?part eng ~op:op_formula ~formula:f db (fun () ->
             s.infer_formula db f));
     infer_literal =
       (fun db l ->
-        Engine.cached_bool eng ~op:op_literal ~formula:(Formula.of_lit l) db
-          (fun () -> s.infer_literal db l));
+        Engine.cached_bool ?part eng ~op:op_literal ~formula:(Formula.of_lit l)
+          db (fun () -> s.infer_literal db l));
   }

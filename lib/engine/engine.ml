@@ -516,10 +516,10 @@ let non_entailed_atoms t db =
    the engine does not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM): the
    engine still canonicalizes, caches and instruments the answer.  [op] is
    the full op name, [<semantics>/<problem>]. *)
-let cached_bool ?formula t ~op db compute =
+let cached_bool ?part ?formula t ~op db compute =
   tick t;
   probe t ~op db (fun () ->
-      memo t t.bools db (fun key -> qkey ?form:formula key op) (fun _ ->
+      memo t t.bools db (fun key -> qkey ?part ?form:formula key op) (fun _ ->
           compute ()))
 
 (* ------------------------------------------------------------------ *)

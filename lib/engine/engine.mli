@@ -84,9 +84,10 @@ val non_entailed_atoms : t -> Db.t -> Interp.t
 (** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)
 
 val cached_bool :
-  ?formula:Formula.t -> t -> op:string -> Db.t -> (unit -> bool) -> bool
+  ?part:Partition.t -> ?formula:Formula.t -> t -> op:string -> Db.t ->
+  (unit -> bool) -> bool
 (** Generic per-semantics decision memo for procedures the engine does not
-    decompose: canonicalizes the database, keys on [(op, formula)],
+    decompose: canonicalizes the database, keys on [(op, part, formula)],
     instruments (an [engine.<op>] span), and delegates to the thunk on a
     miss (or always, for uncached engines).  [op] names the semantics and
     the problem, [<semantics>/<problem>] (["pws/literal"]). *)

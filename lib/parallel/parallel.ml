@@ -33,13 +33,19 @@ let map_in pool ?(pinned = false) ?cancel_on_error ?chunk_size f xs =
       in
       ((n + c - 1) / c, (fun i -> i * c), 1, fun i -> min n ((i + 1) * c))
   in
-  Pool.run ~pinned ?cancel_on_error pool
-    (List.init tasks (fun i worker ->
-         let k = ref (first i) in
-         while !k < stop i do
-           slots.(!k) <- Some (f ~worker items.(!k));
-           k := !k + step
-         done));
+  (* A task stops at its first failing item, so the lowest index recorded
+     here is the lowest failing item, pinned or not. *)
+  let failed = Array.make n None in
+  (try
+     Pool.run ~pinned ?cancel_on_error pool
+       (List.init tasks (fun i worker ->
+            let k = ref (first i) in
+            while !k < stop i do
+              (try slots.(!k) <- Some (f ~worker items.(!k))
+               with e -> failed.(!k) <- Some e; raise e);
+              k := !k + step
+            done))
+   with e -> Array.iter (Option.iter raise) failed; raise e);
   List.init n (fun k -> Option.get slots.(k))
 
 let map_chunked ?jobs ?chunk_size f xs =

@@ -37,4 +37,5 @@ val map_in :
 
     [cancel_on_error] is passed to {!Pool.run}: the first task exception
     cancels the group so remaining budget-tokened tasks degrade instead of
-    running on. *)
+    running on.  After the join the exception of the lowest failing item
+    is re-raised, pinned or not. *)

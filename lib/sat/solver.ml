@@ -35,11 +35,8 @@ type t = {
   mutable qhead : int;
   (* Heuristics *)
   mutable var_inc : float;
-  (* Status and statistics *)
+  (* Status *)
   mutable root_unsat : bool;
-  mutable conflicts : int;
-  mutable decisions : int;
-  mutable propagations : int;
 }
 
 let var_decay = 0.95
@@ -66,14 +63,7 @@ let create ?(num_vars = 0) () =
     qhead = 0;
     var_inc = 1.0;
     root_unsat = false;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
   }
-
-let conflicts t = t.conflicts
-let decisions t = t.decisions
-let propagations t = t.propagations
 
 let grow_array arr len fill =
   let cap = Array.length arr in
@@ -148,7 +138,6 @@ let propagate t =
   while !conflict < 0 && t.qhead < t.trail_size do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
-    t.propagations <- t.propagations + 1;
     Stats.bump_propagation ();
     let false_lit = Cnf.plit_negate p in
     let pending = t.watches.(false_lit) in
@@ -378,7 +367,6 @@ let solve_core ?(assumptions = []) t =
            while true do
              let confl = propagate t in
              if confl >= 0 then begin
-               t.conflicts <- t.conflicts + 1;
                Stats.bump_conflict ();
                Ddb_budget.Budget.charge ~conflicts:1 ();
                incr conflicts_here;
@@ -418,7 +406,6 @@ let solve_core ?(assumptions = []) t =
                else begin
                  let v = pick_branch_var t in
                  if v < 0 then raise Found_sat;
-                 t.decisions <- t.decisions + 1;
                  Stats.bump_decision ();
                  new_decision_level t;
                  let l =
@@ -452,7 +439,7 @@ let solve ?(assumptions = []) t =
   if not (Ddb_obs.Trace.enabled ()) then solve_core ~assumptions t
   else begin
     let open Ddb_obs.Trace in
-    let c0 = t.conflicts and d0 = t.decisions and p0 = t.propagations in
+    let before = Stats.snapshot () in
     begin_args n_solve [ (n_assumptions, Int (List.length assumptions)) ];
     let finished = ref false in
     Fun.protect
@@ -460,12 +447,13 @@ let solve ?(assumptions = []) t =
       (fun () ->
         let r = solve_core ~assumptions t in
         finished := true;
+        let d = Stats.delta before in
         end_args n_solve
           [
             (n_result, Str (match r with Sat -> "sat" | Unsat -> "unsat"));
-            (n_conflicts, Int (t.conflicts - c0));
-            (n_decisions, Int (t.decisions - d0));
-            (n_propagations, Int (t.propagations - p0));
+            (n_conflicts, Int d.Stats.conflicts);
+            (n_decisions, Int d.Stats.decisions);
+            (n_propagations, Int d.Stats.propagations);
           ];
         r)
   end

@@ -36,7 +36,3 @@ val model : ?universe:int -> t -> Interp.t
     atoms (default: all solver variables). *)
 
 val is_root_unsat : t -> bool
-
-val conflicts : t -> int
-val decisions : t -> int
-val propagations : t -> int

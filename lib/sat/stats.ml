@@ -2,11 +2,11 @@
 
    [bump_sat] is called by every [Solver.solve]; higher-level oracles (the
    Sigma-2 oracle in lib/core and lib/qbf) call [bump_sigma2].  The solver
-   additionally mirrors its per-instance search effort (conflicts,
-   decisions, propagations) into these counters so that callers — in
-   particular the memoizing oracle engine — can attribute solver work to a
-   scope without holding a reference to every solver ever created.  Benches
-   snapshot, run a task, and report the deltas.
+   counts its search effort (conflicts, decisions, propagations) here and
+   nowhere else, so that callers — the memoizing oracle engine, the
+   [sat.solve] trace span — can attribute solver work to a scope without
+   holding a reference to every solver ever created.  Benches snapshot,
+   run a task, and report the deltas.
 
    The counters are domain-local (Domain.DLS): each domain of the parallel
    batch layer accumulates its own set, so concurrent workers never race on

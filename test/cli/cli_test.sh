@@ -11,7 +11,8 @@
 #     the expected-answers file and print a witness or counterexample line
 #     exactly when the answer calls for one;
 #   - `query --minimize` fixes every atom named in no option (Q), query
-#     atoms the database does not contain included;
+#     atoms the database does not contain included, for each
+#     partition-parametric semantics, and is refused for the others;
 #   - a .dl file is grounded on load, its `ground` output prints each rule
 #     on one line, and that output re-read as .ddb answers the same;
 #   - parse errors name the file, line and column.
@@ -109,7 +110,8 @@ done
 diff "$answers" "$tmp/answers" || fail "query answers differ from $answers"
 
 # 9. --minimize: the unmentioned atom c and the fresh query atom zz are
-#    fixed, as in Circ(DB; P; Z), so ECWA leaves zz open.
+#    fixed, as in Circ(DB; P; Z), so ECWA leaves zz open.  CIRC and ICWA
+#    take the same partition.
 printf 'a | b.\nc :- a.\n' > "$tmp/circ.ddb"
 out=$("$tool" query "$tmp/circ.ddb" -s ccwa -q b --minimize a)
 [ "$out" = "ccwa(DB) |/= b   (P={a}; Q={b, c}; Z={})" ] \
@@ -117,6 +119,23 @@ out=$("$tool" query "$tmp/circ.ddb" -s ccwa -q b --minimize a)
 out=$("$tool" query "$tmp/circ.ddb" -s ecwa -q '~zz' --minimize a --vary b)
 [ "$out" = "ecwa(DB) |/= ~zz   (P={a}; Q={c, zz}; Z={b})" ] \
   || fail "query --minimize with a fresh query atom: got '$out'"
+out=$("$tool" query "$tmp/circ.ddb" -s circ -q b --minimize a)
+[ "$out" = "circ(DB) |/= b   (P={a}; Q={b, c}; Z={})" ] \
+  || fail "query -s circ --minimize: got '$out'"
+out=$("$tool" query "$tmp/circ.ddb" -s icwa -q '~b' --minimize a)
+[ "$out" = "icwa(DB) |/= ~b   (P={a}; Q={b, c}; Z={})" ] \
+  || fail "query -s icwa --minimize: got '$out'"
+#    The models minimal in a with b and c fixed are {b}, {b, c} and
+#    {a, c}, so {b} is the one counterexample to c.
+out=$("$tool" query "$tmp/circ.ddb" -s ecwa -q c --minimize a --witness)
+want=$(printf 'ecwa(DB) |/= c   (P={a}; Q={b, c}; Z={})\ncounterexample: {b}')
+[ "$out" = "$want" ] || fail "query --minimize --witness: got '$out'"
+#    GCWA is defined at the total partition only.
+err=$("$tool" query "$tmp/circ.ddb" -s gcwa -q b --minimize a 2>&1 >/dev/null \
+  | tr -s '\n ' '  ')
+echo "$err" | grep -qF \
+  "need a partition-parametric semantics (ccwa, ecwa, circ, icwa), not gcwa" \
+  || fail "query -s gcwa --minimize: got '$err'"
 
 # 10. A Datalog game: b moves to the lost position c, so win(b) holds in
 #     every stable model, read from the .dl file and from its grounding,

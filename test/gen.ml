@@ -153,6 +153,9 @@ module Semantics = Ddb_core.Semantics
    fresh solver per oracle question. *)
 let baseline () = Engine.create ~cache:false ~fastpath:false ()
 
+(* The named registry record on [eng], packed at [part] when given. *)
+let record ?part eng sem = Option.get (Ddb_core.Registry.find_in ?part eng sem)
+
 (* Every engine configuration: cache on/off × fast path on/off. *)
 let configurations () =
   List.map

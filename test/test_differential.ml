@@ -58,7 +58,8 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(2 * num_vars) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      Ecwa.infer_formula_in eng db part f = Circ.infer_formula db part f)
+      (Gen.record ~part eng "ecwa").Semantics.infer_formula db f
+      = (Gen.record ~part eng "circ").Semantics.infer_formula db f)
 
 (* The SAT-based minimize-then-block enumeration must produce exactly the
    brute-force minimal models. *)

@@ -396,11 +396,10 @@ let qcheck_witnesses_are_models =
           && List.exists (Interp.equal m) (models_of db)
         | Some (Semantics.Three_valued _) -> false
       in
-      let total db = Partition.minimize_all (Db.num_vars db) in
       check_witness Models.brute_minimal_models "egcwa"
       && check_witness Dsm.reference_models "dsm"
       && check_witness Perf.reference_models "perf"
-      && check_witness (fun db -> Ccwa.reference_models db (total db)) "gcwa"
+      && check_witness (Gen.record eng "gcwa").Semantics.reference_models "gcwa"
       && check_witness Cwa.reference_models "cwa")
 
 let qcheck_pws_witnesses =
@@ -495,14 +494,16 @@ let qcheck_partition_witness_completeness =
       in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let ok models = function
+      let ok db sem =
+        let s = Gen.record ~part eng sem in
+        let models = s.Semantics.reference_models db in
+        match s.Semantics.witness db f with
         | None -> not (List.exists (fun m -> Formula.eval m f) models)
-        | Some m -> Formula.eval m f && List.exists (Interp.equal m) models
+        | Some (Semantics.Two_valued m) ->
+          Formula.eval m f && List.exists (Interp.equal m) models
+        | Some (Semantics.Three_valued _) -> false
       in
-      ok (Ccwa.reference_models db part) (Ccwa.witness_in eng db part f)
-      && ok (Ecwa.reference_models db part) (Ecwa.witness_in eng db part f)
-      && ok (Circ.reference_models db part) (Ecwa.witness_in eng db part f)
-      && ok (Icwa.reference_models strat part) (Icwa.witness strat part f))
+      ok db "ccwa" && ok db "ecwa" && ok db "circ" && ok strat "icwa")
 
 let witness_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -521,10 +522,7 @@ let qcheck_qbf_encoding_gcwa =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let x = Gen.atom rand num_vars in
       Qbf_encodings.gcwa_refutes_neg_literal_qbf db x
-      = not
-          (Ccwa.entails_neg_literal_in eng db
-             (Partition.minimize_all (Db.num_vars db))
-             x))
+      = not (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x)))
 
 let qcheck_qbf_encoding_egcwa =
   QCheck.Test.make ~count:150

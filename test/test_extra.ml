@@ -79,8 +79,10 @@ let qcheck_negation_hierarchy =
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(num_vars * 2) in
-      Interp.subset (Ddr.negated_atoms db)
-        (Ccwa.negated_atoms_in eng db (Partition.minimize_all (Db.num_vars db))))
+      let gcwa_negates x =
+        Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg x)
+      in
+      Interp.for_all gcwa_negates (Ddr.negated_atoms db))
 
 let qcheck_gcwa_extends_classical =
   QCheck.Test.make ~count:300
@@ -282,7 +284,14 @@ let registry_suite =
                  (fun (s : Semantics.t) -> s.Semantics.name)
                  (Registry.find_in eng name)))
           Registry.names;
-        check "unknown" true (Registry.find_in eng "nope" = None));
+        check "unknown" true (Registry.find_in eng "nope" = None);
+        (* at a given partition only the four parametric records exist *)
+        let part = Partition.minimize_all 2 in
+        Alcotest.(check (list string)) "find_in ~part"
+          [ "ccwa"; "ecwa"; "circ"; "icwa" ]
+          (List.filter
+             (fun name -> Option.is_some (Registry.find_in ~part eng name))
+             ("nope" :: Registry.names)));
     Alcotest.test_case "all names distinct" `Quick (fun () ->
         let names = Registry.names in
         check_int "no dups" (List.length names)

@@ -150,10 +150,9 @@ let run_steps s steps =
         None
       | New_var -> Some (`Var (Solver.new_var s))
       | Solve assumptions ->
-        let c0 = Solver.conflicts s
-        and d0 = Solver.decisions s
-        and p0 = Solver.propagations s in
+        let before = Stats.snapshot () in
         let r = Solver.solve ~assumptions s in
+        let d = Stats.delta before in
         let model =
           if r = Solver.Sat then Interp.to_list (Solver.model s) else []
         in
@@ -161,9 +160,9 @@ let run_steps s steps =
           (`Solve
             ( r,
               model,
-              Solver.conflicts s - c0,
-              Solver.decisions s - d0,
-              Solver.propagations s - p0 )))
+              d.Stats.conflicts,
+              d.Stats.decisions,
+              d.Stats.propagations )))
     steps
 
 let qcheck_copy_matches_fresh =

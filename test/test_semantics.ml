@@ -56,38 +56,58 @@ let agreement_tests =
             ~layers:2);
     ]
 
-(* Partition-parametric engines against their references. *)
-let qcheck_ccwa_partition =
-  QCheck.Test.make ~count:250 ~name:"ccwa with random partition = reference"
+(* The partition-parametric records at a random ⟨P;Q;Z⟩ against their own
+   reference model sets: two partitions per database, asked on every engine
+   configuration.  The engines live for the whole test, so an answer
+   memoized at one partition and served at the other would show; half the
+   databases are definite, whose fast-path cells hold at ⟨V;∅;∅⟩ only. *)
+let partition_law sem gen_db =
+  let engines = Gen.configurations () in
+  QCheck.Test.make ~count:250
+    ~name:(Printf.sprintf "%s with random partition = reference" sem)
     QCheck.(pair (int_bound 999999) (int_range 2 4))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
-      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
-      let part = Gen.random_partition rand num_vars in
-      let reference = Ccwa.reference_models db part in
-      let ref_infer f = List.for_all (fun m -> Formula.eval m f) reference in
+      let db = gen_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let x = Gen.atom rand num_vars in
-      Ccwa.infer_formula_in eng db part f = ref_infer f
-      && Ccwa.infer_literal_in eng db part (Lit.Neg x)
-         = ref_infer (Formula.Not (Formula.Atom x)))
+      let l = Lit.Neg (Gen.atom rand num_vars) in
+      List.for_all
+        (fun part ->
+          let reference =
+            (Gen.record ~part eng sem).Semantics.reference_models db
+          in
+          let ref_infer f =
+            List.for_all (fun m -> Formula.eval m f) reference
+          in
+          List.for_all
+            (fun (_, e) ->
+              let s = Gen.record ~part e sem in
+              s.Semantics.has_model db = (reference <> [])
+              && s.Semantics.infer_formula db f = ref_infer f
+              && s.Semantics.infer_literal db l = ref_infer (Formula.of_lit l))
+            engines)
+        (List.init 2 (fun _ -> Gen.random_partition rand num_vars)))
 
-let qcheck_ecwa_partition =
-  QCheck.Test.make ~count:250 ~name:"ecwa with random partition = reference"
-    QCheck.(pair (int_bound 999999) (int_range 2 4))
-    (fun (seed, num_vars) ->
-      let rand = Random.State.make [| seed |] in
-      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
-      let part = Gen.random_partition rand num_vars in
-      let reference = Ecwa.reference_models db part in
-      let ref_infer f = List.for_all (fun m -> Formula.eval m f) reference in
-      let f = Gen.random_formula rand num_vars ~depth:2 in
-      Ecwa.infer_formula_in eng db part f = ref_infer f)
+let partition_tests =
+  let dndb_or_definite rand ~num_vars ~num_clauses =
+    if Random.State.bool rand then Gen.dndb rand ~num_vars ~num_clauses
+    else Gen.definite_db rand ~num_vars ~num_clauses
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [
+      partition_law "ccwa" dndb_or_definite;
+      partition_law "ecwa" dndb_or_definite;
+      partition_law "circ" dndb_or_definite;
+      partition_law "icwa" (fun rand ~num_vars ~num_clauses ->
+          Gen.stratified_db ~integrity:true rand ~num_vars ~num_clauses
+            ~layers:2);
+    ]
 
 (* --- the paper's equivalences --- *)
 
 (* ECWA = CIRC (Lifschitz), with the two implementations fully disjoint:
-   assumption-based minimality vs the primed circumscription schema. *)
+   the ecwa record's assumption-based minimality vs the circ record's
+   primed circumscription schema. *)
 let qcheck_ecwa_equals_circ =
   QCheck.Test.make ~count:250 ~name:"ECWA = CIRC (schema vs minimality)"
     QCheck.(pair (int_bound 999999) (int_range 1 4))
@@ -96,10 +116,12 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      Ecwa.infer_formula_in eng db part f = Circ.infer_formula db part f
+      let ecwa = Gen.record ~part eng "ecwa"
+      and circ = Gen.record ~part eng "circ" in
+      ecwa.Semantics.infer_formula db f = circ.Semantics.infer_formula db f
       && Gen.interp_list_equal
-           (Ecwa.reference_models db part)
-           (Circ.reference_models db part))
+           (ecwa.Semantics.reference_models db)
+           (circ.Semantics.reference_models db))
 
 (* EGCWA(DB) = MM(DB). *)
 let qcheck_egcwa_is_mm =
@@ -134,8 +156,8 @@ let qcheck_perf_positive_is_mm =
         (Models.brute_minimal_models db))
 
 (* GCWA = CCWA with the total partition: the registry's gcwa record
-   against CCWA at ⟨V;∅;∅⟩ of the database padded for the query, whose
-   atoms may reach one past the universe. *)
+   against the ccwa record packed at ⟨V;∅;∅⟩ of the database padded for
+   the query, whose atoms may reach one past the universe. *)
 let qcheck_gcwa_is_ccwa_total =
   QCheck.Test.make ~count:250 ~name:"GCWA = CCWA at Q = Z = ∅"
     QCheck.(pair (int_bound 999999) (int_range 1 4))
@@ -143,11 +165,11 @@ let qcheck_gcwa_is_ccwa_total =
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand (num_vars + 1) ~depth:2 in
-      let padded = Semantics.for_query db f in
+      let part =
+        Partition.minimize_all (Db.num_vars (Semantics.for_query db f))
+      in
       Registry.infer_formula_in eng ~sem:"gcwa" db f
-      = Ccwa.infer_formula_in eng padded
-          (Partition.minimize_all (Db.num_vars padded))
-          f)
+      = (Gen.record ~part eng "ccwa").Semantics.infer_formula db f)
 
 (* Total (2-valued) partial stable models = disjunctive stable models. *)
 let qcheck_pdsm_total_is_dsm =
@@ -268,8 +290,8 @@ let icwa_unit =
         (* Stratified, but the constraint kills the only model {a}: the
            O(1) stratifiability answer does not apply. *)
         let db = Db.of_string "a. :- a." in
-        let part = Partition.minimize_all (Db.num_vars db) in
-        check "no reference model" true (Icwa.reference_models db part = []);
+        check "no reference model" true
+          ((Gen.record eng "icwa").Semantics.reference_models db = []);
         check "no model" false (Registry.has_model_in eng ~sem:"icwa" db);
         List.iter
           (fun (config, eng) ->
@@ -281,10 +303,9 @@ let icwa_unit =
     Alcotest.test_case "icwa on b :- not a infers b" `Quick (fun () ->
         let db = Db.of_string "b :- not a." in
         let vocab = Db.vocab db in
-        let part = Partition.minimize_all (Db.num_vars db) in
-        check "b" true (Icwa.infer_formula db part (Parse.formula vocab "b"));
-        check "not a" true
-          (Icwa.infer_formula db part (Parse.formula vocab "~a")));
+        let icwa f = Registry.infer_formula_in eng ~sem:"icwa" db f in
+        check "b" true (icwa (Parse.formula vocab "b"));
+        check "not a" true (icwa (Parse.formula vocab "~a")));
   ]
 
 (* ICWA captures PERF on stratified databases (the purpose it was introduced
@@ -298,9 +319,8 @@ let qcheck_icwa_captures_perf =
       let db =
         Gen.stratified_db rand ~num_vars ~num_clauses:(num_vars * 2) ~layers:2
       in
-      let part = Partition.minimize_all num_vars in
       Gen.interp_list_equal
-        (Icwa.reference_models db part)
+        ((Gen.record eng "icwa").Semantics.reference_models db)
         (Perf.reference_models db))
 
 (* --- oracle algorithms: the P^Σ₂ᵖ[O(log n)] machinery --- *)
@@ -326,7 +346,7 @@ let qcheck_oracle_log_agrees =
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let log_report = Oracle_algorithms.entails_log_in eng db part f in
       let linear_report = Oracle_algorithms.entails_linear eng db part f in
-      let direct = Ccwa.infer_formula_in eng db part f in
+      let direct = (Gen.record ~part eng "ccwa").Semantics.infer_formula db f in
       log_report.Oracle_algorithms.answer = direct
       && linear_report.Oracle_algorithms.answer = direct
       && log_report.Oracle_algorithms.sigma2_queries
@@ -501,9 +521,7 @@ let example_31 =
 let suites =
   [
     ("semantics.agreement", agreement_tests);
-    ( "semantics.partitioned",
-      List.map QCheck_alcotest.to_alcotest
-        [ qcheck_ccwa_partition; qcheck_ecwa_partition ] );
+    ("semantics.partitioned", partition_tests);
     ( "semantics.identities",
       List.map QCheck_alcotest.to_alcotest
         [
