@@ -14,9 +14,13 @@ open Ddb_db
    satisfies DB and the schema query is unsatisfiable with the original
    variables pinned to M.
 
-   The paper uses CIRC ≡ ECWA (Lifschitz); here the equivalence is a tested
-   property, not an assumption — {!Ecwa} goes through assumption-based
-   minimality checks, this module through the syntactic schema. *)
+   The paper uses CIRC ≡ ECWA (Lifschitz).  Existence and formula
+   inference here do not: they run on the syntactic schema, and their
+   agreement with {!Ecwa}'s assumption-based minimality checks is a tested
+   property.  Literal inference and witnesses do use the theorem: they are
+   ECWA's procedures ({!Ecwa.infer_literal_in}, {!Ecwa.witness_in}), so a
+   literal reads the closed-world oracles GCWA/CCWA memoize.  The schema's
+   reference models check those answers in every engine configuration. *)
 
 let prime n x = n + x
 
@@ -109,8 +113,6 @@ let infer_formula db part f =
   in
   loop ()
 
-let infer_literal db part l = infer_formula db part (Formula.of_lit l)
-
 let has_model db =
   if Db.is_positive_ddb db then true else Models.has_model db
 
@@ -118,15 +120,23 @@ let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-(* Packed at [part], by default ⟨V;∅;∅⟩; answers memoized per semantics
-   and partition.  A witness is a (P;Z)-minimal model satisfying F — a
-   circumscription model by Lifschitz's theorem — so it comes from the
-   engine's ECWA search; cautious answers stay on the schema, the
-   independent cross-check. *)
+(* Packed at [part], by default ⟨V;∅;∅⟩.  Existence and formula answers
+   run on the schema and are memoized per semantics and partition.  A
+   witness is a (P;Z)-minimal model satisfying F — a circumscription model
+   by Lifschitz's theorem — so it comes from the engine's ECWA search, and
+   so do literal answers ({!Ecwa.infer_literal_in}): their engine ops
+   memoize themselves and share ECWA's entries, so the literal field stays
+   outside [via_engine]'s answer memo.  Formula answers and the reference
+   models stay on the schema, the independent cross-check. *)
 let semantics_in ?part eng =
-  Semantics.via_engine ?part eng
-    (Semantics.parametric ?part ~name:"circ"
-       ~long_name:"Circumscription (McCarthy / Lifschitz schema)"
-       ~applicable:(fun _ -> true)
-       ~has_model ~infer_formula ~infer_literal
-       ~witness:(Ecwa.witness_in eng) reference_models)
+  let s =
+    Semantics.parametric ?part ~name:"circ"
+      ~long_name:"Circumscription (McCarthy / Lifschitz schema)"
+      ~applicable:(fun _ -> true)
+      ~has_model ~infer_formula ~infer_literal:(Ecwa.infer_literal_in eng)
+      ~witness:(Ecwa.witness_in eng) reference_models
+  in
+  {
+    (Semantics.via_engine ?part eng s) with
+    Semantics.infer_literal = s.Semantics.infer_literal;
+  }

@@ -2,16 +2,17 @@ open Ddb_logic
 open Ddb_sat
 open Ddb_db
 
-(** CIRC — propositional circumscription implemented from Lifschitz's
-    schema with a primed copy of the universe (independent of the
-    assumption-based minimal-model engine; the equivalence with {!Ecwa} is
-    property-tested). *)
+(** CIRC — propositional circumscription.  Existence and formula answers
+    come from Lifschitz's schema with a primed copy of the universe
+    (independent of the assumption-based minimal-model engine; the
+    equivalence with {!Ecwa} is property-tested); literal answers and
+    witnesses are ECWA's, by Lifschitz's theorem. *)
 
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
 
 val semantics_in : ?part:Partition.t -> Ddb_engine.Engine.t -> Semantics.t
 (** The registry's [circ] record, packed at [part], by default the total
-    partition ⟨V;∅;∅⟩; its answers are memoized per partition
-    ({!Semantics.via_engine}) and its witnesses come from the engine's
-    ECWA search ({!Ecwa.witness_in}).  Ask it through
-    [Registry.find_in ?part]. *)
+    partition ⟨V;∅;∅⟩; its existence and formula answers are memoized per
+    partition ({!Semantics.via_engine}), its literal answers and witnesses
+    are ECWA's ({!Ecwa.infer_literal_in}, {!Ecwa.witness_in}), memoized by
+    the engine ops they call.  Ask it through [Registry.find_in ?part]. *)

@@ -27,8 +27,29 @@ let witness_in eng db part f =
 let infer_formula_in eng db part f =
   Option.is_none (witness_in eng db part (Formula.not_ f))
 
+(* A literal over P ∪ Q asks only what every (P;Z)-minimal model shares,
+   so it reads the closed-world oracles GCWA/CCWA read:
+     - ¬x with x ∈ P holds iff x is in no (P;Z)-minimal model, i.e. x is
+       outside the support set (CCWA's ¬x op, memoized on cached engines);
+     - any other literal over P ∪ Q holds in every minimal model iff it
+       holds in every model of DB.  If M ⊨ DB falsifies l, a (P;Z)-minimal
+       M' ≤ M exists, with M'∩P ⊆ M∩P and M'∩Q = M∩Q, so M' falsifies l
+       too: a positive P-literal or a Q-literal keeps its falsity going
+       down.  One memoized SAT call.
+   Z atoms, and atoms outside the partition (which raise), take the
+   witness search. *)
 let infer_literal_in eng db part l =
-  infer_formula_in eng db part (Formula.of_lit l)
+  let x = Lit.atom l in
+  if x >= Partition.universe_size part || Interp.mem (Partition.z part) x then
+    infer_formula_in eng db part (Formula.of_lit l)
+  else
+    match l with
+    | Lit.Neg x when Interp.mem (Partition.p part) x ->
+      not (Engine.in_some_minimal eng db part x)
+    | _ ->
+      Engine.augmented_entails eng db
+        (Interp.empty (Db.num_vars db))
+        (Formula.of_lit l)
 
 let reference_models db part = Models.brute_minimal_models ~part db
 

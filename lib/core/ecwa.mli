@@ -15,6 +15,15 @@ val witness_in :
     both this record and {!Circ}'s.  @raise Invalid_argument if the query
     leaves the partitioned universe. *)
 
+val infer_literal_in :
+  Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool
+(** [MM(DB;P;Z) ⊨ l], the literal procedure of both this record and
+    {!Circ}'s.  ¬x with x ∈ P reads the support set
+    ({!Ddb_engine.Engine.in_some_minimal}); any other literal over P ∪ Q is
+    classical entailment from DB, which minimization cannot change; a Z
+    literal takes the witness search.  @raise Invalid_argument if the
+    atom is outside the partitioned universe. *)
+
 val semantics_in :
   ?part:Partition.t -> name:string -> long_name:string ->
   Ddb_engine.Engine.t -> Semantics.t

@@ -34,8 +34,9 @@ module F = Ddb_frag.Frag
      and existence is the consistency check.
 
    - Positive, no integrity clauses.  DDR/PWS ⊨ ¬x iff x is outside the
-     relevancy-graph closure (Chan); GCWA/CCWA existence is plain
-     consistency, and the all-true interpretation is always a model.
+     relevancy-graph closure (Chan).  (GCWA/CCWA/EGCWA/ECWA existence is
+     O(1) there too, but the records answer it themselves:
+     [Db.is_positive_ddb db] holds before any oracle call.)
 
    - Stratified normal, no integrity clauses.  The iterated least model
      is the unique perfect model (Apt–Blair–Walker, Przymusinski) and the
@@ -64,7 +65,6 @@ let definite_family =
 
 let perfect_family = [ "perf"; "icwa"; "dsm" ]
 let occ_family = [ "ddr"; "pws" ]
-let pos_exists_family = [ "gcwa"; "ccwa" ]
 
 let strat_gate (fr : F.t) = fr.F.stratified && fr.F.normal && fr.F.no_integrity
 let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
@@ -79,12 +79,10 @@ let wrap ?part eng (s : Semantics.t) : Semantics.t =
   let in_definite = List.mem sem definite_family in
   let in_perfect = List.mem sem perfect_family in
   let in_occ = List.mem sem occ_family in
-  let in_pos_exists = List.mem sem pos_exists_family in
   (* pdsm has no routed cell: it is scoped, never classified; every routed
      cell assumes ⟨V;∅;∅⟩, so neither has a record packed at [part] *)
   let routed =
-    Option.is_none part
-    && (in_definite || in_perfect || in_occ || in_pos_exists)
+    Option.is_none part && (in_definite || in_perfect || in_occ)
   in
   (* The one attribution site: every field runs in the record's scope, so
      its work, wall time and [scope.<name>] span are the semantics' own. *)
@@ -135,7 +133,6 @@ let wrap ?part eng (s : Semantics.t) : Semantics.t =
     if in_definite && fr.F.definite then
       Some (fun () -> Lazy.force info.F.consistent)
     else if in_perfect && strat_gate fr then Some (fun () -> true)
-    else if in_pos_exists && pos_gate fr then Some (fun () -> true)
     else None
   in
   {

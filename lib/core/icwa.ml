@@ -20,7 +20,6 @@ open Ddb_db
    without touching the clauses). *)
 
 type instance = {
-  db : Db.t; (* original database *)
   shifted : Db.t; (* DB' = negation moved into heads *)
   theory : Minimal.theory; (* DB' compiled: every solver below copies it *)
   parts : Partition.t list; (* one ⟨P_i;Q_i;Z_i⟩ per stratum *)
@@ -54,7 +53,7 @@ let prepare db part =
           Partition.make ~p:p_i ~q:q_i ~z:z_i)
         strata
     in
-    Some { db; shifted; theory = Db.theory shifted; parts }
+    Some { shifted; theory = Db.theory shifted; parts }
 
 let is_icwa_model inst m =
   Db.satisfied_by m inst.shifted

@@ -7,7 +7,6 @@ open Ddb_db
     and no integrity clauses. *)
 
 type instance = {
-  db : Db.t;
   shifted : Db.t;  (** negative body literals moved into the heads *)
   theory : Ddb_sat.Minimal.theory;
       (** [shifted] compiled once; every solver of the search copies it *)

@@ -299,32 +299,22 @@ let n_cache_hit = Ddb_obs.Trace.name "cache_hit"
 let n_unwound = Ddb_obs.Trace.name "unwound"
 let n_semantics = Ddb_obs.Trace.name "semantics"
 
-(* The one probe, around every oracle op ([engine.<op>] span) and every
-   fast-path evaluation ([fastpath.<op>] span).  Off (no trace): a single
-   [Trace.enabled ()] test before [f].  On: the span carries the
-   hash-consed theory key; an oracle op's end event carries whether the
-   memo answered, read off the cache_hits delta, so it reflects the op's
-   own memo lookup (nested op spans carry their own attribute).  An op
-   that raises ends its span with [unwound] instead. *)
-let probe ?(fastpath = false) t ~op db f =
-  if not (Ddb_obs.Trace.enabled ()) then f ()
-  else begin
-    let open Ddb_obs.Trace in
-    let span = name ((if fastpath then "fastpath." else "engine.") ^ op) in
-    (let theory = if t.cache then theory_key t db else -1 in
-     begin_args span (if theory >= 0 then [ (n_theory, Int theory) ] else []));
-    let hits0 = t.total.cache_hits in
-    match f () with
-    | r ->
-      end_args span
-        (if fastpath then []
-         else [ (n_cache_hit, Bool (t.total.cache_hits > hits0)) ]);
-      r
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      end_args span [ (n_unwound, Bool true) ];
-      Printexc.raise_with_backtrace e bt
-  end
+(* The one probe, around every oracle op ([engine.<op>] span, opened by
+   [memo]) and every fast-path evaluation ([fastpath.<op>] span).  The span
+   carries the hash-consed theory key; [attrs r] gives its end event's
+   arguments.  An op that raises ends its span with [unwound] instead. *)
+let probe t span db f attrs =
+  let open Ddb_obs.Trace in
+  (let theory = if t.cache then theory_key t db else -1 in
+   begin_args span (if theory >= 0 then [ (n_theory, Int theory) ] else []));
+  match f () with
+  | r ->
+    end_args span (attrs r);
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    end_args span [ (n_unwound, Bool true) ];
+    Printexc.raise_with_backtrace e bt
 
 (* Credit a scope's solver work and wall time to one record. *)
 let credit c (d : Stats.snapshot) wall_ms =
@@ -381,22 +371,37 @@ let scoped t name f =
    [compute] the theory's interned entry on a miss.  An uncached engine
    skips the table and hands [compute] an entry made for this op alone, so
    its solver state is fresh per op.  [compute] builds only the parts of
-   the entry it uses. *)
-let memo t tbl db mk compute =
+   the entry it uses.  The flag says whether the table answered. *)
+let lookup t tbl db mk compute =
   if t.cache then begin
     let key = theory_key t db in
     let k = mk key in
     match Hashtbl.find_opt tbl k with
     | Some v ->
       hit t;
-      v
+      (v, true)
     | None ->
       miss t;
       let v = compute (interned_entry t db key) in
       Hashtbl.add tbl k v;
-      v
+      (v, false)
   end
-  else compute (new_entry db)
+  else (compute (new_entry db), false)
+
+(* One oracle op: a tick, then the lookup.  Off (no trace) the probe is a
+   single [Trace.enabled ()] test.  On, the op is an [engine.<op>] span
+   whose end event's [cache_hit] is this op's own lookup, so an op whose
+   compute makes a nested op's memo hit still reports its own miss. *)
+let memo t ~op tbl db mk compute =
+  tick t;
+  if not (Ddb_obs.Trace.enabled ()) then fst (lookup t tbl db mk compute)
+  else
+    fst
+      (probe t
+         (Ddb_obs.Trace.name ("engine." ^ op))
+         db
+         (fun () -> lookup t tbl db mk compute)
+         (fun (_, own) -> [ (n_cache_hit, Ddb_obs.Trace.Bool own) ]))
 
 (* The Tseitin output literal for [f] on a theory state: encoded once,
    activated per query by assuming it.  Definitional clauses only relate
@@ -425,36 +430,30 @@ let solve_sat ?assumptions st =
 
 (* DB consistency: one SAT call. *)
 let sat t db =
-  tick t;
-  probe t ~op:"sat" db (fun () ->
-      memo t t.bools db (fun key -> qkey key "sat") (fun e ->
-          solve_sat (state e)))
+  memo t ~op:"sat" t.bools db (fun key -> qkey key "sat") (fun e ->
+      solve_sat (state e))
 
 (* DB ∪ {¬x : x ∈ negs} has a model: negation set as assumptions. *)
 let augmented_has_model t db negs =
-  tick t;
-  probe t ~op:"aug_sat" db (fun () ->
-      memo t t.bools db
-        (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
-        (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e)))
+  memo t ~op:"aug_sat" t.bools db
+    (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
+    (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e))
 
 (* A model of DB ∪ {¬x : x ∈ negs} satisfying F: assume the Tseitin output
    of F plus the negation literals, and keep the model the solve finds.  It
    is a brave witness for F and a counterexample to the cautious query ¬F,
    so both read the same memo entry.  The op keeps its entailment name. *)
 let augmented_witness t db negs f =
-  tick t;
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
-  probe t ~op:"aug_entails" db (fun () ->
-      memo t t.witnesses db
-        (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
-        (fun e ->
-          let st = state e in
-          let out = encoded_formula st f in
-          if solve_sat ~assumptions:(out :: neg_assumptions negs) st then
-            Some (Solver.model ~universe:n st.solver)
-          else None))
+  memo t ~op:"aug_entails" t.witnesses db
+    (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
+    (fun e ->
+      let st = state e in
+      let out = encoded_formula st f in
+      if solve_sat ~assumptions:(out :: neg_assumptions negs) st then
+        Some (Solver.model ~universe:n st.solver)
+      else None)
 
 (* DB ∪ {¬x : x ∈ negs} ⊨ F: no model of the augmented theory satisfies ¬F. *)
 let augmented_entails t db negs f =
@@ -468,10 +467,8 @@ let augmented_entails t db negs f =
    family's central object, and the engine's biggest cache win: keyed by
    (theory, P, Q). *)
 let support_set t db part =
-  tick t;
-  probe t ~op:"support" db (fun () ->
-      memo t t.interps db (fun key -> qkey ~part key "support") (fun e ->
-          Minimal.support (compiled e) part))
+  memo t ~op:"support" t.interps db (fun key -> qkey ~part key "support")
+    (fun e -> Minimal.support (compiled e) part)
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)
@@ -482,45 +479,41 @@ let negated_atoms t db part =
    ¬x).  For x ∈ P the two agree by definition of the support set. *)
 let in_some_minimal t db part x =
   if t.cache then Interp.mem (support_set t db part) x
-  else begin
-    tick t;
-    probe t ~op:"in_some_minimal" db (fun () ->
+  else
+    memo t ~op:"in_some_minimal" t.bools db
+      (fun key -> qkey ~part key "in_some_minimal")
+      (fun e ->
         Option.is_some
           (Minimal.find_minimal_such_that
              ~extra:[ [ Lit.Pos x ] ]
-             (Db.theory db) part))
-  end
+             (compiled e) part))
 
 (* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
    like [augmented_witness] and under the entailment op's name. *)
 let minimal_witness ?part t db f =
-  tick t;
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
-  probe t ~op:"mm_entails" db (fun () ->
-      memo t t.witnesses db (fun key -> qkey ~part ~form:f key "mm_entails")
-        (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f))
+  memo t ~op:"mm_entails" t.witnesses db
+    (fun key -> qkey ~part ~form:f key "mm_entails")
+    (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f)
 
 (* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on one
    solver. *)
 let non_entailed_atoms t db =
-  tick t;
-  probe t ~op:"non_entailed" db (fun () ->
-      memo t t.interps db (fun key -> qkey key "non_entailed") (fun e ->
-          let st = state e in
-          Interp.of_pred (Db.num_vars db) (fun x ->
-              solve_sat ~assumptions:[ Lit.Neg x ] st)))
+  memo t ~op:"non_entailed" t.interps db (fun key -> qkey key "non_entailed")
+    (fun e ->
+      let st = state e in
+      Interp.of_pred (Db.num_vars db) (fun x ->
+          solve_sat ~assumptions:[ Lit.Neg x ] st))
 
 (* Generic per-semantics result memo for semantics whose decision procedure
    the engine does not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM): the
    engine still canonicalizes, caches and instruments the answer.  [op] is
    the full op name, [<semantics>/<problem>]. *)
 let cached_bool ?part ?formula t ~op db compute =
-  tick t;
-  probe t ~op db (fun () ->
-      memo t t.bools db (fun key -> qkey ?part ?form:formula key op) (fun _ ->
-          compute ()))
+  memo t ~op t.bools db (fun key -> qkey ?part ?form:formula key op) (fun _ ->
+      compute ())
 
 (* ------------------------------------------------------------------ *)
 (* Fragment classification and polynomial fast paths                   *)
@@ -548,7 +541,8 @@ let classify t db =
 let fastpath_hit t ~op db f =
   bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1) t;
   Ddb_budget.Budget.on_oracle_op ();
-  probe ~fastpath:true t ~op db f
+  if not (Ddb_obs.Trace.enabled ()) then f ()
+  else probe t (Ddb_obs.Trace.name ("fastpath." ^ op)) db f (fun _ -> [])
 
 (* The dispatch layer fell through to the generic oracle path. *)
 let fastpath_miss t =

@@ -157,8 +157,9 @@ val scoped : t -> string -> (unit -> 'a) -> 'a
     is active, the outermost scope is also emitted as a top-level
     [scope.<name>] span — the per-semantics lane the [engine.<op>] spans
     nest under.  Each [engine.<op>] span's end event carries [cache_hit]
-    (whether the memo answered); a span whose op raised ends with
-    [unwound] instead. *)
+    (whether that op's own memo lookup answered, whatever ops nested in
+    its compute did); a span whose op raised ends with [unwound]
+    instead. *)
 
 (** The engine's one counter record: its total and each semantics' bucket.
     The same record is the per-engine, per-scope and merged view. *)

@@ -271,6 +271,38 @@ let op_rows_fold () =
              int_of_float r.latency.Metrics.sum ] ))
        rows)
 
+(* A span's [cache_hit] is its own op's memo lookup: an op that misses
+   while an op nested in its compute hits reports a miss, the nested op a
+   hit, and the profile rows still sum to the stats record. *)
+let nested_op_own_lookup () =
+  let db = Random_db.with_integrity ~seed:13 ~num_vars:5 in
+  let eng = Engine.create () in
+  let spans =
+    with_trace (fun () ->
+        ignore (Engine.sat eng db);
+        ignore
+          (Engine.cached_bool eng ~op:"outer" db (fun () -> Engine.sat eng db)));
+    Trace.spans ()
+  in
+  let hits name =
+    List.filter_map
+      (fun (s : Trace.span) ->
+        if s.name <> name then None
+        else
+          match List.assoc_opt "cache_hit" s.args with
+          | Some (Trace.Bool b) -> Some b
+          | _ -> None)
+      spans
+  in
+  check (list bool) "engine.sat: a miss, then the nested hit" [ false; true ]
+    (hits "engine.sat");
+  check (list bool) "engine.outer: its own miss" [ false ] (hits "engine.outer");
+  let rows = Metrics.op_rows spans and st = Engine.totals eng in
+  check int "hits = cache_hits" st.Engine.cache_hits
+    (sum_rows "engine." (fun r -> r.hits) rows);
+  check int "misses = cache_misses" st.Engine.cache_misses
+    (sum_rows "engine." (fun r -> r.misses) rows)
+
 (* A budget trip inside an op ends its span [unwound]: the trace stays
    balanced, and the op is not counted. *)
 let tripped_ops_unwound () =
@@ -343,5 +375,7 @@ let suites =
           op_rows_fold;
         test_case "a tripped op ends its span unwound" `Quick
           tripped_ops_unwound;
+        test_case "a nested op's hit is not the outer op's" `Quick
+          nested_op_own_lookup;
       ] );
   ]

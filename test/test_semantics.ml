@@ -60,7 +60,9 @@ let agreement_tests =
    reference model sets: two partitions per database, asked on every engine
    configuration.  The engines live for the whole test, so an answer
    memoized at one partition and served at the other would show; half the
-   databases are definite, whose fast-path cells hold at ⟨V;∅;∅⟩ only. *)
+   databases are definite, whose fast-path cells hold at ⟨V;∅;∅⟩ only.
+   Each partition asks one literal of random sign per atom class it has
+   (P, Q, Z): ECWA and CIRC answer each class by a different procedure. *)
 let partition_law sem gen_db =
   let engines = Gen.configurations () in
   QCheck.Test.make ~count:250
@@ -70,9 +72,23 @@ let partition_law sem gen_db =
       let rand = Random.State.make [| seed |] in
       let db = gen_db rand ~num_vars ~num_clauses:(num_vars * 2) in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let l = Lit.Neg (Gen.atom rand num_vars) in
+      let lit_of cls =
+        match Interp.to_list cls with
+        | [] -> None
+        | xs ->
+          let x = List.nth xs (Random.State.int rand (List.length xs)) in
+          Some (if Random.State.bool rand then Lit.Pos x else Lit.Neg x)
+      in
+      let asked =
+        List.map
+          (fun part ->
+            ( part,
+              List.filter_map lit_of
+                [ Partition.p part; Partition.q part; Partition.z part ] ))
+          (List.init 2 (fun _ -> Gen.random_partition rand num_vars))
+      in
       List.for_all
-        (fun part ->
+        (fun (part, lits) ->
           let reference =
             (Gen.record ~part eng sem).Semantics.reference_models db
           in
@@ -84,9 +100,13 @@ let partition_law sem gen_db =
               let s = Gen.record ~part e sem in
               s.Semantics.has_model db = (reference <> [])
               && s.Semantics.infer_formula db f = ref_infer f
-              && s.Semantics.infer_literal db l = ref_infer (Formula.of_lit l))
+              && List.for_all
+                   (fun l ->
+                     s.Semantics.infer_literal db l
+                     = ref_infer (Formula.of_lit l))
+                   lits)
             engines)
-        (List.init 2 (fun _ -> Gen.random_partition rand num_vars)))
+        asked)
 
 let partition_tests =
   let dndb_or_definite rand ~num_vars ~num_clauses =
