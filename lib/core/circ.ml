@@ -120,14 +120,13 @@ let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-(* Packed at [part], by default ⟨V;∅;∅⟩.  Existence and formula answers
-   run on the schema and are memoized per semantics and partition.  A
-   witness is a (P;Z)-minimal model satisfying F — a circumscription model
-   by Lifschitz's theorem — so it comes from the engine's ECWA search, and
-   so do literal answers ({!Ecwa.infer_literal_in}): their engine ops
-   memoize themselves and share ECWA's entries, so the literal field stays
-   outside [via_engine]'s answer memo.  Formula answers and the reference
-   models stay on the schema, the independent cross-check. *)
+(* Packed at [part], by default ⟨V;∅;∅⟩; existence and formula answers
+   memoized per semantics and partition.  A witness is a (P;Z)-minimal
+   model satisfying F — a circumscription model by Lifschitz's theorem —
+   so witnesses and literals are ECWA's.  The engine ops behind ECWA's
+   literals memoize themselves and share ECWA's entries, so that field
+   stays outside [via_engine]'s answer memo: one tick per question, not
+   two. *)
 let semantics_in ?part eng =
   let s =
     Semantics.parametric ?part ~name:"circ"

@@ -13,9 +13,10 @@ open Ddb_engine
    existence is plain consistency — and O(1) on positive DDBs without
    integrity clauses (the all-true interpretation is always a model and
    contains a minimal one), which is Table 1's O(1) cell.  In the finite
-   propositional case ECWA coincides with circumscription (see {!Circ},
-   implemented independently from the circumscription schema; the
-   equivalence is a property test). *)
+   propositional case ECWA coincides with circumscription: {!Circ} answers
+   existence and formulas independently from the circumscription schema
+   (the equivalence is a property test) and takes its literal answers and
+   witnesses from this module. *)
 
 (* A (P;Z)-minimal model satisfying F: one Σ₂ᵖ guess-and-check search.
    The query must live inside the partitioned universe. *)
@@ -37,7 +38,7 @@ let infer_formula_in eng db part f =
        too: a positive P-literal or a Q-literal keeps its falsity going
        down.  One memoized SAT call.
    Z atoms, and atoms outside the partition (which raise), take the
-   witness search. *)
+   witness search.  DESIGN.md §ECWA states this as the literal lemma. *)
 let infer_literal_in eng db part l =
   let x = Lit.atom l in
   if x >= Partition.universe_size part || Interp.mem (Partition.z part) x then

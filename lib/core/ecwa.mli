@@ -2,12 +2,15 @@ open Ddb_logic
 open Ddb_db
 
 (** ECWA — the Extended CWA: [ECWA_{P;Z}(DB) = MM(DB;P;Z)], equivalent to
-    circumscription in the finite propositional case (the independent
-    schema implementation lives in {!Circ}).  The EGCWA of Yahya &
-    Henschen, [EGCWA(DB) = MM(DB)], is the special case Q = Z = ∅ (the
-    registry's [egcwa] record).  Decision procedures run on the record's
-    oracle engine (minimal-model entailment memoized on cached engines);
-    ask them through [Registry.find_in ?part]. *)
+    circumscription in the finite propositional case ({!Circ} answers
+    existence and formulas on its own schema, literals and witnesses
+    through this module).  The EGCWA of Yahya & Henschen,
+    [EGCWA(DB) = MM(DB)], is the special case Q = Z = ∅ (the registry's
+    [egcwa] record).  Decision procedures run on the record's oracle
+    engine: literals over P ∪ Q on the support set and classical
+    entailment, everything else on the minimal-model witness search, all
+    memoized on cached engines; ask them through
+    [Registry.find_in ?part]. *)
 
 val witness_in :
   Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> Interp.t option
