@@ -51,15 +51,15 @@ let reference_models db part =
     (fun m -> Interp.is_empty (Interp.inter m negs))
     (Models.brute_models db)
 
-(* Packed at [part], by default ⟨V;∅;∅⟩.  MM(DB;P;Z) ⊆ CCWA(DB): CCWA is
+(* Asked at [part], by default ⟨V;∅;∅⟩.  MM(DB;P;Z) ⊆ CCWA(DB): CCWA is
    consistent iff DB is, and a positive DDB always is (the all-true
    interpretation is a model). *)
-let semantics_in ?part ~name ~long_name eng =
+let semantics ?part ~name ~long_name () =
   Semantics.parametric ?part ~name ~long_name
     ~applicable:(fun _ -> true)
-    ~has_model:(fun db -> Db.is_positive_ddb db || Engine.sat eng db)
-    ~infer_formula:(infer_formula_in eng) ~infer_literal:(infer_literal_in eng)
-    ~witness:(witness_in eng) reference_models
+    ~has_model:(fun eng db -> Db.is_positive_ddb db || Engine.sat eng db)
+    ~infer_formula:infer_formula_in ~infer_literal:infer_literal_in
+    ~witness:witness_in reference_models
 
 let infer_formula db part f =
   infer_formula_in (Engine.create ~cache:false ~fastpath:false ()) db part f

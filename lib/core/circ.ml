@@ -120,22 +120,21 @@ let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-(* Packed at [part], by default ⟨V;∅;∅⟩; existence and formula answers
+(* Asked at [part], by default ⟨V;∅;∅⟩; existence and formula answers
    memoized per semantics and partition.  A witness is a (P;Z)-minimal
    model satisfying F — a circumscription model by Lifschitz's theorem —
    so witnesses and literals are ECWA's.  The engine ops behind ECWA's
    literals memoize themselves and share ECWA's entries, so that field
    stays outside [via_engine]'s answer memo: one tick per question, not
    two. *)
-let semantics_in ?part eng =
+let semantics ?part () : Semantics.spec =
   let s =
     Semantics.parametric ?part ~name:"circ"
       ~long_name:"Circumscription (McCarthy / Lifschitz schema)"
       ~applicable:(fun _ -> true)
-      ~has_model ~infer_formula ~infer_literal:(Ecwa.infer_literal_in eng)
-      ~witness:(Ecwa.witness_in eng) reference_models
+      ~has_model:(fun _ db -> has_model db)
+      ~infer_formula:(fun _ db part f -> infer_formula db part f)
+      ~infer_literal:Ecwa.infer_literal_in ~witness:Ecwa.witness_in
+      reference_models
   in
-  {
-    (Semantics.via_engine ?part eng s) with
-    Semantics.infer_literal = s.Semantics.infer_literal;
-  }
+  { (Semantics.via_engine ?part s) with infer_literal = s.infer_literal }

@@ -10,8 +10,8 @@ open Ddb_db
 
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
 
-val semantics_in : ?part:Partition.t -> Ddb_engine.Engine.t -> Semantics.t
-(** The registry's [circ] record, packed at [part], by default the total
+val semantics : ?part:Partition.t -> unit -> Semantics.spec
+(** The registry's [circ] record, asked at [part], by default the total
     partition ⟨V;∅;∅⟩; its existence and formula answers are memoized per
     partition ({!Semantics.via_engine}), its literal answers and witnesses
     are ECWA's ({!Ecwa.infer_literal_in}, {!Ecwa.witness_in}), memoized by

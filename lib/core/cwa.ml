@@ -36,14 +36,14 @@ let reference_models db =
   in
   List.filter (fun m -> Interp.is_empty (Interp.inter m negs)) models
 
-let semantics_in eng : Semantics.t =
+let semantics : Semantics.spec =
   {
     name = "cwa";
     long_name = "Closed World Assumption (Reiter)";
     applicable = (fun _ -> true);
-    has_model = has_model_in eng;
-    infer_formula = infer_formula_in eng;
-    infer_literal = infer_literal_in eng;
-    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
+    has_model = has_model_in;
+    infer_formula = infer_formula_in;
+    infer_literal = infer_literal_in;
+    witness = (fun eng db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

@@ -10,6 +10,5 @@ open Ddb_db
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** The registry's [cwa] record on the given engine; ask it through
-    {!Registry.find_in}. *)
+val semantics : Semantics.spec
+(** The registry's [cwa] record; ask it through {!Registry.find_in}. *)

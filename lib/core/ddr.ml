@@ -71,14 +71,14 @@ let has_model_in eng db =
   if not (Db.has_integrity db) then true (* occ itself is a DDR model *)
   else Engine.augmented_has_model eng db (negated_atoms db)
 
-let semantics_in eng : Semantics.t =
+let semantics : Semantics.spec =
   {
     name = "ddr";
     long_name = "Disjunctive Database Rule (Ross & Topor) = Weak GCWA";
     applicable = (fun db -> not (Db.has_negation db));
-    has_model = has_model_in eng;
-    infer_formula = infer_formula_in eng;
-    infer_literal = infer_literal_in eng;
-    witness = (fun db f -> Semantics.two_valued (witness_in eng db f));
+    has_model = has_model_in;
+    infer_formula = infer_formula_in;
+    infer_literal = infer_literal_in;
+    witness = (fun eng db f -> Semantics.two_valued (witness_in eng db f));
     reference_models;
   }

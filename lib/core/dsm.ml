@@ -45,15 +45,15 @@ let reference_models db =
   List.filter (fun m -> is_stable db m) (Models.brute_models db)
 
 (* Engine routing: answers memoized per semantics. *)
-let semantics_in eng =
-  Semantics.via_engine eng
+let semantics =
+  Semantics.via_engine
     {
       name = "dsm";
       long_name = "Disjunctive Stable Models (Przymusinski)";
       applicable = (fun _ -> true);
-      has_model;
-      infer_formula;
-      infer_literal;
-      witness = (fun db f -> Semantics.two_valued (witness db f));
+      has_model = (fun _ db -> has_model db);
+      infer_formula = (fun _ db f -> infer_formula db f);
+      infer_literal = (fun _ db l -> infer_literal db l);
+      witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

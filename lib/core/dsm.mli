@@ -15,6 +15,6 @@ val stable_models : Db.t -> Interp.t list
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** The registry's [dsm] record on the given engine, its answers memoized
+val semantics : Semantics.spec
+(** The registry's [dsm] record, its answers memoized
     ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)

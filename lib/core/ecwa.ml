@@ -54,10 +54,10 @@ let infer_literal_in eng db part l =
 
 let reference_models db part = Models.brute_minimal_models ~part db
 
-(* Packed at [part], by default ⟨V;∅;∅⟩. *)
-let semantics_in ?part ~name ~long_name eng =
+(* Asked at [part], by default ⟨V;∅;∅⟩. *)
+let semantics ?part ~name ~long_name () =
   Semantics.parametric ?part ~name ~long_name
     ~applicable:(fun _ -> true)
-    ~has_model:(fun db -> Db.is_positive_ddb db || Engine.sat eng db)
-    ~infer_formula:(infer_formula_in eng) ~infer_literal:(infer_literal_in eng)
-    ~witness:(witness_in eng) reference_models
+    ~has_model:(fun eng db -> Db.is_positive_ddb db || Engine.sat eng db)
+    ~infer_formula:infer_formula_in ~infer_literal:infer_literal_in
+    ~witness:witness_in reference_models

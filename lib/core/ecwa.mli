@@ -6,8 +6,8 @@ open Ddb_db
     existence and formulas on its own schema, literals and witnesses
     through this module).  The EGCWA of Yahya & Henschen,
     [EGCWA(DB) = MM(DB)], is the special case Q = Z = ∅ (the registry's
-    [egcwa] record).  Decision procedures run on the record's oracle
-    engine: literals over P ∪ Q on the support set and classical
+    [egcwa] record).  Decision procedures run on the engine they are
+    asked on: literals over P ∪ Q on the support set and classical
     entailment, everything else on the minimal-model witness search, all
     memoized on cached engines; ask them through
     [Registry.find_in ?part]. *)
@@ -27,11 +27,11 @@ val infer_literal_in :
     literal takes the witness search.  @raise Invalid_argument if the
     atom is outside the partitioned universe. *)
 
-val semantics_in :
-  ?part:Partition.t -> name:string -> long_name:string ->
-  Ddb_engine.Engine.t -> Semantics.t
-(** The record under the given name, packed at [part], by default the
-    total partition ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry packs it
-    as [egcwa] and [ecwa]; its wrapper ([Fastpath.wrap]) runs every field
+val semantics :
+  ?part:Partition.t -> name:string -> long_name:string -> unit ->
+  Semantics.spec
+(** The record under the given name, asked at [part], by default the
+    total partition ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry names
+    it [egcwa] and [ecwa]; its wrapper ([Fastpath.wrap]) runs every field
     in the [name] scope, so the record opens none of its own.  A query atom
     outside [part]'s universe raises [Invalid_argument]. *)

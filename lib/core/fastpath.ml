@@ -74,19 +74,19 @@ let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
 let definite_answer info k =
   if Lazy.force info.F.consistent then k (Lazy.force info.F.closure) else true
 
-let wrap ?part eng (s : Semantics.t) : Semantics.t =
-  let sem = s.Semantics.name in
+let wrap ?part (s : Semantics.spec) : Semantics.spec =
+  let sem = s.name in
   let in_definite = List.mem sem definite_family in
   let in_perfect = List.mem sem perfect_family in
   let in_occ = List.mem sem occ_family in
   (* pdsm has no routed cell: it is scoped, never classified; every routed
-     cell assumes ⟨V;∅;∅⟩, so neither has a record packed at [part] *)
+     cell assumes ⟨V;∅;∅⟩, so neither has a record asked at [part] *)
   let routed =
     Option.is_none part && (in_definite || in_perfect || in_occ)
   in
   (* The one attribution site: every field runs in the record's scope, so
      its work, wall time and [scope.<name>] span are the semantics' own. *)
-  let scoped f = Engine.scoped eng sem f in
+  let scoped eng f = Engine.scoped eng sem f in
   (* The fast-path op names, built once per record. *)
   let op_exists = sem ^ "/exists"
   and op_formula = sem ^ "/formula"
@@ -94,8 +94,8 @@ let wrap ?part eng (s : Semantics.t) : Semantics.t =
   (* [fast info] decides the route from the cached classification: a hit
      runs as one budget-probed fast-path op, a fall-through records the
      miss and runs the generic procedure. *)
-  let route ~op db fast fallback =
-    scoped (fun () ->
+  let route eng ~op db fast fallback =
+    scoped eng (fun () ->
         if not (routed && Engine.fastpath_enabled eng) then fallback ()
         else
           match fast (Engine.classify eng db) with
@@ -138,15 +138,15 @@ let wrap ?part eng (s : Semantics.t) : Semantics.t =
   {
     s with
     has_model =
-      (fun db ->
-        route ~op:op_exists db fast_exists (fun () -> s.Semantics.has_model db));
+      (fun eng db ->
+        route eng ~op:op_exists db fast_exists (fun () -> s.has_model eng db));
     infer_formula =
-      (fun db f ->
-        route ~op:op_formula db (fast_formula f) (fun () ->
-            s.Semantics.infer_formula db f));
+      (fun eng db f ->
+        route eng ~op:op_formula db (fast_formula f) (fun () ->
+            s.infer_formula eng db f));
     infer_literal =
-      (fun db l ->
-        route ~op:op_literal db (fast_literal db l) (fun () ->
-            s.Semantics.infer_literal db l));
-    witness = (fun db f -> scoped (fun () -> s.Semantics.witness db f));
+      (fun eng db l ->
+        route eng ~op:op_literal db (fast_literal db l) (fun () ->
+            s.infer_literal eng db l));
+    witness = (fun eng db f -> scoped eng (fun () -> s.witness eng db f));
   }

@@ -1,12 +1,13 @@
 (** The registry's wrapper: attribution and tractability-aware fast-path
     dispatch.
 
-    [wrap eng s] returns [s] with every field ([has_model],
+    [wrap s] returns [s] with every field ([has_model],
     [infer_formula], [infer_literal], [witness]) run inside
-    [Engine.scoped eng s.name], whatever the engine's configuration.  This
-    is the only place in [Ddb_core] that opens a scope: a record's oracle
-    work, wall time and [scope.<name>] trace span are its own, and
-    the registry packs every record with it.
+    [Engine.scoped eng s.name] on the engine [eng] it is asked on,
+    whatever the engine's configuration.  This is the only place in
+    [Ddb_core] that opens a scope: a record's oracle work, wall time and
+    [scope.<name>] trace span are its own, and the registry wraps every
+    record with it, once.
 
     The three decision problems are also routed through the engine's
     fragment classifier: when the (semantics, problem, fragment) triple
@@ -20,7 +21,7 @@
     and no fast-path counter moves; the scope stays.
 
     Routed cells (registry semantics at their canonical total partition;
-    with [part], the partition a record is packed at, none is routed):
+    with [part], the partition a record is asked at, none is routed):
     - definite-Horn databases (integrity clauses allowed): CWA, GCWA,
       EGCWA, CCWA, ECWA, CIRC, DDR, PWS and DSM all have the single
       intended model [lfp(DB)] when consistent (and no models otherwise),
@@ -35,6 +36,4 @@
       unique perfect = unique stable model), and their O(1) existence
       cells. *)
 
-val wrap :
-  ?part:Ddb_logic.Partition.t -> Ddb_engine.Engine.t -> Semantics.t ->
-  Semantics.t
+val wrap : ?part:Ddb_logic.Partition.t -> Semantics.spec -> Semantics.spec

@@ -119,15 +119,20 @@ let reference_models db part =
     List.filter (fun m -> is_icwa_model inst m)
       (Models.brute_models inst.shifted)
 
-(* Packed at [part], by default ⟨V;∅;∅⟩; answers memoized per semantics
+(* Asked at [part], by default ⟨V;∅;∅⟩; answers memoized per semantics
    and partition. *)
-let semantics_in ?part eng =
-  let has_model_at = Semantics.at_total_db ?part has_model_at in
-  Semantics.via_engine ?part eng
+let semantics ?part () =
+  let has_model_at =
+    Semantics.at_total_db ?part (fun () -> has_model_at) ()
+  in
+  Semantics.via_engine ?part
     (Semantics.parametric ?part ~name:"icwa"
        ~long_name:"Iterated CWA (Gelfond, Przymusinska & Przymusinski)"
        ~applicable:Stratify.is_stratified
-       ~has_model:(fun db ->
+       ~has_model:(fun _ db ->
          if Db.has_integrity db then has_model_at db
          else Stratify.is_stratified db)
-       ~infer_formula ~infer_literal ~witness reference_models)
+       ~infer_formula:(fun _ db part f -> infer_formula db part f)
+       ~infer_literal:(fun _ db part l -> infer_literal db part l)
+       ~witness:(fun _ db part f -> witness db part f)
+       reference_models)

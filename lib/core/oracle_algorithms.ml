@@ -95,7 +95,7 @@ let entails_linear eng db part f =
     p_size = Interp.cardinal (Partition.p part);
   }
 
-let gcwa_formula_in eng = Semantics.at_total Fun.id (entails_log_in eng)
+let gcwa_formula_in = Semantics.at_total Fun.id entails_log_in
 
 let ccwa_formula_in eng db part f = entails_log_in eng db part f
 

@@ -177,19 +177,19 @@ let reference_models db =
   List.filter_map Three_valued.to_two_valued_opt (partial_stable_models db)
 
 (* Engine routing: answers memoized per semantics. *)
-let semantics_in eng =
-  Semantics.via_engine eng
+let semantics =
+  Semantics.via_engine
     {
       name = "pdsm";
       long_name = "Partial Disjunctive Stable Models (Przymusinski)";
       applicable = (fun _ -> true);
-      has_model;
-      infer_formula;
-      infer_literal;
+      has_model = (fun _ db -> has_model db);
+      infer_formula = (fun _ db f -> infer_formula db f);
+      infer_literal = (fun _ db l -> infer_literal db l);
       witness =
-        (fun db f ->
+        (fun _ db f ->
           Option.map (fun i -> Semantics.Three_valued i) (witness db f));
-      (* Note: for the packed record the reference model set is projected to
+      (* Note: for the record the reference model set is projected to
          the *total* partial stable models; use [partial_stable_models] for
          the full 3-valued picture. *)
       reference_models;

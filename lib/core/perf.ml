@@ -37,15 +37,15 @@ let has_model db =
 let reference_models db = Priority.brute_perfect_models db
 
 (* Engine routing: answers memoized per semantics. *)
-let semantics_in eng =
-  Semantics.via_engine eng
+let semantics =
+  Semantics.via_engine
     {
       name = "perf";
       long_name = "Perfect Model Semantics (Przymusinski)";
       applicable = (fun _ -> true);
-      has_model;
-      infer_formula;
-      infer_literal;
-      witness = (fun db f -> Semantics.two_valued (witness db f));
+      has_model = (fun _ db -> has_model db);
+      infer_formula = (fun _ db f -> infer_formula db f);
+      infer_literal = (fun _ db l -> infer_literal db l);
+      witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

@@ -8,6 +8,6 @@ open Ddb_db
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** The registry's [perf] record on the given engine, its answers memoized
+val semantics : Semantics.spec
+(** The registry's [perf] record, its answers memoized
     ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)

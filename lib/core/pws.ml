@@ -56,15 +56,15 @@ let has_model db =
 let reference_models db = Possible.brute_possible_models db
 
 (* Engine routing: answers memoized per semantics. *)
-let semantics_in eng =
-  Semantics.via_engine eng
+let semantics =
+  Semantics.via_engine
     {
       name = "pws";
       long_name = "Possible Worlds Semantics (Chan) = Possible Models (Sakama)";
       applicable = (fun db -> not (Db.has_negation db));
-      has_model;
-      infer_formula;
-      infer_literal;
-      witness = (fun db f -> Semantics.two_valued (witness db f));
+      has_model = (fun _ db -> has_model db);
+      infer_formula = (fun _ db f -> infer_formula db f);
+      infer_literal = (fun _ db l -> infer_literal db l);
+      witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

@@ -1,65 +1,64 @@
-(* Name → packed semantics, for the CLI, examples and benches.
+(* Name → semantics, for the CLI, examples and benches.
 
    The partition-parametric semantics (CCWA, ECWA, CIRC, ICWA) appear with
-   their canonical total partition ⟨V;∅;∅⟩, and [find_in ~part] packs them
+   their canonical total partition ⟨V;∅;∅⟩, and [find_in ~part] makes them
    at any other ⟨P;Q;Z⟩.  At the total partition CCWA is GCWA and ECWA is
    EGCWA, so the "gcwa" and "egcwa" records are the CCWA and ECWA records
    under their own names; those two are defined at ⟨V;∅;∅⟩ only.
 
-   Every record routes through an oracle engine and is packed by [pack]:
-   the module's [semantics_in eng] wrapped by [Fastpath.wrap eng].
-   [find_in eng]/[all_in eng] pack each record at most once per engine
-   and per domain, and hand out that same physical record afterwards, so a
-   one-shot query ([infer_literal_in] and friends) pays for its answer,
-   not for its wrapping.  A packed record holds no state of its own (all
-   of it lives in the engine), so sharing it cannot change an answer.
-   [find] packs on a fresh engine with neither cache nor fast path — the
-   paper's algorithms as stated, one fresh solver per oracle question.
-   That baseline is a configuration of the same code, not a second copy
-   of it, and each call gets its own engine, so no mutable engine is
-   shared between callers. *)
+   Every record is a constant: the module's spec wrapped by
+   [Fastpath.wrap], once, when this module is initialised.  Its fields
+   take the oracle engine as their first argument, so a one-shot query
+   ([infer_literal_in] and friends) calls the spec on the caller's engine,
+   and [find_in eng]/[all_in eng] hand out the spec bound to [eng].  No
+   record holds state of its own (all of it lives in the engine), so no
+   engine outlives its caller here.  [find] binds a fresh engine with
+   neither cache nor fast path — the paper's algorithms as stated, one
+   fresh solver per oracle question.  That baseline is a configuration of
+   the same code, not a second copy of it, and each call gets its own
+   engine, so no mutable engine is shared between callers. *)
 
 module Engine = Ddb_engine.Engine
 
-(* A record is made on an engine, and a parametric one at a ⟨P;Q;Z⟩ too. *)
+(* A record is a constant, and a parametric one is made at a ⟨P;Q;Z⟩. *)
 type make =
-  | Total of (Engine.t -> Semantics.t)
-  | Parametric of (?part:Ddb_logic.Partition.t -> Engine.t -> Semantics.t)
+  | Total of Semantics.spec
+  | Parametric of (?part:Ddb_logic.Partition.t -> unit -> Semantics.spec)
 
-(* Registry order, name → engine-routed record.  Engine-routed records
-   additionally go through the fragment fast-path dispatcher: tractable
-   (semantics, problem, fragment) cells are answered by the polynomial
-   algorithms of [Ddb_frag], everything else falls back to the generic
-   oracle procedures.  [Engine.create ~fastpath:false] turns the
-   dispatcher off, which restores the pre-dispatch behaviour exactly. *)
+(* Registry order, name → record.  Records additionally go through the
+   fragment fast-path dispatcher: tractable (semantics, problem, fragment)
+   cells are answered by the polynomial algorithms of [Ddb_frag],
+   everything else falls back to the generic oracle procedures.
+   [Engine.create ~fastpath:false] turns the dispatcher off, which
+   restores the pre-dispatch behaviour exactly. *)
 let entries : (string * make) array =
   (* GCWA/EGCWA: the CCWA/ECWA records under their own names, at ⟨V;∅;∅⟩ *)
   [|
-    ("cwa", Total Cwa.semantics_in);
+    ("cwa", Total Cwa.semantics);
     ( "gcwa",
       Total
-        (Ccwa.semantics_in ~name:"gcwa"
-           ~long_name:"Generalized Closed World Assumption (Minker)") );
-    ("ddr", Total Ddr.semantics_in);
-    ("pws", Total Pws.semantics_in);
+        (Ccwa.semantics ~name:"gcwa"
+           ~long_name:"Generalized Closed World Assumption (Minker)" ()) );
+    ("ddr", Total Ddr.semantics);
+    ("pws", Total Pws.semantics);
     ( "egcwa",
       Total
-        (Ecwa.semantics_in ~name:"egcwa"
-           ~long_name:"Extended Generalized CWA (Yahya & Henschen)") );
+        (Ecwa.semantics ~name:"egcwa"
+           ~long_name:"Extended Generalized CWA (Yahya & Henschen)" ()) );
     ( "ccwa",
       Parametric
-        (Ccwa.semantics_in ~name:"ccwa"
+        (Ccwa.semantics ~name:"ccwa"
            ~long_name:
              "Careful Closed World Assumption (Gelfond & Przymusinska)") );
     ( "ecwa",
       Parametric
-        (Ecwa.semantics_in ~name:"ecwa"
+        (Ecwa.semantics ~name:"ecwa"
            ~long_name:"Extended CWA (Gelfond, Przymusinska & Przymusinski)") );
-    ("circ", Parametric Circ.semantics_in);
-    ("icwa", Parametric Icwa.semantics_in);
-    ("perf", Total Perf.semantics_in);
-    ("dsm", Total Dsm.semantics_in);
-    ("pdsm", Total Pdsm.semantics_in);
+    ("circ", Parametric Circ.semantics);
+    ("icwa", Parametric Icwa.semantics);
+    ("perf", Total Perf.semantics);
+    ("dsm", Total Dsm.semantics);
+    ("pdsm", Total Pdsm.semantics);
   |]
 
 let names = Array.to_list (Array.map fst entries)
@@ -72,72 +71,49 @@ let index name =
   in
   go 0
 
-let pack eng i =
-  Fastpath.wrap eng
-    (match snd entries.(i) with Total mk -> mk eng | Parametric mk -> mk eng)
+(* Every record wrapped once, in registry order. *)
+let specs =
+  Array.map
+    (fun (_, mk) ->
+      Fastpath.wrap (match mk with Total s -> s | Parametric mk -> mk ()))
+    entries
 
-(* The records packed for the last engine asked, one slot per registry
-   position, filled on first use: a fresh engine per query packs only the
-   record it asks for.  One memo per domain, so worker domains never share
-   it; a query on another engine replaces it. *)
-type per_engine = { eng : Engine.t; slots : Semantics.t option array }
-
-let memo : per_engine option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let packed eng i =
-  let m =
-    match Domain.DLS.get memo with
-    | Some m when m.eng == eng -> m
-    | _ ->
-      let m = { eng; slots = Array.make (Array.length entries) None } in
-      Domain.DLS.set memo (Some m);
-      m
-  in
-  match m.slots.(i) with
-  | Some s -> s
-  | None ->
-    let s = pack eng i in
-    m.slots.(i) <- Some s;
-    s
-
-let all_in eng = List.init (Array.length entries) (packed eng)
+let all_in eng = Array.to_list (Array.map (Semantics.bind eng) specs)
 
 (* At a given partition only the four parametric records exist; each
-   question packs its own, outside the memo. *)
+   question makes its own. *)
 let find_in ?part eng name =
   match (part, index name) with
-  | None, i -> Option.map (packed eng) i
+  | None, i -> Option.map (fun i -> Semantics.bind eng specs.(i)) i
   | Some part, Some i -> (
     match snd entries.(i) with
-    | Parametric mk -> Some (Fastpath.wrap ~part eng (mk ~part eng))
+    | Parametric mk ->
+      Some (Semantics.bind eng (Fastpath.wrap ~part (mk ~part ())))
     | Total _ -> None)
   | Some _, None -> None
 
-(* Fresh engines bypass the memo, so they never evict a caller's engine. *)
-let find name =
-  Option.map (pack (Engine.create ~cache:false ~fastpath:false ())) (index name)
+let find name = find_in (Engine.create ~cache:false ~fastpath:false ()) name
 
-(* Each record's [applicable] test, read once (the wrapper keeps it as it
-   is): no semantics' test touches its engine. *)
-let applicables =
-  let eng = Engine.create ~cache:false ~fastpath:false () in
-  Array.init (Array.length entries) (fun i -> (pack eng i).Semantics.applicable)
-
+(* No semantics' [applicable] test touches an engine. *)
 let applicable_names db =
-  List.filteri (fun i _ -> applicables.(i) db) names
+  List.filteri (fun i _ -> specs.(i).Semantics.applicable db) names
 
 (* One-shot boolean evaluation by name on a caller-supplied engine: the
    primitive query.  A budget wraps it from outside
    ([Engine.budgeted eng limits ~sem (fun () -> infer_literal_in ...)]);
-   the batch layer's sweeps run the same records (from [all_in], cached
-   per worker shard) that way, and these are the sequential baseline its
-   determinism tests compare against. *)
+   the batch layer's sweeps run every cell that way, on the worker's
+   engine, and these are the sequential baseline its determinism tests
+   compare against. *)
 
-let in_exn eng name =
+let spec_exn name =
   match index name with
-  | Some i -> packed eng i
+  | Some i -> specs.(i)
   | None -> invalid_arg (Printf.sprintf "Registry: unknown semantics %S" name)
 
-let infer_literal_in eng ~sem db l = (in_exn eng sem).Semantics.infer_literal db l
-let infer_formula_in eng ~sem db f = (in_exn eng sem).Semantics.infer_formula db f
-let has_model_in eng ~sem db = (in_exn eng sem).Semantics.has_model db
+let infer_literal_in eng ~sem db l =
+  (spec_exn sem).Semantics.infer_literal eng db l
+
+let infer_formula_in eng ~sem db f =
+  (spec_exn sem).Semantics.infer_formula eng db f
+
+let has_model_in eng ~sem db = (spec_exn sem).Semantics.has_model eng db

@@ -18,9 +18,29 @@ open Ddb_db
        algorithm by SAT / minimality-oracle calls;
      - the *reference engine*: explicit model enumeration over 2^V (or 3^V),
        used as ground truth on small universes by the tests and the
-       engine-ablation bench. *)
+       engine-ablation bench.
+
+   A semantics is a constant [spec]: which oracle engine answers its
+   questions is the first argument of every procedure, not part of the
+   semantics.  [bind eng] fixes it, giving the record callers ask. *)
 
 type model = Two_valued of Interp.t | Three_valued of Three_valued.t
+
+module Engine = Ddb_engine.Engine
+
+(* A semantics as a constant: every decision procedure takes the oracle
+   engine that answers its questions first.  Declared before [t] so that
+   an unannotated field access means [t]'s field. *)
+type spec = {
+  name : string;
+  long_name : string;
+  applicable : Db.t -> bool;
+  has_model : Engine.t -> Db.t -> bool;
+  infer_formula : Engine.t -> Db.t -> Formula.t -> bool;
+  infer_literal : Engine.t -> Db.t -> Lit.t -> bool;
+  witness : Engine.t -> Db.t -> Formula.t -> model option;
+  reference_models : Db.t -> Interp.t list;
+}
 
 type t = {
   name : string;
@@ -35,40 +55,75 @@ type t = {
   reference_models : Db.t -> Interp.t list;
 }
 
+let bind eng (s : spec) : t =
+  {
+    name = s.name;
+    long_name = s.long_name;
+    applicable = s.applicable;
+    has_model = s.has_model eng;
+    infer_formula = s.infer_formula eng;
+    infer_literal = s.infer_literal eng;
+    witness = s.witness eng;
+    reference_models = s.reference_models;
+  }
+
 let two_valued w = Option.map (fun m -> Two_valued m) w
 
 (* Pad the database universe so that query atoms beyond it are legal. *)
 let for_query db f =
   Db.with_universe db (max (Db.num_vars db) (Formula.max_atom f + 1))
 
-(* The registry's packing of a partition-parametric semantics.  The branch
-   is taken once, when the record is packed. *)
+(* A database asked at a partition must fit in its universe: the
+   partition places every atom, and an atom it does not place would be
+   neither minimized, fixed nor varied. *)
+let fits part =
+  let n = Partition.universe_size part in
+  fun db ->
+    let m = Db.num_vars db in
+    if m > n then
+      invalid_arg
+        (Printf.sprintf
+           "Semantics: a database over %d atoms asked at a partition over %d"
+           m n)
+
+(* How a record asks a partition-parametric procedure.  The branch is
+   taken once, when the record is made. *)
 let at_total ?part formula_of k =
   match part with
   | None ->
-    fun db q ->
+    fun e db q ->
       let db = for_query db (formula_of q) in
-      k db (Partition.minimize_all (Db.num_vars db)) q
+      k e db (Partition.minimize_all (Db.num_vars db)) q
   | Some part ->
-    let n = Partition.universe_size part in
-    fun db q -> k (Db.with_universe db n) part q
+    let n = Partition.universe_size part and fits = fits part in
+    fun e db q ->
+      fits db;
+      k e (Db.with_universe db n) part q
 
 let at_total_db ?part k =
-  let k = at_total ?part (fun () -> Formula.True) (fun db p () -> k db p) in
-  fun db -> k db ()
+  let k = at_total ?part (fun () -> Formula.True) (fun e db p () -> k e db p) in
+  fun e db -> k e db ()
 
 let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
-    ~infer_literal ~witness reference_models =
+    ~infer_literal ~witness reference_models : spec =
   let witness = at_total ?part Fun.id witness in
+  let reference_models = at_total_db ?part (fun () -> reference_models) () in
   {
     name;
     long_name;
     applicable;
-    has_model;
+    has_model =
+      (match part with
+      | None -> has_model
+      | Some part ->
+        let fits = fits part in
+        fun eng db ->
+          fits db;
+          has_model eng db);
     infer_formula = at_total ?part Fun.id infer_formula;
     infer_literal = at_total ?part Formula.of_lit infer_literal;
-    witness = (fun db f -> two_valued (witness db f));
-    reference_models = at_total_db ?part reference_models;
+    witness = (fun eng db f -> two_valued (witness eng db f));
+    reference_models;
   }
 
 (* Memoize a semantics' answers in the oracle engine without decomposing
@@ -76,25 +131,24 @@ let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
    the database's canonical key and the record's partition, if any (an
    uncached engine always runs the procedure).  Attribution is not done
    here: the registry's wrapper ({!Fastpath.wrap}) runs every field in the
-   record's scope.  The
-   closed-world family calls the engine's oracle ops directly instead. *)
-let via_engine ?part eng (s : t) : t =
-  let open Ddb_engine in
+   record's scope.  The closed-world family calls the engine's oracle ops
+   directly instead. *)
+let via_engine ?part (s : spec) : spec =
   let op_exists = s.name ^ "/exists"
   and op_formula = s.name ^ "/formula"
   and op_literal = s.name ^ "/literal" in
   {
     s with
     has_model =
-      (fun db ->
+      (fun eng db ->
         Engine.cached_bool ?part eng ~op:op_exists db (fun () ->
-            s.has_model db));
+            s.has_model eng db));
     infer_formula =
-      (fun db f ->
+      (fun eng db f ->
         Engine.cached_bool ?part eng ~op:op_formula ~formula:f db (fun () ->
-            s.infer_formula db f));
+            s.infer_formula eng db f));
     infer_literal =
-      (fun db l ->
+      (fun eng db l ->
         Engine.cached_bool ?part eng ~op:op_literal ~formula:(Formula.of_lit l)
-          db (fun () -> s.infer_literal db l));
+          db (fun () -> s.infer_literal eng db l));
   }

@@ -1,13 +1,31 @@
 open Ddb_logic
 open Ddb_db
 
-(** The uniform face of a disjunctive database semantics: a packed record of
-    the three decision problems the paper studies (literal inference,
-    formula inference, model existence), the witness search behind them,
-    plus a reference engine. *)
+(** The uniform face of a disjunctive database semantics: a record of the
+    three decision problems the paper studies (literal inference, formula
+    inference, model existence), the witness search behind them, plus a
+    reference engine.
+
+    A semantics is a constant {!spec}: one decision procedure per problem,
+    each taking the oracle engine that answers its questions as its first
+    argument.  {!bind} fixes the engine and gives the {!t} callers ask. *)
 
 type model = Two_valued of Interp.t | Three_valued of Three_valued.t
 (** An intended model: two-valued, or 3-valued for PDSM. *)
+
+type spec = {
+  name : string;
+  long_name : string;
+  applicable : Db.t -> bool;
+  has_model : Ddb_engine.Engine.t -> Db.t -> bool;
+  infer_formula : Ddb_engine.Engine.t -> Db.t -> Formula.t -> bool;
+  infer_literal : Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool;
+  witness : Ddb_engine.Engine.t -> Db.t -> Formula.t -> model option;
+  reference_models : Db.t -> Interp.t list;
+}
+(** A semantics as the modules of [Ddb_core] define it: the fields of {!t},
+    each decision procedure and the witness search taking the engine
+    first. *)
 
 type t = {
   name : string;
@@ -28,6 +46,9 @@ type t = {
           small universes; exponential). *)
 }
 
+val bind : Ddb_engine.Engine.t -> spec -> t
+(** The semantics asked on the given engine. *)
+
 val two_valued : Interp.t option -> model option
 
 val for_query : Db.t -> Formula.t -> Db.t
@@ -35,31 +56,36 @@ val for_query : Db.t -> Formula.t -> Db.t
 
 val at_total :
   ?part:Partition.t -> ('q -> Formula.t) ->
-  (Db.t -> Partition.t -> 'q -> 'a) -> Db.t -> 'q -> 'a
-(** [at_total ?part formula_of k db q] runs a partition-parametric
-    procedure the way the registry packs it.  Without [part], [k] gets
-    [db] padded for the query ({!for_query} of [formula_of q]), the total
-    partition ⟨V;∅;∅⟩ of the padded universe, and [q]: this is how GCWA and
-    EGCWA are CCWA and ECWA.  With [part], [k] gets [db] padded to
-    [part]'s universe, [part] and [q].  Applied to [k], it picks its
+  ('e -> Db.t -> Partition.t -> 'q -> 'a) -> 'e -> Db.t -> 'q -> 'a
+(** [at_total ?part formula_of k e db q] runs a partition-parametric
+    procedure the way a record asks it; [e] (the engine, in a {!spec}) is
+    passed through.  Without [part], [k] gets [db] padded for the query
+    ({!for_query} of [formula_of q]), the total partition ⟨V;∅;∅⟩ of the
+    padded universe, and [q]: this is how GCWA and EGCWA are CCWA and
+    ECWA.  With [part], [k] gets [db] padded to [part]'s universe, [part]
+    and [q]; a database wider than [part]'s universe raises
+    [Invalid_argument] naming both sizes.  Applied to [k], it picks its
     branch once. *)
 
 val at_total_db :
-  ?part:Partition.t -> (Db.t -> Partition.t -> 'a) -> Db.t -> 'a
+  ?part:Partition.t -> ('e -> Db.t -> Partition.t -> 'a) -> 'e -> Db.t -> 'a
 (** {!at_total} for a question without a query. *)
 
 val parametric :
   ?part:Partition.t -> name:string -> long_name:string ->
-  applicable:(Db.t -> bool) -> has_model:(Db.t -> bool) ->
-  infer_formula:(Db.t -> Partition.t -> Formula.t -> bool) ->
-  infer_literal:(Db.t -> Partition.t -> Lit.t -> bool) ->
-  witness:(Db.t -> Partition.t -> Formula.t -> Interp.t option) ->
-  (Db.t -> Partition.t -> Interp.t list) -> t
+  applicable:(Db.t -> bool) ->
+  has_model:(Ddb_engine.Engine.t -> Db.t -> bool) ->
+  infer_formula:(Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> bool) ->
+  infer_literal:(Ddb_engine.Engine.t -> Db.t -> Partition.t -> Lit.t -> bool) ->
+  witness:(Ddb_engine.Engine.t -> Db.t -> Partition.t -> Formula.t -> Interp.t option) ->
+  (Db.t -> Partition.t -> Interp.t list) -> spec
 (** The record of a partition-parametric semantics (CCWA, ECWA, CIRC,
-    ICWA) from its ⟨P;Q;Z⟩ procedures and reference model set, each
-    packed at [part] by {!at_total} or {!at_total_db}. *)
+    ICWA) from its ⟨P;Q;Z⟩ procedures and reference model set, each asked
+    at [part] by {!at_total} or {!at_total_db}.  With [part], every field
+    raises [Invalid_argument] on a database wider than [part]'s
+    universe. *)
 
-val via_engine : ?part:Partition.t -> Ddb_engine.Engine.t -> t -> t
+val via_engine : ?part:Partition.t -> spec -> spec
 (** The answer memo for semantics whose procedures the engine does not
     decompose: each decision problem's answer is memoized under the
     database's canonical key and [part]

@@ -1,19 +1,5 @@
-(** Log₂-bucketed latency histograms with p50/p90/p99 summaries, and the
-    per-op latency table folded from a trace's spans. *)
-
-(** {1 Histograms}
-
-    Bucket 0 holds values < 1; bucket [i] holds [[2^(i-1), 2^i)].
-    Percentile estimates are bucket upper edges clamped to the observed
-    [min, max] — within a factor of 2 of the true order statistic. *)
-
-type histogram
-
-val histogram : unit -> histogram
-(** An empty histogram. *)
-
-val observe : histogram -> float -> unit
-(** Record one (non-negative; clamped) latency/size sample. *)
+(** Latency summaries by exact order statistics, and the per-op latency
+    table folded from a trace's spans. *)
 
 type summary = {
   count : int;
@@ -25,8 +11,10 @@ type summary = {
   p99 : float;
 }
 
-val summarize : histogram -> summary
-(** All-zero summary for an empty histogram. *)
+val summarize : float list -> summary
+(** Count, sum, extrema and nearest-rank percentiles of the samples: [p50]
+    is the ⌈50·count/100⌉-th smallest sample, and so on.  All zero for no
+    samples. *)
 
 (** {1 Per-op rows} *)
 

@@ -13,15 +13,12 @@ module Budget = Ddb_budget.Budget
    table is recomputed by shard 3 the first time it lands there) — that is
    the price of lock-freedom, and exactly what [Engine.merge_stats]
    quantifies: merged cache hits drop as jobs grow, merged oracle answers
-   do not change.
-
-   The semantics records ([Registry.all_in engine]) are built once per
-   shard at creation; sweeps only look them up by name. *)
+   do not change.  A cell asks [Registry]'s one-shot queries on its
+   worker's engine. *)
 
 type t = {
   pool : Pool.t;
   engines : Engine.t array;
-  sems : (string * Semantics.t) list array; (* per worker, registry order *)
   pinned : bool; (* sweeps run item k on worker k mod jobs *)
 }
 
@@ -31,15 +28,7 @@ let create ?jobs ?(cache = true) ?(fastpath = true)
   let engines =
     Array.init (Pool.jobs pool) (fun _ -> Engine.create ~cache ~fastpath ())
   in
-  let sems =
-    Array.map
-      (fun eng ->
-        List.map
-          (fun (s : Semantics.t) -> (s.Semantics.name, s))
-          (Registry.all_in eng))
-      engines
-  in
-  { pool; engines; sems; pinned }
+  { pool; engines; pinned }
 
 let engines t = Array.to_list t.engines
 let shutdown t = Pool.shutdown t.pool
@@ -47,11 +36,6 @@ let shutdown t = Pool.shutdown t.pool
 let with_batch ?jobs ?cache ?fastpath ?pinned f =
   let t = create ?jobs ?cache ?fastpath ?pinned () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let sem_for t ~worker name =
-  match List.assoc_opt name t.sems.(worker) with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Batch: unknown semantics %S" name)
 
 let default_sems db = function
   | Some names -> names
@@ -83,8 +67,8 @@ let per_semantics names lits answers =
   in
   go names answers
 
-(* Every cell of every sweep: the boolean query [q] on the worker's record
-   for [name], under its own fresh budget token minted from [limits] inside
+(* Every cell of every sweep: the boolean query [q] on the worker's
+   engine, asked of semantics [name], under its own fresh budget token minted from [limits] inside
    the task — so per-cell wall deadlines start when the cell starts and
    logical caps are context-free per cell.  The token joins the
    [cancel_on_error] group, so one task exception degrades the remaining
@@ -94,9 +78,8 @@ let per_semantics names lits answers =
    [Unknown] cells is identical at every job count (the
    parallel-determinism law in test/test_budget.ml). *)
 let cell t ?retry ?group ~limits ~worker name q =
-  let s = sem_for t ~worker name in
-  Engine.budgeted ?retry ?group t.engines.(worker) limits ~sem:name (fun () ->
-      q s)
+  let eng = t.engines.(worker) in
+  Engine.budgeted ?retry ?group eng limits ~sem:name (fun () -> q eng)
 
 let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
     db =
@@ -106,8 +89,8 @@ let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
   let answers =
     Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error
       (fun ~worker (name, l) ->
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
-            s.Semantics.infer_literal db l))
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
+            Registry.infer_literal_in eng ~sem:name db l))
       items
   in
   per_semantics names lits answers
@@ -118,8 +101,8 @@ let all_semantics t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
   Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
       ( name,
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
-            s.Semantics.infer_formula db f) ))
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
+            Registry.infer_formula_in eng ~sem:name db f) ))
     names
 
 let exists_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
@@ -128,8 +111,8 @@ let exists_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
   Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
     (fun ~worker name ->
       ( name,
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun s ->
-            s.Semantics.has_model db) ))
+        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
+            Registry.has_model_in eng ~sem:name db) ))
     names
 
 let totals t = Engine.merge_stats (engines t)

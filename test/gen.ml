@@ -153,7 +153,7 @@ module Semantics = Ddb_core.Semantics
    fresh solver per oracle question. *)
 let baseline () = Engine.create ~cache:false ~fastpath:false ()
 
-(* The named registry record on [eng], packed at [part] when given. *)
+(* The named registry record on [eng], made at [part] when given. *)
 let record ?part eng sem = Option.get (Ddb_core.Registry.find_in ?part eng sem)
 
 (* Every engine configuration: cache on/off × fast path on/off. *)
@@ -165,7 +165,7 @@ let configurations () =
     [ (true, true); (true, false); (false, true); (false, false) ]
 
 (* A semantics' answers read off its brute-force model set: existence, and
-   truth in every model.  PDSM's packed reference holds only the total
+   truth in every model.  PDSM's record's reference holds only the total
    partial stable models, so its answers come from the 3-valued ones. *)
 let reference_answers (s : Semantics.t) db =
   if s.Semantics.name = "pdsm" then

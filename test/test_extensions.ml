@@ -432,8 +432,8 @@ let qcheck_pdsm_witnesses =
 (* Witness completeness: the search returns [None] exactly when no
    reference model gives F the value 1, and otherwise one that does.  A
    two-valued model is compared as a total 3-valued one; PDSM's reference
-   set is its partial stable models, every other semantics' the packed
-   [reference_models]. *)
+   set is its partial stable models, every other semantics'
+   its record's [reference_models]. *)
 let witness_complete (s : Semantics.t) db f =
   let models =
     if s.Semantics.name = "pdsm" then Pdsm.partial_stable_models db

@@ -417,7 +417,7 @@ let split_suite =
             check "blocks iff equal" (Interp.equal candidate m) blocked)
           (Interp.all 3));
     Alcotest.test_case "semantics registry consistency" `Quick (fun () ->
-        (* every packed record finds the one intended model of "a." as the
+        (* every record finds the one intended model of "a." as the
            witness of a *)
         List.iter
           (fun (s : Semantics.t) ->

@@ -7,7 +7,7 @@ module Metrics = Ddb_obs.Metrics
 module Engine = Ddb_engine.Engine
 module Budget = Ddb_budget.Budget
 
-(* Tests for the observability layer: histogram summaries, the trace
+(* Tests for the observability layer: latency summaries, the trace
    recorder (balanced spans, deterministic logical-clock output, probe
    gating), the engine/solver probe sites, the profile table's agreement
    with the stats record, and the pinned scheduler that makes parallel
@@ -16,21 +16,19 @@ module Budget = Ddb_budget.Budget
 (* --- Histogram summaries --- *)
 
 let metrics_summary_sanity () =
-  let h = Metrics.histogram () in
-  List.iter (Metrics.observe h) [ 3.; 700.; 0.2; 15.; 15.; 90. ];
-  let s = Metrics.summarize h in
+  let s = Metrics.summarize [ 3.; 700.; 0.2; 15.; 15.; 90. ] in
   check int "count" 6 s.Metrics.count;
   check (float 1e-9) "sum" 823.2 s.Metrics.sum;
   check (float 1e-9) "min" 0.2 s.Metrics.min;
   check (float 1e-9) "max" 700. s.Metrics.max;
-  check bool "percentiles ordered" true
-    (s.Metrics.p50 <= s.Metrics.p90 && s.Metrics.p90 <= s.Metrics.p99);
-  check bool "percentiles clamped to [min,max]" true
-    (s.Metrics.p50 >= s.Metrics.min && s.Metrics.p99 <= s.Metrics.max);
-  (* log2 buckets: a p50 estimate is within a factor of 2 of the true
-     median (here between 15 and 90) *)
-  check bool "p50 near the median" true
-    (s.Metrics.p50 >= 8. && s.Metrics.p50 <= 180.)
+  (* nearest rank over 0.2 3 15 15 90 700: the 3rd, 6th and 6th smallest *)
+  check (float 0.) "p50" 15. s.Metrics.p50;
+  check (float 0.) "p90" 700. s.Metrics.p90;
+  check (float 0.) "p99" 700. s.Metrics.p99;
+  let one = Metrics.summarize [ 4. ] in
+  check (list (float 0.)) "one sample" [ 4.; 4.; 4.; 4.; 4. ]
+    Metrics.[ one.min; one.p50; one.p90; one.p99; one.max ];
+  check int "no samples" 0 (Metrics.summarize []).Metrics.count
 
 (* --- Trace recorder mechanics --- *)
 
@@ -345,7 +343,7 @@ let suites =
   [
     ( "obs.metrics",
       [
-        test_case "summary: count/sum/extrema/percentile sanity" `Quick
+        test_case "summary: count/sum/extrema/exact percentiles" `Quick
           metrics_summary_sanity;
       ] );
     ( "obs.trace",

@@ -35,7 +35,7 @@ let engines_agree ?(only_applicable = true) sem gen_db =
       end)
 
 let agreement_tests =
-  (* PDSM is excluded here: its model set is 3-valued, so the packed
+  (* PDSM is excluded here: its model set is 3-valued, so its record's
      reference is not the entailment base; it gets its own tests below.
      ICWA's databases carry integrity clauses, which can exclude every ICWA
      model, so its existence answer is checked beyond the O(1) cell. *)
@@ -108,20 +108,48 @@ let partition_law sem gen_db =
             engines)
         asked)
 
+(* A partition places every atom of the database it is asked about: a
+   database over 4 atoms asked at a partition over 2 is refused by every
+   field of every parametric record, with both sizes named, before any
+   engine op sees the mismatched universes. *)
+let wider_database_is_refused () =
+  let db = Db.of_string "a | b. c :- a. d." in
+  let part = Partition.of_lists 2 ~p:[ 0 ] ~q:[ 1 ] ~z:[] in
+  let expected =
+    Invalid_argument
+      "Semantics: a database over 4 atoms asked at a partition over 2"
+  in
+  List.iter
+    (fun name ->
+      let s = Option.get (Registry.find_in ~part eng name) in
+      List.iter
+        (fun (field, ask) ->
+          Alcotest.check_raises (name ^ " " ^ field) expected (fun () ->
+              ignore (ask ())))
+        [
+          ("has_model", fun () -> s.Semantics.has_model db);
+          ("infer_literal", fun () -> s.Semantics.infer_literal db (Lit.Neg 2));
+          ("infer_formula", fun () -> s.Semantics.infer_formula db (Formula.Atom 0));
+          ("witness", fun () -> Option.is_some (s.Semantics.witness db (Formula.Atom 0)));
+        ])
+    [ "ccwa"; "ecwa"; "circ"; "icwa" ]
+
 let partition_tests =
   let dndb_or_definite rand ~num_vars ~num_clauses =
     if Random.State.bool rand then Gen.dndb rand ~num_vars ~num_clauses
     else Gen.definite_db rand ~num_vars ~num_clauses
   in
-  List.map QCheck_alcotest.to_alcotest
-    [
-      partition_law "ccwa" dndb_or_definite;
-      partition_law "ecwa" dndb_or_definite;
-      partition_law "circ" dndb_or_definite;
-      partition_law "icwa" (fun rand ~num_vars ~num_clauses ->
-          Gen.stratified_db ~integrity:true rand ~num_vars ~num_clauses
-            ~layers:2);
-    ]
+  Alcotest.test_case "a database wider than the partition is refused" `Quick
+    wider_database_is_refused
+  :: List.map QCheck_alcotest.to_alcotest
+       [
+         partition_law "ccwa" dndb_or_definite;
+         partition_law "ecwa" dndb_or_definite;
+         partition_law "circ" dndb_or_definite;
+         partition_law "icwa" (fun rand ~num_vars ~num_clauses ->
+             Gen.stratified_db ~integrity:true rand ~num_vars ~num_clauses
+               ~layers:2);
+       ]
 
 (* --- the paper's equivalences --- *)
 
