@@ -53,7 +53,8 @@ let semantics =
       applicable = (fun _ -> true);
       has_model = (fun _ db -> has_model db);
       infer_formula = (fun _ db f -> infer_formula db f);
-      infer_literal = (fun _ db l -> infer_literal db l);
+      infer_literal =
+        Semantics.harvested_literal ~op:"dsm/intended" is_stable infer_literal;
       witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

@@ -30,6 +30,11 @@ let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
 
+(* The perfectness check, built once per database. *)
+let perfect db =
+  let priority = Priority.compute db and solver = Db.solver db in
+  fun m -> Option.is_none (Priority.find_preferable ~solver db priority m)
+
 (* A positive DDB's perfect models are its (nonempty) minimal models. *)
 let has_model db =
   Db.is_positive_ddb db || Option.is_some (find_perfect_such_that db)
@@ -45,7 +50,8 @@ let semantics =
       applicable = (fun _ -> true);
       has_model = (fun _ db -> has_model db);
       infer_formula = (fun _ db f -> infer_formula db f);
-      infer_literal = (fun _ db l -> infer_literal db l);
+      infer_literal =
+        Semantics.harvested_literal ~op:"perf/intended" perfect infer_literal;
       witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

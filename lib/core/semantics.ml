@@ -126,6 +126,23 @@ let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
     reference_models;
   }
 
+(* Literal inference for a semantics whose intended models are the
+   ⊆-minimal models passing [check]: ¬x holds iff x is true in no intended
+   model, and x iff x is false in none.  A sweep reads both from the
+   engine's harvested consequences ([Engine.consequences], memoized under
+   [op]); a theory's first question, an uncached engine and an atom beyond
+   the universe run the semantics' own [search]. *)
+let harvested_literal ~op check search eng db l =
+  match
+    if Lit.atom l < Db.num_vars db then Engine.consequences eng ~op db check
+    else None
+  with
+  | Some (brave_true, brave_false) -> (
+    match l with
+    | Lit.Pos x -> not (Interp.mem brave_false x)
+    | Lit.Neg x -> not (Interp.mem brave_true x))
+  | None -> search db l
+
 (* Memoize a semantics' answers in the oracle engine without decomposing
    its decision procedure: each decision problem's answer is cached under
    the database's canonical key and the record's partition, if any (an

@@ -85,6 +85,17 @@ val parametric :
     raises [Invalid_argument] on a database wider than [part]'s
     universe. *)
 
+val harvested_literal :
+  op:string -> (Db.t -> Interp.t -> bool) -> (Db.t -> Lit.t -> bool) ->
+  Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
+(** [harvested_literal ~op check search]: literal inference for a semantics
+    whose intended models are the ⊆-minimal models [m] with [check db m]
+    (PERF, DSM).  ¬x holds iff x is true in no intended model, x iff x is
+    false in none, both read from {!Ddb_engine.Engine.consequences} under
+    [op]; when it answers [None] (an uncached engine, a theory's first
+    question) or the atom lies beyond the universe, [search db l]
+    answers. *)
+
 val via_engine : ?part:Partition.t -> spec -> spec
 (** The answer memo for semantics whose procedures the engine does not
     decompose: each decision problem's answer is memoized under the

@@ -460,15 +460,18 @@ let augmented_entails t db negs f =
   Option.is_none (augmented_witness t db negs (Formula.not_ f))
 
 (* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
-   harvested by [Minimal.support]: one candidate solver and one minimizer
-   per set, each plain descent adding its P-atoms and blocking its cone.
-   The rounds number at most the distinct minimal (P,Q)-sections plus one
+   harvested by [Minimal.harvest] with P's atoms as targets and no check:
+   one candidate solver and one minimizer per set, each plain descent
+   adding its P-atoms and blocking its cone.  The rounds number at most the distinct minimal (P,Q)-sections plus one
    (a round may add no atom and only block a section).  The closed-world
    family's central object, and the engine's biggest cache win: keyed by
    (theory, P, Q). *)
 let support_set t db part =
   memo t ~op:"support" t.interps db (fun key -> qkey ~part key "support")
-    (fun e -> Minimal.support (compiled e) part)
+    (fun e ->
+      fst
+        (Minimal.harvest (compiled e) part ~pos:(Partition.p part)
+           ~neg:(Interp.empty (Db.num_vars db))))
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)
@@ -481,12 +484,45 @@ let in_some_minimal t db part x =
   if t.cache then Interp.mem (support_set t db part) x
   else
     memo t ~op:"in_some_minimal" t.bools db
-      (fun key -> qkey ~part key "in_some_minimal")
+      (fun key -> qkey ~negs:[ x ] ~part key "in_some_minimal")
       (fun e ->
         Option.is_some
           (Minimal.find_minimal_such_that
              ~extra:[ [ Lit.Pos x ] ]
              (compiled e) part))
+
+(* The literals true in some intended model: bit x of the memoized set
+   when x is true in one, bit n + x when x is false in one, harvested by
+   [Minimal.harvest] at the total partition with all ±x as targets and
+   [check db] screening each minimal model.  Only from a theory's second
+   question on: the first one leaves a mark in [bools] and gets [None], so
+   a one-shot question runs its caller's own search and costs what it
+   costs on an uncached engine.  Uncached engines always get [None]: one
+   search per question, as the paper states it. *)
+let consequences t ~op db check =
+  if not t.cache then None
+  else
+    let asked = qkey (theory_key t db) op in
+    if not (Hashtbl.mem t.bools asked) then begin
+      Hashtbl.add t.bools asked true;
+      None
+    end
+    else
+      let n = Db.num_vars db in
+      let s =
+        memo t ~op t.interps db (fun key -> qkey key op) (fun e ->
+            let all = Interp.full n in
+            let brave_true, brave_false =
+              Minimal.harvest ~check:(check db) (compiled e)
+                (Partition.minimize_all n) ~pos:all ~neg:all
+            in
+            Interp.of_pred (2 * n) (fun i ->
+                if i < n then Interp.mem brave_true i
+                else Interp.mem brave_false (i - n)))
+      in
+      Some
+        ( Interp.of_pred n (Interp.mem s),
+          Interp.of_pred n (fun x -> Interp.mem s (n + x)) )
 
 (* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
    like [augmented_witness] and under the entailment op's name. *)

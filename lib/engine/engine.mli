@@ -75,6 +75,19 @@ val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
     from the memoized support set; uncached engines issue the paper's one
     constrained minimal-model query.  The atom must belong to [P]. *)
 
+val consequences :
+  t -> op:string -> Db.t -> (Db.t -> Interp.t -> bool) ->
+  (Interp.t * Interp.t) option
+(** [Some (brave_true, brave_false)]: the atoms true, and the atoms false,
+    in some ⊆-minimal model [m] of the database with [check db m] — its
+    intended models, for a semantics whose models are the minimal models
+    passing [check].  One {!Ddb_sat.Minimal.harvest} with every ±x as a
+    target, memoized per (theory, [op]) (op [<semantics>/intended]).  The
+    answer is [None] on uncached engines, which keep one search per
+    question, and on a theory's first question under [op]: a one-shot
+    question costs its caller's own search, and the harvest is built from
+    the second question on. *)
+
 val minimal_witness :
   ?part:Partition.t -> t -> Db.t -> Formula.t -> Interp.t option
 (** A (P;Z)-minimal model satisfying [F] (default partition: minimize

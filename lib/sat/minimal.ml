@@ -173,47 +173,57 @@ let find_minimal_such_that ?(extra = []) ?(check = fun _ -> true) theory part
 let all_minimal theory part =
   List.rev (search ~first:false ~extra:[] ~check:(fun _ -> true) theory part)
 
-(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
-   harvested from plain descents on one candidate solver and one minimizer:
+(* The harvest loop: the target literals (atoms of [pos] true, atoms of
+   [neg] false) that hold in some (P;Z)-minimal model passing [check],
+   from plain descents on one candidate solver and one minimizer:
 
-     add (∨ missing P-atoms) to the candidate solver;
+     add (∨ missing target literals) to the candidate solver;
      candidate <- SAT(theory ∧ clauses so far);
      m̂ <- minimize candidate within the theory alone;
-     S <- S ∪ (m̂ ∩ P); block the cone of m̂ and iterate.
+     if [check m̂]: add m̂'s target literals; block the cone of m̂ and iterate.
 
-   Every m̂ is (P;Z)-minimal, so its P-atoms belong in S and no minimality
-   check is needed.  The missing set only shrinks, so each new "some
-   missing atom" clause implies the earlier ones and stays a plain clause.
-   Sound: a minimal model inside cone(m̂) has m̂'s P-section, so the block
-   hides no unseen atom.  Complete: on UNSAT every model with a missing
-   atom lies in a blocked cone, and a minimal one there adds nothing.
-   Each SAT round finds a minimal (P,Q)-section outside every earlier
-   cone, so the rounds number at most the distinct minimal (P,Q)-sections
-   plus one. *)
-let support theory part =
-  let p = Partition.p part in
+   Every m̂ is (P;Z)-minimal, so no minimality check is needed.  The
+   missing set only shrinks, so each new "some missing literal" clause
+   implies the earlier ones and stays a plain clause.  Sound and complete
+   for targets over P ∪ Q when [check] gives one verdict per minimal
+   (P,Q)-section: a minimal model inside cone(m̂) has m̂'s (P,Q)-section,
+   so it has m̂'s target literals and verdict, and the block hides none
+   (DESIGN.md §2).  Under the total partition that holds for every target
+   and every [check]: cone(m̂) holds one minimal model, m̂ itself.  On
+   UNSAT every model with a missing literal lies in a blocked cone, and a
+   minimal one there adds nothing.  Each SAT round finds a minimal
+   (P,Q)-section outside every earlier cone, so the rounds number at most
+   the distinct minimal (P,Q)-sections plus one. *)
+let harvest ?(check = fun _ -> true) theory part ~pos ~neg =
   let n = theory.num_vars in
   let candidate_solver = solver_of theory in
   let minimizer = solver_of theory in
-  let rec grow s =
-    let missing = Interp.diff p s in
-    if Interp.is_empty missing then s
+  let rec grow ((t, f) as found) =
+    let missing_t = Interp.diff pos t and missing_f = Interp.diff neg f in
+    if Interp.is_empty missing_t && Interp.is_empty missing_f then found
     else begin
       Solver.add_clause candidate_solver
-        (Interp.fold (fun x acc -> Lit.Pos x :: acc) missing []);
-      harvest s
+        (Interp.fold
+           (fun x acc -> Lit.Pos x :: acc)
+           missing_t
+           (Interp.fold (fun x acc -> Lit.Neg x :: acc) missing_f []));
+      round found
     end
-  and harvest s =
+  and round ((t, f) as found) =
     match Solver.solve candidate_solver with
-    | Solver.Unsat -> s
+    | Solver.Unsat -> found
     | Solver.Sat ->
       let m = Solver.model ~universe:n candidate_solver in
       let m_hat = minimize_with minimizer part m in
       Solver.add_clause candidate_solver (cone_blocking part m_hat);
-      let s' = Interp.union s (Interp.inter m_hat p) in
-      if Interp.equal s' s then harvest s else grow s'
+      if not (check m_hat) then round found
+      else
+        let t' = Interp.union t (Interp.inter m_hat pos)
+        and f' = Interp.union f (Interp.diff neg m_hat) in
+        if Interp.equal t' t && Interp.equal f' f then round found
+        else grow (t', f')
   in
-  grow (Interp.empty n)
+  grow (Interp.empty n, Interp.empty n)
 
 (* Reference implementation over explicit model lists (for tests). *)
 

@@ -50,15 +50,26 @@ val find_minimal_such_that :
     partition.  The model found charges the ambient {!Ddb_budget.Budget}
     enumeration cap. *)
 
-val support : theory -> Partition.t -> Interp.t
-(** The support set S = \{x ∈ P : x true in some (P;Z)-minimal model\}
-    ([empty] when the theory is inconsistent).  One candidate solver and
-    one minimizer serve the whole set: each round asks for a model with a
-    still-missing P-atom outside the blocked cones, descends from it to a
-    minimal model in the plain theory, adds that model's P-atoms and blocks
-    its cone.  No plain-minimality check is needed.  The rounds number at
-    most the distinct minimal (P,Q)-sections plus one — not |P| + 1, since a
-    round may add no atom and only block a section. *)
+val harvest :
+  ?check:(Interp.t -> bool) ->
+  theory ->
+  Partition.t ->
+  pos:Interp.t ->
+  neg:Interp.t ->
+  Interp.t * Interp.t
+(** [(t, f)]: the atoms of [pos] true, and the atoms of [neg] false, in
+    some (P;Z)-minimal model passing [check] (default: every model); both
+    [empty] when the theory is inconsistent.  With [pos = P], [neg = ∅]
+    and no [check], [t] is the support set
+    S = \{x ∈ P : x true in some (P;Z)-minimal model\}.  One candidate solver and one
+    minimizer serve the whole harvest: each round asks for a model with a
+    still-missing target literal outside the blocked cones, descends from
+    it to a minimal model in the plain theory, adds that model's target
+    literals if it passes [check] and blocks its cone.  No plain-minimality
+    check is needed.  The targets must lie in P ∪ Q and [check] must give
+    one verdict per minimal (P,Q)-section; under the total partition both
+    always hold.  The rounds number at most the distinct minimal
+    (P,Q)-sections plus one. *)
 
 val all_minimal : theory -> Partition.t -> Interp.t list
 (** One (P;Z)-minimal model per minimal (P,Q)-section, each completed on Z

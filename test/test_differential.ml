@@ -99,6 +99,47 @@ let qcheck_cached_equals_uncached =
       in
       errors = [] || QCheck.Test.fail_report (String.concat "; " errors))
 
+(* PERF and DSM literal sweeps on a cached engine read one harvested
+   consequence set per theory.  A full ± sweep, forward and reversed, each
+   on fresh engines of all four configurations, must answer as the
+   reference model set does.  On the cached engine without fast paths the
+   first question runs its own search and the second builds the harvest,
+   so the other 2n − 2 answers are its memo hits. *)
+let qcheck_harvested_sweeps =
+  QCheck.Test.make ~count:(count 40)
+    ~name:"PERF/DSM ± sweeps read the harvest ≡ reference, both orders, all configurations"
+    seeds (fun seed ->
+      let rand = rand_of seed in
+      let num_vars = 1 + Random.State.int rand 7 in
+      let num_clauses = 2 * num_vars in
+      let db =
+        if Random.State.bool rand then Gen.dndb rand ~num_vars ~num_clauses
+        else Gen.dddb_with_integrity rand ~num_vars ~num_clauses
+      in
+      let lits =
+        List.concat_map (fun x -> [ Lit.Neg x; Lit.Pos x ]) (List.init num_vars Fun.id)
+      in
+      let errors =
+        List.concat_map
+          (fun sem ->
+            List.concat_map
+              (fun lits ->
+                let engines = Gen.configurations () in
+                let wrong = Gen.differential ~engines ~sem db ~lits ~formulas:[] in
+                let harvested =
+                  List.assoc "cache=true fastpath=false" engines
+                in
+                let hits = (Engine.totals harvested).Engine.cache_hits in
+                if hits = (2 * num_vars) - 2 then wrong
+                else
+                  Printf.sprintf "%s: %d memo hits, not %d" sem hits
+                    ((2 * num_vars) - 2)
+                  :: wrong)
+              [ lits; List.rev lits ])
+          [ "perf"; "dsm" ]
+      in
+      errors = [] || QCheck.Test.fail_report (String.concat "; " errors))
+
 let suites =
   [
     ( "differential",
@@ -109,5 +150,6 @@ let suites =
           qcheck_ecwa_equals_circ;
           qcheck_minimal_models_coincide;
           qcheck_cached_equals_uncached;
+          qcheck_harvested_sweeps;
         ] );
   ]

@@ -161,6 +161,52 @@ let counterexample_is_a_memo_hit () =
       check int (sem ^ ": no miss") 0 (moved (fun t -> t.Engine.cache_misses)))
     [ ("gcwa", 2); ("egcwa", 1) ]
 
+(* PERF/DSM literals on a cached engine: a one-shot question makes exactly
+   the SAT calls of an uncached engine (the paper's one search per
+   literal), the second question of a sweep builds the harvested
+   consequence set, and questions 3…2n are answered from it without a SAT
+   call. *)
+let harvest_from_the_second_question () =
+  let sat eng = (Engine.totals eng).Engine.sat_solve_calls in
+  List.iter
+    (fun (wname, db) ->
+      let lits =
+        List.concat_map
+          (fun x -> [ Lit.Neg x; Lit.Pos x ])
+          (List.init (Db.num_vars db) Fun.id)
+      in
+      List.iter
+        (fun sem ->
+          let ctx what = Printf.sprintf "%s/%s: %s" wname sem what in
+          List.iter
+            (fun l ->
+              let one_shot cache =
+                let eng = Engine.create ~cache ~fastpath:false () in
+                ignore (Registry.infer_literal_in eng ~sem db l);
+                sat eng
+              in
+              check int
+                (ctx (Lit.to_string l ^ " one-shot: cached = uncached"))
+                (one_shot false) (one_shot true))
+            lits;
+          let eng = Engine.create ~fastpath:false () in
+          let ask l = ignore (Registry.infer_literal_in eng ~sem db l) in
+          match lits with
+          | first :: second :: rest ->
+            ask first;
+            ask second;
+            let harvested = sat eng in
+            List.iter ask rest;
+            check int (ctx "questions 3…2n make no SAT call") harvested
+              (sat eng)
+          | _ -> fail (ctx "fewer than two literals"))
+        [ "perf"; "dsm" ])
+    [
+      ("normal-6", Random_db.normal ~seed:14 ~num_vars:6);
+      ("integrity-7", Random_db.with_integrity ~seed:12 ~num_vars:7);
+      ("quickstart", Db.of_string "dog | cat. sleeping. :- cat, sleeping. muddy :- dog.");
+    ]
+
 (* --- instrumentation --- *)
 
 (* Fixed pigeonhole instance: the global conflict/decision/propagation
@@ -586,6 +632,8 @@ let suites =
           repeat_queries_hit_cache;
         test_case "a failed query's counterexample is a memo hit" `Quick
           counterexample_is_a_memo_hit;
+        test_case "PERF/DSM literals: one-shot = uncached, questions 3…2n free"
+          `Quick harvest_from_the_second_question;
       ] );
     ( "engine.instrumentation",
       [

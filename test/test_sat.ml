@@ -402,8 +402,8 @@ let qcheck_is_minimal_matches_reference =
           = List.exists (Interp.equal m) reference)
         models)
 
-(* [Minimal.support] against the brute-force definition of the support set:
-   the P-atoms true in some (P;Z)-minimal model.  Q and Z are never empty;
+(* [Minimal.harvest] of P's atoms against the brute-force definition of the
+   support set: the P-atoms true in some (P;Z)-minimal model.  Q and Z are never empty;
    P is empty on many small universes, and one theory in eight carries a
    contradiction, so S = ∅ is checked too. *)
 let qcheck_support_matches_reference =
@@ -436,7 +436,49 @@ let qcheck_support_matches_reference =
           (minimal_reference ~num_vars cnf part)
       in
       Interp.equal expected
-        (Minimal.support (Minimal.theory ~num_vars cnf) part))
+        (fst
+           (Minimal.harvest (Minimal.theory ~num_vars cnf) part
+              ~pos:(Partition.p part) ~neg:(Interp.empty num_vars))))
+
+(* [Minimal.harvest] at the total partition against its brute-force
+   definition: the atoms of [pos] true, and of [neg] false, in some
+   ⊆-minimal model passing [check].  The targets are random subsets and
+   [check] a random predicate, so a harvest that skips a model, or stops
+   while literals are missing, shows. *)
+let qcheck_harvest_matches_reference =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"harvest matches brute-force reference (both polarities, a check)"
+    QCheck.(triple (int_bound 99999) (int_range 1 7) (int_range 0 12))
+    (fun (seed, num_vars, num_clauses) ->
+      let rand = Random.State.make [| seed |] in
+      (* Mostly positive literals, so a theory has many minimal models. *)
+      let cnf =
+        List.init num_clauses (fun _ ->
+            List.init
+              (1 + Random.State.int rand 3)
+              (fun _ ->
+                let v = Random.State.int rand num_vars in
+                if Random.State.int rand 4 = 0 then Lit.Neg v else Lit.Pos v))
+      in
+      let subset () =
+        Interp.of_pred num_vars (fun _ -> Random.State.int rand 3 = 0)
+      in
+      let pos = subset () and neg = subset () in
+      let check m = Hashtbl.hash (seed, Interp.to_list m) mod 3 <> 0 in
+      let part = Partition.minimize_all num_vars in
+      let intended =
+        List.filter check (minimal_reference ~num_vars cnf part)
+      in
+      let union f =
+        List.fold_left
+          (fun s m -> Interp.union s (f m))
+          (Interp.empty num_vars) intended
+      in
+      let t, f =
+        Minimal.harvest ~check (Minimal.theory ~num_vars cnf) part ~pos ~neg
+      in
+      Interp.equal t (union (Interp.inter pos))
+      && Interp.equal f (union (fun m -> Interp.diff neg m)))
 
 (* The asserting encoder: an interpretation satisfies F iff F's clauses
    plus the interpretation's units are satisfiable. *)
@@ -554,5 +596,6 @@ let suites =
           qcheck_find_minimal_such_that_matches_reference;
           qcheck_is_minimal_matches_reference;
           qcheck_support_matches_reference;
+          qcheck_harvest_matches_reference;
         ] );
   ]
