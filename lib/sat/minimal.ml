@@ -180,7 +180,8 @@ let all_minimal theory part =
      add (∨ missing target literals) to the candidate solver;
      candidate <- SAT(theory ∧ clauses so far);
      m̂ <- minimize candidate within the theory alone;
-     if [check m̂]: add m̂'s target literals; block the cone of m̂ and iterate.
+     if [check m̂]: drop m̂'s target literals from the missing ones;
+     block the cone of m̂ and iterate.
 
    Every m̂ is (P;Z)-minimal, so no minimality check is needed.  The
    missing set only shrinks, so each new "some missing literal" clause
@@ -198,32 +199,36 @@ let harvest ?(check = fun _ -> true) theory part ~pos ~neg =
   let n = theory.num_vars in
   let candidate_solver = solver_of theory in
   let minimizer = solver_of theory in
-  let rec grow ((t, f) as found) =
-    let missing_t = Interp.diff pos t and missing_f = Interp.diff neg f in
-    if Interp.is_empty missing_t && Interp.is_empty missing_f then found
+  (* [missing_t]: the atoms of [pos] true in no model collected so far;
+     [missing_f]: the atoms of [neg] false in none. *)
+  let rec grow missing_t missing_f =
+    if Interp.is_empty missing_t && Interp.is_empty missing_f then
+      (missing_t, missing_f)
     else begin
       Solver.add_clause candidate_solver
         (Interp.fold
            (fun x acc -> Lit.Pos x :: acc)
            missing_t
            (Interp.fold (fun x acc -> Lit.Neg x :: acc) missing_f []));
-      round found
+      round missing_t missing_f
     end
-  and round ((t, f) as found) =
+  and round missing_t missing_f =
     match Solver.solve candidate_solver with
-    | Solver.Unsat -> found
+    | Solver.Unsat -> (missing_t, missing_f)
     | Solver.Sat ->
       let m = Solver.model ~universe:n candidate_solver in
       let m_hat = minimize_with minimizer part m in
       Solver.add_clause candidate_solver (cone_blocking part m_hat);
-      if not (check m_hat) then round found
+      if not (check m_hat) then round missing_t missing_f
       else
-        let t' = Interp.union t (Interp.inter m_hat pos)
-        and f' = Interp.union f (Interp.diff neg m_hat) in
-        if Interp.equal t' t && Interp.equal f' f then round found
-        else grow (t', f')
+        let t = Interp.diff missing_t m_hat
+        and f = Interp.inter missing_f m_hat in
+        if Interp.equal t missing_t && Interp.equal f missing_f then
+          round missing_t missing_f
+        else grow t f
   in
-  grow (Interp.empty n, Interp.empty n)
+  let missing_t, missing_f = grow pos neg in
+  (Interp.diff pos missing_t, Interp.diff neg missing_f)
 
 (* Reference implementation over explicit model lists (for tests). *)
 
