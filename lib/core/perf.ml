@@ -15,25 +15,17 @@ open Ddb_db
 (* Some perfect model satisfying [query] (any perfect model without it). *)
 let find_perfect_such_that ?query db =
   let n = Db.num_vars db in
-  let priority = Priority.compute db in
   let theory = Db.theory db in
-  let check_solver = Ddb_sat.Minimal.solver_of theory in
   Ddb_sat.Minimal.find_minimal_such_that
     ~extra:(Models.guard ~universe:n query)
-    ~check:(fun m ->
-      Option.is_none
-        (Priority.find_preferable ~solver:check_solver db priority m))
+    ~check:
+      (Priority.perfectness ~solver:(Ddb_sat.Minimal.solver_of theory) db)
     theory (Partition.minimize_all n)
 
 let witness db f = find_perfect_such_that ~query:f (Semantics.for_query db f)
 let infer_formula db f = Option.is_none (witness db (Formula.not_ f))
 
 let infer_literal db l = infer_formula db (Formula.of_lit l)
-
-(* The perfectness check, built once per database. *)
-let perfect db =
-  let priority = Priority.compute db and solver = Db.solver db in
-  fun m -> Option.is_none (Priority.find_preferable ~solver db priority m)
 
 (* A positive DDB's perfect models are its (nonempty) minimal models. *)
 let has_model db =
@@ -51,7 +43,8 @@ let semantics =
       has_model = (fun _ db -> has_model db);
       infer_formula = (fun _ db f -> infer_formula db f);
       infer_literal =
-        Semantics.harvested_literal ~op:"perf/intended" perfect infer_literal;
+        Semantics.harvested_literal ~op:"perf/intended" Priority.perfectness
+          infer_literal;
       witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

@@ -102,6 +102,14 @@ let find_preferable ?solver db t m =
   Solver.add_clause solver [ Lit.Neg sel ];
   outcome
 
+(* The perfectness test on minimal models of [db]: the priority is
+   computed once, and each test is one [find_preferable] call on
+   [solver]. *)
+let perfectness ?solver db =
+  let t = compute db in
+  let solver = match solver with Some s -> s | None -> Db.solver db in
+  fun m -> Option.is_none (find_preferable ~solver db t m)
+
 let is_perfect ?priority db m =
   let t = match priority with Some t -> t | None -> compute db in
   Db.satisfied_by m db && Option.is_none (find_preferable db t m)
@@ -125,9 +133,4 @@ let brute_perfect_models db =
 
 (* All perfect models via minimal-model enumeration + the SAT check
    (perfect ⊆ minimal). *)
-let perfect_models db =
-  let t = compute db in
-  let check_solver = Db.solver db in
-  List.filter
-    (fun m -> Option.is_none (find_preferable ~solver:check_solver db t m))
-    (Models.minimal_models db)
+let perfect_models db = List.filter (perfectness db) (Models.minimal_models db)

@@ -11,10 +11,11 @@ val compute : Db.t -> t
 val lt : t -> int -> int -> bool
 (** [lt t x y]: x < y (y has strictly higher priority). *)
 
-val find_preferable :
-  ?solver:Solver.t -> Db.t -> t -> Interp.t -> Interp.t option
-(** A model preferable to the given model, if any — one SAT call.  The
-    optional solver must contain exactly the database theory. *)
+val perfectness : ?solver:Solver.t -> Db.t -> Interp.t -> bool
+(** [perfectness db m]: no model of [db] is preferable to the minimal model
+    [m], i.e. [m] is perfect.  The priority relation is computed once per
+    [perfectness db]; each test is one SAT call on [solver] (default: a
+    fresh one), which must contain exactly the database theory. *)
 
 val is_perfect : ?priority:t -> Db.t -> Interp.t -> bool
 
