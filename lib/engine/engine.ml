@@ -462,10 +462,10 @@ let augmented_entails t db negs f =
 (* The support set S = {x ∈ P : x true in some (P;Z)-minimal model},
    harvested by [Minimal.harvest] with P's atoms as targets and no check:
    one candidate solver and one minimizer per set, each plain descent
-   adding its P-atoms and blocking its cone.  The rounds number at most the distinct minimal (P,Q)-sections plus one
-   (a round may add no atom and only block a section).  The closed-world
-   family's central object, and the engine's biggest cache win: keyed by
-   (theory, P, Q). *)
+   adding its P-atoms and blocking its cone.  The rounds number at most
+   the distinct minimal (P,Q)-sections plus one (a round may add no atom
+   and only block a section).  The closed-world family's central object,
+   and the engine's biggest cache win: keyed by (theory, P, Q). *)
 let support_set t db part =
   memo t ~op:"support" t.interps db (fun key -> qkey ~part key "support")
     (fun e ->
