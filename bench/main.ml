@@ -9,12 +9,14 @@
      dune exec bench/main.exe -- ablation  — reference vs oracle engine crossover
      dune exec bench/main.exe -- extensions  — brave/WFS/CWA-log studies
      dune exec bench/main.exe -- fastpath  — fragment dispatch vs generic oracle
+     dune exec bench/main.exe -- overhead  — fixed cost of a warmed question
 
    Flags (after the section name):
      --jobs N       worker domains for the pooled sections (table1, table2,
                     ablation); default 1 so timing ladders keep
                     their historical sequential shape
-     --json FILE    write the machine-readable sections (engine, fastpath)
+     --json FILE    write the machine-readable sections (engine, fastpath,
+                    overhead)
                     to FILE as one JSON object with a self-describing
                     "meta" header
      --trace PREFIX write Chrome trace-event JSON files (Perfetto): one
@@ -26,7 +28,7 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|fastpath|all] [--jobs N] [--json FILE] [--trace PREFIX]"
+    "usage: main.exe [table1|table2|engine|oracle|reductions|ablation|extensions|fastpath|overhead|all] [--jobs N] [--json FILE] [--trace PREFIX]"
 
 let () =
   let mode = ref "all" and jobs = ref None and json_path = ref None in
@@ -79,6 +81,7 @@ let () =
   section "ablation" (Ablation.run ?jobs);
   section "extensions" Extensions_bench.run;
   json_section "fastpath" Harness.fastpath_bench;
+  json_section "overhead" Overhead_bench.run;
   (match !json_path with
   | None -> ()
   | Some path ->

@@ -44,6 +44,9 @@ let stable_models db = List.filter (is_stable db) (Models.minimal_models db)
 let reference_models db =
   List.filter (fun m -> is_stable db m) (Models.brute_models db)
 
+(* The op DSM's harvested consequences are memoized under. *)
+let intended = Ddb_engine.Engine.op "dsm/intended"
+
 (* Engine routing: answers memoized per semantics. *)
 let semantics =
   Semantics.via_engine
@@ -51,10 +54,10 @@ let semantics =
       name = "dsm";
       long_name = "Disjunctive Stable Models (Przymusinski)";
       applicable = (fun _ -> true);
-      has_model = (fun _ db -> has_model db);
+      has_model = Semantics.harvested_exists ~op:intended has_model;
       infer_formula = (fun _ db f -> infer_formula db f);
       infer_literal =
-        Semantics.harvested_literal ~op:"dsm/intended" is_stable infer_literal;
+        Semantics.harvested_literal ~op:intended is_stable infer_literal;
       witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;
     }

@@ -1,5 +1,4 @@
 open Ddb_logic
-open Ddb_db
 module Engine = Ddb_engine.Engine
 module F = Ddb_frag.Frag
 
@@ -69,10 +68,30 @@ let occ_family = [ "ddr"; "pws" ]
 let strat_gate (fr : F.t) = fr.F.stratified && fr.F.normal && fr.F.no_integrity
 let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
 
-(* Inference against the definite database's model set: evaluation in the
-   least model, vacuously true when the integrity clauses empty it. *)
-let definite_answer info k =
-  if Lazy.force info.F.consistent then k (Lazy.force info.F.closure) else true
+(* The routed cell a question lands in, picked from the cached
+   classification: evaluation in the definite database's least model
+   (vacuously true when its integrity clauses empty the model set), in
+   the stratified database's perfect model, or outside the positive
+   database's occurrence closure (Chan's cell, ¬x only). *)
+type cell = Generic | Least | Perfect | Underivable
+
+(* A routed cell's answer, [holds] evaluating the query in a model. *)
+let answer holds cell info q =
+  match cell with
+  | Least ->
+    (not (Lazy.force info.F.consistent))
+    || holds (Lazy.force info.F.closure) q
+  | Perfect -> holds (Lazy.force info.F.perfect) q
+  | Underivable -> holds (Lazy.force info.F.closure) q
+  | Generic -> invalid_arg "Fastpath.answer: the generic cell"
+
+let formula_answer cell info f = answer eval_model cell info f
+let literal_answer cell info l = answer lit_true cell info l
+
+(* Existence: the definite database's consistency, and O(1) on a
+   stratified one. *)
+let exists_answer cell info () =
+  match cell with Least -> Lazy.force info.F.consistent | _ -> true
 
 let wrap ?part (s : Semantics.spec) : Semantics.spec =
   let sem = s.name in
@@ -85,68 +104,51 @@ let wrap ?part (s : Semantics.spec) : Semantics.spec =
     Option.is_none part && (in_definite || in_perfect || in_occ)
   in
   (* The one attribution site: every field runs in the record's scope, so
-     its work, wall time and [scope.<name>] span are the semantics' own. *)
-  let scoped eng f = Engine.scoped eng sem f in
-  (* The fast-path op names, built once per record. *)
-  let op_exists = sem ^ "/exists"
-  and op_formula = sem ^ "/formula"
-  and op_literal = sem ^ "/literal" in
-  (* [fast info] decides the route from the cached classification: a hit
-     runs as one budget-probed fast-path op, a fall-through records the
-     miss and runs the generic procedure. *)
-  let route eng ~op db fast fallback =
-    scoped eng (fun () ->
-        if not (routed && Engine.fastpath_enabled eng) then fallback ()
-        else
-          match fast (Engine.classify eng db) with
-          | Some thunk -> Engine.fastpath_hit eng ~op db thunk
-          | None ->
-            Engine.fastpath_miss eng;
-            fallback ())
-  in
-  let fast_formula f info =
+     its work, wall time and [scope.<name>] span are the semantics' own.
+     The handle and the fast-path ops are resolved once per record. *)
+  let h = Engine.scope sem in
+  let op_exists = Engine.op (sem ^ "/exists")
+  and op_formula = Engine.op (sem ^ "/formula")
+  and op_literal = Engine.op (sem ^ "/literal") in
+  let model_cell info =
     let fr = info.F.frag in
-    if in_definite && fr.F.definite then
-      Some (fun () -> definite_answer info (fun m -> eval_model m f))
-    else if in_perfect && strat_gate fr then
-      Some (fun () -> eval_model (Lazy.force info.F.perfect) f)
-    else None
+    if in_definite && fr.F.definite then Least
+    else if in_perfect && strat_gate fr then Perfect
+    else Generic
   in
-  let fast_literal db l info =
-    let fr = info.F.frag in
-    if in_definite && fr.F.definite then
-      Some (fun () -> definite_answer info (fun m -> lit_true m l))
-    else if in_perfect && strat_gate fr then
-      Some (fun () -> lit_true (Lazy.force info.F.perfect) l)
+  let exists_cell info () = model_cell info
+  and formula_cell info (_ : Formula.t) = model_cell info
+  and literal_cell info l =
+    match (model_cell info, l) with
+    | Generic, Lit.Neg _ when in_occ && pos_gate info.F.frag -> Underivable
+    | cell, _ -> cell
+  in
+  (* The route, from the cached classification: a hit is evaluated as one
+     budget-probed fast-path op, a fall-through records the miss and runs
+     the generic procedure.  Every argument is passed, none captured, so
+     an untraced question allocates no closure. *)
+  let ask ~op cell_of answer generic eng db q =
+    if not (routed && Engine.fastpath_enabled eng) then generic eng db q
     else
-      match l with
-      | Lit.Neg x when in_occ && pos_gate fr ->
-        (* Chan's cell: DDR/PWS ⊨ ¬x iff x is underivable. *)
-        Some
-          (fun () ->
-            x >= Db.num_vars db
-            || not (Interp.mem (Lazy.force info.F.closure) x))
-      | _ -> None
+      let info = Engine.classify eng db in
+      match cell_of info q with
+      | Generic ->
+        Engine.fastpath_miss eng;
+        generic eng db q
+      | cell -> Engine.fastpath_hit eng ~op db answer cell info q
   in
-  let fast_exists info =
-    let fr = info.F.frag in
-    if in_definite && fr.F.definite then
-      Some (fun () -> Lazy.force info.F.consistent)
-    else if in_perfect && strat_gate fr then Some (fun () -> true)
-    else None
+  let has_model eng db () = s.has_model eng db in
+  let exists eng db () =
+    ask ~op:op_exists exists_cell exists_answer has_model eng db ()
+  and formula eng db f =
+    ask ~op:op_formula formula_cell formula_answer s.infer_formula eng db f
+  and literal eng db l =
+    ask ~op:op_literal literal_cell literal_answer s.infer_literal eng db l
   in
   {
     s with
-    has_model =
-      (fun eng db ->
-        route eng ~op:op_exists db fast_exists (fun () -> s.has_model eng db));
-    infer_formula =
-      (fun eng db f ->
-        route eng ~op:op_formula db (fast_formula f) (fun () ->
-            s.infer_formula eng db f));
-    infer_literal =
-      (fun eng db l ->
-        route eng ~op:op_literal db (fast_literal db l) (fun () ->
-            s.infer_literal eng db l));
-    witness = (fun eng db f -> scoped eng (fun () -> s.witness eng db f));
+    has_model = (fun eng db -> Engine.scoped eng h exists db ());
+    infer_formula = (fun eng db f -> Engine.scoped eng h formula db f);
+    infer_literal = (fun eng db l -> Engine.scoped eng h literal db l);
+    witness = (fun eng db f -> Engine.scoped eng h s.witness db f);
   }

@@ -33,6 +33,9 @@ let has_model db =
 
 let reference_models db = Priority.brute_perfect_models db
 
+(* The op PERF's harvested consequences are memoized under. *)
+let intended = Ddb_engine.Engine.op "perf/intended"
+
 (* Engine routing: answers memoized per semantics. *)
 let semantics =
   Semantics.via_engine
@@ -40,10 +43,10 @@ let semantics =
       name = "perf";
       long_name = "Perfect Model Semantics (Przymusinski)";
       applicable = (fun _ -> true);
-      has_model = (fun _ db -> has_model db);
+      has_model = Semantics.harvested_exists ~op:intended has_model;
       infer_formula = (fun _ db f -> infer_formula db f);
       infer_literal =
-        Semantics.harvested_literal ~op:"perf/intended" Priority.perfectness
+        Semantics.harvested_literal ~op:intended Priority.perfectness
           infer_literal;
       witness = (fun _ db f -> Semantics.two_valued (witness db f));
       reference_models;

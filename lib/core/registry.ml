@@ -63,13 +63,14 @@ let entries : (string * make) array =
 
 let names = Array.to_list (Array.map fst entries)
 
-let index name =
-  let rec go i =
-    if i = Array.length entries then None
-    else if String.equal (fst entries.(i)) name then Some i
-    else go (i + 1)
-  in
-  go 0
+(* The entry's position, or -1: a loop over its arguments, so a one-shot
+   question's lookup allocates nothing. *)
+let rec index_from i name =
+  if i = Array.length entries then -1
+  else if String.equal (fst entries.(i)) name then i
+  else index_from (i + 1) name
+
+let index name = index_from 0 name
 
 (* Every record wrapped once, in registry order. *)
 let specs =
@@ -84,13 +85,13 @@ let all_in eng = Array.to_list (Array.map (Semantics.bind eng) specs)
    question makes its own. *)
 let find_in ?part eng name =
   match (part, index name) with
-  | None, i -> Option.map (fun i -> Semantics.bind eng specs.(i)) i
-  | Some part, Some i -> (
+  | _, -1 -> None
+  | None, i -> Some (Semantics.bind eng specs.(i))
+  | Some part, i -> (
     match snd entries.(i) with
     | Parametric mk ->
       Some (Semantics.bind eng (Fastpath.wrap ~part (mk ~part ())))
     | Total _ -> None)
-  | Some _, None -> None
 
 let find name = find_in (Engine.create ~cache:false ~fastpath:false ()) name
 
@@ -107,8 +108,8 @@ let applicable_names db =
 
 let spec_exn name =
   match index name with
-  | Some i -> specs.(i)
-  | None -> invalid_arg (Printf.sprintf "Registry: unknown semantics %S" name)
+  | -1 -> invalid_arg (Printf.sprintf "Registry: unknown semantics %S" name)
+  | i -> specs.(i)
 
 let infer_literal_in eng ~sem db l =
   (spec_exn sem).Semantics.infer_literal eng db l

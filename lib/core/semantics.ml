@@ -143,6 +143,18 @@ let harvested_literal ~op check search eng db l =
     | Lit.Neg x -> not (Interp.mem brave_true x))
   | None -> search db l
 
+(* Existence for the same semantics: over n ≥ 1 atoms every intended
+   model makes some literal true, so one exists iff brave_true ∪
+   brave_false ≠ ∅.  Only a harvest some literal question already built
+   is read ([Engine.harvested]); otherwise [search db] answers. *)
+let harvested_exists ~op search eng db =
+  match
+    if Db.num_vars db > 0 then Engine.harvested eng ~op db else None
+  with
+  | Some (brave_true, brave_false) ->
+    not (Interp.is_empty brave_true && Interp.is_empty brave_false)
+  | None -> search db
+
 (* Memoize a semantics' answers in the oracle engine without decomposing
    its decision procedure: each decision problem's answer is cached under
    the database's canonical key and the record's partition, if any (an
@@ -151,9 +163,9 @@ let harvested_literal ~op check search eng db l =
    record's scope.  The closed-world family calls the engine's oracle ops
    directly instead. *)
 let via_engine ?part (s : spec) : spec =
-  let op_exists = s.name ^ "/exists"
-  and op_formula = s.name ^ "/formula"
-  and op_literal = s.name ^ "/literal" in
+  let op_exists = Engine.op (s.name ^ "/exists")
+  and op_formula = Engine.op (s.name ^ "/formula")
+  and op_literal = Engine.op (s.name ^ "/literal") in
   {
     s with
     has_model =

@@ -86,7 +86,7 @@ val parametric :
     universe. *)
 
 val harvested_literal :
-  op:string -> (Db.t -> Interp.t -> bool) -> (Db.t -> Lit.t -> bool) ->
+  op:Ddb_engine.Engine.op -> (Db.t -> Interp.t -> bool) -> (Db.t -> Lit.t -> bool) ->
   Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
 (** [harvested_literal ~op check search]: literal inference for a semantics
     whose intended models are the ⊆-minimal models [m] with [check db m]
@@ -95,6 +95,15 @@ val harvested_literal :
     [op]; when it answers [None] (an uncached engine, a theory's first
     question) or the atom lies beyond the universe, [search db l]
     answers. *)
+
+val harvested_exists :
+  op:Ddb_engine.Engine.op -> (Db.t -> bool) -> Ddb_engine.Engine.t -> Db.t ->
+  bool
+(** [harvested_exists ~op search]: model existence for the same
+    semantics as {!harvested_literal}.  Over n ≥ 1 atoms an intended model
+    exists iff brave_true ∪ brave_false ≠ ∅, read from a harvest already
+    memoized under [op] ({!Ddb_engine.Engine.harvested}); with none (or
+    n = 0), [search db] answers.  It never builds a harvest. *)
 
 val via_engine : ?part:Partition.t -> spec -> spec
 (** The answer memo for semantics whose procedures the engine does not

@@ -185,6 +185,31 @@ type qkey = {
 
 let qkey ?(negs = []) ?part ?form theory op = { theory; op; negs; part; form }
 
+(* A scope handle: a semantics' name, resolved once.  [id] indexes every
+   engine's bucket array; [span] is the interned [scope.<name>] trace
+   name. *)
+type scope = { id : int; name : string; span : Ddb_obs.Trace.name }
+
+(* Every scope name the process has seen, interned once under a lock: the
+   same name always gives the same handle, whichever domain asks, so a
+   record wrapped afresh per question (a ⟨P;Q;Z⟩ record) still lands in
+   one bucket, and an id means the same name in every engine. *)
+let scopes_lock = Mutex.create ()
+let scopes : (string, scope) Hashtbl.t = Hashtbl.create 16
+
+let scope name =
+  Mutex.protect scopes_lock (fun () ->
+      match Hashtbl.find_opt scopes name with
+      | Some h -> h
+      | None ->
+        let span = Ddb_obs.Trace.name ("scope." ^ name) in
+        let h = { id = Hashtbl.length scopes; name; span } in
+        Hashtbl.add scopes name h;
+        h)
+
+let scopes_interned () =
+  Mutex.protect scopes_lock (fun () -> Hashtbl.length scopes)
+
 type t = {
   cache : bool;
   (* Fragment fast-path dispatch gate: with it off, the dispatch layer in
@@ -192,9 +217,20 @@ type t = {
      ablation baseline of BENCH_fastpath.json and `ddbtool --no-fastpath`. *)
   fastpath : bool;
   mutable total : stats;
-  per_scope : (string, stats) Hashtbl.t;
-  (* The bucket of the outermost open [scoped] call. *)
+  (* Each scope's bucket at its handle's id, [None] until first used: the
+     only store of the per-semantics records. *)
+  mutable buckets : stats option array;
+  (* The bucket of the outermost open [scoped] call: the [Some] cell of
+     [buckets] itself, so opening a scope allocates nothing. *)
   mutable in_scope : stats option;
+  (* The open scope's window: the domain's {!Stats} counters and the clock
+     (ns) when it opened; it credits [live − mark] when it closes. *)
+  mutable mark_sat : int;
+  mutable mark_sigma2 : int;
+  mutable mark_conflicts : int;
+  mutable mark_decisions : int;
+  mutable mark_propagations : int;
+  mutable start_ns : int;
   keys : (raw_key, int) Hashtbl.t;
   mutable next_key : int;
   (* The last database keyed and its key ([Db.t] is immutable). *)
@@ -212,8 +248,14 @@ let create ?(cache = true) ?(fastpath = true) () =
     cache;
     fastpath;
     total = zero "total";
-    per_scope = Hashtbl.create 16;
+    buckets = [||];
     in_scope = None;
+    mark_sat = 0;
+    mark_sigma2 = 0;
+    mark_conflicts = 0;
+    mark_decisions = 0;
+    mark_propagations = 0;
+    start_ns = 0;
     keys = Hashtbl.create 64;
     next_key = 0;
     last_db = None;
@@ -229,7 +271,7 @@ let fastpath_enabled t = t.fastpath
 
 let reset t =
   t.total <- zero "total";
-  Hashtbl.reset t.per_scope;
+  t.buckets <- [||];
   t.in_scope <- None;
   Hashtbl.reset t.keys;
   t.next_key <- 0;
@@ -259,9 +301,9 @@ let theory_key t db =
     id
 
 let interned_entry t db key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.entries key with
+  | e -> e
+  | exception Not_found ->
     let e = new_entry db in
     Hashtbl.add t.entries key e;
     e
@@ -285,19 +327,50 @@ let tick t =
 let hit t = bump (fun c -> c.cache_hits <- c.cache_hits + 1) t
 let miss t = bump (fun c -> c.cache_misses <- c.cache_misses + 1) t
 
-(* The bucket named [name] in [tbl], made on first use. *)
-let bucket tbl name =
-  match Hashtbl.find_opt tbl name with
+(* The scope's bucket, made on first use; the array grows to cover the
+   handle's id. *)
+let bucket t h =
+  let n = Array.length t.buckets in
+  if h.id >= n then begin
+    let a = Array.make (h.id + 1) None in
+    Array.blit t.buckets 0 a 0 n;
+    t.buckets <- a
+  end;
+  match t.buckets.(h.id) with
   | Some c -> c
   | None ->
-    let c = zero name in
-    Hashtbl.add tbl name c;
+    let c = zero h.name in
+    t.buckets.(h.id) <- Some c;
     c
 
 let n_theory = Ddb_obs.Trace.name "theory"
 let n_cache_hit = Ddb_obs.Trace.name "cache_hit"
 let n_unwound = Ddb_obs.Trace.name "unwound"
 let n_semantics = Ddb_obs.Trace.name "semantics"
+
+(* A semantics' op, [<semantics>/<problem>]: its memo key name and its two
+   span names, interned once per record instead of once per traced op. *)
+type op = {
+  op_name : string;
+  engine_span : Ddb_obs.Trace.name;
+  fastpath_span : Ddb_obs.Trace.name;
+}
+
+let op op_name =
+  {
+    op_name;
+    engine_span = Ddb_obs.Trace.name ("engine." ^ op_name);
+    fastpath_span = Ddb_obs.Trace.name ("fastpath." ^ op_name);
+  }
+
+(* The fixed ops' [engine.<op>] span names. *)
+let n_sat = Ddb_obs.Trace.name "engine.sat"
+let n_aug_sat = Ddb_obs.Trace.name "engine.aug_sat"
+let n_aug_entails = Ddb_obs.Trace.name "engine.aug_entails"
+let n_support = Ddb_obs.Trace.name "engine.support"
+let n_in_some_minimal = Ddb_obs.Trace.name "engine.in_some_minimal"
+let n_mm_entails = Ddb_obs.Trace.name "engine.mm_entails"
+let n_non_entailed = Ddb_obs.Trace.name "engine.non_entailed"
 
 (* The one probe, around every oracle op ([engine.<op>] span, opened by
    [memo]) and every fast-path evaluation ([fastpath.<op>] span).  The span
@@ -316,51 +389,62 @@ let probe t span db f attrs =
     end_args span [ (n_unwound, Bool true) ];
     Printexc.raise_with_backtrace e bt
 
-(* Credit a scope's solver work and wall time to one record. *)
-let credit c (d : Stats.snapshot) wall_ms =
-  c.sat_solve_calls <- c.sat_solve_calls + d.Stats.sat;
-  c.sigma2_queries <- c.sigma2_queries + d.Stats.sigma2;
-  c.sat_conflicts <- c.sat_conflicts + d.Stats.conflicts;
-  c.sat_decisions <- c.sat_decisions + d.Stats.decisions;
-  c.sat_propagations <- c.sat_propagations + d.Stats.propagations;
-  c.wall_ms <- c.wall_ms +. wall_ms
+(* The wall clock in ns, read without allocating. *)
+let now_ns () = Float.to_int (Unix.gettimeofday () *. 1e9)
+
+(* Credit the open window's solver work and [ns] of wall time to one
+   record. *)
+let credit t c ns =
+  let live = Stats.counters () in
+  c.sat_solve_calls <- c.sat_solve_calls + live.Stats.sat - t.mark_sat;
+  c.sigma2_queries <- c.sigma2_queries + live.Stats.sigma2 - t.mark_sigma2;
+  c.sat_conflicts <- c.sat_conflicts + live.Stats.conflicts - t.mark_conflicts;
+  c.sat_decisions <- c.sat_decisions + live.Stats.decisions - t.mark_decisions;
+  c.sat_propagations <-
+    c.sat_propagations + live.Stats.propagations - t.mark_propagations;
+  c.wall_ms <- c.wall_ms +. (Float.of_int ns /. 1e6)
 
 (* Close the outermost scope: credit its bucket and the total, end its
    span. *)
-let close_scope t c name before t0 traced =
+let close_scope t c h traced =
+  let ns = now_ns () - t.start_ns in
   t.in_scope <- None;
-  let d = Stats.delta before in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  credit c d wall_ms;
-  credit t.total d wall_ms;
-  if traced then Ddb_obs.Trace.end_ (Ddb_obs.Trace.name ("scope." ^ name))
+  credit t c ns;
+  credit t t.total ns;
+  if traced then Ddb_obs.Trace.end_ h.span
 
-(* Run [f] attributing solver work and wall time to [name].  Nested scopes
-   keep attributing to the outermost one (a semantics calling into shared
-   machinery is still that semantics' work).  Under tracing, the outermost
-   scope is also a top-level [scope.<name>] span — the per-semantics lane
-   the oracle-op spans nest under.  A body that raises (a budget trip, say)
-   is credited all the same before the exception goes on. *)
-let scoped t name f =
+(* Run [f t a b] attributing solver work and wall time to [h]'s bucket.
+   The body and its arguments come apart so a caller passes a function it
+   made once, not a closure per call.  Nested scopes keep attributing to
+   the outermost one (a semantics calling into shared machinery is still
+   that semantics' work).  Under tracing, the outermost scope is also a
+   top-level [scope.<name>] span — the per-semantics lane the oracle-op
+   spans nest under.  A body that raises (a budget trip, say) is credited
+   all the same before the exception goes on. *)
+let scoped t h f a b =
   match t.in_scope with
-  | Some _ -> f ()
+  | Some _ -> f t a b
   | None -> (
     let traced = Ddb_obs.Trace.enabled () in
     if traced then
-      Ddb_obs.Trace.begin_args
-        (Ddb_obs.Trace.name ("scope." ^ name))
-        [ (n_semantics, Ddb_obs.Trace.Str name) ];
-    let c = bucket t.per_scope name in
-    t.in_scope <- Some c;
-    let before = Stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    match f () with
+      Ddb_obs.Trace.begin_args h.span
+        [ (n_semantics, Ddb_obs.Trace.Str h.name) ];
+    let c = bucket t h in
+    t.in_scope <- t.buckets.(h.id);
+    let live = Stats.counters () in
+    t.mark_sat <- live.Stats.sat;
+    t.mark_sigma2 <- live.Stats.sigma2;
+    t.mark_conflicts <- live.Stats.conflicts;
+    t.mark_decisions <- live.Stats.decisions;
+    t.mark_propagations <- live.Stats.propagations;
+    t.start_ns <- now_ns ();
+    match f t a b with
     | r ->
-      close_scope t c name before t0 traced;
+      close_scope t c h traced;
       r
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      close_scope t c name before t0 traced;
+      close_scope t c h traced;
       Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
@@ -392,14 +476,12 @@ let lookup t tbl db mk compute =
    single [Trace.enabled ()] test.  On, the op is an [engine.<op>] span
    whose end event's [cache_hit] is this op's own lookup, so an op whose
    compute makes a nested op's memo hit still reports its own miss. *)
-let memo t ~op tbl db mk compute =
+let memo t ~span tbl db mk compute =
   tick t;
   if not (Ddb_obs.Trace.enabled ()) then fst (lookup t tbl db mk compute)
   else
     fst
-      (probe t
-         (Ddb_obs.Trace.name ("engine." ^ op))
-         db
+      (probe t span db
          (fun () -> lookup t tbl db mk compute)
          (fun (_, own) -> [ (n_cache_hit, Ddb_obs.Trace.Bool own) ]))
 
@@ -430,12 +512,12 @@ let solve_sat ?assumptions st =
 
 (* DB consistency: one SAT call. *)
 let sat t db =
-  memo t ~op:"sat" t.bools db (fun key -> qkey key "sat") (fun e ->
+  memo t ~span:n_sat t.bools db (fun key -> qkey key "sat") (fun e ->
       solve_sat (state e))
 
 (* DB ∪ {¬x : x ∈ negs} has a model: negation set as assumptions. *)
 let augmented_has_model t db negs =
-  memo t ~op:"aug_sat" t.bools db
+  memo t ~span:n_aug_sat t.bools db
     (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
     (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e))
 
@@ -446,7 +528,7 @@ let augmented_has_model t db negs =
 let augmented_witness t db negs f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
-  memo t ~op:"aug_entails" t.witnesses db
+  memo t ~span:n_aug_entails t.witnesses db
     (fun key -> qkey ~negs:(Interp.to_list negs) ~form:f key "aug_entails")
     (fun e ->
       let st = state e in
@@ -467,7 +549,7 @@ let augmented_entails t db negs f =
    and only block a section).  The closed-world family's central object,
    and the engine's biggest cache win: keyed by (theory, P, Q). *)
 let support_set t db part =
-  memo t ~op:"support" t.interps db (fun key -> qkey ~part key "support")
+  memo t ~span:n_support t.interps db (fun key -> qkey ~part key "support")
     (fun e ->
       fst
         (Minimal.harvest (compiled e) part ~pos:(Partition.p part)
@@ -483,7 +565,7 @@ let negated_atoms t db part =
 let in_some_minimal t db part x =
   if t.cache then Interp.mem (support_set t db part) x
   else
-    memo t ~op:"in_some_minimal" t.bools db
+    memo t ~span:n_in_some_minimal t.bools db
       (fun key -> qkey ~negs:[ x ] ~part key "in_some_minimal")
       (fun e ->
         Option.is_some
@@ -499,10 +581,14 @@ let in_some_minimal t db part x =
    a one-shot question runs its caller's own search and costs what it
    costs on an uncached engine.  Uncached engines always get [None]: one
    search per question, as the paper states it. *)
+(* A harvested set, 2n bits, as (brave_true, brave_false). *)
+let split n s =
+  (Interp.of_pred n (Interp.mem s), Interp.of_pred n (fun x -> Interp.mem s (n + x)))
+
 let consequences t ~op db check =
   if not t.cache then None
   else
-    let asked = qkey (theory_key t db) op in
+    let asked = qkey (theory_key t db) op.op_name in
     if not (Hashtbl.mem t.bools asked) then begin
       Hashtbl.add t.bools asked true;
       None
@@ -510,7 +596,9 @@ let consequences t ~op db check =
     else
       let n = Db.num_vars db in
       let s =
-        memo t ~op t.interps db (fun key -> qkey key op) (fun e ->
+        memo t ~span:op.engine_span t.interps db
+          (fun key -> qkey key op.op_name)
+          (fun e ->
             let all = Interp.full n in
             let brave_true, brave_false =
               Minimal.harvest ~check:(check db) (compiled e)
@@ -520,9 +608,15 @@ let consequences t ~op db check =
                 if i < n then Interp.mem brave_true i
                 else Interp.mem brave_false (i - n)))
       in
-      Some
-        ( Interp.of_pred n (Interp.mem s),
-          Interp.of_pred n (fun x -> Interp.mem s (n + x)) )
+      Some (split n s)
+
+(* The memoized harvest, if some question built it: a read that marks no
+   first question, computes nothing and counts as no op. *)
+let harvested t ~op db =
+  if not t.cache then None
+  else
+    Option.map (split (Db.num_vars db))
+      (Hashtbl.find_opt t.interps (qkey (theory_key t db) op.op_name))
 
 (* A (P;Z)-minimal model satisfying F — the ECWA/EGCWA witness, memoized
    like [augmented_witness] and under the entailment op's name. *)
@@ -530,14 +624,14 @@ let minimal_witness ?part t db f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   let part = match part with Some p -> p | None -> Partition.minimize_all n in
-  memo t ~op:"mm_entails" t.witnesses db
+  memo t ~span:n_mm_entails t.witnesses db
     (fun key -> qkey ~part ~form:f key "mm_entails")
     (fun e -> Models.minimal_witness ~theory:(compiled e) ~part db f)
 
 (* {x : DB ⊭ x} — Reiter's CWA closure, n assumption solves on one
    solver. *)
 let non_entailed_atoms t db =
-  memo t ~op:"non_entailed" t.interps db (fun key -> qkey key "non_entailed")
+  memo t ~span:n_non_entailed t.interps db (fun key -> qkey key "non_entailed")
     (fun e ->
       let st = state e in
       Interp.of_pred (Db.num_vars db) (fun x ->
@@ -548,8 +642,9 @@ let non_entailed_atoms t db =
    engine still canonicalizes, caches and instruments the answer.  [op] is
    the full op name, [<semantics>/<problem>]. *)
 let cached_bool ?part ?formula t ~op db compute =
-  memo t ~op t.bools db (fun key -> qkey ?part ?form:formula key op) (fun _ ->
-      compute ())
+  memo t ~span:op.engine_span t.bools db
+    (fun key -> qkey ?part ?form:formula key op.op_name)
+    (fun _ -> compute ())
 
 (* ------------------------------------------------------------------ *)
 (* Fragment classification and polynomial fast paths                   *)
@@ -573,12 +668,13 @@ let classify t db =
    call (the oracle machinery never runs), but still one unit of logical
    work: the budget probe fires exactly like [tick]'s, so wall deadlines,
    logical caps and the deterministic fault injector all see fast-path
-   cells.  Under tracing the evaluation is a [fastpath.<op>] span. *)
-let fastpath_hit t ~op db f =
+   cells.  Under tracing the evaluation [f a b c] is a [fastpath.<op>]
+   span; untraced it is a plain call, with no thunk made. *)
+let fastpath_hit t ~op db f a b c =
   bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1) t;
   Ddb_budget.Budget.on_oracle_op ();
-  if not (Ddb_obs.Trace.enabled ()) then f ()
-  else probe t (Ddb_obs.Trace.name ("fastpath." ^ op)) db f (fun _ -> [])
+  if not (Ddb_obs.Trace.enabled ()) then f a b c
+  else probe t op.fastpath_span db (fun () -> f a b c) (fun _ -> [])
 
 (* The dispatch layer fell through to the generic oracle path. *)
 let fastpath_miss t =
@@ -598,7 +694,7 @@ type answer = Ddb_budget.Budget.answer =
    left to record here is the fact that a cell degraded. *)
 let record_unknown t ~sem =
   t.total.unknowns <- t.total.unknowns + 1;
-  let c = bucket t.per_scope sem in
+  let c = bucket t (scope sem) in
   c.unknowns <- c.unknowns + 1
 
 (* [sem] names only the bucket a degraded cell's [unknowns] count goes to;
@@ -620,7 +716,10 @@ let totals t = copy t.total
 let by_scope stats = List.sort (fun a b -> String.compare a.scope b.scope) stats
 
 let per_scope t =
-  by_scope (Hashtbl.fold (fun _ c acc -> copy c :: acc) t.per_scope [])
+  by_scope
+    (Array.fold_left
+       (fun acc -> function Some c -> copy c :: acc | None -> acc)
+       [] t.buckets)
 
 (* --- cross-shard aggregation ---
 
@@ -634,13 +733,27 @@ let merge_stats engines =
   List.iter (fun t -> add ~into:acc t.total) engines;
   acc
 
+(* A handle id names the same scope in every engine, so buckets sum
+   index by index. *)
 let merge_per_scope engines =
-  let tbl = Hashtbl.create 16 in
+  let width = List.fold_left (fun w t -> max w (Array.length t.buckets)) 0 engines in
+  let sums = Array.make width None in
   List.iter
-    (fun t ->
-      Hashtbl.iter (fun name c -> add ~into:(bucket tbl name) c) t.per_scope)
-    engines;
-  by_scope (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
+    (Array.iteri (fun i -> function
+       | None -> ()
+       | Some c ->
+         let into =
+           match sums.(i) with
+           | Some s -> s
+           | None ->
+             let s = zero c.scope in
+             sums.(i) <- Some s;
+             s
+         in
+         add ~into c))
+    (List.map (fun t -> t.buckets) engines);
+  by_scope
+    (Array.fold_left (fun acc -> function Some s -> s :: acc | None -> acc) [] sums)
 
 let pp_stats ppf s =
   Fmt.pf ppf

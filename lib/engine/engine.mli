@@ -42,6 +42,16 @@ val theory_key : t -> Db.t -> int
     the last database it keyed: the same physical value again costs one
     comparison, not a canonicalization. *)
 
+type op
+(** A semantics' op name, [<semantics>/<problem>] (["pws/literal"]), with
+    its [engine.<op>] and [fastpath.<op>] trace span names interned once.
+    A record makes its ops when it is built, so a traced question interns
+    nothing. *)
+
+val op : string -> op
+(** The op of that name ({!Ddb_obs.Trace.name} twice: intern once per
+    record, not per question). *)
+
 (** {1 Oracle operations}
 
     Each operation counts as one engine oracle call.  Cached engines answer
@@ -76,7 +86,7 @@ val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
     constrained minimal-model query.  The atom must belong to [P]. *)
 
 val consequences :
-  t -> op:string -> Db.t -> (Db.t -> Interp.t -> bool) ->
+  t -> op:op -> Db.t -> (Db.t -> Interp.t -> bool) ->
   (Interp.t * Interp.t) option
 (** [Some (brave_true, brave_false)]: the atoms true, and the atoms false,
     in some ⊆-minimal model [m] of the database with [check db m] — its
@@ -88,6 +98,13 @@ val consequences :
     question costs its caller's own search, and the harvest is built from
     the second question on. *)
 
+val harvested :
+  t -> op:op -> Db.t -> (Interp.t * Interp.t) option
+(** The set {!consequences} memoized under [op] for this theory, if a
+    question already built it; [None] otherwise and on uncached engines.
+    It neither builds the set nor marks a first question, and it is not an
+    oracle op (no tick, no hit). *)
+
 val minimal_witness :
   ?part:Partition.t -> t -> Db.t -> Formula.t -> Interp.t option
 (** A (P;Z)-minimal model satisfying [F] (default partition: minimize
@@ -97,7 +114,7 @@ val non_entailed_atoms : t -> Db.t -> Interp.t
 (** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)
 
 val cached_bool :
-  ?part:Partition.t -> ?formula:Formula.t -> t -> op:string -> Db.t ->
+  ?part:Partition.t -> ?formula:Formula.t -> t -> op:op -> Db.t ->
   (unit -> bool) -> bool
 (** Generic per-semantics decision memo for procedures the engine does not
     decompose: canonicalizes the database, keys on [(op, part, formula)],
@@ -120,11 +137,13 @@ val classify : t -> Db.t -> Ddb_frag.Frag.info
     [classifications] counter only when a classification actually runs. *)
 
 val fastpath_hit :
-  t -> op:string -> Db.t -> (unit -> 'a) -> 'a
-(** Run a polynomial fast-path evaluation: counts one [fastpath_hits],
-    fires one budget probe (like every oracle op), and — under tracing —
-    emits a [fastpath.<op>] span.  Call inside {!scoped} so the hit is
-    attributed to its semantics. *)
+  t -> op:op -> Db.t -> ('a -> 'b -> 'c -> 'd) -> 'a -> 'b -> 'c -> 'd
+(** [fastpath_hit t ~op db f a b c] runs the polynomial fast-path
+    evaluation [f a b c]: counts one [fastpath_hits], fires one budget
+    probe (like every oracle op), and — under tracing — emits a
+    [fastpath.<op>] span around it.  The evaluation and its arguments come
+    apart so an untraced hit builds no thunk.  Call inside {!scoped} so the
+    hit is attributed to its semantics. *)
 
 val fastpath_miss : t -> unit
 (** Record that the dispatch layer fell through to the generic oracle
@@ -159,20 +178,40 @@ val budgeted :
 
 (** {1 Instrumentation} *)
 
-val scoped : t -> string -> (unit -> 'a) -> 'a
-(** [scoped t name f] runs [f], attributing solver effort ({!Stats} deltas)
-    and wall time to the per-semantics bucket [name] and to the total.
-    Nested scopes keep attributing to the outermost one.  When [f] raises
-    (a budget trip, say), its work is credited all the same and the scope
-    is closed before the exception goes on.  Its one caller in [Ddb_core]
-    is the registry's wrapper ([Fastpath.wrap]), which runs every field of
-    every semantics record in the record's own scope.  While a {!Ddb_obs.Trace}
-    is active, the outermost scope is also emitted as a top-level
-    [scope.<name>] span — the per-semantics lane the [engine.<op>] spans
-    nest under.  Each [engine.<op>] span's end event carries [cache_hit]
-    (whether that op's own memo lookup answered, whatever ops nested in
-    its compute did); a span whose op raised ends with [unwound]
-    instead. *)
+type scope
+(** A scope handle: a per-semantics bucket name resolved once.  It carries
+    an id that indexes every engine's bucket array, the name, and the
+    interned [scope.<name>] trace span name, so opening a scope hashes no
+    string. *)
+
+val scope : string -> scope
+(** The handle of that name.  Handles are interned in one process-wide,
+    lock-guarded table: the same name always gives the same handle, from
+    any domain, so a record wrapped afresh per question (a ⟨P;Q;Z⟩ record
+    from [Registry.find_in ~part]) adds no handle and no bucket.  Resolve
+    it once, when a record is made. *)
+
+val scopes_interned : unit -> int
+(** How many distinct scope names the process has interned. *)
+
+val scoped : t -> scope -> (t -> 'a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [scoped t h f a b] runs [f t a b], attributing solver effort and wall
+    time to [h]'s per-semantics bucket and to the total.  The body and
+    its arguments come apart so a caller passes a function made once, not
+    a closure per question; with them, a scope allocates nothing but its
+    wall-time sums.  The outermost scope marks the domain's {!Stats}
+    counters and the clock when it opens and credits [live − mark] when
+    it closes.  Nested scopes keep attributing to the outermost one.  When
+    [f] raises (a budget trip, say), its work is credited all the same and
+    the scope is closed before the exception goes on.  Its one caller in
+    [Ddb_core] is the registry's wrapper ([Fastpath.wrap]), which runs
+    every field of every semantics record in the record's own scope.
+    While a {!Ddb_obs.Trace} is active, the outermost scope is also
+    emitted as a top-level [scope.<name>] span — the per-semantics lane
+    the [engine.<op>] spans nest under.  Each [engine.<op>] span's end
+    event carries [cache_hit] (whether that op's own memo lookup answered,
+    whatever ops nested in its compute did); a span whose op raised ends
+    with [unwound] instead. *)
 
 (** The engine's one counter record: its total and each semantics' bucket.
     The same record is the per-engine, per-scope and merged view. *)

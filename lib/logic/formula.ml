@@ -57,7 +57,14 @@ let rec atoms_acc acc = function
 
 let atoms f = List.sort_uniq Int.compare (atoms_acc [] f)
 
-let max_atom f = List.fold_left max (-1) (atoms f)
+(* A fold, not [atoms]: asked on every formula question, it allocates
+   nothing. *)
+let rec max_atom = function
+  | True | False -> -1
+  | Atom x -> x
+  | Not f -> max_atom f
+  | And (a, b) | Or (a, b) | Imp (a, b) | Iff (a, b) ->
+    Int.max (max_atom a) (max_atom b)
 
 (* Negation normal form over {True, False, Atom, Not-of-atom, And, Or}. *)
 let rec nnf = function

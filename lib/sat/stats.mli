@@ -17,6 +17,20 @@ val bump_conflict : unit -> unit
 val bump_decision : unit -> unit
 val bump_propagation : unit -> unit
 
+type counters = private {
+  mutable sat : int;
+  mutable sigma2 : int;
+  mutable conflicts : int;
+  mutable decisions : int;
+  mutable propagations : int;
+}
+
+val counters : unit -> counters
+(** The calling domain's live counters, read in place.  A caller that
+    marks these fields and later takes [live − mark] measures a window
+    without allocating; {!snapshot}/{!delta} are the same window as
+    records. *)
+
 type snapshot = {
   sat : int;
   sigma2 : int;

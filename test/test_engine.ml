@@ -594,29 +594,85 @@ let raising_scope_credits_and_closes () =
     [ "B scope.gcwa"; "E scope.gcwa"; "B scope.cwa"; "E scope.cwa" ]
     scope_events
 
-(* A warmed fast-path literal query through [Registry.infer_literal_in]
-   allocates for its answer, not for binding a record to the engine: the
-   bound sits below the query's own allocation plus one
-   [Semantics.bind]. *)
+(* A ⟨P;Q;Z⟩ record is wrapped afresh per question, and its scope handle
+   is interned by name: 10 000 such questions add no scope name to the
+   process table and no bucket to the engine.  An engine's bucket array
+   only grows to cover a handle's id, so a table that does not grow bounds
+   it too. *)
+let partition_records_add_no_scope () =
+  let eng = Engine.create () in
+  let db = Db.of_string "a | b. c :- a. d :- not c." in
+  let part = Partition.of_lists 4 ~p:[ 0; 1 ] ~q:[ 2 ] ~z:[ 3 ] in
+  let names = [| "ccwa"; "ecwa"; "circ"; "icwa" |] in
+  let ask i =
+    let name = names.(i mod Array.length names) in
+    let s = Option.get (Registry.find_in ~part eng name) in
+    if s.Semantics.applicable db then ignore (s.Semantics.infer_literal db (Lit.Neg (i mod 4)))
+  in
+  for i = 0 to 99 do ask i done;
+  let interned = Engine.scopes_interned () in
+  let buckets () = List.map (fun s -> s.Engine.scope) (Engine.per_scope eng) in
+  let before = buckets () in
+  check bool "one handle per name" true (Engine.scope "ccwa" == Engine.scope "ccwa");
+  for i = 100 to 10_099 do ask i done;
+  check int "no scope name interned" interned (Engine.scopes_interned ());
+  check (list string) "no bucket added" before (buckets ())
+
+(* A scope opened inside another on the same engine credits the outermost
+   one: a DSM question asked inside a [gcwa] scope is GCWA's work, and
+   the engine keeps one bucket, equal to its total. *)
+let nested_scope_credits_the_outermost () =
+  let eng = Engine.create ~fastpath:false () in
+  let db = Random_db.with_integrity ~seed:9 ~num_vars:6 in
+  let body eng db () =
+    List.iter
+      (fun x -> ignore (Registry.infer_literal_in eng ~sem:"dsm" db (Lit.Neg x)))
+      (List.init (Db.num_vars db) Fun.id)
+  in
+  Engine.scoped eng (Engine.scope "gcwa") body db ();
+  let t = Engine.totals eng in
+  check bool "DSM solved" true (t.Engine.sat_solve_calls > 0);
+  match Engine.per_scope eng with
+  | [ g ] ->
+    check string "the outermost bucket" "gcwa" g.Engine.scope;
+    check bool "all of the total" true ({ g with Engine.scope = "total" } = t)
+  | scopes -> failf "expected one bucket, got %d" (List.length scopes)
+
+(* A warmed fast-path question through [Registry.*_in] allocates for its
+   answer only: no record is bound, no closure is made and the scope's
+   window is marked in place.  Each of the three questions stays under 24
+   minor words (the wall-time sums and the test's own literal are most of
+   what is left). *)
 let fast_path_query_allocation () =
   let eng = Engine.create () in
   let db = Db.of_string "a. b :- a. c :- b. d :- c, a. e :- f." in
+  let f = Formula.Or (Formula.Atom 0, Formula.Not (Formula.Atom 2)) in
   let sems = [| "cwa"; "gcwa"; "ddr"; "pws"; "egcwa"; "dsm" |] in
-  let query i =
-    let sem = sems.(i mod Array.length sems) in
-    let x = i mod Db.num_vars db in
-    let l = if i land 1 = 0 then Lit.Pos x else Lit.Neg x in
-    ignore (Registry.infer_literal_in eng ~sem db l)
+  let sem i = sems.(i mod Array.length sems) in
+  let questions =
+    [
+      ( "literal",
+        fun i ->
+          let x = i mod Db.num_vars db in
+          let l = if i land 1 = 0 then Lit.Pos x else Lit.Neg x in
+          Registry.infer_literal_in eng ~sem:(sem i) db l );
+      ("formula", fun i -> Registry.infer_formula_in eng ~sem:(sem i) db f);
+      ("exists", fun i -> Registry.has_model_in eng ~sem:(sem i) db);
+    ]
   in
-  for i = 0 to 999 do query i done;
-  let n = 10_000 in
-  let hits0 = (Engine.totals eng).Engine.fastpath_hits in
-  let w0 = Gc.minor_words () in
-  for i = 0 to n - 1 do query i done;
-  let per_query = (Gc.minor_words () -. w0) /. Float.of_int n in
-  check int "all fast-path hits" n ((Engine.totals eng).Engine.fastpath_hits - hits0);
-  if per_query >= 100. then
-    failf "%.1f minor words per fast-path query (bound 100)" per_query
+  List.iter
+    (fun (what, ask) ->
+      for i = 0 to 999 do ignore (ask i) done;
+      let n = 10_000 in
+      let hits0 = (Engine.totals eng).Engine.fastpath_hits in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do ignore (ask i) done;
+      let per_query = (Gc.minor_words () -. w0) /. Float.of_int n in
+      check int (what ^ ": all fast-path hits") n
+        ((Engine.totals eng).Engine.fastpath_hits - hits0);
+      if per_query >= 24. then
+        failf "%.1f minor words per fast-path %s query (bound 24)" per_query what)
+    questions
 
 let suites =
   [
@@ -653,8 +709,12 @@ let suites =
           interleaved_engines_keep_their_own_counters;
         test_case "a raising scope credits its bucket and closes" `Quick
           raising_scope_credits_and_closes;
-        test_case "a warmed fast-path query allocates under 100 words" `Quick
+        test_case "a warmed fast-path query allocates under 24 words" `Quick
           fast_path_query_allocation;
+        test_case "⟨P;Q;Z⟩ records add no scope and no bucket" `Quick
+          partition_records_add_no_scope;
+        test_case "a nested scope credits the outermost one" `Quick
+          nested_scope_credits_the_outermost;
       ] );
     ( "engine.keys",
       [

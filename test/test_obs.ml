@@ -279,7 +279,7 @@ let nested_op_own_lookup () =
     with_trace (fun () ->
         ignore (Engine.sat eng db);
         ignore
-          (Engine.cached_bool eng ~op:"outer" db (fun () -> Engine.sat eng db)));
+          (Engine.cached_bool eng ~op:(Engine.op "outer") db (fun () -> Engine.sat eng db)));
     Trace.spans ()
   in
   let hits name =
