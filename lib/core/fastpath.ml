@@ -72,8 +72,10 @@ let pos_gate (fr : F.t) = fr.F.positive && fr.F.no_integrity
    classification: evaluation in the definite database's least model
    (vacuously true when its integrity clauses empty the model set), in
    the stratified database's perfect model, or outside the positive
-   database's occurrence closure (Chan's cell, ¬x only). *)
-type cell = Generic | Least | Perfect | Underivable
+   database's occurrence closure (Chan's cell, ¬x only).  A question in
+   no routed cell gets [None]; every [Some cell] is a constant, so picking
+   one allocates nothing. *)
+type cell = Least | Perfect | Underivable
 
 (* A routed cell's answer, [holds] evaluating the query in a model. *)
 let answer holds cell info q =
@@ -83,7 +85,6 @@ let answer holds cell info q =
     || holds (Lazy.force info.F.closure) q
   | Perfect -> holds (Lazy.force info.F.perfect) q
   | Underivable -> holds (Lazy.force info.F.closure) q
-  | Generic -> invalid_arg "Fastpath.answer: the generic cell"
 
 let formula_answer cell info f = answer eval_model cell info f
 let literal_answer cell info l = answer lit_true cell info l
@@ -91,7 +92,9 @@ let literal_answer cell info l = answer lit_true cell info l
 (* Existence: the definite database's consistency, and O(1) on a
    stratified one. *)
 let exists_answer cell info () =
-  match cell with Least -> Lazy.force info.F.consistent | _ -> true
+  match cell with
+  | Least -> Lazy.force info.F.consistent
+  | Perfect | Underivable -> true
 
 let wrap ?part (s : Semantics.spec) : Semantics.spec =
   let sem = s.name in
@@ -112,30 +115,30 @@ let wrap ?part (s : Semantics.spec) : Semantics.spec =
   and op_literal = Engine.op (sem ^ "/literal") in
   let model_cell info =
     let fr = info.F.frag in
-    if in_definite && fr.F.definite then Least
-    else if in_perfect && strat_gate fr then Perfect
-    else Generic
+    if in_definite && fr.F.definite then Some Least
+    else if in_perfect && strat_gate fr then Some Perfect
+    else None
   in
   let exists_cell info () = model_cell info
   and formula_cell info (_ : Formula.t) = model_cell info
   and literal_cell info l =
     match (model_cell info, l) with
-    | Generic, Lit.Neg _ when in_occ && pos_gate info.F.frag -> Underivable
+    | None, Lit.Neg _ when in_occ && pos_gate info.F.frag -> Some Underivable
     | cell, _ -> cell
   in
   (* The route, from the cached classification: a hit is evaluated as one
      budget-probed fast-path op, a fall-through records the miss and runs
-     the generic procedure.  Every argument is passed, none captured, so
-     an untraced question allocates no closure. *)
+     the generic procedure.  The question's arguments are passed, not
+     captured, so an untraced question allocates no closure. *)
   let ask ~op cell_of answer generic eng db q =
     if not (routed && Engine.fastpath_enabled eng) then generic eng db q
     else
       let info = Engine.classify eng db in
       match cell_of info q with
-      | Generic ->
+      | None ->
         Engine.fastpath_miss eng;
         generic eng db q
-      | cell -> Engine.fastpath_hit eng ~op db answer cell info q
+      | Some cell -> Engine.fastpath_hit eng ~op db answer cell info q
   in
   let has_model eng db () = s.has_model eng db in
   let exists eng db () =

@@ -573,6 +573,10 @@ let in_some_minimal t db part x =
              ~extra:[ [ Lit.Pos x ] ]
              (compiled e) part))
 
+(* A harvested set, 2n bits, as (brave_true, brave_false). *)
+let split n s =
+  (Interp.of_pred n (Interp.mem s), Interp.of_pred n (fun x -> Interp.mem s (n + x)))
+
 (* The literals true in some intended model: bit x of the memoized set
    when x is true in one, bit n + x when x is false in one, harvested by
    [Minimal.harvest] at the total partition with all ±x as targets and
@@ -581,10 +585,6 @@ let in_some_minimal t db part x =
    a one-shot question runs its caller's own search and costs what it
    costs on an uncached engine.  Uncached engines always get [None]: one
    search per question, as the paper states it. *)
-(* A harvested set, 2n bits, as (brave_true, brave_false). *)
-let split n s =
-  (Interp.of_pred n (Interp.mem s), Interp.of_pred n (fun x -> Interp.mem s (n + x)))
-
 let consequences t ~op db check =
   if not t.cache then None
   else
@@ -668,13 +668,13 @@ let classify t db =
    call (the oracle machinery never runs), but still one unit of logical
    work: the budget probe fires exactly like [tick]'s, so wall deadlines,
    logical caps and the deterministic fault injector all see fast-path
-   cells.  Under tracing the evaluation [f a b c] is a [fastpath.<op>]
+   cells.  Under tracing the evaluation [f x y z] is a [fastpath.<op>]
    span; untraced it is a plain call, with no thunk made. *)
-let fastpath_hit t ~op db f a b c =
+let fastpath_hit t ~op db f x y z =
   bump (fun c -> c.fastpath_hits <- c.fastpath_hits + 1) t;
   Ddb_budget.Budget.on_oracle_op ();
-  if not (Ddb_obs.Trace.enabled ()) then f a b c
-  else probe t op.fastpath_span db (fun () -> f a b c) (fun _ -> [])
+  if not (Ddb_obs.Trace.enabled ()) then f x y z
+  else probe t op.fastpath_span db (fun () -> f x y z) (fun _ -> [])
 
 (* The dispatch layer fell through to the generic oracle path. *)
 let fastpath_miss t =
