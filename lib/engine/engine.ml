@@ -392,10 +392,9 @@ let probe t span db f attrs =
 (* The wall clock in ns, read without allocating. *)
 let now_ns () = Float.to_int (Unix.gettimeofday () *. 1e9)
 
-(* Credit the open window's solver work and [ns] of wall time to one
-   record. *)
-let credit t c ns =
-  let live = Stats.counters () in
+(* Credit the open window's solver work, [live − mark], and [ns] of wall
+   time to one record. *)
+let credit t c (live : Stats.counters) ns =
   c.sat_solve_calls <- c.sat_solve_calls + live.Stats.sat - t.mark_sat;
   c.sigma2_queries <- c.sigma2_queries + live.Stats.sigma2 - t.mark_sigma2;
   c.sat_conflicts <- c.sat_conflicts + live.Stats.conflicts - t.mark_conflicts;
@@ -408,9 +407,10 @@ let credit t c ns =
    span. *)
 let close_scope t c h traced =
   let ns = now_ns () - t.start_ns in
+  let live = Stats.counters () in
   t.in_scope <- None;
-  credit t c ns;
-  credit t t.total ns;
+  credit t c live ns;
+  credit t t.total live ns;
   if traced then Ddb_obs.Trace.end_ h.span
 
 (* Run [f t a b] attributing solver work and wall time to [h]'s bucket.
