@@ -96,16 +96,18 @@ let questions (family, db, sems) =
   ]
 
 let run () =
-  Fmt.pr "@.=== Fixed cost of a question (seed %d, %d bursts of %d calls) ===@." seed
-    bursts calls;
-  Fmt.pr "  %-20s %26s %26s@." "" "ns/call med [min, max]" "words/call med [min, max]";
+  Fmt.pr "@.=== Fixed cost of a question (seed %d, %d bursts of %d calls) ===@."
+    seed bursts calls;
+  Fmt.pr "  %-20s %26s %26s@." "" "ns/call med [min, max]"
+    "words/call med [min, max]";
   let rows =
     List.map
       (fun (name, run) ->
         let samples = List.init bursts (fun _ -> burst run) in
-        let ns = spread (List.map fst samples) and words = spread (List.map snd samples) in
-        let (nm, nl, nh), (wm, wl, wh) = (ns, words) in
-        Fmt.pr "  %-20s %8.1f [%7.1f, %7.1f] %8.1f [%7.1f, %7.1f]@." name nm nl nh wm wl wh;
+        let ((nm, nl, nh) as ns) = spread (List.map fst samples)
+        and ((wm, wl, wh) as words) = spread (List.map snd samples) in
+        Fmt.pr "  %-20s %8.1f [%7.1f, %7.1f] %8.1f [%7.1f, %7.1f]@." name nm nl nh
+          wm wl wh;
         (name, ns, words))
       ([ ("gettimeofday", clock); ("scoped_empty", empty_scope ()) ]
       @ List.concat_map questions families)

@@ -6,8 +6,8 @@ module F = Ddb_frag.Frag
    things:
 
    - Attribution.  Every field ([has_model], [infer_formula],
-     [infer_literal], [witness]) runs inside [Engine.scoped eng name], with
-     the fast path on or off and for every record, pdsm included.  No other
+     [infer_literal], [witness]) runs inside [Engine.scoped] under the
+     record's scope handle, with the fast path on or off and for every record, pdsm included.  No other
      code in lib/core opens a scope, so a record's work always lands in its
      own bucket and every [engine.*] and [fastpath.*] span nests under its
      [scope.<name>] span.

@@ -3,8 +3,10 @@
 
     [wrap s] returns [s] with every field ([has_model],
     [infer_formula], [infer_literal], [witness]) run inside
-    [Engine.scoped eng s.name] on the engine [eng] it is asked on,
-    whatever the engine's configuration.  This is the only place in
+    [Engine.scoped] on the engine [eng] it is asked on, under the record's
+    scope handle [Engine.scope s.name], whatever the engine's
+    configuration.  The handle and the fast-path ops are resolved once per
+    record, and an untraced question builds no closure.  This is the only place in
     [Ddb_core] that opens a scope: a record's oracle work, wall time and
     [scope.<name>] trace span are its own, and the registry wraps every
     record with it, once.

@@ -86,8 +86,8 @@ val parametric :
     universe. *)
 
 val harvested_literal :
-  op:Ddb_engine.Engine.op -> (Db.t -> Interp.t -> bool) -> (Db.t -> Lit.t -> bool) ->
-  Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
+  op:Ddb_engine.Engine.op -> (Db.t -> Interp.t -> bool) ->
+  (Db.t -> Lit.t -> bool) -> Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
 (** [harvested_literal ~op check search]: literal inference for a semantics
     whose intended models are the ⊆-minimal models [m] with [check db m]
     (PERF, DSM).  ¬x holds iff x is true in no intended model, x iff x is

@@ -327,21 +327,23 @@ let tick t =
 let hit t = bump (fun c -> c.cache_hits <- c.cache_hits + 1) t
 let miss t = bump (fun c -> c.cache_misses <- c.cache_misses + 1) t
 
-(* The scope's bucket, made on first use; the array grows to cover the
-   handle's id. *)
-let bucket t h =
+(* The bucket of scope [id], named [name], made on first use; the array
+   grows to cover the id. *)
+let bucket_at t id name =
   let n = Array.length t.buckets in
-  if h.id >= n then begin
-    let a = Array.make (h.id + 1) None in
+  if id >= n then begin
+    let a = Array.make (id + 1) None in
     Array.blit t.buckets 0 a 0 n;
     t.buckets <- a
   end;
-  match t.buckets.(h.id) with
+  match t.buckets.(id) with
   | Some c -> c
   | None ->
-    let c = zero h.name in
-    t.buckets.(h.id) <- Some c;
+    let c = zero name in
+    t.buckets.(id) <- Some c;
     c
+
+let bucket t h = bucket_at t h.id h.name
 
 let n_theory = Ddb_obs.Trace.name "theory"
 let n_cache_hit = Ddb_obs.Trace.name "cache_hit"
@@ -733,27 +735,17 @@ let merge_stats engines =
   List.iter (fun t -> add ~into:acc t.total) engines;
   acc
 
-(* A handle id names the same scope in every engine, so buckets sum
-   index by index. *)
+(* A handle id names the same scope in every engine, so the buckets sum
+   id by id into a fresh engine's. *)
 let merge_per_scope engines =
-  let width = List.fold_left (fun w t -> max w (Array.length t.buckets)) 0 engines in
-  let sums = Array.make width None in
+  let sums = create () in
   List.iter
-    (Array.iteri (fun i -> function
-       | None -> ()
-       | Some c ->
-         let into =
-           match sums.(i) with
-           | Some s -> s
-           | None ->
-             let s = zero c.scope in
-             sums.(i) <- Some s;
-             s
-         in
-         add ~into c))
-    (List.map (fun t -> t.buckets) engines);
-  by_scope
-    (Array.fold_left (fun acc -> function Some s -> s :: acc | None -> acc) [] sums)
+    (fun t ->
+      Array.iteri
+        (fun id -> Option.iter (fun c -> add ~into:(bucket_at sums id c.scope) c))
+        t.buckets)
+    engines;
+  per_scope sums
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -607,7 +607,8 @@ let partition_records_add_no_scope () =
   let ask i =
     let name = names.(i mod Array.length names) in
     let s = Option.get (Registry.find_in ~part eng name) in
-    if s.Semantics.applicable db then ignore (s.Semantics.infer_literal db (Lit.Neg (i mod 4)))
+    if s.Semantics.applicable db then
+      ignore (s.Semantics.infer_literal db (Lit.Neg (i mod 4)))
   in
   for i = 0 to 99 do ask i done;
   let interned = Engine.scopes_interned () in
