@@ -23,7 +23,7 @@ let time_ms f =
    timing shape is the result. *)
 let ladder ~jobs sizes row print_row =
   List.iter print_row
-    (Ddb_parallel.Parallel.map_chunked ~jobs ~chunk_size:1 row sizes)
+    (Ddb_parallel.Parallel.map ~jobs row sizes)
 
 let engines ~jobs () =
   Fmt.pr "@.=== Ablation: reference enumeration vs oracle engine (EGCWA formula inference) ===@.";

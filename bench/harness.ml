@@ -258,7 +258,7 @@ let print_table ?(jobs = 1) ?trace_prefix ~tag ~title cells =
   | None ->
     Fmt.pr "  (cells measured across %d worker domains)@." jobs;
     List.iter2 print_cell cells
-      (Ddb_parallel.Parallel.map_chunked ~jobs ~chunk_size:1 run_cell cells)
+      (Ddb_parallel.Parallel.map ~jobs run_cell cells)
   | Some prefix ->
     Fmt.pr "  (tracing: sequential run, one trace file per cell)@.";
     List.iter

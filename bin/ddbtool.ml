@@ -502,14 +502,27 @@ let path_arg =
 
 module Batch = Ddb_parallel.Batch
 
+(* A worker count the pool can run: from 1 to [Pool.max_jobs]. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Ddb_parallel.Pool.max_jobs -> Ok n
+    | _ ->
+      Error
+        (`Msg
+          (Printf.sprintf "expected a worker count from 1 to %d, got %S"
+             Ddb_parallel.Pool.max_jobs s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sweep (one oracle-engine shard each).  \
-           Default: the runtime's recommended domain count.")
+          "Worker domains for the sweep (one oracle-engine shard each), at \
+           least 1.  Default: the runtime's recommended domain count.")
 
 (* Resolve -s into the semantics names to run: the named one, or every
    applicable one. *)
@@ -622,13 +635,11 @@ let no_cache_flag =
 
 (* --- profile --- *)
 
-(* The stats workload on pinned shards, reported as a per-oracle-kind
-   latency table folded from the trace's op spans (merged across workers).
-   It runs under the --trace trace when one is active — latencies are then
-   in that trace's clock, deterministic ticks by default — and otherwise
-   under a wall-clock trace of its own (µs), started before the batch is
-   made so that the batch pins its shards.  The unit is printed in the
-   header. *)
+(* The stats workload, reported as a per-oracle-kind latency table folded
+   from the trace's op spans (merged across workers).  It runs under the
+   --trace trace when one is active — latencies are then in that trace's
+   clock, deterministic ticks by default — and otherwise under a wall-clock
+   trace of its own (µs).  The unit is printed in the header. *)
 let profile bopts db ~sems with_batch =
   let own = not (Trace.enabled ()) in
   if own then Trace.start ~clock:Trace.Wall ();
@@ -790,15 +801,15 @@ let jobs_man =
        fan-out is order-stable: queries are tagged with their position and \
        reassembled by position after the join, so the printed answers — \
        and the merged stats JSON schema — are $(b,identical for every job \
-       count), including $(b,--jobs 1) and the sequential path.  Only \
-       scheduling-dependent *quantities* (per-shard cache hits, wall \
-       time) vary with $(i,N); answers never do.";
+       count), including $(b,--jobs 1) and the sequential path.  Query \
+       $(i,k) always runs on worker $(i,k mod N), so at a given $(i,N) the \
+       per-shard counters — and the stats record without its wall times — \
+       are the same on every run; per-shard cache hits vary with $(i,N), \
+       answers never do.";
     `P
-      "With $(b,--trace), sweeps switch from dynamic chunk placement to \
-       statically pinned placement (query $(i,k) on worker $(i,k mod N)), \
-       so the per-worker event streams in the trace are also reproducible; \
-       with the default logical trace clock the trace file is \
-       byte-identical across runs.";
+      "With $(b,--trace), the per-worker event streams in the trace are \
+       reproducible too: with the default logical trace clock the trace \
+       file is byte-identical across runs.";
   ]
   @ budget_man
 
@@ -838,9 +849,9 @@ let profile_cmd =
     ~doc:
       "Run the stats workload under a trace and print a per-oracle-kind \
        p50/p90/p99 latency table folded from its spans (merged across \
-       --jobs workers; placement is always pinned).  With --trace the \
-       latencies are in that trace's clock (deterministic logical ticks by \
-       default); without it, wall microseconds"
+       --jobs workers).  With --trace the latencies are in that trace's \
+       clock (deterministic logical ticks by default); without it, wall \
+       microseconds"
 
 let semantics_cmd =
   Cmd.v (Cmd.info "semantics" ~doc:"List the available semantics")

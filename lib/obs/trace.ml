@@ -22,8 +22,8 @@
      - [Logical]: every timestamp read returns a per-domain tick counter
        and increments it.  Span durations count probe events, not seconds,
        and the trace is byte-identical across runs for a deterministic
-       workload (the default for [ddbtool --trace]; pair with the pinned
-       batch scheduler for jobs > 1).
+       workload (the default for [ddbtool --trace]; at jobs > 1 too, since
+       a batch runs item k on worker k mod jobs).
      - [Wall]: microseconds from Unix.gettimeofday, normalized to the
        origin captured at [start] — real latencies, not reproducible. *)
 

@@ -16,25 +16,20 @@ module Budget = Ddb_budget.Budget
    do not change.  A cell asks [Registry]'s one-shot queries on its
    worker's engine. *)
 
-type t = {
-  pool : Pool.t;
-  engines : Engine.t array;
-  pinned : bool; (* sweeps run item k on worker k mod jobs *)
-}
+type t = { pool : Pool.t; engines : Engine.t array }
 
-let create ?jobs ?(cache = true) ?(fastpath = true)
-    ?(pinned = Ddb_obs.Trace.enabled ()) () =
+let create ?jobs ?(cache = true) ?(fastpath = true) () =
   let pool = Pool.create ?jobs () in
   let engines =
     Array.init (Pool.jobs pool) (fun _ -> Engine.create ~cache ~fastpath ())
   in
-  { pool; engines; pinned }
+  { pool; engines }
 
 let engines t = Array.to_list t.engines
 let shutdown t = Pool.shutdown t.pool
 
-let with_batch ?jobs ?cache ?fastpath ?pinned f =
-  let t = create ?jobs ?cache ?fastpath ?pinned () in
+let with_batch ?jobs ?cache ?fastpath ?pinned:_ f =
+  let t = create ?jobs ?cache ?fastpath () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let default_sems db = function
@@ -49,71 +44,56 @@ let pm_literals db =
     (fun x -> [ Lit.Neg x; Lit.Pos x ])
     (List.init (Db.num_vars db) Fun.id)
 
-(* Items are name-major: cut the flat answer list back into one group of
-   ± literal answers per semantics, in one pass. *)
-let per_semantics names lits answers =
-  let rec take lits answers acc =
-    match (lits, answers) with
-    | [], _ -> (List.rev acc, answers)
-    | l :: lits, a :: answers -> take lits answers ((l, a) :: acc)
-    | _ :: _, [] -> invalid_arg "Batch.per_semantics: too few answers"
-  in
-  let rec go names answers =
-    match names with
-    | [] -> []
-    | name :: names ->
-      let mine, others = take lits answers [] in
-      (name, mine) :: go names others
-  in
-  go names answers
-
-(* Every cell of every sweep: the boolean query [q] on the worker's
-   engine, asked of semantics [name], under its own fresh budget token minted from [limits] inside
-   the task — so per-cell wall deadlines start when the cell starts and
-   logical caps are context-free per cell.  The token joins the
-   [cancel_on_error] group, so one task exception degrades the remaining
+(* Every cell of every sweep: [q eng name x] for each [(name, x)] of
+   [items], on the engine of the worker the cell lands on, asked of
+   semantics [name] under its own fresh budget token minted from [limits]
+   inside the task — so per-cell wall deadlines start when the cell starts
+   and logical caps are context-free per cell.  The token joins the
+   [cancel_on_error] group, so one cell's exception degrades the remaining
    cells to [Cancelled] instead of hanging the sweep.  With the default
    [no_limits] nothing can trip but a cancellation or an injected fault.
    For cache-disabled batches under purely logical caps the set of
    [Unknown] cells is identical at every job count (the
    parallel-determinism law in test/test_budget.ml). *)
-let cell t ?retry ?group ~limits ~worker name q =
-  let eng = t.engines.(worker) in
-  Engine.budgeted ?retry ?group eng limits ~sem:name (fun () -> q eng)
+let cells t ?(limits = Budget.no_limits) ?retry ?cancel_on_error items q =
+  Parallel.map_in t.pool ?cancel_on_error
+    (fun ~worker (name, x) ->
+      let eng = t.engines.(worker) in
+      Engine.budgeted ?retry ?group:cancel_on_error eng limits ~sem:name
+        (fun () -> q eng name x))
+    items
 
-let literal_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
-    db =
+(* Cells are name-major: semantics [i]'s answer to literal [j] is cell
+   [i * |lits| + j]. *)
+let literal_sweep t ?sems ?limits ?retry ?cancel_on_error db =
   let names = default_sems db sems in
   let lits = pm_literals db in
-  let items = List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names in
   let answers =
-    Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error
-      (fun ~worker (name, l) ->
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
-            Registry.infer_literal_in eng ~sem:name db l))
-      items
+    Array.of_list
+      (cells t ?limits ?retry ?cancel_on_error
+         (List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names)
+         (fun eng sem l -> Registry.infer_literal_in eng ~sem db l))
   in
-  per_semantics names lits answers
-
-let all_semantics t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
-    db f =
-  let names = default_sems db sems in
-  Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
-    (fun ~worker name ->
-      ( name,
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
-            Registry.infer_formula_in eng ~sem:name db f) ))
+  let m = List.length lits in
+  List.mapi
+    (fun i name ->
+      (name, List.mapi (fun j l -> (l, answers.((i * m) + j))) lits))
     names
 
-let exists_sweep t ?sems ?(limits = Budget.no_limits) ?retry ?cancel_on_error
-    db =
+(* One cell per selected semantics. *)
+let by_semantics t ?sems ?limits ?retry ?cancel_on_error db q =
   let names = default_sems db sems in
-  Parallel.map_in t.pool ~pinned:t.pinned ?cancel_on_error ~chunk_size:1
-    (fun ~worker name ->
-      ( name,
-        cell t ?retry ?group:cancel_on_error ~limits ~worker name (fun eng ->
-            Registry.has_model_in eng ~sem:name db) ))
-    names
+  List.combine names
+    (cells t ?limits ?retry ?cancel_on_error
+       (List.map (fun n -> (n, ())) names)
+       (fun eng sem () -> q eng ~sem db))
+
+let all_semantics t ?sems ?limits ?retry ?cancel_on_error db f =
+  by_semantics t ?sems ?limits ?retry ?cancel_on_error db (fun eng ~sem db ->
+      Registry.infer_formula_in eng ~sem db f)
+
+let exists_sweep t ?sems ?limits ?retry ?cancel_on_error db =
+  by_semantics t ?sems ?limits ?retry ?cancel_on_error db Registry.has_model_in
 
 let totals t = Engine.merge_stats (engines t)
 let per_scope t = Engine.merge_per_scope (engines t)

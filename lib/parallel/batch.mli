@@ -34,11 +34,11 @@ val with_batch :
     memoization flag, as in {!Ddb_engine.Engine.create}.  [fastpath]
     (default [true]) gates the shards' fragment fast-path dispatch, as in
     {!Ddb_engine.Engine.create} — pass [false] for the generic-oracle
-    ablation baseline.  [pinned] routes every sweep through
-    {!Parallel.map_in}[ ~pinned:true] — item [k] on worker [k mod jobs] —
-    so that per-worker trace streams and per-shard counters are
-    reproducible.  It defaults to whether a {!Ddb_obs.Trace} is recording
-    when the batch is made, so a traced run is pinned without asking. *)
+    ablation baseline.  [pinned] is accepted and ignored: every batch
+    runs item [k] of a sweep on worker [k mod jobs] (see {!Parallel}), so
+    answers, per-shard counters and per-worker trace streams are
+    reproducible.  It is kept only for callers that still pass it, and
+    goes with ROADMAP item 8's perfbench bullet. *)
 
 (** {1 Sweeps}
 
@@ -52,10 +52,12 @@ val with_batch :
     cell.  Degraded cells answer [Unknown]; definite answers are exactly
     the unbudgeted ones.  [retry] is {!Ddb_budget.Budget.run}'s
     escalate-once ladder (default off).  [cancel_on_error] doubles as the
-    cells' cancellation group: the first task exception cancels it,
-    degrading the remaining cells to [Unknown Cancelled] while the pool
-    still drains.  With cache-disabled shards and purely logical caps the
-    set of [Unknown] cells is identical at every job count.
+    cells' cancellation group: the first cell exception cancels it, so
+    the other workers' remaining cells degrade to [Unknown Cancelled]
+    instead of running on, and the sweep re-raises the lowest failing
+    cell's exception once every worker has stopped.  With cache-disabled
+    shards and purely logical caps the set of [Unknown] cells is
+    identical at every job count.
 
     [sems] selects semantics by registry name and defaults to every
     semantics applicable to the database, in registry order.  Unknown names
@@ -71,7 +73,7 @@ val literal_sweep :
   (string * (Lit.t * Ddb_engine.Engine.answer) list) list
 (** Every ± literal of the universe under every selected semantics
     ([¬x] then [x], for [x = 0 .. n-1]) — the closed-world query workload
-    of [ddbtool stats], fanned out per (semantics, literal chunk). *)
+    of [ddbtool stats], one cell per (semantics, literal). *)
 
 val all_semantics :
   t ->
@@ -82,7 +84,7 @@ val all_semantics :
   Db.t ->
   Formula.t ->
   (string * Ddb_engine.Engine.answer) list
-(** Formula inference under every selected semantics, one task each. *)
+(** Formula inference under every selected semantics, one cell each. *)
 
 val exists_sweep :
   t ->
@@ -92,7 +94,7 @@ val exists_sweep :
   ?cancel_on_error:Ddb_budget.Budget.group ->
   Db.t ->
   (string * Ddb_engine.Engine.answer) list
-(** Model existence under every selected semantics, one task each. *)
+(** Model existence under every selected semantics, one cell each. *)
 
 (** {1 Merged instrumentation} *)
 

@@ -1,94 +1,91 @@
-(* A fixed pool of Domain.t workers over a shared task queue (stdlib only:
-   Domain + Mutex + Condition).
+(* A fixed pool of Domain.t workers that run one job at a time (stdlib
+   only: Domain + Mutex + Condition).
 
-   Tasks are closures [int -> unit] applied to the index of the worker that
-   runs them.  Worker indices are stable for the pool's lifetime, which is
-   the property the batch layer builds on: anything indexed by worker (an
-   oracle engine shard, a scratch buffer) is only ever touched from one
-   domain, so no shared mutable state needs to be thread-safe.
+   A job is a closure [int -> unit]; [run] applies it once on every worker,
+   to that worker's index.  Worker indices are stable for the pool's
+   lifetime, which is the property the batch layer builds on: anything
+   indexed by worker (an oracle engine shard, a scratch buffer) is only
+   ever touched from one domain, so no shared mutable state needs to be
+   thread-safe.  Which work a worker does is up to the job — {!Parallel}
+   strides item [k] onto worker [k mod jobs] — so placement never depends
+   on scheduling, and the per-worker event stream a trace records under
+   worker-index tids is reproducible.
 
-   Synchronization is deliberately boring: one mutex guards the queues and
-   the unfinished-task count; [work] wakes idle workers, [finished] wakes
-   the submitter blocked in [run].  Determinism of *results* is not the
-   pool's job — callers tag tasks with positions and reassemble (see
-   {!Parallel.map_in}); the pool only guarantees that every submitted
-   task runs exactly once and that [run] returns after all of them.
-
-   [run] has two placements, picked by its [pinned] flag:
-     - by default tasks join one shared queue and go to whichever worker
-       frees up first (fastest wall-clock, scheduling-dependent placement);
-     - pinned, task [i] joins worker [i]'s own queue and runs there and
-       nowhere else.  Placement — and therefore the per-worker event stream
-       a trace records under worker-index tids — is independent of
-       scheduling, which is what makes traced parallel runs byte-identical.
+   Synchronization is deliberately boring: one mutex guards the job slot,
+   its generation and the count of workers still running it; [work] wakes
+   idle workers when [run] bumps the generation, [finished] wakes the
+   submitter blocked in [run] when the count reaches zero.
 
    Each worker stamps its index as the calling domain's trace tid and, while
-   a trace is active, wraps every task in a [pool.task] span, so Perfetto
-   shows per-worker lanes with task lifetimes. *)
+   a trace is active, wraps its share of every job in a [pool.task] span, so
+   Perfetto shows per-worker lanes with task lifetimes. *)
 
 type t = {
   jobs : int;
   mutex : Mutex.t;
   work : Condition.t;
   finished : Condition.t;
-  tasks : (int -> unit) Queue.t;
-  pinned : (int -> unit) Queue.t array; (* slot w: only worker w pops *)
-  mutable unfinished : int;
+  mutable job : int -> unit; (* the current run's job, applied per worker *)
+  mutable generation : int; (* bumped by every run *)
+  mutable running : int; (* workers still inside the current generation *)
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
+(* The runtime's domain limit (Max_domains: 128 on 64-bit, 16 on 32-bit
+   OCaml 5.1), less the domain that creates the pool. *)
+let max_jobs = (if Sys.word_size = 64 then 128 else 16) - 1
+
 let n_task = Ddb_obs.Trace.name "pool.task"
 
-(* [run] wraps tasks so they cannot raise; a raise here would kill the
-   worker domain, so treat it as a programming error and swallow. *)
-let exec_task index task =
+(* [run] guards the job so it cannot raise; a raise here would kill the
+   worker domain. *)
+let exec_task index job =
   if Ddb_obs.Trace.enabled () then begin
     Ddb_obs.Trace.begin_ n_task;
-    (try task index with _ -> ());
+    job index;
     Ddb_obs.Trace.end_ n_task
   end
-  else try task index with _ -> ()
+  else job index
 
 let worker t index =
   Ddb_obs.Trace.set_tid index;
-  let mine = t.pinned.(index) in
-  let rec loop () =
+  let rec loop seen =
     Mutex.lock t.mutex;
-    while Queue.is_empty mine && Queue.is_empty t.tasks && not t.stop do
+    while t.generation = seen && not t.stop do
       Condition.wait t.work t.mutex
     done;
-    let task =
-      if not (Queue.is_empty mine) then Some (Queue.pop mine)
-      else if not (Queue.is_empty t.tasks) then Some (Queue.pop t.tasks)
-      else None
-    in
-    match task with
-    | None -> Mutex.unlock t.mutex (* stop *)
-    | Some task ->
+    if t.generation = seen then Mutex.unlock t.mutex (* stop *)
+    else begin
+      let generation = t.generation and job = t.job in
       Mutex.unlock t.mutex;
-      exec_task index task;
+      exec_task index job;
       Mutex.lock t.mutex;
-      t.unfinished <- t.unfinished - 1;
-      if t.unfinished = 0 then Condition.broadcast t.finished;
+      t.running <- t.running - 1;
+      if t.running = 0 then Condition.signal t.finished;
       Mutex.unlock t.mutex;
-      loop ()
+      loop generation
+    end
   in
-  loop ()
+  loop 0
 
 let create ?jobs () =
   let jobs = max 1 (Option.value jobs ~default:(recommended_jobs ())) in
+  if jobs > max_jobs then
+    invalid_arg
+      (Printf.sprintf "Pool.create: %d workers, the runtime allows at most %d"
+         jobs max_jobs);
   let t =
     {
       jobs;
       mutex = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
-      tasks = Queue.create ();
-      pinned = Array.init jobs (fun _ -> Queue.create ());
-      unfinished = 0;
+      job = ignore;
+      generation = 0;
+      running = 0;
       stop = false;
       domains = [];
     }
@@ -99,43 +96,35 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-(* One submit path for both disciplines: a single-job pool runs the tasks
-   inline on the caller as worker 0, in submission order; otherwise they
-   join the shared queue, or task [i] joins worker [i]'s own queue when
-   pinned.  Either way a task's exception is stored in its own slot — with
-   [cancel_on_error] set, the failing worker also cancels the group
-   *immediately*, so the remaining tasks trip [Cancelled] at their next
-   budget probe instead of running to completion — and after the join the
-   first one in submission order is re-raised. *)
-let run ?(pinned = false) ?cancel_on_error t fs =
-  let n = List.length fs in
-  if pinned && n > t.jobs then
-    invalid_arg "Pool.run: more pinned tasks than workers";
-  if n > 0 then begin
-    if t.stop then invalid_arg "Pool.run: pool is shut down";
-    let errors = Array.make n None in
-    let guarded i f w =
-      try f w
-      with e ->
-        Option.iter Ddb_budget.Budget.cancel_group cancel_on_error;
-        errors.(i) <- Some e
-    in
-    if t.domains = [] then List.iteri (fun i f -> exec_task 0 (guarded i f)) fs
-    else begin
-      Mutex.lock t.mutex;
-      t.unfinished <- t.unfinished + n;
-      List.iteri
-        (fun i f ->
-          Queue.add (guarded i f) (if pinned then t.pinned.(i) else t.tasks))
-        fs;
-      Condition.broadcast t.work;
-      while t.unfinished > 0 do
-        Condition.wait t.finished t.mutex
-      done;
-      Mutex.unlock t.mutex
-    end;
-    Array.iter (Option.iter raise) errors
-  end
+(* A single-job pool runs the job inline on the caller as worker 0;
+   otherwise every worker picks it up from the slot.  Each worker's
+   exception is stored in its own slot — with [cancel_on_error] set, the
+   failing worker also cancels the group *immediately*, so the other
+   workers trip [Cancelled] at their next budget probe instead of running
+   to completion — and after the join the lowest worker's is re-raised. *)
+let run ?cancel_on_error t f =
+  if t.stop then invalid_arg "Pool.run: pool is shut down";
+  let errors = Array.make t.jobs None in
+  let guarded w =
+    try f w
+    with e ->
+      Option.iter Ddb_budget.Budget.cancel_group cancel_on_error;
+      errors.(w) <- Some e
+  in
+  if t.domains = [] then exec_task 0 guarded
+  else begin
+    Mutex.lock t.mutex;
+    t.job <- guarded;
+    t.running <- t.jobs;
+    t.generation <- t.generation + 1;
+    Condition.broadcast t.work;
+    while t.running > 0 do
+      Condition.wait t.finished t.mutex
+    done;
+    t.job <- ignore (* drop the job's captures *);
+    Mutex.unlock t.mutex
+  end;
+  Array.iter (Option.iter raise) errors
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -15,7 +15,9 @@
 #     partition-parametric semantics, and is refused for the others;
 #   - a .dl file is grounded on load, its `ground` output prints each rule
 #     on one line, and that output re-read as .ddb answers the same;
-#   - parse errors name the file, line and column.
+#   - parse errors name the file, line and column;
+#   - a --jobs count below 1 or past the runtime's domain limit is a usage
+#     error (exit 124), refused before any worker domain starts.
 set -eu
 tool="$1"
 quickstart="$2"
@@ -160,5 +162,15 @@ printf 'p(a).\nq(X) :- p(X)) .\n' > "$tmp/bad.dl"
 err=$("$tool" ground "$tmp/bad.dl" 2>&1 >/dev/null | tr -s '\n ' '  ')
 echo "$err" | grep -qF "$tmp/bad.dl:2:13: expected '.' but found ')'" \
   || fail "malformed .dl: no file:line:col in '$err'"
+
+# 12. --jobs takes a worker count the pool can run: 0 and 1000 are usage
+#     errors naming the accepted range.
+for n in 0 1000; do
+  code=0
+  err=$("$tool" stats "$tmp/two.ddb" --jobs "$n" 2>&1 >/dev/null) || code=$?
+  [ "$code" -eq 124 ] || fail "--jobs $n: expected exit 124, got $code"
+  echo "$err" | grep -q "expected a worker count from 1 to" \
+    || fail "--jobs $n: got '$err'"
+done
 
 echo "cli tests passed"

@@ -339,62 +339,59 @@ let fault_solver_failure () =
 
 exception Boom of int
 
-(* jobs:1 runs the tasks inline in submission order, so the raiser cancels
-   the group before any spinner starts: every spinner must see Cancelled on
-   its very first probe. *)
+(* jobs:1 runs the one worker's job inline on the calling domain, as
+   worker 0, so its raise cancels the group before [run] returns: every
+   token of the group then degrades on its very first probe. *)
 let pool_cancel_on_error_inline () =
   let g = Budget.group () in
-  let outcomes = Array.make 4 `Pending in
+  let ran_on = ref None in
   (match
      Pool.with_pool ~jobs:1 (fun pool ->
-         Pool.run ~cancel_on_error:g pool
-           (List.init 4 (fun i _worker ->
-                if i = 0 then raise (Boom i)
-                else
-                  Budget.with_token
-                    (Budget.token ~group:g Budget.no_limits)
-                    (fun () ->
-                      match Budget.check () with
-                      | () -> outcomes.(i) <- `Ran
-                      | exception Budget.Out_of_budget Budget.Cancelled ->
-                        outcomes.(i) <- `Cancelled))))
+         Pool.run ~cancel_on_error:g pool (fun w ->
+             ran_on := Some (w, Domain.self ());
+             raise (Boom w)))
    with
   | () -> fail "expected Boom"
   | exception Boom 0 -> ());
+  check bool "worker 0, inline on the caller" true
+    (!ran_on = Some (0, Domain.self ()));
   check bool "group cancelled" true (Budget.group_cancelled g);
   for i = 1 to 3 do
     check bool
-      (Printf.sprintf "task %d degraded on its first probe" i)
+      (Printf.sprintf "token %d degraded on its first probe" i)
       true
-      (outcomes.(i) = `Cancelled)
+      (Budget.with_token
+         (Budget.token ~group:g Budget.no_limits)
+         (fun () ->
+           match Budget.check () with
+           | () -> false
+           | exception Budget.Out_of_budget Budget.Cancelled -> true))
   done
 
-(* jobs:4, concurrent: three spinners probe until cancelled (with a wall
-   safety bound so a broken cancellation path fails instead of hanging);
-   the raiser's exception must cancel them, the pool must drain all four
-   tasks, and Boom must still propagate from the join — from the shared
-   queue and with each task pinned to its own worker. *)
-let pool_cancel_on_error_concurrent ~pinned () =
+(* jobs:4, concurrent: workers 1-3 spin on probes until cancelled (with a
+   wall safety bound so a broken cancellation path fails instead of
+   hanging); worker 0's exception must cancel them, the pool must wait for
+   all four, and Boom must still propagate from the join. *)
+let pool_cancel_on_error_concurrent () =
   let g = Budget.group () in
   let outcomes = Array.make 4 `Pending in
   (match
      Pool.with_pool ~jobs:4 (fun pool ->
-         Pool.run ~pinned ~cancel_on_error:g pool
-           (List.init 4 (fun i _worker ->
-                if i = 0 then raise (Boom i)
-                else
-                  Budget.with_token
-                    (Budget.token ~group:g Budget.no_limits)
-                    (fun () ->
-                      let deadline = Unix.gettimeofday () +. 10. in
-                      match
-                        while Unix.gettimeofday () < deadline do
-                          Budget.check ()
-                        done
-                      with
-                      | () -> outcomes.(i) <- `Timeout
-                      | exception Budget.Out_of_budget Budget.Cancelled ->
-                        outcomes.(i) <- `Cancelled))))
+         Pool.run ~cancel_on_error:g pool (fun i ->
+             if i = 0 then raise (Boom i)
+             else
+               Budget.with_token
+                 (Budget.token ~group:g Budget.no_limits)
+                 (fun () ->
+                   let deadline = Unix.gettimeofday () +. 10. in
+                   match
+                     while Unix.gettimeofday () < deadline do
+                       Budget.check ()
+                     done
+                   with
+                   | () -> outcomes.(i) <- `Timeout
+                   | exception Budget.Out_of_budget Budget.Cancelled ->
+                     outcomes.(i) <- `Cancelled)))
    with
   | () -> fail "expected Boom"
   | exception Boom 0 -> ());
@@ -466,11 +463,7 @@ let suites =
         test_case "cancel-on-error degrades inline tasks deterministically"
           `Quick pool_cancel_on_error_inline;
         test_case "cancel-on-error cancels concurrent spinners, pool drains"
-          `Quick
-          (pool_cancel_on_error_concurrent ~pinned:false);
-        test_case "pinned: cancel-on-error cancels spinners, pool drains"
-          `Quick
-          (pool_cancel_on_error_concurrent ~pinned:true);
+          `Quick pool_cancel_on_error_concurrent;
       ] );
     ( "budget.truncation",
       [

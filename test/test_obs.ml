@@ -10,7 +10,7 @@ module Budget = Ddb_budget.Budget
 (* Tests for the observability layer: latency summaries, the trace
    recorder (balanced spans, deterministic logical-clock output, probe
    gating), the engine/solver probe sites, the profile table's agreement
-   with the stats record, and the pinned scheduler that makes parallel
+   with the stats record, and the strided placement that makes parallel
    traces reproducible. *)
 
 (* --- Histogram summaries --- *)
@@ -134,17 +134,17 @@ let traces_byte_identical () =
   check bool "logical clock recorded in metadata" true
     (contains a {|"clock":"logical"|})
 
-let pinned_batch_trace_deterministic () =
+let batch_trace_deterministic () =
   let db = Random_db.with_integrity ~seed:19 ~num_vars:6 in
   let run () =
     with_trace (fun () ->
-        Batch.with_batch ~jobs:4 ~pinned:true (fun b ->
+        Batch.with_batch ~jobs:4 (fun b ->
             ignore (Batch.literal_sweep b db)));
     (Trace.dump (), Trace.to_string ())
   in
   let events, a = run () in
   let _, b = run () in
-  check bool "jobs:4 pinned trace is byte-identical across runs" true (a = b);
+  check bool "jobs:4 trace is byte-identical across runs" true (a = b);
   check bool "balanced per worker lane" true (spans_balanced events);
   let tids =
     List.sort_uniq compare (List.map (fun (tid, _, _, _) -> tid) events)
@@ -153,14 +153,14 @@ let pinned_batch_trace_deterministic () =
   check bool "pool task spans" true
     (List.exists (fun (_, name, _, _) -> name = "pool.task") events)
 
-(* --- the pinned scheduler --- *)
+(* --- strided placement --- *)
 
-let map_pinned_placement () =
+let map_strided_placement () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           let got =
-            Parallel.map_in pool ~pinned:true
+            Parallel.map_in pool
               (fun ~worker k -> (worker, k * k))
               (List.init 23 Fun.id)
           in
@@ -172,38 +172,19 @@ let map_pinned_placement () =
             got))
     [ 1; 3; 4 ]
 
-let pinned_sweep_equals_chunked () =
-  let db = Random_db.with_integrity ~seed:7 ~num_vars:6 in
-  let chunked =
-    Batch.with_batch ~jobs:4 (fun b -> Batch.literal_sweep b db)
-  in
-  let pinned =
-    Batch.with_batch ~jobs:4 ~pinned:true (fun b -> Batch.literal_sweep b db)
-  in
-  let answer =
-    testable (fun fmt a -> Fmt.string fmt (Budget.string_of_answer a))
-      Budget.answer_equal
-  in
-  let lit =
-    testable (fun fmt l -> Ddb_logic.Lit.pp fmt l) Ddb_logic.Lit.equal
-  in
-  check
-    (list (pair string (list (pair lit answer))))
-    "pinned placement changes nothing observable" chunked pinned
-
 (* --- the profile table agrees with the stats record ---
 
    [ddbtool profile]'s rows are folded from the op spans of a traced
-   sweep; the engine's stats record counts the same ops.  At jobs 1 and at
-   pinned jobs 2: the [engine.*] rows' counts sum to [oracle_calls]; on
-   cached shards their hits and misses sum to [cache_hits] and
-   [cache_misses]; on a definite-Horn database the [fastpath.*] rows'
-   counts sum to [fastpath_hits]. *)
+   sweep; the engine's stats record counts the same ops.  At jobs 1 and 2:
+   the [engine.*] rows' counts sum to [oracle_calls]; on cached shards
+   their hits and misses sum to [cache_hits] and [cache_misses]; on a
+   definite-Horn database the [fastpath.*] rows' counts sum to
+   [fastpath_hits]. *)
 
 let traced_sweep ~jobs ~cache db =
   let totals =
     with_trace (fun () ->
-        Batch.with_batch ~jobs ~pinned:true ~cache (fun b ->
+        Batch.with_batch ~jobs ~cache (fun b ->
             ignore (Batch.literal_sweep b db);
             ignore (Batch.exists_sweep b db);
             Batch.totals b))
@@ -356,18 +337,16 @@ let suites =
         test_case "logical clock: byte-identical traces across runs" `Quick
           traces_byte_identical;
         test_case "jobs:4 pinned batch trace is deterministic" `Quick
-          pinned_batch_trace_deterministic;
+          batch_trace_deterministic;
       ] );
     ( "obs.pinned",
       [
-        test_case "map_in ~pinned places item k on worker k mod jobs" `Quick
-          map_pinned_placement;
-        test_case "pinned sweep = chunked sweep" `Quick
-          pinned_sweep_equals_chunked;
+        test_case "map_in places item k on worker k mod jobs" `Quick
+          map_strided_placement;
       ] );
     ( "obs.profile",
       [
-        test_case "span rows sum to the stats record (jobs 1, pinned 2)"
+        test_case "span rows sum to the stats record (jobs 1 and 2)"
           `Quick profile_rows_match_stats;
         test_case "op_rows: op spans only, unwound spans skipped" `Quick
           op_rows_fold;

@@ -13,115 +13,90 @@ module Budget = Ddb_budget.Budget
    cross-shard stats merging against the sequential counters, and the
    sharded reset lifecycle. *)
 
-(* --- pool and map_chunked mechanics --- *)
+(* --- pool and map mechanics --- *)
 
 let map_order_stable () =
   let xs = List.init 100 Fun.id in
   let expect = List.map (fun x -> x * x) xs in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun chunk_size ->
-          check (list int)
-            (Printf.sprintf "jobs:%d chunk:%d" jobs chunk_size)
-            expect
-            (Pool.with_pool ~jobs (fun pool ->
-                 Parallel.map_in pool ~chunk_size
-                   (fun ~worker:_ x -> x * x)
-                   xs)))
-        [ 1; 3; 100; 1000 ])
-    [ 1; 2; 4 ]
+      check (list int)
+        (Printf.sprintf "jobs:%d" jobs)
+        expect
+        (Pool.with_pool ~jobs (fun pool ->
+             Parallel.map_in pool (fun ~worker:_ x -> x * x) xs)))
+    [ 1; 2; 4; 7 ]
 
 let map_empty_and_singleton () =
-  check (list int) "empty" [] (Parallel.map_chunked ~jobs:4 (fun x -> x) []);
-  check (list int) "singleton" [ 7 ]
-    (Parallel.map_chunked ~jobs:4 (fun x -> x) [ 7 ])
+  check (list int) "empty" [] (Parallel.map ~jobs:4 (fun x -> x) []);
+  check (list int) "singleton" [ 7 ] (Parallel.map ~jobs:4 (fun x -> x) [ 7 ])
 
 let worker_indices_in_range () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let workers =
-        Parallel.map_in pool ~chunk_size:1
-          (fun ~worker _ -> worker)
-          (List.init 64 Fun.id)
+        Parallel.map_in pool (fun ~worker _ -> worker) (List.init 64 Fun.id)
       in
       check bool "all in [0,4)" true
         (List.for_all (fun w -> w >= 0 && w < 4) workers))
 
 exception Boom of int
 
-(* Items fail where x mod 5 = 3.  Pinned or not, the lowest failing item's
-   exception is the one re-raised; a pinned task stops at its own first
-   failure, so only the unpinned one-item tasks all run. *)
+(* Items fail where x mod 5 = 3.  A worker stops at its own first failing
+   item, and the lowest failing item's exception is the one re-raised. *)
 let exceptions_propagate () =
   List.iter
-    (fun (jobs, pinned) ->
-      let ran = Array.make 16 false in
-      let what = Printf.sprintf "jobs:%d pinned:%b" jobs pinned in
+    (fun jobs ->
+      let what = Printf.sprintf "jobs:%d" jobs in
       match
         Pool.with_pool ~jobs (fun pool ->
-            Parallel.map_in pool ~pinned ~chunk_size:1
-              (fun ~worker:_ x ->
-                ran.(x) <- true;
-                if x mod 5 = 3 then raise (Boom x);
-                x)
+            Parallel.map_in pool
+              (fun ~worker:_ x -> if x mod 5 = 3 then raise (Boom x) else x)
               (List.init 16 Fun.id))
       with
       | _ -> failf "%s expected Boom" what
-      | exception Boom x ->
-        check int (what ^ " lowest failure wins") 3 x;
-        (* the join is exception-safe: every task still ran *)
-        if not pinned then
-          check bool "all tasks ran" true (Array.for_all Fun.id ran))
-    [ (1, false); (4, false); (1, true); (4, true) ]
-
-(* Pinned placement: task [i] runs on worker [i], so a pinned run takes at
-   most [jobs] tasks, and it has the same drain-then-raise join as the
-   shared queue. *)
-let pinned_overflow_rejected () =
-  List.iter
-    (fun jobs ->
-      let ran = ref false in
-      Pool.with_pool ~jobs (fun pool ->
-          match
-            Pool.run ~pinned:true pool
-              (List.init (jobs + 1) (fun _ _worker -> ran := true))
-          with
-          | () -> failf "jobs:%d: %d pinned tasks accepted" jobs (jobs + 1)
-          | exception Invalid_argument _ ->
-            check bool "no task ran" false !ran))
+      | exception Boom x -> check int (what ^ " lowest failure wins") 3 x)
     [ 1; 4 ]
 
-(* Every task raises; task 0 waits (with a wall safety bound) until the
+(* Every worker raises; worker 0 waits (with a wall safety bound) until the
    others have raised, so its exception is recorded last — and must still
-   be the one re-raised, after every task ran on its own worker. *)
-let pinned_exceptions_propagate () =
+   be the one re-raised, after every worker ran once on its own domain. *)
+let run_exceptions_propagate () =
   List.iter
     (fun jobs ->
-      let workers = Array.make jobs (-1) in
+      let domains = Array.make jobs None in
       let raised = Atomic.make 0 in
       match
         Pool.with_pool ~jobs (fun pool ->
-            Pool.run ~pinned:true pool
-              (List.init jobs (fun i worker ->
-                   workers.(i) <- worker;
-                   if i = 0 then begin
-                     let deadline = Unix.gettimeofday () +. 10. in
-                     while
-                       Atomic.get raised < jobs - 1
-                       && Unix.gettimeofday () < deadline
-                     do
-                       Domain.cpu_relax ()
-                     done
-                   end
-                   else Atomic.incr raised;
-                   raise (Boom i))))
+            Pool.run pool (fun w ->
+                domains.(w) <- Some (Domain.self ());
+                if w = 0 then begin
+                  let deadline = Unix.gettimeofday () +. 10. in
+                  while
+                    Atomic.get raised < jobs - 1
+                    && Unix.gettimeofday () < deadline
+                  do
+                    Domain.cpu_relax ()
+                  done
+                end
+                else Atomic.incr raised;
+                raise (Boom w)))
       with
       | () -> failf "jobs:%d expected Boom" jobs
-      | exception Boom i ->
-        check int (Printf.sprintf "jobs:%d first in submission order" jobs) 0 i;
-        check (array int) "every task ran on its own worker"
-          (Array.init jobs Fun.id) workers)
+      | exception Boom w ->
+        check int (Printf.sprintf "jobs:%d lowest worker's exception" jobs) 0 w;
+        let ran = List.filter_map Fun.id (Array.to_list domains) in
+        check int "every worker ran" jobs (List.length ran);
+        check int "each on its own domain" jobs
+          (List.length (List.sort_uniq compare ran)))
     [ 1; 4 ]
+
+(* A worker count past the runtime's domain limit is refused before any
+   domain starts. *)
+let create_rejects_too_many_workers () =
+  check bool "1000 workers refused" true
+    (match Pool.create ~jobs:1000 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let pool_reusable_across_runs () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -213,6 +188,24 @@ let all_semantics_and_exists_agree () =
         (Batch.all_semantics b db f);
       check (list (pair string answer)) "exists_sweep" expect_e
         (Batch.exists_sweep b db))
+
+let without_wall_ms = Str.global_replace (Str.regexp {|"wall_ms":[0-9.]+|}) ""
+
+(* [ddbtool stats]'s workload — two passes of a literal sweep and an
+   existence sweep — on an untraced jobs:4 batch: which shard answers a
+   question, and so every merged counter, is a function of the input, so
+   two runs print the same record once wall times are cut. *)
+let untraced_stats_reproducible () =
+  let db = Random_db.with_integrity ~seed:31 ~num_vars:8 in
+  let run () =
+    Batch.with_batch ~jobs:4 (fun b ->
+        for _pass = 1 to 2 do
+          ignore (Batch.literal_sweep b db);
+          ignore (Batch.exists_sweep b db)
+        done;
+        without_wall_ms (Batch.stats_json b))
+  in
+  check string "jobs:4 stats record, twice" (run ()) (run ())
 
 (* --- merged counters vs the sequential run ---
 
@@ -331,7 +324,7 @@ let suites =
   [
     ( "parallel.pool",
       [
-        test_case "map_chunked is order-stable for every jobs/chunk" `Quick
+        test_case "map is order-stable for every job count" `Quick
           map_order_stable;
         test_case "empty and singleton inputs" `Quick map_empty_and_singleton;
         test_case "worker indices stay in range" `Quick worker_indices_in_range;
@@ -339,10 +332,11 @@ let suites =
           exceptions_propagate;
         test_case "a pool is reusable across runs" `Quick
           pool_reusable_across_runs;
-        test_case "a pinned run takes at most one task per worker" `Quick
-          pinned_overflow_rejected;
-        test_case "pinned tasks drain, then the first exception propagates"
-          `Quick pinned_exceptions_propagate;
+        test_case "pinned tasks drain, then the lowest worker's exception \
+                   propagates"
+          `Quick run_exceptions_propagate;
+        test_case "create refuses more workers than the runtime allows"
+          `Quick create_rejects_too_many_workers;
       ] );
     ( "parallel.batch",
       [
@@ -351,6 +345,8 @@ let suites =
           `Quick batch_matches_sequential_unit;
         test_case "all_semantics and exists_sweep = sequential" `Quick
           all_semantics_and_exists_agree;
+        test_case "untraced jobs:4 stats record is reproducible" `Quick
+          untraced_stats_reproducible;
       ] );
     ( "parallel.stats",
       [
