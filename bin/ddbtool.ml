@@ -40,10 +40,26 @@ type budget_opts = {
   on_exhaust : [ `Unknown | `Retry | `Fail ];
 }
 
+(* Caps and counts are never negative: [--budget-ms=-1] is a usage error,
+   not a budget that trips at once, and [--limit=-2] not an empty listing. *)
+let non_negative of_string is_non_negative pp =
+  let parse s =
+    match of_string s with
+    | Some x when is_non_negative x -> Ok x
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a non-negative number, got %S" s))
+  in
+  Arg.conv (parse, pp)
+
+let count_conv = non_negative int_of_string_opt (fun n -> n >= 0) Fmt.int
+
+(* [nan >= 0.] is false, so nan is refused too. *)
+let ms_conv = non_negative float_of_string_opt (fun ms -> ms >= 0.) Fmt.float
+
 let budget_conflicts_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count_conv) None
     & info [ "budget-conflicts" ] ~docv:"N"
         ~doc:
           "Abort the oracle work after $(docv) SAT conflicts (summed over \
@@ -53,7 +69,7 @@ let budget_conflicts_arg =
 let budget_ms_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some ms_conv) None
     & info [ "budget-ms" ] ~docv:"MS"
         ~doc:
           "Wall-clock deadline in milliseconds per budget scope (per query \
@@ -64,7 +80,7 @@ let budget_ms_arg =
 let budget_ticks_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count_conv) None
     & info [ "budget-ticks" ] ~docv:"N"
         ~doc:
           "Logical deadline: at most $(docv) budget ticks (each SAT \
@@ -206,7 +222,7 @@ let semantics_arg =
 let limit_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some count_conv) None
     & info [ "limit" ] ~docv:"N" ~doc:"Report at most $(docv) models.")
 
 let check_applicable (sem : Semantics.t) db =

@@ -180,13 +180,6 @@ let charge ?(conflicts = 0) () =
       consume_ticks tok conflicts
     end
 
-let on_solve () =
-  match (state ()).tok with
-  | None -> ()
-  | Some tok ->
-    validate tok;
-    if tok.capped then consume_ticks tok 1
-
 let check () =
   match (state ()).tok with
   | None -> ()

@@ -10,11 +10,11 @@
       deadline, a wall deadline, an enumeration cap) plus a cross-domain
       cancellation flag;
     - the token is installed domain-locally with {!with_token}; the SAT
-      solver's conflict loop, the CEGAR round boundary and the model
-      enumerators call the probe functions ({!charge}, {!on_solve},
-      {!check}, {!on_model}, {!on_oracle_op}), which raise
-      {!Out_of_budget} when a cap trips — with no token installed every
-      probe is one domain-local read;
+      solver's conflict loop and solve entry, the CEGAR round boundary and
+      the model enumerators call the probe functions ({!charge}, {!check},
+      {!on_model}, {!on_oracle_op}), which raise {!Out_of_budget} when a
+      cap trips — with no token installed every probe is one domain-local
+      read;
     - a tripped computation degrades to the three-valued {!answer}
       [Unknown reason] instead of a wrong definite answer: the exception
       unwinds before any result is produced, so memo tables only ever see
@@ -135,11 +135,9 @@ val charge : ?conflicts:int -> unit -> unit
 (** The SAT solver's conflict site: consume conflicts (each conflict is
     also one tick) and check every cap. *)
 
-val on_solve : unit -> unit
-(** Solve-call entry: one tick. *)
-
 val check : unit -> unit
-(** Generic loop boundary (CEGAR rounds, enumeration loops): one tick. *)
+(** The one tick probe: a solve call's entry and every other loop boundary
+    (CEGAR rounds, enumeration loops) consume one tick here. *)
 
 val on_model : unit -> unit
 (** One reported model: checks the enumeration cap ([limits.models]). *)

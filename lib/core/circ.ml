@@ -92,7 +92,8 @@ let infer_formula db part f =
   let schema = schema_solver db part in
   let candidate = Db.solver db in
   Solver.ensure_vars candidate (2 * n); (* keep clear of primed ids *)
-  let _ = Solver.add_formula candidate ~next_var:(2 * n) (Formula.not_ f) in
+  List.iter (Solver.add_clause candidate)
+    (Models.guard ~universe:(2 * n) (Some (Formula.not_ f)));
   let rec descend m =
     match find_below_schema db schema m with
     | None -> m

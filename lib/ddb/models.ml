@@ -25,14 +25,12 @@ let minimal_models ?part db =
   Minimal.all_minimal (Db.theory db) (or_total (Db.num_vars db) part)
 
 (* The search restriction "the model satisfies F", shared by every
-   guess-and-check search: the Tseitin clauses asserting F over auxiliary
+   guess-and-check search: the asserting clauses of F over auxiliary
    variables numbered from [universe].  A solver holding them yields only
    models of F.  No formula: no restriction. *)
 let guard ~universe = function
   | None -> []
-  | Some f ->
-    let clauses, _, out = Cnf.tseitin ~next_var:universe f in
-    [ out ] :: clauses
+  | Some f -> List.concat (fst (Cnf.assert_clauses ~next_var:universe f))
 
 (* A (P;Z)-minimal model of DB satisfying F, by the Σ₂ᵖ guess-and-check
    search.  It is a witness for the brave query F, and a counterexample to
@@ -56,8 +54,8 @@ let minimal_entails ?part db formula =
 let entails db formula =
   let n = max (Db.num_vars db) (Formula.max_atom formula + 1) in
   let solver = Db.solver db in
-  Solver.ensure_vars solver n;
-  let _ = Solver.add_formula solver ~next_var:n (Formula.not_ formula) in
+  List.iter (Solver.add_clause solver)
+    (guard ~universe:n (Some (Formula.not_ formula)));
   match Solver.solve solver with
   | Solver.Sat -> false
   | Solver.Unsat -> true

@@ -12,11 +12,13 @@ val minimal_models : ?part:Partition.t -> Db.t -> Interp.t list
     partition, where that is all of MM(DB)). *)
 
 val guard : universe:int -> Formula.t option -> Lit.t list list
-(** [guard ~universe (Some f)]: the Tseitin clauses asserting [f] (auxiliary
-    variables numbered from [universe]) — the one "model satisfies F"
-    restriction every guess-and-check search uses.  A solver holding them
-    yields only models of [f], so no search screens its candidates for
-    [f] again.  [None] restricts nothing. *)
+(** [guard ~universe (Some f)]: the clauses of
+    {!Ddb_sat.Cnf.assert_clauses} asserting [f] (auxiliary variables
+    numbered from [universe]) — the one "model satisfies F" restriction
+    every guess-and-check search, CIRC's and classical entailment's
+    counterexample solvers use.  A solver holding them yields only models
+    of [f], so no search screens its candidates for [f] again.  [None]
+    restricts nothing. *)
 
 val minimal_witness :
   ?part:Partition.t ->

@@ -20,7 +20,7 @@ open Ddb_db
        the fragment classification, the compiled {!Minimal.theory} and a
        single incremental {!Solver.t}.  Entailment and consistency queries
        run on that solver under assumptions (closed-world literals, the
-       Tseitin output of a negated query) instead of rebuilding a solver
+       named literal of a negated query) instead of rebuilding a solver
        per query, so learned clauses accumulate;
      - every solver over a theory's clauses, the shared one included, is a
        copy of the compiled theory's never-solved image, in exactly the
@@ -123,14 +123,14 @@ let canonical_of_db db : raw_key =
   in
   (Db.num_vars db, clauses)
 
-(* Per-theory shared solver: the theory clauses plus, over time, Tseitin
-   definitions for queried formulas (activated only by assuming their
-   output literal — definitional clauses never constrain the original
+(* Per-theory shared solver: the theory clauses plus, over time, the
+   definitions naming queried formulas (activated only by assuming their
+   named literal — definitional clauses never constrain the original
    atoms) and the solver's own learned clauses. *)
 type theory_state = {
   solver : Solver.t;
   mutable next_var : int;
-  (* Tseitin output literal per already-encoded formula, so a repeated
+  (* Named literal per already-encoded formula, so a repeated
      query re-uses its encoding instead of growing the solver. *)
   encoded : (Formula.t, Lit.t) Hashtbl.t;
 }
@@ -487,15 +487,15 @@ let memo t ~span tbl db mk compute =
          (fun () -> lookup t tbl db mk compute)
          (fun (_, own) -> [ (n_cache_hit, Ddb_obs.Trace.Bool own) ]))
 
-(* The Tseitin output literal for [f] on a theory state: encoded once,
-   activated per query by assuming it.  Definitional clauses only relate
-   fresh auxiliary variables to the original atoms, so adding them
-   permanently preserves the solver's theory. *)
+(* The named literal L → [f] on a theory state: encoded once, activated
+   per query by assuming it.  Definitional clauses only constrain fresh
+   auxiliary variables, so adding them permanently preserves the solver's
+   theory. *)
 let encoded_formula st f =
   match Hashtbl.find_opt st.encoded f with
   | Some out -> out
   | None ->
-    let clauses, next', out = Cnf.tseitin ~next_var:st.next_var f in
+    let clauses, next', out = Cnf.named_literal ~next_var:st.next_var f in
     Solver.ensure_vars st.solver next';
     List.iter (Solver.add_clause st.solver) clauses;
     st.next_var <- next';
@@ -523,7 +523,7 @@ let augmented_has_model t db negs =
     (fun key -> qkey ~negs:(Interp.to_list negs) key "aug_sat")
     (fun e -> solve_sat ~assumptions:(neg_assumptions negs) (state e))
 
-(* A model of DB ∪ {¬x : x ∈ negs} satisfying F: assume the Tseitin output
+(* A model of DB ∪ {¬x : x ∈ negs} satisfying F: assume the named literal
    of F plus the negation literals, and keep the model the solve finds.  It
    is a brave witness for F and a counterexample to the cautious query ¬F,
    so both read the same memo entry.  The op keeps its entailment name. *)

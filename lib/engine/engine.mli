@@ -67,7 +67,7 @@ val augmented_has_model : t -> Db.t -> Interp.t -> bool
 
 val augmented_witness : t -> Db.t -> Interp.t -> Formula.t -> Interp.t option
 (** A model of [DB ∪ {¬x : x ∈ negs}] satisfying [F], if any — one SAT call
-    with the negations and [F]'s Tseitin output as assumptions, memoized
+    with the negations and [F]'s named literal as assumptions, memoized
     (op [aug_entails]).  The universe is padded to cover [F]. *)
 
 val augmented_entails : t -> Db.t -> Interp.t -> Formula.t -> bool

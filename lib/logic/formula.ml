@@ -86,7 +86,7 @@ and nnf_neg = function
   | Iff (a, b) -> or_ (and_ (nnf a) (nnf_neg b)) (and_ (nnf_neg a) (nnf b))
 
 (* Direct CNF by distribution.  Exponential in the worst case, but queries are
-   small; the SAT layer offers a Tseitin encoding for anything bigger.
+   small; the SAT layer's encoder ([Cnf]) takes anything bigger.
    Result: list of clauses, each a list of literals; [[]] is falsum, [] is
    verum.  Clauses are pruned of tautologies and duplicate literals. *)
 let cnf f =

@@ -2,7 +2,7 @@
 
     Smart constructors perform light simplification with the boolean
     constants; [cnf]/[dnf] convert by distribution (fine for query-sized
-    formulas; use the SAT layer's Tseitin encoding for large ones). *)
+    formulas; the SAT layer's encoder, [Cnf], takes large ones). *)
 
 type t =
   | True

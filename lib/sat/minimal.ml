@@ -121,8 +121,8 @@ let cone_blocking part m =
 (* The minimal-model search loop, the guess-and-check loop of the paper's
    Σ₂ᵖ upper bounds and the one place that walks minimal models.  It looks
    for M ∈ MM(theory; P; Z) satisfying the [extra] clauses (which may
-   mention auxiliary atoms beyond the universe, e.g. a Tseitin encoding of
-   ¬F; auxiliaries float like Z-atoms) and passing [check]:
+   mention auxiliary atoms beyond the universe, e.g. the asserting
+   encoding of ¬F; auxiliaries float like Z-atoms) and passing [check]:
 
      candidate <- SAT(theory ∧ extra ∧ blocked);
      m̂ <- minimize candidate within (theory ∧ extra);

@@ -307,13 +307,6 @@ let add_plit_clause t plits =
 
 let add_clause t lits = add_plit_clause t (List.map Cnf.plit_of_lit lits)
 
-let add_formula t ~next_var f =
-  let clauses, next_var', out = Cnf.tseitin ~next_var f in
-  ensure_vars t next_var';
-  List.iter (add_clause t) clauses;
-  add_clause t [ out ];
-  next_var'
-
 (* Decision: unassigned variable of maximal activity (linear scan — our
    universes are small enough that a heap is not worth the complexity). *)
 let pick_branch_var t =
@@ -344,7 +337,7 @@ exception Assumption_failed
 
 let solve_core ?(assumptions = []) t =
   Stats.bump_sat ();
-  Ddb_budget.Budget.on_solve ();
+  Ddb_budget.Budget.check ();
   backtrack t 0;
   if t.root_unsat then Unsat
   else if propagate t >= 0 then begin
@@ -459,7 +452,7 @@ let solve ?(assumptions = []) t =
   end
 
 (* The model found by the last successful [solve].  Universe size can be
-   requested explicitly so that callers with auxiliary (Tseitin) variables can
+   requested explicitly so that callers with auxiliary (encoder) variables can
    project onto the original atoms. *)
 let model ?universe t =
   let n = match universe with Some n -> n | None -> t.num_vars in

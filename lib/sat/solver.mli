@@ -25,10 +25,6 @@ val add_clause : t -> Lit.t list -> unit
 (** Add a clause.  Tautologies are dropped; an empty (or root-falsified)
     clause makes the solver permanently unsatisfiable. *)
 
-val add_formula : t -> next_var:int -> Formula.t -> int
-(** Assert a formula via Tseitin encoding, allocating auxiliary variables
-    from [next_var] upward.  Returns the next free variable. *)
-
 val solve : ?assumptions:Lit.t list -> t -> result
 
 val model : ?universe:int -> t -> Interp.t

@@ -17,7 +17,8 @@
 #     on one line, and that output re-read as .ddb answers the same;
 #   - parse errors name the file, line and column;
 #   - a --jobs count below 1 or past the runtime's domain limit is a usage
-#     error (exit 124), refused before any worker domain starts.
+#     error (exit 124), refused before any worker domain starts;
+#   - a negative --limit or --budget-* value is a usage error (exit 124).
 set -eu
 tool="$1"
 quickstart="$2"
@@ -171,6 +172,19 @@ for n in 0 1000; do
   [ "$code" -eq 124 ] || fail "--jobs $n: expected exit 124, got $code"
   echo "$err" | grep -q "expected a worker count from 1 to" \
     || fail "--jobs $n: got '$err'"
+done
+
+# 13. Counts and caps are never negative, also written --opt=-N: a usage
+#     error, not an empty listing or a budget that trips at once.
+for args in "models --limit=-2" "exists --budget-conflicts=-1" \
+  "exists --budget-ticks=-1" "exists --budget-ms=-1" "exists --budget-ms=nan"
+do
+  code=0
+  err=$("$tool" "${args%% *}" "$tmp/two.ddb" "${args#* }" 2>&1 >/dev/null) \
+    || code=$?
+  [ "$code" -eq 124 ] || fail "$args: expected exit 124, got $code"
+  echo "$err" | tr -s '\n ' '  ' | grep -q "expected a non-negative number" \
+    || fail "$args: got '$err'"
 done
 
 echo "cli tests passed"

@@ -130,7 +130,6 @@ let probes_noop_without_token () =
   check bool "no ambient token" false (Budget.active ());
   (* every probe is a no-op with no token installed and no fault armed *)
   Budget.charge ~conflicts:5 ();
-  Budget.on_solve ();
   Budget.check ();
   Budget.on_model ();
   Budget.on_oracle_op ();

@@ -76,15 +76,6 @@ let solver_suite =
         check "forced 1" true (Interp.mem (Solver.model s) 1);
         Solver.add_clause s [ Lit.Neg 1 ];
         check "now unsat" true (Solver.solve s = Solver.Unsat));
-    Alcotest.test_case "add_formula (Tseitin)" `Quick (fun () ->
-        let f =
-          Formula.Iff (Formula.Atom 0, Formula.Not (Formula.Atom 1))
-        in
-        let s = Solver.create ~num_vars:2 () in
-        let _next = Solver.add_formula s ~next_var:2 f in
-        check "sat" true (Solver.solve s = Solver.Sat);
-        let m = Solver.model ~universe:2 s in
-        check "xor holds" true (Interp.mem m 0 <> Interp.mem m 1));
     Alcotest.test_case "model projection" `Quick (fun () ->
         let s = Solver.of_clauses ~num_vars:5 [ [ Lit.Pos 4 ] ] in
         check "sat" true (Solver.solve s = Solver.Sat);
@@ -498,18 +489,38 @@ let rec gen_assert_formula rand num_vars depth =
     | 3 | 4 -> Formula.Imp (sub (), Formula.Imp (sub (), sub ()))
     | _ -> Formula.Iff (sub (), sub ())
 
+let units ~num_vars m =
+  List.init num_vars (fun x ->
+      [ (if Interp.mem m x then Lit.Pos x else Lit.Neg x) ])
+
+let satisfiable ~num_vars clauses =
+  Solver.solve (Solver.of_clauses ~num_vars clauses) = Solver.Sat
+
 let encoding_agrees ~num_vars f =
   let groups, next_var = Cnf.assert_clauses ~next_var:num_vars f in
   let clauses = List.concat groups in
   List.for_all
     (fun m ->
-      let units =
-        List.init num_vars (fun x ->
-            [ (if Interp.mem m x then Lit.Pos x else Lit.Neg x) ])
-      in
-      let s = Solver.of_clauses ~num_vars:next_var (clauses @ units) in
-      (Solver.solve s = Solver.Sat) = Formula.eval m f)
+      satisfiable ~num_vars:next_var (clauses @ units ~num_vars m)
+      = Formula.eval m f)
     (Brute.models ~num_vars [])
+
+(* The literal face, the engine's shared-solver invariant: the definitions
+   never constrain the atoms, assuming the named literal L asks for F, and
+   a literal names itself. *)
+let literal_face_agrees ~num_vars f =
+  let clauses, next_var, l = Cnf.named_literal ~next_var:num_vars f in
+  List.for_all
+    (fun m ->
+      let base = clauses @ units ~num_vars m in
+      satisfiable ~num_vars:next_var base
+      && satisfiable ~num_vars:next_var ([ l ] :: base) = Formula.eval m f)
+    (Brute.models ~num_vars [])
+  &&
+  match f with
+  | Formula.Atom x -> clauses = [] && l = Lit.Pos x
+  | Formula.Not (Formula.Atom x) -> clauses = [] && l = Lit.Neg x
+  | _ -> true
 
 (* The group order contract: each group defines at most one new auxiliary
    and otherwise reads atoms and auxiliaries of earlier groups. *)
@@ -535,6 +546,14 @@ let groups_in_order ~num_vars f =
 let assert_clauses_suite =
   let a = Formula.Atom 0 and b = Formula.Atom 1 and c = Formula.Atom 2 in
   [
+    Alcotest.test_case "xor asserted on a solver" `Quick (fun () ->
+        let f = Formula.(Iff (a, Not b)) in
+        let groups, next_var = Cnf.assert_clauses ~next_var:2 f in
+        let s = Solver.create ~num_vars:next_var () in
+        List.iter (List.iter (Solver.add_clause s)) groups;
+        check "sat" true (Solver.solve s = Solver.Sat);
+        let m = Solver.model ~universe:2 s in
+        check "xor holds" true (Interp.mem m 0 <> Interp.mem m 1));
     Alcotest.test_case "constants, Iff and nested Imp" `Quick (fun () ->
         List.iter
           (fun f ->
@@ -564,12 +583,16 @@ let assert_clauses_suite =
 
 let qcheck_assert_clauses =
   QCheck.Test.make ~count:(Gen.qcheck_count 300)
-    ~name:"asserting encoding: m |= F iff clauses + units(m) satisfiable"
+    ~name:
+      "asserting encoding: m |= F iff clauses + units(m) satisfiable; \
+       literal face: defs + units(m) always, + [L] iff m |= F"
     QCheck.(pair (int_bound 99999) (int_range 1 6))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let f = gen_assert_formula rand num_vars 4 in
-      encoding_agrees ~num_vars f && groups_in_order ~num_vars f)
+      encoding_agrees ~num_vars f
+      && groups_in_order ~num_vars f
+      && literal_face_agrees ~num_vars f)
 
 let suites =
   [
