@@ -17,7 +17,7 @@ let run () =
       (* GCWA literal inference vs QBF validity *)
       let agree = ref 0 and valid = ref 0 and total_ms = ref 0. in
       for seed = 0 to per_size - 1 do
-        let qbf = Qbf_family.random_ef ~seed ~xs ~ys () in
+        let qbf = Qbf_family.random_ef ~seed ~xs ~ys in
         let db, w = Reductions.qbf_to_gcwa qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
         let t0 = Unix.gettimeofday () in
@@ -40,7 +40,7 @@ let run () =
       let agree = ref 0 and valid = ref 0 and total_ms = ref 0. in
       let per_size = 10 in
       for seed = 100 to 100 + per_size - 1 do
-        let qbf = Qbf_family.random_ef ~seed ~xs ~ys () in
+        let qbf = Qbf_family.random_ef ~seed ~xs ~ys in
         let db = Reductions.qbf_to_dsm_exists qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
         let t0 = Unix.gettimeofday () in

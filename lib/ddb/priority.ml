@@ -20,49 +20,62 @@ type t = {
   lt : Interp.t array; (* lt.(x) = { y : x < y } *)
 }
 
+(* Bitsets over the atoms, mutable and local to [compute]. *)
+let word_bits = Sys.int_size
+
+let bits_make n = Array.make ((n + word_bits - 1) / word_bits) 0
+let bits_mem b x = b.(x / word_bits) land (1 lsl (x mod word_bits)) <> 0
+
+let bits_add b x =
+  b.(x / word_bits) <- b.(x / word_bits) lor (1 lsl (x mod word_bits))
+
+let bits_union_into dst src =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- dst.(i) lor src.(i)
+  done
+
 let compute db =
   let n = Db.num_vars db in
-  (* Weighted edges x -> y, weight 1 for strict (priority(y) > priority(x)
-     reachable), 0 for non-strict. *)
-  let weak = Array.make (max n 1) [] in
-  let strict = Array.make (max n 1) [] in
-  let add_weak x y = if x <> y then weak.(x) <- y :: weak.(x) in
-  let add_strict x y = strict.(x) <- y :: strict.(x) in
+  (* reach.(x): atoms reachable from x over weak and strict edges, x
+     included; strict.(x): the heads of x's strict edges, y with
+     priority(y) > priority(x). *)
+  let reach = Array.init n (fun x -> let b = bits_make n in bits_add b x; b) in
+  let strict = Array.init n (fun _ -> bits_make n) in
   List.iter
     (fun c ->
       let head = Clause.head c in
       List.iter
         (fun a ->
-          List.iter (fun b -> add_weak a b) (Clause.body_pos c);
-          List.iter (fun c' -> add_strict a c') (Clause.body_neg c);
+          List.iter (bits_add reach.(a)) (Clause.body_pos c);
+          List.iter (bits_add reach.(a)) head;
           List.iter
-            (fun a' ->
-              add_weak a a';
-              add_weak a' a)
-            head)
+            (fun c' ->
+              bits_add reach.(a) c';
+              bits_add strict.(a) c')
+            (Clause.body_neg c))
         head)
     (Db.clauses db);
-  (* For each x: BFS over states (node, strict-step-seen). *)
+  (* Warshall: after pass k, reach.(i) closes over paths through 0..k. *)
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      if i <> k && bits_mem reach.(i) k then bits_union_into reach.(i) reach.(k)
+    done
+  done;
+  (* x < y iff x reaches some b, b has a strict edge to c, and c reaches y:
+     lt(x) is the union of reach(c) over c in the strict image of
+     reach(x). *)
   let lt =
     Array.init (max n 1) (fun x ->
         if x >= n then Interp.empty (max n 1)
         else begin
-          let visited = Array.make (2 * n) false in
-          let queue = Queue.create () in
-          let push node s =
-            let idx = (2 * node) + if s then 1 else 0 in
-            if not visited.(idx) then begin
-              visited.(idx) <- true;
-              Queue.add (node, s) queue
-            end
-          in
-          push x false;
-          while not (Queue.is_empty queue) do
-            let node, s = Queue.pop queue in
-            List.iter (fun y -> push y s) weak.(node);
-            List.iter (fun y -> push y true) strict.(node)
+          let image = bits_make n and out = bits_make n in
+          for b = 0 to n - 1 do
+            if bits_mem reach.(x) b then bits_union_into image strict.(b)
           done;
-          Interp.of_pred n (fun y -> visited.((2 * y) + 1))
+          for c = 0 to n - 1 do
+            if bits_mem image c then bits_union_into out reach.(c)
+          done;
+          Interp.of_pred n (bits_mem out)
         end)
   in
   { num_vars = n; lt }

@@ -1,19 +1,27 @@
 open Ddb_logic
 open Ddb_sat
 
-(* Counterexample-guided 2-QBF solver on top of the CDCL SAT solver.
+(* Counterexample-guided 2-QBF solver on top of the CDCL SAT solver, in
+   the scheme of Janota & Marques-Silva, "Abstraction-based algorithm for
+   2QBF" (SAT 2011).
 
-   For exists-X forall-Y phi:
-     - the check solver holds the clauses of not-phi, encoded once; each
-       round pins X by assumptions and asks it for a counterexample sigma_Y;
-     - the abstraction solver starts empty and, for every counterexample,
-       receives phi's clauses instantiated under sigma_Y: a clause with a
-       true Y-literal is dropped, false Y-literals are stripped, and the
-       auxiliaries whose definitions read Y get fresh copies.  Clauses free
-       of Y are the same under every sigma_Y and are added once, at the
-       first refinement.  Neither formula is rebuilt or re-encoded;
-     - each round proposes sigma_X from the abstraction; an UNSAT check
-       certifies validity, an UNSAT abstraction refutes it.
+   For exists-X forall-Y phi, phi's top-level conjuncts (as [Cnf] splits
+   them) fall into phi_X, which reads no Y atom, and phi_Y, the rest:
+     - the abstraction solver starts from phi_X's clauses, so every
+       candidate sigma_X it proposes satisfies phi_X.  When phi_X is
+       unsatisfiable, the first solve refutes the instance;
+     - the check solver holds the clauses of not-phi_Y only, encoded when
+       the first candidate needs checking.  A round pins X by assumptions
+       and asks it for a counterexample sigma_Y; under a sigma_X that
+       satisfies phi_X, some Y falsifies phi iff some Y falsifies phi_Y.
+       With no phi_Y, the first candidate is a witness;
+     - for every counterexample the abstraction receives phi_Y's clauses
+       instantiated under sigma_Y: a clause with a true Y-literal is
+       dropped, false Y-literals are stripped, and the auxiliaries whose
+       definitions read Y get fresh copies, numbered after phi_X's.
+       Clauses free of Y are the same under every sigma_Y and are added
+       once, at the first refinement.  Nothing is rebuilt or re-encoded;
+     - an UNSAT check certifies validity, an UNSAT abstraction refutes it.
 
    forall-X exists-Y phi is solved as the negation of an exists-forall
    instance.  Every call bumps [Stats.bump_sigma2]: this function *is* the
@@ -29,17 +37,17 @@ let n_rounds = Ddb_obs.Trace.name "rounds"
 let n_valid = Ddb_obs.Trace.name "valid"
 let n_refined = Ddb_obs.Trace.name "refined"
 
-(* The refinement step: encodes phi once and returns a function adding
-   phi[Y := sigma_Y] to [abstraction] for a counterexample sigma_Y.
+(* The refinement step: encodes phi_Y once and returns a function adding
+   phi_Y[Y := sigma_Y] to [abstraction] for a counterexample sigma_Y.
 
    One forward pass over the encoder's groups finds the Y-dependent
    clauses: a group reads only atoms and earlier auxiliaries besides the
    one it defines, so that auxiliary, unseen until its group, depends on Y
-   iff the group reads Y.  The abstraction numbers auxiliaries on first
-   use: Y-free ones once, Y-dependent ones afresh in every refinement
-   ([stamp] holds the refinement that numbered them). *)
-let refiner ~num_vars ~is_y abstraction matrix =
-  let groups, next_aux = Cnf.assert_clauses ~next_var:num_vars matrix in
+   iff the group reads Y.  The abstraction numbers auxiliaries from
+   [first_aux] on first use: Y-free ones once, Y-dependent ones afresh in
+   every refinement ([stamp] holds the refinement that numbered them). *)
+let refiner ~num_vars ~first_aux ~is_y abstraction phi_y =
+  let groups, next_aux = Cnf.assert_clauses ~next_var:num_vars phi_y in
   let n_aux = next_aux - num_vars in
   let dep = Array.make n_aux false and seen = Array.make n_aux false in
   let reads_y l =
@@ -62,7 +70,7 @@ let refiner ~num_vars ~is_y abstraction matrix =
       groups
   in
   let abs_var = Array.make n_aux (-1) and stamp = Array.make n_aux 0 in
-  let next_var = ref num_vars and refinements = ref 0 in
+  let next_var = ref first_aux and refinements = ref 0 in
   fun sigma_y ->
     incr refinements;
     let current = !refinements in
@@ -95,21 +103,38 @@ let refiner ~num_vars ~is_y abstraction matrix =
     if current = 1 then List.iter add (List.concat groups)
     else List.iter add y_dependent
 
-let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
+let rec mentions_y is_y = function
+  | Formula.True | Formula.False -> false
+  | Formula.Atom x -> is_y.(x)
+  | Formula.Not g -> mentions_y is_y g
+  | Formula.And (a, b) | Formula.Or (a, b) | Formula.Imp (a, b)
+  | Formula.Iff (a, b) ->
+    mentions_y is_y a || mentions_y is_y b
+
+(* A solver holding the clauses that assert [f], auxiliaries from
+   [num_vars] up, and the first variable they leave free. *)
+let asserting ~num_vars f =
+  let groups, next_var = Cnf.assert_clauses ~next_var:num_vars f in
+  let solver = Solver.create ~num_vars:next_var () in
+  List.iter (List.iter (Solver.add_clause solver)) groups;
+  (solver, next_var)
+
+(* The loop; [(answer, rounds)]. *)
+let solve ~max_rounds ~num_vars ~xs ~ys matrix =
   let is_y = Array.make num_vars false in
   List.iter (fun y -> is_y.(y) <- true) ys;
-  let check_solver = Solver.create ~num_vars () in
-  let neg_groups, check_vars =
-    Cnf.assert_clauses ~next_var:num_vars (Formula.not_ matrix)
+  let phi_y, phi_x = List.partition (mentions_y is_y) (Cnf.top_conjuncts matrix) in
+  let abstraction, first_aux = asserting ~num_vars (Formula.big_and phi_x) in
+  let universal = phi_y <> [] and phi_y = Formula.big_and phi_y in
+  let check_solver =
+    lazy (fst (asserting ~num_vars (Formula.not_ phi_y)))
   in
-  Solver.ensure_vars check_solver check_vars;
-  List.iter (List.iter (Solver.add_clause check_solver)) neg_groups;
-  (* The abstraction starts empty; phi is encoded at the first refinement. *)
-  let abstraction = Solver.create ~num_vars () in
-  let refine = lazy (refiner ~num_vars ~is_y abstraction matrix) in
-  let compute_step _round =
+  let refine = lazy (refiner ~num_vars ~first_aux ~is_y abstraction phi_y) in
+  let compute_step () =
     match Solver.solve abstraction with
     | Solver.Unsat -> `Done false (* no candidate X-assignment survives *)
+    | Solver.Sat when not universal ->
+      `Done true (* phi is phi_X, and sigma_X satisfies it *)
     | Solver.Sat ->
       let sigma_x = Solver.model ~universe:num_vars abstraction in
       let pin =
@@ -117,10 +142,11 @@ let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
           (fun x -> if Interp.mem sigma_x x then Lit.Pos x else Lit.Neg x)
           xs
       in
+      let check_solver = Lazy.force check_solver in
       (match Solver.solve ~assumptions:pin check_solver with
       | Solver.Unsat -> `Done true (* forall Y phi holds under sigma_x *)
       | Solver.Sat ->
-        (* Refine: phi must hold for this Y-counterexample. *)
+        (* Refine: phi_Y must hold for this Y-counterexample. *)
         Lazy.force refine (Solver.model ~universe:num_vars check_solver);
         `Refine)
   in
@@ -135,7 +161,7 @@ let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
       Ddb_obs.Trace.begin_args n_round
         [ (n_round_attr, Ddb_obs.Trace.Int round) ];
     let step =
-      try compute_step round
+      try compute_step ()
       with e ->
         (* Keep the round span balanced if a solve raises mid-round
            (e.g. Out_of_budget unwinding from the SAT conflict loop). *)
@@ -151,16 +177,22 @@ let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
     | `Done r -> (r, round + 1)
     | `Refine -> loop (round + 1)
   in
+  loop 0
+
+let valid_exists_forall ?(max_rounds = max_int) ~num_vars ~xs ~ys matrix =
   Stats.bump_sigma2 ();
-  if not (Ddb_obs.Trace.enabled ()) then fst (loop 0)
+  if not (Ddb_obs.Trace.enabled ()) then
+    fst (solve ~max_rounds ~num_vars ~xs ~ys matrix)
   else begin
     let open Ddb_obs.Trace in
+    (* The span opens before phi_X is encoded, so the call's fixed cost is
+       charged to it, not to its caller. *)
     begin_args n_cegar [ (n_num_vars, Int num_vars) ];
     let finished = ref false in
     Fun.protect
       ~finally:(fun () -> if not !finished then end_ n_cegar)
       (fun () ->
-        let r, rounds = loop 0 in
+        let r, rounds = solve ~max_rounds ~num_vars ~xs ~ys matrix in
         finished := true;
         end_args n_cegar [ (n_valid, Bool r); (n_rounds, Int rounds) ];
         r)

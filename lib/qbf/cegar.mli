@@ -5,9 +5,11 @@
 exception Too_many_rounds
 
 val valid : ?max_rounds:int -> Qbf.t -> bool
-(** Validity of a 2-QBF.  ∃X ∀Y φ runs the CEGAR loop directly: φ is
-    encoded to clauses once per call, ¬φ's clauses form the check solver,
-    and each refinement adds φ's clauses instantiated under the
+(** Validity of a 2-QBF.  ∃X ∀Y φ runs the CEGAR loop directly: φ's
+    top-level conjuncts without a Y atom are asserted into the
+    abstraction before the first round, the check solver holds the
+    clauses of the other conjuncts' negation, built on first need, and
+    each refinement adds those conjuncts' clauses instantiated under the
     counterexample to the abstraction.  ∀X ∃Y φ is answered as the
     negation of ∃X ∀Y ¬φ.  Either way the call bumps
     [Ddb_sat.Stats.bump_sigma2] exactly once.

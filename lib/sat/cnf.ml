@@ -136,6 +136,14 @@ let assert_clauses ~next_var f =
     (conjuncts true f []);
   (List.rev b.groups, b.fresh)
 
+(* The same top-level split, each conjunct as a formula of its own: a
+   negative one is wrapped in one [Not], which [conjuncts] cannot split
+   further, so re-asserting their conjunction splits it the same way. *)
+let top_conjuncts f =
+  List.map
+    (fun (pos, g) -> if pos then g else Formula.Not g)
+    (conjuncts true f [])
+
 (* Literal face: the root's node, so a literal names itself.  A constant
    gets a fresh variable, pinned false for False. *)
 let named_literal ~next_var f =

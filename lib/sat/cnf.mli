@@ -28,6 +28,12 @@ val assert_clauses : next_var:int -> Formula.t -> Lit.t list list list * int
     auxiliary; a group reads only atoms and auxiliaries defined by earlier
     groups.  Clause-level instantiation relies on this order. *)
 
+val top_conjuncts : Formula.t -> Formula.t list
+(** The top-level conjuncts that [assert_clauses] splits the formula into
+    (flattened through ∧, ¬∨, ¬→ and ¬¬), in its order.  Their
+    conjunction is equivalent to the formula, and [assert_clauses] splits
+    that conjunction into the same conjuncts again. *)
+
 val named_literal : next_var:int -> Formula.t -> Lit.t list list * int * Lit.t
 (** [(clauses, next_var', l)]: the same builder's definitions, naming the
     formula by a literal [l] with [l → formula], auxiliaries allocated from

@@ -303,6 +303,54 @@ let priority_suite =
         check "none" true (Priority.brute_perfect_models db = []));
   ]
 
+(* Reference for the priority closure: from each atom, a breadth-first
+   search over (atom, strict step seen) states along the clause-derived
+   edges; x < y iff (y, true) is reached. *)
+let reference_lt db =
+  let n = Db.num_vars db in
+  let edges = Array.make n [] in
+  let edge x y strict = edges.(x) <- (y, strict) :: edges.(x) in
+  List.iter
+    (fun c ->
+      let head = Clause.head c in
+      List.iter
+        (fun a ->
+          List.iter (fun b -> edge a b false) (Clause.body_pos c);
+          List.iter (fun b -> edge a b true) (Clause.body_neg c);
+          List.iter (fun b -> edge a b false) head)
+        head)
+    (Db.clauses db);
+  Array.init n (fun x ->
+      let seen = Hashtbl.create 16 in
+      let queue = Queue.create () in
+      let push state =
+        if not (Hashtbl.mem seen state) then begin
+          Hashtbl.add seen state ();
+          Queue.add state queue
+        end
+      in
+      push (x, false);
+      while not (Queue.is_empty queue) do
+        let y, s = Queue.pop queue in
+        List.iter (fun (z, strict) -> push (z, s || strict)) edges.(y)
+      done;
+      fun y -> Hashtbl.mem seen (y, true))
+
+let qcheck_priority_matches_bfs =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"Priority.lt = breadth-first reference"
+    QCheck.(pair (int_bound 99999) (int_range 1 12))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let t = Priority.compute db and reference = reference_lt db in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y -> Priority.lt t x y = reference.(x) y)
+            (List.init num_vars Fun.id))
+        (List.init num_vars Fun.id))
+
 let qcheck_perfect_sat_check_matches_brute =
   QCheck.Test.make ~count:300 ~name:"SAT perfectness check = brute reference"
     QCheck.(pair (int_bound 99999) (int_range 1 5))
@@ -380,7 +428,11 @@ let suites =
     ("db.priority", priority_suite);
     ( "db.priority.properties",
       List.map QCheck_alcotest.to_alcotest
-        [ qcheck_perfect_sat_check_matches_brute; qcheck_perfect_enumeration ] );
+        [
+          qcheck_priority_matches_bfs;
+          qcheck_perfect_sat_check_matches_brute;
+          qcheck_perfect_enumeration;
+        ] );
     ("db.reduct", reduct_suite);
     ( "db.reduct.properties",
       [ QCheck_alcotest.to_alcotest qcheck_stable_enumeration ] );

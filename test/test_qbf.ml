@@ -30,6 +30,25 @@ let gen_qbf seed =
   let block1 = List.init n1 Fun.id in
   let block2 = List.init n2 (fun i -> n1 + i) in
   let matrix = gen_formula rand (block1 @ block2) 3 in
+  (* X-only conjuncts seed CEGAR's abstraction: sometimes conjoin them, ⊥
+     and unsatisfiable ones included, and sometimes keep nothing else, so
+     that phi_Y is empty. *)
+  let x_only () =
+    let x = Formula.Atom (List.nth block1 (Random.State.int rand n1)) in
+    match Random.State.int rand 5 with
+    | 0 -> Formula.False
+    | 1 -> Formula.Iff (x, Formula.Not x)
+    | 2 -> Formula.And (x, Formula.Not (Formula.Or (x, Formula.False)))
+    | _ -> gen_formula rand block1 2
+  in
+  let matrix =
+    match Random.State.int rand 8 with
+    | 0 | 1 | 2 -> matrix
+    | 3 | 4 -> Formula.And (x_only (), matrix)
+    | 5 -> Formula.Not (Formula.Or (Formula.Not (x_only ()), Formula.Not matrix))
+    | 6 -> Formula.And (Formula.And (matrix, x_only ()), x_only ())
+    | _ -> x_only ()
+  in
   let prefix = if Random.State.bool rand then Qbf.Exists_forall else Qbf.Forall_exists in
   Qbf.make ~prefix ~num_vars ~block1 ~block2 ~matrix
 
@@ -39,8 +58,59 @@ let needs_refinement () =
   Qbf.make ~prefix:Qbf.Exists_forall ~num_vars:2 ~block1:[ 0 ] ~block2:[ 1 ]
     ~matrix:Formula.(Iff (Atom 0, Atom 1))
 
+(* SAT calls, Σ₂ᵖ calls and CEGAR round spans of [f ()], with its answer. *)
+let counted f =
+  let before = Ddb_sat.Stats.snapshot () in
+  let r = Test_obs.with_trace f in
+  let d = Ddb_sat.Stats.delta before in
+  let rounds =
+    List.length
+      (List.filter
+         (fun (_, n, ph, _) -> n = "qbf.cegar.round" && ph = 'B')
+         (Ddb_obs.Trace.dump ()))
+  in
+  (r, d.Ddb_sat.Stats.sat, d.Ddb_sat.Stats.sigma2, rounds)
+
+let ef ~matrix =
+  Qbf.make ~prefix:Qbf.Exists_forall ~num_vars:2 ~block1:[ 0 ] ~block2:[ 1 ]
+    ~matrix
+
 let unit_suite =
   [
+    Alcotest.test_case "unsatisfiable X-only part: refuted by one SAT call"
+      `Quick (fun () ->
+        (* exists x forall y . (x & ~x) & (x | y) *)
+        let t =
+          ef
+            ~matrix:
+              Formula.(
+                And (And (Atom 0, Not (Atom 0)), Or (Atom 0, Atom 1)))
+        in
+        let r, sat, sigma2, rounds = counted (fun () -> Cegar.valid t) in
+        check "invalid" false r;
+        check "one SAT call" true (sat = 1);
+        check "one Sigma2 call" true (sigma2 = 1);
+        check "one round" true (rounds = 1));
+    Alcotest.test_case "X-only matrix: settled by the abstraction alone"
+      `Quick (fun () ->
+        (* exists x forall y . x: no check solver is needed *)
+        let r, sat, sigma2, rounds =
+          counted (fun () -> Cegar.valid (ef ~matrix:(Formula.Atom 0)))
+        in
+        check "valid" true r;
+        check "one SAT call" true (sat = 1);
+        check "one Sigma2 call" true (sigma2 = 1);
+        check "one round" true (rounds = 1));
+    Alcotest.test_case "QBF route on an inconsistent database: one SAT call"
+      `Quick (fun () ->
+        let db = Ddb_db.Db.of_string "a | b. :- a. :- b." in
+        let r, sat, sigma2, _ =
+          counted (fun () ->
+              Ddb_core.Qbf_encodings.gcwa_refutes_neg_literal_qbf db 0)
+        in
+        check "no minimal model holds a" false r;
+        check "one SAT call" true (sat = 1);
+        check "one Sigma2 call" true (sigma2 = 1));
     Alcotest.test_case "exists-forall tautology" `Quick (fun () ->
         (* exists x forall y . x | ~x : valid *)
         let t =
@@ -113,7 +183,8 @@ let unit_suite =
   ]
 
 let qcheck_cegar_agrees =
-  QCheck.Test.make ~count:500 ~name:"cegar agrees with truth-table QBF"
+  QCheck.Test.make ~count:(Gen.qcheck_count 500)
+    ~name:"cegar agrees with truth-table QBF"
     QCheck.(int_bound 99999)
     (fun seed ->
       let t = gen_qbf seed in

@@ -263,7 +263,7 @@ let qbf_family_suite =
       (fun () ->
         List.iter
           (fun seed ->
-            let qbf = Qbf_family.random_ef ~seed ~xs:2 ~ys:2 () in
+            let qbf = Qbf_family.random_ef ~seed ~xs:2 ~ys:2 in
             let valid = Ddb_qbf.Naive.valid qbf in
             let db, w = Ddb_core.Reductions.qbf_to_gcwa qbf in
             check "gcwa" (not valid)
