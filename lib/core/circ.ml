@@ -2,8 +2,7 @@ open Ddb_logic
 open Ddb_sat
 open Ddb_db
 
-(* CIRC — propositional circumscription, implemented independently of the
-   minimal-model machinery, straight from Lifschitz's schema
+(* CIRC — propositional circumscription, Lifschitz's schema
 
      Circ(DB; P; Z) = DB[P;Z] ∧ ¬∃P'Z' ( DB[P';Z'] ∧ P' < P )
 
@@ -14,13 +13,12 @@ open Ddb_db
    satisfies DB and the schema query is unsatisfiable with the original
    variables pinned to M.
 
-   The paper uses CIRC ≡ ECWA (Lifschitz).  Existence and formula
-   inference here do not: they run on the syntactic schema, and their
-   agreement with {!Ecwa}'s assumption-based minimality checks is a tested
-   property.  Literal inference and witnesses do use the theorem: they are
-   ECWA's procedures ({!Ecwa.infer_literal_in}, {!Ecwa.witness_in}), so a
-   literal reads the closed-world oracles GCWA/CCWA memoize.  The schema's
-   reference models check those answers in every engine configuration. *)
+   In the finite propositional case CIRC ≡ ECWA (Lifschitz), so the
+   record is {!Ecwa}'s under its own name: every decision procedure and
+   the witness search are ECWA's, and a CIRC question reads the memo
+   entries EGCWA/ECWA fill.  The schema is CIRC's independent checker
+   only: it decides the reference models, against which the tests hold
+   the record's answers. *)
 
 let prime n x = n + x
 
@@ -70,72 +68,26 @@ let schema_solver db part =
 let pin n m =
   List.init n (fun x -> if Interp.mem m x then Lit.Pos x else Lit.Neg x)
 
-(* A model strictly below [m] found through the schema, if any. *)
-let find_below_schema db schema m =
-  let n = Db.num_vars db in
-  match Solver.solve ~assumptions:(pin n m) schema with
-  | Solver.Unsat -> None
-  | Solver.Sat ->
-    let full = Solver.model ~universe:(2 * n) schema in
-    Some (Interp.of_pred n (fun x -> Interp.mem full (prime n x)))
+(* Is some model strictly below [m] found through the schema? *)
+let below_schema db schema m =
+  match Solver.solve ~assumptions:(pin (Db.num_vars db) m) schema with
+  | Solver.Unsat -> false
+  | Solver.Sat -> true
 
 let is_circ_model ?schema db part m =
   let schema = match schema with Some s -> s | None -> schema_solver db part in
-  Db.satisfied_by m db && Option.is_none (find_below_schema db schema m)
-
-(* CIRC_{P;Z}(DB) ⊨ F by counterexample search, mirroring the minimality
-   loop but powered exclusively by the schema. *)
-let infer_formula db part f =
-  if Formula.max_atom f >= Partition.universe_size part then
-    invalid_arg "Circ: query atom outside the partition";
-  let n = Db.num_vars db in
-  let schema = schema_solver db part in
-  let candidate = Db.solver db in
-  Solver.ensure_vars candidate (2 * n); (* keep clear of primed ids *)
-  List.iter (Solver.add_clause candidate)
-    (Models.guard ~universe:(2 * n) (Some (Formula.not_ f)));
-  let rec descend m =
-    match find_below_schema db schema m with
-    | None -> m
-    | Some m' -> descend m'
-  in
-  let rec loop () =
-    match Solver.solve candidate with
-    | Solver.Unsat -> true
-    | Solver.Sat ->
-      let m = Solver.model ~universe:n candidate in
-      let m_circ = descend m in
-      if Interp.equal m_circ m then false (* circ model refuting F *)
-      else if not (Formula.eval m_circ f) then false
-      else begin
-        Solver.add_clause candidate (Minimal.cone_blocking part m);
-        loop ()
-      end
-  in
-  loop ()
-
-let has_model db =
-  if Db.is_positive_ddb db then true else Models.has_model db
+  Db.satisfied_by m db && not (below_schema db schema m)
 
 let reference_models db part =
   let schema = schema_solver db part in
   List.filter (fun m -> is_circ_model ~schema db part m) (Models.brute_models db)
 
-(* Asked at [part], by default ⟨V;∅;∅⟩; existence and formula answers
-   memoized per semantics and partition.  A witness is a (P;Z)-minimal
-   model satisfying F — a circumscription model by Lifschitz's theorem —
-   so witnesses and literals are ECWA's.  The engine ops behind ECWA's
-   literals memoize themselves and share ECWA's entries, so that field
-   stays outside [via_engine]'s answer memo: one tick per question, not
-   two. *)
+(* ECWA's record at [part] (by default ⟨V;∅;∅⟩) under the name "circ",
+   its reference models the schema's. *)
 let semantics ?part () : Semantics.spec =
-  let s =
-    Semantics.parametric ?part ~name:"circ"
-      ~long_name:"Circumscription (McCarthy / Lifschitz schema)"
-      ~applicable:(fun _ -> true)
-      ~has_model:(fun _ db -> has_model db)
-      ~infer_formula:(fun _ db part f -> infer_formula db part f)
-      ~infer_literal:Ecwa.infer_literal_in ~witness:Ecwa.witness_in
-      reference_models
-  in
-  { (Semantics.via_engine ?part s) with infer_literal = s.infer_literal }
+  {
+    (Ecwa.semantics ?part ~name:"circ"
+       ~long_name:"Circumscription (McCarthy / Lifschitz schema)" ())
+    with
+    reference_models = Semantics.at_total_db ?part (fun () -> reference_models) ();
+  }

@@ -2,17 +2,19 @@ open Ddb_logic
 open Ddb_sat
 open Ddb_db
 
-(** CIRC — propositional circumscription.  Existence and formula answers
-    come from Lifschitz's schema with a primed copy of the universe
-    (independent of the assumption-based minimal-model engine; the
-    equivalence with {!Ecwa} is property-tested); literal answers and
-    witnesses are ECWA's, by Lifschitz's theorem. *)
+(** CIRC — propositional circumscription.  In the finite propositional
+    case CIRC ≡ ECWA (Lifschitz), so the record's decision procedures and
+    witness search are {!Ecwa}'s.  Lifschitz's schema, with a primed copy
+    of the universe, is CIRC's independent checker: it decides
+    {!is_circ_model} and the record's reference models. *)
 
 val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
+(** [is_circ_model db part m]: [m] is a model of Circ(DB; P; Z) —
+    [m ⊨ DB] and the schema finds no model strictly below it.  [schema]
+    is the schema solver of [db] and [part] (default: built here). *)
 
 val semantics : ?part:Partition.t -> unit -> Semantics.spec
-(** The registry's [circ] record, asked at [part], by default the total
-    partition ⟨V;∅;∅⟩; its existence and formula answers are memoized per
-    partition ({!Semantics.via_engine}), its literal answers and witnesses
-    are ECWA's ({!Ecwa.infer_literal_in}, {!Ecwa.witness_in}), memoized by
-    the engine ops they call.  Ask it through [Registry.find_in ?part]. *)
+(** The registry's [circ] record: {!Ecwa.semantics} at [part] (by default
+    the total partition ⟨V;∅;∅⟩) under the name [circ], so its answers
+    share ECWA's memo entries; its reference models are the brute models
+    that pass {!is_circ_model}.  Ask it through [Registry.find_in ?part]. *)

@@ -16,5 +16,6 @@ val stable_models : Db.t -> Interp.t list
 val reference_models : Db.t -> Interp.t list
 
 val semantics : Semantics.spec
-(** The registry's [dsm] record, its answers memoized
-    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)
+(** The registry's [dsm] record: the minimal models screened by
+    {!is_stable} ({!Semantics.screened}); ask it through
+    {!Registry.find_in}. *)

@@ -13,10 +13,9 @@ open Ddb_engine
    existence is plain consistency — and O(1) on positive DDBs without
    integrity clauses (the all-true interpretation is always a model and
    contains a minimal one), which is Table 1's O(1) cell.  In the finite
-   propositional case ECWA coincides with circumscription: {!Circ} answers
-   existence and formulas independently from the circumscription schema
-   (the equivalence is a property test) and takes its literal answers and
-   witnesses from this module. *)
+   propositional case ECWA coincides with circumscription (Lifschitz), so
+   the registry's "circ" record is this module's record too ({!Circ}),
+   checked against the circumscription schema's models. *)
 
 (* A (P;Z)-minimal model satisfying F: one Σ₂ᵖ guess-and-check search.
    The query must live inside the partitioned universe. *)

@@ -126,35 +126,6 @@ let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
     reference_models;
   }
 
-(* Literal inference for a semantics whose intended models are the
-   ⊆-minimal models passing [check]: ¬x holds iff x is true in no intended
-   model, and x iff x is false in none.  A sweep reads both from the
-   engine's harvested consequences ([Engine.consequences], memoized under
-   [op]); a theory's first question, an uncached engine and an atom beyond
-   the universe run the semantics' own [search]. *)
-let harvested_literal ~op check search eng db l =
-  match
-    if Lit.atom l < Db.num_vars db then Engine.consequences eng ~op db check
-    else None
-  with
-  | Some (brave_true, brave_false) -> (
-    match l with
-    | Lit.Pos x -> not (Interp.mem brave_false x)
-    | Lit.Neg x -> not (Interp.mem brave_true x))
-  | None -> search db l
-
-(* Existence for the same semantics: over n ≥ 1 atoms every intended
-   model makes some literal true, so one exists iff brave_true ∪
-   brave_false ≠ ∅.  Only a harvest some literal question already built
-   is read ([Engine.harvested]); otherwise [search db] answers. *)
-let harvested_exists ~op search eng db =
-  match
-    if Db.num_vars db > 0 then Engine.harvested eng ~op db else None
-  with
-  | Some (brave_true, brave_false) ->
-    not (Interp.is_empty brave_true && Interp.is_empty brave_false)
-  | None -> search db
-
 (* Memoize a semantics' answers in the oracle engine without decomposing
    its decision procedure: each decision problem's answer is cached under
    the database's canonical key and the record's partition, if any (an
@@ -181,3 +152,63 @@ let via_engine ?part (s : spec) : spec =
         Engine.cached_bool ?part eng ~op:op_literal ~formula:(Formula.of_lit l)
           db (fun () -> s.infer_literal eng db l));
   }
+
+(* The record of a semantics whose intended models are the ⊆-minimal
+   models passing [check] (PERF, DSM): the paper's Σ₂ᵖ "guess a minimal
+   model, check it".  [check theory db] screens each minimal model the
+   search finds on [theory], DB compiled; a solver it needs is a copy of
+   that theory's image, so no question builds a solver of its own.  Its
+   answers are memoized by [via_engine]; on top of that, on a cached
+   engine:
+     - literals: ¬x holds iff x is true in no intended model, and x iff x
+       is false in none.  A sweep reads both from the harvested
+       consequences ([Engine.consequences], memoized under the op
+       [<name>/intended]); a theory's first question, an uncached engine
+       and an atom beyond the universe run the search;
+     - existence: over n ≥ 1 atoms every intended model makes some
+       literal true, so one exists iff brave_true ∪ brave_false ≠ ∅.  Only
+       a harvest some literal question already built is read
+       ([Engine.harvested]).  Otherwise it is true on positive DDBs
+       (every minimal model passes: perfect and stable models are the
+       minimal ones there), and the search answers the rest. *)
+let screened ~name ~long_name ~check reference_models =
+  let search ?query db =
+    let n = Db.num_vars db and theory = Db.theory db in
+    Ddb_sat.Minimal.find_minimal_such_that
+      ~extra:(Models.guard ~universe:n query)
+      ~check:(check theory db) theory (Partition.minimize_all n)
+  in
+  let witness db f = search ~query:f (for_query db f) in
+  let infer_formula db f = Option.is_none (witness db (Formula.not_ f)) in
+  let intended = Engine.op (name ^ "/intended") in
+  via_engine
+    {
+      name;
+      long_name;
+      applicable = (fun _ -> true);
+      has_model =
+        (fun eng db ->
+          match
+            if Db.num_vars db > 0 then Engine.harvested eng ~op:intended db
+            else None
+          with
+          | Some (brave_true, brave_false) ->
+            not (Interp.is_empty brave_true && Interp.is_empty brave_false)
+          | None -> Db.is_positive_ddb db || Option.is_some (search db));
+      infer_formula = (fun _ db f -> infer_formula db f);
+      infer_literal =
+        (fun eng db l ->
+          match
+            if Lit.atom l < Db.num_vars db then
+              Engine.consequences eng ~op:intended db (fun theory ->
+                  check theory db)
+            else None
+          with
+          | Some (brave_true, brave_false) -> (
+            match l with
+            | Lit.Pos x -> not (Interp.mem brave_false x)
+            | Lit.Neg x -> not (Interp.mem brave_true x))
+          | None -> infer_formula db (Formula.of_lit l));
+      witness = (fun _ db f -> two_valued (witness db f));
+      reference_models;
+    }

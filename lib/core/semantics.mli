@@ -85,26 +85,6 @@ val parametric :
     raises [Invalid_argument] on a database wider than [part]'s
     universe. *)
 
-val harvested_literal :
-  op:Ddb_engine.Engine.op -> (Db.t -> Interp.t -> bool) ->
-  (Db.t -> Lit.t -> bool) -> Ddb_engine.Engine.t -> Db.t -> Lit.t -> bool
-(** [harvested_literal ~op check search]: literal inference for a semantics
-    whose intended models are the ⊆-minimal models [m] with [check db m]
-    (PERF, DSM).  ¬x holds iff x is true in no intended model, x iff x is
-    false in none, both read from {!Ddb_engine.Engine.consequences} under
-    [op]; when it answers [None] (an uncached engine, a theory's first
-    question) or the atom lies beyond the universe, [search db l]
-    answers. *)
-
-val harvested_exists :
-  op:Ddb_engine.Engine.op -> (Db.t -> bool) -> Ddb_engine.Engine.t -> Db.t ->
-  bool
-(** [harvested_exists ~op search]: model existence for the same
-    semantics as {!harvested_literal}.  Over n ≥ 1 atoms an intended model
-    exists iff brave_true ∪ brave_false ≠ ∅, read from a harvest already
-    memoized under [op] ({!Ddb_engine.Engine.harvested}); with none (or
-    n = 0), [search db] answers.  It never builds a harvest. *)
-
 val via_engine : ?part:Partition.t -> spec -> spec
 (** The answer memo for semantics whose procedures the engine does not
     decompose: each decision problem's answer is memoized under the
@@ -114,3 +94,21 @@ val via_engine : ?part:Partition.t -> spec -> spec
     attributes nothing: the registry's wrapper ([Fastpath.wrap]) runs
     every field in the record's scope.  The closed-world family calls the
     engine's oracle ops directly instead. *)
+
+val screened :
+  name:string -> long_name:string ->
+  check:(Ddb_sat.Minimal.theory -> Db.t -> Interp.t -> bool) ->
+  (Db.t -> Interp.t list) -> spec
+(** [screened ~name ~long_name ~check reference_models]: the record of a
+    semantics whose intended models are the ⊆-minimal models [m] with
+    [check theory db m] (PERF, DSM), [theory] being the compiled database
+    the search runs on (a solver [check] needs is a
+    {!Ddb_sat.Minimal.solver_of} copy of it).  Every question is one
+    guess-and-check search ({!Ddb_sat.Minimal.find_minimal_such_that}),
+    memoized by {!via_engine}.  On a cached engine a literal from a
+    theory's second question on reads the consequences harvested under
+    the op [<name>/intended] ({!Ddb_engine.Engine.consequences}: ¬x holds
+    iff x is true in no intended model, x iff x is false in none), and
+    existence reads such a harvest when one is memoized
+    ({!Ddb_engine.Engine.harvested}); existence is true on positive DDBs
+    without a search, where [check] must pass every minimal model. *)

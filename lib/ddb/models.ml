@@ -19,8 +19,8 @@ let all_models db = Enum.all_models ~num_vars:(Db.num_vars db) (Db.to_cnf db)
 
 (* MM(DB;P;Z) restricted to a finite representative set: one minimal model
    per (P,Q)-section, each completed on Z by the solver.  (The full
-   MM(DB;P;Z) also contains every Z-variant; for entailment questions use
-   [minimal_entails] below, which quantifies over all of them.) *)
+   MM(DB;P;Z) also contains every Z-variant; entailment questions use
+   [minimal_witness] below, which quantifies over all of them.) *)
 let minimal_models ?part db =
   Minimal.all_minimal (Db.theory db) (or_total (Db.num_vars db) part)
 
@@ -34,21 +34,13 @@ let guard ~universe = function
 
 (* A (P;Z)-minimal model of DB satisfying F, by the Σ₂ᵖ guess-and-check
    search.  It is a witness for the brave query F, and a counterexample to
-   the cautious query ¬F.  [theory], when given, is DB already compiled
-   over the padded universe. *)
-let minimal_witness ?part ?theory db formula =
+   the cautious query ¬F.  [theory] is DB already compiled over the padded
+   universe. *)
+let minimal_witness ~part ~theory db formula =
   let n = max (Db.num_vars db) (Formula.max_atom formula + 1) in
-  let db = Db.with_universe db n in
-  let part = or_total n part in
-  let theory = match theory with Some th -> th | None -> Db.theory db in
   Minimal.find_minimal_such_that
     ~extra:(guard ~universe:n (Some formula))
     theory part
-
-(* SEM-entailment for semantics whose model set is MM(DB;P;Z): no minimal
-   model satisfies ¬F. *)
-let minimal_entails ?part db formula =
-  Option.is_none (minimal_witness ?part db (Formula.not_ formula))
 
 (* Classical entailment: DB |= F, one SAT call on DB ∧ ¬F. *)
 let entails db formula =

@@ -582,11 +582,12 @@ let split n s =
 (* The literals true in some intended model: bit x of the memoized set
    when x is true in one, bit n + x when x is false in one, harvested by
    [Minimal.harvest] at the total partition with all ±x as targets and
-   [check db] screening each minimal model.  Only from a theory's second
-   question on: the first one leaves a mark in [bools] and gets [None], so
-   a one-shot question runs its caller's own search and costs what it
-   costs on an uncached engine.  Uncached engines always get [None]: one
-   search per question, as the paper states it. *)
+   [check] on the compiled theory screening each minimal model.  Only
+   from a theory's second question on: the first one leaves a mark in
+   [bools] and gets [None], so a one-shot question runs its caller's own
+   search and costs what it costs on an uncached engine.  Uncached
+   engines always get [None]: one search per question, as the paper
+   states it. *)
 let consequences t ~op db check =
   if not t.cache then None
   else
@@ -601,9 +602,9 @@ let consequences t ~op db check =
         memo t ~span:op.engine_span t.interps db
           (fun key -> qkey key op.op_name)
           (fun e ->
-            let all = Interp.full n in
+            let all = Interp.full n and theory = compiled e in
             let brave_true, brave_false =
-              Minimal.harvest ~check:(check db) (compiled e)
+              Minimal.harvest ~check:(check theory) theory
                 (Partition.minimize_all n) ~pos:all ~neg:all
             in
             Interp.of_pred (2 * n) (fun i ->

@@ -86,13 +86,15 @@ val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
     constrained minimal-model query.  The atom must belong to [P]. *)
 
 val consequences :
-  t -> op:op -> Db.t -> (Db.t -> Interp.t -> bool) ->
+  t -> op:op -> Db.t -> (Ddb_sat.Minimal.theory -> Interp.t -> bool) ->
   (Interp.t * Interp.t) option
 (** [Some (brave_true, brave_false)]: the atoms true, and the atoms false,
-    in some ⊆-minimal model [m] of the database with [check db m] — its
-    intended models, for a semantics whose models are the minimal models
-    passing [check].  One {!Ddb_sat.Minimal.harvest} with every ±x as a
-    target, memoized per (theory, [op]) (op [<semantics>/intended]).  The
+    in some ⊆-minimal model [m] of the database with [check theory m] —
+    its intended models, for a semantics whose models are the minimal
+    models passing [check].  One {!Ddb_sat.Minimal.harvest} with every ±x
+    as a target on the database's compiled [theory], which [check] gets
+    so that a solver it needs is a copy of the same image; memoized per
+    (theory, [op]) (op [<semantics>/intended]).  The
     answer is [None] on uncached engines, which keep one search per
     question, and on a theory's first question under [op]: a one-shot
     question costs its caller's own search, and the harvest is built from

@@ -23,8 +23,17 @@
 # files.  Pairing by seed keeps a seed's instances out of the spread.
 #
 # Run from anywhere inside the checkout; it needs git, dune and python3.
-# Exit status: that of `tools.py compare` (1 on a regression), or 2 when a
-# run fails, a pair's answers differ, or a run is not correct.
+# Exit status:
+#   2  a usage error; a run failed or was not correct ("correct" false
+#      or "failed" > 0); or a pair differs in answers_digest,
+#      instances_digest or ops_per_cycle: the two sides did not answer
+#      the same questions alike, so their timings do not compare;
+#   1  `tools.py compare` found a regression;
+#   3  `tools.py compare` passed, but a pair differs in an oracle, cache
+#      or fast-path count (the other deterministic info fields): the
+#      change moves how often the oracles are asked, by design or not,
+#      and the differing counts are printed for a reader to judge;
+#   0  `tools.py compare` passed and every deterministic field is equal.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -60,7 +69,9 @@ def run(tree, seed):
     r = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if r.returncode != 0:
         sys.stderr.write(r.stdout[-2000:] + r.stderr[-2000:])
-        sys.exit("bench_pairs: %s seed %d failed in %s" % (workload, seed, tree))
+        sys.stderr.write("bench_pairs: %s seed %d failed in %s\n" % (
+            workload, seed, tree))
+        sys.exit(2)
     lines = r.stdout.splitlines()
     rec = {"workload": workload, "seed": seed, "trace": 0,
            "result": json.loads(lines[-1]), "info": tools.info_of(lines)}
@@ -70,7 +81,10 @@ def run(tree, seed):
     return rec
 
 
-bad = False
+# Fields that tell whether both sides did the same work; every other
+# deterministic field is a count.
+SAME_WORK = ("answers_digest", "instances_digest", "ops_per_cycle")
+bad = counts_differ = False
 pairs = []
 for seed in tools.seeds_of(seeds):
     order = (base, head) if seed % 2 else (head, base)
@@ -86,7 +100,10 @@ for seed in tools.seeds_of(seeds):
         if b["info"].get(k) != h["info"].get(k):
             print("seed %d: %s differs: base %r, head %r" % (
                 seed, k, b["info"].get(k), h["info"].get(k)))
-            bad = True
+            if k in SAME_WORK:
+                bad = True
+            else:
+                counts_differ = True
     print("seed %-3d %s" % (seed, "  ".join(
         "%s %.4g -> %.4g" % (m["name"], b["result"]["metrics"][m["name"]]["value"],
                              h["result"]["metrics"][m["name"]]["value"])
@@ -112,5 +129,10 @@ sys.stdout.flush()
 rc = subprocess.run(["python3", os.path.join(head, "perfbench", "tools.py"),
                      "compare", os.path.join(out, "base.jsonl"),
                      os.path.join(out, "head.jsonl")], cwd=head).returncode
-sys.exit(2 if bad else rc)
+if bad:
+    sys.exit(2)
+if rc == 0 and counts_differ:
+    print("bench_pairs: compare passed; oracle/cache counts differ (above)")
+    sys.exit(3)
+sys.exit(rc)
 PY
