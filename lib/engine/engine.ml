@@ -641,7 +641,7 @@ let non_entailed_atoms t db =
           solve_sat ~assumptions:[ Lit.Neg x ] st))
 
 (* Generic per-semantics result memo for semantics whose decision procedure
-   the engine does not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM): the
+   the engine does not decompose (PWS, ICWA, PERF, DSM, PDSM): the
    engine still canonicalizes, caches and instruments the answer.  [op] is
    the full op name, [<semantics>/<problem>]. *)
 let cached_bool ?part ?formula t ~op db compute =
