@@ -153,6 +153,25 @@ let partition_tests =
 
 (* --- the paper's equivalences --- *)
 
+(* ECWA = CIRC (Lifschitz).  The circ record shares ECWA's decision
+   procedures, so the independent side is the model sets: the ecwa
+   record's reference models come from minimality, the circ record's from
+   the primed circumscription schema. *)
+let qcheck_ecwa_equals_circ =
+  QCheck.Test.make ~count:250 ~name:"ECWA = CIRC (schema vs minimality)"
+    QCheck.(pair (int_bound 999999) (int_range 1 4))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let part = Gen.random_partition rand num_vars in
+      let f = Gen.random_formula rand num_vars ~depth:2 in
+      let ecwa = Gen.record ~part eng "ecwa"
+      and circ = Gen.record ~part eng "circ" in
+      ecwa.Semantics.infer_formula db f = circ.Semantics.infer_formula db f
+      && Gen.interp_list_equal
+           (ecwa.Semantics.reference_models db)
+           (circ.Semantics.reference_models db))
+
 (* EGCWA(DB) = MM(DB). *)
 let qcheck_egcwa_is_mm =
   QCheck.Test.make ~count:250 ~name:"EGCWA models = minimal models"
@@ -555,6 +574,7 @@ let suites =
     ( "semantics.identities",
       List.map QCheck_alcotest.to_alcotest
         [
+          qcheck_ecwa_equals_circ;
           qcheck_egcwa_is_mm;
           qcheck_dsm_positive_is_mm;
           qcheck_perf_positive_is_mm;
