@@ -27,5 +27,6 @@ let reference_models db = List.filter (is_stable db) (Models.brute_models db)
 let semantics =
   Semantics.screened ~name:"dsm"
     ~long_name:"Disjunctive Stable Models (Przymusinski)"
-    ~check:(fun _ -> is_stable)
+    ~check:(fun _ db m ->
+      if is_stable db m then Ddb_sat.Minimal.Pass else Ddb_sat.Minimal.Fail)
     reference_models

@@ -135,7 +135,8 @@ let find_such_that pred db =
   Minimal.find_minimal_such_that
     ~check:(fun m ->
       let i = decode ~n m in
-      pred i && Option.is_none (find_below db i))
+      if pred i && Option.is_none (find_below db i) then Minimal.Pass
+      else Minimal.Fail)
     theory
     (Partition.minimize_all (2 * n))
   |> Option.map (decode ~n)

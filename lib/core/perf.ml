@@ -7,6 +7,10 @@ open Ddb_db
    submodel is vacuously preferable), so the record is
    {!Semantics.screened}: the minimal models, walked lazily and screened
    by the perfectness check on a copy of the search's compiled theory.
+   A failed check refutes more than its candidate: the preferable model
+   N it found is preferable to no perfect model, so the search learns
+   ¬(N ≺ M) ({!Ddb_db.Priority.not_preferable}) and never proposes a
+   model N defeats.
    For a stratified database the unique perfect model exists, matching
    the paper's consistency discussion; an unstratified one may have
    none. *)

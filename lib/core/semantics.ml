@@ -156,10 +156,13 @@ let via_engine ?part (s : spec) : spec =
 (* The record of a semantics whose intended models are the ⊆-minimal
    models passing [check] (PERF, DSM): the paper's Σ₂ᵖ "guess a minimal
    model, check it".  [check theory db] screens each minimal model the
-   search finds on [theory], DB compiled; a solver it needs is a copy of
-   that theory's image, so no question builds a solver of its own.  Its
-   answers are memoized by [via_engine]; on top of that, on a cached
-   engine:
+   search finds on [theory], DB compiled, and may refute it: PERF's check
+   returns ¬(N ≺ M) for the preferable model N it found, which the search
+   learns, so one failed check removes every candidate N also defeats.
+   PERF's check runs on a copy of that theory's image; DSM's builds the
+   theory of each candidate's reduct ([Dsm.is_stable]), a solver per
+   check.  Its answers are memoized by [via_engine]; on top of that, on a
+   cached engine:
      - literals: ¬x holds iff x is true in no intended model, and x iff x
        is false in none.  A sweep reads both from the harvested
        consequences ([Engine.consequences], memoized under the op

@@ -97,15 +97,17 @@ val via_engine : ?part:Partition.t -> spec -> spec
 
 val screened :
   name:string -> long_name:string ->
-  check:(Ddb_sat.Minimal.theory -> Db.t -> Interp.t -> bool) ->
+  check:(Ddb_sat.Minimal.theory -> Db.t -> Interp.t -> Ddb_sat.Minimal.verdict) ->
   (Db.t -> Interp.t list) -> spec
 (** [screened ~name ~long_name ~check reference_models]: the record of a
-    semantics whose intended models are the ⊆-minimal models [m] with
-    [check theory db m] (PERF, DSM), [theory] being the compiled database
-    the search runs on (a solver [check] needs is a
-    {!Ddb_sat.Minimal.solver_of} copy of it).  Every question is one
-    guess-and-check search ({!Ddb_sat.Minimal.find_minimal_such_that}),
-    memoized by {!via_engine}.  On a cached engine a literal from a
+    semantics whose intended models are the ⊆-minimal models [m] that
+    [check theory db] passes (PERF, DSM), [theory] being the compiled
+    database the search runs on (a solver [check] needs may be a
+    {!Ddb_sat.Minimal.solver_of} copy of it).  A refutation [check]
+    returns is learned by the search's candidate solver.  Every question
+    is one guess-and-check search
+    ({!Ddb_sat.Minimal.find_minimal_such_that}), memoized by
+    {!via_engine}.  On a cached engine a literal from a
     theory's second question on reads the consequences harvested under
     the op [<name>/intended] ({!Ddb_engine.Engine.consequences}: ¬x holds
     iff x is true in no intended model, x iff x is false in none), and

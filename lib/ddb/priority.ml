@@ -115,13 +115,34 @@ let find_preferable ?solver db t m =
   Solver.add_clause solver [ Lit.Neg sel ];
   outcome
 
+(* ¬(N ≺ M) as a DNF over M.  N ≺ M fails iff M = N or some x ∈ N∖M has
+   no y ∈ M∖N above it, i.e. x ∉ M and no atom of lt(x)∖N is in M: one
+   term for M = N, and per x ∈ N the term ¬x ∧ ⋀{¬y : y ∈ lt(x)∖N}. *)
+let not_preferable t n =
+  let equal =
+    List.init t.num_vars (fun y ->
+        if Interp.mem n y then Lit.Pos y else Lit.Neg y)
+  in
+  equal
+  :: List.map
+       (fun x ->
+         Lit.Neg x
+         :: Interp.fold
+              (fun y acc -> if Interp.mem n y then acc else Lit.Neg y :: acc)
+              t.lt.(x) [])
+       (Interp.to_list n)
+
 (* The perfectness test on minimal models of [db]: the priority is
    computed once, and each test is one [find_preferable] call on
-   [solver]. *)
+   [solver].  A model N preferable to m is preferable to no perfect
+   model, so a failed test refutes every M with N ≺ M. *)
 let perfectness ?solver db =
   let t = compute db in
   let solver = match solver with Some s -> s | None -> Db.solver db in
-  fun m -> Option.is_none (find_preferable ~solver db t m)
+  fun m ->
+    match find_preferable ~solver db t m with
+    | None -> Minimal.Pass
+    | Some n -> Minimal.Refute (not_preferable t n)
 
 let is_perfect ?priority db m =
   let t = match priority with Some t -> t | None -> compute db in
@@ -146,4 +167,6 @@ let brute_perfect_models db =
 
 (* All perfect models via minimal-model enumeration + the SAT check
    (perfect ⊆ minimal). *)
-let perfect_models db = List.filter (perfectness db) (Models.minimal_models db)
+let perfect_models db =
+  let check = perfectness db in
+  List.filter (fun m -> check m = Minimal.Pass) (Models.minimal_models db)

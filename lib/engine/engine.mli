@@ -86,14 +86,16 @@ val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
     constrained minimal-model query.  The atom must belong to [P]. *)
 
 val consequences :
-  t -> op:op -> Db.t -> (Ddb_sat.Minimal.theory -> Interp.t -> bool) ->
+  t -> op:op -> Db.t ->
+  (Ddb_sat.Minimal.theory -> Interp.t -> Ddb_sat.Minimal.verdict) ->
   (Interp.t * Interp.t) option
 (** [Some (brave_true, brave_false)]: the atoms true, and the atoms false,
-    in some ⊆-minimal model [m] of the database with [check theory m] —
-    its intended models, for a semantics whose models are the minimal
-    models passing [check].  One {!Ddb_sat.Minimal.harvest} with every ±x
-    as a target on the database's compiled [theory], which [check] gets
-    so that a solver it needs is a copy of the same image; memoized per
+    in some ⊆-minimal model [m] of the database that [check theory]
+    passes — its intended models, for a semantics whose models are the
+    minimal models passing [check].  One {!Ddb_sat.Minimal.harvest} with
+    every ±x as a target on the database's compiled [theory], which
+    [check] gets so that a solver it needs is a copy of the same image,
+    learning [check]'s refutations; memoized per
     (theory, [op]) (op [<semantics>/intended]).  The
     answer is [None] on uncached engines, which keep one search per
     question, and on a theory's first question under [op]: a one-shot

@@ -118,6 +118,35 @@ let cone_blocking part m =
   in
   block_p @ block_q
 
+(* What a [check] says of a minimal model: it passes, it fails, or it
+   fails with a refutation [Refute dnf], a disjunction of conjunctions of
+   literals over the universe that every model passing the check
+   satisfies (PERF's ¬(N ≺ M) for the preferable model N the check found).
+   A refutation goes into the candidate solver only, so it can exclude
+   only models the check rejects. *)
+type verdict = Pass | Fail | Refute of Lit.t list list
+
+(* Assert a DNF: one clause over its terms, a one-literal term as itself
+   and a longer one through a fresh auxiliary implying each of its
+   literals.  Auxiliaries float like Z-atoms. *)
+let add_dnf solver terms =
+  let disjunct = function
+    | [ l ] -> l
+    | term ->
+      let a = Solver.new_var solver in
+      List.iter (fun l -> Solver.add_clause solver [ Lit.Neg a; l ]) term;
+      Lit.Pos a
+  in
+  Solver.add_clause solver (List.map disjunct terms)
+
+(* Does [verdict] pass?  A refutation is learned by [candidate_solver]. *)
+let passes candidate_solver = function
+  | Pass -> true
+  | Fail -> false
+  | Refute dnf ->
+    add_dnf candidate_solver dnf;
+    false
+
 (* The minimal-model search loop, the guess-and-check loop of the paper's
    Σ₂ᵖ upper bounds and the one place that walks minimal models.  It looks
    for M ∈ MM(theory; P; Z) satisfying the [extra] clauses (which may
@@ -126,13 +155,15 @@ let cone_blocking part m =
 
      candidate <- SAT(theory ∧ extra ∧ blocked);
      m̂ <- minimize candidate within (theory ∧ extra);
-     if m̂ is (P;Z)-minimal for theory alone and [check m̂]: report m̂;
-     block the cone of m̂ and iterate (with [first], stop at a report).
+     if m̂ is (P;Z)-minimal for theory alone and [check m̂] passes: report m̂;
+     block the cone of m̂ (and learn [check]'s refutation, if any) and
+     iterate (with [first], stop at a report).
 
    Without [extra] the plain-minimality call is skipped: a descent in the
    theory itself ends at a minimal model.  An answer inside cone(m̂) has
    m̂'s (P,Q)-section, on which minimality (and [check], by its contract)
-   alone depend, so the block never hides one (DESIGN.md §2).  The loop
+   alone depend, so the block never hides one; a refutation excludes only
+   models that fail [check] (DESIGN.md §2).  The loop
    reports one model per qualifying minimal (P,Q)-section, newest first,
    each charged to the budget's enumeration cap. *)
 let search ~first ~extra ~check theory part =
@@ -152,7 +183,7 @@ let search ~first ~extra ~check theory part =
       let m_hat = minimize_with minimizer part m in
       let report =
         (extra = [] || is_minimal_with (Lazy.force plain_checker) part m_hat)
-        && check m_hat
+        && passes candidate_solver (check m_hat)
       in
       if report then Ddb_budget.Budget.on_model ();
       let found = if report then m_hat :: found else found in
@@ -164,14 +195,14 @@ let search ~first ~extra ~check theory part =
   in
   loop []
 
-let find_minimal_such_that ?(extra = []) ?(check = fun _ -> true) theory part
+let find_minimal_such_that ?(extra = []) ?(check = fun _ -> Pass) theory part
     =
   match search ~first:true ~extra ~check theory part with
   | m :: _ -> Some m
   | [] -> None
 
 let all_minimal theory part =
-  List.rev (search ~first:false ~extra:[] ~check:(fun _ -> true) theory part)
+  List.rev (search ~first:false ~extra:[] ~check:(fun _ -> Pass) theory part)
 
 (* The harvest loop: the target literals (atoms of [pos] true, atoms of
    [neg] false) that hold in some (P;Z)-minimal model passing [check],
@@ -180,8 +211,8 @@ let all_minimal theory part =
      add (∨ missing target literals) to the candidate solver;
      candidate <- SAT(theory ∧ clauses so far);
      m̂ <- minimize candidate within the theory alone;
-     if [check m̂]: drop m̂'s target literals from the missing ones;
-     block the cone of m̂ and iterate.
+     if [check m̂] passes: drop m̂'s target literals from the missing ones;
+     block the cone of m̂ (and learn [check]'s refutation) and iterate.
 
    Every m̂ is (P;Z)-minimal, so no minimality check is needed.  The
    missing set only shrinks, so each new "some missing literal" clause
@@ -191,11 +222,12 @@ let all_minimal theory part =
    so it has m̂'s target literals and verdict, and the block hides none
    (DESIGN.md §2).  Under the total partition that holds for every target
    and every [check]: cone(m̂) holds one minimal model, m̂ itself.  On
-   UNSAT every model with a missing literal lies in a blocked cone, and a
-   minimal one there adds nothing.  Each SAT round finds a minimal
+   UNSAT every model with a missing literal lies in a blocked cone, where
+   a minimal one adds nothing, or violates a refutation, so it fails
+   [check].  Each SAT round finds a minimal
    (P,Q)-section outside every earlier cone, so the rounds number at most
    the distinct minimal (P,Q)-sections plus one. *)
-let harvest ?(check = fun _ -> true) theory part ~pos ~neg =
+let harvest ?(check = fun _ -> Pass) theory part ~pos ~neg =
   let n = theory.num_vars in
   let candidate_solver = solver_of theory in
   let minimizer = solver_of theory in
@@ -219,7 +251,8 @@ let harvest ?(check = fun _ -> true) theory part ~pos ~neg =
       let m = Solver.model ~universe:n candidate_solver in
       let m_hat = minimize_with minimizer part m in
       Solver.add_clause candidate_solver (cone_blocking part m_hat);
-      if not (check m_hat) then round missing_t missing_f
+      if not (passes candidate_solver (check m_hat)) then
+        round missing_t missing_f
       else
         let t = Interp.diff missing_t m_hat
         and f = Interp.inter missing_f m_hat in

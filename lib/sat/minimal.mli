@@ -32,9 +32,27 @@ val find_minimal : theory -> Partition.t -> Interp.t option
 val cone_blocking : Partition.t -> Interp.t -> Lit.t list
 (** Clause excluding the cone {N : N∩Q = m∩Q, N∩P ⊇ m∩P}. *)
 
+type verdict =
+  | Pass
+  | Fail
+  | Refute of Lit.t list list
+      (** The model fails, and every model passing the check satisfies
+          this DNF (a list of terms, each a conjunction of literals over
+          the universe). *)
+(** A check's verdict on a minimal model.  A search or harvest adds a
+    refutation to its candidate solver only (one clause over the terms, an
+    auxiliary per term of two or more literals), so it removes only
+    candidates the check rejects; the minimizer and the minimality checker
+    keep the theory. *)
+
+val add_dnf : Solver.t -> Lit.t list list -> unit
+(** Assert a DNF on a solver, as a search learns a refutation: a model of
+    the solver's clauses satisfies some term, and every interpretation
+    satisfying a term extends to the added auxiliaries. *)
+
 val find_minimal_such_that :
   ?extra:Lit.t list list ->
-  ?check:(Interp.t -> bool) ->
+  ?check:(Interp.t -> verdict) ->
   theory ->
   Partition.t ->
   Interp.t option
@@ -43,7 +61,8 @@ val find_minimal_such_that :
     atoms beyond the universe — they float like Z-atoms) and passing
     [check] (default: every model).  Candidates are minimized within
     theory ∧ extra, screened by one plain-minimality oracle call (skipped
-    without [extra]) and by [check], with cone blocking; this is the Σ₂ᵖ
+    without [extra]) and by [check], with cone blocking and [check]'s
+    refutations learned by the candidate solver; this is the Σ₂ᵖ
     guess-and-check loop of the paper's upper bounds.  [check] sees one
     model per minimal (P,Q)-section, so it must give the same verdict on
     models that differ only on Z; it always does under the total
@@ -51,7 +70,7 @@ val find_minimal_such_that :
     enumeration cap. *)
 
 val harvest :
-  ?check:(Interp.t -> bool) ->
+  ?check:(Interp.t -> verdict) ->
   theory ->
   Partition.t ->
   pos:Interp.t ->
@@ -65,7 +84,8 @@ val harvest :
     minimizer serve the whole harvest: each round asks for a model with a
     still-missing target literal outside the blocked cones, descends from
     it to a minimal model in the plain theory, adds that model's target
-    literals if it passes [check] and blocks its cone.  No plain-minimality
+    literals if it passes [check] (or learns [check]'s refutation) and
+    blocks its cone.  No plain-minimality
     check is needed.  The targets must lie in P ∪ Q and [check] must give
     one verdict per minimal (P,Q)-section; under the total partition both
     always hold.  The rounds number at most the distinct minimal

@@ -379,6 +379,88 @@ let qcheck_perfect_enumeration =
       Gen.interp_list_equal (Priority.perfect_models db)
         (Priority.brute_perfect_models db))
 
+(* PERF's refinement.  For every model N of a random DNDB and every
+   interpretation M, the clauses a failed perfectness check adds for N
+   (auxiliaries free) admit M iff N is not preferable to M, by a
+   brute-force preferability over the breadth-first [reference_lt].  The
+   refined searches themselves are checked against the brute perfect
+   models: a search finds a perfect model iff one exists, and the harvest
+   collects exactly the literals true in some perfect model.  [refined]
+   counts the databases on which a search learned a refutation. *)
+let refined = ref 0
+
+let qcheck_refinement_encoding =
+  QCheck.Test.make ~count:(Gen.qcheck_count 300)
+    ~name:"refinement clauses admit M iff N is not preferable to M"
+    QCheck.(pair (int_bound 99999) (int_range 1 6))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let t = Priority.compute db and lt = reference_lt db in
+      let preferable n m =
+        (not (Interp.equal n m))
+        && Interp.for_all
+             (fun x -> Interp.exists lt.(x) (Interp.diff m n))
+             (Interp.diff n m)
+      in
+      let models = Models.brute_models db and all = Interp.all num_vars in
+      let encoding_ok =
+        List.for_all
+          (fun n ->
+            let solver = Ddb_sat.Solver.create ~num_vars () in
+            Ddb_sat.Minimal.add_dnf solver (Priority.not_preferable t n);
+            List.for_all
+              (fun m ->
+                let admits =
+                  Ddb_sat.Solver.solve
+                    ~assumptions:
+                      (List.init num_vars (fun x ->
+                           if Interp.mem m x then Lit.Pos x else Lit.Neg x))
+                    solver
+                  = Ddb_sat.Solver.Sat
+                in
+                admits = not (preferable n m))
+              all)
+          models
+      in
+      let refuted = ref false in
+      let check =
+        let perfectness = Priority.perfectness db in
+        fun m ->
+          let v = perfectness m in
+          (match v with Ddb_sat.Minimal.Refute _ -> refuted := true | _ -> ());
+          v
+      in
+      let theory = Db.theory db and part = Partition.minimize_all num_vars in
+      let perfect = Priority.brute_perfect_models db in
+      let found = Ddb_sat.Minimal.find_minimal_such_that ~check theory part in
+      let full = Interp.full num_vars in
+      let t_got, f_got =
+        Ddb_sat.Minimal.harvest ~check theory part ~pos:full ~neg:full
+      in
+      let union f =
+        List.fold_left
+          (fun s m -> Interp.union s (f m))
+          (Interp.empty num_vars) perfect
+      in
+      if !refuted then incr refined;
+      encoding_ok
+      && (match found with
+         | None -> perfect = []
+         | Some m -> List.exists (Interp.equal m) perfect)
+      && Interp.equal t_got (union Fun.id)
+      && Interp.equal f_got (union (Interp.diff full)))
+
+let refinement_suite =
+  [
+    Alcotest.test_case "encoding law; some search learned a refutation" `Quick
+      (fun () ->
+        refined := 0;
+        QCheck.Test.check_exn qcheck_refinement_encoding;
+        if !refined = 0 then
+          Alcotest.fail "no search learned a refutation: the law tested nothing");
+  ]
+
 (* DSM's listing: the minimal models that pass the stability check (a
    reduct and one SAT call) are the stable models by definition. *)
 let qcheck_stable_enumeration =
@@ -439,6 +521,7 @@ let suites =
           qcheck_perfect_sat_check_matches_brute;
           qcheck_perfect_enumeration;
         ] );
+    ("db.priority.refinement", refinement_suite);
     ("db.reduct", reduct_suite);
     ( "db.reduct.properties",
       [ QCheck_alcotest.to_alcotest qcheck_stable_enumeration ] );

@@ -370,7 +370,8 @@ let qcheck_find_minimal_such_that_matches_reference =
           (minimal_reference ~num_vars cnf part)
       in
       match
-        Minimal.find_minimal_such_that ~extra ~check
+        Minimal.find_minimal_such_that ~extra
+          ~check:(fun m -> if check m then Minimal.Pass else Minimal.Fail)
           (Minimal.theory ~num_vars cnf)
           part
       with
@@ -466,7 +467,9 @@ let qcheck_harvest_matches_reference =
           (Interp.empty num_vars) intended
       in
       let t, f =
-        Minimal.harvest ~check (Minimal.theory ~num_vars cnf) part ~pos ~neg
+        Minimal.harvest
+          ~check:(fun m -> if check m then Minimal.Pass else Minimal.Fail)
+          (Minimal.theory ~num_vars cnf) part ~pos ~neg
       in
       Interp.equal t (union (Interp.inter pos))
       && Interp.equal f (union (fun m -> Interp.diff neg m)))

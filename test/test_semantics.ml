@@ -357,6 +357,30 @@ let icwa_unit =
         check "not a" true (icwa (Parse.formula vocab "~a")));
   ]
 
+(* PERF learns from its failed perfectness checks: the preferable model N
+   a check finds excludes every candidate N is preferable to.  On this
+   stratified disjunctive database the search without that learning walks
+   minimal models for 10 200 SAT calls; ICWA, which equals PERF on
+   stratified databases, gives the expected answer. *)
+let perf_unit =
+  [
+    Alcotest.test_case "stratified n=80: PERF ~x79 in at most 40 SAT calls"
+      `Quick (fun () ->
+        let db =
+          Ddb_workload.Random_db.stratified ~layers:3 ~head_max:2 ~seed:0
+            ~num_vars:80 ()
+        in
+        let q = Lit.Neg 79 and fresh = Ddb_engine.Engine.create in
+        let icwa = Registry.infer_literal_in (fresh ()) ~sem:"icwa" db q in
+        let eng = fresh () in
+        let perf = Registry.infer_literal_in eng ~sem:"perf" db q in
+        check "ICWA answers false" false icwa;
+        check "PERF = ICWA" icwa perf;
+        let calls = (Ddb_engine.Engine.totals eng).sat_solve_calls in
+        if calls > 40 then
+          Alcotest.failf "PERF made %d SAT calls (at most 40)" calls);
+  ]
+
 (* ICWA captures PERF on stratified databases (the purpose it was introduced
    for): with the total partition, the ICWA model set coincides with the
    perfect models. *)
@@ -588,6 +612,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [ qcheck_pdsm_engines_agree; qcheck_pdsm_stability_check ] );
     ("semantics.icwa", icwa_unit);
+    ("semantics.perf", perf_unit);
     ("semantics.oracle", oracle_alg_unit);
     ( "semantics.oracle.properties",
       [ QCheck_alcotest.to_alcotest qcheck_oracle_log_agrees ] );
