@@ -85,10 +85,11 @@ let cwa_log () =
         (log.Oracle_algorithms.consistent = lin.Oracle_algorithms.consistent))
     [ 8; 16; 32; 64; 128; 256 ]
 
-(* The median wall time of [k] calls of [f], in µs, after a full major
+(* The median wall time of 15 calls of [f], in µs, after a full major
    collection, so that no call pays for the garbage of the code before it;
    with the last call's answer. *)
-let median_us ?(k = 15) f =
+let median_us f =
+  let k = 15 in
   Gc.full_major ();
   let answer = ref None in
   let times =
