@@ -11,11 +11,6 @@ open Ddb_workload
 
    ABL-oracle — covered by Oracle_bench (log vs linear Σ₂ usage). *)
 
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let _ = f () in
-  (Unix.gettimeofday () -. t0) *. 1000.
-
 (* Each ladder rung is independent (fresh seeded instance, fresh solver),
    so the rungs fan out over the domain pool; rows are printed after the
    join, in ladder order, identically for every job count.  jobs:1 (the
@@ -35,16 +30,16 @@ let engines ~jobs () =
       let reference_ms =
         if n > 18 then Float.nan
         else
-          time_ms (fun () ->
-              List.for_all
-                (fun m -> Formula.eval m f)
-                (Ddb_db.Models.brute_minimal_models db))
+          (Harness.timed (fun () ->
+               List.for_all
+                 (fun m -> Formula.eval m f)
+                 (Ddb_db.Models.brute_minimal_models db)))
+            .ms
       in
       let oracle_ms =
-        time_ms (fun () ->
-            Registry.infer_formula_in
-              (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-              ~sem:"egcwa" db f)
+        (Harness.timed (fun () ->
+             Registry.infer_formula_in (Harness.base ()) ~sem:"egcwa" db f))
+          .ms
       in
       (n, reference_ms, oracle_ms))
     (fun (n, reference_ms, oracle_ms) ->

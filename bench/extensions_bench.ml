@@ -11,13 +11,6 @@ open Ddb_workload
    - the CWA-consistency P^NP[O(log n)] remark: NP-oracle query counts,
      log vs linear. *)
 
-let time_with_stats f =
-  let before = Ddb_sat.Stats.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let _ = f () in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  (ms, (Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat)
-
 let brave_vs_cautious () =
   Fmt.pr "@.=== Extension: brave vs cautious inference (EGCWA / DSM) ===@.";
   Fmt.pr "  %-6s %-22s %-22s@." "n" "egcwa cautious/brave ms"
@@ -26,19 +19,18 @@ let brave_vs_cautious () =
     (fun n ->
       let db = Random_db.normal ~seed:(3 * n) ~num_vars:n in
       let f = Random_db.formula ~seed:n ~num_vars:n ~depth:2 in
-      (* the paper's baseline configuration: no memo, no fast path *)
-      let sem name =
-        Option.get
-          (Registry.find_in
-             (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-             name)
+      (* each call on the paper's baseline configuration: no memo, no
+         fast path *)
+      let sem name = Option.get (Registry.find name) in
+      let cautious name () =
+        (sem name).Semantics.infer_formula (Harness.base ()) db f
       in
-      let cautious name () = (sem name).Semantics.infer_formula db f in
-      let brave name () = (sem name).Semantics.witness db f <> None in
-      let ec, _ = time_with_stats (cautious "egcwa") in
-      let eb, _ = time_with_stats (brave "egcwa") in
-      let dc, _ = time_with_stats (cautious "dsm") in
-      let db_, _ = time_with_stats (brave "dsm") in
+      let brave name () =
+        (sem name).Semantics.witness (Harness.base ()) db f <> None
+      in
+      let ms f = (Harness.timed f).Harness.ms in
+      let ec = ms (cautious "egcwa") and eb = ms (brave "egcwa") in
+      let dc = ms (cautious "dsm") and db_ = ms (brave "dsm") in
       Fmt.pr "  %-6d %10.2f /%10.2f %10.2f /%10.2f@." n ec eb dc db_)
     [ 10; 20; 40 ]
 
@@ -60,13 +52,9 @@ let wfs () =
   List.iter
     (fun n ->
       let db = nlp ~seed:(7 * n) ~num_vars:n in
-      let before = Ddb_sat.Stats.snapshot () in
-      let t0 = Unix.gettimeofday () in
-      let w = Wfs.compute db in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Fmt.pr "  %-6d %-12.2f %-10d %-10b@." n ms
-        (Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat
-        (Three_valued.is_total w))
+      let w = Harness.timed (fun () -> Wfs.compute db) in
+      Fmt.pr "  %-6d %-12.2f %-10d %-10b@." n w.ms w.work.Ddb_sat.Stats.sat
+        (Three_valued.is_total w.value))
     [ 50; 100; 200; 400; 800 ]
 
 let cwa_log () =
@@ -76,8 +64,10 @@ let cwa_log () =
   List.iter
     (fun n ->
       let db = Random_db.normal ~seed:(11 * n) ~num_vars:n in
-      let log = Oracle_algorithms.cwa_consistency_log db in
-      let lin = Oracle_algorithms.cwa_consistency_linear db in
+      let log = Oracle_algorithms.cwa_consistency_log (Harness.base ()) db in
+      let lin =
+        Oracle_algorithms.cwa_consistency_linear (Harness.base ()) db
+      in
       Fmt.pr "  %-6d %-10d %-10d %-12d %-8b@." n
         log.Oracle_algorithms.np_queries
         (Oracle_algorithms.log_bound n)
@@ -115,7 +105,8 @@ let sigma2_realizations () =
       let loop_us, direct =
         median_us (fun () ->
             not
-              ((Option.get (Registry.find "gcwa")).infer_literal db (Lit.Neg x)))
+              (Registry.infer_literal_in (Harness.base ()) ~sem:"gcwa" db
+                 (Lit.Neg x)))
       in
       let cegar_us, via_qbf =
         median_us (fun () -> Qbf_encodings.gcwa_refutes_neg_literal_qbf db x)

@@ -21,6 +21,18 @@ module Engine = Ddb_engine.Engine
    per oracle question). *)
 let base () = Engine.create ~cache:false ~fastpath:false ()
 
+(* The one stopwatch of the bench sections: [f ()]'s value, its wall time
+   in ms, and the solver work it did (the [Ddb_sat.Stats] delta, read
+   after the clock stops). *)
+type 'a timed = { value : 'a; ms : float; work : Ddb_sat.Stats.snapshot }
+
+let timed f =
+  let before = Ddb_sat.Stats.snapshot () in
+  let t0 = Unix.gettimeofday () in
+  let value = f () in
+  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  { value; ms; work = Ddb_sat.Stats.delta before }
+
 type measurement = {
   n : int;
   time_ms : float;
@@ -30,20 +42,12 @@ type measurement = {
 
 let repetitions = 3
 
-let time_once f =
-  let before = Ddb_sat.Stats.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let _ = f () in
-  let t1 = Unix.gettimeofday () in
-  let delta = Ddb_sat.Stats.delta before in
-  ((t1 -. t0) *. 1000., delta.Ddb_sat.Stats.sat, delta.Ddb_sat.Stats.sigma2)
-
 (* Average over seeded repetitions of [instance seed |> task]. *)
 let measure ~n ~instance ~task =
   let samples =
     List.init repetitions (fun seed ->
         let input = instance ~seed ~num_vars:n in
-        time_once (fun () -> task input))
+        timed (fun () -> task input))
   in
   let avg f =
     List.fold_left (fun acc s -> acc +. f s) 0. samples
@@ -51,9 +55,9 @@ let measure ~n ~instance ~task =
   in
   {
     n;
-    time_ms = avg (fun (t, _, _) -> t);
-    sat_calls = avg (fun (_, s, _) -> float_of_int s);
-    sigma2_calls = avg (fun (_, _, q) -> float_of_int q);
+    time_ms = avg (fun t -> t.ms);
+    sat_calls = avg (fun t -> float_of_int t.work.Ddb_sat.Stats.sat);
+    sigma2_calls = avg (fun t -> float_of_int t.work.Ddb_sat.Stats.sigma2);
   }
 
 type cell = {
@@ -150,11 +154,11 @@ let registry_cell sem task db =
       Some (bench_partition (Db.num_vars db))
     else None
   in
-  let s = Option.get (Registry.find_in ?part (base ()) sem) in
+  let s = Option.get (Registry.find ?part sem) in
   match task with
-  | Classes.Literal -> s.Semantics.infer_literal db (neg_literal db)
-  | Classes.Formula -> s.Semantics.infer_formula db (random_query db)
-  | Classes.Exists -> s.Semantics.has_model db
+  | Classes.Literal -> s.Semantics.infer_literal (base ()) db (neg_literal db)
+  | Classes.Formula -> s.Semantics.infer_formula (base ()) db (random_query db)
+  | Classes.Exists -> s.Semantics.has_model (base ()) db
 
 (* One cell per claimed cell of the setting, in [Classes] order, sized
    and fed by its semantics' row; fails unless the rows are one per
@@ -295,20 +299,15 @@ let table2 ?jobs ?trace_prefix () =
    total SAT solve calls either way plus the cached engine's hit counts,
    and emit the engine's stats record as JSON (schema in EXPERIMENTS.md). *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.)
-
-let engine_workload (s : Semantics.t) db =
+let engine_workload (s : Semantics.t) eng db =
   let n = Db.num_vars db in
   for _rep = 1 to 2 do
     for x = 0 to n - 1 do
-      ignore (s.Semantics.infer_literal db (Lit.Neg x));
-      ignore (s.Semantics.infer_literal db (Lit.Pos x))
+      ignore (s.Semantics.infer_literal eng db (Lit.Neg x));
+      ignore (s.Semantics.infer_literal eng db (Lit.Pos x))
     done;
-    ignore (s.Semantics.infer_formula db (random_query db));
-    ignore (s.Semantics.has_model db)
+    ignore (s.Semantics.infer_formula eng db (random_query db));
+    ignore (s.Semantics.has_model eng db)
   done
 
 (* The cached closed-world workload over every semantics, on a fresh
@@ -316,9 +315,8 @@ let engine_workload (s : Semantics.t) db =
 let full_engine_workload () =
   let eng = Engine.create ~cache:true () in
   List.iter
-    (fun (s : Semantics.t) ->
-      engine_workload s (Random_db.positive ~seed:7 ~num_vars:10))
-    (Registry.all_in eng)
+    (fun s -> engine_workload s eng (Random_db.positive ~seed:7 ~num_vars:10))
+    Registry.all
 
 (* Every probe the obs layer added to the hot paths is gated on one flag,
    so with tracing off the instrumented build should time like an
@@ -328,11 +326,11 @@ let full_engine_workload () =
    even means on this machine) and (b) the cost of actually turning
    tracing on.  Reported and exported with the section JSON. *)
 let observability_overhead ?trace_prefix () =
-  let () = ignore (wall full_engine_workload) (* warm-up: code + allocator *) in
-  let (), disabled1 = wall full_engine_workload in
-  let (), disabled2 = wall full_engine_workload in
+  let () = ignore (timed full_engine_workload) (* warm-up: code + allocator *) in
+  let disabled1 = (timed full_engine_workload).ms in
+  let disabled2 = (timed full_engine_workload).ms in
   Trace.start ();
-  let (), traced_ms = wall full_engine_workload in
+  let traced_ms = (timed full_engine_workload).ms in
   Trace.stop ();
   let traced_events = Trace.events_recorded () in
   (match trace_prefix with
@@ -362,20 +360,15 @@ let engine_comparison ?trace_prefix () =
      one seeded DB; 'sat' = total SAT solve calls)@.";
   let cached = Engine.create ~cache:true () in
   let direct = Engine.create ~cache:false () in
-  let sat_of run =
-    let before = Ddb_sat.Stats.snapshot () in
-    run ();
-    (Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat
-  in
   let db = Random_db.positive ~seed:7 ~num_vars:10 in
+  let sat_on eng s = (timed (fun () -> engine_workload s eng db)).work.sat in
   let rows =
-    List.map2
-      (fun (sc : Semantics.t) (sd : Semantics.t) ->
-        let name = sc.Semantics.name in
-        let sat_direct = sat_of (fun () -> engine_workload sd db) in
-        let sat_cached = sat_of (fun () -> engine_workload sc db) in
-        (name, sat_direct, sat_cached))
-      (Registry.all_in cached) (Registry.all_in direct)
+    List.map
+      (fun (s : Semantics.t) ->
+        let sat_direct = sat_on direct s in
+        let sat_cached = sat_on cached s in
+        (s.Semantics.name, sat_direct, sat_cached))
+      Registry.all
   in
   let wins =
     List.length (List.filter (fun (_, d, c) -> c < d) rows)
@@ -465,11 +458,10 @@ let fastpath_bench () =
       (fun (name, dbs) ->
         let fast_eng = Engine.create () in
         let generic_eng = Engine.create ~fastpath:false () in
-        let fast_answers, fast_ms = wall (fun () -> sweep fast_eng dbs) in
-        let generic_answers, generic_ms =
-          wall (fun () -> sweep generic_eng dbs)
-        in
-        if fast_answers <> generic_answers then
+        let fast = timed (fun () -> sweep fast_eng dbs) in
+        let generic = timed (fun () -> sweep generic_eng dbs) in
+        let fast_ms = fast.ms and generic_ms = generic.ms in
+        if fast.value <> generic.value then
           failwith ("fastpath_bench: answers diverged on " ^ name);
         let t = Engine.totals fast_eng in
         let speedup =

@@ -23,10 +23,13 @@ let run () =
       let db = Random_db.positive ~seed:(42 + n) ~num_vars:n in
       let part = Partition.minimize_all (Db.num_vars db) in
       let f = Random_db.formula ~seed:n ~num_vars:n ~depth:2 in
-      let base () = Ddb_engine.Engine.create ~cache:false ~fastpath:false () in
-      let log_report = Oracle_algorithms.entails_log_in (base ()) db part f in
+      let log_report =
+        Oracle_algorithms.entails_log_in (Harness.base ()) db part f
+      in
       if n <= linear_cap then begin
-        let lin_report = Oracle_algorithms.entails_linear (base ()) db part f in
+        let lin_report =
+          Oracle_algorithms.entails_linear (Harness.base ()) db part f
+        in
         Fmt.pr "  %-6d %-10d %-12d %-12d %-10b@." n
           log_report.Oracle_algorithms.sigma2_queries
           (Oracle_algorithms.log_bound n)

@@ -20,14 +20,13 @@ let run () =
         let qbf = Qbf_family.random_ef ~seed ~xs ~ys in
         let db, w = Reductions.qbf_to_gcwa qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
-        let t0 = Unix.gettimeofday () in
         let answered =
-          Registry.infer_literal_in
-            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-            ~sem:"gcwa" db (Ddb_logic.Lit.Neg w)
+          Harness.timed (fun () ->
+              Registry.infer_literal_in (Harness.base ()) ~sem:"gcwa" db
+                (Ddb_logic.Lit.Neg w))
         in
-        total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
-        if answered = not reference then incr agree;
+        total_ms := !total_ms +. answered.ms;
+        if answered.value = not reference then incr agree;
         if reference then incr valid
       done;
       Fmt.pr "  %-14s %-8d %d/%-6d %-8d %-10.2f@." "qbf->gcwa" (xs + ys)
@@ -43,14 +42,12 @@ let run () =
         let qbf = Qbf_family.random_ef ~seed ~xs ~ys in
         let db = Reductions.qbf_to_dsm_exists qbf in
         let reference = Ddb_qbf.Cegar.valid qbf in
-        let t0 = Unix.gettimeofday () in
         let answered =
-          Registry.has_model_in
-            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-            ~sem:"dsm" db
+          Harness.timed (fun () ->
+              Registry.has_model_in (Harness.base ()) ~sem:"dsm" db)
         in
-        total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
-        if answered = reference then incr agree;
+        total_ms := !total_ms +. answered.ms;
+        if answered.value = reference then incr agree;
         if reference then incr valid
       done;
       Fmt.pr "  %-14s %-8d %d/%-6d %-8d %-10.2f@." "qbf->dsm-ex" (xs + ys)
@@ -67,14 +64,13 @@ let run () =
       let per_size = 5 in
       for seed = 0 to per_size - 1 do
         let g = Graph.random_graph ~seed ~vertices ~edge_prob:0.3 in
-        let t0 = Unix.gettimeofday () in
-        if
-          Registry.has_model_in
-            (Ddb_engine.Engine.create ~cache:false ~fastpath:false ())
-            ~sem:"egcwa" (Graph.coloring_db g)
-        then
-          incr sat;
-        total_ms := !total_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
+        let colorable =
+          Harness.timed (fun () ->
+              Registry.has_model_in (Harness.base ()) ~sem:"egcwa"
+                (Graph.coloring_db g))
+        in
+        if colorable.value then incr sat;
+        total_ms := !total_ms +. colorable.ms
       done;
       Fmt.pr "  %-14s %-8d %d/%-6d %-8.2f@." "egcwa-exists" vertices !sat
         per_size

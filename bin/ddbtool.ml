@@ -272,15 +272,22 @@ let classify db =
 
 (* --- models --- *)
 
-let models db (sem : Semantics.t) limit brute =
-  Result.bind (check_applicable sem db) @@ fun () ->
+(* Listing and counting enumerate the universe ([reference_models]):
+   past 22 atoms only with --brute. *)
+let enumerated ~what db brute k =
   if (not brute) && Db.num_vars db > 22 then
     Error
       (`Msg
-        "model listing enumerates the universe; use --brute to force it on \
-         more than 22 atoms")
-  else begin
-    let vocab = Db.vocab db in
+        (Printf.sprintf
+           "model %s enumerates the universe; use --brute to force it on \
+            more than 22 atoms"
+           what))
+  else k ()
+
+let models db (sem : Semantics.t) limit brute =
+  Result.bind (check_applicable sem db) @@ fun () ->
+  enumerated ~what:"listing" db brute @@ fun () ->
+  let vocab = Db.vocab db in
     let all = sem.Semantics.reference_models db in
     let total = List.length all in
     let shown =
@@ -297,7 +304,6 @@ let models db (sem : Semantics.t) limit brute =
       Fmt.pr "  ... (truncated by --limit: %d of %d shown)@."
         (List.length shown) total;
     Ok ()
-  end
 
 let brute_arg =
   Arg.(value & flag & info [ "brute" ] ~doc:"Allow large enumerations.")
@@ -400,7 +406,7 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
          Result.map Option.some
            (build_partition (Semantics.for_query db f) ~minimize ~fixed ~vary))
     @@ fun part ->
-    match Registry.find_in ?part eng name with
+    match Registry.find ?part name with
     | Some s -> Ok (s, part)
     | None ->
       Error
@@ -415,13 +421,13 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
     Error (`Msg (Printf.sprintf "query parse error: %s" msg))
   | f ->
     Result.bind (record f) @@ fun (s, part) ->
-    let witness_of = s.Semantics.witness db in
+    let witness_of = s.Semantics.witness eng db in
     let answer, shown =
       if brave then
         let w = witness_of f in
         (Option.is_some w, Option.map (fun m -> ("witness", m)) w)
       else
-        let a = s.Semantics.infer_formula db f in
+        let a = s.Semantics.infer_formula eng db f in
         ( a,
           if a || not witness then None
           else
@@ -474,8 +480,7 @@ let exists db (sem : Semantics.t) ~no_fastpath =
   Result.bind (check_applicable sem db) @@ fun () ->
   let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
   Fmt.pr "%s(DB) %s@." sem.Semantics.name
-    (if Registry.has_model_in eng ~sem:sem.Semantics.name db then
-       "has a model"
+    (if sem.Semantics.has_model eng db then "has a model"
      else "has no model");
   Ok ()
 
@@ -483,17 +488,11 @@ let exists db (sem : Semantics.t) ~no_fastpath =
 
 let count db (sem : Semantics.t) brute =
   Result.bind (check_applicable sem db) @@ fun () ->
-  if (not brute) && Db.num_vars db > 22 then
-    Error
-      (`Msg
-        "model counting enumerates the universe; use --brute to force it on \
-         more than 22 atoms")
-  else begin
-    Fmt.pr "%d model(s) under %s@."
-      (List.length (sem.Semantics.reference_models db))
-      sem.Semantics.name;
-    Ok ()
-  end
+  enumerated ~what:"counting" db brute @@ fun () ->
+  Fmt.pr "%d model(s) under %s@."
+    (List.length (sem.Semantics.reference_models db))
+    sem.Semantics.name;
+  Ok ()
 
 (* --- ground --- *)
 
@@ -687,7 +686,7 @@ let list_semantics () =
   List.iter
     (fun (s : Semantics.t) ->
       Fmt.pr "%-8s %s@." s.Semantics.name s.Semantics.long_name)
-    (Registry.all_in (Ddb_engine.Engine.create ()));
+    Registry.all;
   Ok ()
 
 (* --- command wiring --- *)
@@ -723,89 +722,53 @@ let budget_man =
        every run, at every $(b,--jobs)); wall deadlines are not.";
   ]
 
-(* [run] threads the --trace/--trace-clock/--budget-* options every
-   subcommand takes: the traced thunk runs under one whole-command budget
-   token for the single-query commands. *)
-let classify_cmd =
+(* The single-query commands: [body] is the command's own arguments
+   applied to its function, a thunk run under one whole-command budget
+   token, traced when --trace is given. *)
+let single_cmd name ~doc body =
   Cmd.v
-    (Cmd.info "classify" ~exits ~man:budget_man
-       ~doc:"Classify a database (DDDB/DSDB/DNDB, strata)")
+    (Cmd.info name ~exits ~man:budget_man ~doc)
     Term.(
       ret
-        (const (fun trace clock bopts db ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () -> classify db))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg))
+        (const (fun trace clock bopts run ->
+             handle (traced trace clock (fun () -> budgeted_run bopts run)))
+        $ trace_arg $ trace_clock_arg $ budget_term $ body))
+
+let classify_cmd =
+  single_cmd "classify" ~doc:"Classify a database (DDDB/DSDB/DNDB, strata)"
+    Term.(const (fun db () -> classify db) $ db_arg)
 
 let models_cmd =
-  Cmd.v
-    (Cmd.info "models" ~exits ~man:budget_man
-       ~doc:"List the models under a semantics")
+  single_cmd "models" ~doc:"List the models under a semantics"
     Term.(
-      ret
-        (const (fun trace clock bopts db sem limit brute ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () -> models db sem limit brute))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ semantics_arg
-        $ limit_arg $ brute_arg))
+      const (fun db sem limit brute () -> models db sem limit brute)
+      $ db_arg $ semantics_arg $ limit_arg $ brute_arg)
 
 let query_cmd =
-  Cmd.v
-    (Cmd.info "query" ~exits ~man:budget_man
-       ~doc:"Decide SEM(DB) |= FORMULA (cautious or brave)")
+  single_cmd "query" ~doc:"Decide SEM(DB) |= FORMULA (cautious or brave)"
     Term.(
-      ret
-        (const
-           (fun trace clock bopts db sem q brave witness no_fastpath minimize
-                fixed vary ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () ->
-                        query db sem q brave witness ~no_fastpath ~minimize
-                          ~fixed ~vary))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ semantics_arg
-        $ query_str_arg $ brave_flag $ witness_flag $ no_fastpath_flag
-        $ minimize_arg $ fixed_arg $ vary_arg))
+      const
+        (fun db sem q brave witness no_fastpath minimize fixed vary () ->
+          query db sem q brave witness ~no_fastpath ~minimize ~fixed ~vary)
+      $ db_arg $ semantics_arg $ query_str_arg $ brave_flag $ witness_flag
+      $ no_fastpath_flag $ minimize_arg $ fixed_arg $ vary_arg)
 
 let exists_cmd =
-  Cmd.v
-    (Cmd.info "exists" ~exits ~man:budget_man
-       ~doc:"Decide whether SEM(DB) has a model")
+  single_cmd "exists" ~doc:"Decide whether SEM(DB) has a model"
     Term.(
-      ret
-        (const (fun trace clock bopts db sem no_fastpath ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () -> exists db sem ~no_fastpath))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ semantics_arg
-        $ no_fastpath_flag))
+      const (fun db sem no_fastpath () -> exists db sem ~no_fastpath)
+      $ db_arg $ semantics_arg $ no_fastpath_flag)
 
 let ground_cmd =
-  Cmd.v
-    (Cmd.info "ground" ~exits ~man:budget_man
-       ~doc:"Ground a Datalog file and print the propositional program")
-    Term.(
-      ret
-        (const (fun trace clock bopts path ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () -> ground_cmd_impl path))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ path_arg))
+  single_cmd "ground"
+    ~doc:"Ground a Datalog file and print the propositional program"
+    Term.(const (fun path () -> ground_cmd_impl path) $ path_arg)
 
 let count_cmd =
-  Cmd.v
-    (Cmd.info "count" ~exits ~man:budget_man
-       ~doc:"Count the models under a semantics")
+  single_cmd "count" ~doc:"Count the models under a semantics"
     Term.(
-      ret
-        (const (fun trace clock bopts db sem brute ->
-             handle
-               (traced trace clock (fun () ->
-                    budgeted_run bopts (fun () -> count db sem brute))))
-        $ trace_arg $ trace_clock_arg $ budget_term $ db_arg $ semantics_arg
-        $ brute_arg))
+      const (fun db sem brute () -> count db sem brute)
+      $ db_arg $ semantics_arg $ brute_arg)
 
 (* --jobs determinism contract, shared by the stats/sweep/profile pages. *)
 let jobs_man =

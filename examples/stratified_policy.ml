@@ -51,15 +51,16 @@ let () =
   let queries =
     [ "read_logs"; "audit"; "restricted"; "write_db"; "~exempt" ]
   in
+  let eng = Ddb_engine.Engine.create () in
   let sem name = Option.get (Registry.find name) in
   let icwa_sem = sem "icwa" and perf_sem = sem "perf" and dsm_sem = sem "dsm" in
   Fmt.pr "%-14s %-6s %-6s %-6s@." "query" "icwa" "perf" "dsm";
   List.iter
     (fun q ->
       let f = Parse.formula vocab q in
-      let icwa = icwa_sem.infer_formula db f in
-      let perf = perf_sem.infer_formula db f in
-      let dsm = dsm_sem.infer_formula db f in
+      let icwa = icwa_sem.infer_formula eng db f in
+      let perf = perf_sem.infer_formula eng db f in
+      let dsm = dsm_sem.infer_formula eng db f in
       Fmt.pr "%-14s %-6b %-6b %-6b@." q icwa perf dsm;
       assert (icwa = perf && perf = dsm))
     queries;
@@ -68,6 +69,6 @@ let () =
 
   (* The disjunctive twist: read_logs follows under every admin choice, but
      audit depends on which admin is on call. *)
-  assert (perf_sem.infer_formula db (Parse.formula vocab "read_logs"));
-  assert (not (perf_sem.infer_formula db (Parse.formula vocab "audit")));
-  assert (perf_sem.infer_formula db (Parse.formula vocab "write_db -> audit"))
+  assert (perf_sem.infer_formula eng db (Parse.formula vocab "read_logs"));
+  assert (not (perf_sem.infer_formula eng db (Parse.formula vocab "audit")));
+  assert (perf_sem.infer_formula eng db (Parse.formula vocab "write_db -> audit"))

@@ -6,11 +6,11 @@ open Ddb_db
     is the special case Q = Z = ∅ (the registry's [gcwa] record).
     Decision procedures run on the engine they are asked on (support sets
     memoized on cached engines); ask them through
-    [Registry.find_in ?part]. *)
+    [Registry.find ?part]. *)
 
 val semantics :
   ?part:Partition.t -> name:string -> long_name:string -> unit ->
-  Semantics.spec
+  Semantics.t
 (** The record under the given name, asked at [part], by default the
     total partition ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry names
     it [gcwa] and [ccwa]; its wrapper ([Fastpath.wrap]) runs every field in

@@ -84,7 +84,7 @@ let reference_models db part =
 
 (* ECWA's record at [part] (by default ⟨V;∅;∅⟩) under the name "circ",
    its reference models the schema's. *)
-let semantics ?part () : Semantics.spec =
+let semantics ?part () : Semantics.t =
   {
     (Ecwa.semantics ?part ~name:"circ"
        ~long_name:"Circumscription (McCarthy / Lifschitz schema)" ())

@@ -13,8 +13,8 @@ val is_circ_model : ?schema:Solver.t -> Db.t -> Partition.t -> Interp.t -> bool
     [m ⊨ DB] and the schema finds no model strictly below it.  [schema]
     is the schema solver of [db] and [part] (default: built here). *)
 
-val semantics : ?part:Partition.t -> unit -> Semantics.spec
+val semantics : ?part:Partition.t -> unit -> Semantics.t
 (** The registry's [circ] record: {!Ecwa.semantics} at [part] (by default
     the total partition ⟨V;∅;∅⟩) under the name [circ], so its answers
     share ECWA's memo entries; its reference models are the brute models
-    that pass {!is_circ_model}.  Ask it through [Registry.find_in ?part]. *)
+    that pass {!is_circ_model}.  Ask it through [Registry.find ?part]. *)

@@ -36,7 +36,7 @@ let reference_models db =
   in
   List.filter (fun m -> Interp.is_empty (Interp.inter m negs)) models
 
-let semantics : Semantics.spec =
+let semantics : Semantics.t =
   {
     name = "cwa";
     long_name = "Closed World Assumption (Reiter)";

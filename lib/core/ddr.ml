@@ -71,7 +71,7 @@ let has_model_in eng db =
   if not (Db.has_integrity db) then true (* occ itself is a DDR model *)
   else Engine.augmented_has_model eng db (negated_atoms db)
 
-let semantics : Semantics.spec =
+let semantics : Semantics.t =
   {
     name = "ddr";
     long_name = "Disjunctive Database Rule (Ross & Topor) = Weak GCWA";

@@ -15,7 +15,7 @@ val entails_neg_literal_poly : Db.t -> int -> bool
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics : Semantics.spec
-(** The registry's [ddr] record; ask it through {!Registry.find_in}.  The polynomial occurrence-closure cells stay
+val semantics : Semantics.t
+(** The registry's [ddr] record; ask it through {!Registry.find}.  The polynomial occurrence-closure cells stay
     oracle-free; formula inference and the cells with integrity clauses
     are one SAT call on the augmented theory (coNP). *)

@@ -15,7 +15,7 @@ val stable_models : Db.t -> Interp.t list
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics : Semantics.spec
+val semantics : Semantics.t
 (** The registry's [dsm] record: the minimal models screened by
     {!is_stable} ({!Semantics.screened}); ask it through
-    {!Registry.find_in}. *)
+    {!Registry.find}. *)

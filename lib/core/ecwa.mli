@@ -11,11 +11,11 @@ open Ddb_logic
     is classical entailment from DB, which minimization cannot change;
     everything else takes the minimal-model witness search
     ({!Ddb_engine.Engine.minimal_witness}); all are memoized on cached
-    engines.  Ask them through [Registry.find_in ?part]. *)
+    engines.  Ask them through [Registry.find ?part]. *)
 
 val semantics :
   ?part:Partition.t -> name:string -> long_name:string -> unit ->
-  Semantics.spec
+  Semantics.t
 (** The record under the given name, asked at [part], by default the
     total partition ⟨V;∅;∅⟩ ({!Semantics.at_total}).  The registry names
     it [egcwa], [ecwa] and (through {!Circ}) [circ]; its wrapper

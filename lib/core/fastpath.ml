@@ -96,7 +96,7 @@ let exists_answer cell info () =
   | Least -> Lazy.force info.F.consistent
   | Perfect | Underivable -> true
 
-let wrap ?part (s : Semantics.spec) : Semantics.spec =
+let wrap ?part (s : Semantics.t) : Semantics.t =
   let sem = s.name in
   let in_definite = List.mem sem definite_family in
   let in_perfect = List.mem sem perfect_family in

@@ -38,4 +38,4 @@
       unique perfect = unique stable model), and their O(1) existence
       cells. *)
 
-val wrap : ?part:Ddb_logic.Partition.t -> Semantics.spec -> Semantics.spec
+val wrap : ?part:Ddb_logic.Partition.t -> Semantics.t -> Semantics.t

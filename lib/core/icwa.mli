@@ -18,9 +18,9 @@ val prepare : Db.t -> Partition.t -> instance option
 
 val is_icwa_model : instance -> Interp.t -> bool
 
-val semantics : ?part:Partition.t -> unit -> Semantics.spec
+val semantics : ?part:Partition.t -> unit -> Semantics.t
 (** The registry's [icwa] record, asked at [part], by default the total
     partition ⟨V;∅;∅⟩; its answers are memoized per partition
-    ({!Semantics.via_engine}).  Ask it through [Registry.find_in ?part];
+    ({!Semantics.via_engine}).  Ask it through [Registry.find ?part];
     its procedures raise [Invalid_argument] on an unstratified database or
     a query atom outside [part]'s universe. *)

@@ -121,55 +121,38 @@ let log_bound p_size =
 
    ⌈log₂(n+1)⌉ + 1 NP-oracle calls, against n + 1 for the per-atom
    algorithm.  As with the Σ₂ case the oracle's internal work is done by
-   the SAT solver and only *queries* are counted. *)
+   the engine ([Engine.non_entailed_atoms], then
+   [Engine.augmented_has_model], the ops the [cwa] record asks) and only
+   *queries* are counted. *)
 
 type np_report = { consistent : bool; np_queries : int; universe : int }
 
-let cwa_consistency_log db =
+let cwa_consistency_log eng db =
   let n = Db.num_vars db in
   let queries = ref 0 in
-  let non_entailed =
-    lazy
-      (let solver = Db.solver db in
-       Interp.of_pred n (fun x ->
-           match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
-           | Solver.Sat -> true
-           | Solver.Unsat -> false))
-  in
+  let non_entailed = Engine.non_entailed_atoms eng db in
   let query_at_least k =
     incr queries;
-    Interp.cardinal (Lazy.force non_entailed) >= k
-  in
-  let query_final () =
-    incr queries;
-    let negs =
-      Interp.fold (fun x acc -> [ Lit.Neg x ] :: acc) (Lazy.force non_entailed) []
-    in
-    let solver = Solver.of_clauses ~num_vars:n (Db.to_cnf db @ negs) in
-    match Solver.solve solver with Solver.Sat -> true | Solver.Unsat -> false
+    Interp.cardinal non_entailed >= k
   in
   let _k = theta_search query_at_least n in
-  let consistent = query_final () in
+  (* the final query: any witnessed W of size K is N, so decide
+     SAT(DB ∪ ¬N) *)
+  incr queries;
+  let consistent = Engine.augmented_has_model eng db non_entailed in
   { consistent; np_queries = !queries; universe = n }
 
-(* Per-atom baseline: n entailment queries plus the final satisfiability
-   check. *)
-let cwa_consistency_linear db =
+(* Per-atom baseline: n entailment queries ("DB ⊭ x?"), then the final
+   satisfiability check. *)
+let cwa_consistency_linear eng db =
   let n = Db.num_vars db in
   let queries = ref 0 in
-  let solver = Db.solver db in
+  let non_entailed = Engine.non_entailed_atoms eng db in
   let negs =
-    List.filter_map
-      (fun x ->
+    Interp.of_pred n (fun x ->
         incr queries;
-        match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
-        | Solver.Sat -> Some [ Lit.Neg x ]
-        | Solver.Unsat -> None)
-      (List.init n Fun.id)
+        Interp.mem non_entailed x)
   in
   incr queries;
-  let final = Solver.of_clauses ~num_vars:n (Db.to_cnf db @ negs) in
-  let consistent =
-    match Solver.solve final with Solver.Sat -> true | Solver.Unsat -> false
-  in
+  let consistent = Engine.augmented_has_model eng db negs in
   { consistent; np_queries = !queries; universe = n }

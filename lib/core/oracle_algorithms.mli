@@ -34,8 +34,10 @@ val log_bound : int -> int
 
 type np_report = { consistent : bool; np_queries : int; universe : int }
 
-val cwa_consistency_log : Db.t -> np_report
-(** CWA(DB) ≠ ∅ with ≤ ⌈log₂(n+1)⌉ + 1 NP-oracle queries. *)
+val cwa_consistency_log : Ddb_engine.Engine.t -> Db.t -> np_report
+(** CWA(DB) ≠ ∅ with ≤ ⌈log₂(n+1)⌉ + 1 NP-oracle queries, the oracle
+    realized by the engine's ops for the [cwa] record: the query count
+    does not depend on the engine's configuration. *)
 
-val cwa_consistency_linear : Db.t -> np_report
-(** Same with n + 1 queries. *)
+val cwa_consistency_linear : Ddb_engine.Engine.t -> Db.t -> np_report
+(** Same with exactly n + 1 queries. *)

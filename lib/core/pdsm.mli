@@ -18,6 +18,6 @@ val partial_stable_models : Db.t -> Three_valued.t list
 val reference_models : Db.t -> Interp.t list
 (** The {e total} partial stable models, as 2-valued interpretations. *)
 
-val semantics : Semantics.spec
+val semantics : Semantics.t
 (** The registry's [pdsm] record, its answers memoized
-    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)
+    ({!Semantics.via_engine}); ask it through {!Registry.find}. *)

@@ -9,6 +9,6 @@ open Ddb_db
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics : Semantics.spec
+val semantics : Semantics.t
 (** The registry's [perf] record ({!Semantics.screened}); ask it through
-    {!Registry.find_in}. *)
+    {!Registry.find}. *)

@@ -8,6 +8,6 @@ open Ddb_db
 
 val reference_models : Db.t -> Interp.t list
 
-val semantics : Semantics.spec
+val semantics : Semantics.t
 (** The registry's [pws] record, its answers memoized
-    ({!Semantics.via_engine}); ask it through {!Registry.find_in}. *)
+    ({!Semantics.via_engine}); ask it through {!Registry.find}. *)

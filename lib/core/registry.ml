@@ -1,35 +1,29 @@
 (* Name → semantics, for the CLI, examples and benches.
 
    The partition-parametric semantics (CCWA, ECWA, CIRC, ICWA) appear with
-   their canonical total partition ⟨V;∅;∅⟩, and [find_in ~part] makes them
+   their canonical total partition ⟨V;∅;∅⟩, and [find ~part] makes them
    at any other ⟨P;Q;Z⟩.  At the total partition CCWA is GCWA and ECWA is
    EGCWA, so the "gcwa" and "egcwa" records are the CCWA and ECWA records
    under their own names; those two are defined at ⟨V;∅;∅⟩ only.
 
-   Every record is a constant: the module's spec wrapped by
+   Every record is a constant: the module's record wrapped by
    [Fastpath.wrap], once, when this module is initialised.  Its fields
-   take the oracle engine as their first argument, so a one-shot query
-   ([infer_literal_in] and friends) calls the spec on the caller's engine,
-   and [find_in eng]/[all_in eng] hand out the spec bound to [eng].  No
-   record holds state of its own (all of it lives in the engine), so no
-   engine outlives its caller here.  [find] binds a fresh engine with
-   neither cache nor fast path — the paper's algorithms as stated, one
-   fresh solver per oracle question.  That baseline is a configuration of
-   the same code, not a second copy of it, and each call gets its own
-   engine, so no mutable engine is shared between callers. *)
-
-module Engine = Ddb_engine.Engine
+   take the oracle engine as their first argument, so [find] and [all]
+   hand out the records themselves and a one-shot query
+   ([infer_literal_in] and friends) calls one on the caller's engine.  No
+   record holds state of its own (all of it lives in the engine), so the
+   registry keeps no engine and creates none. *)
 
 (* A record is a constant, and a parametric one is made at a ⟨P;Q;Z⟩. *)
 type make =
-  | Total of Semantics.spec
-  | Parametric of (?part:Ddb_logic.Partition.t -> unit -> Semantics.spec)
+  | Total of Semantics.t
+  | Parametric of (?part:Ddb_logic.Partition.t -> unit -> Semantics.t)
 
 (* Registry order, name → record.  Records additionally go through the
    fragment fast-path dispatcher: tractable (semantics, problem, fragment)
    cells are answered by the polynomial algorithms of [Ddb_frag],
    everything else falls back to the generic oracle procedures.
-   [Engine.create ~fastpath:false] turns the dispatcher off, which
+   [Ddb_engine.Engine.create ~fastpath:false] turns the dispatcher off, which
    restores the pre-dispatch behaviour exactly. *)
 let entries : (string * make) array =
   (* GCWA/EGCWA: the CCWA/ECWA records under their own names, at ⟨V;∅;∅⟩ *)
@@ -73,31 +67,32 @@ let rec index_from i name =
 let index name = index_from 0 name
 
 (* Every record wrapped once, in registry order. *)
-let specs =
+let records =
   Array.map
     (fun (_, mk) ->
       Fastpath.wrap (match mk with Total s -> s | Parametric mk -> mk ()))
     entries
 
-let all_in eng = Array.to_list (Array.map (Semantics.bind eng) specs)
+let all = Array.to_list records
 
 (* At a given partition only the four parametric records exist; each
    question makes its own. *)
-let find_in ?part eng name =
+let find ?part name =
   match (part, index name) with
   | _, -1 -> None
-  | None, i -> Some (Semantics.bind eng specs.(i))
+  | None, i -> Some records.(i)
   | Some part, i -> (
     match snd entries.(i) with
-    | Parametric mk ->
-      Some (Semantics.bind eng (Fastpath.wrap ~part (mk ~part ())))
+    | Parametric mk -> Some (Fastpath.wrap ~part (mk ~part ()))
     | Total _ -> None)
 
-let find name = find_in (Engine.create ~cache:false ~fastpath:false ()) name
+(* The lookup perfbench's [core.registry_lookup_us] times: [find], its
+   engine ignored. *)
+let find_in ?part _ name = find ?part name
 
 (* No semantics' [applicable] test touches an engine. *)
 let applicable_names db =
-  List.filteri (fun i _ -> specs.(i).Semantics.applicable db) names
+  List.filteri (fun i _ -> records.(i).Semantics.applicable db) names
 
 (* One-shot boolean evaluation by name on a caller-supplied engine: the
    primitive query.  A budget wraps it from outside
@@ -106,15 +101,15 @@ let applicable_names db =
    engine, and these are the sequential baseline its determinism tests
    compare against. *)
 
-let spec_exn name =
+let record_exn name =
   match index name with
   | -1 -> invalid_arg (Printf.sprintf "Registry: unknown semantics %S" name)
-  | i -> specs.(i)
+  | i -> records.(i)
 
 let infer_literal_in eng ~sem db l =
-  (spec_exn sem).Semantics.infer_literal eng db l
+  (record_exn sem).Semantics.infer_literal eng db l
 
 let infer_formula_in eng ~sem db f =
-  (spec_exn sem).Semantics.infer_formula eng db f
+  (record_exn sem).Semantics.infer_formula eng db f
 
-let has_model_in eng ~sem db = (spec_exn sem).Semantics.has_model eng db
+let has_model_in eng ~sem db = (record_exn sem).Semantics.has_model eng db

@@ -9,8 +9,8 @@ open Ddb_db
    Every upper bound in the paper is "guess a model, check it".  The
    guessed model is a witness for brave inference and a countermodel for
    cautious inference, so each semantics has one search primitive,
-   [witness db f]: an intended model satisfying F, or [None].  Cautious
-   inference is [witness db ¬F = None] (PDSM keeps its own 3-valued
+   [witness eng db f]: an intended model satisfying F, or [None].  Cautious
+   inference is [witness eng db ¬F = None] (PDSM keeps its own 3-valued
    inference: the duality fails at value ½).
 
    Every semantics module provides two engines:
@@ -20,27 +20,13 @@ open Ddb_db
        used as ground truth on small universes by the tests and the
        engine-ablation bench.
 
-   A semantics is a constant [spec]: which oracle engine answers its
+   A semantics is a constant record: which oracle engine answers its
    questions is the first argument of every procedure, not part of the
-   semantics.  [bind eng] fixes it, giving the record callers ask. *)
+   semantics. *)
 
 type model = Two_valued of Interp.t | Three_valued of Three_valued.t
 
 module Engine = Ddb_engine.Engine
-
-(* A semantics as a constant: every decision procedure takes the oracle
-   engine that answers its questions first.  Declared before [t] so that
-   an unannotated field access means [t]'s field. *)
-type spec = {
-  name : string;
-  long_name : string;
-  applicable : Db.t -> bool;
-  has_model : Engine.t -> Db.t -> bool;
-  infer_formula : Engine.t -> Db.t -> Formula.t -> bool;
-  infer_literal : Engine.t -> Db.t -> Lit.t -> bool;
-  witness : Engine.t -> Db.t -> Formula.t -> model option;
-  reference_models : Db.t -> Interp.t list;
-}
 
 type t = {
   name : string;
@@ -48,24 +34,12 @@ type t = {
   (* Which databases the semantics is defined for (e.g. DDR needs a DDDB,
      ICWA a stratified database). *)
   applicable : Db.t -> bool;
-  has_model : Db.t -> bool;
-  infer_formula : Db.t -> Formula.t -> bool;
-  infer_literal : Db.t -> Lit.t -> bool;
-  witness : Db.t -> Formula.t -> model option;
+  has_model : Engine.t -> Db.t -> bool;
+  infer_formula : Engine.t -> Db.t -> Formula.t -> bool;
+  infer_literal : Engine.t -> Db.t -> Lit.t -> bool;
+  witness : Engine.t -> Db.t -> Formula.t -> model option;
   reference_models : Db.t -> Interp.t list;
 }
-
-let bind eng (s : spec) : t =
-  {
-    name = s.name;
-    long_name = s.long_name;
-    applicable = s.applicable;
-    has_model = s.has_model eng;
-    infer_formula = s.infer_formula eng;
-    infer_literal = s.infer_literal eng;
-    witness = s.witness eng;
-    reference_models = s.reference_models;
-  }
 
 let two_valued w = Option.map (fun m -> Two_valued m) w
 
@@ -105,7 +79,7 @@ let at_total_db ?part k =
   fun e db -> k e db ()
 
 let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
-    ~infer_literal ~witness reference_models : spec =
+    ~infer_literal ~witness reference_models : t =
   let witness = at_total ?part Fun.id witness in
   let reference_models = at_total_db ?part (fun () -> reference_models) () in
   {
@@ -133,7 +107,7 @@ let parametric ?part ~name ~long_name ~applicable ~has_model ~infer_formula
    here: the registry's wrapper ({!Fastpath.wrap}) runs every field in the
    record's scope.  The closed-world family calls the engine's oracle ops
    directly instead. *)
-let via_engine ?part (s : spec) : spec =
+let via_engine ?part (s : t) : t =
   let op_exists = Engine.op (s.name ^ "/exists")
   and op_formula = Engine.op (s.name ^ "/formula")
   and op_literal = Engine.op (s.name ^ "/literal") in

@@ -192,7 +192,7 @@ val scope : string -> scope
 (** The handle of that name.  Handles are interned in one process-wide,
     lock-guarded table: the same name always gives the same handle, from
     any domain, so a record wrapped afresh per question (a ⟨P;Q;Z⟩ record
-    from [Registry.find_in ~part]) adds no handle and no bucket.  Resolve
+    from [Registry.find ~part]) adds no handle and no bucket.  Resolve
     it once, when a record is made. *)
 
 val scopes_interned : unit -> int

@@ -95,8 +95,8 @@ let minimal_diagnoses circuit ~observations =
 let certainly_healthy eng circuit ~observations g =
   let db, part, _ = instance circuit ~observations in
   let vocab = Db.vocab db in
-  let ccwa = Option.get (Ddb_core.Registry.find_in ~part eng "ccwa") in
-  ccwa.Ddb_core.Semantics.infer_literal db (Lit.Neg (ab_atom vocab g))
+  let ccwa = Option.get (Ddb_core.Registry.find ~part "ccwa") in
+  ccwa.Ddb_core.Semantics.infer_literal eng db (Lit.Neg (ab_atom vocab g))
 
 (* A ripple-carry adder over [bits] bits: a scalable diagnosis family.
    Wire layout per bit i: a_i, b_i, carry_i (carry_0 is the carry-in),

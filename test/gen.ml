@@ -153,8 +153,8 @@ module Semantics = Ddb_core.Semantics
    fresh solver per oracle question. *)
 let baseline () = Engine.create ~cache:false ~fastpath:false ()
 
-(* The named registry record on [eng], made at [part] when given. *)
-let record ?part eng sem = Option.get (Ddb_core.Registry.find_in ?part eng sem)
+(* The named registry record, made at [part] when given. *)
+let record ?part sem = Option.get (Ddb_core.Registry.find ?part sem)
 
 (* Every engine configuration: cache on/off × fast path on/off. *)
 let configurations () =
@@ -198,18 +198,18 @@ let differential ~engines ~sem db ~lits ~formulas =
   let lit_refs = List.map (fun l -> (l, ref_literal l)) lits in
   List.concat_map
     (fun (config, eng) ->
-      let s = Option.get (Ddb_core.Registry.find_in eng sem) in
+      let s = record sem in
       let report what want got =
         if want = got then []
         else [ Printf.sprintf "%s %s [%s]: expected %b" sem what config want ]
       in
-      report "has_model" ref_exists (s.Semantics.has_model db)
+      report "has_model" ref_exists (s.Semantics.has_model eng db)
       @ List.concat_map
           (fun (l, want) ->
-            report (Lit.to_string l) want (s.Semantics.infer_literal db l))
+            report (Lit.to_string l) want (s.Semantics.infer_literal eng db l))
           lit_refs
       @ List.concat_map
           (fun f ->
-            report "formula" (ref_entails f) (s.Semantics.infer_formula db f))
+            report "formula" (ref_entails f) (s.Semantics.infer_formula eng db f))
           formulas)
     engines

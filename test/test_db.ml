@@ -75,9 +75,9 @@ let models_suite =
         let db = Db.of_string "a | b." in
         let vocab = Db.vocab db in
         let f = Parse.formula vocab "~a | ~b" in
-        let ecwa = Gen.record (Gen.baseline ()) "ecwa" in
+        let ecwa = Gen.record "ecwa" in
         check "min models reject a&b" true
-          (ecwa.Ddb_core.Semantics.infer_formula db f);
+          (ecwa.Ddb_core.Semantics.infer_formula (Gen.baseline ()) db f);
         check "classical does not" false (Models.entails db f));
   ]
 
@@ -107,8 +107,8 @@ let qcheck_minimal_entails_agrees =
           (fun m -> Formula.eval m f)
           (Models.brute_minimal_models ~part db)
       in
-      (Gen.record ~part (Gen.baseline ()) "ecwa").Ddb_core.Semantics.infer_formula
-        db f
+      (Gen.record ~part "ecwa").Ddb_core.Semantics.infer_formula
+        (Gen.baseline ()) db f
       = reference)
 
 (* --- Stratification --- *)

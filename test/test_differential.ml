@@ -67,18 +67,18 @@ let qcheck_ecwa_equals_circ =
         List.filter (Circ.is_circ_model db part) (Models.brute_models db)
       in
       let witness_ok (r : Semantics.t) g =
-        match r.witness db g with
+        match r.witness eng db g with
         | None -> not (List.exists (fun m -> Formula.eval m g) schema)
         | Some (Semantics.Two_valued m) ->
           Circ.is_circ_model db part m && Formula.eval m g
         | Some (Semantics.Three_valued _) -> false
       in
       Gen.interp_list_equal schema
-        ((Gen.record ~part eng "ecwa").Semantics.reference_models db)
+        ((Gen.record ~part "ecwa").Semantics.reference_models db)
       && List.for_all
            (fun sem ->
-             let r = Gen.record ~part eng sem in
-             r.Semantics.infer_formula db f
+             let r = Gen.record ~part sem in
+             r.Semantics.infer_formula eng db f
              = List.for_all (fun m -> Formula.eval m f) schema
              && witness_ok r f
              && witness_ok r (Formula.not_ f))

@@ -118,11 +118,11 @@ let primitive_soundness () =
 let repeat_queries_hit_cache () =
   let eng = Engine.create () in
   let db = Random_db.positive ~seed:5 ~num_vars:8 in
-  let s = Option.get (Registry.find_in eng "gcwa") in
+  let s = Option.get (Registry.find "gcwa") in
   let sweep () =
     for x = 0 to Db.num_vars db - 1 do
-      ignore (s.Semantics.infer_literal db (Lit.Neg x));
-      ignore (s.Semantics.infer_literal db (Lit.Pos x))
+      ignore (s.Semantics.infer_literal eng db (Lit.Neg x));
+      ignore (s.Semantics.infer_literal eng db (Lit.Pos x))
     done
   in
   sweep ();
@@ -147,8 +147,8 @@ let counterexample_is_a_memo_hit () =
       check bool (sem ^ " answers false") false
         (Registry.infer_formula_in eng ~sem db f);
       let before = Engine.totals eng in
-      let s = Option.get (Registry.find_in eng sem) in
-      (match s.Semantics.witness db (Formula.not_ f) with
+      let s = Option.get (Registry.find sem) in
+      (match s.Semantics.witness eng db (Formula.not_ f) with
       | Some (Semantics.Two_valued m) ->
         check bool (sem ^ ": the counterexample refutes F") false
           (Formula.eval m f)
@@ -318,16 +318,16 @@ let record_work_lands_in_its_bucket () =
       let f = Formula.Or (Formula.Atom 0, Formula.Not (Formula.Atom 1)) in
       let fields =
         [
-          ("has_model", fun (s : Semantics.t) -> ignore (s.has_model db));
-          ("infer_formula", fun s -> ignore (s.infer_formula db f));
-          ("witness", fun s -> ignore (s.witness db f));
+          ("has_model", fun (s : Semantics.t) eng -> ignore (s.has_model eng db));
+          ("infer_formula", fun s eng -> ignore (s.infer_formula eng db f));
+          ("witness", fun s eng -> ignore (s.witness eng db f));
         ]
         @ List.concat_map
             (fun x ->
               List.map
                 (fun l ->
                   ( "infer_literal " ^ Lit.to_string l,
-                    fun (s : Semantics.t) -> ignore (s.infer_literal db l) ))
+                    fun (s : Semantics.t) eng -> ignore (s.infer_literal eng db l) ))
                 [ Lit.Pos x; Lit.Neg x ])
             (List.init (Db.num_vars db) Fun.id)
       in
@@ -338,13 +338,13 @@ let record_work_lands_in_its_bucket () =
               List.iter
                 (fun (field, run) ->
                   let eng = mk () in
-                  let s = Option.get (Registry.find_in eng name) in
+                  let s = Option.get (Registry.find name) in
                   if s.Semantics.applicable db then begin
                     let label =
                       String.concat " " [ name; field; db_name; config ]
                     in
                     Ddb_obs.Trace.start ();
-                    Fun.protect ~finally:Ddb_obs.Trace.stop (fun () -> run s);
+                    Fun.protect ~finally:Ddb_obs.Trace.stop (fun () -> run s eng);
                     (match Engine.per_scope eng with
                     | [ b ] ->
                       check string (label ^ " bucket") name b.Engine.scope;
@@ -430,11 +430,11 @@ let alternating_databases_match_rebuilt () =
                 (fun db ->
                   let db = pick db in
                   if s.Semantics.applicable db then
-                    Some (s.Semantics.infer_literal db (Lit.Neg x))
+                    Some (s.Semantics.infer_literal eng db (Lit.Neg x))
                   else None)
                 [ a; b; a; b ])
             [ 0; 3; 6 ])
-        (Registry.all_in eng)
+        Registry.all
     in
     (answers, { (Engine.totals eng) with Engine.wall_ms = 0. })
   in
@@ -487,7 +487,7 @@ let oracle_algorithms_engine_variant () =
 (* --- the registry and its callers' engines --- *)
 
 (* The registry keeps no engine: once a caller drops an engine it asked
-   through [infer_literal_in] and a record from [find_in], the next full
+   through [infer_literal_in] and a record from [find], the next full
    major collection reclaims it. *)
 let dropped_engine_is_collectable () =
   let collected = ref false in
@@ -496,12 +496,36 @@ let dropped_engine_is_collectable () =
     Gc.finalise (fun _ -> collected := true) eng;
     let db = Random_db.normal ~seed:31 ~num_vars:5 in
     ignore (Registry.infer_literal_in eng ~sem:"gcwa" db (Lit.Neg 0));
-    let s = Option.get (Registry.find_in eng "dsm") in
-    ignore (s.Semantics.infer_literal db (Lit.Pos 1))
+    let s = Option.get (Registry.find "dsm") in
+    ignore (s.Semantics.infer_literal eng db (Lit.Pos 1))
   in
   (Sys.opaque_identity ask) ();
   Gc.full_major ();
   check bool "engine collected" true !collected
+
+(* A record from [find] answers on the engine it is asked on: the same
+   question asked twice of one record on one cached engine is that
+   engine's memo hit the second time.  The database is in no fast-path
+   cell, so every answer goes through the memo. *)
+let found_record_hits_the_callers_memo () =
+  let eng = Engine.create () in
+  let db = Db.of_string "a | b. c :- a. :- b, c." in
+  let counter f = f (Engine.totals eng) in
+  List.iter
+    (fun name ->
+      let s = Option.get (Registry.find name) in
+      if s.Semantics.applicable db then begin
+        let first = s.Semantics.infer_literal eng db (Lit.Neg 2) in
+        let hits = counter (fun t -> t.Engine.cache_hits)
+        and misses = counter (fun t -> t.Engine.cache_misses) in
+        let second = s.Semantics.infer_literal eng db (Lit.Neg 2) in
+        check bool (name ^ " same answer") first second;
+        check bool (name ^ " memo hit") true
+          (counter (fun t -> t.Engine.cache_hits) > hits);
+        check int (name ^ " no miss") misses
+          (counter (fun t -> t.Engine.cache_misses))
+      end)
+    Registry.names
 
 (* Engines A, B, A on the same queries: the same answers, and each
    engine's counters are its own — B's do not move while A works, and A
@@ -606,9 +630,9 @@ let partition_records_add_no_scope () =
   let names = [| "ccwa"; "ecwa"; "circ"; "icwa" |] in
   let ask i =
     let name = names.(i mod Array.length names) in
-    let s = Option.get (Registry.find_in ~part eng name) in
+    let s = Option.get (Registry.find ~part name) in
     if s.Semantics.applicable db then
-      ignore (s.Semantics.infer_literal db (Lit.Neg (i mod 4)))
+      ignore (s.Semantics.infer_literal eng db (Lit.Neg (i mod 4)))
   in
   for i = 0 to 99 do ask i done;
   let interned = Engine.scopes_interned () in
@@ -706,6 +730,8 @@ let suites =
       [
         test_case "a dropped engine is collectable" `Quick
           dropped_engine_is_collectable;
+        test_case "a found record hits its caller's engine memo" `Quick
+          found_record_hits_the_callers_memo;
         test_case "interleaved engines keep their own counters" `Quick
           interleaved_engines_keep_their_own_counters;
         test_case "a raising scope credits its bucket and closes" `Quick

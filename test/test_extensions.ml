@@ -115,7 +115,7 @@ let qcheck_wfs_stratified_is_perfect =
 (* Brave inference reads the registry record's witness search; it and every
    cautious engine below run on the paper's baseline configuration. *)
 let eng = Gen.baseline ()
-let witness name = (Option.get (Registry.find_in eng name)).Semantics.witness
+let witness name = (Option.get (Registry.find name)).Semantics.witness eng
 let brave name db f = Option.is_some (witness name db f)
 
 let brave_unit =
@@ -141,7 +141,7 @@ let brave_unit =
     Alcotest.test_case "by_name dispatch" `Quick (fun () ->
         let db = Db.of_string "a | b." in
         check "gcwa" true (brave "gcwa" db (Formula.Atom 0));
-        check "unknown" true (Registry.find_in eng "zzz" = None));
+        check "unknown" true (Registry.find "zzz" = None));
   ]
 
 let qcheck_brave_duality sem_name gen_db =
@@ -250,27 +250,43 @@ let cwa_log_suite =
         List.iter
           (fun src ->
             let db = Db.of_string src in
-            let log = Oracle_algorithms.cwa_consistency_log db in
-            let lin = Oracle_algorithms.cwa_consistency_linear db in
+            let log = Oracle_algorithms.cwa_consistency_log eng db in
+            let lin = Oracle_algorithms.cwa_consistency_linear eng db in
             let direct = Registry.has_model_in eng ~sem:"cwa" db in
             check src log.Oracle_algorithms.consistent direct;
             check src lin.Oracle_algorithms.consistent direct;
             check "bound" true
               (log.Oracle_algorithms.np_queries
-              <= Oracle_algorithms.log_bound log.Oracle_algorithms.universe))
+              <= Oracle_algorithms.log_bound log.Oracle_algorithms.universe);
+            check_int "linear" (Db.num_vars db + 1)
+              lin.Oracle_algorithms.np_queries)
           [ "a | b."; "a. b :- a."; "a | b. c :- a. c :- b."; "a. :- a." ]);
   ]
 
+(* Both algorithms against the [cwa] record's brute-force model set, on
+   every engine configuration: the answer is CWA(DB) ≠ ∅, the log
+   algorithm stays within its bound and the per-atom one asks exactly
+   n + 1 queries. *)
 let qcheck_cwa_log =
-  QCheck.Test.make ~count:250 ~name:"CWA log-consistency = direct, within bound"
+  let engines = Gen.configurations () in
+  let cwa = Gen.record "cwa" in
+  QCheck.Test.make ~count:250
+    ~name:"CWA log-consistency and linear = brute reference, within bound"
     QCheck.(pair (int_bound 999999) (int_range 1 5))
     (fun (seed, num_vars) ->
       let rand = Random.State.make [| seed |] in
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
-      let log = Oracle_algorithms.cwa_consistency_log db in
-      log.Oracle_algorithms.consistent = Registry.has_model_in eng ~sem:"cwa" db
-      && log.Oracle_algorithms.np_queries
-         <= Oracle_algorithms.log_bound num_vars)
+      let consistent = cwa.Semantics.reference_models db <> [] in
+      List.for_all
+        (fun (_, eng) ->
+          let log = Oracle_algorithms.cwa_consistency_log eng db in
+          let lin = Oracle_algorithms.cwa_consistency_linear eng db in
+          log.Oracle_algorithms.consistent = consistent
+          && lin.Oracle_algorithms.consistent = consistent
+          && log.Oracle_algorithms.np_queries
+             <= Oracle_algorithms.log_bound num_vars
+          && lin.Oracle_algorithms.np_queries = num_vars + 1)
+        engines)
 
 (* --- grounding --- *)
 
@@ -399,7 +415,7 @@ let qcheck_witnesses_are_models =
       check_witness Models.brute_minimal_models "egcwa"
       && check_witness Dsm.reference_models "dsm"
       && check_witness Perf.reference_models "perf"
-      && check_witness (Gen.record eng "gcwa").Semantics.reference_models "gcwa"
+      && check_witness (Gen.record "gcwa").Semantics.reference_models "gcwa"
       && check_witness Cwa.reference_models "cwa")
 
 let qcheck_pws_witnesses =
@@ -434,13 +450,13 @@ let qcheck_pdsm_witnesses =
    two-valued model is compared as a total 3-valued one; PDSM's reference
    set is its partial stable models, every other semantics'
    its record's [reference_models]. *)
-let witness_complete (s : Semantics.t) db f =
+let witness_complete (s : Semantics.t) eng db f =
   let models =
     if s.Semantics.name = "pdsm" then Pdsm.partial_stable_models db
     else List.map Three_valued.of_two_valued (s.Semantics.reference_models db)
   in
   let sat i = Three_valued.eval_formula i f = Three_valued.T in
-  match s.Semantics.witness db f with
+  match s.Semantics.witness eng db f with
   | None -> not (List.exists sat models)
   | Some w ->
     let i =
@@ -472,12 +488,12 @@ let qcheck_witness_completeness name =
       let f = Gen.random_formula rand num_vars ~depth:2 in
       List.for_all
         (fun (_, eng) ->
-          let s = Option.get (Registry.find_in eng name) in
+          let s = Gen.record name in
           (not (s.Semantics.applicable db))
           || (name = "pdsm"
-             || s.Semantics.infer_formula db (Formula.not_ f)
-                = Option.is_none (s.Semantics.witness db f))
-             && witness_complete s db f)
+             || s.Semantics.infer_formula eng db (Formula.not_ f)
+                = Option.is_none (s.Semantics.witness eng db f))
+             && witness_complete s eng db f)
         engines)
 
 (* The partition-parametric witnesses at a random ⟨P;Q;Z⟩. *)
@@ -495,9 +511,9 @@ let qcheck_partition_witness_completeness =
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let ok db sem =
-        let s = Gen.record ~part eng sem in
+        let s = Gen.record ~part sem in
         let models = s.Semantics.reference_models db in
-        match s.Semantics.witness db f with
+        match s.Semantics.witness eng db f with
         | None -> not (List.exists (fun m -> Formula.eval m f) models)
         | Some (Semantics.Two_valued m) ->
           Formula.eval m f && List.exists (Interp.equal m) models

@@ -268,29 +268,26 @@ let registry_suite =
         check "unknown" true (Registry.find "nope" = None));
     Alcotest.test_case "each name finds its own record, in registry order"
       `Quick (fun () ->
-        let eng = Ddb_engine.Engine.create () in
         let expected =
           [ "cwa"; "gcwa"; "ddr"; "pws"; "egcwa"; "ccwa"; "ecwa"; "circ";
             "icwa"; "perf"; "dsm"; "pdsm" ]
         in
         Alcotest.(check (list string)) "names order" expected Registry.names;
-        Alcotest.(check (list string)) "all_in order" expected
-          (List.map (fun (s : Semantics.t) -> s.Semantics.name)
-             (Registry.all_in eng));
-        List.iter
-          (fun name ->
-            Alcotest.(check (option string)) name (Some name)
-              (Option.map
-                 (fun (s : Semantics.t) -> s.Semantics.name)
-                 (Registry.find_in eng name)))
-          Registry.names;
-        check "unknown" true (Registry.find_in eng "nope" = None);
+        Alcotest.(check (list string)) "all order" expected
+          (List.map (fun (s : Semantics.t) -> s.Semantics.name) Registry.all);
+        List.iter2
+          (fun name (s : Semantics.t) ->
+            (* the record itself, not a copy *)
+            check name true
+              (match Registry.find name with Some r -> r == s | None -> false))
+          Registry.names Registry.all;
+        check "unknown" true (Registry.find "nope" = None);
         (* at a given partition only the four parametric records exist *)
         let part = Partition.minimize_all 2 in
-        Alcotest.(check (list string)) "find_in ~part"
+        Alcotest.(check (list string)) "find ~part"
           [ "ccwa"; "ecwa"; "circ"; "icwa" ]
           (List.filter
-             (fun name -> Option.is_some (Registry.find_in ~part eng name))
+             (fun name -> Option.is_some (Registry.find ~part name))
              ("nope" :: Registry.names)));
     Alcotest.test_case "all names distinct" `Quick (fun () ->
         let names = Registry.names in
@@ -422,8 +419,9 @@ let split_suite =
         List.iter
           (fun (s : Semantics.t) ->
             check s.Semantics.name true
-              (s.Semantics.witness (Db.of_string "a.") (Formula.Atom 0) <> None))
-          (Registry.all_in eng));
+              (s.Semantics.witness eng (Db.of_string "a.") (Formula.Atom 0)
+              <> None))
+          Registry.all);
   ]
 
 let suites =

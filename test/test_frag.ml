@@ -130,30 +130,29 @@ let qcheck_iterated_model =
 let classification_cached_once () =
   let db = Db.of_string "a. b :- a. c | d :- b." in
   let eng = Engine.create () in
-  let sems = Registry.all_in eng in
   List.iter
     (fun (s : Semantics.t) ->
       if s.Semantics.applicable db then begin
-        ignore (s.Semantics.has_model db);
-        ignore (s.Semantics.infer_literal db (Lit.Neg 0))
+        ignore (s.Semantics.has_model eng db);
+        ignore (s.Semantics.infer_literal eng db (Lit.Neg 0))
       end)
-    sems;
+    Registry.all;
   let st = Engine.totals eng in
   check_int "one classification for one theory" 1
     st.Engine.classifications;
   check "dispatch consulted more than once" true
     (st.Engine.fastpath_hits + st.Engine.fastpath_misses > 1);
   (* a second, structurally different database costs one more *)
-  ignore ((List.hd sems).Semantics.has_model (Db.of_string "x | y."));
+  ignore ((List.hd Registry.all).Semantics.has_model eng (Db.of_string "x | y."));
   check_int "second theory, second classification" 2
     (Engine.totals eng).Engine.classifications
 
 let classification_uncached_on_direct () =
   let db = Db.of_string "a. b :- a." in
   let eng = Engine.create ~cache:false () in
-  let s = List.hd (Registry.all_in eng) in
-  ignore (s.Semantics.has_model db);
-  ignore (s.Semantics.has_model db);
+  let s = List.hd Registry.all in
+  ignore (s.Semantics.has_model eng db);
+  ignore (s.Semantics.has_model eng db);
   check "direct engines reclassify per query" true
     ((Engine.totals eng).Engine.classifications >= 2)
 
@@ -197,15 +196,15 @@ let fastpath_hits_on_tractable () =
   let eng = Engine.create () in
   List.iter
     (fun (s : Semantics.t) ->
-      if s.Semantics.applicable db then ignore (s.Semantics.has_model db))
-    (Registry.all_in eng);
+      if s.Semantics.applicable db then ignore (s.Semantics.has_model eng db))
+    Registry.all;
   check "hits > 0" true ((Engine.totals eng).Engine.fastpath_hits > 0);
   (* and must not fire when disabled *)
   let eng' = Engine.create ~fastpath:false () in
   List.iter
     (fun (s : Semantics.t) ->
-      if s.Semantics.applicable db then ignore (s.Semantics.has_model db))
-    (Registry.all_in eng');
+      if s.Semantics.applicable db then ignore (s.Semantics.has_model eng' db))
+    Registry.all;
   check_int "disabled: no hits" 0 (Engine.totals eng').Engine.fastpath_hits;
   check_int "disabled: no misses recorded" 0
     (Engine.totals eng').Engine.fastpath_misses

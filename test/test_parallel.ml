@@ -9,9 +9,9 @@ module Budget = Ddb_budget.Budget
 
 (* Tests for the domain-parallel batch layer: pool mechanics (order
    stability, worker indices, exception-safe join), batch determinism
-   (jobs:1 ≡ jobs:4 ≡ the sequential Registry.all_in path on random DBs),
-   cross-shard stats merging against the sequential counters, and the
-   sharded reset lifecycle. *)
+   (jobs:1 ≡ jobs:4 ≡ the sequential Registry.infer_literal_in path on
+   random DBs), cross-shard stats merging against the sequential
+   counters, and the sharded reset lifecycle. *)
 
 (* --- pool and map mechanics --- *)
 
@@ -140,7 +140,7 @@ let sweep_testable = list (pair string (list (pair lit answer)))
 
 let qcheck_jobs_invariant =
   QCheck.Test.make ~count:(Gen.qcheck_count 15)
-    ~name:"batch: jobs:1 ≡ jobs:4 ≡ sequential Registry.all_in"
+    ~name:"batch: jobs:1 ≡ jobs:4 ≡ sequential Registry.infer_literal_in"
     (QCheck.int_bound 999999)
     (fun seed ->
       let rand = Random.State.make [| seed |] in

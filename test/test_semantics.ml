@@ -90,19 +90,19 @@ let partition_law sem gen_db =
       List.for_all
         (fun (part, lits) ->
           let reference =
-            (Gen.record ~part eng sem).Semantics.reference_models db
+            (Gen.record ~part sem).Semantics.reference_models db
           in
           let ref_infer f =
             List.for_all (fun m -> Formula.eval m f) reference
           in
           List.for_all
             (fun (_, e) ->
-              let s = Gen.record ~part e sem in
-              s.Semantics.has_model db = (reference <> [])
-              && s.Semantics.infer_formula db f = ref_infer f
+              let s = Gen.record ~part sem in
+              s.Semantics.has_model e db = (reference <> [])
+              && s.Semantics.infer_formula e db f = ref_infer f
               && List.for_all
                    (fun l ->
-                     s.Semantics.infer_literal db l
+                     s.Semantics.infer_literal e db l
                      = ref_infer (Formula.of_lit l))
                    lits)
             engines)
@@ -121,16 +121,16 @@ let wider_database_is_refused () =
   in
   List.iter
     (fun name ->
-      let s = Option.get (Registry.find_in ~part eng name) in
+      let s = Option.get (Registry.find ~part name) in
       List.iter
         (fun (field, ask) ->
           Alcotest.check_raises (name ^ " " ^ field) expected (fun () ->
               ignore (ask ())))
         [
-          ("has_model", fun () -> s.Semantics.has_model db);
-          ("infer_literal", fun () -> s.Semantics.infer_literal db (Lit.Neg 2));
-          ("infer_formula", fun () -> s.Semantics.infer_formula db (Formula.Atom 0));
-          ("witness", fun () -> Option.is_some (s.Semantics.witness db (Formula.Atom 0)));
+          ("has_model", fun () -> s.Semantics.has_model eng db);
+          ("infer_literal", fun () -> s.Semantics.infer_literal eng db (Lit.Neg 2));
+          ("infer_formula", fun () -> s.Semantics.infer_formula eng db (Formula.Atom 0));
+          ("witness", fun () -> Option.is_some (s.Semantics.witness eng db (Formula.Atom 0)));
         ])
     [ "ccwa"; "ecwa"; "circ"; "icwa" ]
 
@@ -165,9 +165,10 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
-      let ecwa = Gen.record ~part eng "ecwa"
-      and circ = Gen.record ~part eng "circ" in
-      ecwa.Semantics.infer_formula db f = circ.Semantics.infer_formula db f
+      let ecwa = Gen.record ~part "ecwa"
+      and circ = Gen.record ~part "circ" in
+      ecwa.Semantics.infer_formula eng db f
+      = circ.Semantics.infer_formula eng db f
       && Gen.interp_list_equal
            (ecwa.Semantics.reference_models db)
            (circ.Semantics.reference_models db))
@@ -218,7 +219,7 @@ let qcheck_gcwa_is_ccwa_total =
         Partition.minimize_all (Db.num_vars (Semantics.for_query db f))
       in
       Registry.infer_formula_in eng ~sem:"gcwa" db f
-      = (Gen.record ~part eng "ccwa").Semantics.infer_formula db f)
+      = (Gen.record ~part "ccwa").Semantics.infer_formula eng db f)
 
 (* Total (2-valued) partial stable models = disjunctive stable models. *)
 let qcheck_pdsm_total_is_dsm =
@@ -244,7 +245,7 @@ let qcheck_pdsm_engines_agree =
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let value_1 i = Three_valued.eval_formula i f = Three_valued.T in
       let witness_ok =
-        match (Option.get (Registry.find_in eng "pdsm")).Semantics.witness db f with
+        match (Gen.record "pdsm").Semantics.witness eng db f with
         | None -> not (List.exists value_1 reference)
         | Some (Semantics.Three_valued i) ->
           value_1 i && Pdsm.is_partial_stable db i
@@ -340,7 +341,7 @@ let icwa_unit =
            O(1) stratifiability answer does not apply. *)
         let db = Db.of_string "a. :- a." in
         check "no reference model" true
-          ((Gen.record eng "icwa").Semantics.reference_models db = []);
+          ((Gen.record "icwa").Semantics.reference_models db = []);
         check "no model" false (Registry.has_model_in eng ~sem:"icwa" db);
         List.iter
           (fun (config, eng) ->
@@ -393,7 +394,7 @@ let qcheck_icwa_captures_perf =
         Gen.stratified_db rand ~num_vars ~num_clauses:(num_vars * 2) ~layers:2
       in
       Gen.interp_list_equal
-        ((Gen.record eng "icwa").Semantics.reference_models db)
+        ((Gen.record "icwa").Semantics.reference_models db)
         (Perf.reference_models db))
 
 (* --- oracle algorithms: the P^Σ₂ᵖ[O(log n)] machinery --- *)
@@ -419,7 +420,7 @@ let qcheck_oracle_log_agrees =
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let log_report = Oracle_algorithms.entails_log_in eng db part f in
       let linear_report = Oracle_algorithms.entails_linear eng db part f in
-      let direct = (Gen.record ~part eng "ccwa").Semantics.infer_formula db f in
+      let direct = (Gen.record ~part "ccwa").Semantics.infer_formula eng db f in
       log_report.Oracle_algorithms.answer = direct
       && linear_report.Oracle_algorithms.answer = direct
       && log_report.Oracle_algorithms.sigma2_queries
